@@ -5,9 +5,8 @@
 //! bipartite) across thread counts {1, 2, 4, 8}, for both the current
 //! engine and a faithful replica of the seed engine's round pipeline
 //! (fresh outbox `Vec` per node per round, unconditional per-outbox sort,
-//! per-message recorder check, linear crash scan, transcript clone at the
-//! end). Emits a single JSON document so CI and EXPERIMENTS.md baselines
-//! can diff runs mechanically.
+//! linear crash scan, transcript clone at the end). Emits a single JSON
+//! document so CI and EXPERIMENTS.md baselines can diff runs mechanically.
 //!
 //! Usage: `bench_engine [--quick] [--out PATH]` (default `BENCH_1.json`).
 
@@ -19,9 +18,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use distfl_congest::{
-    CongestConfig, Network, NodeId, NodeLogic, Recorder, RoundStats, StepCtx, Topology,
-};
+use distfl_congest::{CongestConfig, Network, NodeId, NodeLogic, RoundStats, StepCtx, Topology};
 
 /// Passes through to the system allocator, counting every allocation.
 struct CountingAlloc;
@@ -115,12 +112,11 @@ fn measure_engine(topo: &Topology, threads: Option<usize>, rounds: u32) -> Measu
 
 /// A faithful replica of the seed engine's round pipeline, kept here as
 /// the comparison baseline: per-node `Vec::new()` outboxes every round,
-/// unconditional sort of every outbox, a recorder call per message, a
-/// linear crash-schedule scan per node per round, per-round spawn of
-/// scoped worker threads for stepping, and a transcript clone at the end.
+/// unconditional sort of every outbox, a linear crash-schedule scan per
+/// node per round, per-round spawn of scoped worker threads for stepping,
+/// and a transcript clone at the end.
 mod seed_replica {
-    use super::{Instant, Measurement, NodeId, Recorder, RoundStats, Topology};
-    use distfl_congest::{Event, EventKind};
+    use super::{Instant, Measurement, NodeId, RoundStats, Topology};
 
     struct Flood {
         rounds: u32,
@@ -150,7 +146,6 @@ mod seed_replica {
         let mut nodes: Vec<Flood> = (0..n).map(|_| Flood { rounds, done: false }).collect();
         let mut inboxes: Vec<Vec<(NodeId, u64)>> = (0..n).map(|_| Vec::new()).collect();
         let crashes: Vec<(NodeId, u32)> = Vec::new();
-        let mut recorder = Recorder::disabled();
         let mut transcript: Vec<RoundStats> = Vec::new();
         let threads = threads.unwrap_or(1).max(1);
 
@@ -195,7 +190,7 @@ mod seed_replica {
             }
 
             // Delivery: seed shape — reuse inbox buffers, move each outbox
-            // out, sort it unconditionally, recorder call per message.
+            // out, sort it unconditionally.
             for ib in &mut inboxes {
                 ib.clear();
             }
@@ -218,7 +213,6 @@ mod seed_replica {
                     stats.messages += 1;
                     stats.bits += bits;
                     stats.max_message_bits = stats.max_message_bits.max(bits);
-                    recorder.record(Event { round, kind: EventKind::Deliver, src, dst });
                     inboxes[dst.index()].push((src, msg));
                 }
             }
@@ -341,7 +335,7 @@ fn main() {
         "{{\n  \"bench\": \"engine_round_pipeline\",\n  \"mode\": \"{}\",\n  \
          \"workload\": \"flood (broadcast to all neighbors every round)\",\n  \
          \"baseline\": \"seed engine replica: per-round outbox allocation, \
-         unconditional sort, per-message recorder call, transcript clone\",\n  \
+         unconditional sort, transcript clone\",\n  \
          \"results\": [\n{}\n  ]\n}}\n",
         if quick { "quick" } else { "full" },
         entries.join(",\n")

@@ -16,8 +16,6 @@
 //! a good stress test of the engine: variable-length phases, node-specific
 //! termination, and message causality.
 
-use serde::{Deserialize, Serialize};
-
 use crate::engine::{Network, StepCtx};
 use crate::error::CongestError;
 use crate::message::Payload;
@@ -26,7 +24,7 @@ use crate::node::{NodeId, NodeLogic};
 use crate::topology::Topology;
 
 /// Associative, commutative combination of `f64` values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggregateOp {
     /// Sum of all values.
     Sum,

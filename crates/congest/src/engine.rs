@@ -38,15 +38,17 @@
 //! delivered immediately after the node steps, while it is still hot in
 //! cache, and messages are *moved* (not cloned) into the inboxes. The
 //! fused path visits sources in the same ascending order as the staged
-//! pipeline, so inbox contents, statistics, error selection, and the
-//! recorded event stream are all bit-identical.
+//! pipeline, so inbox contents, statistics, and error selection are all
+//! bit-identical.
+//!
+//! Every message, on both paths and in the discrete-event simulator, is
+//! charged by one rule, [`deliver_one`]: duplicate detection, fault drops,
+//! the bit budget, and the [`RoundStats`] update. Callers differ only in
+//! where a delivered message goes.
 //!
 //! Inboxes are double-buffered (`inboxes`/`next_inboxes`) and all buffer
 //! sets keep their capacity across rounds, so a steady-state round
-//! performs no heap allocation. When [`CongestConfig::record_events`] is
-//! set, delivery keeps the serial `(src, dst)` event order (fused path,
-//! or a single shard under threads); the recorder is consulted once per
-//! round, never per message.
+//! performs no heap allocation.
 //!
 //! Per-round wall-clock stage timings and pool steal counts are collected
 //! in an [`EngineProfile`] ([`Network::profile`]) — deliberately *outside*
@@ -59,7 +61,6 @@ use crate::metrics::{EngineProfile, RoundStats, StageTimings, Transcript};
 use crate::node::{NodeId, NodeLogic};
 use crate::rng::NodeRng;
 use crate::topology::Topology;
-use crate::trace::{Event, EventKind, Recorder};
 use distfl_pool::{ScopeStats, WorkerPool};
 use std::sync::Arc;
 use std::time::Instant;
@@ -134,9 +135,6 @@ pub struct CongestConfig {
     /// bits fails the run with [`CongestError::MessageTooLarge`]. `None`
     /// records sizes in the transcript without enforcing.
     pub max_message_bits: Option<u64>,
-    /// Whether to record per-message [`Event`]s (slow; for debugging;
-    /// forces single-shard delivery so events keep their serial order).
-    pub record_events: bool,
 }
 
 /// Per-round context handed to [`NodeLogic::step`].
@@ -238,35 +236,6 @@ struct ShardOutcome {
     error: Option<(u32, usize, CongestError)>,
 }
 
-/// Where per-message trace events go; monomorphized so the disabled case
-/// costs nothing inside the delivery loop.
-trait DeliverySink {
-    fn dropped(&mut self, round: u32, src: NodeId, dst: NodeId);
-    fn delivered(&mut self, round: u32, src: NodeId, dst: NodeId);
-}
-
-/// Sink that records nothing (the fast path).
-struct NoTrace;
-
-impl DeliverySink for NoTrace {
-    #[inline]
-    fn dropped(&mut self, _round: u32, _src: NodeId, _dst: NodeId) {}
-    #[inline]
-    fn delivered(&mut self, _round: u32, _src: NodeId, _dst: NodeId) {}
-}
-
-/// Sink that appends [`Event`]s to the recorder's buffer.
-struct TraceInto<'a>(&'a mut Vec<Event>);
-
-impl DeliverySink for TraceInto<'_> {
-    fn dropped(&mut self, round: u32, src: NodeId, dst: NodeId) {
-        self.0.push(Event { round, kind: EventKind::Drop, src, dst });
-    }
-    fn delivered(&mut self, round: u32, src: NodeId, dst: NodeId) {
-        self.0.push(Event { round, kind: EventKind::Deliver, src, dst });
-    }
-}
-
 /// A synchronous CONGEST network executing one [`NodeLogic`] per node.
 ///
 /// See the [crate documentation](crate) for a complete example.
@@ -297,7 +266,6 @@ pub struct Network<L: NodeLogic> {
     prev_messages: u64,
     transcript: Transcript,
     profile: EngineProfile,
-    recorder: Recorder,
 }
 
 impl<L: NodeLogic> std::fmt::Debug for Network<L> {
@@ -340,14 +308,7 @@ impl<L: NodeLogic> Network<L> {
             });
         }
         let n = nodes.len();
-        let mut crash_round = vec![u32::MAX; n];
-        for &(id, r) in &config.crashes {
-            if let Some(slot) = crash_round.get_mut(id.index()) {
-                *slot = (*slot).min(r);
-            }
-        }
-        let recorder =
-            if config.record_events { Recorder::enabled() } else { Recorder::disabled() };
+        let crash_round = crash_rounds(n, &config.crashes);
         let pool = config.pool.clone().unwrap_or_else(WorkerPool::global);
         let parallelism = pool.parallelism();
         Ok(Network {
@@ -366,7 +327,6 @@ impl<L: NodeLogic> Network<L> {
             prev_messages: 0,
             transcript: Transcript::new(),
             profile: EngineProfile::default(),
-            recorder,
         })
     }
 
@@ -408,11 +368,6 @@ impl<L: NodeLogic> Network<L> {
     /// (for callers that need to keep both without cloning either).
     pub fn into_parts(self) -> (Vec<L>, Transcript) {
         (self.nodes, self.transcript)
-    }
-
-    /// The event recorder (empty unless `record_events` was set).
-    pub fn recorder(&self) -> &Recorder {
-        &self.recorder
     }
 
     /// Per-round stage timings and pool scheduling counters accumulated so
@@ -594,39 +549,56 @@ impl<L: NodeLogic> Network<L> {
     /// after the node steps, while it is hot in cache, and messages are
     /// moved (not cloned) into the inboxes. Sources are visited in the
     /// same ascending order as the staged pipeline, so inbox contents,
-    /// stats, error selection (step errors by node index first, then the
-    /// first delivery error in scan order), and the event stream are
-    /// bit-identical to staged execution.
+    /// stats, and error selection (step errors by node index first, then
+    /// the first delivery error in scan order) are bit-identical to staged
+    /// execution.
     fn step_round_fused(&mut self, round: u32) -> Result<RoundStats, CongestError> {
-        // The recorder branch is resolved here, once per round; the inner
-        // loops are monomorphized on the sink.
-        if let Recorder::On(events) = &mut self.recorder {
-            fused_round(
+        let rule = DeliveryRule::of(&self.config);
+        let mut stats = RoundStats { round, ..RoundStats::default() };
+        let mut step_error: Option<CongestError> = None;
+        let mut deliver_error: Option<CongestError> = None;
+
+        for (index, node) in self.nodes.iter_mut().enumerate() {
+            let mut slot = None;
+            step_into(
                 &self.topo,
-                &mut self.nodes,
-                &self.inboxes,
-                &mut self.next_inboxes,
-                &mut self.outboxes,
-                &self.crash_round,
-                self.master_seed,
+                node,
+                index,
+                &self.inboxes[index],
+                &mut self.outboxes[index],
+                &mut slot,
+                self.crash_round[index] <= round,
                 round,
-                &self.config,
-                &mut TraceInto(events),
-            )
-        } else {
-            fused_round(
-                &self.topo,
-                &mut self.nodes,
-                &self.inboxes,
-                &mut self.next_inboxes,
-                &mut self.outboxes,
-                &self.crash_round,
                 self.master_seed,
-                round,
-                &self.config,
-                &mut NoTrace,
-            )
+            );
+            if let Some(err) = slot {
+                // Keep stepping the remaining nodes (the staged pipeline
+                // steps everyone before failing the round), but deliver
+                // nothing more.
+                step_error.get_or_insert(err);
+                continue;
+            }
+            if step_error.is_some() || deliver_error.is_some() {
+                continue;
+            }
+            let src = NodeId::new(index as u32);
+            let mut run = SendRun::default();
+            for (dst, msg) in self.outboxes[index].drain(..) {
+                match deliver_one(&rule, &mut stats, &mut run, round, src, dst, &msg, || false) {
+                    Ok(Some(_)) => self.next_inboxes[dst.index()].push((src, msg)),
+                    Ok(None) => {}
+                    Err(err) => {
+                        deliver_error = Some(err);
+                        break;
+                    }
+                }
+            }
         }
+        if let Some(err) = step_error.or(deliver_error) {
+            return Err(err);
+        }
+        debug_assert!(self.next_inboxes.iter().all(|ib| ib.is_sorted_by_key(|(s, _)| *s)));
+        Ok(stats)
     }
 
     /// Stage 1: steps every live node, filling the pooled outboxes (sorted
@@ -693,44 +665,15 @@ impl<L: NodeLogic> Network<L> {
         workers: usize,
     ) -> Result<(RoundStats, ScopeStats), CongestError> {
         let n = self.nodes.len();
-        let policy = self.config.duplicate_policy;
-        let fault = self.config.fault;
-        let max_bits = self.config.max_message_bits;
+        let rule = DeliveryRule::of(&self.config);
         let outboxes = &self.outboxes;
-
-        // Recording forces a single shard so events keep serial order; the
-        // recorder branch is taken once per round, not per message.
-        if let Recorder::On(events) = &mut self.recorder {
-            let outcome = deliver_shard(
-                outboxes,
-                &mut self.next_inboxes,
-                0,
-                round,
-                policy,
-                fault.as_ref(),
-                max_bits,
-                &mut TraceInto(events),
-            );
-            let stats = merge_outcomes(std::iter::once(outcome), round)?;
-            return Ok((stats, ScopeStats::default()));
-        }
-
         let chunk = n.div_ceil(shards.min(n).max(1));
         if workers <= 1 {
             // A single lane pays nothing for dispatch: run the shards
             // inline. Same shard partition, same merge, no pool.
             let outcomes =
                 self.next_inboxes.chunks_mut(chunk).enumerate().map(|(shard, inbox_chunk)| {
-                    deliver_shard(
-                        outboxes,
-                        inbox_chunk,
-                        shard * chunk,
-                        round,
-                        policy,
-                        fault.as_ref(),
-                        max_bits,
-                        &mut NoTrace,
-                    )
+                    deliver_shard(&rule, outboxes, inbox_chunk, shard * chunk, round)
                 });
             let stats = merge_outcomes(outcomes, round)?;
             return Ok((stats, ScopeStats::default()));
@@ -741,16 +684,7 @@ impl<L: NodeLogic> Network<L> {
         // matter which worker ran (or stole) which shard.
         let (outcomes, scope_stats) =
             self.pool.map_chunks(&mut self.next_inboxes, chunk, |shard, inbox_chunk| {
-                deliver_shard(
-                    outboxes,
-                    inbox_chunk,
-                    shard * chunk,
-                    round,
-                    policy,
-                    fault.as_ref(),
-                    max_bits,
-                    &mut NoTrace,
-                )
+                deliver_shard(&rule, outboxes, inbox_chunk, shard * chunk, round)
             });
         let stats = merge_outcomes(outcomes.into_iter(), round)?;
         Ok((stats, scope_stats))
@@ -777,96 +711,6 @@ impl<L: NodeLogic> Network<L> {
         }
         Ok(&self.transcript)
     }
-}
-
-/// One fused round: step node, deliver its outbox immediately (moving
-/// messages), repeat in ascending node order. See
-/// [`Network::step_round_fused`] for the equivalence argument.
-#[allow(clippy::too_many_arguments)]
-fn fused_round<L: NodeLogic>(
-    topo: &Topology,
-    nodes: &mut [L],
-    inboxes: &[Vec<(NodeId, L::Msg)>],
-    next_inboxes: &mut [Vec<(NodeId, L::Msg)>],
-    outboxes: &mut [Vec<(NodeId, L::Msg)>],
-    crash_round: &[u32],
-    master_seed: u64,
-    round: u32,
-    config: &CongestConfig,
-    sink: &mut impl DeliverySink,
-) -> Result<RoundStats, CongestError> {
-    let policy = config.duplicate_policy;
-    let fault = config.fault.as_ref();
-    let max_bits = config.max_message_bits;
-    let mut stats = RoundStats { round, ..RoundStats::default() };
-    let mut step_error: Option<CongestError> = None;
-    let mut deliver_error: Option<CongestError> = None;
-
-    for (index, node) in nodes.iter_mut().enumerate() {
-        let mut slot = None;
-        step_into(
-            topo,
-            node,
-            index,
-            &inboxes[index],
-            &mut outboxes[index],
-            &mut slot,
-            crash_round[index] <= round,
-            round,
-            master_seed,
-        );
-        if let Some(err) = slot {
-            // Keep stepping the remaining nodes (the staged pipeline steps
-            // everyone before failing the round), but deliver nothing more.
-            step_error.get_or_insert(err);
-            continue;
-        }
-        if step_error.is_some() || deliver_error.is_some() {
-            continue;
-        }
-        let src = NodeId::new(index as u32);
-        let mut run_dst: Option<NodeId> = None;
-        let mut run_len: u64 = 0;
-        for (dst, msg) in outboxes[index].drain(..) {
-            if run_dst == Some(dst) {
-                run_len += 1;
-            } else {
-                run_dst = Some(dst);
-                run_len = 1;
-            }
-            if run_len > 1 && policy == DuplicatePolicy::Reject {
-                deliver_error = Some(CongestError::EdgeCongestion { from: src, to: dst, round });
-                break;
-            }
-            stats.max_messages_per_edge = stats.max_messages_per_edge.max(run_len);
-            if fault.is_some_and(|f| f.drops(round, src, dst)) {
-                stats.dropped += 1;
-                sink.dropped(round, src, dst);
-                continue;
-            }
-            let bits = msg.size_bits();
-            if let Some(limit) = max_bits {
-                if bits > limit {
-                    deliver_error =
-                        Some(CongestError::MessageTooLarge { from: src, to: dst, bits, limit });
-                    break;
-                }
-            }
-            stats.messages += 1;
-            stats.bits += bits;
-            stats.max_message_bits = stats.max_message_bits.max(bits);
-            sink.delivered(round, src, dst);
-            next_inboxes[dst.index()].push((src, msg));
-        }
-    }
-    if let Some(err) = step_error {
-        return Err(err);
-    }
-    if let Some(err) = deliver_error {
-        return Err(err);
-    }
-    debug_assert!(next_inboxes.iter().all(|ib| ib.is_sorted_by_key(|(s, _)| *s)));
-    Ok(stats)
 }
 
 /// Cached handles into the obs metrics registry; looked up once per
@@ -934,29 +778,111 @@ pub(crate) fn step_into<L: NodeLogic>(
     }
 }
 
+/// Dense crash schedule: the round from which each of `n` nodes is
+/// crashed (`u32::MAX` = never). The earliest entry for a node wins;
+/// entries naming nodes outside the network are ignored.
+pub(crate) fn crash_rounds(n: usize, crashes: &[(NodeId, u32)]) -> Vec<u32> {
+    let mut crash_round = vec![u32::MAX; n];
+    for &(id, r) in crashes {
+        if let Some(slot) = crash_round.get_mut(id.index()) {
+            *slot = (*slot).min(r);
+        }
+    }
+    crash_round
+}
+
+/// The configuration [`deliver_one`] charges messages against, read from
+/// [`CongestConfig`] or [`SimConfig`](crate::SimConfig).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DeliveryRule {
+    pub(crate) policy: DuplicatePolicy,
+    pub(crate) fault: Option<FaultPlan>,
+    pub(crate) max_bits: Option<u64>,
+}
+
+impl DeliveryRule {
+    fn of(config: &CongestConfig) -> Self {
+        DeliveryRule {
+            policy: config.duplicate_policy,
+            fault: config.fault,
+            max_bits: config.max_message_bits,
+        }
+    }
+}
+
+/// One source's current run of sends to a single destination; outboxes
+/// are sorted by destination, so a run is a maximal block of equal `dst`.
+#[derive(Debug, Default)]
+pub(crate) struct SendRun {
+    dst: Option<NodeId>,
+    len: u64,
+}
+
+/// Charges one message `src → dst` sent in `round`: the CONGEST delivery
+/// rule of the engine's fused path, its sharded delivery, and the
+/// simulator, so their transcripts agree by construction.
+///
+/// In order: a repeated send over the same edge fails the round under
+/// [`DuplicatePolicy::Reject`] (and raises `max_messages_per_edge`
+/// otherwise); the fault plan, then `lost` (the simulator's lossy-node
+/// draw; `|| false` elsewhere), may drop the message; the bit budget may
+/// fail the round. Returns `Ok(Some(bits))` for a delivered message and
+/// `Ok(None)` for a dropped one, with `stats` updated either way.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn deliver_one<M: Payload>(
+    rule: &DeliveryRule,
+    stats: &mut RoundStats,
+    run: &mut SendRun,
+    round: u32,
+    src: NodeId,
+    dst: NodeId,
+    msg: &M,
+    lost: impl FnOnce() -> bool,
+) -> Result<Option<u64>, CongestError> {
+    if run.dst == Some(dst) {
+        run.len += 1;
+    } else {
+        run.dst = Some(dst);
+        run.len = 1;
+    }
+    if run.len > 1 && rule.policy == DuplicatePolicy::Reject {
+        return Err(CongestError::EdgeCongestion { from: src, to: dst, round });
+    }
+    stats.max_messages_per_edge = stats.max_messages_per_edge.max(run.len);
+    if rule.fault.is_some_and(|f| f.drops(round, src, dst)) || lost() {
+        stats.dropped += 1;
+        return Ok(None);
+    }
+    let bits = msg.size_bits();
+    if let Some(limit) = rule.max_bits {
+        if bits > limit {
+            return Err(CongestError::MessageTooLarge { from: src, to: dst, bits, limit });
+        }
+    }
+    stats.messages += 1;
+    stats.bits += bits;
+    stats.max_message_bits = stats.max_message_bits.max(bits);
+    Ok(Some(bits))
+}
+
 /// Delivers all messages addressed to ids `[lo, lo + inbox_chunk.len())`,
 /// scanning every outbox in ascending source order.
 ///
-/// Accounting (duplicate runs, fault drops, size budget) replicates the
-/// serial scan exactly: every `(src, dst)` pair lands in exactly one shard
-/// and outboxes are sorted by destination, so duplicate runs never
-/// straddle shard boundaries, and the first error in `(src, position)`
-/// order within a shard is that shard's minimum.
-#[allow(clippy::too_many_arguments)]
+/// Accounting replicates the serial scan exactly: every `(src, dst)` pair
+/// lands in exactly one shard and outboxes are sorted by destination, so
+/// duplicate runs never straddle shard boundaries, and the first error in
+/// `(src, position)` order within a shard is that shard's minimum.
 fn deliver_shard<M: Payload>(
+    rule: &DeliveryRule,
     outboxes: &[Vec<(NodeId, M)>],
     inbox_chunk: &mut [Vec<(NodeId, M)>],
     lo: usize,
     round: u32,
-    policy: DuplicatePolicy,
-    fault: Option<&FaultPlan>,
-    max_bits: Option<u64>,
-    sink: &mut impl DeliverySink,
 ) -> ShardOutcome {
     let hi = lo + inbox_chunk.len();
     let covers_tail = hi >= outboxes.len();
     let mut outcome = ShardOutcome::default();
-    let stats = &mut outcome.stats;
     for (src_index, outbox) in outboxes.iter().enumerate() {
         if outbox.is_empty() {
             continue;
@@ -970,46 +896,17 @@ fn deliver_shard<M: Payload>(
         } else {
             start + outbox[start..].partition_point(|(dst, _)| dst.index() < hi)
         };
-        let mut run_dst: Option<NodeId> = None;
-        let mut run_len: u64 = 0;
+        let mut run = SendRun::default();
         for (pos, (dst, msg)) in outbox[..end].iter().enumerate().skip(start) {
             let dst = *dst;
-            if run_dst == Some(dst) {
-                run_len += 1;
-            } else {
-                run_dst = Some(dst);
-                run_len = 1;
-            }
-            if run_len > 1 && policy == DuplicatePolicy::Reject {
-                outcome.error = Some((
-                    src.raw(),
-                    pos,
-                    CongestError::EdgeCongestion { from: src, to: dst, round },
-                ));
-                return outcome;
-            }
-            stats.max_messages_per_edge = stats.max_messages_per_edge.max(run_len);
-            if fault.is_some_and(|f| f.drops(round, src, dst)) {
-                stats.dropped += 1;
-                sink.dropped(round, src, dst);
-                continue;
-            }
-            let bits = msg.size_bits();
-            if let Some(limit) = max_bits {
-                if bits > limit {
-                    outcome.error = Some((
-                        src.raw(),
-                        pos,
-                        CongestError::MessageTooLarge { from: src, to: dst, bits, limit },
-                    ));
+            match deliver_one(rule, &mut outcome.stats, &mut run, round, src, dst, msg, || false) {
+                Ok(Some(_)) => inbox_chunk[dst.index() - lo].push((src, msg.clone())),
+                Ok(None) => {}
+                Err(err) => {
+                    outcome.error = Some((src.raw(), pos, err));
                     return outcome;
                 }
             }
-            stats.messages += 1;
-            stats.bits += bits;
-            stats.max_message_bits = stats.max_message_bits.max(bits);
-            sink.delivered(round, src, dst);
-            inbox_chunk[dst.index() - lo].push((src, msg.clone()));
         }
     }
     debug_assert!(inbox_chunk.iter().all(|ib| ib.is_sorted_by_key(|(s, _)| *s)));
@@ -1396,16 +1293,6 @@ mod tests {
         let mut net = Network::with_config(topo, mk(), 0, config).unwrap();
         let err = net.run(5).unwrap_err();
         assert!(matches!(err, CongestError::MessageTooLarge { bits: 64, limit: 32, .. }));
-    }
-
-    #[test]
-    fn recorder_captures_deliveries() {
-        let topo = Topology::ring(3).unwrap();
-        let nodes = (0..3).map(|_| Flood { ttl: 1, heard: 0, done: false }).collect();
-        let config = CongestConfig { record_events: true, ..CongestConfig::default() };
-        let mut net = Network::with_config(topo, nodes, 0, config).unwrap();
-        net.run(10).unwrap();
-        assert_eq!(net.recorder().events_of(EventKind::Deliver).count(), 6);
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! (feasibility of the output where produced, no CONGEST violations) are
 //! robust to lossy links, and to exercise engine code paths.
 
-use serde::{Deserialize, Serialize};
-
 use crate::node::NodeId;
 use crate::rng::NodeRng;
 
@@ -15,7 +13,7 @@ use crate::rng::NodeRng;
 /// Whether a given `(round, src, dst)` delivery is dropped is a pure
 /// function of the plan, so replays with the same plan observe identical
 /// faults regardless of execution order.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Independent drop probability per delivered message, in `[0, 1]`.
     drop_prob: f64,
@@ -68,7 +66,7 @@ impl FaultPlan {
 ///
 /// Verdicts are severity-ordered (see [`FaultVerdict::severity`]) so a
 /// convergecast can aggregate "worst offender" with a plain max.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultVerdict {
     /// No fault observed for this node.
     Honest,

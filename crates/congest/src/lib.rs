@@ -74,7 +74,6 @@ mod rng;
 pub mod sim;
 mod synchronizer;
 mod topology;
-mod trace;
 
 pub use engine::{CongestConfig, DuplicatePolicy, Network, StepCtx, PARALLEL_MIN_VOLUME};
 pub use error::CongestError;
@@ -90,4 +89,3 @@ pub use distfl_pool::{ScopeStats, WorkerPool};
 pub use node::{NodeId, NodeLogic};
 pub use rng::NodeRng;
 pub use topology::Topology;
-pub use trace::{Event, EventKind, Recorder};

@@ -11,10 +11,8 @@
 //! never enter the [`Transcript`], which tests compare for bit-identity
 //! across worker counts.
 
-use serde::{Deserialize, Serialize};
-
 /// Statistics for a single executed round.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RoundStats {
     /// Round number (0-based).
     pub round: u32,
@@ -33,7 +31,7 @@ pub struct RoundStats {
 }
 
 /// Aggregated statistics of a complete run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Transcript {
     rounds: Vec<RoundStats>,
 }
@@ -97,7 +95,7 @@ impl Transcript {
 /// `Network::profile`. Deliberately **not** part of [`RoundStats`]: two
 /// runs that differ only in worker count must produce equal transcripts,
 /// and timings/steal counts are nondeterministic by nature.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
     /// Round number (0-based).
     pub round: u32,
@@ -127,7 +125,7 @@ pub struct StageTimings {
 /// Rounds that failed mid-pipeline are present with
 /// [`StageTimings::aborted`] set; the aggregate accessors ignore them so
 /// an errored round can never masquerade as a zero-cost delivery.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct EngineProfile {
     rounds: Vec<StageTimings>,
 }

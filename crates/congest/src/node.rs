@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::engine::StepCtx;
 use crate::message::Payload;
 
@@ -11,7 +9,7 @@ use crate::message::Payload;
 ///
 /// Ids are dense indices `0..N`; they double as the `O(log N)`-bit unique
 /// identifiers the CONGEST model hands to nodes.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(u32);
 
 impl NodeId {

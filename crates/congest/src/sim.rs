@@ -42,16 +42,14 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::engine::{step_into, DuplicatePolicy};
+use crate::engine::{crash_rounds, deliver_one, step_into, DeliveryRule, DuplicatePolicy, SendRun};
 use crate::error::CongestError;
 use crate::fault::{encode_accusation, FaultPlan, FaultVerdict};
-use crate::message::Payload;
 use crate::metrics::{RoundStats, Transcript};
 use crate::node::{NodeId, NodeLogic};
 use crate::rng::NodeRng;
 use crate::synchronizer::{Envelope, SyncState};
 use crate::topology::Topology;
-use crate::trace::{Event, EventKind, Recorder};
 
 /// Per-edge message latency distribution, sampled deterministically from a
 /// [`NodeRng`] stream keyed by `(latency seed, directed edge, round)`.
@@ -185,15 +183,11 @@ pub struct SimConfig {
     pub crashes: Vec<(NodeId, u32)>,
     /// Optional hard per-message bit budget, as in the engine.
     pub max_message_bits: Option<u64>,
-    /// Whether to record per-message [`Event`]s. The recorder replays
-    /// deliveries in the engine's serial order (round, then source, then
-    /// outbox position) regardless of arrival order.
-    pub record_events: bool,
-    /// Fraction of a sender's payloads that must be observed lost before
-    /// fault attribution names it
-    /// [`FaultVerdict::DroppedAboveThreshold`]; in `[0, 1]`.
-    pub drop_threshold: f64,
 }
+
+/// Fraction of a sender's payloads that must be observed lost before fault
+/// attribution names it [`FaultVerdict::DroppedAboveThreshold`].
+const DROP_THRESHOLD: f64 = 0.05;
 
 impl Default for SimConfig {
     fn default() -> Self {
@@ -208,8 +202,6 @@ impl Default for SimConfig {
             lossy_nodes: Vec::new(),
             crashes: Vec::new(),
             max_message_bits: None,
-            record_events: false,
-            drop_threshold: 0.05,
         }
     }
 }
@@ -302,10 +294,6 @@ pub struct Simulator<L: NodeLogic> {
     max_rounds: u32,
     transcript: Transcript,
     report: SimReport,
-    /// Recorded `(round, src, outbox position, event)` tuples, replayed in
-    /// engine order at finalize time.
-    recorded: Vec<(u32, u32, usize, Event)>,
-    recorder: Recorder,
     outcome: Option<RunOutcome>,
     scratch_inbox: Vec<(NodeId, L::Msg)>,
     scratch_outbox: Vec<(NodeId, L::Msg)>,
@@ -334,8 +322,8 @@ impl<L: NodeLogic> Simulator<L> {
     ///
     /// # Panics
     ///
-    /// Panics if the latency model, a lossy-node probability, or the drop
-    /// threshold is out of range (misconfiguration, like
+    /// Panics if the latency model or a lossy-node probability is out of
+    /// range (misconfiguration, like
     /// [`FaultPlan::drop_with_probability`]).
     pub fn new(
         topo: Topology,
@@ -350,18 +338,8 @@ impl<L: NodeLogic> Simulator<L> {
             });
         }
         config.latency.validate();
-        assert!(
-            config.drop_threshold.is_finite() && (0.0..=1.0).contains(&config.drop_threshold),
-            "drop threshold must be in [0, 1], got {}",
-            config.drop_threshold
-        );
         let n = nodes.len();
-        let mut crash_round = vec![u32::MAX; n];
-        for &(id, r) in &config.crashes {
-            if let Some(slot) = crash_round.get_mut(id.index()) {
-                *slot = (*slot).min(r);
-            }
-        }
+        let crash_round = crash_rounds(n, &config.crashes);
         let mut loss_prob = vec![0.0; n];
         for &(id, p) in &config.lossy_nodes {
             assert!(
@@ -376,8 +354,6 @@ impl<L: NodeLogic> Simulator<L> {
         // Windows are applied in start order; holding an envelope can push
         // its departure into a later window, never an earlier one.
         config.partitions.sort_by_key(|w| (w.start_nanos, w.end_nanos));
-        let recorder =
-            if config.record_events { Recorder::enabled() } else { Recorder::disabled() };
         let states = (0..n).map(|i| SyncState::new(topo.degree(NodeId::new(i as u32)))).collect();
         let edge_free_at = (0..n).map(|i| vec![0u64; topo.degree(NodeId::new(i as u32))]).collect();
         Ok(Simulator {
@@ -398,8 +374,6 @@ impl<L: NodeLogic> Simulator<L> {
             max_rounds: u32::MAX,
             transcript: Transcript::new(),
             report: SimReport::default(),
-            recorded: Vec::new(),
-            recorder,
             outcome: None,
             scratch_inbox: Vec::new(),
             scratch_outbox: Vec::new(),
@@ -430,11 +404,6 @@ impl<L: NodeLogic> Simulator<L> {
     /// Virtual-clock measurements of the run.
     pub fn report(&self) -> &SimReport {
         &self.report
-    }
-
-    /// The event recorder (empty unless `record_events` was set).
-    pub fn recorder(&self) -> &Recorder {
-        &self.recorder
     }
 
     /// Runs the simulation until every node is done (or crashed) or some
@@ -648,9 +617,10 @@ impl<L: NodeLogic> Simulator<L> {
         Ok(())
     }
 
-    /// Scans the sorted outbox with the engine's accounting (duplicate
-    /// runs, fault drops, size budget) and emits one envelope per incident
-    /// edge — a pulse where no payloads are addressed.
+    /// Scans the sorted outbox with the engine's delivery rule
+    /// ([`deliver_one`]; the lossy-node draw rides in its `lost` slot) and
+    /// emits one envelope per incident edge — a pulse where no payloads
+    /// are addressed.
     fn send_round(
         &mut self,
         src: NodeId,
@@ -659,9 +629,11 @@ impl<L: NodeLogic> Simulator<L> {
         final_round: bool,
         outbox: &mut [(NodeId, L::Msg)],
     ) -> Result<(), CongestError> {
-        let policy = self.config.duplicate_policy;
-        let max_bits = self.config.max_message_bits;
-        let record = self.recorder.is_enabled();
+        let rule = DeliveryRule {
+            policy: self.config.duplicate_policy,
+            fault: self.config.fault,
+            max_bits: self.config.max_message_bits,
+        };
         let loss = self.loss_prob[src.index()];
         // Stats accumulate in a local copy (written back below) so the
         // loop can freely borrow the queue and report.
@@ -675,62 +647,30 @@ impl<L: NodeLogic> Simulator<L> {
         'edges: for (j, &dst) in neighbors.iter().enumerate() {
             let mut payloads = Vec::new();
             let mut env_dropped = 0u64;
-            let mut run_len = 0u64;
+            let mut run = SendRun::default();
             let mut bits_total = 0u64;
             let mut loss_rng = (loss > 0.0).then(|| {
                 let key = (u64::from(src.raw()) << 32) | u64::from(dst.raw());
                 NodeRng::derive_keyed(self.config.latency_seed ^ 0x105_5E5, key, round)
             });
-            while let Some((d, _)) = outbox.get(cursor) {
+            while let Some((d, msg)) = outbox.get(cursor) {
                 if *d != dst {
                     debug_assert!(*d > dst, "outbox sorted by destination");
                     break;
                 }
-                let pos = cursor;
-                let (_, msg) = &outbox[pos];
                 cursor += 1;
-                run_len += 1;
-                if run_len > 1 && policy == DuplicatePolicy::Reject {
-                    failure = Some(CongestError::EdgeCongestion { from: src, to: dst, round });
-                    break 'edges;
-                }
-                stats.max_messages_per_edge = stats.max_messages_per_edge.max(run_len);
-                let injected = self.config.fault.is_some_and(|f| f.drops(round, src, dst));
-                let lossy = !injected && loss_rng.as_mut().is_some_and(|rng| rng.bernoulli(loss));
-                if injected || lossy {
-                    stats.dropped += 1;
-                    env_dropped += 1;
-                    if record {
-                        self.recorded.push((
-                            round,
-                            src.raw(),
-                            pos,
-                            Event { round, kind: EventKind::Drop, src, dst },
-                        ));
+                let lost = || loss_rng.as_mut().is_some_and(|rng| rng.bernoulli(loss));
+                match deliver_one(&rule, &mut stats, &mut run, round, src, dst, msg, lost) {
+                    Ok(Some(bits)) => {
+                        bits_total += bits;
+                        payloads.push(msg.clone());
                     }
-                    continue;
-                }
-                let bits = msg.size_bits();
-                if let Some(limit) = max_bits {
-                    if bits > limit {
-                        failure =
-                            Some(CongestError::MessageTooLarge { from: src, to: dst, bits, limit });
+                    Ok(None) => env_dropped += 1,
+                    Err(err) => {
+                        failure = Some(err);
                         break 'edges;
                     }
                 }
-                stats.messages += 1;
-                stats.bits += bits;
-                stats.max_message_bits = stats.max_message_bits.max(bits);
-                bits_total += bits;
-                if record {
-                    self.recorded.push((
-                        round,
-                        src.raw(),
-                        pos,
-                        Event { round, kind: EventKind::Deliver, src, dst },
-                    ));
-                }
-                payloads.push(msg.clone());
             }
             if payloads.is_empty() && env_dropped == 0 {
                 self.report.pulse_envelopes += 1;
@@ -800,17 +740,11 @@ impl<L: NodeLogic> Simulator<L> {
         self.scratch_neighbors = neighbors;
     }
 
-    /// Builds the transcript, replays recorded events in engine order, and
-    /// exports the simulated timeline to the obs layer.
+    /// Builds the transcript and exports the simulated timeline to the obs
+    /// layer.
     fn finalize(&mut self) {
         for row in self.rows.drain(..) {
             self.transcript.push(row);
-        }
-        if !self.recorded.is_empty() {
-            self.recorded.sort_by_key(|&(round, src, pos, _)| (round, src, pos));
-            if let Recorder::On(events) = &mut self.recorder {
-                events.extend(self.recorded.drain(..).map(|(_, _, _, ev)| ev));
-            }
         }
         if distfl_obs::enabled() {
             for (r, &(start, end)) in self.report.round_spans.iter().enumerate() {
@@ -853,7 +787,7 @@ impl<L: NodeLogic> Simulator<L> {
                 }
                 if sent[i] > 0 {
                     let rate = dropped[i] as f64 / sent[i] as f64;
-                    if dropped[i] > 0 && rate > self.config.drop_threshold {
+                    if dropped[i] > 0 && rate > DROP_THRESHOLD {
                         return FaultVerdict::DroppedAboveThreshold {
                             dropped: dropped[i],
                             sent: sent[i],
@@ -885,7 +819,7 @@ impl<L: NodeLogic> Simulator<L> {
                     } else if state.observed_payloads[j] > 0
                         && state.observed_dropped[j] > 0
                         && state.observed_dropped[j] as f64 / state.observed_payloads[j] as f64
-                            > self.config.drop_threshold
+                            > DROP_THRESHOLD
                     {
                         2
                     } else if self.crash_round[nb.index()] < self.rounds_executed {
@@ -906,6 +840,7 @@ mod tests {
     use super::*;
     use crate::engine::{CongestConfig, Network};
     use crate::fault::decode_accusation;
+    use crate::message::Payload;
 
     /// Variable-width payload so bit accounting is non-trivial.
     #[derive(Clone, Debug, PartialEq)]
@@ -1132,27 +1067,6 @@ mod tests {
         assert_eq!(a.transcript(), b.transcript());
         assert_eq!(a.nodes(), b.nodes());
         assert!(b.report().virtual_nanos > a.report().virtual_nanos);
-    }
-
-    #[test]
-    fn recorder_replays_events_in_engine_order() {
-        let topo = Topology::ring(4).unwrap();
-        let plan = FaultPlan::drop_with_probability(0.25, 5);
-        let econfig =
-            CongestConfig { fault: Some(plan), record_events: true, ..CongestConfig::default() };
-        let sconfig = SimConfig {
-            fault: Some(plan),
-            record_events: true,
-            latency: LatencyModel::Uniform { lo: 1, hi: 900_000 },
-            ..SimConfig::default()
-        };
-        let nodes = gossips(4, 5);
-        let mut net = Network::with_config(topo.clone(), nodes.clone(), 3, econfig).unwrap();
-        net.run(20).unwrap();
-        let (res, sim) = sim_run(&topo, nodes, 3, sconfig, 20);
-        assert_eq!(res, Ok(()));
-        assert_eq!(net.recorder().events(), sim.recorder().events());
-        assert!(!sim.recorder().events().is_empty());
     }
 
     #[test]

@@ -4,8 +4,6 @@
 //! (compressed sparse row) form: adjacency lists are contiguous and sorted,
 //! so `neighbors()` is a slice and membership tests are binary searches.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::CongestError;
 use crate::node::NodeId;
 
@@ -14,7 +12,7 @@ use crate::node::NodeId;
 /// Build one with [`Topology::from_edges`] or a shape constructor
 /// ([`Topology::ring`], [`Topology::grid`], [`Topology::complete_bipartite`],
 /// [`Topology::bipartite`]), then hand it to [`crate::Network::new`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     /// CSR row offsets, length `num_nodes + 1`.
     offsets: Vec<u32>,

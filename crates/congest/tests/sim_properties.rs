@@ -4,14 +4,15 @@
 //! The α-synchronizer's contract is that virtual time is *invisible* to the
 //! protocol: whatever latency distribution, bandwidth cap, partition
 //! schedule, fault plan, or crash schedule the simulator runs under, the
-//! inbox slices, RNG streams, transcripts, recorded events, and final node
-//! states must be bit-identical to a fused-serial [`Network`] run with the
+//! inbox slices, RNG streams, transcripts, and final node states (each
+//! node's `(round, sender, payload)` delivery log included) must be
+//! bit-identical to a fused-serial [`Network`] run with the
 //! same master seed. These tests pin that contract over random topologies.
 
 use proptest::prelude::*;
 
 use distfl_congest::{
-    decode_accusation, CongestConfig, Event, FaultPlan, LatencyModel, Network, NodeId, NodeLogic,
+    decode_accusation, CongestConfig, FaultPlan, LatencyModel, Network, NodeId, NodeLogic,
     PartitionWindow, SimConfig, Simulator, StepCtx, Topology, Transcript,
 };
 
@@ -108,9 +109,11 @@ impl NodeLogic for Scribe {
     }
 }
 
-/// Full externally observable run state: transcript, per-node final state
-/// word, delivery log, done flag, plus the recorded event stream.
-type RunFingerprint = (Transcript, Vec<(u64, Vec<(u32, u32, u64)>, bool)>, Vec<Event>);
+/// Full externally observable run state: transcript, plus each node's
+/// final state word, delivery log, and done flag. The logs pin every
+/// delivery; with the transcript's per-round drop counts they pin every
+/// drop too.
+type RunFingerprint = (Transcript, Vec<(u64, Vec<(u32, u32, u64)>, bool)>);
 
 const MASTER_SEED: u64 = 11;
 
@@ -121,28 +124,21 @@ fn engine_fingerprint(
     rounds: u32,
 ) -> RunFingerprint {
     let nodes: Vec<Scribe> = (0..recipe.n).map(|_| Scribe::new(rounds)).collect();
-    let config = CongestConfig {
-        fault,
-        crashes: crashes.to_vec(),
-        record_events: true,
-        ..CongestConfig::default()
-    };
+    let config = CongestConfig { fault, crashes: crashes.to_vec(), ..CongestConfig::default() };
     let mut net = Network::with_config(build(recipe), nodes, MASTER_SEED, config).unwrap();
     net.run(rounds + 2).unwrap();
-    let events = net.recorder().events().to_vec();
     let (nodes, transcript) = net.into_parts();
     let states = nodes.into_iter().map(|s| (s.state, s.log, s.done)).collect();
-    (transcript, states, events)
+    (transcript, states)
 }
 
 fn sim_fingerprint(recipe: &GraphRecipe, config: SimConfig, rounds: u32) -> RunFingerprint {
     let nodes: Vec<Scribe> = (0..recipe.n).map(|_| Scribe::new(rounds)).collect();
     let mut sim = Simulator::new(build(recipe), nodes, MASTER_SEED, config).unwrap();
     sim.run(rounds + 2).unwrap();
-    let events = sim.recorder().events().to_vec();
     let (nodes, transcript) = sim.into_parts();
     let states = nodes.into_iter().map(|s| (s.state, s.log, s.done)).collect();
-    (transcript, states, events)
+    (transcript, states)
 }
 
 proptest! {
@@ -151,9 +147,9 @@ proptest! {
     /// The tentpole property: across random topologies, latency
     /// distributions (hence message reorderings), bandwidth caps,
     /// partition schedules, message-drop fault plans, and crash-stop
-    /// schedules, the simulator's transcript, recorded event stream, and
-    /// every node's final state must be bit-identical to the fused-serial
-    /// lock-step engine's.
+    /// schedules, the simulator's transcript and every node's final state
+    /// and delivery log must be bit-identical to the fused-serial lock-step
+    /// engine's.
     #[test]
     fn sim_matches_lockstep(
         recipe in graph_strategy(),
@@ -181,13 +177,11 @@ proptest! {
             partitions,
             fault,
             crashes,
-            record_events: true,
             ..SimConfig::default()
         };
         let simulated = sim_fingerprint(&recipe, config, rounds);
         prop_assert_eq!(&reference.0, &simulated.0, "transcript diverged");
         prop_assert_eq!(&reference.1, &simulated.1, "node state diverged");
-        prop_assert_eq!(&reference.2, &simulated.2, "event stream diverged");
     }
 
     /// Virtual time is deterministic too: two simulator runs with the same
@@ -203,27 +197,20 @@ proptest! {
     ) {
         let run = || {
             let nodes: Vec<Scribe> = (0..recipe.n).map(|_| Scribe::new(rounds)).collect();
-            let config = SimConfig {
-                latency,
-                latency_seed,
-                record_events: true,
-                ..SimConfig::default()
-            };
+            let config = SimConfig { latency, latency_seed, ..SimConfig::default() };
             let mut sim = Simulator::new(build(&recipe), nodes, MASTER_SEED, config).unwrap();
             sim.run(rounds + 2).unwrap();
             let report = sim.report().clone();
-            let events = sim.recorder().events().to_vec();
             let (nodes, transcript) = sim.into_parts();
             let states: Vec<(u64, bool)> =
                 nodes.into_iter().map(|s| (s.state, s.done)).collect();
-            (report, events, transcript, states)
+            (report, transcript, states)
         };
         let a = run();
         let b = run();
         prop_assert_eq!(a.0, b.0, "SimReport diverged between replays");
         prop_assert_eq!(a.1, b.1);
         prop_assert_eq!(a.2, b.2);
-        prop_assert_eq!(a.3, b.3);
     }
 
     /// Clean runs (no faults, no losses, no crashes) never produce a

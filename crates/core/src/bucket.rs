@@ -24,12 +24,12 @@
 //!
 //! Rounds: `2·s_out·s_in + 5`, independent of the input size.
 
-use distfl_congest::{CongestConfig, Network, NodeId, NodeLogic, Payload, StepCtx};
+use distfl_congest::{CongestConfig, NodeId, NodeLogic, Payload, StepCtx};
 use distfl_instance::{ClientId, FacilityId, Instance, Solution};
 use distfl_lp::DualSolution;
 
 use crate::error::CoreError;
-use crate::model::{client_node, facility_node, node_role, topology_of, Role};
+use crate::model::{client_node, execute, facility_node, node_role, topology_of, Executor, Role};
 use crate::runner::{FlAlgorithm, Outcome};
 use crate::theory::harmonic;
 
@@ -429,32 +429,34 @@ impl FlAlgorithm for GreedyBucket {
                 done: false,
             }));
         }
-        let topo = topology_of(instance)?;
         let config = CongestConfig {
             threads: self.params.threads,
             fault: self.params.fault,
             ..CongestConfig::default()
         };
-        let mut net = Network::with_config(topo, nodes, seed, config)?;
-        net.run(bucket_rounds(self.params))?;
-
-        let mut assignment = vec![FacilityId::new(0); instance.num_clients()];
-        let mut ratios = vec![0.0f64; instance.num_clients()];
-        for (index, node) in net.nodes().iter().enumerate() {
-            if let (Role::Client(j), BucketNode::Client(c)) =
-                (node_role(m, NodeId::new(index as u32)), node)
-            {
-                let idx = c.assigned.expect("fallback guarantees assignment");
-                assignment[j.index()] = FacilityId::new(c.links[idx].0.raw());
-                ratios[j.index()] = c.service_ratio;
+        let executor = Executor::LockStep(config);
+        let rounds = bucket_rounds(self.params);
+        let run = execute(topology_of(instance)?, nodes, seed, executor, rounds, |nodes| {
+            let mut assignment = vec![FacilityId::new(0); instance.num_clients()];
+            let mut ratios = vec![0.0f64; instance.num_clients()];
+            for (index, node) in nodes.iter().enumerate() {
+                if let (Role::Client(j), BucketNode::Client(c)) =
+                    (node_role(m, NodeId::new(index as u32)), node)
+                {
+                    let idx = c.assigned.expect("fallback guarantees assignment");
+                    assignment[j.index()] = FacilityId::new(c.links[idx].0.raw());
+                    ratios[j.index()] = c.service_ratio;
+                }
             }
-        }
-        let solution = Solution::from_assignment(instance, assignment)?.reassign_greedily(instance);
+            let solution = Solution::from_assignment(instance, assignment)?;
+            Ok((solution.reassign_greedily(instance), ratios))
+        })?;
+        let (solution, ratios) = run.harvest;
         let h = harmonic(instance.num_clients());
         let alpha: Vec<f64> = ratios.iter().map(|r| r / h).collect();
         Ok(Outcome {
             solution,
-            transcript: Some(net.into_transcript()),
+            transcript: Some(run.transcript),
             dual: Some(DualSolution::new(alpha)),
             modeled_rounds: None,
         })

@@ -69,11 +69,11 @@
 
 pub mod node;
 
-use distfl_congest::{CongestConfig, Network, NodeRng, SimConfig, Simulator};
+use distfl_congest::{CongestConfig, NodeRng, SimConfig};
 use distfl_instance::{FacilityId, Instance, Solution};
 
 use crate::error::CoreError;
-use crate::model::{facility_node, node_role, topology_of, Role};
+use crate::model::{execute, facility_node, node_role, topology_of, Executor, Role};
 use crate::mp;
 use crate::paydual::SimulatedRun;
 use crate::runner::{FlAlgorithm, Outcome};
@@ -141,27 +141,26 @@ impl MetricBall {
         sim: SimConfig,
     ) -> Result<SimulatedRun, CoreError> {
         let _span = distfl_obs::span_arg("solver", "metricball.sim", u64::from(self.params.phases));
+        self.run_on(instance, seed, Executor::Simulated(sim))
+    }
+
+    /// The one body behind [`FlAlgorithm::run`] and
+    /// [`MetricBall::run_simulated`]: runs the protocol on `executor` and
+    /// harvests the solution.
+    pub(crate) fn run_on(
+        &self,
+        instance: &Instance,
+        seed: u64,
+        executor: Executor,
+    ) -> Result<SimulatedRun, CoreError> {
         check_phases(self.params.phases)?;
-        let topo = topology_of(instance)?;
+        let topology = topology_of(instance)?;
         let nodes = build_nodes(instance, self.params.phases);
-        let mut simulator = Simulator::new(topo, nodes, seed, sim)?;
-        simulator.run(crate::theory::metricball_rounds(self.params.phases))?;
-        let report = simulator.report().clone();
-        let verdicts = simulator.verdicts();
-        let accusations = simulator.accusations();
-        let solution = harvest(instance, simulator.nodes())?;
-        let (_, transcript) = simulator.into_parts();
-        Ok(SimulatedRun {
-            outcome: Outcome {
-                solution,
-                transcript: Some(transcript),
-                dual: None,
-                modeled_rounds: None,
-            },
-            report,
-            verdicts,
-            accusations,
-        })
+        let rounds = crate::theory::metricball_rounds(self.params.phases);
+        let run = execute(topology, nodes, seed, executor, rounds, |nodes| {
+            Ok((harvest(instance, nodes)?, None))
+        })?;
+        Ok(SimulatedRun::new(run))
     }
 }
 
@@ -173,8 +172,7 @@ fn check_phases(phases: u32) -> Result<(), CoreError> {
     }
 }
 
-/// Extracts the solution from final node states — shared by the lock-step
-/// and simulated runners so both produce exactly the same output.
+/// Extracts the solution from final node states.
 fn harvest(instance: &Instance, nodes: &[MetricBallNode]) -> Result<Solution, CoreError> {
     let m = instance.num_facilities();
     let mut assignment = vec![FacilityId::new(0); instance.num_clients()];
@@ -202,21 +200,8 @@ impl FlAlgorithm for MetricBall {
 
     fn run(&self, instance: &Instance, seed: u64) -> Result<Outcome, CoreError> {
         let _span = distfl_obs::span_arg("solver", "metricball", u64::from(self.params.phases));
-        check_phases(self.params.phases)?;
-        let topo = topology_of(instance)?;
-        let nodes = build_nodes(instance, self.params.phases);
         let config = CongestConfig { threads: self.params.threads, ..CongestConfig::default() };
-        let mut net = Network::with_config(topo, nodes, seed, config)?;
-        let total_rounds = crate::theory::metricball_rounds(self.params.phases);
-        net.run(total_rounds)?;
-        debug_assert_eq!(net.transcript().num_rounds(), total_rounds);
-        let solution = harvest(instance, net.nodes())?;
-        Ok(Outcome {
-            solution,
-            transcript: Some(net.into_transcript()),
-            dual: None,
-            modeled_rounds: None,
-        })
+        Ok(self.run_on(instance, seed, Executor::LockStep(config))?.outcome)
     }
 }
 

@@ -3,10 +3,16 @@
 //! Facility `i` becomes node `i`, client `j` becomes node `m + j`, and the
 //! communication edges are exactly the instance's links — the model of the
 //! PODC 2005 paper, where a client can only talk to (and connect to)
-//! facilities it has a link with.
+//! facilities it has a link with. [`execute`] runs node logics over such a
+//! topology on either executor.
 
-use distfl_congest::{CongestError, NodeId, Topology};
+use distfl_congest::{
+    CongestConfig, CongestError, FaultVerdict, Network, NodeId, NodeLogic, SimConfig, SimReport,
+    Simulator, Topology, Transcript,
+};
 use distfl_instance::{ClientId, FacilityId, Instance};
+
+use crate::error::CoreError;
 
 /// The role a CONGEST node plays in the bipartite facility-location
 /// network.
@@ -63,6 +69,68 @@ pub fn topology_of(instance: &Instance) -> Result<Topology, CongestError> {
         })
         .collect::<Vec<_>>();
     Topology::bipartite(m, instance.num_clients(), pairs)
+}
+
+/// The executor a distributed protocol runs on.
+#[derive(Debug)]
+pub(crate) enum Executor {
+    /// The lock-step round engine.
+    LockStep(CongestConfig),
+    /// The discrete-event simulator.
+    Simulated(SimConfig),
+}
+
+/// What one [`execute`] call returns: the harvest of the final node
+/// states, plus the run's measurements.
+#[derive(Debug)]
+pub(crate) struct Execution<T> {
+    pub(crate) harvest: T,
+    pub(crate) transcript: Transcript,
+    /// The simulator's virtual-clock report; default on the lock-step
+    /// engine.
+    pub(crate) report: SimReport,
+    /// The simulator's fault verdicts; empty on the lock-step engine.
+    pub(crate) verdicts: Vec<FaultVerdict>,
+    /// The simulator's encoded accusations; empty on the lock-step engine.
+    pub(crate) accusations: Vec<f64>,
+}
+
+/// Runs `nodes` over `topology` on `executor` until every node is done,
+/// failing past `max_rounds` rounds, then reads the result out of the
+/// final node states with `harvest` while the executor still holds them.
+/// The one place a distributed kind builds a [`Network`] or a
+/// [`Simulator`].
+pub(crate) fn execute<L: NodeLogic, T>(
+    topology: Topology,
+    nodes: Vec<L>,
+    seed: u64,
+    executor: Executor,
+    max_rounds: u32,
+    harvest: impl FnOnce(&[L]) -> Result<T, CoreError>,
+) -> Result<Execution<T>, CoreError> {
+    match executor {
+        Executor::LockStep(config) => {
+            let mut net = Network::with_config(topology, nodes, seed, config)?;
+            net.run(max_rounds)?;
+            Ok(Execution {
+                harvest: harvest(net.nodes())?,
+                transcript: net.into_transcript(),
+                report: SimReport::default(),
+                verdicts: Vec::new(),
+                accusations: Vec::new(),
+            })
+        }
+        Executor::Simulated(config) => {
+            let mut sim = Simulator::new(topology, nodes, seed, config)?;
+            sim.run(max_rounds)?;
+            let report = sim.report().clone();
+            let verdicts = sim.verdicts();
+            let accusations = sim.accusations();
+            let harvest = harvest(sim.nodes())?;
+            let (_, transcript) = sim.into_parts();
+            Ok(Execution { harvest, transcript, report, verdicts, accusations })
+        }
+    }
 }
 
 #[cfg(test)]

@@ -36,11 +36,12 @@
 //! # }
 //! ```
 
-use distfl_congest::SimConfig;
+use distfl_congest::{CongestConfig, SimConfig};
 use distfl_instance::{ClientId, Cost, FacilityId, Instance, InstanceBuilder, Solution};
 
 use crate::error::CoreError;
 use crate::metricball::{self, MetricBall, MetricBallParams};
+use crate::model::Executor;
 use crate::paydual::SimulatedRun;
 use crate::runner::{FlAlgorithm, Outcome};
 
@@ -114,16 +115,30 @@ impl Outliers {
         seed: u64,
         sim: SimConfig,
     ) -> Result<SimulatedRun, CoreError> {
+        let _span = distfl_obs::span_arg("solver", "outliers.sim", u64::from(self.params.phases));
+        self.run_on(instance, seed, Executor::Simulated(sim))
+    }
+
+    /// The one body behind [`FlAlgorithm::run`] and
+    /// [`Outliers::run_simulated`]: selects the outliers, solves the core
+    /// with MetricBall on `executor`, and reattaches.
+    fn run_on(
+        &self,
+        instance: &Instance,
+        seed: u64,
+        executor: Executor,
+    ) -> Result<SimulatedRun, CoreError> {
+        OutliersParams::new(self.params.drop_fraction, self.params.phases)?;
         let dropped = select_outliers(instance, self.params.drop_fraction);
         let core = MetricBall::new(MetricBallParams {
             phases: self.params.phases,
             threads: self.params.threads,
         });
         if dropped.is_empty() {
-            return core.run_simulated(instance, seed, sim);
+            return core.run_on(instance, seed, executor);
         }
         let (core_instance, survivors) = build_core(instance, &dropped)?;
-        let mut run = core.run_simulated(&core_instance, seed, sim)?;
+        let mut run = core.run_on(&core_instance, seed, executor)?;
         run.outcome.solution = reattach(instance, &dropped, &survivors, &run.outcome.solution)?;
         Ok(run)
     }
@@ -136,19 +151,8 @@ impl FlAlgorithm for Outliers {
 
     fn run(&self, instance: &Instance, seed: u64) -> Result<Outcome, CoreError> {
         let _span = distfl_obs::span_arg("solver", "outliers", u64::from(self.params.phases));
-        OutliersParams::new(self.params.drop_fraction, self.params.phases)?;
-        let dropped = select_outliers(instance, self.params.drop_fraction);
-        let core = MetricBall::new(MetricBallParams {
-            phases: self.params.phases,
-            threads: self.params.threads,
-        });
-        if dropped.is_empty() {
-            return core.run(instance, seed);
-        }
-        let (core_instance, survivors) = build_core(instance, &dropped)?;
-        let mut outcome = core.run(&core_instance, seed)?;
-        outcome.solution = reattach(instance, &dropped, &survivors, &outcome.solution)?;
-        Ok(outcome)
+        let config = CongestConfig { threads: self.params.threads, ..CongestConfig::default() };
+        Ok(self.run_on(instance, seed, Executor::LockStep(config))?.outcome)
     }
 }
 

@@ -47,12 +47,12 @@
 
 pub mod node;
 
-use distfl_congest::{CongestConfig, FaultVerdict, Network, SimConfig, SimReport, Simulator};
+use distfl_congest::{CongestConfig, FaultVerdict, SimConfig, SimReport};
 use distfl_instance::{FacilityId, Instance, Solution};
 use distfl_lp::DualSolution;
 
 use crate::error::CoreError;
-use crate::model::{node_role, topology_of, Role};
+use crate::model::{execute, node_role, topology_of, Execution, Executor, Role};
 use crate::runner::{FlAlgorithm, Outcome};
 
 pub use node::{PayDualMsg, PayDualNode};
@@ -136,6 +136,25 @@ pub struct SimulatedRun {
     pub accusations: Vec<f64>,
 }
 
+impl SimulatedRun {
+    /// Packs an execution whose harvest is a solution and, optionally, its
+    /// dual certificate.
+    pub(crate) fn new(run: Execution<(Solution, Option<DualSolution>)>) -> Self {
+        let (solution, dual) = run.harvest;
+        SimulatedRun {
+            outcome: Outcome {
+                solution,
+                transcript: Some(run.transcript),
+                dual,
+                modeled_rounds: None,
+            },
+            report: run.report,
+            verdicts: run.verdicts,
+            accusations: run.accusations,
+        }
+    }
+}
+
 impl PayDual {
     /// Creates the algorithm with explicit parameters.
     pub fn new(params: PayDualParams) -> Self {
@@ -166,37 +185,36 @@ impl PayDual {
         sim: SimConfig,
     ) -> Result<SimulatedRun, CoreError> {
         let _span = distfl_obs::span_arg("solver", "paydual.sim", u64::from(self.params.phases));
+        self.run_on(instance, seed, Executor::Simulated(sim))
+    }
+
+    /// The one body behind [`FlAlgorithm::run`] and
+    /// [`PayDual::run_simulated`]: runs the protocol on `executor` and
+    /// harvests the solution and dual certificate.
+    fn run_on(
+        &self,
+        instance: &Instance,
+        seed: u64,
+        executor: Executor,
+    ) -> Result<SimulatedRun, CoreError> {
         if self.params.phases == 0 {
             return Err(CoreError::InvalidParams {
                 reason: "paydual needs at least one phase".to_owned(),
             });
         }
-        let topo = topology_of(instance)?;
+        let topology = topology_of(instance)?;
         let nodes = build_nodes(instance, self.params.phases, self.params.connect_rule);
-        let mut simulator = Simulator::new(topo, nodes, seed, sim)?;
-        simulator.run(crate::theory::paydual_rounds(self.params.phases))?;
-        let report = simulator.report().clone();
-        let verdicts = simulator.verdicts();
-        let accusations = simulator.accusations();
-        let (solution, dual) = harvest(instance, simulator.nodes(), self.params.polish)?;
-        let (_, transcript) = simulator.into_parts();
-        Ok(SimulatedRun {
-            outcome: Outcome {
-                solution,
-                transcript: Some(transcript),
-                dual: Some(dual),
-                modeled_rounds: None,
-            },
-            report,
-            verdicts,
-            accusations,
-        })
+        let rounds = crate::theory::paydual_rounds(self.params.phases);
+        let polish = self.params.polish;
+        let run = execute(topology, nodes, seed, executor, rounds, |nodes| {
+            harvest(instance, nodes, polish).map(|(solution, dual)| (solution, Some(dual)))
+        })?;
+        Ok(SimulatedRun::new(run))
     }
 }
 
 /// Extracts the distributed solution and dual certificate from final node
-/// states — shared by the lock-step and simulated runners so both produce
-/// exactly the same output from the same states.
+/// states.
 fn harvest(
     instance: &Instance,
     nodes: &[PayDualNode],
@@ -238,70 +256,13 @@ impl FlAlgorithm for PayDual {
 
     fn run(&self, instance: &Instance, seed: u64) -> Result<Outcome, CoreError> {
         let _span = distfl_obs::span_arg("solver", "paydual", u64::from(self.params.phases));
-        if self.params.phases == 0 {
-            return Err(CoreError::InvalidParams {
-                reason: "paydual needs at least one phase".to_owned(),
-            });
-        }
-        let topo = topology_of(instance)?;
-        let nodes = build_nodes(instance, self.params.phases, self.params.connect_rule);
         let config = CongestConfig {
             threads: self.params.threads,
             fault: self.params.fault,
             ..CongestConfig::default()
         };
-        let mut net = Network::with_config(topo, nodes, seed, config)?;
-        let total_rounds = crate::theory::paydual_rounds(self.params.phases);
-        if distfl_obs::enabled() {
-            run_traced(&mut net, total_rounds)?;
-        } else {
-            net.run(total_rounds)?;
-        }
-        debug_assert_eq!(net.transcript().num_rounds(), total_rounds);
-
-        let (solution, dual) = harvest(instance, net.nodes(), self.params.polish)?;
-        Ok(Outcome {
-            solution,
-            transcript: Some(net.into_transcript()),
-            dual: Some(dual),
-            modeled_rounds: None,
-        })
+        Ok(self.run_on(instance, seed, Executor::LockStep(config))?.outcome)
     }
-}
-
-/// [`Network::run`] with a trace span around each PayDual phase: rounds
-/// 0–1 are bootstrap/init, then three rounds (offer, open, connect) per
-/// phase. Step-for-step identical to `net.run(max_rounds)` — the spans
-/// only observe, they never change when or whether a round executes.
-fn run_traced(
-    net: &mut Network<PayDualNode>,
-    max_rounds: u32,
-) -> Result<(), distfl_congest::CongestError> {
-    use distfl_congest::NodeLogic;
-    let mut phase_span = distfl_obs::Span::disabled();
-    let mut current_phase = u32::MAX;
-    while !net.all_done() {
-        if net.round() >= max_rounds {
-            let pending = net.nodes().iter().filter(|l| !l.is_done()).count();
-            return Err(distfl_congest::CongestError::RoundLimit { limit: max_rounds, pending });
-        }
-        let round = net.round();
-        let phase = if round < 2 { 0 } else { (round - 2) / 3 + 1 };
-        if phase != current_phase {
-            current_phase = phase;
-            // Close the previous phase's span before opening the next so
-            // the intervals do not overlap in the trace.
-            drop(std::mem::replace(&mut phase_span, distfl_obs::Span::disabled()));
-            phase_span = if phase == 0 {
-                distfl_obs::span("solver", "paydual.bootstrap")
-            } else {
-                distfl_obs::span_arg("solver", "paydual.phase", u64::from(phase))
-            };
-        }
-        net.step()?;
-    }
-    drop(phase_span);
-    Ok(())
 }
 
 #[cfg(test)]

@@ -1,10 +1,8 @@
 //! Experiment-facing run reports.
 
-use serde::{Deserialize, Serialize};
-
 /// One algorithm's measured result on one instance, with everything the
 /// experiment tables need.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Algorithm name including parameters, e.g. `paydual(s=6)`.
     pub algorithm: String,

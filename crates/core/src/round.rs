@@ -21,12 +21,12 @@
 //!
 //! Rounds: `2T + 5`, independent of the input size.
 
-use distfl_congest::{CongestConfig, Network, NodeId, NodeLogic, Payload, StepCtx};
+use distfl_congest::{CongestConfig, NodeId, NodeLogic, Payload, StepCtx};
 use distfl_instance::{FacilityId, Instance, Solution};
 use distfl_lp::FractionalSolution;
 
 use crate::error::CoreError;
-use crate::model::{client_node, facility_node, node_role, topology_of, Role};
+use crate::model::{client_node, execute, facility_node, node_role, topology_of, Executor, Role};
 
 /// Parameters for [`distributed_round`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -334,35 +334,32 @@ pub fn distributed_round(
             done: false,
         }));
     }
-    let topo = topology_of(instance)?;
     let config =
         CongestConfig { threads: params.threads, fault: params.fault, ..CongestConfig::default() };
-    let mut net = Network::with_config(topo, nodes, seed, config)?;
-    net.run(rounding_rounds(params.trials))?;
-
-    let mut assignment = vec![FacilityId::new(0); instance.num_clients()];
-    let mut served_in_trial = vec![None; instance.num_clients()];
-    let mut fallback = 0;
-    for (index, node) in net.nodes().iter().enumerate() {
-        if let (Role::Client(j), RoundNode::Client(c)) =
-            (node_role(m, NodeId::new(index as u32)), node)
-        {
-            let idx = c.assigned.expect("fallback guarantees assignment");
-            assignment[j.index()] = FacilityId::new(c.links[idx].0.raw());
-            served_in_trial[j.index()] = c.served_in_trial;
-            if c.served_in_trial.is_none() {
-                fallback += 1;
+    let executor = Executor::LockStep(config);
+    let rounds = rounding_rounds(params.trials);
+    let run = execute(topology_of(instance)?, nodes, seed, executor, rounds, |nodes| {
+        let mut assignment = vec![FacilityId::new(0); instance.num_clients()];
+        let mut served_in_trial = vec![None; instance.num_clients()];
+        let mut fallback = 0;
+        for (index, node) in nodes.iter().enumerate() {
+            if let (Role::Client(j), RoundNode::Client(c)) =
+                (node_role(m, NodeId::new(index as u32)), node)
+            {
+                let idx = c.assigned.expect("fallback guarantees assignment");
+                assignment[j.index()] = FacilityId::new(c.links[idx].0.raw());
+                served_in_trial[j.index()] = c.served_in_trial;
+                if c.served_in_trial.is_none() {
+                    fallback += 1;
+                }
             }
         }
-    }
-    let solution = Solution::from_assignment(instance, assignment)?;
+        let solution = Solution::from_assignment(instance, assignment)?;
+        Ok((solution, fallback, served_in_trial))
+    })?;
+    let (solution, fallback_clients, served_in_trial) = run.harvest;
     let _ = client_node(m, distfl_instance::ClientId::new(0));
-    Ok(DistRoundOutcome {
-        solution,
-        transcript: net.into_transcript(),
-        fallback_clients: fallback,
-        served_in_trial,
-    })
+    Ok(DistRoundOutcome { solution, transcript: run.transcript, fallback_clients, served_in_trial })
 }
 
 #[cfg(test)]

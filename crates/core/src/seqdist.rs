@@ -24,11 +24,11 @@
 //! tie-breaks) — asserted in the tests — while the transcript shows the
 //! input-dependent round count the PODC 2005 algorithm eliminates.
 
-use distfl_congest::{CongestConfig, Network, NodeId, NodeLogic, Payload, StepCtx, Transcript};
+use distfl_congest::{CongestConfig, NodeId, NodeLogic, Payload, StepCtx, Transcript};
 use distfl_instance::{ClientId, FacilityId, Instance, Solution};
 
 use crate::error::CoreError;
-use crate::model::{client_node, facility_node, node_role, topology_of, Role};
+use crate::model::{client_node, execute, facility_node, node_role, topology_of, Executor, Role};
 use crate::runner::{FlAlgorithm, Outcome};
 
 /// Sentinel facility id for "no candidate".
@@ -596,23 +596,23 @@ pub fn run_protocol(instance: &Instance) -> Result<(Solution, Transcript), CoreE
         }));
     }
     let n_total = (m + instance.num_clients()) as u32;
-    let mut net = Network::with_config(topology, nodes, 0, CongestConfig::default())?;
     // Every greedy iteration costs at most ~4 tree depths + 4 rounds, and
     // there are at most n iterations plus the tree phase.
     let limit = (instance.num_clients() as u32 + 2) * (4 * n_total + 8) + 4 * n_total + 16;
-    net.run(limit)?;
-
-    let mut assignment = vec![FacilityId::new(0); instance.num_clients()];
-    for (index, node) in net.nodes().iter().enumerate() {
-        if let (Role::Client(j), SeqNode::Client(c)) =
-            (node_role(m, NodeId::new(index as u32)), node)
-        {
-            let idx = c.assigned.expect("greedy serves every client before stopping");
-            assignment[j.index()] = FacilityId::new(c.links[idx].0.raw());
+    let executor = Executor::LockStep(CongestConfig::default());
+    let run = execute(topology, nodes, 0, executor, limit, |nodes| {
+        let mut assignment = vec![FacilityId::new(0); instance.num_clients()];
+        for (index, node) in nodes.iter().enumerate() {
+            if let (Role::Client(j), SeqNode::Client(c)) =
+                (node_role(m, NodeId::new(index as u32)), node)
+            {
+                let idx = c.assigned.expect("greedy serves every client before stopping");
+                assignment[j.index()] = FacilityId::new(c.links[idx].0.raw());
+            }
         }
-    }
-    let solution = Solution::from_assignment(instance, assignment)?;
-    Ok((solution, net.into_transcript()))
+        Ok(Solution::from_assignment(instance, assignment)?)
+    })?;
+    Ok((run.harvest, run.transcript))
 }
 
 impl FlAlgorithm for DistSeqGreedy {

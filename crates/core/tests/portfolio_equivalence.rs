@@ -9,11 +9,17 @@
 //! seeds; plus the routing contract the serve layer's `auto` kind rests
 //! on: the classifier must send every metric-generator instance to the
 //! metric specialist, and `auto`'s answer must equal its route's.
+//!
+//! The distributed kinds with a simulated entry point (MetricBall,
+//! Outliers, PayDual) must also give the same solution and transcript on
+//! the discrete-event simulator, under a drawn latency stream, as on the
+//! lock-step engine, in exactly the paper's round count (`theory::*`).
 
 use proptest::prelude::*;
 
+use distfl_congest::{LatencyModel, SimConfig};
 use distfl_core::outliers::OutliersParams;
-use distfl_core::{metricball, outliers, SolverKind};
+use distfl_core::{metricball, outliers, theory, SolverKind};
 use distfl_instance::generators::{
     Clustered, Euclidean, GridNetwork, InstanceGenerator, Metricized, PowerLaw, UniformRandom,
 };
@@ -31,6 +37,16 @@ fn any_instance() -> impl Strategy<Value = Instance> {
         }
         _ => Metricized::new(PowerLaw::new(m, n, 1e3).unwrap()).generate(seed).unwrap(),
     })
+}
+
+/// A simulator configuration whose wide uniform latency lets
+/// `latency_seed` reorder every arrival.
+fn reordering(latency_seed: u64) -> SimConfig {
+    SimConfig {
+        latency: LatencyModel::Uniform { lo: 1, hi: 500_000 },
+        latency_seed,
+        ..SimConfig::default()
+    }
 }
 
 /// An instance from a family whose costs are metric by construction.
@@ -57,14 +73,19 @@ proptest! {
         inst in any_instance(),
         phases in 1u32..9,
         seed in any::<u64>(),
+        latency_seed in any::<u64>(),
     ) {
         use distfl_core::metricball::{MetricBall, MetricBallParams};
         use distfl_core::FlAlgorithm;
-        let fast = MetricBall::new(MetricBallParams::with_phases(phases))
-            .run(&inst, seed)
-            .unwrap();
+        let algo = MetricBall::new(MetricBallParams::with_phases(phases));
+        let fast = algo.run(&inst, seed).unwrap();
         let reference = metricball::solve_reference(&inst, phases, seed).unwrap();
         prop_assert_eq!(&fast.solution, &reference);
+        let simulated = algo.run_simulated(&inst, seed, reordering(latency_seed)).unwrap();
+        prop_assert_eq!(&simulated.outcome.solution, &fast.solution);
+        prop_assert_eq!(&simulated.outcome.transcript, &fast.transcript);
+        let rounds = fast.transcript.as_ref().unwrap().num_rounds();
+        prop_assert_eq!(rounds, theory::metricball_rounds(phases));
     }
 
     #[test]
@@ -73,13 +94,38 @@ proptest! {
         phases in 1u32..7,
         drop_pct in 0u32..50,
         seed in any::<u64>(),
+        latency_seed in any::<u64>(),
     ) {
         use distfl_core::outliers::Outliers;
         use distfl_core::FlAlgorithm;
         let params = OutliersParams::new(f64::from(drop_pct) / 100.0, phases).unwrap();
-        let fast = Outliers::new(params).run(&inst, seed).unwrap();
+        let algo = Outliers::new(params);
+        let fast = algo.run(&inst, seed).unwrap();
         let reference = outliers::solve_reference(&inst, params, seed).unwrap();
         prop_assert_eq!(&fast.solution, &reference);
+        let simulated = algo.run_simulated(&inst, seed, reordering(latency_seed)).unwrap();
+        prop_assert_eq!(&simulated.outcome.solution, &fast.solution);
+        prop_assert_eq!(&simulated.outcome.transcript, &fast.transcript);
+        let rounds = fast.transcript.as_ref().unwrap().num_rounds();
+        prop_assert_eq!(rounds, theory::metricball_rounds(phases));
+    }
+
+    #[test]
+    fn paydual_runs_identically_on_both_executors(
+        inst in any_instance(),
+        phases in 1u32..9,
+        seed in any::<u64>(),
+        latency_seed in any::<u64>(),
+    ) {
+        use distfl_core::paydual::{PayDual, PayDualParams};
+        use distfl_core::FlAlgorithm;
+        let algo = PayDual::new(PayDualParams::with_phases(phases));
+        let lockstep = algo.run(&inst, seed).unwrap();
+        let simulated = algo.run_simulated(&inst, seed, reordering(latency_seed)).unwrap();
+        prop_assert_eq!(&simulated.outcome.solution, &lockstep.solution);
+        prop_assert_eq!(&simulated.outcome.transcript, &lockstep.transcript);
+        let rounds = lockstep.transcript.as_ref().unwrap().num_rounds();
+        prop_assert_eq!(rounds, theory::paydual_rounds(phases));
     }
 
     #[test]

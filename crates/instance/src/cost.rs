@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::InstanceError;
 
 /// A non-negative, finite cost.
@@ -30,8 +28,7 @@ use crate::error::InstanceError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Cost(f64);
 
 impl Cost {

@@ -4,14 +4,12 @@ pub mod delta;
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::cost::Cost;
 use crate::error::InstanceError;
 use crate::kernels;
 
 /// Identifier of a facility within an [`Instance`] (dense index `0..m`).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FacilityId(u32);
 
 impl FacilityId {
@@ -47,7 +45,7 @@ impl fmt::Display for FacilityId {
 }
 
 /// Identifier of a client within an [`Instance`] (dense index `0..n`).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClientId(u32);
 
 impl ClientId {
@@ -173,7 +171,7 @@ impl<'a> IntoIterator for LinkSlice<'a> {
 /// `f64` memory and autovectorize via [`crate::kernels`].
 /// [`Instance::cheapest_link`] and [`Instance::max_degree`] are
 /// precomputed at build time and are `O(1)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Instance {
     opening: Vec<Cost>,
     /// CSR offsets into the client-major lanes, length `n + 1`.

@@ -1,7 +1,5 @@
 //! Integral solutions: open facilities plus a client assignment.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cost::Cost;
 use crate::error::InstanceError;
 use crate::instance::{ClientId, FacilityId, Instance};
@@ -11,7 +9,7 @@ use crate::instance::{ClientId, FacilityId, Instance};
 /// Holds the set of open facilities and each client's assigned facility.
 /// Construct one with [`Solution::new`] (validated against an instance) or
 /// [`Solution::from_assignment`] (opens exactly the used facilities).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Solution {
     open: Vec<bool>,
     assignment: Vec<FacilityId>,

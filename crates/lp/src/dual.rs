@@ -1,7 +1,5 @@
 //! Dual solutions and dual-fitting lower bounds.
 
-use serde::{Deserialize, Serialize};
-
 use distfl_instance::{ClientId, Instance};
 
 /// A dual point `α` of the facility-location LP.
@@ -12,7 +10,7 @@ use distfl_instance::{ClientId, Instance};
 /// violate it; [`DualSolution::feasibility_factor`] quantifies by how much,
 /// and `Σ_j α_j / factor` is then a valid lower bound on `OPT` — the
 /// *dual-fitting* argument at the heart of the paper's analysis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DualSolution {
     alpha: Vec<f64>,
 }

@@ -1,7 +1,5 @@
 //! Fractional primal solutions.
 
-use serde::{Deserialize, Serialize};
-
 use distfl_instance::{ClientId, FacilityId, Instance};
 
 /// A reason a fractional point is infeasible.
@@ -70,7 +68,7 @@ impl std::error::Error for PrimalViolation {}
 ///
 /// `x` is stored sparsely per client as `(facility, value)` pairs; pairs
 /// with zero value may be omitted.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FractionalSolution {
     /// Opening variables `y_i`, indexed by facility.
     y: Vec<f64>,

@@ -48,10 +48,12 @@
 mod export;
 mod json;
 mod metrics;
+mod reader;
 
 pub use export::{validate_json, Snapshot};
 pub use json::JsonWriter;
 pub use metrics::{counter, gauge, metrics_reset, Counter, Gauge, MetricValue};
+pub use reader::Json;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};

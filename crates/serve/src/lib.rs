@@ -56,7 +56,6 @@
 
 mod conn;
 pub mod frame;
-pub mod json;
 pub mod proto;
 pub mod queue;
 pub mod reactor;
@@ -65,3 +64,9 @@ mod server;
 pub mod session;
 
 pub use server::{BatchHook, ServeConfig, Server};
+
+/// The request reader: the workspace's one JSON reader, which lives in
+/// `distfl-obs` next to the writer.
+pub mod json {
+    pub use distfl_obs::Json;
+}

@@ -96,6 +96,19 @@ fn malformed_and_invalid_requests_get_typed_errors() {
     server.shutdown();
 }
 
+/// One short line of deeply nested arrays must end in a typed error, not
+/// a stack overflow that takes the whole process down with it.
+#[test]
+fn deep_nesting_is_a_typed_error_and_the_server_stays_up() {
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut client = Client::connect(&server);
+    let response = client.roundtrip(&"[".repeat(10_000));
+    assert!(response.contains(r#""ok":false"#), "{response}");
+    assert!(response.contains(r#""kind":"malformed_request""#), "{response}");
+    assert!(client.roundtrip(r#"{"cmd":"ping"}"#).contains(r#""pong":true"#));
+    server.shutdown();
+}
+
 #[test]
 fn queue_full_is_an_immediate_typed_error() {
     use std::sync::atomic::{AtomicUsize, Ordering};
