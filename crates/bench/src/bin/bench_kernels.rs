@@ -78,63 +78,7 @@ fn bench_kernels(l: &Lanes, reps: usize) -> Vec<KernelTiming> {
     let mut out = Vec::new();
     let per_call = |total_ms: f64, calls: usize| total_ms * 1e6 / calls as f64;
 
-    // min_argmin over every client row (the builder's cheapest-link scan).
-    for (row, _) in l.client_rows.iter().zip(0..1) {
-        assert_eq!(kernels::min_argmin(row), kernels::min_argmin_reference(row));
-    }
-    let calls = l.client_rows.len();
-    out.push(KernelTiming {
-        name: "min_argmin",
-        fast_ns: per_call(
-            time_best(reps, || {
-                l.client_rows.iter().map(|r| kernels::min_argmin(r).unwrap().0).sum::<usize>()
-            }),
-            calls,
-        ),
-        reference_ns: per_call(
-            time_best(reps, || {
-                l.client_rows
-                    .iter()
-                    .map(|r| kernels::min_argmin_reference(r).unwrap().0)
-                    .sum::<usize>()
-            }),
-            calls,
-        ),
-    });
-
-    // prefix_threshold_count over sorted facility rows at a mid threshold
-    // (the JV tightness-pointer advance).
-    let thresholds: Vec<f64> = l.facility_rows_sorted.iter().map(|r| r[r.len() / 2]).collect();
-    for (row, &t) in l.facility_rows_sorted.iter().zip(&thresholds) {
-        assert_eq!(
-            kernels::prefix_threshold_count(row, t),
-            kernels::prefix_threshold_count_reference(row, t)
-        );
-    }
     let calls = l.facility_rows_sorted.len();
-    out.push(KernelTiming {
-        name: "prefix_threshold_count",
-        fast_ns: per_call(
-            time_best(reps, || {
-                l.facility_rows_sorted
-                    .iter()
-                    .zip(&thresholds)
-                    .map(|(r, &t)| kernels::prefix_threshold_count(r, t))
-                    .sum::<usize>()
-            }),
-            calls,
-        ),
-        reference_ns: per_call(
-            time_best(reps, || {
-                l.facility_rows_sorted
-                    .iter()
-                    .zip(&thresholds)
-                    .map(|(r, &t)| kernels::prefix_threshold_count_reference(r, t))
-                    .sum::<usize>()
-            }),
-            calls,
-        ),
-    });
 
     // fused_ratio_accumulate over sorted facility rows (the greedy star
     // scan). The residual models an unpaid opening cost a few percent of
@@ -204,9 +148,9 @@ fn bench_kernels(l: &Lanes, reps: usize) -> Vec<KernelTiming> {
         ),
     });
 
-    // assign_sum family over n-length cache lanes (the local-search
-    // candidate pricing). best/second from the instance's two cheapest
-    // links; the add column scatters one facility row over +inf.
+    // assign_sum_swap over n-length cache lanes (the local-search swap
+    // pricing). best/second from the instance's two cheapest links; the
+    // add column scatters one facility row over +inf.
     let best: Vec<f64> = l.client_rows.iter().map(|r| kernels::min_argmin(r).unwrap().1).collect();
     let second: Vec<f64> = l
         .client_rows
@@ -220,42 +164,9 @@ fn bench_kernels(l: &Lanes, reps: usize) -> Vec<KernelTiming> {
     let add_min: Vec<f64> =
         (0..n).map(|j| if j % 4 == 0 { f64::INFINITY } else { best[j] * 0.5 }).collect();
     assert_eq!(
-        kernels::assign_sum(&best).to_bits(),
-        kernels::assign_sum_reference(&best).to_bits()
-    );
-    assert_eq!(
-        kernels::assign_sum_drop(&best, &fac, &second, 7).to_bits(),
-        kernels::assign_sum_drop_reference(&best, &fac, &second, 7).to_bits()
-    );
-    assert_eq!(
-        kernels::assign_sum_add(&best, &add_min).to_bits(),
-        kernels::assign_sum_add_reference(&best, &add_min).to_bits()
-    );
-    assert_eq!(
         kernels::assign_sum_swap(&best, &fac, &second, 7, &add_min).to_bits(),
         kernels::assign_sum_swap_reference(&best, &fac, &second, 7, &add_min).to_bits()
     );
-    out.push(KernelTiming {
-        name: "assign_sum",
-        fast_ns: per_call(time_best(reps, || kernels::assign_sum(&best)), 1),
-        reference_ns: per_call(time_best(reps, || kernels::assign_sum_reference(&best)), 1),
-    });
-    out.push(KernelTiming {
-        name: "assign_sum_drop",
-        fast_ns: per_call(time_best(reps, || kernels::assign_sum_drop(&best, &fac, &second, 7)), 1),
-        reference_ns: per_call(
-            time_best(reps, || kernels::assign_sum_drop_reference(&best, &fac, &second, 7)),
-            1,
-        ),
-    });
-    out.push(KernelTiming {
-        name: "assign_sum_add",
-        fast_ns: per_call(time_best(reps, || kernels::assign_sum_add(&best, &add_min)), 1),
-        reference_ns: per_call(
-            time_best(reps, || kernels::assign_sum_add_reference(&best, &add_min)),
-            1,
-        ),
-    });
     out.push(KernelTiming {
         name: "assign_sum_swap",
         fast_ns: per_call(
@@ -298,14 +209,6 @@ fn smoke() -> bool {
         v
     };
     for lane in &shapes {
-        check("min_argmin", kernels::min_argmin(lane) == kernels::min_argmin_reference(lane));
-        for t in [0.0, 1.0, 50.0, f64::INFINITY] {
-            check(
-                "prefix_threshold_count",
-                kernels::prefix_threshold_count(lane, t)
-                    == kernels::prefix_threshold_count_reference(lane, t),
-            );
-        }
         let mut sorted = lane.clone();
         sorted.sort_by(f64::total_cmp);
         for residual in [0.0, 3.75] {
@@ -333,20 +236,6 @@ fn smoke() -> bool {
             .enumerate()
             .map(|(k, &c)| if k % 2 == 0 { f64::INFINITY } else { c })
             .collect();
-        check(
-            "assign_sum",
-            kernels::assign_sum(lane).to_bits() == kernels::assign_sum_reference(lane).to_bits(),
-        );
-        check(
-            "assign_sum_drop",
-            kernels::assign_sum_drop(lane, &fac, &second, 1).to_bits()
-                == kernels::assign_sum_drop_reference(lane, &fac, &second, 1).to_bits(),
-        );
-        check(
-            "assign_sum_add",
-            kernels::assign_sum_add(lane, &add_min).to_bits()
-                == kernels::assign_sum_add_reference(lane, &add_min).to_bits(),
-        );
         check(
             "assign_sum_swap",
             kernels::assign_sum_swap(lane, &fac, &second, 1, &add_min).to_bits()

@@ -1,5 +1,7 @@
-//! Runs every experiment E1-E10 and writes all CSVs; the data source for
-//! EXPERIMENTS.md. Pass `--quick` for a reduced sweep.
+//! Runs every experiment E1-E10 and writes all CSVs and figures; the data
+//! source for EXPERIMENTS.md. Pass `--quick` for a reduced sweep, and
+//! `--only eN` (`e1` … `e10`) to run just that experiment. An unknown id
+//! exits with status 2 and lists the valid ids.
 //!
 //! Sweeps fan out on the shared worker pool; output is byte-identical at
 //! any thread count. Concurrency flags:
@@ -22,6 +24,13 @@
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    let only = args.iter().position(|a| a == "--only").map(|i| {
+        let id = args.get(i + 1).map_or("", String::as_str);
+        distfl_bench::experiments::select(id).unwrap_or_else(|e| {
+            eprintln!("error: --only: {e}");
+            std::process::exit(2);
+        })
+    });
     if args.iter().any(|a| a == "--serial") {
         distfl_bench::set_sweep_workers(0);
     } else if let Some(i) = args.iter().position(|a| a == "--threads") {
@@ -54,7 +63,8 @@ fn main() {
     } else {
         distfl_obs::Span::disabled()
     };
-    let tables = distfl_bench::experiments::run_all(distfl_bench::quick_mode());
+    let experiments = only.as_deref().unwrap_or(distfl_bench::experiments::EXPERIMENTS);
+    let tables = distfl_bench::experiments::run(experiments, distfl_bench::quick_mode());
     distfl_bench::emit(&tables);
     let figures = distfl_bench::experiments::figures::standard_figures(&tables);
     distfl_bench::emit_figures(&figures);
@@ -83,5 +93,5 @@ fn main() {
             csv_path.display(),
         );
     }
-    println!("all experiments complete; CSVs and SVGs in target/experiments/");
+    println!("experiments complete; CSVs and SVGs in target/experiments/");
 }

@@ -19,7 +19,8 @@
 //! | E10 | graceful degradation under faults | [`experiments::e10_faults`] |
 //!
 //! Every experiment is a library function returning [`Table`]s, so the
-//! binaries (`exp_e1` … `exp_e10`, `exp_all`) are thin wrappers and the
+//! one experiment binary (`exp_all`, or `exp_all --only eN` for one
+//! experiment; see [`experiments::select`]) is a thin wrapper and the
 //! harness itself is unit-tested. Tables are printed aligned and written
 //! as CSV under `target/experiments/`.
 //!

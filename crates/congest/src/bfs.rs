@@ -95,22 +95,21 @@ impl Payload for BfsMsg {
     /// aggregate for `Up`/`Down` — exactly the [`BfsMsg::size_bits`]
     /// budget. Used by the wire-format test to keep the declared sizes
     /// honest.
-    fn encode(&self) -> bytes::Bytes {
-        use bytes::BufMut;
-        let mut b = bytes::BytesMut::with_capacity(9);
+    fn encode(&self) -> Vec<u8> {
+        let mut b = Vec::with_capacity(9);
         match self {
-            BfsMsg::Grow => b.put_u8(0),
-            BfsMsg::Child => b.put_u8(1),
+            BfsMsg::Grow => b.push(0),
+            BfsMsg::Child => b.push(1),
             BfsMsg::Up(v) => {
-                b.put_u8(2);
-                b.put_f64(*v);
+                b.push(2);
+                b.extend_from_slice(&v.to_be_bytes());
             }
             BfsMsg::Down(v) => {
-                b.put_u8(3);
-                b.put_f64(*v);
+                b.push(3);
+                b.extend_from_slice(&v.to_be_bytes());
             }
         }
-        b.freeze()
+        b
     }
 }
 

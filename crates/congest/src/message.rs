@@ -1,7 +1,5 @@
 //! Message payloads and size accounting.
 
-use bytes::{BufMut, Bytes, BytesMut};
-
 /// A message payload with an accountable wire size.
 ///
 /// The CONGEST model restricts messages to `O(log N)` bits. The simulator
@@ -15,13 +13,15 @@ pub trait Payload: Clone + Send + Sync + std::fmt::Debug {
     /// Size of this message on the wire, in bits.
     fn size_bits(&self) -> u64;
 
-    /// Optional canonical byte encoding, used by wire-format tests to check
-    /// that `size_bits` is an upper bound on an actual encoding.
+    /// Optional canonical big-endian byte encoding, used by wire-format
+    /// tests to check that `size_bits` is an upper bound on an actual
+    /// encoding. `size_bits` is declared, not derived from this: a
+    /// message may be charged a larger size class than it encodes to.
     ///
     /// The default encoding is empty; protocols that want the cross-check
     /// override this.
-    fn encode(&self) -> Bytes {
-        Bytes::new()
+    fn encode(&self) -> Vec<u8> {
+        Vec::new()
     }
 }
 
@@ -30,10 +30,8 @@ impl Payload for u64 {
         64
     }
 
-    fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(8);
-        b.put_u64(*self);
-        b.freeze()
+    fn encode(&self) -> Vec<u8> {
+        self.to_be_bytes().to_vec()
     }
 }
 
@@ -42,10 +40,8 @@ impl Payload for u32 {
         32
     }
 
-    fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(4);
-        b.put_u32(*self);
-        b.freeze()
+    fn encode(&self) -> Vec<u8> {
+        self.to_be_bytes().to_vec()
     }
 }
 
@@ -54,10 +50,8 @@ impl Payload for f64 {
         64
     }
 
-    fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(8);
-        b.put_f64(*self);
-        b.freeze()
+    fn encode(&self) -> Vec<u8> {
+        self.to_be_bytes().to_vec()
     }
 }
 
@@ -72,13 +66,10 @@ impl<A: Payload, B: Payload> Payload for (A, B) {
         self.0.size_bits() + self.1.size_bits()
     }
 
-    fn encode(&self) -> Bytes {
-        let a = self.0.encode();
-        let b = self.1.encode();
-        let mut out = BytesMut::with_capacity(a.len() + b.len());
-        out.put(a);
-        out.put(b);
-        out.freeze()
+    fn encode(&self) -> Vec<u8> {
+        let mut out = self.0.encode();
+        out.extend(self.1.encode());
+        out
     }
 }
 

@@ -94,23 +94,22 @@ impl Payload for BucketMsg {
     /// for the variants that carry one — exactly the
     /// [`BucketMsg::size_bits`] budget. Used by the wire-format test to
     /// keep the declared sizes honest.
-    fn encode(&self) -> bytes::Bytes {
-        use bytes::BufMut;
-        let mut b = bytes::BytesMut::with_capacity(9);
+    fn encode(&self) -> Vec<u8> {
+        let mut b = Vec::with_capacity(9);
         match self {
             BucketMsg::Announce(v) => {
-                b.put_u8(0);
-                b.put_f64(*v);
+                b.push(0);
+                b.extend_from_slice(&v.to_be_bytes());
             }
             BucketMsg::Serve(v) => {
-                b.put_u8(1);
-                b.put_f64(*v);
+                b.push(1);
+                b.extend_from_slice(&v.to_be_bytes());
             }
-            BucketMsg::Accept => b.put_u8(2),
-            BucketMsg::Served => b.put_u8(3),
-            BucketMsg::Force => b.put_u8(4),
+            BucketMsg::Accept => b.push(2),
+            BucketMsg::Served => b.push(3),
+            BucketMsg::Force => b.push(4),
         }
-        b.freeze()
+        b
     }
 }
 

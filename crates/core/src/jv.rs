@@ -304,7 +304,7 @@ pub(crate) fn dual_ascent_with(
             }
         }
         // Linear-form event estimates, gathered into a dense lane so the
-        // minimum is one chunked [`kernels::min_argmin`] pass (retired or
+        // minimum is one [`kernels::min_argmin`] pass (retired or
         // contributor-free facilities sit at `+inf` and never win).
         for i in 0..m {
             thr[i] = if open[i] {

@@ -23,19 +23,18 @@
 //! over the *currently* open facilities, as dense `f64`/`u32` lanes. Each
 //! round hoists the per-candidate work: every closed facility `b` gets a
 //! dense `add_min` column (its link costs scattered over `+inf`), and the
-//! assignment part of every add/drop/swap candidate is then one
-//! branchless chunked pass over the caches ([`kernels::assign_sum_add`] /
-//! [`kernels::assign_sum_drop`] / [`kernels::assign_sum_swap`]) — adding
-//! `b` takes the per-client min with its column (`min(x, +inf) = x`
-//! covers unlinked clients exactly), dropping `a` falls back to the
-//! second-best where `a` holds the best. A candidate is therefore
-//! O(n + m) with no per-candidate scatter, instead of the naive
-//! O(Σ_j deg j) full rescan. The per-client minimum of a set of `f64`s is
-//! the same value no matter how it is computed, and every candidate sums
-//! those minima in the same (ascending client, then ascending facility)
-//! order as the full rescan, so every candidate cost — and hence the
-//! best-move selection sequence — is bit-identical to
-//! [`optimize_reference`].
+//! assignment part of every add/drop/swap candidate is then one pass
+//! over the caches (a scalar fold for add and drop, the chunked
+//! [`kernels::assign_sum_swap`] for swaps) — adding `b` takes the
+//! per-client min with its column (`min(x, +inf) = x` covers unlinked
+//! clients exactly), dropping `a` falls back to the second-best where
+//! `a` holds the best. A candidate is therefore O(n + m) with no
+//! per-candidate scatter, instead of the naive O(Σ_j deg j) full
+//! rescan. The per-client minimum of a set of `f64`s is the same value
+//! no matter how it is computed, and every candidate sums those minima
+//! in the same (ascending client, then ascending facility) order as the
+//! full rescan, so every candidate cost — and hence the best-move
+//! selection sequence — is bit-identical to [`optimize_reference`].
 
 use distfl_instance::{kernels, FacilityId, Instance, Solution};
 
@@ -215,26 +214,24 @@ pub(crate) fn optimize_with(
     let swap_assign = &mut scratch.swap_assign;
     swap_assign.resize(m * m, f64::INFINITY);
     // The optimal reassignment may already beat the given assignment.
-    let mut current =
-        kernels::assign_sum(&cache.best_cost) + opening_part(open, f_cost, None, None);
+    let mut current = cache.best_cost.iter().fold(0.0f64, |acc, &b| acc + b)
+        + opening_part(open, f_cost, None, None);
     assert!(current.is_finite(), "feasible start");
     let mut moves = 0;
     let mut converged = false;
 
     while moves < max_moves {
-        // Phase 1: assignment sums for every candidate, one chunked
-        // branchless pass each. Each closed facility's dense `add_min`
-        // column (link costs over `+inf`) is built once and shared by its
-        // add and all its swap candidates — the per-candidate stamping
-        // this replaces dominated the round.
+        // Phase 1: assignment sums for every candidate, one pass each,
+        // summed in ascending client order. Each closed facility's dense
+        // `add_min` column (link costs over `+inf`) is built once and
+        // shared by its add and all its swap candidates — the
+        // per-candidate stamping this replaces dominated the round.
         for a in 0..m {
             if open[a] {
-                drop_assign[a] = kernels::assign_sum_drop(
-                    &cache.best_cost,
-                    &cache.best_fac,
-                    &cache.second_cost,
-                    a as u32,
-                );
+                let lanes = cache.best_cost.iter().zip(&cache.best_fac).zip(&cache.second_cost);
+                drop_assign[a] = lanes.fold(0.0f64, |acc, ((&best, &fac), &second)| {
+                    acc + if fac == a as u32 { second } else { best }
+                });
             }
         }
         for b in 0..m {
@@ -245,7 +242,11 @@ pub(crate) fn optimize_with(
             for (j, c) in instance.facility_links(FacilityId::new(b as u32)).iter() {
                 add_min[j as usize] = c;
             }
-            add_assign[b] = kernels::assign_sum_add(&cache.best_cost, add_min);
+            add_assign[b] = cache
+                .best_cost
+                .iter()
+                .zip(&*add_min)
+                .fold(0.0f64, |acc, (&best, &add)| acc + best.min(add));
             for a in 0..m {
                 if open[a] {
                     swap_assign[a * m + b] = kernels::assign_sum_swap(

@@ -35,19 +35,18 @@ impl Payload for MetricBallMsg {
 
     /// Canonical wire encoding: one tag byte plus the big-endian scalar —
     /// exactly the [`MetricBallMsg::size_bits`] budget.
-    fn encode(&self) -> bytes::Bytes {
-        use bytes::BufMut;
-        let mut b = bytes::BytesMut::with_capacity(9);
+    fn encode(&self) -> Vec<u8> {
+        let mut b = Vec::with_capacity(9);
         match self {
             MetricBallMsg::Bid(v) => {
-                b.put_u8(0);
-                b.put_f64(*v);
+                b.push(0);
+                b.extend_from_slice(&v.to_be_bytes());
             }
-            MetricBallMsg::Deny => b.put_u8(1),
-            MetricBallMsg::Open => b.put_u8(2),
-            MetricBallMsg::Demand => b.put_u8(3),
+            MetricBallMsg::Deny => b.push(1),
+            MetricBallMsg::Open => b.push(2),
+            MetricBallMsg::Demand => b.push(3),
         }
-        b.freeze()
+        b
     }
 }
 

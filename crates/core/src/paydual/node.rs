@@ -35,25 +35,24 @@ impl Payload for PayDualMsg {
     /// Canonical wire encoding: one tag byte plus the big-endian scalar —
     /// exactly the [`PayDualMsg::size_bits`] budget. Used by the
     /// wire-format tests to keep the declared sizes honest.
-    fn encode(&self) -> bytes::Bytes {
-        use bytes::BufMut;
-        let mut b = bytes::BytesMut::with_capacity(9);
+    fn encode(&self) -> Vec<u8> {
+        let mut b = Vec::with_capacity(9);
         match self {
             PayDualMsg::AnnounceOpening(v) => {
-                b.put_u8(0);
-                b.put_f64(*v);
+                b.push(0);
+                b.extend_from_slice(&v.to_be_bytes());
             }
             PayDualMsg::Offer(v) => {
-                b.put_u8(1);
-                b.put_f64(*v);
+                b.push(1);
+                b.extend_from_slice(&v.to_be_bytes());
             }
-            PayDualMsg::Open => b.put_u8(2),
+            PayDualMsg::Open => b.push(2),
             PayDualMsg::Connect(v) => {
-                b.put_u8(3);
-                b.put_f64(*v);
+                b.push(3);
+                b.extend_from_slice(&v.to_be_bytes());
             }
         }
-        b.freeze()
+        b
     }
 }
 

@@ -87,19 +87,18 @@ impl Payload for RoundMsg {
     /// Canonical wire encoding: one tag byte, plus the big-endian opening
     /// cost for `Announce` — exactly the [`RoundMsg::size_bits`] budget.
     /// Used by the wire-format test to keep the declared sizes honest.
-    fn encode(&self) -> bytes::Bytes {
-        use bytes::BufMut;
-        let mut b = bytes::BytesMut::with_capacity(9);
+    fn encode(&self) -> Vec<u8> {
+        let mut b = Vec::with_capacity(9);
         match self {
             RoundMsg::Announce(v) => {
-                b.put_u8(0);
-                b.put_f64(*v);
+                b.push(0);
+                b.extend_from_slice(&v.to_be_bytes());
             }
-            RoundMsg::Open => b.put_u8(1),
-            RoundMsg::Connect => b.put_u8(2),
-            RoundMsg::Force => b.put_u8(3),
+            RoundMsg::Open => b.push(1),
+            RoundMsg::Connect => b.push(2),
+            RoundMsg::Force => b.push(3),
         }
-        b.freeze()
+        b
     }
 }
 

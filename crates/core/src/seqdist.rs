@@ -100,42 +100,41 @@ impl Payload for SeqMsg {
     /// [`SeqMsg::size_bits`] budget (the 136-bit class is sized for its
     /// largest member, `Up`; `Down`/`DownOffer` encode smaller). Used by
     /// the wire-format test to keep the declared sizes honest.
-    fn encode(&self) -> bytes::Bytes {
-        use bytes::BufMut;
-        let mut b = bytes::BytesMut::with_capacity(17);
+    fn encode(&self) -> Vec<u8> {
+        let mut b = Vec::with_capacity(17);
         match self {
-            SeqMsg::Grow => b.put_u8(0),
-            SeqMsg::ChildOf => b.put_u8(1),
+            SeqMsg::Grow => b.push(0),
+            SeqMsg::ChildOf => b.push(1),
             SeqMsg::Up { cycle, ratio, fid } => {
-                b.put_u8(2);
-                b.put_u32(*cycle);
-                b.put_f64(*ratio);
-                b.put_u32(*fid);
+                b.push(2);
+                b.extend_from_slice(&cycle.to_be_bytes());
+                b.extend_from_slice(&ratio.to_be_bytes());
+                b.extend_from_slice(&fid.to_be_bytes());
             }
             SeqMsg::Down { cycle, fid, stop } => {
-                b.put_u8(3);
-                b.put_u32(*cycle);
-                b.put_u32(*fid);
-                b.put_u8(u8::from(*stop));
+                b.push(3);
+                b.extend_from_slice(&cycle.to_be_bytes());
+                b.extend_from_slice(&fid.to_be_bytes());
+                b.push(u8::from(*stop));
             }
             SeqMsg::Offer { cycle, serve } => {
-                b.put_u8(4);
-                b.put_u32(*cycle);
-                b.put_u8(u8::from(*serve));
+                b.push(4);
+                b.extend_from_slice(&cycle.to_be_bytes());
+                b.push(u8::from(*serve));
             }
             SeqMsg::DownOffer { cycle, fid, serve } => {
-                b.put_u8(5);
-                b.put_u32(*cycle);
-                b.put_u32(*fid);
-                b.put_u8(u8::from(*serve));
+                b.push(5);
+                b.extend_from_slice(&cycle.to_be_bytes());
+                b.extend_from_slice(&fid.to_be_bytes());
+                b.push(u8::from(*serve));
             }
             SeqMsg::Status { cycle, served } => {
-                b.put_u8(6);
-                b.put_u32(*cycle);
-                b.put_u8(u8::from(*served));
+                b.push(6);
+                b.extend_from_slice(&cycle.to_be_bytes());
+                b.push(u8::from(*served));
             }
         }
-        b.freeze()
+        b
     }
 }
 

@@ -1,11 +1,13 @@
-//! Chunked scan primitives over the SoA cost lanes.
+//! Scan primitives over the SoA cost lanes.
 //!
 //! The CSR adjacency stores costs and ids in separate contiguous lanes
 //! (see [`crate::LinkSlice`]); these kernels are the shared inner loops
-//! the solver hot paths run over those lanes. Each is written in the
-//! explicitly chunked 4/8-lane slice style that autovectorizes on stable
-//! rust — fixed-size chunk bodies with branchless lane math — and each
-//! ships with a retained naive `*_reference` twin. The equivalence is
+//! the solver hot paths run over those lanes. [`min_argmin`] is a plain
+//! scalar scan. The other three are written in the explicitly chunked
+//! 4/8-lane slice style that autovectorizes on stable rust — fixed-size
+//! chunk bodies with branchless lane math — and each ships with a
+//! retained naive `*_reference` twin; they stay chunked because each
+//! measures faster than its twin (`bench_kernels`). The equivalence is
 //! exact, not approximate: for every input the fast kernel returns the
 //! bit-identical value (and the identical tie-breaking index) of its
 //! reference, which is what lets the solvers built on top keep their
@@ -14,14 +16,15 @@
 //! # Input contract
 //!
 //! Cost lanes come from validated [`crate::Cost`] values, so kernels may
-//! assume inputs are **NaN-free** and contain **no negative zero**
-//! ([`crate::Cost::new`] normalizes `-0.0`). Under that contract `<` and
-//! `total_cmp` induce the same order, `f64::min`/`max` are associative,
-//! and `x + 0.0` is the identity — the three facts the chunked
-//! reassociations below rely on. `+inf` is allowed (it is how callers
-//! encode "no link"); subnormals and huge magnitudes are ordinary values.
+//! assume inputs are **NaN-free**, **non-negative** and contain **no
+//! negative zero** ([`crate::Cost::new`] normalizes `-0.0`). Under that
+//! contract `<` and `total_cmp` induce the same order, so the first
+//! minimum [`min_argmin`] finds on an id-sorted row is the
+//! `(cost, id)`-lexicographic minimum. `+inf` is allowed (it is how
+//! callers encode "no link"); subnormals and huge magnitudes are ordinary
+//! values.
 //!
-//! Accumulating sums (`assign_sum*`, the prefix in
+//! Accumulating sums ([`assign_sum_swap`], the prefix in
 //! [`fused_ratio_accumulate`]) are **not** reassociated: floating-point
 //! addition is order-sensitive, and the references define the order
 //! (ascending index). The chunking there vectorizes the per-lane selects
@@ -35,12 +38,9 @@
 //! to its reference even with NaNs: the NaN poisons the sequential prefix
 //! chain in both twins, so both behave exactly as if the lane ended just
 //! before the first NaN (and the chunk lower-bound rejection can never
-//! hide an improvement from a pre-NaN lane). [`min_argmin`] **diverges**:
-//! its returned value is the minimum over the non-NaN entries either way,
-//! but the within-chunk locate scan stops on a NaN that precedes the
-//! minimum (reporting the NaN's index), and an all-NaN lane comes back
-//! `(0, +inf)` where the reference propagates the leading NaN as
-//! `(0, NaN)`.
+//! hide an improvement from a pre-NaN lane). [`min_argmin`] is a plain
+//! strict-`<` scan: a leading NaN is an unbeatable incumbent, and any
+//! later NaN is invisible to it.
 
 /// First minimum of a cost lane: `(index, value)`, `None` when empty.
 ///
@@ -49,50 +49,6 @@
 /// "lowest id wins" rule of [`crate::Instance::cheapest_link`].
 #[inline]
 pub fn min_argmin(costs: &[f64]) -> Option<(usize, f64)> {
-    if costs.is_empty() {
-        return None;
-    }
-    let mut best = f64::INFINITY;
-    let mut best_at = 0usize;
-    let mut base = 0usize;
-    let mut chunks = costs.chunks_exact(8);
-    for chunk in &mut chunks {
-        let c: &[f64; 8] = chunk.try_into().expect("chunks_exact(8)");
-        // Tree-reduce the lane minimum (associative under the NaN-free,
-        // no-negative-zero contract), then locate its first occurrence
-        // only when the chunk actually improves.
-        let m01 = c[0].min(c[1]);
-        let m23 = c[2].min(c[3]);
-        let m45 = c[4].min(c[5]);
-        let m67 = c[6].min(c[7]);
-        let m = m01.min(m23).min(m45.min(m67));
-        if m < best {
-            let mut k = 0usize;
-            while c[k] > m {
-                k += 1;
-            }
-            best = m;
-            best_at = base + k;
-        }
-        base += 8;
-    }
-    for (k, &c) in chunks.remainder().iter().enumerate() {
-        if c < best {
-            best = c;
-            best_at = base + k;
-        }
-    }
-    // All-infinite lanes never improve on the initial `best`; the
-    // reference returns the first element in that case, and so do we.
-    if best.is_infinite() && costs[best_at] > best {
-        best = costs[0];
-        best_at = 0;
-    }
-    Some((best_at, best))
-}
-
-/// Naive scalar twin of [`min_argmin`].
-pub fn min_argmin_reference(costs: &[f64]) -> Option<(usize, f64)> {
     let (&first, rest) = costs.split_first()?;
     let mut best = first;
     let mut best_at = 0usize;
@@ -103,49 +59,6 @@ pub fn min_argmin_reference(costs: &[f64]) -> Option<(usize, f64)> {
         }
     }
     Some((best_at, best))
-}
-
-/// Number of leading elements `<= threshold` (a take-while count).
-///
-/// On an ascending-sorted lane this is the partition point — the shape
-/// the JV tightness pointers advance by — but the definition (and the
-/// reference) is the plain prefix count, so unsorted inputs are fine.
-#[inline]
-pub fn prefix_threshold_count(costs: &[f64], threshold: f64) -> usize {
-    let mut n = 0usize;
-    let mut chunks = costs.chunks_exact(8);
-    for chunk in &mut chunks {
-        let c: &[f64; 8] = chunk.try_into().expect("chunks_exact(8)");
-        // Whole-chunk acceptance test via a max tree-reduction; only a
-        // chunk containing the boundary falls back to the scalar tail.
-        let m01 = c[0].max(c[1]);
-        let m23 = c[2].max(c[3]);
-        let m45 = c[4].max(c[5]);
-        let m67 = c[6].max(c[7]);
-        if m01.max(m23).max(m45.max(m67)) <= threshold {
-            n += 8;
-        } else {
-            for &v in chunk {
-                if v > threshold {
-                    return n;
-                }
-                n += 1;
-            }
-            unreachable!("chunk max exceeded the threshold");
-        }
-    }
-    for &v in chunks.remainder() {
-        if v > threshold {
-            break;
-        }
-        n += 1;
-    }
-    n
-}
-
-/// Naive scalar twin of [`prefix_threshold_count`].
-pub fn prefix_threshold_count_reference(costs: &[f64], threshold: f64) -> usize {
-    costs.iter().take_while(|&&c| c <= threshold).count()
 }
 
 /// The greedy star scan: over prefixes of `costs` (a facility's unserved
@@ -276,95 +189,6 @@ pub fn retain_unmarked_reference(
     (out_ids, out_costs)
 }
 
-/// Sequential (ascending-index) sum of a lane — the local-search
-/// no-move assignment cost. The additive order is the reference's; only
-/// the loads are chunked.
-#[inline]
-pub fn assign_sum(best: &[f64]) -> f64 {
-    let mut acc = 0.0f64;
-    let mut chunks = best.chunks_exact(8);
-    for chunk in &mut chunks {
-        let c: &[f64; 8] = chunk.try_into().expect("chunks_exact(8)");
-        for &v in c {
-            acc += v;
-        }
-    }
-    for &v in chunks.remainder() {
-        acc += v;
-    }
-    acc
-}
-
-/// Naive twin of [`assign_sum`].
-pub fn assign_sum_reference(best: &[f64]) -> f64 {
-    best.iter().fold(0.0f64, |a, &v| a + v)
-}
-
-/// Local-search *drop* repricing: per client, fall back from the best to
-/// the second-best service cost exactly when the dropped facility holds
-/// the best; sum sequentially in ascending client order.
-#[inline]
-pub fn assign_sum_drop(best: &[f64], best_fac: &[u32], second: &[f64], drop: u32) -> f64 {
-    let mut acc = 0.0f64;
-    let n = best.len();
-    let mut i = 0usize;
-    while i + 8 <= n {
-        let b: &[f64; 8] = best[i..i + 8].try_into().expect("chunk");
-        let f: &[u32; 8] = best_fac[i..i + 8].try_into().expect("chunk");
-        let s: &[f64; 8] = second[i..i + 8].try_into().expect("chunk");
-        let mut v = [0.0f64; 8];
-        for l in 0..8 {
-            v[l] = if f[l] == drop { s[l] } else { b[l] };
-        }
-        for &x in &v {
-            acc += x;
-        }
-        i += 8;
-    }
-    while i < n {
-        acc += if best_fac[i] == drop { second[i] } else { best[i] };
-        i += 1;
-    }
-    acc
-}
-
-/// Naive twin of [`assign_sum_drop`].
-pub fn assign_sum_drop_reference(best: &[f64], best_fac: &[u32], second: &[f64], drop: u32) -> f64 {
-    (0..best.len()).fold(0.0f64, |a, i| a + if best_fac[i] == drop { second[i] } else { best[i] })
-}
-
-/// Local-search *add* repricing: per client, the min of the current best
-/// service cost and the candidate facility's link cost (`+inf` where the
-/// candidate has no link); sequential sum in ascending client order.
-#[inline]
-pub fn assign_sum_add(best: &[f64], add_min: &[f64]) -> f64 {
-    let mut acc = 0.0f64;
-    let n = best.len();
-    let mut i = 0usize;
-    while i + 8 <= n {
-        let b: &[f64; 8] = best[i..i + 8].try_into().expect("chunk");
-        let a: &[f64; 8] = add_min[i..i + 8].try_into().expect("chunk");
-        let mut v = [0.0f64; 8];
-        for l in 0..8 {
-            v[l] = b[l].min(a[l]);
-        }
-        for &x in &v {
-            acc += x;
-        }
-        i += 8;
-    }
-    while i < n {
-        acc += best[i].min(add_min[i]);
-        i += 1;
-    }
-    acc
-}
-
-/// Naive twin of [`assign_sum_add`].
-pub fn assign_sum_add_reference(best: &[f64], add_min: &[f64]) -> f64 {
-    best.iter().zip(add_min).fold(0.0f64, |a, (&b, &m)| a + b.min(m))
-}
-
 /// Local-search *swap* repricing: the drop fallback composed with the add
 /// min, fused in one pass; sequential sum in ascending client order.
 #[inline]
@@ -436,25 +260,13 @@ mod tests {
     }
 
     #[test]
-    fn min_argmin_matches_reference_across_lengths() {
-        for len in 0..=40 {
-            for seed in 1..=5u64 {
-                let costs = lane(len, seed * 31 + len as u64);
-                assert_eq!(min_argmin(&costs), min_argmin_reference(&costs), "len {len}");
-            }
-        }
-    }
-
-    #[test]
     fn min_argmin_first_index_tie_break() {
-        // The minimum appears three times; the first occurrence wins in
-        // every alignment relative to the 8-lane chunks.
+        // The minimum appears three times; the first occurrence wins at
+        // every offset.
         for pad in 0..10 {
             let mut costs = vec![5.0; pad];
             costs.extend([2.0, 7.0, 2.0, 9.0, 2.0]);
-            let got = min_argmin(&costs).unwrap();
-            assert_eq!(got, (pad, 2.0), "pad {pad}");
-            assert_eq!(Some(got), min_argmin_reference(&costs));
+            assert_eq!(min_argmin(&costs), Some((pad, 2.0)), "pad {pad}");
         }
         let all_equal = vec![3.25; 17];
         assert_eq!(min_argmin(&all_equal), Some((0, 3.25)));
@@ -464,35 +276,9 @@ mod tests {
     fn min_argmin_handles_infinities_and_extremes() {
         assert_eq!(min_argmin(&[]), None);
         let all_inf = vec![f64::INFINITY; 11];
-        assert_eq!(min_argmin(&all_inf), min_argmin_reference(&all_inf));
         assert_eq!(min_argmin(&all_inf), Some((0, f64::INFINITY)));
         let mixed = [f64::INFINITY, 1e308, f64::MIN_POSITIVE, 5e-324, 0.0, f64::INFINITY, 1.0, 2.0];
-        assert_eq!(min_argmin(&mixed), min_argmin_reference(&mixed));
         assert_eq!(min_argmin(&mixed), Some((4, 0.0)));
-    }
-
-    #[test]
-    fn prefix_threshold_count_matches_reference() {
-        for len in 0..=40 {
-            for seed in 1..=5u64 {
-                let mut costs = lane(len, seed * 17 + len as u64);
-                costs.sort_by(f64::total_cmp);
-                for t in [-1.0, 0.0, 250.0, 999.0, 1e9] {
-                    assert_eq!(
-                        prefix_threshold_count(&costs, t),
-                        prefix_threshold_count_reference(&costs, t),
-                        "len {len} t {t}"
-                    );
-                }
-            }
-        }
-        // Boundary inside a full chunk.
-        let costs = [1.0, 2.0, 3.0, 4.0, 9.0, 5.0, 6.0, 7.0, 1.0, 1.0];
-        assert_eq!(prefix_threshold_count(&costs, 8.0), 4);
-        assert_eq!(
-            prefix_threshold_count(&costs, 8.0),
-            prefix_threshold_count_reference(&costs, 8.0)
-        );
     }
 
     #[test]
@@ -552,24 +338,13 @@ mod tests {
                 .enumerate()
                 .map(|(k, &x)| if k % 3 == 0 { f64::INFINITY } else { x })
                 .collect();
-            assert_eq!(assign_sum(&best).to_bits(), assign_sum_reference(&best).to_bits());
             for drop in 0..5u32 {
-                assert_eq!(
-                    assign_sum_drop(&best, &fac, &second, drop).to_bits(),
-                    assign_sum_drop_reference(&best, &fac, &second, drop).to_bits(),
-                    "len {len} drop {drop}"
-                );
                 assert_eq!(
                     assign_sum_swap(&best, &fac, &second, drop, &add_min).to_bits(),
                     assign_sum_swap_reference(&best, &fac, &second, drop, &add_min).to_bits(),
                     "len {len} drop {drop}"
                 );
             }
-            assert_eq!(
-                assign_sum_add(&best, &add_min).to_bits(),
-                assign_sum_add_reference(&best, &add_min).to_bits(),
-                "len {len}"
-            );
         }
     }
 
@@ -579,34 +354,12 @@ mod tests {
         let fac = vec![0u32; 9];
         let second = vec![f64::INFINITY; 9];
         let add_min = vec![f64::INFINITY; 9];
-        assert!(assign_sum(&best).is_infinite());
-        assert!(assign_sum_drop(&best, &fac, &second, 0).is_infinite());
         assert!(assign_sum_swap(&best, &fac, &second, 0, &add_min).is_infinite());
     }
 
-    #[test]
-    fn min_argmin_nan_divergence_examples() {
-        // All-NaN lane: the reference's incumbent starts at the leading
-        // NaN and nothing beats it; the chunked scan never improves on
-        // its +inf sentinel and the all-infinite fixup does not fire
-        // (`NaN > +inf` is false), so it reports `(0, +inf)`.
-        let all_nan = vec![f64::NAN; 9];
-        let slow = min_argmin_reference(&all_nan).unwrap();
-        assert_eq!(slow.0, 0);
-        assert!(slow.1.is_nan());
-        assert_eq!(min_argmin(&all_nan), Some((0, f64::INFINITY)));
-
-        // NaN ahead of the chunk minimum: the tree-min ignores the NaN
-        // (`f64::min` returns the other operand), but the locate scan
-        // `while c[k] > m` stops on it — right value, NaN's index.
-        let lane = [9.0, f64::NAN, 1.0, 8.0, 7.0, 6.0, 5.0, 4.0];
-        assert_eq!(min_argmin_reference(&lane), Some((2, 1.0)));
-        assert_eq!(min_argmin(&lane), Some((1, 1.0)));
-    }
-
-    /// NaN-aware model of the reference scan: a NaN candidate never wins
-    /// a strict `<`, so the result is the first-occurrence argmin over
-    /// the non-NaN entries — `None` when there are none.
+    /// NaN-aware model of the [`min_argmin`] scan: a NaN candidate never
+    /// wins a strict `<`, so the result is the first-occurrence argmin
+    /// over the non-NaN entries — `None` when there are none.
     fn nan_filtered_min(costs: &[f64]) -> Option<(usize, f64)> {
         let mut best: Option<(usize, f64)> = None;
         for (k, &c) in costs.iter().enumerate() {
@@ -640,38 +393,17 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn min_argmin_reference_nan_semantics(costs in nan_lane()) {
-            let slow = min_argmin_reference(&costs).unwrap();
+        fn min_argmin_nan_semantics(costs in nan_lane()) {
+            let got = min_argmin(&costs).unwrap();
             if costs[0].is_nan() {
                 // A leading NaN is the unbeatable incumbent.
-                prop_assert_eq!(slow.0, 0);
-                prop_assert!(slow.1.is_nan());
+                prop_assert_eq!(got.0, 0);
+                prop_assert!(got.1.is_nan());
             } else {
                 // Otherwise NaNs are invisible to the scan.
                 let model = nan_filtered_min(&costs).unwrap();
-                prop_assert_eq!(slow.0, model.0);
-                prop_assert_eq!(slow.1.to_bits(), model.1.to_bits());
-            }
-        }
-
-        #[test]
-        fn min_argmin_fast_nan_divergence_is_bounded(costs in nan_lane()) {
-            let (at, val) = min_argmin(&costs).unwrap();
-            match nan_filtered_min(&costs) {
-                Some((model_at, model_val)) => {
-                    // The value is always the non-NaN minimum, bit for
-                    // bit; the index never points past its first
-                    // occurrence and only differs by landing on a NaN
-                    // earlier in the same chunk.
-                    prop_assert_eq!(val.to_bits(), model_val.to_bits());
-                    prop_assert!(at <= model_at);
-                    prop_assert!(at == model_at || costs[at].is_nan());
-                }
-                None => {
-                    // All-NaN lane: the documented (0, +inf) fallback.
-                    prop_assert_eq!(at, 0);
-                    prop_assert_eq!(val, f64::INFINITY);
-                }
+                prop_assert_eq!(got.0, model.0);
+                prop_assert_eq!(got.1.to_bits(), model.1.to_bits());
             }
         }
 

@@ -27,8 +27,8 @@ fn usage() -> ! {
          \x20                   (default 0 = available parallelism)\n\
          --write-buffer B    per-connection write buffer cap in bytes\n\
          \x20                   (default 262144; slow readers past it are shed)\n\
-         --reactor KIND      readiness backend: auto | epoll | poll | sweep\n\
-         \x20                   (default auto)\n\
+         --reactor KIND      readiness backend: auto | epoll | sweep\n\
+         \x20                   (default auto = epoll on Linux, sweep elsewhere)\n\
          --sock-sndbuf B     clamp each connection's kernel send buffer\n\
          \x20                   (SO_SNDBUF; default: kernel default)\n\
          --sessions N        max pinned sessions before LRU eviction\n\

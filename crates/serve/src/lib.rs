@@ -6,7 +6,7 @@
 //! [`distfl_pool::WorkerPool`], and streams back deterministic responses.
 //!
 //! Pipeline: a readiness-driven **reactor** ([`reactor`]: epoll on
-//! Linux, poll elsewhere on Unix) owns every socket nonblocking →
+//! Linux, a timed sweep elsewhere) owns every socket nonblocking →
 //! pipelined NDJSON framing ([`frame`]) slices complete lines out of
 //! each read burst → [`proto`] parse → per-core **sharded admission**
 //! (the burst enters one of N [`queue::Admission`] queues as a single
@@ -49,7 +49,7 @@
 //! ```
 
 // Unsafe is denied crate-wide; the single exception is the raw syscall
-// shim in `reactor::sys` (epoll/poll/setsockopt FFI), which opts back in
+// shim in `reactor::sys` (epoll/setsockopt FFI), which opts back in
 // locally with `#[allow(unsafe_code)]`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,13 +1,12 @@
-//! Readiness-driven I/O: a minimal reactor over `epoll` (Linux),
-//! `poll(2)` (other Unix), or a timed sweep (everywhere else).
+//! Readiness-driven I/O: a minimal reactor over `epoll` (Linux) or a
+//! timed sweep (the portable fallback, everywhere else).
 //!
-//! The workspace carries no external dependencies, so the two kernel
-//! backends declare the handful of syscalls they need directly (the
-//! crate-wide `unsafe` exception lives in the private `sys` module);
-//! everything above the
-//! syscall boundary is safe Rust. The reactor is deliberately small:
-//! level-triggered readiness, `u64` tokens chosen by the caller, and a
-//! cross-thread [`Waker`] — enough for one event-loop thread to own
+//! The workspace carries no external dependencies, so the epoll backend
+//! declares the handful of syscalls it needs directly (the crate-wide
+//! `unsafe` exception lives in the private `sys` module); everything
+//! above the syscall boundary is safe Rust. The reactor is deliberately
+//! small: level-triggered readiness, `u64` tokens chosen by the caller,
+//! and a cross-thread [`Waker`] — enough for one event-loop thread to own
 //! thousands of nonblocking sockets.
 //!
 //! Backend choice is [`ReactorKind::Auto`] unless overridden (the
@@ -16,7 +15,6 @@
 //! possibly-ready on a short tick, which is semantically sound for
 //! level-triggered consumers of nonblocking sockets.
 
-use std::collections::BTreeMap;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -25,13 +23,10 @@ use std::time::Duration;
 /// Which readiness backend to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReactorKind {
-    /// Best available: `epoll` on Linux, `poll` on other Unix, sweep
-    /// elsewhere.
+    /// Best available: `epoll` on Linux, sweep elsewhere.
     Auto,
     /// Linux `epoll` (fails at construction off Linux).
     Epoll,
-    /// POSIX `poll(2)` (fails at construction off Unix).
-    Poll,
     /// Portable timed sweep: every registered token reports ready on a
     /// short tick. Correct (level-triggered consumers retry on
     /// `WouldBlock`) but burns a tick even when idle.
@@ -45,9 +40,8 @@ impl std::str::FromStr for ReactorKind {
         match s {
             "auto" => Ok(ReactorKind::Auto),
             "epoll" => Ok(ReactorKind::Epoll),
-            "poll" => Ok(ReactorKind::Poll),
             "sweep" => Ok(ReactorKind::Sweep),
-            other => Err(format!("unknown reactor {other:?} (expected auto|epoll|poll|sweep)")),
+            other => Err(format!("unknown reactor {other:?} (expected auto|epoll|sweep)")),
         }
     }
 }
@@ -59,8 +53,6 @@ impl ReactorKind {
             ReactorKind::Auto => {
                 if cfg!(target_os = "linux") {
                     ReactorKind::Epoll
-                } else if cfg!(unix) {
-                    ReactorKind::Poll
                 } else {
                     ReactorKind::Sweep
                 }
@@ -74,7 +66,6 @@ impl ReactorKind {
         match self {
             ReactorKind::Auto => "auto",
             ReactorKind::Epoll => "epoll",
-            ReactorKind::Poll => "poll",
             ReactorKind::Sweep => "sweep",
         }
     }
@@ -143,7 +134,7 @@ pub struct Waker {
 
 #[derive(Clone)]
 enum WakerInner {
-    #[cfg(unix)]
+    #[cfg(target_os = "linux")]
     Pipe(Arc<std::os::unix::net::UnixStream>),
     Flag(Arc<SweepShared>),
 }
@@ -153,7 +144,7 @@ impl Waker {
     /// [`WAKE_TOKEN`] event. Idempotent between waits.
     pub fn wake(&self) {
         match &self.inner {
-            #[cfg(unix)]
+            #[cfg(target_os = "linux")]
             WakerInner::Pipe(tx) => {
                 use std::io::Write;
                 // A full pipe already guarantees a pending wakeup.
@@ -183,11 +174,12 @@ pub struct Poller {
 enum Backend {
     #[cfg(target_os = "linux")]
     Epoll(epoll::Epoll),
-    #[cfg(unix)]
-    Poll(poll::Poll),
     Sweep(sweep::Sweep),
 }
 
+// Off Linux only the sweep backend exists, and it ignores source ids and
+// interest sets.
+#[cfg_attr(not(target_os = "linux"), allow(unused_variables))]
 impl Poller {
     /// Opens a poller with the requested backend ([`ReactorKind::Auto`]
     /// picks the best available).
@@ -200,8 +192,6 @@ impl Poller {
         let backend = match kind.resolved() {
             #[cfg(target_os = "linux")]
             ReactorKind::Epoll => Backend::Epoll(epoll::Epoll::new()?),
-            #[cfg(unix)]
-            ReactorKind::Poll => Backend::Poll(poll::Poll::new()?),
             ReactorKind::Sweep => Backend::Sweep(sweep::Sweep::new()),
             #[allow(unreachable_patterns)]
             other => {
@@ -214,24 +204,11 @@ impl Poller {
         Ok(Poller { backend })
     }
 
-    /// The backend actually in use.
-    pub fn kind(&self) -> ReactorKind {
-        match &self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll(_) => ReactorKind::Epoll,
-            #[cfg(unix)]
-            Backend::Poll(_) => ReactorKind::Poll,
-            Backend::Sweep(_) => ReactorKind::Sweep,
-        }
-    }
-
     /// A cloneable cross-thread wakeup handle.
     pub fn waker(&self) -> Waker {
         match &self.backend {
             #[cfg(target_os = "linux")]
             Backend::Epoll(b) => b.waker(),
-            #[cfg(unix)]
-            Backend::Poll(b) => b.waker(),
             Backend::Sweep(b) => b.waker(),
         }
     }
@@ -245,8 +222,6 @@ impl Poller {
         match &mut self.backend {
             #[cfg(target_os = "linux")]
             Backend::Epoll(b) => b.register(source, token, interest),
-            #[cfg(unix)]
-            Backend::Poll(b) => b.register(source, token, interest),
             Backend::Sweep(b) => b.register(token),
         }
     }
@@ -265,8 +240,6 @@ impl Poller {
         match &mut self.backend {
             #[cfg(target_os = "linux")]
             Backend::Epoll(b) => b.set_interest(source, token, interest),
-            #[cfg(unix)]
-            Backend::Poll(b) => b.set_interest(token, interest),
             Backend::Sweep(_) => Ok(()),
         }
     }
@@ -276,8 +249,6 @@ impl Poller {
         match &mut self.backend {
             #[cfg(target_os = "linux")]
             Backend::Epoll(b) => b.deregister(source),
-            #[cfg(unix)]
-            Backend::Poll(b) => b.deregister(token),
             Backend::Sweep(b) => b.deregister(token),
         }
     }
@@ -294,8 +265,6 @@ impl Poller {
         match &mut self.backend {
             #[cfg(target_os = "linux")]
             Backend::Epoll(b) => b.wait(events, timeout),
-            #[cfg(unix)]
-            Backend::Poll(b) => b.wait(events, timeout),
             Backend::Sweep(b) => b.wait(events, timeout),
         }
     }
@@ -308,38 +277,6 @@ impl Poller {
 #[allow(unsafe_code)]
 mod sys {
     use std::io;
-
-    /// One `poll(2)` / `ppoll` entry, layout per POSIX.
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    pub struct PollFd {
-        pub fd: i32,
-        pub events: i16,
-        pub revents: i16,
-    }
-
-    pub const POLLIN: i16 = 0x001;
-    pub const POLLOUT: i16 = 0x004;
-
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
-    }
-
-    /// Blocks in `poll(2)`; `timeout_ms < 0` waits indefinitely.
-    pub fn sys_poll(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
-        loop {
-            // SAFETY: `fds` is a valid, exclusively borrowed slice for the
-            // duration of the call; the kernel writes only `revents`.
-            let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
-            if rc >= 0 {
-                return Ok(rc as usize);
-            }
-            let err = io::Error::last_os_error();
-            if err.kind() != io::ErrorKind::Interrupted {
-                return Err(err);
-            }
-        }
-    }
 
     /// Clamps a socket's kernel send buffer (`SO_SNDBUF`). Best-effort
     /// off Linux (constant values differ; we only tune on Linux).
@@ -479,7 +416,7 @@ pub fn set_send_buffer_size(source: SourceId, bytes: usize) -> io::Result<()> {
     }
 }
 
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 fn wake_pair() -> io::Result<(std::os::unix::net::UnixStream, std::os::unix::net::UnixStream)> {
     let (rx, tx) = std::os::unix::net::UnixStream::pair()?;
     rx.set_nonblocking(true)?;
@@ -488,7 +425,7 @@ fn wake_pair() -> io::Result<(std::os::unix::net::UnixStream, std::os::unix::net
 }
 
 /// Drains a nonblocking wake stream so level-triggered polling settles.
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 fn drain_wake(rx: &std::os::unix::net::UnixStream) {
     use std::io::Read;
     let mut sink = [0u8; 64];
@@ -496,13 +433,6 @@ fn drain_wake(rx: &std::os::unix::net::UnixStream) {
         if n < sink.len() {
             break;
         }
-    }
-}
-
-fn timeout_ms(timeout: Option<Duration>) -> i32 {
-    match timeout {
-        None => -1,
-        Some(d) => d.as_millis().min(i32::MAX as u128) as i32,
     }
 }
 
@@ -518,6 +448,13 @@ mod epoll {
         wake_rx: UnixStream,
         wake_tx: Arc<UnixStream>,
         buf: Vec<ep::EpollEvent>,
+    }
+
+    fn timeout_ms(timeout: Option<Duration>) -> i32 {
+        match timeout {
+            None => -1,
+            Some(d) => d.as_millis().min(i32::MAX as u128) as i32,
+        }
     }
 
     fn mask(interest: Interest) -> u32 {
@@ -605,102 +542,6 @@ mod epoll {
     impl Drop for Epoll {
         fn drop(&mut self) {
             ep::close_fd(self.epfd);
-        }
-    }
-}
-
-#[cfg(unix)]
-mod poll {
-    use super::sys::{sys_poll, PollFd, POLLIN, POLLOUT};
-    use super::*;
-    use std::os::unix::io::AsRawFd;
-    use std::os::unix::net::UnixStream;
-
-    pub struct Poll {
-        wake_rx: UnixStream,
-        wake_tx: Arc<UnixStream>,
-        sources: BTreeMap<u64, (SourceId, Interest)>,
-        fds: Vec<PollFd>,
-        tokens: Vec<u64>,
-    }
-
-    impl Poll {
-        pub fn new() -> io::Result<Poll> {
-            let (wake_rx, wake_tx) = wake_pair()?;
-            Ok(Poll {
-                wake_rx,
-                wake_tx: Arc::new(wake_tx),
-                sources: BTreeMap::new(),
-                fds: Vec::new(),
-                tokens: Vec::new(),
-            })
-        }
-
-        pub fn waker(&self) -> Waker {
-            Waker { inner: WakerInner::Pipe(Arc::clone(&self.wake_tx)) }
-        }
-
-        pub fn register(&mut self, fd: SourceId, token: u64, interest: Interest) -> io::Result<()> {
-            self.sources.insert(token, (fd, interest));
-            Ok(())
-        }
-
-        pub fn set_interest(&mut self, token: u64, interest: Interest) -> io::Result<()> {
-            match self.sources.get_mut(&token) {
-                Some(entry) => {
-                    entry.1 = interest;
-                    Ok(())
-                }
-                None => Err(io::Error::new(io::ErrorKind::NotFound, "token not registered")),
-            }
-        }
-
-        pub fn deregister(&mut self, token: u64) {
-            self.sources.remove(&token);
-        }
-
-        pub fn wait(
-            &mut self,
-            events: &mut Vec<Event>,
-            timeout: Option<Duration>,
-        ) -> io::Result<()> {
-            self.fds.clear();
-            self.tokens.clear();
-            self.fds.push(PollFd { fd: self.wake_rx.as_raw_fd(), events: POLLIN, revents: 0 });
-            self.tokens.push(WAKE_TOKEN);
-            for (&token, &(fd, interest)) in &self.sources {
-                let mut mask = 0;
-                if interest.read {
-                    mask |= POLLIN;
-                }
-                if interest.write {
-                    mask |= POLLOUT;
-                }
-                self.fds.push(PollFd { fd, events: mask, revents: 0 });
-                self.tokens.push(token);
-            }
-            let n = sys_poll(&mut self.fds, timeout_ms(timeout))?;
-            if n == 0 {
-                return Ok(());
-            }
-            for (entry, &token) in self.fds.iter().zip(&self.tokens) {
-                if entry.revents == 0 {
-                    continue;
-                }
-                if token == WAKE_TOKEN {
-                    drain_wake(&self.wake_rx);
-                    events.push(Event { token, readable: true, writable: false });
-                    continue;
-                }
-                // POLLERR/POLLHUP/POLLNVAL are any bits beyond IN/OUT.
-                let broken = entry.revents & !(POLLIN | POLLOUT) != 0;
-                events.push(Event {
-                    token,
-                    readable: broken || entry.revents & POLLIN != 0,
-                    writable: broken || entry.revents & POLLOUT != 0,
-                });
-            }
-            Ok(())
         }
     }
 }
@@ -814,12 +655,6 @@ mod tests {
     #[test]
     fn accept_and_read_via_default_backend() {
         roundtrip_on(ReactorKind::Auto);
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn accept_and_read_via_poll_backend() {
-        roundtrip_on(ReactorKind::Poll);
     }
 
     #[test]

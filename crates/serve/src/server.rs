@@ -90,8 +90,8 @@ pub struct ServeConfig {
     /// `slow_reader` error instead of growing server memory. Clamped to
     /// at least 1024.
     pub write_buffer_cap: usize,
-    /// Readiness backend (`Auto` = epoll on Linux, poll on other Unix,
-    /// timed sweep elsewhere).
+    /// Readiness backend: `Auto` is epoll on Linux and the portable
+    /// timed sweep elsewhere; `Sweep` forces the sweep anywhere.
     pub reactor: ReactorKind,
     /// When set, clamps each connection's kernel send buffer
     /// (`SO_SNDBUF`): bounds per-connection kernel memory at high

@@ -329,7 +329,7 @@ fn responses_are_byte_identical_across_shard_counts_and_reactors() {
         runs.push(transcripts);
     }
     assert_eq!(runs[0], runs[1], "1 shard vs 4 shards diverge");
-    assert_eq!(runs[0], runs[2], "epoll/poll vs sweep reactor diverge");
+    assert_eq!(runs[0], runs[2], "epoll vs sweep reactor diverge");
 }
 
 #[test]
