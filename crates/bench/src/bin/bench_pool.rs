@@ -6,10 +6,11 @@
 //!    via `std::thread::scope` (a fresh OS thread per task, the shape the
 //!    engine used before the pool) vs [`distfl_pool::WorkerPool::scope`]
 //!    (persistent workers, no spawn). This isolates pure dispatch
-//!    overhead and is the measurement behind the engine's
-//!    `PARALLEL_MIN_VOLUME` retuning.
+//!    overhead: the engine pays one such batch per round when it steps
+//!    nodes in parallel.
 //! 2. **flood** — a staged step/deliver round pipeline on a dense
-//!    bipartite topology (medium traffic: ~8k messages per round), run
+//!    bipartite topology (medium traffic: ~8k messages per round), this
+//!    benchmark's own replica of the engine's former sharded round, run
 //!    with the *same* worker code under both dispatch mechanisms at
 //!    thread counts {1, 2, 4, 8}. The speedup is the per-round win from
 //!    eliminating thread spawns.
@@ -68,7 +69,7 @@ enum Dispatch {
     Pool(Arc<WorkerPool>),
 }
 
-/// A staged step/deliver flood pipeline mirroring the engine's shape:
+/// A staged step/deliver flood pipeline in the engine's former shape:
 /// persistent outbox/inbox buffers, chunked node stepping, sharded
 /// delivery. The *only* difference between the two dispatch modes is who
 /// runs the chunk closures — fresh scoped threads or pool workers.

@@ -1,47 +1,22 @@
 //! The synchronous round engine.
 //!
-//! Each round runs a two-stage pipeline, both stages parallel when
-//! [`CongestConfig::threads`] asks for it:
+//! A round is one loop over the nodes in ascending index. Each node is
+//! stepped against its current inbox, filling a *pooled* outbox (recycled
+//! across rounds, no allocation in steady state), and that outbox is
+//! drained at once, while it is still hot in cache: every message is
+//! charged and *moved* (not cloned) into its destination's next-round
+//! inbox. Outboxes produced in ascending destination order — the common
+//! case, since node logic iterates `ctx.neighbors()` in order — are
+//! detected in `O(len)` and the per-node sort is elided.
 //!
-//! 1. **Step** — nodes are partitioned into contiguous index ranges, one
-//!    per worker; each worker steps its nodes against their current
-//!    inboxes, filling per-node *pooled* outboxes (recycled across rounds,
-//!    no allocation in steady state). Outboxes produced in ascending
-//!    destination order — the common case, since node logic iterates
-//!    `ctx.neighbors()` in order — are detected in `O(len)` and the
-//!    per-node sort is elided.
-//! 2. **Deliver** — destination ids are partitioned into contiguous
-//!    ranges, one per shard; each shard scans *all* outboxes and
-//!    delivers exactly the messages addressed into its range, accumulating
-//!    a private [`RoundStats`] that is merged deterministically by shard
-//!    index. Because every `(src, dst)` pair lands in exactly one shard
-//!    and sources are scanned in ascending order, duplicate detection, the
-//!    sorted-inbox invariant, fault drops, and crash semantics are
-//!    bit-identical to serial execution.
+//! When [`CongestConfig::threads`] asks for more than one lane, the
+//! round's steps run first, one task per contiguous chunk of nodes, on a
+//! persistent work-stealing [`WorkerPool`](distfl_pool::WorkerPool)
+//! (the `distfl-pool` crate), and the loop then only delivers. Delivery
+//! is always that one serial pass, so inbox contents, [`RoundStats`] and
+//! error selection are identical for every lane count by construction.
 //!
-//! Both stages execute on a persistent work-stealing
-//! [`WorkerPool`](distfl_pool::WorkerPool) (long-lived workers,
-//! per-worker deques with stealing, park/unpark idling — the
-//! `distfl-pool` crate), so dispatching a parallel stage costs a queue
-//! push and a condvar wake instead of the per-round `std::thread::scope`
-//! spawn-and-join the engine used to pay. The worker count is the
-//! *minimum* of the requested `threads` and the pool's parallelism (its
-//! workers plus the submitting thread, which always helps drain its own
-//! scope). Parallelism is additionally gated on the previous round's
-//! *message volume*: on sparse topologies (a ring moves one message per
-//! node per round) even pooled dispatch exceeds the work being split.
-//! Only when the last round moved at least [`PARALLEL_MIN_VOLUME`]
-//! messages (delivered + dropped) — or when
-//! [`CongestConfig::parallel_min_volume`] overrides that default — does
-//! the engine fan out. When the effective worker count is 1 the
-//! engine takes a **fused** fast path instead: each node's outbox is
-//! delivered immediately after the node steps, while it is still hot in
-//! cache, and messages are *moved* (not cloned) into the inboxes. The
-//! fused path visits sources in the same ascending order as the staged
-//! pipeline, so inbox contents, statistics, and error selection are all
-//! bit-identical.
-//!
-//! Every message, on both paths and in the discrete-event simulator, is
+//! Every message, in the engine and in the discrete-event simulator, is
 //! charged by one rule, [`deliver_one`]: duplicate detection, fault drops,
 //! the bit budget, and the [`RoundStats`] update. Callers differ only in
 //! where a delivered message goes.
@@ -49,19 +24,15 @@
 //! Inboxes are double-buffered (`inboxes`/`next_inboxes`) and all buffer
 //! sets keep their capacity across rounds, so a steady-state round
 //! performs no heap allocation.
-//!
-//! Per-round wall-clock stage timings and pool steal counts are collected
-//! in an [`EngineProfile`] ([`Network::profile`]) — deliberately *outside*
-//! the [`Transcript`], which must stay bit-identical across worker counts.
 
 use crate::error::CongestError;
 use crate::fault::FaultPlan;
 use crate::message::Payload;
-use crate::metrics::{EngineProfile, RoundStats, StageTimings, Transcript};
+use crate::metrics::{RoundStats, Transcript};
 use crate::node::{NodeId, NodeLogic};
 use crate::rng::NodeRng;
 use crate::topology::Topology;
-use distfl_pool::{ScopeStats, WorkerPool};
+use distfl_pool::WorkerPool;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -78,53 +49,23 @@ pub enum DuplicatePolicy {
     Record,
 }
 
-/// Default minimum number of messages the previous round must have moved
-/// (delivered + dropped) for the staged parallel pipeline to engage.
-///
-/// Below this volume stage-dispatch overhead outweighs the split work and
-/// the fused serial path is faster. The threshold was 16 384 while the
-/// engine spawned scoped threads every round; with the persistent
-/// [`WorkerPool`] a stage dispatch is a queue push plus a condvar wake —
-/// the BENCH_3.json dispatch microbench measures a fork/join batch at
-/// 25–33x cheaper than a scoped spawn-and-join (about 0.8–2.8 µs vs
-/// 20–92 µs for 2–8 tasks) — so the break-even volume drops accordingly
-/// and medium-traffic rounds (for example sparse PayDual phases at a few
-/// thousand messages) now fan out.
-/// The very first round always runs fused — no volume is known yet.
-/// [`CongestConfig::parallel_min_volume`] overrides this default;
-/// [`CongestConfig::force_shards`] bypasses the gate entirely, keeping
-/// the staged path deterministically testable.
-pub const PARALLEL_MIN_VOLUME: u64 = 2_048;
-
 /// Engine configuration.
 #[derive(Debug, Clone, Default)]
 pub struct CongestConfig {
     /// Handling of one-message-per-edge violations.
     pub duplicate_policy: DuplicatePolicy,
-    /// Number of worker threads for parallel stepping *and* sharded
-    /// delivery; `None` or `Some(1)` runs serially. Results are
-    /// bit-identical either way. The effective worker count is capped at
-    /// the worker pool's parallelism (its workers plus the submitting
-    /// thread); small networks (under `2 * threads` nodes) and
-    /// low-traffic rounds (previous round moved fewer than
-    /// [`PARALLEL_MIN_VOLUME`] messages) run serially regardless.
+    /// Number of lanes a round's node steps run on; `None` or `Some(1)`
+    /// steps serially. `Some(k)` steps every round's nodes in
+    /// `min(k, pool parallelism, node count)` contiguous chunks on the
+    /// worker pool (its workers plus the submitting thread), then delivers
+    /// serially. Results are bit-identical either way.
     pub threads: Option<usize>,
-    /// The worker pool both pipeline stages dispatch to. `None` uses the
+    /// The worker pool parallel steps dispatch to. `None` uses the
     /// process-wide [`WorkerPool::global`] pool (sized from
     /// `DISTFL_POOL_THREADS` or the machine's parallelism). Supplying a
     /// pool explicitly lets tests and benches exercise any worker count
     /// on any machine; results are bit-identical for every choice.
     pub pool: Option<Arc<WorkerPool>>,
-    /// Overrides the [`PARALLEL_MIN_VOLUME`] message-volume gate.
-    /// `Some(0)` parallelizes every round regardless of traffic (tests);
-    /// `Some(u64::MAX)` pins the engine to the fused serial path.
-    pub parallel_min_volume: Option<u64>,
-    /// Overrides the delivery shard count independently of the worker
-    /// count; shards beyond the available workers execute inline. Results
-    /// are bit-identical for any value. Exists so the sharded merge path
-    /// can be exercised deterministically on any machine (tests); leave
-    /// `None` to derive shards from `threads`.
-    pub force_shards: Option<usize>,
     /// Optional deterministic message-drop plan.
     pub fault: Option<FaultPlan>,
     /// Crash-stop schedule: `(node, round)` pairs; from `round` on, the
@@ -227,15 +168,6 @@ impl<'a, M: Payload> StepCtx<'a, M> {
     }
 }
 
-/// Partial statistics and first error of one delivery shard.
-#[derive(Debug, Default)]
-struct ShardOutcome {
-    stats: RoundStats,
-    /// First error in this shard's scan order, with its `(src, position)`
-    /// coordinate in the serial scan so shards merge deterministically.
-    error: Option<(u32, usize, CongestError)>,
-}
-
 /// A synchronous CONGEST network executing one [`NodeLogic`] per node.
 ///
 /// See the [crate documentation](crate) for a complete example.
@@ -245,10 +177,10 @@ pub struct Network<L: NodeLogic> {
     config: CongestConfig,
     master_seed: u64,
     round: u32,
-    /// Inboxes read by the current round's step stage.
+    /// Inboxes read by the current round's steps.
     inboxes: Vec<Vec<(NodeId, L::Msg)>>,
-    /// Inboxes written by the current round's delivery stage; swapped with
-    /// `inboxes` at the end of the round (double buffering).
+    /// Inboxes the current round delivers into; swapped with `inboxes` at
+    /// the end of the round (double buffering).
     next_inboxes: Vec<Vec<(NodeId, L::Msg)>>,
     /// Per-node outboxes, pooled across rounds.
     outboxes: Vec<Vec<(NodeId, L::Msg)>>,
@@ -256,16 +188,12 @@ pub struct Network<L: NodeLogic> {
     step_errors: Vec<Option<CongestError>>,
     /// Round from which each node is crashed (`u32::MAX` = never).
     crash_round: Vec<u32>,
-    /// The persistent worker pool both stages dispatch to.
+    /// The persistent worker pool parallel steps dispatch to.
     pool: Arc<WorkerPool>,
-    /// The pool's parallelism (workers + submitting thread), cached at
-    /// construction; caps the effective worker count.
-    parallelism: usize,
-    /// Messages moved (delivered + dropped) by the previous round; gates
-    /// the parallel pipeline so sparse topologies stay fused.
-    prev_messages: u64,
+    /// Lanes a round's steps run on: `threads` capped at the pool's
+    /// parallelism and the node count. At most 1 steps inline.
+    lanes: usize,
     transcript: Transcript,
-    profile: EngineProfile,
 }
 
 impl<L: NodeLogic> std::fmt::Debug for Network<L> {
@@ -310,7 +238,7 @@ impl<L: NodeLogic> Network<L> {
         let n = nodes.len();
         let crash_round = crash_rounds(n, &config.crashes);
         let pool = config.pool.clone().unwrap_or_else(WorkerPool::global);
-        let parallelism = pool.parallelism();
+        let lanes = config.threads.unwrap_or(1).min(pool.parallelism()).min(n);
         Ok(Network {
             topo,
             nodes,
@@ -323,10 +251,8 @@ impl<L: NodeLogic> Network<L> {
             step_errors: (0..n).map(|_| None).collect(),
             crash_round,
             pool,
-            parallelism,
-            prev_messages: 0,
+            lanes,
             transcript: Transcript::new(),
-            profile: EngineProfile::default(),
         })
     }
 
@@ -370,14 +296,6 @@ impl<L: NodeLogic> Network<L> {
         (self.nodes, self.transcript)
     }
 
-    /// Per-round stage timings and pool scheduling counters accumulated so
-    /// far. Observational only: timings are machine-dependent and steal
-    /// counts are racy by nature, which is exactly why they live here and
-    /// not in the (bit-identical, equality-compared) [`Transcript`].
-    pub fn profile(&self) -> &EngineProfile {
-        &self.profile
-    }
-
     /// The next round to execute (0-based).
     pub fn round(&self) -> u32 {
         self.round
@@ -395,23 +313,13 @@ impl<L: NodeLogic> Network<L> {
         self.nodes.iter().enumerate().all(|(i, l)| l.is_done() || self.is_crashed(i, round))
     }
 
-    /// The number of concurrent lanes both pipeline stages use this round:
-    /// the requested thread count capped at the pool's parallelism, and
-    /// forced to 1 when the previous round's message volume is too small
-    /// to amortize even pooled stage dispatch (BENCH_1.json showed sparse
-    /// rings *losing* throughput under per-round spawns; BENCH_3.json
-    /// re-measures the break-even for the persistent pool).
-    fn worker_count(&self) -> usize {
-        let threads = self.config.threads.unwrap_or(1).max(1).min(self.parallelism);
-        let gate = self.config.parallel_min_volume.unwrap_or(PARALLEL_MIN_VOLUME);
-        if threads <= 1 || self.nodes.len() < 2 * threads || self.prev_messages < gate {
-            1
-        } else {
-            threads
-        }
-    }
-
     /// Executes one synchronous round.
+    ///
+    /// Nodes are visited in ascending index: each is stepped (unless this
+    /// round's steps already ran on the pool) and its outbox is delivered
+    /// at once. A step error beats any delivery error, and among step
+    /// errors the lowest node index wins. After an error, later nodes
+    /// still step but nothing more is delivered.
     ///
     /// # Errors
     ///
@@ -421,160 +329,35 @@ impl<L: NodeLogic> Network<L> {
     /// buffers are in an unspecified (but memory-safe) state; discard it.
     pub fn step(&mut self) -> Result<RoundStats, CongestError> {
         let round = self.round;
-        let workers = self.worker_count();
-        let shards = self.config.force_shards.unwrap_or(workers).max(1);
         // One relaxed atomic load per round is the entire disabled-tracing
-        // cost; the span emission below reuses the stage timings the
-        // profile measures anyway and never touches algorithm state.
+        // cost.
         let round_started = distfl_obs::enabled().then(Instant::now);
-
-        let stats = if workers <= 1 && shards <= 1 {
-            let started = Instant::now();
-            let stats = self.step_round_fused(round);
-            self.profile.push(StageTimings {
-                round,
-                fused: true,
-                step_nanos: started.elapsed().as_nanos() as u64,
-                deliver_nanos: 0,
-                pool_tasks: 0,
-                stolen_tasks: 0,
-                aborted: stats.is_err(),
-            });
-            stats
-        } else {
-            self.step_round_staged(round, workers, shards)
-        };
-        let stats = match stats {
-            Ok(stats) => stats,
-            Err(err) => {
-                // Leave no half-delivered messages behind.
-                for ib in &mut self.next_inboxes {
-                    ib.clear();
-                }
-                return Err(err);
-            }
-        };
-
-        std::mem::swap(&mut self.inboxes, &mut self.next_inboxes);
-        for ib in &mut self.next_inboxes {
-            ib.clear();
+        let stepped = self.lanes > 1;
+        if stepped {
+            self.step_on_pool(round);
         }
 
-        self.prev_messages = stats.messages + stats.dropped;
-        self.transcript.push(stats);
-        self.round += 1;
-        if let Some(started) = round_started {
-            self.record_round_span(round, started, &stats);
-        }
-        Ok(stats)
-    }
-
-    /// Emits the round's trace spans and bumps the engine counters from
-    /// the stage timings already collected in the profile. Only called
-    /// when tracing was enabled at the top of the round; kept out of
-    /// `step`'s instruction stream so the disabled path stays lean.
-    #[cold]
-    #[inline(never)]
-    fn record_round_span(&self, round: u32, started: Instant, stats: &RoundStats) {
-        let counters = engine_counters();
-        counters.rounds.incr();
-        counters.messages.add(stats.messages);
-        counters.dropped.add(stats.dropped);
-        let arg = Some(u64::from(round));
-        distfl_obs::complete("engine", "round", started, started.elapsed().as_nanos() as u64, arg);
-        if let Some(t) = self.profile.rounds().last().filter(|t| t.round == round) {
-            counters.pool_tasks.add(t.pool_tasks);
-            counters.stolen_tasks.add(t.stolen_tasks);
-            if t.fused {
-                distfl_obs::complete("engine", "stage.fused", started, t.step_nanos, arg);
-            } else {
-                distfl_obs::complete("engine", "stage.step", started, t.step_nanos, arg);
-                let deliver_started = started
-                    .checked_add(std::time::Duration::from_nanos(t.step_nanos))
-                    .unwrap_or(started);
-                distfl_obs::complete(
-                    "engine",
-                    "stage.deliver",
-                    deliver_started,
-                    t.deliver_nanos,
-                    arg,
-                );
-            }
-        }
-    }
-
-    /// The staged pipeline: step every node, surface the first step error
-    /// by node index, then deliver in shards.
-    fn step_round_staged(
-        &mut self,
-        round: u32,
-        workers: usize,
-        shards: usize,
-    ) -> Result<RoundStats, CongestError> {
-        let started = Instant::now();
-        let step_scope = self.step_stage(round, workers);
-        let mut timings = StageTimings {
-            round,
-            fused: false,
-            step_nanos: started.elapsed().as_nanos() as u64,
-            deliver_nanos: 0,
-            pool_tasks: step_scope.tasks,
-            stolen_tasks: step_scope.stolen,
-            aborted: false,
-        };
-        for slot in &mut self.step_errors {
-            if let Some(err) = slot.take() {
-                // The delivery stage never ran: record the row as aborted
-                // so its zeroed `deliver_nanos` cannot read as a measured
-                // zero-cost delivery.
-                timings.aborted = true;
-                self.profile.push(timings);
-                return Err(err);
-            }
-        }
-        let started = Instant::now();
-        let delivered = self.deliver_stage(round, shards, workers);
-        timings.deliver_nanos = started.elapsed().as_nanos() as u64;
-        let result = delivered.map(|(stats, deliver_scope)| {
-            timings.pool_tasks += deliver_scope.tasks;
-            timings.stolen_tasks += deliver_scope.stolen;
-            stats
-        });
-        timings.aborted = result.is_err();
-        self.profile.push(timings);
-        result
-    }
-
-    /// The fused serial fast path: each node's outbox is delivered right
-    /// after the node steps, while it is hot in cache, and messages are
-    /// moved (not cloned) into the inboxes. Sources are visited in the
-    /// same ascending order as the staged pipeline, so inbox contents,
-    /// stats, and error selection (step errors by node index first, then
-    /// the first delivery error in scan order) are bit-identical to staged
-    /// execution.
-    fn step_round_fused(&mut self, round: u32) -> Result<RoundStats, CongestError> {
         let rule = DeliveryRule::of(&self.config);
         let mut stats = RoundStats { round, ..RoundStats::default() };
         let mut step_error: Option<CongestError> = None;
         let mut deliver_error: Option<CongestError> = None;
-
         for (index, node) in self.nodes.iter_mut().enumerate() {
-            let mut slot = None;
-            step_into(
-                &self.topo,
-                node,
-                index,
-                &self.inboxes[index],
-                &mut self.outboxes[index],
-                &mut slot,
-                self.crash_round[index] <= round,
-                round,
-                self.master_seed,
-            );
-            if let Some(err) = slot {
-                // Keep stepping the remaining nodes (the staged pipeline
-                // steps everyone before failing the round), but deliver
-                // nothing more.
+            let outbox = &mut self.outboxes[index];
+            let slot = &mut self.step_errors[index];
+            if !stepped {
+                step_into(
+                    &self.topo,
+                    node,
+                    index,
+                    &self.inboxes[index],
+                    outbox,
+                    slot,
+                    self.crash_round[index] <= round,
+                    round,
+                    self.master_seed,
+                );
+            }
+            if let Some(err) = slot.take() {
                 step_error.get_or_insert(err);
                 continue;
             }
@@ -583,7 +366,7 @@ impl<L: NodeLogic> Network<L> {
             }
             let src = NodeId::new(index as u32);
             let mut run = SendRun::default();
-            for (dst, msg) in self.outboxes[index].drain(..) {
+            for (dst, msg) in outbox.drain(..) {
                 match deliver_one(&rule, &mut stats, &mut run, round, src, dst, &msg, || false) {
                     Ok(Some(_)) => self.next_inboxes[dst.index()].push((src, msg)),
                     Ok(None) => {}
@@ -595,37 +378,34 @@ impl<L: NodeLogic> Network<L> {
             }
         }
         if let Some(err) = step_error.or(deliver_error) {
+            // Leave no half-delivered messages behind.
+            for ib in &mut self.next_inboxes {
+                ib.clear();
+            }
             return Err(err);
         }
         debug_assert!(self.next_inboxes.iter().all(|ib| ib.is_sorted_by_key(|(s, _)| *s)));
+
+        std::mem::swap(&mut self.inboxes, &mut self.next_inboxes);
+        for ib in &mut self.next_inboxes {
+            ib.clear();
+        }
+        self.transcript.push(stats);
+        self.round += 1;
+        if let Some(started) = round_started {
+            record_round_span(round, started, &stats);
+        }
         Ok(stats)
     }
 
-    /// Stage 1: steps every live node, filling the pooled outboxes (sorted
-    /// by destination) and the per-node error slots. Parallel execution
-    /// dispatches one task per contiguous node chunk to the worker pool.
-    fn step_stage(&mut self, round: u32, workers: usize) -> ScopeStats {
-        let n = self.nodes.len();
+    /// Steps every node on the worker pool, one task per contiguous chunk
+    /// of nodes, filling the pooled outboxes (sorted by destination) and
+    /// the per-node error slots. Only called when `lanes > 1`.
+    fn step_on_pool(&mut self, round: u32) {
+        let chunk = self.nodes.len().div_ceil(self.lanes);
         let topo = &self.topo;
         let seed = self.master_seed;
         let crash_round = &self.crash_round;
-        if workers <= 1 {
-            for (index, node) in self.nodes.iter_mut().enumerate() {
-                step_into(
-                    topo,
-                    node,
-                    index,
-                    &self.inboxes[index],
-                    &mut self.outboxes[index],
-                    &mut self.step_errors[index],
-                    crash_round[index] <= round,
-                    round,
-                    seed,
-                );
-            }
-            return ScopeStats::default();
-        }
-        let chunk = n.div_ceil(workers);
         let node_chunks = self.nodes.chunks_mut(chunk);
         let inbox_chunks = self.inboxes.chunks(chunk);
         let outbox_chunks = self.outboxes.chunks_mut(chunk);
@@ -652,42 +432,7 @@ impl<L: NodeLogic> Network<L> {
                     }
                 });
             }
-        })
-    }
-
-    /// Stage 2: delivers every outbox message into `next_inboxes`,
-    /// sharded by destination range. Shards run as pool tasks when more
-    /// than one worker is available, inline otherwise.
-    fn deliver_stage(
-        &mut self,
-        round: u32,
-        shards: usize,
-        workers: usize,
-    ) -> Result<(RoundStats, ScopeStats), CongestError> {
-        let n = self.nodes.len();
-        let rule = DeliveryRule::of(&self.config);
-        let outboxes = &self.outboxes;
-        let chunk = n.div_ceil(shards.min(n).max(1));
-        if workers <= 1 {
-            // A single lane pays nothing for dispatch: run the shards
-            // inline. Same shard partition, same merge, no pool.
-            let outcomes =
-                self.next_inboxes.chunks_mut(chunk).enumerate().map(|(shard, inbox_chunk)| {
-                    deliver_shard(&rule, outboxes, inbox_chunk, shard * chunk, round)
-                });
-            let stats = merge_outcomes(outcomes, round)?;
-            return Ok((stats, ScopeStats::default()));
-        }
-
-        // One pool task per shard; every task writes its own pre-assigned
-        // slot, so the merge below visits outcomes in shard order no
-        // matter which worker ran (or stole) which shard.
-        let (outcomes, scope_stats) =
-            self.pool.map_chunks(&mut self.next_inboxes, chunk, |shard, inbox_chunk| {
-                deliver_shard(&rule, outboxes, inbox_chunk, shard * chunk, round)
-            });
-        let stats = merge_outcomes(outcomes.into_iter(), round)?;
-        Ok((stats, scope_stats))
+        });
     }
 
     /// Runs rounds until every node is done or `max_rounds` is reached.
@@ -719,8 +464,6 @@ struct EngineCounters {
     rounds: distfl_obs::Counter,
     messages: distfl_obs::Counter,
     dropped: distfl_obs::Counter,
-    pool_tasks: distfl_obs::Counter,
-    stolen_tasks: distfl_obs::Counter,
 }
 
 fn engine_counters() -> &'static EngineCounters {
@@ -729,9 +472,21 @@ fn engine_counters() -> &'static EngineCounters {
         rounds: distfl_obs::counter("engine.rounds"),
         messages: distfl_obs::counter("engine.messages"),
         dropped: distfl_obs::counter("engine.dropped_messages"),
-        pool_tasks: distfl_obs::counter("engine.pool_tasks"),
-        stolen_tasks: distfl_obs::counter("engine.stolen_tasks"),
     })
+}
+
+/// Emits the round's trace span and bumps the engine counters. Only
+/// called when tracing was enabled at the top of the round; kept out of
+/// `step`'s instruction stream so the disabled path stays lean.
+#[cold]
+#[inline(never)]
+fn record_round_span(round: u32, started: Instant, stats: &RoundStats) {
+    let counters = engine_counters();
+    counters.rounds.incr();
+    counters.messages.add(stats.messages);
+    counters.dropped.add(stats.dropped);
+    let nanos = started.elapsed().as_nanos() as u64;
+    distfl_obs::complete("engine", "round", started, nanos, Some(u64::from(round)));
 }
 
 /// Steps one node into its pooled outbox, leaving the outbox sorted by
@@ -819,8 +574,8 @@ pub(crate) struct SendRun {
 }
 
 /// Charges one message `src → dst` sent in `round`: the CONGEST delivery
-/// rule of the engine's fused path, its sharded delivery, and the
-/// simulator, so their transcripts agree by construction.
+/// rule of the engine and the simulator, so their transcripts agree by
+/// construction.
 ///
 /// In order: a repeated send over the same edge fails the round under
 /// [`DuplicatePolicy::Reject`] (and raises `max_messages_per_edge`
@@ -864,81 +619,6 @@ pub(crate) fn deliver_one<M: Payload>(
     stats.bits += bits;
     stats.max_message_bits = stats.max_message_bits.max(bits);
     Ok(Some(bits))
-}
-
-/// Delivers all messages addressed to ids `[lo, lo + inbox_chunk.len())`,
-/// scanning every outbox in ascending source order.
-///
-/// Accounting replicates the serial scan exactly: every `(src, dst)` pair
-/// lands in exactly one shard and outboxes are sorted by destination, so
-/// duplicate runs never straddle shard boundaries, and the first error in
-/// `(src, position)` order within a shard is that shard's minimum.
-fn deliver_shard<M: Payload>(
-    rule: &DeliveryRule,
-    outboxes: &[Vec<(NodeId, M)>],
-    inbox_chunk: &mut [Vec<(NodeId, M)>],
-    lo: usize,
-    round: u32,
-) -> ShardOutcome {
-    let hi = lo + inbox_chunk.len();
-    let covers_tail = hi >= outboxes.len();
-    let mut outcome = ShardOutcome::default();
-    for (src_index, outbox) in outboxes.iter().enumerate() {
-        if outbox.is_empty() {
-            continue;
-        }
-        let src = NodeId::new(src_index as u32);
-        // Two binary searches bound the exact in-range subslice, keeping
-        // the per-message loop free of range checks.
-        let start = outbox.partition_point(|(dst, _)| dst.index() < lo);
-        let end = if covers_tail {
-            outbox.len()
-        } else {
-            start + outbox[start..].partition_point(|(dst, _)| dst.index() < hi)
-        };
-        let mut run = SendRun::default();
-        for (pos, (dst, msg)) in outbox[..end].iter().enumerate().skip(start) {
-            let dst = *dst;
-            match deliver_one(rule, &mut outcome.stats, &mut run, round, src, dst, msg, || false) {
-                Ok(Some(_)) => inbox_chunk[dst.index() - lo].push((src, msg.clone())),
-                Ok(None) => {}
-                Err(err) => {
-                    outcome.error = Some((src.raw(), pos, err));
-                    return outcome;
-                }
-            }
-        }
-    }
-    debug_assert!(inbox_chunk.iter().all(|ib| ib.is_sorted_by_key(|(s, _)| *s)));
-    outcome
-}
-
-/// Folds shard outcomes into one [`RoundStats`], surfacing the error the
-/// serial scan would have hit first (minimal `(src, position)`).
-fn merge_outcomes(
-    outcomes: impl Iterator<Item = ShardOutcome>,
-    round: u32,
-) -> Result<RoundStats, CongestError> {
-    let mut stats = RoundStats { round, ..RoundStats::default() };
-    let mut first_error: Option<(u32, usize, CongestError)> = None;
-    for outcome in outcomes {
-        stats.messages += outcome.stats.messages;
-        stats.dropped += outcome.stats.dropped;
-        stats.bits += outcome.stats.bits;
-        stats.max_message_bits = stats.max_message_bits.max(outcome.stats.max_message_bits);
-        stats.max_messages_per_edge =
-            stats.max_messages_per_edge.max(outcome.stats.max_messages_per_edge);
-        if let Some((src, pos, err)) = outcome.error {
-            let better = first_error.as_ref().is_none_or(|(s, p, _)| (src, pos) < (*s, *p));
-            if better {
-                first_error = Some((src, pos, err));
-            }
-        }
-    }
-    match first_error {
-        Some((_, _, err)) => Err(err),
-        None => Ok(stats),
-    }
 }
 
 #[cfg(test)]
@@ -992,7 +672,7 @@ mod tests {
     }
 
     /// Tracing must be a pure observer: same seed, same transcript, with
-    /// the round/stage spans showing up in the obs snapshot.
+    /// the round spans showing up in the obs snapshot.
     #[test]
     fn tracing_observes_rounds_without_perturbing_the_transcript() {
         let mut plain = flood_net(6, 2, None);
@@ -1008,38 +688,6 @@ mod tests {
             snap.events.iter().filter(|e| e.cat == "engine" && e.name == "round").collect();
         assert!(rounds.len() >= 3, "expected >= 3 round spans, got {}", rounds.len());
         assert!(rounds.iter().any(|e| e.arg == Some(0)));
-        assert!(
-            snap.events.iter().any(|e| e.name == "stage.fused" || e.name == "stage.step"),
-            "stage spans missing"
-        );
-    }
-
-    #[test]
-    fn parallelism_is_gated_on_message_volume() {
-        let mut net = flood_net(64, 3, Some(4));
-        net.parallelism = 8; // pretend multi-core, independent of the host
-        assert_eq!(net.worker_count(), 1, "round 0 has no known volume: stay fused");
-        net.prev_messages = PARALLEL_MIN_VOLUME - 1;
-        assert_eq!(net.worker_count(), 1, "sparse rounds stay on the fused path");
-        net.prev_messages = PARALLEL_MIN_VOLUME;
-        assert_eq!(net.worker_count(), 4, "high-volume rounds fan out");
-        // Small networks stay serial even at high volume.
-        let mut small = flood_net(6, 3, Some(4));
-        small.parallelism = 8;
-        small.prev_messages = PARALLEL_MIN_VOLUME;
-        assert_eq!(small.worker_count(), 1);
-        // The config override replaces the default gate in both directions.
-        net.config.parallel_min_volume = Some(0);
-        net.prev_messages = 0;
-        assert_eq!(net.worker_count(), 4, "zero gate parallelizes every round");
-        net.config.parallel_min_volume = Some(u64::MAX);
-        net.prev_messages = u64::MAX - 1;
-        assert_eq!(net.worker_count(), 1, "maximal gate pins the fused path");
-        net.config.parallel_min_volume = None;
-        // The gate tracks the transcript: after a real (low-volume) round
-        // the recorded volume matches what worker_count consults.
-        let stats = net.step().unwrap();
-        assert_eq!(net.prev_messages, stats.messages + stats.dropped);
     }
 
     #[test]
@@ -1047,57 +695,72 @@ mod tests {
         let mut serial = flood_net(31, 3, None);
         serial.run(10).unwrap();
         let hs: Vec<u64> = serial.nodes().iter().map(|n| n.heard).collect();
-        // An explicit 3-worker pool with a zeroed volume gate drives the
-        // staged pool path on any machine; forced shard partitioning
-        // additionally exercises the sharded merge.
-        for force_shards in [None, Some(4)] {
-            let topo = Topology::ring(31).unwrap();
-            let nodes = (0..31).map(|_| Flood { ttl: 3, heard: 0, done: false }).collect();
-            let config = CongestConfig {
-                threads: Some(4),
-                force_shards,
-                pool: Some(WorkerPool::shared(3)),
-                parallel_min_volume: Some(0),
-                ..CongestConfig::default()
-            };
-            let mut parallel = Network::with_config(topo, nodes, 7, config).unwrap();
-            parallel.run(10).unwrap();
-            assert_eq!(serial.transcript(), parallel.transcript());
-            let hp: Vec<u64> = parallel.nodes().iter().map(|n| n.heard).collect();
-            assert_eq!(hs, hp);
-        }
-    }
-
-    /// The profile records one entry per round, attributes fused rounds to
-    /// the step stage, and counts pool tasks only on staged rounds — while
-    /// the transcript stays identical, profile or not.
-    #[test]
-    fn profile_records_stage_timings_and_pool_tasks() {
-        let mut fused = flood_net(31, 3, None);
-        fused.run(10).unwrap();
-        let profile = fused.profile();
-        assert_eq!(profile.rounds().len(), fused.transcript().num_rounds() as usize);
-        assert!(profile.rounds().iter().all(|t| t.fused && t.pool_tasks == 0));
-        assert_eq!(profile.fused_rounds() as usize, profile.rounds().len());
-
+        // An explicit 3-worker pool steps every round on 4 lanes on any
+        // machine.
         let topo = Topology::ring(31).unwrap();
         let nodes = (0..31).map(|_| Flood { ttl: 3, heard: 0, done: false }).collect();
         let config = CongestConfig {
-            threads: Some(2),
-            pool: Some(WorkerPool::shared(1)),
-            parallel_min_volume: Some(0),
+            threads: Some(4),
+            pool: Some(WorkerPool::shared(3)),
             ..CongestConfig::default()
         };
-        let mut staged = Network::with_config(topo, nodes, 7, config).unwrap();
-        staged.run(10).unwrap();
-        assert_eq!(fused.transcript(), staged.transcript());
-        let profile = staged.profile();
-        assert_eq!(profile.rounds().len(), staged.transcript().num_rounds() as usize);
-        // With a zeroed gate even round 0 fans out.
-        assert!(profile.rounds().iter().all(|t| !t.fused));
-        // 2 step chunks + 2 delivery shards per staged round.
-        assert!(profile.rounds().iter().all(|t| t.pool_tasks == 4));
-        assert_eq!(profile.total_pool_tasks(), 4 * profile.rounds().len() as u64);
+        let mut parallel = Network::with_config(topo, nodes, 7, config).unwrap();
+        parallel.run(10).unwrap();
+        assert_eq!(serial.transcript(), parallel.transcript());
+        let hp: Vec<u64> = parallel.nodes().iter().map(|n| n.heard).collect();
+        assert_eq!(hs, hp);
+    }
+
+    /// `threads` really steps on the pool: the first node of each chunk
+    /// waits until a second thread has stepped a node in the same round.
+    /// Serial stepping never meets that condition, so the wait runs out
+    /// at its deadline and the test fails instead of hanging.
+    #[test]
+    fn parallel_step_runs_chunks_concurrently() {
+        type Entries = Arc<std::sync::Mutex<Vec<(u32, std::thread::ThreadId)>>>;
+        struct Rendezvous {
+            waits: bool,
+            entered: Entries,
+            met: Vec<bool>,
+        }
+        impl NodeLogic for Rendezvous {
+            type Msg = u64;
+            fn step(&mut self, ctx: &mut StepCtx<'_, u64>) {
+                let (round, me) = (ctx.round(), std::thread::current().id());
+                self.entered.lock().unwrap().push((round, me));
+                if self.waits {
+                    let peer =
+                        || self.entered.lock().unwrap().iter().any(|&(r, t)| r == round && t != me);
+                    let deadline = Instant::now() + std::time::Duration::from_secs(3);
+                    while !peer() && Instant::now() < deadline {
+                        std::thread::yield_now();
+                    }
+                    self.met.push(peer());
+                }
+                ctx.broadcast(1);
+            }
+            fn is_done(&self) -> bool {
+                false
+            }
+        }
+        // 8 nodes on 2 lanes: chunks 0..4 and 4..8.
+        let entered = Entries::default();
+        let nodes = (0..8)
+            .map(|i| Rendezvous { waits: i % 4 == 0, entered: Arc::clone(&entered), met: vec![] })
+            .collect();
+        let config = CongestConfig {
+            threads: Some(2),
+            pool: Some(WorkerPool::shared(1)),
+            ..CongestConfig::default()
+        };
+        let mut net = Network::with_config(Topology::ring(8).unwrap(), nodes, 0, config).unwrap();
+        for round in 0..3 {
+            net.step().unwrap();
+            for waiter in [0, 4] {
+                let met = net.nodes()[waiter].met[round];
+                assert!(met, "node {waiter} stepped alone in round {round}: steps ran serially");
+            }
+        }
     }
 
     #[test]
@@ -1155,42 +818,6 @@ mod tests {
         assert_eq!(err, CongestError::NotNeighbor { from: NodeId::new(0), to: NodeId::new(2) });
     }
 
-    /// A step error must leave a profile row that is *marked* aborted, on
-    /// both pipelines — previously the staged path pushed a normal-looking
-    /// row with `deliver_nanos: 0`, indistinguishable from a measured
-    /// zero-cost delivery.
-    #[test]
-    fn step_error_marks_profile_row_aborted() {
-        struct Bad;
-        impl NodeLogic for Bad {
-            type Msg = u64;
-            fn step(&mut self, ctx: &mut StepCtx<'_, u64>) {
-                if ctx.id() == NodeId::new(0) {
-                    let _ = ctx.send(NodeId::new(2), 1);
-                }
-            }
-            fn is_done(&self) -> bool {
-                false
-            }
-        }
-        // force_shards pushes the round onto the staged pipeline even with
-        // one worker; the default config exercises the fused path.
-        for force_shards in [None, Some(2)] {
-            let topo = Topology::ring(4).unwrap();
-            let config = CongestConfig { force_shards, ..CongestConfig::default() };
-            let mut net = Network::with_config(topo, vec![Bad, Bad, Bad, Bad], 0, config).unwrap();
-            net.step().unwrap_err();
-            let rows = net.profile().rounds();
-            assert_eq!(rows.len(), 1, "shards={force_shards:?}");
-            assert!(rows[0].aborted, "errored round must be flagged (shards={force_shards:?})");
-            assert_eq!(rows[0].deliver_nanos, 0, "delivery never ran");
-            assert_eq!(net.profile().aborted_rounds(), 1);
-            // Aggregates skip the aborted row entirely.
-            assert_eq!(net.profile().total_step_nanos(), 0);
-            assert_eq!(net.profile().total_deliver_nanos(), 0);
-        }
-    }
-
     #[test]
     fn duplicate_send_rejected_by_default() {
         struct Dup {
@@ -1222,10 +849,10 @@ mod tests {
         assert_eq!(stats.messages, 6);
     }
 
-    /// Two distinct nodes violate the discipline toward destinations in
-    /// different delivery shards; parallel execution must surface the same
-    /// error serial execution does (the violation earliest in source
-    /// order), not whichever shard finishes first.
+    /// Two distinct nodes in different step chunks violate the discipline;
+    /// parallel stepping must surface the same error serial execution does
+    /// (the violation earliest in source order), not whichever chunk
+    /// finishes first.
     #[test]
     fn duplicate_error_matches_serial_order_across_threads() {
         struct DupAt {
@@ -1249,15 +876,16 @@ mod tests {
         let mk = |n: usize| {
             (0..n).map(|i| DupAt { offender: i == 3 || i == 12, done: false }).collect::<Vec<_>>()
         };
-        let errs: Vec<CongestError> = [(None, None), (Some(4), None), (Some(4), Some(4))]
-            .into_iter()
-            .map(|(threads, force_shards)| {
-                let topo = Topology::ring(16).unwrap();
-                let config = CongestConfig { threads, force_shards, ..CongestConfig::default() };
-                let mut net = Network::with_config(topo, mk(16), 0, config).unwrap();
-                net.step().unwrap_err()
-            })
-            .collect();
+        let errs: Vec<CongestError> =
+            [(None, None), (Some(4), None), (Some(4), Some(WorkerPool::shared(3)))]
+                .into_iter()
+                .map(|(threads, pool)| {
+                    let topo = Topology::ring(16).unwrap();
+                    let config = CongestConfig { threads, pool, ..CongestConfig::default() };
+                    let mut net = Network::with_config(topo, mk(16), 0, config).unwrap();
+                    net.step().unwrap_err()
+                })
+                .collect();
         assert_eq!(errs[0], errs[1]);
         assert_eq!(errs[0], errs[2]);
         assert!(matches!(errs[0], CongestError::EdgeCongestion { .. }));
@@ -1376,10 +1004,12 @@ mod tests {
                 self.done
             }
         }
-        for (threads, force_shards) in [(None, None), (Some(4), None), (None, Some(4))] {
+        for (threads, pool) in
+            [(None, None), (Some(4), None), (Some(4), Some(WorkerPool::shared(3)))]
+        {
             let topo = Topology::complete_bipartite(4, 9).unwrap();
             let nodes = (0..13).map(|_| Reverse { inbox_sorted: false, done: false }).collect();
-            let config = CongestConfig { threads, force_shards, ..CongestConfig::default() };
+            let config = CongestConfig { threads, pool, ..CongestConfig::default() };
             let mut net = Network::with_config(topo, nodes, 0, config).unwrap();
             net.run(5).unwrap();
             assert!(net.nodes().iter().all(|n| n.inbox_sorted));

@@ -75,17 +75,17 @@ pub mod sim;
 mod synchronizer;
 mod topology;
 
-pub use engine::{CongestConfig, DuplicatePolicy, Network, StepCtx, PARALLEL_MIN_VOLUME};
+pub use engine::{CongestConfig, DuplicatePolicy, Network, StepCtx};
 pub use error::CongestError;
 pub use fault::{decode_accusation, encode_accusation, FaultPlan, FaultVerdict};
 pub use message::Payload;
-pub use metrics::{EngineProfile, RoundStats, StageTimings, Transcript};
+pub use metrics::{RoundStats, Transcript};
 pub use sim::{LatencyModel, PartitionWindow, SimConfig, SimReport, Simulator};
 
-// The worker-pool substrate both pipeline stages dispatch to; re-exported
-// so callers can hand the engine an explicitly sized pool
-// (`CongestConfig::pool`) without depending on `distfl-pool` directly.
-pub use distfl_pool::{ScopeStats, WorkerPool};
+// The worker pool parallel steps dispatch to; re-exported so callers can
+// hand the engine an explicitly sized pool (`CongestConfig::pool`) without
+// depending on `distfl-pool` directly.
+pub use distfl_pool::WorkerPool;
 pub use node::{NodeId, NodeLogic};
 pub use rng::NodeRng;
 pub use topology::Topology;

@@ -37,9 +37,8 @@ fn graph_strategy(connected: bool) -> impl Strategy<Value = GraphRecipe> {
     )
 }
 
-/// Like [`graph_strategy`] but with enough nodes (16..40) to clear the
-/// engine's `nodes >= 2 * threads` floor at 8 workers, so the pool-backed
-/// staged pipeline is genuinely exercised, not silently skipped.
+/// Like [`graph_strategy`] but with more nodes (16..40), so every chunk
+/// of a round stepped on 8 lanes holds several nodes.
 fn big_graph_strategy() -> impl Strategy<Value = GraphRecipe> {
     (16usize..40, prop::collection::vec((0usize..40, 0usize..40), 0..140)).prop_map(|(n, raw)| {
         let mut edges: Vec<(usize, usize)> = raw
@@ -145,28 +144,22 @@ fn fingerprint_with(recipe: &GraphRecipe, config: CongestConfig, rounds: u32) ->
 fn fingerprint(
     recipe: &GraphRecipe,
     threads: Option<usize>,
-    force_shards: Option<usize>,
     fault: Option<FaultPlan>,
     crashes: &[(NodeId, u32)],
     rounds: u32,
 ) -> RunFingerprint {
-    let config = CongestConfig {
-        threads,
-        force_shards,
-        fault,
-        crashes: crashes.to_vec(),
-        ..CongestConfig::default()
-    };
+    let config =
+        CongestConfig { threads, fault, crashes: crashes.to_vec(), ..CongestConfig::default() };
     fingerprint_with(recipe, config, rounds)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Satellite of the sharded-delivery rework: across every thread count
-    /// the engine supports, random topologies, message-drop fault plans,
-    /// and crash-stop schedules must yield bit-identical transcripts,
-    /// per-round inbox logs, and final node states.
+    /// Across every thread count the engine supports, random topologies,
+    /// message-drop fault plans, and crash-stop schedules must yield
+    /// bit-identical transcripts, per-round inbox logs, and final node
+    /// states.
     #[test]
     fn sharded_delivery_matches_serial_exactly(
         recipe in graph_strategy(false),
@@ -180,34 +173,25 @@ proptest! {
             .map(|&(node, round)| (NodeId::new((node % recipe.n) as u32), round))
             .collect();
         let fault = Some(FaultPlan::drop_with_probability(drop_p, fault_seed));
-        let serial = fingerprint(&recipe, None, None, fault, &crashes, rounds);
+        let serial = fingerprint(&recipe, None, fault, &crashes, rounds);
         for threads in [1usize, 2, 4, 8] {
-            // Once via the thread config (capped at available cores), once
-            // forcing that many delivery shards so the sharded merge path
-            // is exercised even on machines with fewer cores.
-            for shards in [None, Some(threads)] {
-                let parallel = fingerprint(
-                    &recipe, Some(threads), shards, fault, &crashes, rounds,
-                );
-                prop_assert_eq!(
-                    &serial.0, &parallel.0,
-                    "transcript diverged at {} threads / {:?} shards", threads, shards
-                );
-                prop_assert_eq!(
-                    &serial.1, &parallel.1,
-                    "node state diverged at {} threads / {:?} shards", threads, shards
-                );
-            }
+            // Capped at the global pool's parallelism.
+            let parallel = fingerprint(&recipe, Some(threads), fault, &crashes, rounds);
+            prop_assert_eq!(
+                &serial.0, &parallel.0, "transcript diverged at {} threads", threads
+            );
+            prop_assert_eq!(
+                &serial.1, &parallel.1, "node state diverged at {} threads", threads
+            );
         }
     }
 
-    /// Satellite of the worker-pool migration: pool-backed staged
-    /// execution (explicit pools of 1/2/4/8 workers, volume gate zeroed so
-    /// every round fans out, with and without forced shard counts) must be
-    /// bit-identical to the fused serial path — transcripts, per-round
-    /// inbox logs, and final node states — under message-drop faults and
-    /// crash-stop schedules. Independent of the host's core count: the
-    /// pools spawn real OS threads regardless.
+    /// Pool-backed execution (explicit pools of 1/2/4/8 workers; every
+    /// round on 2 or more lanes steps on the pool) must be bit-identical
+    /// to serial stepping — transcripts, per-round inbox logs, and final
+    /// node states — under message-drop faults and crash-stop schedules.
+    /// Independent of the host's core count: the pools spawn real OS
+    /// threads regardless.
     #[test]
     fn pool_backed_execution_matches_fused_serial(
         recipe in big_graph_strategy(),
@@ -221,28 +205,22 @@ proptest! {
             .map(|&(node, round)| (NodeId::new((node % recipe.n) as u32), round))
             .collect();
         let fault = Some(FaultPlan::drop_with_probability(drop_p, fault_seed));
-        let serial = fingerprint(&recipe, None, None, fault, &crashes, rounds);
+        let serial = fingerprint(&recipe, None, fault, &crashes, rounds);
         for workers in [1usize, 2, 4, 8] {
-            for shards in [None, Some(workers), Some(3)] {
-                let config = CongestConfig {
-                    threads: Some(workers),
-                    force_shards: shards,
-                    pool: Some(WorkerPool::shared(workers)),
-                    parallel_min_volume: Some(0),
-                    fault,
-                    crashes: crashes.clone(),
-                    ..CongestConfig::default()
-                };
-                let pooled = fingerprint_with(&recipe, config, rounds);
-                prop_assert_eq!(
-                    &serial.0, &pooled.0,
-                    "transcript diverged at {} pool workers / {:?} shards", workers, shards
-                );
-                prop_assert_eq!(
-                    &serial.1, &pooled.1,
-                    "node state diverged at {} pool workers / {:?} shards", workers, shards
-                );
-            }
+            let config = CongestConfig {
+                threads: Some(workers),
+                pool: Some(WorkerPool::shared(workers)),
+                fault,
+                crashes: crashes.clone(),
+                ..CongestConfig::default()
+            };
+            let pooled = fingerprint_with(&recipe, config, rounds);
+            prop_assert_eq!(
+                &serial.0, &pooled.0, "transcript diverged at {} pool workers", workers
+            );
+            prop_assert_eq!(
+                &serial.1, &pooled.1, "node state diverged at {} pool workers", workers
+            );
         }
     }
 

@@ -159,16 +159,6 @@ impl FacilityState {
         self.open
     }
 
-    /// Frozen payment accumulated from connected clients.
-    pub fn frozen_payment(&self) -> f64 {
-        self.frozen
-    }
-
-    /// Number of clients that connected here.
-    pub fn num_connected(&self) -> usize {
-        self.connected.len()
-    }
-
     fn step(&mut self, ctx: &mut StepCtx<'_, PayDualMsg>) {
         let r = ctx.round();
         if r == 0 {

@@ -71,17 +71,24 @@ pub fn from_str(text: &str) -> Result<Instance, InstanceError> {
         .lines()
         .enumerate()
         .flat_map(|(index, line)| line.split_whitespace().map(move |tok| (index + 1, tok)));
-    let mut next_f64 = |what: &str| -> Result<f64, InstanceError> {
+    let mut next = |what: &str, valid: fn(f64) -> bool| -> Result<f64, InstanceError> {
         let (line, tok) = tokens.next().ok_or_else(|| InstanceError::Parse {
             line: last_line,
             reason: format!("unexpected end of input while reading {what}"),
         })?;
-        tok.parse::<f64>()
-            .map_err(|_| InstanceError::Parse { line, reason: format!("invalid {what}: '{tok}'") })
+        match tok.parse::<f64>() {
+            Ok(v) if valid(v) => Ok(v),
+            _ => Err(InstanceError::Parse { line, reason: format!("invalid {what}: '{tok}'") }),
+        }
     };
+    let number = |_: f64| true;
+    // Header counts are untrusted: each must be a whole number that fits a
+    // u32, and they bound loops but size no allocation, so a huge count
+    // fails on the missing tokens rather than in the allocator.
+    let count = |v: f64| v.fract() == 0.0 && (0.0..=f64::from(u32::MAX)).contains(&v);
 
-    let m = next_f64("facility count")? as usize;
-    let n = next_f64("client count")? as usize;
+    let m = next("facility count", count)? as u32;
+    let n = next("client count", count)? as u32;
     if m == 0 {
         return Err(InstanceError::NoFacilities);
     }
@@ -90,17 +97,17 @@ pub fn from_str(text: &str) -> Result<Instance, InstanceError> {
     }
 
     let mut builder = InstanceBuilder::new();
-    let mut fids = Vec::with_capacity(m);
+    let mut fids = Vec::new();
     for _ in 0..m {
-        let _capacity = next_f64("capacity")?;
-        let opening = next_f64("opening cost")?;
+        let _capacity = next("capacity", number)?;
+        let opening = next("opening cost", number)?;
         fids.push(builder.add_facility(Cost::new(opening)?));
     }
     for _ in 0..n {
-        let _demand = next_f64("demand")?;
+        let _demand = next("demand", number)?;
         let j = builder.add_client();
         for &fid in &fids {
-            let c = next_f64("allocation cost")?;
+            let c = next("allocation cost", number)?;
             builder.link(j, fid, Cost::new(c)?)?;
         }
     }
@@ -221,6 +228,25 @@ mod tests {
             }
             other => panic!("unexpected error {other}"),
         }
+    }
+
+    #[test]
+    fn rejects_header_counts_that_are_not_u32() {
+        for bad in ["1e18", "inf", "nan", "-3", "2.5", "4294967296"] {
+            for text in [format!("{bad} 1\n0 1\n0\n1\n"), format!("1 {bad}\n0 1\n0\n1\n")] {
+                match from_str(&text) {
+                    Err(InstanceError::Parse { line, reason }) => {
+                        assert_eq!(line, 1, "{text:?}");
+                        assert!(reason.contains(bad), "{reason}");
+                        assert!(reason.contains("count"), "{reason}");
+                    }
+                    other => panic!("{text:?} gave {other:?}"),
+                }
+            }
+        }
+        // The largest count is accepted; the input then runs out of tokens.
+        let e = from_str("4294967295 1\n0 1\n").unwrap_err();
+        assert!(matches!(e, InstanceError::Parse { line: 2, .. }), "{e}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Dual solutions and dual-fitting lower bounds.
 
-use distfl_instance::{ClientId, Instance};
+use distfl_instance::Instance;
 
 /// A dual point `α` of the facility-location LP.
 ///
@@ -32,15 +32,6 @@ impl DualSolution {
     /// The dual variables, indexed by client.
     pub fn alpha(&self) -> &[f64] {
         &self.alpha
-    }
-
-    /// The dual variable of one client.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is out of range.
-    pub fn alpha_of(&self, j: ClientId) -> f64 {
-        self.alpha[j.index()]
     }
 
     /// The dual objective `Σ_j α_j`.

@@ -13,9 +13,6 @@
 //! microseconds (`"ts":10.500`) when an event does not fall on a whole
 //! microsecond, which both viewers accept. The CSV keeps raw nanoseconds.
 
-use std::io::Write;
-use std::path::Path;
-
 use crate::json::{json_f64, push_json_string};
 use crate::metrics::MetricValue;
 use crate::{Json, TraceEvent};
@@ -129,26 +126,6 @@ impl Snapshot {
             }
         }
         out
-    }
-
-    /// Writes [`Snapshot::chrome_json`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write_chrome_trace(&self, path: &Path) -> std::io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.chrome_json().as_bytes())
-    }
-
-    /// Writes [`Snapshot::csv`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write_csv(&self, path: &Path) -> std::io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.csv().as_bytes())
     }
 }
 

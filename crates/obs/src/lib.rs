@@ -55,7 +55,7 @@ pub use json::JsonWriter;
 pub use metrics::{counter, gauge, metrics_reset, Counter, Gauge, MetricValue};
 pub use reader::Json;
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
@@ -177,14 +177,8 @@ fn registry() -> &'static Mutex<Vec<Arc<ThreadBuf>>> {
     REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-/// Per-thread ring capacity for buffers created after the call.
-static CAPACITY: AtomicUsize = AtomicUsize::new(1 << 18);
-
-/// Sets the per-thread ring-buffer capacity (events per thread) for
-/// threads that start recording after this call. The default is 2^18.
-pub fn set_buffer_capacity(events: usize) {
-    CAPACITY.store(events, Ordering::Relaxed);
-}
+/// Per-thread ring capacity, in events.
+const BUFFER_CAPACITY: usize = 1 << 18;
 
 thread_local! {
     static LOCAL: Arc<ThreadBuf> = {
@@ -193,7 +187,7 @@ thread_local! {
             tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
             ring: Mutex::new(Ring {
                 events: Vec::new(),
-                capacity: CAPACITY.load(Ordering::Relaxed),
+                capacity: BUFFER_CAPACITY,
                 next: 0,
                 overwritten: 0,
             }),

@@ -1,13 +1,13 @@
 //! Persistent work-stealing worker pool for the distfl workspace.
 //!
-//! The CONGEST engine executes two parallel stages *per simulated round*
-//! (node stepping, then sharded delivery). Spawning OS threads with
-//! `std::thread::scope` on every round puts a thread create/join pair on
-//! the round critical path — tens of microseconds that dwarf the work of a
-//! medium-traffic round and forced the engine's parallel gate
-//! (`PARALLEL_MIN_VOLUME`) up to 16384 messages. This crate replaces that
-//! with a pool of **long-lived workers** that park between rounds, so
-//! dispatching a stage costs a queue push and a wake instead of a spawn.
+//! The CONGEST engine can step a round's nodes in parallel, which is one
+//! fork/join batch *per simulated round*, and the experiment sweeps fan
+//! out independent trials. Spawning OS threads with `std::thread::scope`
+//! for every batch puts a thread create/join pair on the round critical
+//! path — tens of microseconds that dwarf the work of a medium-traffic
+//! round. This crate replaces that with a pool of **long-lived workers**
+//! that park between batches, so dispatching a batch costs a queue push
+//! and a wake instead of a spawn.
 //!
 //! Design:
 //!
@@ -25,9 +25,9 @@
 //!   lands between scan and park can never be lost.
 //! - **Determinism is the caller's contract, kept by construction.** Tasks
 //!   write results into pre-assigned, index-ordered slots
-//!   ([`WorkerPool::map_indexed`], [`WorkerPool::map_chunks`]); the pool
-//!   never merges anything itself, so results are independent of which
-//!   worker ran which task and of steal timing.
+//!   ([`WorkerPool::map_indexed`]); the pool never merges anything itself,
+//!   so results are independent of which worker ran which task and of
+//!   steal timing.
 //! - **Zero workers = inline.** A pool with 0 workers runs every task on
 //!   the submitting thread, in spawn order. The serial and parallel code
 //!   paths are therefore literally the same code.
@@ -180,19 +180,6 @@ impl Shared {
     }
 }
 
-/// Scheduling statistics for one completed [`WorkerPool::scope`].
-///
-/// Purely observational: steal counts vary run-to-run and must never be
-/// folded into deterministic outputs (transcripts, CSV rows).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ScopeStats {
-    /// Tasks spawned (and therefore executed) in the scope.
-    pub tasks: u64,
-    /// Tasks executed by a worker other than its home deque's owner.
-    /// Tasks drained by the submitting thread are not counted as steals.
-    pub stolen: u64,
-}
-
 /// Spawn handle passed to the closure of [`WorkerPool::scope`].
 ///
 /// Tasks spawned here may borrow from the enclosing environment (`'env`);
@@ -329,7 +316,7 @@ impl WorkerPool {
     /// progress even on a machine where every worker is busy elsewhere.
     /// If any task panicked, the first panic is resumed on this thread
     /// after all tasks have settled.
-    pub fn scope<'env, F>(&self, build: F) -> ScopeStats
+    pub fn scope<'env, F>(&self, build: F)
     where
         F: for<'pool> FnOnce(&mut Scope<'pool, 'env>),
     {
@@ -364,16 +351,11 @@ impl WorkerPool {
         if let Some(payload) = relock(&batch.panic).take() {
             resume_unwind(payload);
         }
-        let stats = ScopeStats {
-            tasks: batch.tasks.load(Ordering::Relaxed),
-            stolen: batch.stolen.load(Ordering::Relaxed),
-        };
         if distfl_obs::enabled() {
             let (tasks, stolen) = pool_counters();
-            tasks.add(stats.tasks);
-            stolen.add(stats.stolen);
+            tasks.add(batch.tasks.load(Ordering::Relaxed));
+            stolen.add(batch.stolen.load(Ordering::Relaxed));
         }
-        stats
     }
 
     /// Evaluate `f(0..n)` in parallel and collect results in index order.
@@ -394,40 +376,6 @@ impl WorkerPool {
             }
         });
         slots.into_iter().map(|slot| slot.expect("map_indexed task completed")).collect()
-    }
-
-    /// Split `items` into chunks of `chunk` elements and evaluate
-    /// `f(chunk_index, chunk)` on each in parallel; results come back in
-    /// chunk order together with the scope's scheduling stats.
-    pub fn map_chunks<T, R, F>(&self, items: &mut [T], chunk: usize, f: F) -> (Vec<R>, ScopeStats)
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, &mut [T]) -> R + Sync,
-    {
-        let chunk = chunk.max(1);
-        let count = items.len().div_ceil(chunk);
-        let mut slots: Vec<Option<R>> = (0..count).map(|_| None).collect();
-        let f = &f;
-        let stats = self.scope(|scope| {
-            for ((index, piece), slot) in items.chunks_mut(chunk).enumerate().zip(slots.iter_mut())
-            {
-                scope.spawn(move || *slot = Some(f(index, piece)));
-            }
-        });
-        let results =
-            slots.into_iter().map(|slot| slot.expect("map_chunks task completed")).collect();
-        (results, stats)
-    }
-
-    /// [`WorkerPool::map_chunks`] for side-effecting loop bodies: run
-    /// `f(chunk_index, chunk)` over chunks of `items`, return the stats.
-    pub fn parallel_for_chunked<T, F>(&self, items: &mut [T], chunk: usize, f: F) -> ScopeStats
-    where
-        T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
-    {
-        self.map_chunks(items, chunk, f).1
     }
 }
 
@@ -450,15 +398,13 @@ mod tests {
     fn inline_pool_runs_tasks_in_spawn_order() {
         let pool = WorkerPool::new(0);
         let log = Mutex::new(Vec::new());
-        let stats = pool.scope(|scope| {
+        pool.scope(|scope| {
             for i in 0..8 {
                 let log = &log;
                 scope.spawn(move || log.lock().unwrap().push(i));
             }
         });
         assert_eq!(*log.lock().unwrap(), (0..8).collect::<Vec<_>>());
-        assert_eq!(stats.tasks, 8);
-        assert_eq!(stats.stolen, 0);
     }
 
     #[test]
@@ -467,7 +413,7 @@ mod tests {
         let hits = AtomicUsize::new(0);
         for _ in 0..50 {
             hits.store(0, Ordering::SeqCst);
-            let stats = pool.scope(|scope| {
+            pool.scope(|scope| {
                 for _ in 0..16 {
                     let hits = &hits;
                     scope.spawn(move || {
@@ -476,7 +422,6 @@ mod tests {
                 }
             });
             assert_eq!(hits.load(Ordering::SeqCst), 16);
-            assert_eq!(stats.tasks, 16);
         }
     }
 
@@ -503,23 +448,6 @@ mod tests {
             let pool = WorkerPool::new(workers);
             assert_eq!(pool.map_indexed(200, |i| i * i), expected, "workers={workers}");
         }
-    }
-
-    #[test]
-    fn map_chunks_returns_chunk_ordered_results() {
-        let pool = WorkerPool::new(4);
-        let mut data: Vec<u64> = (0..103).collect();
-        let (sums, stats) = pool.map_chunks(&mut data, 10, |index, chunk| {
-            for v in chunk.iter_mut() {
-                *v += 1;
-            }
-            (index, chunk.iter().sum::<u64>())
-        });
-        assert_eq!(sums.len(), 11);
-        assert!(sums.iter().enumerate().all(|(i, &(index, _))| index == i));
-        let total: u64 = sums.iter().map(|&(_, s)| s).sum();
-        assert_eq!(total, (1..=103).sum::<u64>());
-        assert_eq!(stats.tasks, 11);
     }
 
     #[test]

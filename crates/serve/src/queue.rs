@@ -1,12 +1,12 @@
 //! The bounded admission queue between the reactor and one shard's
 //! batching scheduler.
 //!
-//! The reactor `push`es (non-blocking: a full queue is an immediate typed
-//! error back to the client, never a hang) — or [`Admission::push_group`]s
-//! a whole pipelined burst under one lock — and the shard's scheduler
-//! thread `pop_batch`es (blocking). Closing the queue stops admission
-//! while letting the scheduler drain what was already admitted — the
-//! mechanism behind graceful shutdown.
+//! The reactor admits each pipelined burst of requests with one
+//! [`Admission::push_group`] under one lock (non-blocking: a full queue is
+//! an immediate typed error back to the client, never a hang), and the
+//! shard's scheduler thread `pop_batch`es (blocking). Closing the queue
+//! stops admission while letting the scheduler drain what was already
+//! admitted — the mechanism behind graceful shutdown.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -57,31 +57,13 @@ impl<T> Admission<T> {
         relock(&self.state).items.len()
     }
 
-    /// Admits `item`, or refuses immediately — never blocks.
-    ///
-    /// # Errors
-    ///
-    /// Returns the item back together with the reason so the caller can
-    /// answer the client without re-parsing.
-    pub fn push(&self, item: T) -> Result<(), (T, AdmitError)> {
-        let mut state = relock(&self.state);
-        if state.closed {
-            return Err((item, AdmitError::Closed));
-        }
-        if state.items.len() >= self.capacity {
-            return Err((item, AdmitError::Full));
-        }
-        state.items.push_back(item);
-        drop(state);
-        self.nonempty.notify_one();
-        Ok(())
-    }
-
     /// Admits every item of `group` that fits under **one** lock
     /// acquisition (the pipelined fast path: a burst of requests already
     /// sitting on a socket becomes one queue transaction, not one per
     /// request), returning the refused items with their reasons, in
-    /// order. The consumer is notified once when anything was admitted.
+    /// order, so the caller can answer the client without re-parsing.
+    /// Never blocks. The consumer is notified once when anything was
+    /// admitted.
     pub fn push_group(&self, group: Vec<T>) -> Vec<(T, AdmitError)> {
         let mut rejected = Vec::new();
         let mut admitted = false;
@@ -129,26 +111,29 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// Admits a group of one item, which must fit.
+    fn admit<T>(q: &Admission<T>, item: T) {
+        assert!(q.push_group(vec![item]).is_empty(), "item refused");
+    }
+
     #[test]
     fn push_refuses_when_full_and_returns_the_item() {
         let q = Admission::new(2);
-        q.push(1).unwrap();
-        q.push(2).unwrap();
+        admit(&q, 1);
+        admit(&q, 2);
         assert_eq!(q.depth(), 2);
-        let (item, err) = q.push(3).unwrap_err();
-        assert_eq!((item, err), (3, AdmitError::Full));
+        assert_eq!(q.push_group(vec![3]), vec![(3, AdmitError::Full)]);
         // Popping frees capacity again.
         assert_eq!(q.pop_batch(10), vec![1, 2]);
-        q.push(3).unwrap();
+        admit(&q, 3);
     }
 
     #[test]
     fn close_refuses_new_items_but_drains_queued_ones() {
         let q = Admission::new(4);
-        q.push("a").unwrap();
+        admit(&q, "a");
         q.close();
-        let (_, err) = q.push("b").unwrap_err();
-        assert_eq!(err, AdmitError::Closed);
+        assert_eq!(q.push_group(vec!["b"]), vec![("b", AdmitError::Closed)]);
         assert_eq!(q.pop_batch(10), vec!["a"]);
         assert!(q.pop_batch(10).is_empty(), "closed + drained pops empty");
     }
@@ -156,7 +141,7 @@ mod tests {
     #[test]
     fn push_group_admits_what_fits_and_returns_the_rest() {
         let q = Admission::new(3);
-        q.push(0).unwrap();
+        admit(&q, 0);
         let rejected = q.push_group(vec![1, 2, 3, 4]);
         assert_eq!(rejected, vec![(3, AdmitError::Full), (4, AdmitError::Full)]);
         assert_eq!(q.pop_batch(10), vec![0, 1, 2]);
@@ -169,7 +154,7 @@ mod tests {
     fn pop_batch_respects_max_and_order() {
         let q = Admission::new(10);
         for i in 0..7 {
-            q.push(i).unwrap();
+            admit(&q, i);
         }
         assert_eq!(q.pop_batch(3), vec![0, 1, 2]);
         assert_eq!(q.pop_batch(3), vec![3, 4, 5]);
@@ -184,7 +169,7 @@ mod tests {
             std::thread::spawn(move || q.pop_batch(8))
         };
         std::thread::sleep(std::time::Duration::from_millis(20));
-        q.push(42).unwrap();
+        admit(&q, 42);
         assert_eq!(consumer.join().unwrap(), vec![42]);
     }
 

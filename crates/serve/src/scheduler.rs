@@ -336,7 +336,7 @@ mod tests {
             let sessions = cache();
             let queue = Admission::new(8);
             for _ in 0..3 {
-                queue.push(Job { request: req.clone(), conn: 1 }).unwrap();
+                assert!(queue.push_group(vec![Job { request: req.clone(), conn: 1 }]).is_empty());
             }
             queue.close();
             let (collected, sink) = collecting_sink();
@@ -367,7 +367,7 @@ mod tests {
             let line = format!(
                 r#"{{"id":"n{i}","solver":"greedy","instance":{{"opening":[1.0],"links":[[0,1.0]]}}}}"#
             );
-            queue.push(Job { request: request(&line), conn: i }).unwrap();
+            assert!(queue.push_group(vec![Job { request: request(&line), conn: i }]).is_empty());
         }
         queue.close();
         let (collected, sink) = collecting_sink();

@@ -289,12 +289,6 @@ impl Server {
         self.shared.sessions.len()
     }
 
-    /// Whether a drain has been initiated (by [`Server::shutdown`] or a
-    /// client `shutdown` command).
-    pub fn is_draining(&self) -> bool {
-        self.shared.draining.load(Ordering::SeqCst)
-    }
-
     /// Initiates a graceful drain and blocks until it completes; every
     /// admitted request is answered before this returns.
     pub fn shutdown(mut self) {

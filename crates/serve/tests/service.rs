@@ -109,6 +109,26 @@ fn deep_nesting_is_a_typed_error_and_the_server_stays_up() {
     server.shutdown();
 }
 
+/// OR-Library header counts are checked before anything is sized from
+/// them: a huge or non-finite count is a typed error, not an allocation
+/// abort or a panicked shard, and the connection's shard keeps solving.
+#[test]
+fn hostile_orlib_headers_are_typed_errors_and_the_server_stays_up() {
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut client = Client::connect(&server);
+    // A request that is never answered must fail the test, not hang it.
+    client.reader.get_ref().set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    for header in ["1e18 1", "inf 1"] {
+        let request = format!(r#"{{"id":"a","solver":"greedy","orlib":"{header}\n0 1\n0\n1\n"}}"#);
+        let response = client.roundtrip(&request);
+        assert!(response.contains(r#""kind":"invalid_instance""#), "{response}");
+        assert!(response.contains("line 1"), "{response}");
+    }
+    let response = client.roundtrip(GREEDY_INLINE);
+    assert!(response.contains(r#""ok":true"#), "{response}");
+    server.shutdown();
+}
+
 #[test]
 fn queue_full_is_an_immediate_typed_error() {
     use std::sync::atomic::{AtomicUsize, Ordering};
