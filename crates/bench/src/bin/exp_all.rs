@@ -8,7 +8,8 @@
 //!
 //! * `--serial` — run every trial inline on the main thread,
 //! * `--threads N` — use `N` threads in total (`N-1` pool workers),
-//! * default — `DISTFL_THREADS` if set, else all available cores.
+//! * default — the global pool: `DISTFL_POOL_THREADS` workers if set,
+//!   else one worker per available core beyond the main thread.
 //!
 //! Observability flags:
 //!
@@ -64,7 +65,8 @@ fn main() {
         distfl_obs::Span::disabled()
     };
     let experiments = only.as_deref().unwrap_or(distfl_bench::experiments::EXPERIMENTS);
-    let tables = distfl_bench::experiments::run(experiments, distfl_bench::quick_mode());
+    let quick = args.iter().any(|a| a == "--quick");
+    let tables = distfl_bench::experiments::run(experiments, quick);
     distfl_bench::emit(&tables);
     let figures = distfl_bench::experiments::figures::standard_figures(&tables);
     distfl_bench::emit_figures(&figures);

@@ -24,13 +24,21 @@
 //! harness itself is unit-tested. Tables are printed aligned and written
 //! as CSV under `target/experiments/`.
 //!
+//! ## Snapshot benchmarks
+//!
+//! The crate's `bench` binary (`src/bin/bench/`) records the BENCH files:
+//! `bench <suite> [--quick] [--smoke] [--out PATH]`, with one suite per
+//! measured layer (`engine`, `solvers`, `pool`, `kernels`, `delta`,
+//! `sim`, `portfolio`) sharing one harness. `serve_load` records the
+//! service's BENCH_5/BENCH_6.
+//!
 //! ## Concurrency
 //!
 //! Sweeps fan their independent trials out on the shared
 //! [`distfl_pool::WorkerPool`] via [`sweep_pool`]. Every trial derives its
 //! RNG seed from the row indices alone and results are collected in index
 //! order, so the emitted CSVs are byte-identical to a serial run at any
-//! worker count (`--serial`, `--threads N`, or `DISTFL_THREADS`).
+//! worker count (`--serial`, `--threads N`, or `DISTFL_POOL_THREADS`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -69,53 +77,40 @@ pub fn emit(tables: &[Table]) {
     }
 }
 
-/// Whether quick mode is requested (smaller sweeps), via `--quick` or the
-/// `DISTFL_QUICK` environment variable.
-pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick") || std::env::var_os("DISTFL_QUICK").is_some()
-}
-
 use distfl_pool::WorkerPool;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
-/// Sentinel meaning "not set explicitly — resolve from the environment".
-const SWEEP_AUTO: usize = usize::MAX;
-
-static SWEEP_WORKERS: AtomicUsize = AtomicUsize::new(SWEEP_AUTO);
+/// The sweep worker count pinned by [`set_sweep_workers`], if any.
+static SWEEP_WORKERS: Mutex<Option<usize>> = Mutex::new(None);
 
 /// Pins the number of pool workers used by experiment sweeps.
 ///
 /// `0` forces fully serial execution (trials run inline on the caller, in
-/// spawn order). Binaries call this for `--serial` / `--threads N`; it
-/// overrides the `DISTFL_THREADS` environment variable.
+/// spawn order). Binaries call this for `--serial` / `--threads N`.
 pub fn set_sweep_workers(workers: usize) {
-    SWEEP_WORKERS.store(workers, Ordering::Relaxed);
+    *SWEEP_WORKERS.lock().unwrap_or_else(PoisonError::into_inner) = Some(workers);
 }
 
-/// Number of pool workers experiment sweeps will use.
-///
-/// Resolution order: [`set_sweep_workers`], then `DISTFL_THREADS` (total
-/// concurrency, so `workers = threads - 1` because the caller also runs
-/// trials), then `available_parallelism() - 1`.
-pub fn sweep_workers() -> usize {
-    let pinned = SWEEP_WORKERS.load(Ordering::Relaxed);
-    if pinned != SWEEP_AUTO {
-        return pinned;
-    }
-    if let Some(v) = std::env::var_os("DISTFL_THREADS") {
-        if let Ok(n) = v.to_string_lossy().parse::<usize>() {
-            return n.saturating_sub(1);
-        }
-    }
-    std::thread::available_parallelism().map_or(0, |n| n.get().saturating_sub(1))
-}
-
-/// The shared worker pool experiment sweeps fan out on.
+/// The worker pool experiment sweeps fan out on: a pool of the pinned
+/// size after [`set_sweep_workers`], otherwise the global pool (sized by
+/// `DISTFL_POOL_THREADS`, see [`WorkerPool::global`]).
 ///
 /// With zero workers every task runs inline in spawn order, which is the
 /// reference serial schedule; results are always collected in index order,
 /// so output is identical either way.
 pub fn sweep_pool() -> Arc<WorkerPool> {
-    WorkerPool::shared(sweep_workers())
+    match *SWEEP_WORKERS.lock().unwrap_or_else(PoisonError::into_inner) {
+        Some(workers) => WorkerPool::shared(workers),
+        None => WorkerPool::global(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_unpinned_sweep_pool_is_the_global_pool() {
+        assert!(Arc::ptr_eq(&sweep_pool(), &WorkerPool::global()));
+    }
 }

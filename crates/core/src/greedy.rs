@@ -334,7 +334,7 @@ pub fn solve_detailed(instance: &Instance) -> GreedyRun {
 }
 
 /// Runs star greedy with full diagnostics by the naive per-iteration
-/// rescan. Retained as the reference implementation: `bench_solvers`
+/// rescan. Retained as the reference implementation: `bench solvers`
 /// measures [`solve_detailed`] against it and the solver-equivalence
 /// proptests pin bit-identical output.
 pub fn solve_detailed_reference(instance: &Instance) -> GreedyRun {

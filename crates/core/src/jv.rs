@@ -94,21 +94,26 @@ fn exact_facility_event(
     }
 }
 
-/// The exact payment toward `i` at time `t`, replicating the reference
-/// open-pass scan bit-for-bit.
-fn exact_paid(links: &[(u32, f64)], t: f64, paid0: f64, connected: &[bool]) -> f64 {
+/// Whether a facility is fully paid at `t`, by the reference's exact
+/// open-pass scan: its payment reaches `f` (up to 1e-12), or the gap left
+/// is too small to move time at all — `t + gap / rate` rounds back to `t`
+/// once `t` is large, so waiting for the payment would stall the ascent
+/// forever.
+fn fully_paid(links: &[(u32, f64)], f: f64, t: f64, paid0: f64, connected: &[bool]) -> bool {
     let mut paid = paid0;
+    let mut rate = 0u32;
     for &(j, c) in links {
         if !connected[j as usize] && c <= t {
             paid += t - c;
+            rate += 1;
         }
     }
-    paid
+    paid >= f - 1e-12 || (rate > 0 && t + (f - paid) / f64::from(rate) <= t)
 }
 
 /// Flattens the facility adjacency back into interleaved `(client, cost)`
 /// rows, offset-indexed by facility. Both ascent variants scan these rows
-/// in [`exact_facility_event`] / [`exact_paid`], so the fast path and the
+/// in [`exact_facility_event`] / [`fully_paid`], so the fast path and the
 /// reference perform identical operations in identical order.
 fn interleave_facility_links(instance: &Instance) -> (Vec<u32>, Vec<(u32, f64)>) {
     let mut offs = Vec::with_capacity(instance.num_facilities() + 1);
@@ -372,12 +377,12 @@ pub(crate) fn dual_ascent_with(
             let margin = 1e-6 * (1.0 + f_cost[i].abs() + paid_lin.abs() + rate[i] as f64 * t.abs());
             // Deliberately nested rather than `&&`-collapsed: the
             // collapsed form measures ~13% slower on the whole ascent
-            // (bench_kernels capb row, 44.5ms vs 39.3ms) — the nested
+            // (`bench kernels` capb row, 44.5ms vs 39.3ms) — the nested
             // shape keeps the rarely-taken exact scan out of the hot
             // shortlist branch's layout.
             #[allow(clippy::collapsible_if)]
             if paid_lin >= f_cost[i] - margin {
-                if exact_paid(frow(i), t, frozen[i], connected) >= f_cost[i] - 1e-12 {
+                if fully_paid(frow(i), f_cost[i], t, frozen[i], connected) {
                     open[i] = true;
                     temp_open.push(FacilityId::new(i as u32));
                     newly_open.push(i);
@@ -438,7 +443,7 @@ pub(crate) fn dual_ascent_with(
 
 /// Runs the exact continuous dual ascent (phase 1) by rescanning every
 /// link each round. Retained as the reference implementation:
-/// `bench_solvers` measures [`dual_ascent`] against it and the
+/// `bench solvers` measures [`dual_ascent`] against it and the
 /// equivalence tests pin bit-identical duals.
 pub fn dual_ascent_reference(instance: &Instance) -> DualAscent {
     let n = instance.num_clients();
@@ -490,7 +495,7 @@ pub fn dual_ascent_reference(instance: &Instance) -> DualAscent {
                 continue;
             }
             let f = instance.opening_cost(i).value();
-            if exact_paid(frow(i.index()), t, frozen[i.index()], &connected) >= f - 1e-12 {
+            if fully_paid(frow(i.index()), f, t, frozen[i.index()], &connected) {
                 open[i.index()] = true;
                 temp_open.push(i);
             }
@@ -724,6 +729,51 @@ mod tests {
             assert_eq!(fast.alpha, slow.alpha, "euclidean seed {seed}");
             assert_eq!(fast.temp_open, slow.temp_open, "euclidean seed {seed}");
         }
+    }
+
+    /// Runs both ascents on `inst` in a thread and fails (instead of
+    /// hanging the suite) if they do not finish within the deadline.
+    fn ascents_within_deadline(inst: Instance) -> (DualAscent, DualAscent) {
+        use std::sync::mpsc::RecvTimeoutError;
+        let (tx, rx) = std::sync::mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            let _ = tx.send((dual_ascent(&inst), dual_ascent_reference(&inst)));
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(20)) {
+            Ok(ascents) => ascents,
+            // A panicking ascent drops the sender: surface its panic.
+            Err(RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(handle.join().expect_err("the sender was dropped"))
+            }
+            Err(RecvTimeoutError::Timeout) => panic!("dual ascent did not terminate"),
+        }
+    }
+
+    #[test]
+    fn ascent_terminates_when_the_last_payment_gap_is_below_an_ulp_of_t() {
+        // The client becomes tight at t = 2^53, where the remaining gap of
+        // 1 cannot advance time: 2^53 + 1 rounds back to 2^53.
+        let mut b = InstanceBuilder::new();
+        let f = b.add_facility(Cost::new(1.0).unwrap());
+        let c = b.add_client();
+        b.link(c, f, Cost::new(9_007_199_254_740_992.0).unwrap()).unwrap();
+        let (fast, slow) = ascents_within_deadline(b.build().unwrap());
+        assert_eq!(fast.alpha, vec![9_007_199_254_740_992.0]);
+        assert_eq!(fast.temp_open, vec![f]);
+        assert_eq!((fast.alpha, fast.temp_open), (slow.alpha, slow.temp_open));
+    }
+
+    #[test]
+    fn ascent_terminates_on_large_ordinary_costs() {
+        // Costs from 2.1e3 to 2.2e5: with several clients paying, the
+        // ascent reaches the same stall well below 2^53.
+        let base = UniformRandom::new(3, 10).unwrap().generate(0).unwrap();
+        let inst = distfl_instance::transform::scale_costs(&base, 1e3).unwrap();
+        let (fast, slow) = ascents_within_deadline(inst.clone());
+        assert_eq!(fast.alpha, slow.alpha);
+        assert_eq!(fast.temp_open, slow.temp_open);
+        let (solution, _) = prune_and_connect(&inst, fast);
+        solution.check_feasible(&inst).unwrap();
     }
 
     #[test]

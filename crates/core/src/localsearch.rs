@@ -335,7 +335,7 @@ fn finish(
 }
 
 /// Runs best-improvement local search by fully re-pricing every candidate
-/// open set. Retained as the reference implementation: `bench_solvers`
+/// open set. Retained as the reference implementation: `bench solvers`
 /// measures [`optimize`] against it and the solver-equivalence proptests
 /// pin bit-identical output.
 ///

@@ -273,19 +273,6 @@ impl WarmCache {
         self.union_repriced = union;
     }
 
-    /// Eagerly rebuilds every cache from scratch (also usable to
-    /// re-anchor a cache whose instance was replaced wholesale).
-    pub fn rebuild(&mut self, instance: &Instance) {
-        self.rebuilds += 1;
-        self.stale_greedy = false;
-        self.stale_jv = false;
-        self.pending_greedy.clear();
-        self.pending_jv.clear();
-        self.stars_pristine = greedy::SortedStars::build(instance);
-        self.seeds = greedy::seed_ratios(instance, &self.stars_pristine);
-        self.jv_lanes = jv::JvLanes::build(instance);
-    }
-
     /// Warm star greedy: drains this family's staged reprices, lane-copies
     /// the pristine rows, and replays the lazy-heap loop from the cached
     /// seeds. Bit-identical to [`greedy::solve_detailed`].

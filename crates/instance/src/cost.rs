@@ -6,6 +6,26 @@ use std::ops::{Add, AddAssign, Mul, Sub};
 
 use crate::error::InstanceError;
 
+/// The smallest positive cost an instance accepts, 2^-256.
+pub const MIN_POSITIVE_COST: f64 = f64::from_bits((1023 - 256) << 52);
+
+/// The largest cost an instance accepts, 2^256. Sums over up to 2^32
+/// links, and the spread-driven multipliers of the distributed solvers,
+/// then stay far below `f64::MAX`.
+pub const MAX_COST: f64 = f64::from_bits((1023 + 256) << 52);
+
+/// Accepts a cost an instance may hold: zero, or a value in
+/// [`MIN_POSITIVE_COST`]`..=`[`MAX_COST`]. [`Cost::new`] admits any finite
+/// non-negative value; instance construction and deltas apply this
+/// narrower range.
+pub(crate) fn check_range(value: f64) -> Result<(), InstanceError> {
+    if value == 0.0 || (MIN_POSITIVE_COST..=MAX_COST).contains(&value) {
+        Ok(())
+    } else {
+        Err(InstanceError::CostOutOfRange { value })
+    }
+}
+
 /// A non-negative, finite cost.
 ///
 /// `Cost` is the only numeric type instances and solutions expose: the

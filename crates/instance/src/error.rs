@@ -69,6 +69,12 @@ pub enum InstanceError {
         /// Human-readable reason.
         reason: String,
     },
+    /// A positive cost lies outside the range instances accept,
+    /// [`crate::MIN_POSITIVE_COST`]`..=`[`crate::MAX_COST`].
+    CostOutOfRange {
+        /// The offending value.
+        value: f64,
+    },
 }
 
 impl fmt::Display for InstanceError {
@@ -106,6 +112,9 @@ impl fmt::Display for InstanceError {
             InstanceError::ConflictingMutation { reason } => {
                 write!(f, "conflicting mutations in delta batch: {reason}")
             }
+            InstanceError::CostOutOfRange { value } => {
+                write!(f, "cost {value} out of range: a positive cost must lie in [2^-256, 2^256]")
+            }
         }
     }
 }
@@ -134,6 +143,7 @@ mod tests {
             (InstanceError::AllZeroCosts, "zero"),
             (InstanceError::MissingLink { client: 2, facility: 1 }, "no link"),
             (InstanceError::ConflictingMutation { reason: "dup".into() }, "dup"),
+            (InstanceError::CostOutOfRange { value: 1e300 }, "out of range"),
         ];
         for (err, needle) in cases {
             assert!(err.to_string().contains(needle), "{err}");

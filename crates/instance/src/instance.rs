@@ -4,7 +4,7 @@ pub mod delta;
 
 use std::fmt;
 
-use crate::cost::Cost;
+use crate::cost::{self, Cost};
 use crate::error::InstanceError;
 use crate::kernels;
 
@@ -408,7 +408,9 @@ impl InstanceBuilder {
     /// # Errors
     ///
     /// Returns an [`InstanceError`] if there are no facilities, no clients,
-    /// an unreachable client, or all coefficients are zero.
+    /// an unreachable client, a positive cost outside
+    /// [`crate::MIN_POSITIVE_COST`]`..=`[`crate::MAX_COST`]
+    /// ([`InstanceError::CostOutOfRange`]), or all coefficients are zero.
     pub fn build(self) -> Result<Instance, InstanceError> {
         if self.opening.is_empty() {
             return Err(InstanceError::NoFacilities);
@@ -418,6 +420,9 @@ impl InstanceBuilder {
         }
         if let Some(j) = self.client_links.iter().position(Vec::is_empty) {
             return Err(InstanceError::UnreachableClient { client: j });
+        }
+        for cost in self.opening.iter().chain(self.client_links.iter().flatten().map(|(_, c)| c)) {
+            cost::check_range(cost.value())?;
         }
         let any_positive = self.opening.iter().any(|c| !c.is_zero())
             || self.client_links.iter().flatten().any(|(_, c)| !c.is_zero());
@@ -639,6 +644,30 @@ mod tests {
         let c = b.add_client();
         b.link(c, f, Cost::ZERO).unwrap();
         assert!(matches!(b.build(), Err(InstanceError::AllZeroCosts)));
+    }
+
+    #[test]
+    fn build_rejects_positive_costs_outside_the_range() {
+        let one_by_one = |opening: f64, link: f64| {
+            let mut b = InstanceBuilder::new();
+            let f = b.add_facility(cost(opening));
+            let c = b.add_client();
+            b.link(c, f, cost(link)).unwrap();
+            b.build()
+        };
+        let below = f64::from_bits(crate::MIN_POSITIVE_COST.to_bits() - 1);
+        let above = f64::from_bits(crate::MAX_COST.to_bits() + 1);
+        for bad in [5e-324, below, above, 1e308] {
+            let out_of_range = Err(InstanceError::CostOutOfRange { value: bad });
+            assert_eq!(one_by_one(bad, 1.0), out_of_range);
+            assert_eq!(one_by_one(1.0, bad), out_of_range);
+        }
+        for good in [0.0, crate::MIN_POSITIVE_COST, 1.0, crate::MAX_COST] {
+            one_by_one(good, 1.0).unwrap();
+            one_by_one(1.0, good).unwrap();
+        }
+        assert_eq!(crate::MIN_POSITIVE_COST, 2f64.powi(-256));
+        assert_eq!(crate::MAX_COST, 2f64.powi(256));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! 4/8-lane slice style that autovectorizes on stable rust — fixed-size
 //! chunk bodies with branchless lane math — and each ships with a
 //! retained naive `*_reference` twin; they stay chunked because each
-//! measures faster than its twin (`bench_kernels`). The equivalence is
+//! measures faster than its twin (`bench kernels`). The equivalence is
 //! exact, not approximate: for every input the fast kernel returns the
 //! bit-identical value (and the identical tie-breaking index) of its
 //! reference, which is what lets the solvers built on top keep their

@@ -8,7 +8,8 @@
 //! costs, `n` clients, and per-pair connection costs stored sparsely (an
 //! absent pair means the client cannot use that facility; in the distributed
 //! model it also means there is no communication edge). All costs are
-//! validated non-negative finite numbers behind the [`Cost`] newtype.
+//! validated non-negative finite numbers behind the [`Cost`] newtype, and
+//! an instance's positive costs lie in [`MIN_POSITIVE_COST`]`..=`[`MAX_COST`].
 //!
 //! The crate also provides:
 //!
@@ -53,7 +54,7 @@ pub mod spread;
 pub mod textio;
 pub mod transform;
 
-pub use cost::Cost;
+pub use cost::{Cost, MAX_COST, MIN_POSITIVE_COST};
 pub use error::InstanceError;
 pub use instance::delta::{DeltaBatch, DeltaReport, PendingClient};
 pub use instance::{ClientId, FacilityId, Instance, InstanceBuilder, LinkSlice};

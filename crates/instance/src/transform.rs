@@ -37,7 +37,9 @@ fn map_costs(
 /// # Errors
 ///
 /// Returns [`InstanceError::InvalidCost`] for non-finite or negative
-/// factors (via the cost constructor).
+/// factors (via the cost constructor), and
+/// [`InstanceError::CostOutOfRange`] when a scaled cost leaves the range
+/// instances accept.
 pub fn scale_costs(instance: &Instance, factor: f64) -> Result<Instance, InstanceError> {
     map_costs(instance, |c| Cost::new(c.value() * factor))
 }
@@ -47,7 +49,8 @@ pub fn scale_costs(instance: &Instance, factor: f64) -> Result<Instance, Instanc
 ///
 /// # Errors
 ///
-/// Propagates cost-construction errors (cannot occur for valid inputs).
+/// Propagates [`scale_costs`]'s errors: [`InstanceError::CostOutOfRange`]
+/// when the instance's coefficient spread exceeds 2^256.
 pub fn normalize(instance: &Instance) -> Result<(Instance, f64), InstanceError> {
     let floor = spread::positive_floor(instance).value();
     Ok((scale_costs(instance, 1.0 / floor)?, floor))

@@ -1,9 +1,10 @@
 //! A small push-based JSON writer, the complement of
 //! [`crate::validate_json`].
 //!
-//! The workspace deliberately carries no JSON dependency; anything that
-//! *emits* JSON (trace exports, serve responses, bench reports) either
-//! hand-formats strings or goes through this writer. The writer manages
+//! The workspace deliberately carries no JSON dependency. Serve
+//! responses, the `bench` suites' documents and `serve_load`'s report
+//! are built with this writer; the trace exporter formats its event rows
+//! by hand with the same string and number helpers. The writer manages
 //! commas and nesting so call sites cannot produce structurally invalid
 //! output: anything built through [`JsonWriter`] passes
 //! [`crate::validate_json`] by construction (strings are escaped,

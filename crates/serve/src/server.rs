@@ -272,13 +272,6 @@ impl Server {
         self.shared.addr
     }
 
-    /// Requests admitted but not yet handed to a scheduler, summed over
-    /// shards (for tests and monitoring; the same per-shard value feeds
-    /// the `serve.queue_depth` gauge).
-    pub fn queue_depth(&self) -> usize {
-        self.shared.queues.iter().map(|q| q.depth()).sum()
-    }
-
     /// The number of shard queues in use.
     pub fn shards(&self) -> usize {
         self.shared.queues.len()

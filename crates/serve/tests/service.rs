@@ -129,6 +129,53 @@ fn hostile_orlib_headers_are_typed_errors_and_the_server_stays_up() {
     server.shutdown();
 }
 
+/// Finite but extreme coefficients are typed errors rather than panicked
+/// shards: costs whose sums overflow (the local-search start, PayDual's
+/// spread) are rejected when the instance or a delta is built, and a JV
+/// ascent whose clock reaches 2^53 still terminates. Every line on the
+/// one shard is answered, and the shard keeps solving after them.
+#[test]
+fn extreme_costs_are_typed_errors_and_the_shard_keeps_solving() {
+    let config = ServeConfig { shards: 1, ..ServeConfig::default() };
+    let server = Server::start("127.0.0.1:0", config).unwrap();
+    let mut client = Client::connect(&server);
+    // A request that is never answered must fail the test, not hang it.
+    client.reader.get_ref().set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let invalid = r#""kind":"invalid_instance""#;
+    for line in [
+        r#"{"id":"h1","solver":"local-search","instance":{"opening":[1e308,1e308],"links":[[0,1e308,1,1e308],[0,1e308]]}}"#,
+        r#"{"id":"h2","solver":"paydual","instance":{"opening":[5e-324,1e308],"links":[[0,1e308,1,5e-324],[0,5e-324,1,1e308]]}}"#,
+    ] {
+        let response = client.roundtrip(line);
+        assert!(response.contains(invalid), "{response}");
+        assert!(response.contains("out of range"), "{response}");
+    }
+
+    let response = client.roundtrip(
+        r#"{"cmd":"create","id":"s1","session":"x","instance":{"opening":[4.0,3.0],"links":[[0,1.0,1,2.0],[1,0.5]]}}"#,
+    );
+    assert!(response.contains(r#""ok":true"#), "{response}");
+    let response = client.roundtrip(
+        r#"{"cmd":"mutate","id":"s2","session":"x","delta":{"reprice":[[0,0,1e308],[0,1,1e308],[1,1,1e308]]}}"#,
+    );
+    assert!(response.contains(invalid), "{response}");
+    let response =
+        client.roundtrip(r#"{"cmd":"solve","id":"s3","session":"x","solver":"local-search"}"#);
+    assert!(
+        response.contains(r#""cost":5.5"#),
+        "the rejected delta left the session as it was: {response}"
+    );
+
+    let response = client.roundtrip(
+        r#"{"id":"j1","solver":"jv","instance":{"opening":[1],"links":[[0,9007199254740992]]}}"#,
+    );
+    assert!(response.contains(r#""id":"j1","ok":true"#), "{response}");
+
+    let response = client.roundtrip(GREEDY_INLINE);
+    assert!(response.contains(r#""ok":true"#), "{response}");
+    server.shutdown();
+}
+
 #[test]
 fn queue_full_is_an_immediate_typed_error() {
     use std::sync::atomic::{AtomicUsize, Ordering};
