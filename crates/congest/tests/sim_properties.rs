@@ -6,7 +6,7 @@
 //! schedule, fault plan, or crash schedule the simulator runs under, the
 //! inbox slices, RNG streams, transcripts, and final node states (each
 //! node's `(round, sender, payload)` delivery log included) must be
-//! bit-identical to a fused-serial [`Network`] run with the
+//! bit-identical to a lock-step [`Network`] run with the
 //! same master seed. These tests pin that contract over random topologies.
 
 use proptest::prelude::*;
@@ -148,8 +148,7 @@ proptest! {
     /// distributions (hence message reorderings), bandwidth caps,
     /// partition schedules, message-drop fault plans, and crash-stop
     /// schedules, the simulator's transcript and every node's final state
-    /// and delivery log must be bit-identical to the fused-serial lock-step
-    /// engine's.
+    /// and delivery log must be bit-identical to the lock-step engine's.
     #[test]
     fn sim_matches_lockstep(
         recipe in graph_strategy(),

@@ -11,11 +11,21 @@
 //! connect to the nearest permanently open facility — at most `3·α_j` away
 //! in a metric, giving the 3-approximation.
 //!
+//! In [`solve`], one ascent event costs `O(m + log n + rate)` rather than
+//! a sweep over every client and facility row (a client-event heap and
+//! per-facility lists of tight clients), and the pruning is `O(links)`: it
+//! marks claimed clients instead of testing facility pairs.
+//! [`dual_ascent_reference`] and [`solve_reference`] keep the direct
+//! rescanning versions, which the fast paths match bit for bit.
+//!
 //! PayDual is the CONGEST-compressed cousin of phase 1; this sequential
 //! implementation is both a quality baseline on metric inputs and a source
 //! of *feasible* dual solutions (its `α/3` is always dual-feasible up to
 //! the contributor sets, and the raw `α` is scaled by the measured
 //! feasibility factor before being used as a bound).
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use distfl_instance::{kernels, ClientId, FacilityId, Instance, Solution};
 use distfl_lp::DualSolution;
@@ -61,30 +71,32 @@ pub struct DualAscent {
     pub temp_open: Vec<FacilityId>,
 }
 
-/// The exact facility event threshold, replicating the reference scan
-/// bit-for-bit: the time at which `i` becomes fully paid (`t` itself if it
-/// already is), or `None` if no active client is paying toward it.
+/// The exact payment toward a facility at `t` and the number of clients
+/// paying it: `paid0` (frozen from connected clients) plus `t − c` for
+/// each tight cost of an active client, summed in the order given. The
+/// reference passes its filtered facility row and the event-driven ascent
+/// its tight list; both run in ascending client id over the same terms,
+/// so the two ascents perform identical operations in identical order.
+fn exact_payment(tight: impl Iterator<Item = f64>, t: f64, paid0: f64) -> (f64, u32) {
+    let mut paid = paid0;
+    let mut rate = 0u32;
+    for c in tight {
+        paid += t - c;
+        rate += 1;
+    }
+    (paid, rate)
+}
+
+/// The exact facility event threshold: the time at which a facility with
+/// opening cost `f` becomes fully paid (`t` itself if it already is), or
+/// `None` if no active client is paying toward it.
 fn exact_facility_event(
-    links: &[(u32, f64)],
+    tight: impl Iterator<Item = f64>,
     f: f64,
     t: f64,
     paid0: f64,
-    connected: &[bool],
 ) -> Option<f64> {
-    let mut paid = paid0;
-    let mut rate = 0u32;
-    // The sum is a serial dependency chain, so the scan stays branchy: a
-    // mostly-untight row costs one predictable compare per link instead
-    // of a latency-bound `+0.0` per link. The row comes from the ascent's
-    // interleaved scratch copy of the facility adjacency (see
-    // `interleave_facility_links`): this gather-free single-stream scan is
-    // the one place the split instance lanes lose to `(id, cost)` pairs.
-    for &(j, c) in links {
-        if !connected[j as usize] && c <= t {
-            paid += t - c;
-            rate += 1;
-        }
-    }
+    let (paid, rate) = exact_payment(tight, t, paid0);
     if paid >= f {
         Some(t)
     } else if rate > 0 {
@@ -94,53 +106,26 @@ fn exact_facility_event(
     }
 }
 
-/// Whether a facility is fully paid at `t`, by the reference's exact
-/// open-pass scan: its payment reaches `f` (up to 1e-12), or the gap left
-/// is too small to move time at all — `t + gap / rate` rounds back to `t`
-/// once `t` is large, so waiting for the payment would stall the ascent
-/// forever.
-fn fully_paid(links: &[(u32, f64)], f: f64, t: f64, paid0: f64, connected: &[bool]) -> bool {
-    let mut paid = paid0;
-    let mut rate = 0u32;
-    for &(j, c) in links {
-        if !connected[j as usize] && c <= t {
-            paid += t - c;
-            rate += 1;
-        }
-    }
+/// Whether a facility is fully paid at `t`: its exact payment reaches `f`
+/// (up to 1e-12), or the gap left is too small to move time at all —
+/// `t + gap / rate` rounds back to `t` once `t` is large, so waiting for
+/// the payment would stall the ascent forever.
+fn fully_paid(tight: impl Iterator<Item = f64>, f: f64, t: f64, paid0: f64) -> bool {
+    let (paid, rate) = exact_payment(tight, t, paid0);
     paid >= f - 1e-12 || (rate > 0 && t + (f - paid) / f64::from(rate) <= t)
 }
 
-/// Flattens the facility adjacency back into interleaved `(client, cost)`
-/// rows, offset-indexed by facility. Both ascent variants scan these rows
-/// in [`exact_facility_event`] / [`fully_paid`], so the fast path and the
-/// reference perform identical operations in identical order.
-fn interleave_facility_links(instance: &Instance) -> (Vec<u32>, Vec<(u32, f64)>) {
-    let mut offs = Vec::with_capacity(instance.num_facilities() + 1);
-    let mut rows: Vec<(u32, f64)> = Vec::with_capacity(instance.num_links());
-    offs.push(0u32);
-    for i in instance.facilities() {
-        rows.extend(instance.facility_links(i).iter());
-        offs.push(rows.len() as u32);
-    }
-    (offs, rows)
-}
-
 /// Instance-derived read-only lanes for the event-driven ascent: the
-/// per-client cost-sorted adjacency, the interleaved facility rows the
-/// exact scans walk, and the opening-cost lane. Building these is most of
-/// the ascent's setup cost; the warm-start cache keeps them across deltas
-/// and patches only dirty client rows (facility ids inside a client's row
-/// never change under a delta, so surviving rows copy verbatim).
+/// per-client cost-sorted adjacency and the opening-cost lane. Sorting the
+/// client rows is most of the ascent's setup cost; the warm-start cache
+/// keeps them across deltas and patches only dirty client rows (facility
+/// ids inside a client's row never change under a delta, so surviving rows
+/// copy verbatim).
 pub(crate) struct JvLanes {
     /// Per-client row offsets into `sorted` (`n + 1` entries).
     pub(crate) offs: Vec<u32>,
     /// Per-client links as `(cost, facility)` sorted by `(cost, id)`.
     pub(crate) sorted: Vec<(f64, u32)>,
-    /// Facility row offsets into `fl_rows` (`m + 1` entries).
-    pub(crate) fl_offs: Vec<u32>,
-    /// Interleaved `(client, cost)` facility rows.
-    pub(crate) fl_rows: Vec<(u32, f64)>,
     /// Opening costs as a dense lane.
     pub(crate) f_cost: Vec<f64>,
 }
@@ -157,24 +142,67 @@ impl JvLanes {
             sorted[s..].sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             offs.push(sorted.len() as u32);
         }
-        let (fl_offs, fl_rows) = interleave_facility_links(instance);
         let f_cost = instance.facilities().map(|i| instance.opening_cost(i).value()).collect();
-        JvLanes { offs, sorted, fl_offs, fl_rows, f_cost }
+        JvLanes { offs, sorted, f_cost }
+    }
+}
+
+/// Per-facility lists of the active clients tight with each facility, in
+/// ascending client id: exactly the terms the reference's row scan sums
+/// (`!connected[j] && c <= t` over a facility row, which is sorted by
+/// client id), in the same order. Facility `i` owns a segment of `rows` as
+/// long as its degree, of which the first `len[i]` entries are live. A
+/// facility's list stops being maintained once it opens, because nothing
+/// reads it after that.
+#[derive(Default)]
+struct TightLists {
+    start: Vec<u32>,
+    len: Vec<u32>,
+    rows: Vec<(u32, f64)>,
+}
+
+impl TightLists {
+    fn reset(&mut self, instance: &Instance) {
+        self.start.clear();
+        let mut at = 0u32;
+        for i in instance.facilities() {
+            self.start.push(at);
+            at += instance.facility_links(i).len() as u32;
+        }
+        self.len.clear();
+        self.len.resize(instance.num_facilities(), 0);
+        // Entries past a segment's live length are never read, so whatever
+        // an earlier solve left there can stay.
+        self.rows.resize(instance.num_links(), (0, 0.0));
     }
 
-    /// Re-derives the interleaved facility rows and opening lane from the
-    /// instance, reusing allocations. Pure copies (no sorting), so the
-    /// warm path calls this after every structural delta.
-    pub(crate) fn refresh_facility_rows(&mut self, instance: &Instance) {
-        self.fl_offs.clear();
-        self.fl_offs.push(0u32);
-        self.fl_rows.clear();
-        for i in instance.facilities() {
-            self.fl_rows.extend(instance.facility_links(i).iter());
-            self.fl_offs.push(self.fl_rows.len() as u32);
-        }
-        self.f_cost.clear();
-        self.f_cost.extend(instance.facilities().map(|i| instance.opening_cost(i).value()));
+    fn list(&self, i: usize) -> &[(u32, f64)] {
+        let lo = self.start[i] as usize;
+        &self.rows[lo..lo + self.len[i] as usize]
+    }
+
+    fn costs(&self, i: usize) -> impl Iterator<Item = f64> + '_ {
+        self.list(i).iter().map(|&(_, c)| c)
+    }
+
+    /// Adds client `j`, tight at cost `c`, to facility `i`'s list. A
+    /// client joins a list at most once, so the segment has room.
+    fn insert(&mut self, i: usize, j: u32, c: f64) {
+        let lo = self.start[i] as usize;
+        let hi = lo + self.len[i] as usize;
+        let at = lo + self.rows[lo..hi].partition_point(|&(k, _)| k < j);
+        self.rows.copy_within(at..hi, at + 1);
+        self.rows[at] = (j, c);
+        self.len[i] += 1;
+    }
+
+    fn remove(&mut self, i: usize, j: u32) {
+        let lo = self.start[i] as usize;
+        let hi = lo + self.len[i] as usize;
+        let at = lo + self.rows[lo..hi].partition_point(|&(k, _)| k < j);
+        debug_assert_eq!(self.rows[at].0, j, "a retiring client is on the list");
+        self.rows.copy_within(at + 1..hi, at);
+        self.len[i] -= 1;
     }
 }
 
@@ -189,6 +217,9 @@ pub(crate) struct JvScratch {
     rate: Vec<i64>,
     sum_c: Vec<f64>,
     thr: Vec<f64>,
+    tight: TightLists,
+    events: BinaryHeap<Reverse<(u64, u32)>>,
+    due: Vec<u32>,
     candidates: Vec<usize>,
     newly_open: Vec<usize>,
 }
@@ -196,17 +227,27 @@ pub(crate) struct JvScratch {
 /// Runs the exact continuous dual ascent (phase 1), event-driven.
 ///
 /// Produces bit-identical duals and opening order to
-/// [`dual_ascent_reference`] while avoiding its per-round scan over every
-/// link. Each client keeps its links sorted by cost behind a pointer, so
-/// the next tightness event is an O(1) lookup of an exact input constant.
-/// Each facility keeps an incrementally-maintained *linear form* of its
-/// payment (`frozen + rate·t − Σc` over active tight links) whose O(1)
-/// threshold estimate agrees with the exact scan up to floating-point
-/// noise; the handful of facilities within a generous margin of the
-/// minimum estimate are re-evaluated with the reference's exact
-/// summation (same link order, same operations), so the event time that
-/// wins — and every `α_j`, `frozen` update, and opening decision — is the
-/// exact value the reference computes.
+/// [`dual_ascent_reference`] while avoiding its per-event scans over every
+/// link. One event costs `O(m + log n + rate)`:
+///
+/// * Each client keeps its links sorted by cost behind a pointer, and a
+///   min-heap keys every active client by the cost at its pointer (costs
+///   are non-negative with `-0.0` normalised, so `to_bits` orders them).
+///   The next tightness event is the heap's top; clients connected since
+///   they were keyed drop out lazily.
+/// * Each facility keeps an incrementally-maintained *linear form* of its
+///   payment (`frozen + rate·t − Σc` over active tight links) whose O(1)
+///   threshold estimate agrees with the exact sum up to floating-point
+///   noise; the handful of facilities within a generous margin of the
+///   minimum estimate are re-evaluated exactly, over the facility's list
+///   of active tight clients ([`TightLists`]) rather than its whole row.
+///
+/// Two order invariants make every exact value the reference's: clients
+/// due at an event advance in ascending id, so the `rate`/`sum_c` updates
+/// land in the order of a full client sweep; and each tight list holds the
+/// terms the reference's row scan sums, in the row's (client id) order.
+/// So the event time that wins — and every `α_j`, `frozen` update, and
+/// opening decision — is the exact value the reference computes.
 pub fn dual_ascent(instance: &Instance) -> DualAscent {
     let lanes = JvLanes::build(instance);
     dual_ascent_with(instance, &lanes, &mut JvScratch::default())
@@ -246,18 +287,25 @@ pub(crate) fn dual_ascent_with(
     let ptr = &mut scratch.ptr;
     ptr.clear();
     ptr.extend_from_slice(&offs[..n]);
+    // Client events: every active client with a link left to become tight,
+    // keyed by that link's cost.
+    let events = &mut scratch.events;
+    events.clear();
+    let due = &mut scratch.due;
 
     // Facility linear forms: payment ≈ frozen + rate·t − sum_c over active
     // tight links. `rate` is an exact count; `sum_c` is approximate and
-    // only ever used for shortlisting.
+    // only ever used for shortlisting. The tight lists hold the same links
+    // for the exact sums.
     let rate = &mut scratch.rate;
     rate.clear();
     rate.resize(m, 0i64);
     let sum_c = &mut scratch.sum_c;
     sum_c.clear();
     sum_c.resize(m, 0.0);
+    let tight = &mut scratch.tight;
+    tight.reset(instance);
     let f_cost = &lanes.f_cost;
-    let frow = |i: usize| &lanes.fl_rows[lanes.fl_offs[i] as usize..lanes.fl_offs[i + 1] as usize];
 
     let candidates = &mut scratch.candidates;
     candidates.clear();
@@ -267,26 +315,32 @@ pub(crate) fn dual_ascent_with(
     thr.resize(m, f64::INFINITY);
 
     // Advance one client's pointer past links that became tight at time t,
-    // registering them with their facility's linear form; links tight with
-    // an already-open facility make the client a connect candidate.
+    // registering them with their facility's linear form and tight list
+    // (links tight with an already-open facility make the client a connect
+    // candidate), then key the client by its next link.
     let advance = |j: usize,
                    t: f64,
                    ptr: &mut [u32],
                    rate: &mut [i64],
                    sum_c: &mut [f64],
+                   tight: &mut TightLists,
                    open: &[bool],
-                   candidates: &mut Vec<usize>| {
+                   candidates: &mut Vec<usize>,
+                   events: &mut BinaryHeap<Reverse<(u64, u32)>>| {
         let end = offs[j + 1];
         while ptr[j] < end {
             let (c, i) = sorted[ptr[j] as usize];
             if c > t {
+                events.push(Reverse((c.to_bits(), j as u32)));
                 break;
             }
-            if open[i as usize] {
+            let i = i as usize;
+            if open[i] {
                 candidates.push(j);
             } else {
-                rate[i as usize] += 1;
-                sum_c[i as usize] += c;
+                rate[i] += 1;
+                sum_c[i] += c;
+                tight.insert(i, j as u32, c);
             }
             ptr[j] += 1;
         }
@@ -294,19 +348,21 @@ pub(crate) fn dual_ascent_with(
 
     // Register links that are tight at t = 0 (zero-cost links).
     for j in 0..n {
-        advance(j, t, ptr, rate, sum_c, open, candidates);
+        advance(j, t, ptr, rate, sum_c, tight, open, candidates, events);
     }
 
     while active > 0 {
         // Next event: either a client becomes tight with a facility, or a
-        // facility becomes fully paid. Client events are exact constants;
-        // facility events are shortlisted by linear form, then computed
-        // with the reference's exact scan.
+        // facility becomes fully paid. Client events are exact constants
+        // at the top of the heap; facility events are shortlisted by
+        // linear form, then computed with the reference's exact sum.
         let mut next = f64::INFINITY;
-        for j in 0..n {
-            if !connected[j] && ptr[j] < offs[j + 1] {
-                next = next.min(sorted[ptr[j] as usize].0);
+        while let Some(&Reverse((key, j))) = events.peek() {
+            if !connected[j as usize] {
+                next = f64::from_bits(key);
+                break;
             }
+            events.pop();
         }
         // Linear-form event estimates, gathered into a dense lane so the
         // minimum is one [`kernels::min_argmin`] pass (retired or
@@ -327,7 +383,7 @@ pub(crate) fn dual_ascent_with(
         }
         let min_lin = kernels::min_argmin(thr).map_or(f64::INFINITY, |(_, v)| v);
         if min_lin.is_finite() {
-            // The linear forms track the exact scans up to ~1e-12 relative
+            // The linear forms track the exact sums up to ~1e-12 relative
             // error; a 1e-6-relative margin is orders of magnitude wider,
             // so the facility holding the exact minimum is shortlisted.
             let margin = 1e-6 * (1.0 + min_lin.abs() + t.abs());
@@ -344,8 +400,7 @@ pub(crate) fn dual_ascent_with(
                     continue;
                 };
                 if thr_lin <= min_lin + margin {
-                    if let Some(ev) =
-                        exact_facility_event(frow(i), f_cost[i], t, frozen[i], connected)
+                    if let Some(ev) = exact_facility_event(tight.costs(i), f_cost[i], t, frozen[i])
                     {
                         next = next.min(ev);
                     }
@@ -355,18 +410,28 @@ pub(crate) fn dual_ascent_with(
         debug_assert!(next.is_finite(), "ascent must always have a next event");
         t = next.max(t);
 
-        // Register links that became tight at the new t. Previously untight
+        // Register links that became tight at the new t: every client
+        // keyed at or below t advances, in ascending id. Previously untight
         // links have cost >= t, so they contribute exactly 0 payment right
         // now — the linear forms stay in sync whether registered before or
         // after the open pass.
-        for (j, &done) in connected.iter().enumerate() {
-            if !done {
-                advance(j, t, ptr, rate, sum_c, open, candidates);
+        due.clear();
+        while let Some(&Reverse((key, j))) = events.peek() {
+            if f64::from_bits(key) > t {
+                break;
             }
+            events.pop();
+            if !connected[j as usize] {
+                due.push(j);
+            }
+        }
+        due.sort_unstable();
+        for &j in due.iter() {
+            advance(j as usize, t, ptr, rate, sum_c, tight, open, candidates, events);
         }
 
         // Open every facility that is fully paid at time t: shortlist by
-        // linear form, confirm with the reference's exact scan (ascending
+        // linear form, confirm with the reference's exact sum (ascending
         // id, preserving the reference's opening order).
         newly_open.clear();
         for i in 0..m {
@@ -378,11 +443,11 @@ pub(crate) fn dual_ascent_with(
             // Deliberately nested rather than `&&`-collapsed: the
             // collapsed form measures ~13% slower on the whole ascent
             // (`bench kernels` capb row, 44.5ms vs 39.3ms) — the nested
-            // shape keeps the rarely-taken exact scan out of the hot
+            // shape keeps the rarely-taken exact sum out of the hot
             // shortlist branch's layout.
             #[allow(clippy::collapsible_if)]
             if paid_lin >= f_cost[i] - margin {
-                if fully_paid(frow(i), f_cost[i], t, frozen[i], connected) {
+                if fully_paid(tight.costs(i), f_cost[i], t, frozen[i]) {
                     open[i] = true;
                     temp_open.push(FacilityId::new(i as u32));
                     newly_open.push(i);
@@ -390,13 +455,9 @@ pub(crate) fn dual_ascent_with(
             }
         }
         // A newly-opened facility's tight active clients connect now; its
-        // linear form is retired.
+        // linear form and tight list are retired.
         for &i in newly_open.iter() {
-            for (j, c) in instance.facility_links(FacilityId::new(i as u32)).iter() {
-                if !connected[j as usize] && c <= t {
-                    candidates.push(j as usize);
-                }
-            }
+            candidates.extend(tight.list(i).iter().map(|&(j, _)| j as usize));
         }
 
         // Connect candidate clients tight with an open facility, in
@@ -425,13 +486,16 @@ pub(crate) fn dual_ascent_with(
                         frozen[i as usize] += t - c;
                     }
                 }
-                // Retire the client's tight links from the linear forms.
+                // Retire the client's tight links from the linear forms
+                // and tight lists.
                 for p in offs[jx]..ptr[jx] {
                     let (c, i) = sorted[p as usize];
-                    if !open[i as usize] {
-                        rate[i as usize] -= 1;
-                        sum_c[i as usize] -= c;
-                        debug_assert!(rate[i as usize] >= 0, "rate bookkeeping went negative");
+                    let i = i as usize;
+                    if !open[i] {
+                        rate[i] -= 1;
+                        sum_c[i] -= c;
+                        tight.remove(i, jx as u32);
+                        debug_assert!(rate[i] >= 0, "rate bookkeeping went negative");
                     }
                 }
             }
@@ -455,8 +519,6 @@ pub fn dual_ascent_reference(instance: &Instance) -> DualAscent {
     let mut temp_open = Vec::new();
     let mut active = n;
     let mut t = 0.0f64;
-    let (fl_offs, fl_rows) = interleave_facility_links(instance);
-    let frow = |i: usize| &fl_rows[fl_offs[i] as usize..fl_offs[i + 1] as usize];
 
     while active > 0 {
         // Next event: either a client becomes tight with a facility, or a
@@ -480,9 +542,9 @@ pub fn dual_ascent_reference(instance: &Instance) -> DualAscent {
                 continue;
             }
             let f = instance.opening_cost(i).value();
-            if let Some(ev) =
-                exact_facility_event(frow(i.index()), f, t, frozen[i.index()], &connected)
-            {
+            let row = instance.facility_links(i).iter();
+            let tight = row.filter(|&(j, c)| !connected[j as usize] && c <= t).map(|(_, c)| c);
+            if let Some(ev) = exact_facility_event(tight, f, t, frozen[i.index()]) {
                 next = next.min(ev);
             }
         }
@@ -495,7 +557,9 @@ pub fn dual_ascent_reference(instance: &Instance) -> DualAscent {
                 continue;
             }
             let f = instance.opening_cost(i).value();
-            if fully_paid(frow(i.index()), f, t, frozen[i.index()], &connected) {
+            let row = instance.facility_links(i).iter();
+            let tight = row.filter(|&(j, c)| !connected[j as usize] && c <= t).map(|(_, c)| c);
+            if fully_paid(tight, f, t, frozen[i.index()]) {
                 open[i.index()] = true;
                 temp_open.push(i);
             }
@@ -542,10 +606,85 @@ pub(crate) fn solve_with(
     prune_and_connect(instance, ascent)
 }
 
+/// Runs the full Jain–Vazirani algorithm through the retained references
+/// ([`dual_ascent_reference`], then the pairwise phase-2 pruning).
+/// [`solve`] matches it bit for bit.
+pub fn solve_reference(instance: &Instance) -> (Solution, DualSolution) {
+    let ascent = dual_ascent_reference(instance);
+    prune_and_connect_reference(instance, ascent)
+}
+
 /// Phase 2: greedy maximal-independent-set pruning of the temporarily
-/// open facilities and nearest-open connection. Pure in `(instance,
-/// ascent)`, so cold and warm solves share it verbatim.
+/// open facilities and nearest-open connection, in `O(links)`. Pure in
+/// `(instance, ascent)`, so cold and warm solves share it verbatim.
+///
+/// Client `j` contributes to facility `i` when `α_j > c_ij` (the standard
+/// simplification of `β_ij > 0`), and two temporarily open facilities
+/// conflict when some client contributes to both. So a facility conflicts
+/// with the facilities chosen before it exactly when one of its
+/// contributors is already `claimed` by a chosen facility — the same
+/// decision [`prune_and_connect_reference`] reaches pair by pair.
 fn prune_and_connect(instance: &Instance, ascent: DualAscent) -> (Solution, DualSolution) {
+    let alpha = &ascent.alpha;
+    let mut claimed = vec![false; instance.num_clients()];
+    let mut is_chosen = vec![false; instance.num_facilities()];
+
+    // Greedy maximal independent set in opening order.
+    for &i in &ascent.temp_open {
+        let links = instance.facility_links(i);
+        let contributors = || links.iter().filter(|&(j, c)| alpha[j as usize] > c + 1e-12);
+        if !contributors().any(|(j, _)| claimed[j as usize]) {
+            is_chosen[i.index()] = true;
+            for (j, _) in contributors() {
+                claimed[j as usize] = true;
+            }
+        }
+    }
+    debug_assert!(is_chosen.contains(&true), "at least one facility opens");
+
+    // Connect each client to the nearest chosen facility it is linked to;
+    // sparse instances fall back to the cheapest bundle.
+    let assignment: Vec<FacilityId> = instance
+        .clients()
+        .map(|j| {
+            // First-win strict `<` over the id-sorted row = the
+            // `(cost, facility id)`-lexicographic minimum.
+            let mut best: Option<(u32, f64)> = None;
+            for (i, c) in instance.client_links(j).iter() {
+                if is_chosen[i as usize] && best.is_none_or(|(_, bc)| c < bc) {
+                    best = Some((i, c));
+                }
+            }
+            best.map(|(i, _)| FacilityId::new(i)).unwrap_or_else(|| cheapest_bundle(instance, j))
+        })
+        .collect();
+    let solution =
+        Solution::from_assignment(instance, assignment).expect("assignment uses existing links");
+    (solution, DualSolution::new(ascent.alpha))
+}
+
+/// The facility minimising `c_ij + f_i` over client `j`'s links, ties to
+/// the lowest id: where a client with no chosen facility in its row
+/// connects.
+fn cheapest_bundle(instance: &Instance, j: ClientId) -> FacilityId {
+    instance
+        .client_links(j)
+        .iter()
+        .map(|(i, c)| {
+            let i = FacilityId::new(i);
+            (i, c + instance.opening_cost(i).value())
+        })
+        .min_by(|(fa, ca), (fb, cb)| ca.total_cmp(cb).then(fa.cmp(fb)))
+        .map(|(i, _)| i)
+        .expect("instance invariant: every client has a link")
+}
+
+/// Phase 2 by testing every temporarily open facility against every chosen
+/// one. Retained as the reference [`prune_and_connect`] matches.
+fn prune_and_connect_reference(
+    instance: &Instance,
+    ascent: DualAscent,
+) -> (Solution, DualSolution) {
     let alpha = &ascent.alpha;
 
     // Contributor sets: beta_ij > 0 iff alpha_j > c_ij (standard
@@ -582,18 +721,7 @@ fn prune_and_connect(instance: &Instance, ascent: DualAscent) -> (Solution, Dual
                     best = Some((i, c));
                 }
             }
-            best.map(|(i, _)| FacilityId::new(i)).unwrap_or_else(|| {
-                instance
-                    .client_links(j)
-                    .iter()
-                    .map(|(i, c)| {
-                        let i = FacilityId::new(i);
-                        (i, c + instance.opening_cost(i).value())
-                    })
-                    .min_by(|(fa, ca), (fb, cb)| ca.total_cmp(cb).then(fa.cmp(fb)))
-                    .map(|(i, _)| i)
-                    .expect("instance invariant: every client has a link")
-            })
+            best.map(|(i, _)| FacilityId::new(i)).unwrap_or_else(|| cheapest_bundle(instance, j))
         })
         .collect();
     let solution =

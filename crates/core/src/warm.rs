@@ -19,8 +19,8 @@
 //!   seeding it from cached values reproduces the cold run exactly.
 //! * **Jain–Vazirani** — the per-client cost-sorted adjacency the
 //!   event-driven ascent reads through its tightness pointers, plus the
-//!   interleaved facility rows and opening lane (pure copies). The ascent
-//!   itself re-runs with reused scratch buffers.
+//!   opening lane. The ascent itself re-runs with reused scratch buffers
+//!   (its per-facility tight lists are rebuilt by every solve).
 //! * **Local search** — no instance-derived precompute to keep; the warm
 //!   entry point reuses one scratch arena (service caches, candidate
 //!   pricing columns) across solves, and starts from the warm greedy run
@@ -264,11 +264,20 @@ impl WarmCache {
         union.dedup();
         self.pending_greedy.clear();
         self.pending_jv.clear();
+        // One repriced-client mask per structural delta, built before
+        // either family patches: a stale family skips its patch, so no
+        // patch may rely on another to have filled it.
+        let repriced_any = &mut self.repriced_any;
+        repriced_any.clear();
+        repriced_any.resize(instance.num_clients(), false);
+        for &(j, _) in &union {
+            repriced_any[j.index()] = true;
+        }
         if !self.stale_greedy {
             self.patch_greedy(instance, report, &union);
         }
         if !self.stale_jv {
-            self.patch_jv(instance, report, &union);
+            self.patch_jv(instance, report);
         }
         self.union_repriced = union;
     }
@@ -451,12 +460,9 @@ impl WarmCache {
         self.pending_greedy = moves;
     }
 
-    /// Drains the JV family's staged reprices: updates the interleaved
-    /// facility rows in place (client-id-sorted, structurally identical
-    /// to the instance's facility lane, so one binary search localizes
-    /// the link in both) and repairs each touched client's cost-sorted
-    /// ascent row by rotation (one link) or snapshot-and-merge (several),
-    /// mirroring [`WarmCache::drain_greedy`].
+    /// Drains the JV family's staged reprices: repairs each touched
+    /// client's cost-sorted ascent row by rotation (one link) or
+    /// snapshot-and-merge (several), mirroring [`WarmCache::drain_greedy`].
     fn drain_jv(&mut self, instance: &Instance) {
         if self.stale_jv {
             // Deferred drift fallback: re-sort this family, leave the
@@ -476,16 +482,6 @@ impl WarmCache {
         // sorted needle list.
         moves.sort_by_key(|&(i, j, _)| (j, i));
         moves.dedup_by_key(|&mut (i, j, _)| (j, i));
-
-        // Interleaved facility rows: pure value updates.
-        for &(ir, jr, _) in &moves {
-            let fl = instance.facility_links(FacilityId::new(ir));
-            let p = fl.ids.binary_search(&jr).expect("staged link is in its row");
-            let lo = self.jv_lanes.fl_offs[ir as usize] as usize;
-            let entry = &mut self.jv_lanes.fl_rows[lo + p];
-            debug_assert_eq!(entry.0, jr, "cached facility row mirrors the instance");
-            entry.1 = fl.costs[p];
-        }
 
         let drops = &mut self.old_of;
         let inserts = &mut self.inserts;
@@ -578,14 +574,7 @@ impl WarmCache {
         repriced: &[(ClientId, FacilityId)],
     ) {
         let m = instance.num_facilities();
-        let n = instance.num_clients();
-
-        let repriced_any = &mut self.repriced_any;
-        repriced_any.clear();
-        repriced_any.resize(n, false);
-        for &(j, _) in repriced {
-            repriced_any[j.index()] = true;
-        }
+        let repriced_any = &self.repriced_any;
         // Entries entering the rows: every link of an added client and the
         // new value of every repriced link, keyed for a per-facility
         // `(cost, client id)`-ordered merge.
@@ -690,27 +679,12 @@ impl WarmCache {
         std::mem::swap(&mut self.seeds, &mut self.seeds_spare);
     }
 
-    /// Patches the JV ascent lanes: dirty (added/repriced) client rows are
-    /// re-extracted and re-sorted, surviving rows copy verbatim, and the
-    /// interleaved facility rows refresh as pure copies.
-    fn patch_jv(
-        &mut self,
-        instance: &Instance,
-        report: &DeltaReport,
-        repriced: &[(ClientId, FacilityId)],
-    ) {
+    /// Patches the JV ascent lanes: dirty client rows (added clients and
+    /// those marked in the repriced-client mask `apply_delta` builds) are
+    /// re-extracted and re-sorted, and surviving rows copy verbatim.
+    fn patch_jv(&mut self, instance: &Instance, report: &DeltaReport) {
         let n = instance.num_clients();
-        // `repriced_any` still describes this repriced set (patch_greedy
-        // runs first and fills it); recompute defensively if shapes
-        // drifted.
-        let repriced_any = &mut self.repriced_any;
-        if repriced_any.len() != n {
-            repriced_any.clear();
-            repriced_any.resize(n, false);
-            for &(j, _) in repriced {
-                repriced_any[j.index()] = true;
-            }
-        }
+        let repriced_any = &self.repriced_any;
         let old_of = &mut self.old_of;
         old_of.clear();
         old_of.resize(n, u32::MAX);
@@ -741,7 +715,6 @@ impl WarmCache {
         }
         std::mem::swap(&mut self.jv_lanes.offs, offs);
         std::mem::swap(&mut self.jv_lanes.sorted, sorted);
-        self.jv_lanes.refresh_facility_rows(instance);
     }
 }
 
@@ -777,5 +750,66 @@ fn slide_to(q: usize, p: usize) -> usize {
         q - 1
     } else {
         q
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use distfl_instance::generators::{Euclidean, InstanceGenerator};
+    use distfl_instance::{Cost, DeltaBatch};
+
+    /// One churn step of a session: remove client 0, add a client linked
+    /// to every facility, and reprice `(client, facility, cost)` triples
+    /// (pre-batch ids). The client count stays the same.
+    fn churn_step(inst: &Instance, reprice: &[(u32, u32, f64)]) -> DeltaBatch {
+        let mut batch = DeltaBatch::new();
+        batch.remove_client(ClientId::new(0));
+        let fresh = batch.add_client();
+        for i in inst.facilities() {
+            batch.link(fresh, i, Cost::new(10.0 + f64::from(i.raw())).unwrap()).unwrap();
+        }
+        for &(j, i, c) in reprice {
+            batch.reprice(ClientId::new(j), FacilityId::new(i), Cost::new(c).unwrap());
+        }
+        batch
+    }
+
+    #[test]
+    fn jv_rows_reprice_after_a_drift_fallback_and_a_jv_only_refresh() {
+        // The drift fallback (d2) marks both families stale and the JV
+        // solve refreshes only JV. The next structural delta (d3) keeps
+        // the client count and skips the stale greedy patch, so the JV
+        // patch must not read a repriced-client mask left by d1: client
+        // 20 would keep its old cost-sorted row while the facility rows
+        // refresh, and the ascent would never end.
+        use std::sync::mpsc::{self, RecvTimeoutError};
+        let (tx, rx) = mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            let mut inst = Euclidean::new(5, 40).unwrap().generate(3).unwrap();
+            let mut warm = WarmCache::new(&inst);
+            let drift: Vec<(u32, u32, f64)> =
+                (1..30).flat_map(|j| (0..5).map(move |i| (j, i, 1.0 + f64::from(j + i)))).collect();
+            let steps = [vec![(6, 0, 0.01)], drift, vec![(20, 2, 0.001), (20, 3, 99.0)]];
+            for (step, reprice) in steps.iter().enumerate() {
+                let report = inst.apply_delta(&churn_step(&inst, reprice)).unwrap();
+                warm.apply_delta(&inst, &report);
+                if step >= 1 {
+                    let (sol, dual) = warm.solve_jv(&inst);
+                    let (cold_sol, cold_dual) = jv::solve(&inst);
+                    assert_eq!(sol, cold_sol, "step {step}");
+                    assert_eq!(dual.alpha(), cold_dual.alpha(), "step {step}");
+                }
+            }
+            assert_eq!(warm.rebuilds(), 1, "d2 takes the drift fallback");
+            let _ = tx.send(());
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(20)) {
+            Ok(()) => handle.join().unwrap(),
+            Err(RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(handle.join().expect_err("the sender was dropped"))
+            }
+            Err(RecvTimeoutError::Timeout) => panic!("warm JV solve did not terminate"),
+        }
     }
 }

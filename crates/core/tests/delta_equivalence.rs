@@ -2,6 +2,9 @@
 //! warm-started solve must be **bit-identical** to a from-scratch solve of
 //! the mutated instance — for all three warm solvers, over random
 //! add/remove/reprice interleavings, in the style of `solver_equivalence`.
+//! Most properties solve once after the whole schedule; one interleaves
+//! solves of random families with the deltas, drift fallbacks included,
+//! so each family's lazy drain and staleness paths run in between.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -17,6 +20,20 @@ const LS_MAX_MOVES: u32 = 10_000;
 
 fn any_instance() -> impl Strategy<Value = Instance> {
     (0u8..3, 1usize..8, 1usize..20, 0u64..1000).prop_map(|(family, m, n, seed)| match family {
+        0 => UniformRandom::new(m, n).unwrap().generate(seed).unwrap(),
+        1 => {
+            let clusters = m % 3 + 1;
+            Clustered::new(clusters, m.max(clusters), n).unwrap().generate(seed).unwrap()
+        }
+        _ => LineCity::new(m, n).unwrap().generate(seed).unwrap(),
+    })
+}
+
+/// Session-sized instances: large enough (30+ clients) that a churn batch
+/// stays under the default drift threshold and patches, while a
+/// drift-sized one still takes the rebuild fallback.
+fn session_instance() -> impl Strategy<Value = Instance> {
+    (0u8..3, 1usize..8, 30usize..100, 0u64..1000).prop_map(|(family, m, n, seed)| match family {
         0 => UniformRandom::new(m, n).unwrap().generate(seed).unwrap(),
         1 => {
             let clusters = m % 3 + 1;
@@ -83,6 +100,68 @@ fn random_batch(inst: &Instance, rng: &mut StdRng) -> DeltaBatch {
         }
     }
     batch
+}
+
+/// Draws a session-style churn batch: removes one client and adds one
+/// (when there are two or more, so the client count holds), and reprices
+/// distinct links of surviving clients — one to three of them, or with
+/// `drift` at least a fifth of all links, past the default drift
+/// threshold, so the warm cache takes its lazy rebuild fallback.
+fn churn_batch(inst: &Instance, rng: &mut StdRng, drift: bool) -> DeltaBatch {
+    let n = inst.num_clients();
+    let m = inst.num_facilities();
+    let mut batch = DeltaBatch::new();
+    let removed = (n > 1).then(|| rng.gen_range(0..n as u32));
+    if let Some(j) = removed {
+        batch.remove_client(ClientId::new(j));
+        let p = batch.add_client();
+        for i in 0..m as u32 {
+            if i == 0 || rng.gen_bool(0.5) {
+                batch
+                    .link(p, FacilityId::new(i), Cost::new(rng.gen_range(0.0..100.0f64)).unwrap())
+                    .unwrap();
+            }
+        }
+    }
+    let mut links: Vec<(u32, u32)> = (0..n as u32)
+        .filter(|&j| Some(j) != removed)
+        .flat_map(|j| inst.client_links(ClientId::new(j)).ids.iter().map(move |&i| (j, i)))
+        .collect();
+    let count = if drift {
+        rng.gen_range(inst.num_links().div_ceil(5).min(links.len())..=links.len())
+    } else {
+        rng.gen_range(1..=3usize).min(links.len())
+    };
+    for k in 0..count {
+        let pick = rng.gen_range(k..links.len());
+        links.swap(k, pick);
+        let (j, i) = links[k];
+        batch.reprice(
+            ClientId::new(j),
+            FacilityId::new(i),
+            Cost::new(rng.gen_range(0.0..100.0f64)).unwrap(),
+        );
+    }
+    batch
+}
+
+/// Runs `body` on its own thread and fails (instead of hanging the suite)
+/// if it does not finish within the deadline.
+fn within_deadline(body: impl FnOnce() + Send + 'static) {
+    use std::sync::mpsc::RecvTimeoutError;
+    let (tx, rx) = std::sync::mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        body();
+        let _ = tx.send(());
+    });
+    match rx.recv_timeout(std::time::Duration::from_secs(20)) {
+        Ok(()) => handle.join().unwrap(),
+        // A panicking body drops the sender: surface its panic.
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(handle.join().expect_err("the sender was dropped"))
+        }
+        Err(RecvTimeoutError::Timeout) => panic!("warm solve did not terminate"),
+    }
 }
 
 /// Runs `batches` random deltas, keeping `warm` in sync, and returns the
@@ -159,6 +238,52 @@ proptest! {
         let (sol_c, dual_c) = jv::solve(&inst);
         prop_assert_eq!(&sol_w, &sol_c);
         prop_assert_eq!(bits(dual_w.alpha()), bits(dual_c.alpha()));
+    }
+
+    #[test]
+    fn warm_solves_interleaved_with_deltas_match_cold_solves(
+        base in session_instance(),
+        seed in any::<u64>(),
+        steps in 1usize..16,
+    ) {
+        // Default config: drift-sized batches take the rebuild fallback,
+        // the others patch. After each batch, solve one random family (or
+        // none) warm and compare it with the cold solve.
+        within_deadline(move || {
+            let mut inst = base;
+            let mut warm = WarmCache::new(&inst);
+            let mut rng = StdRng::seed_from_u64(seed);
+            for step in 0..steps {
+                let batch = match rng.gen_range(0..3u8) {
+                    0 => random_batch(&inst, &mut rng),
+                    kind => churn_batch(&inst, &mut rng, kind == 2),
+                };
+                let report = inst.apply_delta(&batch).unwrap();
+                warm.apply_delta(&inst, &report);
+                match rng.gen_range(0..4u8) {
+                    0 => {
+                        let w = warm.solve_greedy(&inst);
+                        let c = greedy::solve_detailed(&inst);
+                        assert_eq!(w.solution, c.solution, "greedy, step {step}");
+                        assert_eq!(bits(&w.ratios), bits(&c.ratios), "greedy, step {step}");
+                    }
+                    1 => {
+                        let w = warm.solve_local_search(&inst, LS_MAX_MOVES);
+                        let (start, _) = greedy::solve(&inst);
+                        let c = localsearch::optimize(&inst, &start, LS_MAX_MOVES);
+                        assert_eq!(w.solution, c.solution, "local search, step {step}");
+                        assert_eq!(w.moves, c.moves, "local search, step {step}");
+                    }
+                    2 => {
+                        let (sol_w, dual_w) = warm.solve_jv(&inst);
+                        let (sol_c, dual_c) = jv::solve(&inst);
+                        assert_eq!(sol_w, sol_c, "jv, step {step}");
+                        assert_eq!(bits(dual_w.alpha()), bits(dual_c.alpha()), "jv, step {step}");
+                    }
+                    _ => {}
+                }
+            }
+        });
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! with the retained reference code — not approximate agreement. These
 //! properties enforce that claim across the uniform-random, clustered, and
 //! line generator families: solutions, dual ratios, iteration and move
-//! counts, and costs must all compare equal as raw values.
+//! counts, and costs must all compare equal as raw values. Jain–Vazirani
+//! also runs on tie-heavy sparse instances, where many events fall on the
+//! same instant, and its full solve (pruning included) is pinned too.
 //!
 //! The chunked scan kernels those hot paths are built on are pinned here
 //! too, directly against their scalar reference twins, over lanes that mix
@@ -16,10 +18,12 @@
 //! pick the first index.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use distfl_core::{greedy, jv, localsearch};
 use distfl_instance::generators::{Clustered, InstanceGenerator, LineCity, UniformRandom};
-use distfl_instance::{kernels, transform, Instance};
+use distfl_instance::{kernels, transform, Cost, Instance, InstanceBuilder};
 
 /// One instance from any of the three generator families.
 fn any_instance() -> impl Strategy<Value = Instance> {
@@ -31,6 +35,44 @@ fn any_instance() -> impl Strategy<Value = Instance> {
         }
         _ => LineCity::new(m, n).unwrap().generate(seed).unwrap(),
     })
+}
+
+/// A builder-made instance whose link and opening costs come from a few
+/// levels (zero and repeats included), with about 40% of client rows
+/// sparse. Clients become tight and facilities fill up at the same
+/// instants, so the ascent meets many simultaneous events.
+fn tie_heavy_instance() -> impl Strategy<Value = Instance> {
+    (1usize..10, 1usize..30, 0u64..1000).prop_map(|(m, n, seed)| {
+        const LEVELS: [f64; 5] = [0.0, 1.0, 2.0, 2.0, 5.0];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let level = |rng: &mut StdRng| Cost::new(LEVELS[rng.gen_range(0..LEVELS.len())]).unwrap();
+        let mut b = InstanceBuilder::new();
+        // One positive opening cost keeps the instance off the all-zero
+        // rejection.
+        let facilities: Vec<_> = (0..m)
+            .map(|i| b.add_facility(if i == 0 { Cost::new(2.0).unwrap() } else { level(&mut rng) }))
+            .collect();
+        for _ in 0..n {
+            let j = b.add_client();
+            let sparse = rng.gen_bool(0.4);
+            let first = rng.gen_range(0..m);
+            for (k, &i) in facilities.iter().enumerate() {
+                if !sparse || k == first || rng.gen_bool(0.3) {
+                    b.link(j, i, level(&mut rng)).unwrap();
+                }
+            }
+        }
+        b.build().unwrap()
+    })
+}
+
+/// The Jain–Vazirani inputs: every generator family plus the tie-heavy one.
+fn jv_instance() -> impl Strategy<Value = Instance> {
+    prop_oneof![any_instance(), tie_heavy_instance()]
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
 }
 
 proptest! {
@@ -67,7 +109,7 @@ proptest! {
 
     #[test]
     fn event_driven_dual_ascent_matches_reference_bitwise(
-        inst in any_instance(),
+        inst in jv_instance(),
         scale in 0usize..4,
     ) {
         // Scaled-up costs push the ascent's clock to where a payment gap
@@ -75,8 +117,17 @@ proptest! {
         let inst = transform::scale_costs(&inst, [1.0, 1e2, 1e3, 1e6][scale]).unwrap();
         let fast = jv::dual_ascent(&inst);
         let slow = jv::dual_ascent_reference(&inst);
-        prop_assert_eq!(fast.alpha, slow.alpha);
+        prop_assert_eq!(bits(&fast.alpha), bits(&slow.alpha));
         prop_assert_eq!(fast.temp_open, slow.temp_open);
+    }
+
+    #[test]
+    fn jv_solve_matches_reference_bitwise(inst in jv_instance(), scale in 0usize..4) {
+        let inst = transform::scale_costs(&inst, [1.0, 1e2, 1e3, 1e6][scale]).unwrap();
+        let (fast, fast_dual) = jv::solve(&inst);
+        let (slow, slow_dual) = jv::solve_reference(&inst);
+        prop_assert_eq!(fast, slow);
+        prop_assert_eq!(bits(fast_dual.alpha()), bits(slow_dual.alpha()));
     }
 }
 

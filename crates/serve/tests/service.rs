@@ -176,6 +176,92 @@ fn extreme_costs_are_typed_errors_and_the_shard_keeps_solving() {
     server.shutdown();
 }
 
+/// `inst` as an inline `instance` object: the opening costs, then each
+/// client's links as a flat `[facility, cost, ...]` list.
+fn inline_instance(w: &mut distfl_obs::JsonWriter, inst: &distfl_instance::Instance) {
+    w.key("instance").begin_object();
+    w.key("opening").begin_array();
+    for i in inst.facilities() {
+        w.number(inst.opening_cost(i).value());
+    }
+    w.end_array();
+    w.key("links").begin_array();
+    for j in inst.clients() {
+        w.begin_array();
+        for (i, c) in inst.client_links(j).iter() {
+            w.number_u64(u64::from(i)).number(c);
+        }
+        w.end_array();
+    }
+    w.end_array();
+    w.end_object();
+}
+
+/// A session `mutate` line that removes client 0, adds a client linked to
+/// each of 5 facilities, and reprices `(client, facility, cost)` triples.
+fn churn_mutate(id: &str, reprice: &[(u32, u32, f64)]) -> String {
+    let mut w = distfl_obs::JsonWriter::object();
+    w.key("cmd").string("mutate");
+    w.key("id").string(id);
+    w.key("session").string("x");
+    w.key("delta").begin_object();
+    w.key("remove").begin_array().number_u64(0).end_array();
+    w.key("reprice").begin_array();
+    for &(j, i, c) in reprice {
+        w.begin_array().number_u64(u64::from(j)).number_u64(u64::from(i)).number(c).end_array();
+    }
+    w.end_array();
+    w.key("add").begin_array().begin_array();
+    for i in 0..5u32 {
+        w.number_u64(u64::from(i)).number(10.0 + f64::from(i));
+    }
+    w.end_array().end_array();
+    w.end_object();
+    w.finish()
+}
+
+#[test]
+fn warm_jv_after_a_drift_fallback_answers_and_the_shard_keeps_solving() {
+    // d2 reprices 145 of 200 links, so the warm cache falls back to a
+    // lazy rebuild of both solver families; the JV solve then refreshes
+    // only its own. d3 keeps the client count, and the JV solve after it
+    // used to spin its shard forever on a stale repriced-client mask.
+    use distfl_instance::generators::{Euclidean, InstanceGenerator};
+    let config = ServeConfig { shards: 1, workers: Some(1), ..ServeConfig::default() };
+    let server = Server::start("127.0.0.1:0", config).unwrap();
+    let mut client = Client::connect(&server);
+    client.reader.get_ref().set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+
+    let inst = Euclidean::new(5, 40).unwrap().generate(3).unwrap();
+    let mut create = distfl_obs::JsonWriter::object();
+    create.key("cmd").string("create");
+    create.key("id").string("c");
+    create.key("session").string("x");
+    inline_instance(&mut create, &inst);
+    let drift: Vec<(u32, u32, f64)> =
+        (1..30).flat_map(|j| (0..5).map(move |i| (j, i, 1.0 + f64::from(j + i)))).collect();
+    let solve_jv =
+        |id: &str| format!(r#"{{"cmd":"solve","id":"{id}","session":"x","solver":"jv"}}"#);
+    let script = [
+        create.finish(),
+        churn_mutate("d1", &[(6, 0, 0.01)]),
+        churn_mutate("d2", &drift),
+        solve_jv("q1"),
+        churn_mutate("d3", &[(20, 2, 0.001), (20, 3, 99.0)]),
+        solve_jv("q2"),
+    ];
+    for line in &script {
+        let response = client.roundtrip(line);
+        assert!(response.contains(r#""ok":true"#), "{response}");
+    }
+
+    let mut fresh = Client::connect(&server);
+    fresh.reader.get_ref().set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let response = fresh.roundtrip(GREEDY_INLINE);
+    assert!(response.contains(r#""ok":true"#), "{response}");
+    server.shutdown();
+}
+
 #[test]
 fn queue_full_is_an_immediate_typed_error() {
     use std::sync::atomic::{AtomicUsize, Ordering};
