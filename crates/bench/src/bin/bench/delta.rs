@@ -5,19 +5,21 @@
 //! pipeline — rebuild the instance through `InstanceBuilder` + a cold
 //! solve — on the `capb_shaped_100x1000` instance (100 facilities x 1000
 //! clients, dense: the BENCH_2/BENCH_7 shape), across churn rates from
-//! 0.1% to 20% of links repriced per delta. Every timed step first
+//! 0.1% to 20% of links repriced per delta, plus one structural schedule:
+//! the serve `session-churn` step (remove one client, reprice 1% of links,
+//! add one client linked to every facility). Every timed step first
 //! asserts the warm solution is **identical** to the cold one, so a
 //! speedup reported here is a speedup on the *same* answer.
 //!
 //! The counting allocator reports steady-state allocations per
-//! delta+solve cycle on the warm path; the smoke gate bounds them, so a
-//! patch-path regression to per-row reallocation (the thing the spare/
-//! swap buffers exist to avoid) fails CI rather than silently eating the
-//! speedup.
+//! delta+solve cycle on the warm path; the smoke gate bounds them for a
+//! reprice-only and a structural cycle, so a drain or re-sort that starts
+//! reallocating its lanes per delta fails CI rather than silently eating
+//! the speedup.
 //!
 //! `--smoke` skips the timing and records no document: it runs only the
-//! equivalence sweep (all three warm solvers over random delta schedules
-//! on a small instance) plus the allocation budget on the full shape.
+//! equivalence sweep (all three warm solvers over both schedules on a
+//! small instance) plus the allocation budget on the full shape.
 //! `--quick` shrinks repetitions for a fast local run.
 
 use std::time::Instant;
@@ -38,22 +40,40 @@ const LS_MOVES: u32 = 10_000;
 
 /// Steady-state allocation budget for one warm delta+greedy-solve cycle
 /// (apply the delta to the warm cache, run the warm greedy solve). The
-/// measured value sits around a dozen — the solution container and the
-/// assignment clone — so triple-digit growth means the patch path started
-/// reallocating per row.
+/// measured values at 1% churn are 5 (reprice-only) and 3 (structural),
+/// so triple-digit growth means a drain or re-sort started reallocating
+/// per row.
 const ALLOC_BUDGET: u64 = 128;
 
 // ---- Delta schedules --------------------------------------------------
 
-/// Draws a reprice-only batch touching `links` distinct existing links —
-/// the churn knob: `links / instance.num_links()` is exactly the drift
-/// the warm cache sees, so rates map one-to-one onto patch behavior.
-fn reprice_batch(inst: &Instance, rng: &mut StdRng, links: usize) -> DeltaBatch {
+/// How each delta of a measured run is drawn.
+#[derive(Clone, Copy, PartialEq)]
+enum Schedule {
+    /// Reprice `links` distinct existing links — the churn knob:
+    /// `links / instance.num_links()` is exactly the drift the warm cache
+    /// sees, so rates map one-to-one onto staging vs re-sort.
+    Reprice,
+    /// The serve `session-churn` step: remove one client, reprice `links`
+    /// links of the others, add one client linked to every facility. The
+    /// delta is structural, so every warm solve re-sorts its family.
+    SessionChurn,
+}
+
+/// Draws one delta of `schedule` repricing `links` distinct links.
+fn draw_batch(inst: &Instance, rng: &mut StdRng, schedule: Schedule, links: usize) -> DeltaBatch {
     let n = inst.num_clients() as u32;
     let mut batch = DeltaBatch::new();
+    let removed = (schedule == Schedule::SessionChurn).then(|| rng.gen_range(0..n));
+    if let Some(j) = removed {
+        batch.remove_client(ClientId::new(j));
+    }
     let mut seen: Vec<(u32, u32)> = Vec::with_capacity(links);
     while seen.len() < links {
         let j = rng.gen_range(0..n);
+        if Some(j) == removed {
+            continue;
+        }
         let row = inst.client_links(ClientId::new(j));
         let i = row.ids[rng.gen_range(0..row.len())];
         if seen.contains(&(j, i)) {
@@ -65,6 +85,12 @@ fn reprice_batch(inst: &Instance, rng: &mut StdRng, links: usize) -> DeltaBatch 
             FacilityId::new(i),
             Cost::new(rng.gen_range(0.1..100.0f64)).unwrap(),
         );
+    }
+    if removed.is_some() {
+        let fresh = batch.add_client();
+        for i in inst.facilities() {
+            batch.link(fresh, i, Cost::new(rng.gen_range(0.1..100.0f64)).unwrap()).unwrap();
+        }
     }
     batch
 }
@@ -101,10 +127,17 @@ impl Row {
     }
 }
 
-/// Times one delta+solve cycle for all three solvers at `churn` (fraction
-/// of links repriced per delta), asserting warm/cold equivalence on every
-/// rep. Returns `(rows, warm-greedy allocs on the final rep)`.
-fn measure(base: &Instance, churn: f64, reps: usize, seed: u64) -> (Vec<Row>, u64) {
+/// Times one delta+solve cycle of `schedule` for all three solvers at
+/// `churn` (fraction of links repriced per delta), asserting warm/cold
+/// equivalence on every rep. Returns `(rows, warm-greedy allocs on the
+/// final rep)`.
+fn measure(
+    base: &Instance,
+    schedule: Schedule,
+    churn: f64,
+    reps: usize,
+    seed: u64,
+) -> (Vec<Row>, u64) {
     let links = ((churn * base.num_links() as f64).round() as usize).max(1);
     let mut rows = Vec::new();
     let mut greedy_allocs = 0;
@@ -118,9 +151,9 @@ fn measure(base: &Instance, churn: f64, reps: usize, seed: u64) -> (Vec<Row>, u6
         let mut delta_ms = f64::INFINITY;
         let mut scratch_ms = f64::INFINITY;
         for _ in 0..reps {
-            let batch = reprice_batch(&inst, &mut rng, links);
+            let batch = draw_batch(&inst, &mut rng, schedule, links);
 
-            // Delta path: mutate in place, patch the warm cache, solve
+            // Delta path: mutate in place, resync the warm cache, solve
             // warm.
             let start = Instant::now();
             let report = inst.apply_delta(&batch).unwrap();
@@ -176,9 +209,51 @@ fn measure(base: &Instance, churn: f64, reps: usize, seed: u64) -> (Vec<Row>, u6
     (rows, greedy_allocs)
 }
 
+/// Writes `rows` as the `solvers` array of the open object in `w`, and
+/// prints them.
+fn write_rows(w: &mut JsonWriter, label: &str, rows: &[Row]) {
+    w.key("solvers").begin_array();
+    for row in rows {
+        eprintln!(
+            "{label:<15} {:<13} delta {:>8.3} ms  scratch {:>8.3} ms  {:>6.2}x",
+            row.solver,
+            row.delta_ms,
+            row.scratch_ms,
+            row.speedup()
+        );
+        w.begin_object();
+        w.key("solver").string(row.solver);
+        w.key("delta_ms").number(row.delta_ms);
+        w.key("scratch_ms").number(row.scratch_ms);
+        w.key("speedup").number(row.speedup());
+        w.end_object();
+    }
+    w.end_array();
+}
+
 // ---- Smoke gate -------------------------------------------------------
 
-/// The CI gate: warm == cold over random delta schedules for all three
+/// Allocation events of the last of three warm delta+greedy-solve cycles
+/// of `schedule` at 1% churn on `base` — the steady state.
+fn steady_allocs(base: &Instance, schedule: Schedule) -> u64 {
+    let mut inst = base.clone();
+    let mut warm = WarmCache::new(&inst);
+    let mut rng = StdRng::seed_from_u64(7);
+    let links = (0.01 * base.num_links() as f64).round() as usize;
+    let mut steady = 0;
+    for _ in 0..3 {
+        let batch = draw_batch(&inst, &mut rng, schedule, links);
+        let report = inst.apply_delta(&batch).unwrap();
+        let (_, allocs) = count_allocs(|| {
+            warm.apply_delta(&inst, &report);
+            std::hint::black_box(warm.solve_greedy(&inst).iterations)
+        });
+        steady = allocs;
+    }
+    steady
+}
+
+/// The CI gate: warm == cold over both delta schedules for all three
 /// solvers on a small instance, plus the steady-state allocation budget
 /// on the full capb shape. Prints what failed; returns overall success.
 fn smoke() -> bool {
@@ -186,34 +261,35 @@ fn smoke() -> bool {
 
     // Equivalence sweep (assertions inside `measure` do the checking).
     let small = UniformRandom::new(20, 120).unwrap().generate(11).unwrap();
-    for (churn, seed) in [(0.01, 1u64), (0.1, 2), (0.5, 3)] {
-        let result = std::panic::catch_unwind(|| measure(&small, churn, 3, seed));
+    let sweep = [
+        (Schedule::Reprice, 0.01, 1u64),
+        (Schedule::Reprice, 0.1, 2),
+        (Schedule::Reprice, 0.5, 3),
+        (Schedule::SessionChurn, 0.01, 4),
+    ];
+    for (schedule, churn, seed) in sweep {
+        let result = std::panic::catch_unwind(|| measure(&small, schedule, churn, 3, seed));
         if result.is_err() {
-            eprintln!("smoke FAILED: warm/cold divergence at churn {churn}");
+            eprintln!("smoke FAILED: warm/cold divergence at churn {churn}, seed {seed}");
             ok = false;
         }
     }
 
     // Allocation budget at the headline shape and churn.
     let base = UniformRandom::new(100, 1000).unwrap().generate(5).unwrap();
-    let mut inst = base.clone();
-    let mut warm = WarmCache::new(&inst);
-    let mut rng = StdRng::seed_from_u64(7);
-    let links = (0.01 * base.num_links() as f64).round() as usize;
-    let mut steady = 0;
-    for _ in 0..3 {
-        let batch = reprice_batch(&inst, &mut rng, links);
-        let report = inst.apply_delta(&batch).unwrap();
-        let (_, allocs) = count_allocs(|| {
-            warm.apply_delta(&inst, &report);
-            std::hint::black_box(warm.solve_greedy(&inst).iterations)
-        });
-        steady = allocs; // keep the last (steady-state) cycle
-    }
-    eprintln!("steady-state warm greedy cycle: {steady} allocation events (budget {ALLOC_BUDGET})");
-    if steady > ALLOC_BUDGET {
-        eprintln!("smoke FAILED: allocs per delta {steady} exceeds budget {ALLOC_BUDGET}");
-        ok = false;
+    for (schedule, name) in [(Schedule::Reprice, "reprice"), (Schedule::SessionChurn, "structural")]
+    {
+        let steady = steady_allocs(&base, schedule);
+        eprintln!(
+            "steady-state warm greedy {name} cycle: {steady} allocation events \
+             (budget {ALLOC_BUDGET})"
+        );
+        if steady > ALLOC_BUDGET {
+            eprintln!(
+                "smoke FAILED: {name} allocs per delta {steady} exceeds budget {ALLOC_BUDGET}"
+            );
+            ok = false;
+        }
     }
     if ok {
         eprintln!("bench delta smoke: warm solves bit-identical, allocation budget holds");
@@ -242,34 +318,24 @@ pub(crate) fn run(mode: Mode) -> Report {
     let mut churn_rates = JsonWriter::array();
     let mut alloc_line = 0;
     for (index, &churn) in churns.iter().enumerate() {
-        let (rows, allocs) = measure(&base, churn, reps, 40 + index as u64);
+        let (rows, allocs) = measure(&base, Schedule::Reprice, churn, reps, 40 + index as u64);
         if (churn - 0.01).abs() < 1e-12 {
             alloc_line = allocs;
         }
         churn_rates.begin_object();
         churn_rates.key("churn").number(churn);
-        churn_rates.key("solvers").begin_array();
-        for row in &rows {
-            eprintln!(
-                "churn {:>5.1}%  {:<13} delta {:>8.3} ms  scratch {:>8.3} ms  {:>6.2}x",
-                churn * 100.0,
-                row.solver,
-                row.delta_ms,
-                row.scratch_ms,
-                row.speedup()
-            );
-            churn_rates.begin_object();
-            churn_rates.key("solver").string(row.solver);
-            churn_rates.key("delta_ms").number(row.delta_ms);
-            churn_rates.key("scratch_ms").number(row.scratch_ms);
-            churn_rates.key("speedup").number(row.speedup());
-            churn_rates.end_object();
-        }
-        churn_rates.end_array();
+        write_rows(&mut churn_rates, &format!("churn {:>5.1}%", churn * 100.0), &rows);
         churn_rates.end_object();
     }
+    let (rows, _) = measure(&base, Schedule::SessionChurn, 0.01, reps, 44);
     w.key("warm_greedy_allocs_per_delta_at_1pct").number_u64(alloc_line);
     w.key("alloc_budget").number_u64(ALLOC_BUDGET);
     w.key("churn_rates").raw(&churn_rates.finish());
+    w.key("session_churn").begin_object();
+    w.key("step")
+        .string("remove 1 client, reprice 1% of links, add 1 client linked to every facility");
+    w.key("churn").number(0.01);
+    write_rows(&mut w, "session churn", &rows);
+    w.end_object();
     Report { document: Some(w.finish()), passed: true }
 }

@@ -135,6 +135,7 @@ impl PartialOrd for StarKey {
 /// compacted live prefix is exactly the subsequence a served-skipping
 /// scan of the original row visits, so prefix sums — and therefore
 /// ratios — stay bit-identical to the reference.
+#[derive(Default)]
 pub(crate) struct SortedStars {
     pub(crate) offsets: Vec<u32>,
     /// Absolute end of each facility's live (unserved) prefix.
@@ -145,28 +146,33 @@ pub(crate) struct SortedStars {
 
 impl SortedStars {
     pub(crate) fn build(instance: &Instance) -> Self {
-        let m = instance.num_facilities();
-        let mut offsets = Vec::with_capacity(m + 1);
-        let mut ids = Vec::with_capacity(instance.num_links());
-        let mut costs = Vec::with_capacity(instance.num_links());
-        let mut scratch: Vec<(f64, u32)> = Vec::new();
+        let mut stars = SortedStars::default();
+        stars.rebuild(instance, &mut Vec::new());
+        stars
+    }
+
+    /// Re-sorts every row of `instance` into `self`, reusing its buffers
+    /// and the caller's per-row sort scratch. Ids are unique within a row,
+    /// so the unstable sort on `(cost, id)` gives the one sorted order.
+    pub(crate) fn rebuild(&mut self, instance: &Instance, scratch: &mut Vec<(f64, u32)>) {
+        let SortedStars { offsets, live_end, ids, costs } = self;
+        offsets.clear();
+        offsets.reserve(instance.num_facilities() + 1);
+        ids.clear();
+        ids.reserve(instance.num_links());
+        costs.clear();
+        costs.reserve(instance.num_links());
         offsets.push(0u32);
         for i in instance.facilities() {
             scratch.clear();
             scratch.extend(instance.facility_links(i).iter().map(|(j, c)| (c, j)));
-            scratch.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            scratch.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             ids.extend(scratch.iter().map(|&(_, j)| j));
             costs.extend(scratch.iter().map(|&(c, _)| c));
             offsets.push(ids.len() as u32);
         }
-        let live_end = offsets[1..].to_vec();
-        SortedStars { offsets, live_end, ids, costs }
-    }
-
-    /// An empty structure to be filled by `copy_from` or the warm-cache
-    /// patch pass.
-    pub(crate) fn empty() -> Self {
-        SortedStars { offsets: vec![0], live_end: Vec::new(), ids: Vec::new(), costs: Vec::new() }
+        live_end.clear();
+        live_end.extend_from_slice(&offsets[1..]);
     }
 
     /// Overwrites `self` with `src`, reusing allocations. The run loop
@@ -208,22 +214,27 @@ impl SortedStars {
     }
 }
 
-/// Per-facility iteration-0 star ratios — the exact values the heap is
-/// seeded with. `NaN` marks a facility with no linked clients (nothing to
-/// seed); `fused_ratio_accumulate` never returns `NaN` under the lane
-/// input contract, so the sentinel is unambiguous.
-pub(crate) fn seed_ratios(instance: &Instance, stars: &SortedStars) -> Vec<f64> {
-    instance
-        .facilities()
-        .map(|i| {
-            let (_, costs) = stars.row(i.index());
-            if costs.is_empty() {
-                f64::NAN
-            } else {
-                kernels::fused_ratio_accumulate(costs, instance.opening_cost(i).value()).0
-            }
-        })
-        .collect()
+/// Refills `seeds` with the per-facility iteration-0 star ratios of
+/// `stars` — the exact values the heap is seeded with.
+pub(crate) fn seed_ratios(instance: &Instance, stars: &SortedStars, seeds: &mut Vec<f64>) {
+    seeds.clear();
+    seeds.extend(
+        instance
+            .facilities()
+            .map(|i| seed_ratio(stars.row(i.index()).1, instance.opening_cost(i).value())),
+    );
+}
+
+/// The iteration-0 star ratio of one sorted cost row. `NaN` marks a
+/// facility with no linked clients (nothing to seed);
+/// `fused_ratio_accumulate` never returns `NaN` under the lane input
+/// contract, so the sentinel is unambiguous.
+pub(crate) fn seed_ratio(costs: &[f64], opening: f64) -> f64 {
+    if costs.is_empty() {
+        f64::NAN
+    } else {
+        kernels::fused_ratio_accumulate(costs, opening).0
+    }
 }
 
 /// Reusable greedy run state; `run_greedy` resets it per call, so warm
@@ -328,7 +339,8 @@ pub(crate) fn run_greedy(
 pub fn solve_detailed(instance: &Instance) -> GreedyRun {
     let _span = distfl_obs::span("solver", "greedy");
     let mut stars = SortedStars::build(instance);
-    let seeds = seed_ratios(instance, &stars);
+    let mut seeds = Vec::new();
+    seed_ratios(instance, &stars, &mut seeds);
     let mut scratch = GreedyScratch::default();
     run_greedy(instance, &mut stars, &seeds, &mut scratch)
 }

@@ -118,9 +118,9 @@ fn fully_paid(tight: impl Iterator<Item = f64>, f: f64, t: f64, paid0: f64) -> b
 /// Instance-derived read-only lanes for the event-driven ascent: the
 /// per-client cost-sorted adjacency and the opening-cost lane. Sorting the
 /// client rows is most of the ascent's setup cost; the warm-start cache
-/// keeps them across deltas and patches only dirty client rows (facility
-/// ids inside a client's row never change under a delta, so surviving rows
-/// copy verbatim).
+/// keeps them across reprices (repaired in place, row by row) and re-sorts
+/// them in place once they go stale (after a structural delta).
+#[derive(Default)]
 pub(crate) struct JvLanes {
     /// Per-client row offsets into `sorted` (`n + 1` entries).
     pub(crate) offs: Vec<u32>,
@@ -132,18 +132,29 @@ pub(crate) struct JvLanes {
 
 impl JvLanes {
     pub(crate) fn build(instance: &Instance) -> Self {
-        let n = instance.num_clients();
-        let mut offs = Vec::with_capacity(n + 1);
-        let mut sorted: Vec<(f64, u32)> = Vec::with_capacity(instance.num_links());
+        let mut lanes = JvLanes::default();
+        lanes.rebuild(instance);
+        lanes
+    }
+
+    /// Re-sorts every client row of `instance` into `self`, reusing its
+    /// buffers. Facility ids are unique within a row, so the unstable sort
+    /// on `(cost, id)` gives the one sorted order.
+    pub(crate) fn rebuild(&mut self, instance: &Instance) {
+        let JvLanes { offs, sorted, f_cost } = self;
+        offs.clear();
+        offs.reserve(instance.num_clients() + 1);
+        sorted.clear();
+        sorted.reserve(instance.num_links());
         offs.push(0u32);
         for j in instance.clients() {
             let s = sorted.len();
             sorted.extend(instance.client_links(j).iter().map(|(i, c)| (c, i)));
-            sorted[s..].sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            sorted[s..].sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             offs.push(sorted.len() as u32);
         }
-        let f_cost = instance.facilities().map(|i| instance.opening_cost(i).value()).collect();
-        JvLanes { offs, sorted, f_cost }
+        f_cost.clear();
+        f_cost.extend(instance.facilities().map(|i| instance.opening_cost(i).value()));
     }
 }
 
@@ -240,7 +251,7 @@ pub(crate) struct JvScratch {
 ///   threshold estimate agrees with the exact sum up to floating-point
 ///   noise; the handful of facilities within a generous margin of the
 ///   minimum estimate are re-evaluated exactly, over the facility's list
-///   of active tight clients ([`TightLists`]) rather than its whole row.
+///   of active tight clients (`TightLists`) rather than its whole row.
 ///
 /// Two order invariants make every exact value the reference's: clients
 /// due at an event advance in ascending id, so the `rate`/`sum_c` updates

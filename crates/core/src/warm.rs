@@ -27,37 +27,35 @@
 //!   exactly as the cold [`crate::SolverKind::LocalSearch`] dispatch
 //!   starts from a cold greedy run.
 //!
-//! # Patching across a delta
+//! # Catching up with a delta
 //!
-//! After [`Instance::apply_delta`], [`WarmCache::apply_delta`] brings the
-//! caches in sync from the [`DeltaReport`] instead of rebuilding — along
-//! two paths, split by [`DeltaReport::is_structural`]:
+//! After [`Instance::apply_delta`], [`WarmCache::apply_delta`] does no lane
+//! work. It records, per structure family, what the next solve that reads
+//! the family's lanes must do first, so a session pinned to one solver
+//! never pays for the other family's upkeep:
 //!
-//! * **Reprice-only deltas are staged, not applied.** Every row keeps its
-//!   length and every id keeps its row, so `apply_delta` just records the
-//!   touched `(facility, client)` pairs per structure family; the next
-//!   greedy/local-search solve drains the greedy stars and seeds, the
-//!   next JV solve drains the ascent lanes. A session pinned to one
-//!   solver never pays the other family's upkeep, and repeated reprices
-//!   of one link collapse into a single repair against the instance's
-//!   current cost. The repair itself is in-place: one staged link per
-//!   row rotates a `(cost, id)` subrange to its new sorted position; a
-//!   batch per row does one snapshot-and-merge pass. Both produce exactly
-//!   what a full re-sort would, because every row's keys are unique.
-//! * **Structural deltas flush eagerly.** Surviving star-row entries keep
-//!   their `(cost, client id)` order under the report's remap because the
-//!   remap is **monotone**, so each facility row is one linear merge of
-//!   its filtered survivors with the (small, sorted) added/repriced
-//!   entries; greedy seeds recompute only for touched rows; JV client
-//!   rows re-extract and re-sort only when dirty, surviving rows copy
-//!   verbatim. Any still-staged reprices fold (remapped) into the
-//!   repriced set first, so nothing is lost across the flush.
+//! * **A reprice-only delta under [`WarmConfig::drift_threshold`] is
+//!   staged.** Every row keeps its length and every id keeps its row, so
+//!   `apply_delta` just records the touched `(facility, client, old cost)`
+//!   triples; the next greedy/local-search solve drains them into the star
+//!   rows and seeds, the next JV solve into the ascent lanes. Repeated
+//!   reprices of one link collapse into a single repair against the
+//!   instance's current cost. The repair is in place: a staged link rotates
+//!   a `(cost, id)` subrange to its new sorted position, and a large group
+//!   in one star row merges the row in one snapshot pass instead. Both
+//!   produce exactly what a full re-sort would, because every row's keys
+//!   are unique.
+//! * **Any other delta marks both families stale**: a structural one
+//!   (added or removed clients renumber the id space) or a reprice-only one
+//!   past the threshold. A stale family re-sorts its lanes from the
+//!   instance, in place, on its next solve — a per-row comparison sort into
+//!   the buffers it already owns — so only the family solved next pays.
 //!
-//! When the batch touches more than [`WarmConfig::drift_threshold`] of the
-//! link lanes, patching stops paying for itself and the cache falls back
-//! to a rebuild — itself deferred per family (a stale family re-sorts
-//! from the instance on its next drain). Results are identical either
-//! way, only the work differs (the equivalence proptests pin both paths).
+//! The threshold also bounds staging: a family whose queue passes
+//! `drift_threshold × num_links` triples (it is not being solved) drops the
+//! queue and goes stale, since replaying that many repairs would cost more
+//! than the re-sort. Results are identical on every path, only the work
+//! differs (the equivalence proptests pin each path).
 
 use distfl_instance::{ClientId, DeltaReport, FacilityId, Instance, Solution};
 use distfl_lp::DualSolution;
@@ -69,20 +67,22 @@ use crate::localsearch::{self, LocalSearchRun};
 /// Tuning knobs for [`WarmCache`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WarmConfig {
-    /// Maximum fraction of link lanes a delta may touch
-    /// ([`DeltaReport::drift`]) before `apply_delta` rebuilds the caches
-    /// from scratch instead of patching. `0.0` always rebuilds, `1.0`
-    /// effectively always patches; either way the solve outputs are
-    /// identical.
+    /// Maximum fraction of link lanes a reprice-only delta may touch
+    /// ([`DeltaReport::drift`]) and still be staged for in-place repair;
+    /// past it, `apply_delta` marks both families for a re-sort. It also
+    /// caps each family's staged queue at `drift_threshold × num_links`
+    /// entries. Structural deltas always re-sort. `0.0` always re-sorts,
+    /// `f64::INFINITY` stages every reprice-only delta without bound;
+    /// either way the solve outputs are identical.
     pub drift_threshold: f64,
 }
 
 impl Default for WarmConfig {
     fn default() -> Self {
         // Break-even on the bench shapes sits near 10% of links touched:
-        // past that, the in-place rotations move more bytes than a fresh
-        // counting-sort build, and the rebuild fallback (which still skips
-        // the instance rebuild the cold path pays) wins.
+        // past that, the in-place rotations move more bytes than the
+        // per-row comparison sort of a re-sort, which still skips the
+        // instance rebuild the cold path pays.
         WarmConfig { drift_threshold: 0.1 }
     }
 }
@@ -119,41 +119,33 @@ pub struct WarmCache {
     config: WarmConfig,
     rebuilds: u64,
     patches: u64,
-    // Greedy: pristine sorted star rows + exact iteration-0 seeds, a
-    // working copy the run loop may destroy, and a spare for patching.
+    // Greedy: pristine sorted star rows + exact iteration-0 seeds, and a
+    // working copy the run loop may destroy.
     stars_pristine: greedy::SortedStars,
     stars_working: greedy::SortedStars,
-    stars_spare: greedy::SortedStars,
     seeds: Vec<f64>,
-    seeds_spare: Vec<f64>,
     greedy_scratch: greedy::GreedyScratch,
     // Jain–Vazirani: read-only ascent lanes + reusable mutable state.
     jv_lanes: jv::JvLanes,
-    jv_spare_offs: Vec<u32>,
-    jv_spare_sorted: Vec<(f64, u32)>,
     jv_scratch: jv::JvScratch,
     // Local search: one scratch arena across solves.
     ls_scratch: localsearch::LsScratch,
     // Deferred reprice repairs, per structure family: `(facility, client,
     // old cost)` triples staged by `apply_delta` and drained by the next
-    // solve that actually reads the family's lanes. A session that only
-    // runs greedy never pays for JV lane maintenance, and vice versa. The
-    // old cost is the repriced entry's current sort key inside the
-    // family's lanes, so a drain can binary-search its position instead
-    // of scanning for it.
+    // solve that actually reads the family's lanes. The old cost is the
+    // repriced entry's current sort key inside the family's lanes, so a
+    // drain can binary-search its position instead of scanning for it.
     pending_greedy: Vec<(u32, u32, f64)>,
     pending_jv: Vec<(u32, u32, f64)>,
-    // The drift fallback is deferred the same way: a stale family
-    // re-sorts itself from the instance on its next drain instead of
-    // both families rebuilding eagerly inside `apply_delta`.
+    // A stale family re-sorts itself from the instance on its next drain.
     stale_greedy: bool,
     stale_jv: bool,
-    // Patch-pass scratch.
-    extras: Vec<(u32, f64, u32)>,
-    repriced_any: Vec<bool>,
-    old_of: Vec<u32>,
-    union_repriced: Vec<(ClientId, FacilityId)>,
+    // Drain and re-sort scratch: the greedy merge's row mask and sorted
+    // insertions, and one `(cost, id)` row buffer shared by the re-sort's
+    // per-row sort and the merge's row snapshot.
+    merge_mask: Vec<bool>,
     inserts: Vec<(f64, u32)>,
+    row_scratch: Vec<(f64, u32)>,
 }
 
 impl std::fmt::Debug for WarmCache {
@@ -175,40 +167,38 @@ impl WarmCache {
     /// Builds the caches for `instance` with an explicit config.
     pub fn with_config(instance: &Instance, config: WarmConfig) -> Self {
         let stars_pristine = greedy::SortedStars::build(instance);
-        let seeds = greedy::seed_ratios(instance, &stars_pristine);
+        let mut seeds = Vec::new();
+        greedy::seed_ratios(instance, &stars_pristine, &mut seeds);
         WarmCache {
             config,
             rebuilds: 0,
             patches: 0,
             stars_pristine,
-            stars_working: greedy::SortedStars::empty(),
-            stars_spare: greedy::SortedStars::empty(),
+            stars_working: greedy::SortedStars::default(),
             seeds,
-            seeds_spare: Vec::new(),
             greedy_scratch: greedy::GreedyScratch::default(),
             jv_lanes: jv::JvLanes::build(instance),
-            jv_spare_offs: Vec::new(),
-            jv_spare_sorted: Vec::new(),
             jv_scratch: jv::JvScratch::default(),
             ls_scratch: localsearch::LsScratch::default(),
             pending_greedy: Vec::new(),
             pending_jv: Vec::new(),
             stale_greedy: false,
             stale_jv: false,
-            extras: Vec::new(),
-            repriced_any: Vec::new(),
-            old_of: Vec::new(),
-            union_repriced: Vec::new(),
+            merge_mask: Vec::new(),
             inserts: Vec::new(),
+            row_scratch: Vec::new(),
         }
     }
 
-    /// How many `apply_delta` calls fell back to a full rebuild.
+    /// How many `apply_delta` calls marked both families for a re-sort:
+    /// every structural delta, and every reprice-only delta past the
+    /// drift threshold.
     pub fn rebuilds(&self) -> u64 {
         self.rebuilds
     }
 
-    /// How many `apply_delta` calls took the incremental patch path.
+    /// How many `apply_delta` calls staged a reprice-only delta for
+    /// in-place repair.
     pub fn patches(&self) -> u64 {
         self.patches
     }
@@ -216,17 +206,12 @@ impl WarmCache {
     /// Brings the caches in sync with `instance` after a successful
     /// [`Instance::apply_delta`] that returned `report`.
     ///
-    /// `instance` must be the **post-mutation** instance. Patches
-    /// incrementally below the drift threshold, rebuilds above it. A
-    /// reprice-only delta is merely *staged* here, and the drift fallback
-    /// merely marks each family stale — a family's lanes repair (or
-    /// re-sort) themselves lazily on the next solve that reads them, so a
-    /// session pinned to one solver never pays for the others' upkeep.
+    /// `instance` must be the **post-mutation** instance. Touches no lane:
+    /// a reprice-only delta under the drift threshold is staged per family,
+    /// any other marks both families stale, and each family repairs (or
+    /// re-sorts) its lanes on the next solve that reads them.
     pub fn apply_delta(&mut self, instance: &Instance, report: &DeltaReport) {
-        if report.drift(instance) > self.config.drift_threshold {
-            // Past the threshold, patching stops paying for itself. Like
-            // the reprices, the fallback is deferred per family: a
-            // greedy-pinned session never re-sorts the JV ascent lanes.
+        if report.is_structural() || report.drift(instance) > self.config.drift_threshold {
             self.rebuilds += 1;
             self.stale_greedy = true;
             self.stale_jv = true;
@@ -235,51 +220,26 @@ impl WarmCache {
             return;
         }
         self.patches += 1;
-        if !report.is_structural() {
-            for (&(j, i), &old) in report.repriced.iter().zip(&report.repriced_old) {
-                if !self.stale_greedy {
-                    self.pending_greedy.push((i.raw(), j.raw(), old));
-                }
-                if !self.stale_jv {
-                    self.pending_jv.push((i.raw(), j.raw(), old));
-                }
+        for (&(j, i), &old) in report.repriced.iter().zip(&report.repriced_old) {
+            if !self.stale_greedy {
+                self.pending_greedy.push((i.raw(), j.raw(), old));
             }
-            return;
-        }
-        // Structural: fold any deferred reprices (remapped to post-delta
-        // ids; removed clients drop out) into the repriced set and flush
-        // the live families eagerly; a stale family keeps deferring — its
-        // drain re-sorts from the final instance anyway. A spurious union
-        // entry is harmless — the merge re-reads the link's current cost
-        // from the instance — so one union serves both families.
-        let mut union = std::mem::take(&mut self.union_repriced);
-        union.clear();
-        union.extend_from_slice(&report.repriced);
-        for &(ir, jr, _) in self.pending_greedy.iter().chain(self.pending_jv.iter()) {
-            if let Some(nj) = report.remap[jr as usize] {
-                union.push((nj, FacilityId::new(ir)));
+            if !self.stale_jv {
+                self.pending_jv.push((i.raw(), j.raw(), old));
             }
         }
-        union.sort_unstable();
-        union.dedup();
-        self.pending_greedy.clear();
-        self.pending_jv.clear();
-        // One repriced-client mask per structural delta, built before
-        // either family patches: a stale family skips its patch, so no
-        // patch may rely on another to have filled it.
-        let repriced_any = &mut self.repriced_any;
-        repriced_any.clear();
-        repriced_any.resize(instance.num_clients(), false);
-        for &(j, _) in &union {
-            repriced_any[j.index()] = true;
+        // Only a family's own solve drains its queue, so a family the
+        // session never solves would stage forever. Past the drift bound
+        // the repairs cost more than the re-sort: go stale instead.
+        let bound = self.config.drift_threshold * instance.num_links() as f64;
+        if self.pending_greedy.len() as f64 > bound {
+            self.stale_greedy = true;
+            self.pending_greedy.clear();
         }
-        if !self.stale_greedy {
-            self.patch_greedy(instance, report, &union);
+        if self.pending_jv.len() as f64 > bound {
+            self.stale_jv = true;
+            self.pending_jv.clear();
         }
-        if !self.stale_jv {
-            self.patch_jv(instance, report);
-        }
-        self.union_repriced = union;
     }
 
     /// Warm star greedy: drains this family's staged reprices, lane-copies
@@ -319,30 +279,29 @@ impl WarmCache {
         jv::solve_with(instance, &self.jv_lanes, &mut self.jv_scratch)
     }
 
-    /// Drains the greedy family's staged reprice repairs. A reprice
-    /// keeps every row's length and every id's row, so the big sorted
-    /// star lanes are *repaired* in place instead of rewritten. A small
-    /// group of staged links per facility resolves move by move: the
-    /// staged old cost pins the entry's current sorted position by
-    /// binary search (the row stays fully sorted between moves, and
-    /// every not-yet-moved entry still holds its staged old key), and a
-    /// subrange rotation carries it to its new position — `O(Δ · deg)`
-    /// contiguous moves, no scan. A large group merges the whole row in
-    /// one pass instead, which is cheaper once rotations would move
-    /// more bytes than a row rewrite. Seeds recompute only for drained
-    /// facilities; every other cached value is untouched bytes,
-    /// bit-identity for free. Repeats of a pair keep the **first**
-    /// staged old cost (the one matching the lanes) and repair straight
-    /// to the instance's current cost — the intermediate values were
-    /// never observable.
+    /// Brings the greedy family up to date: a stale family re-sorts its
+    /// star rows and seeds in place; otherwise the staged reprices are
+    /// repaired in place. A reprice keeps every row's length and every
+    /// id's row, so the big sorted star lanes are *repaired* instead of
+    /// rewritten. A small group of staged links per facility resolves
+    /// move by move: the staged old cost pins the entry's current sorted
+    /// position by binary search (the row stays fully sorted between
+    /// moves, and every not-yet-moved entry still holds its staged old
+    /// key), and a subrange rotation carries it to its new position —
+    /// `O(Δ · deg)` contiguous moves, no scan. A large group merges the
+    /// whole row in one pass instead, which is cheaper once rotations
+    /// would move more bytes than a row rewrite. Seeds recompute only for
+    /// drained facilities; every other cached value is untouched bytes,
+    /// bit-identity for free. Repeats of a pair keep the **first** staged
+    /// old cost (the one matching the lanes) and repair straight to the
+    /// instance's current cost — the intermediate values were never
+    /// observable.
     fn drain_greedy(&mut self, instance: &Instance) {
         if self.stale_greedy {
-            // Deferred drift fallback: re-sort this family, leave the
-            // other alone.
             self.stale_greedy = false;
             self.pending_greedy.clear();
-            self.stars_pristine = greedy::SortedStars::build(instance);
-            self.seeds = greedy::seed_ratios(instance, &self.stars_pristine);
+            self.stars_pristine.rebuild(instance, &mut self.row_scratch);
+            greedy::seed_ratios(instance, &self.stars_pristine, &mut self.seeds);
             return;
         }
         if self.pending_greedy.is_empty() {
@@ -353,12 +312,11 @@ impl WarmCache {
         // pair: its old cost is the entry's actual current sort key.
         moves.sort_by_key(|&(i, j, _)| (i, j));
         moves.dedup_by_key(|&mut (i, j, _)| (i, j));
-        let mask = &mut self.repriced_any;
+        let mask = &mut self.merge_mask;
         mask.clear();
         mask.resize(instance.num_clients(), false);
         let inserts = &mut self.inserts;
-        let scratch_ids = &mut self.stars_spare.ids;
-        let scratch_costs = &mut self.stars_spare.costs;
+        let snapshot = &mut self.row_scratch;
         let mut s = 0usize;
         while s < moves.len() {
             let i = moves[s].0 as usize;
@@ -381,13 +339,8 @@ impl WarmCache {
                         "staged old cost pins the entry"
                     );
                     let q = slide_to(soa_lower_bound(costs, ids, c, jr), p);
-                    if q >= p {
-                        ids[p..=q].rotate_left(1);
-                        costs[p..=q].rotate_left(1);
-                    } else {
-                        ids[q..=p].rotate_right(1);
-                        costs[q..=p].rotate_right(1);
-                    }
+                    shift(ids, p, q);
+                    shift(costs, p, q);
                     ids[q] = jr;
                     costs[q] = c;
                 }
@@ -404,19 +357,15 @@ impl WarmCache {
                     inserts.push((c, jr));
                 }
                 inserts.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                scratch_ids.clear();
-                scratch_ids.extend_from_slice(ids);
-                scratch_costs.clear();
-                scratch_costs.extend_from_slice(costs);
+                snapshot.clear();
+                snapshot.extend(costs.iter().copied().zip(ids.iter().copied()));
 
                 let (mut w, mut dropped, mut u) = (0usize, 0usize, 0usize);
-                for t in 0..scratch_ids.len() {
-                    let sj = scratch_ids[t];
+                for &(sc, sj) in snapshot.iter() {
                     if mask[sj as usize] {
                         dropped += 1;
                         continue;
                     }
-                    let sc = scratch_costs[t];
                     while u < inserts.len() {
                         let (ic, ij) = inserts[u];
                         if ic.total_cmp(&sc).then(ij.cmp(&sj)).is_lt() {
@@ -445,284 +394,60 @@ impl WarmCache {
             }
 
             // This row's cost lane changed; recompute its heap seed.
-            let costs = &self.stars_pristine.costs[lo..hi];
-            self.seeds[i] = if costs.is_empty() {
-                f64::NAN
-            } else {
-                distfl_instance::kernels::fused_ratio_accumulate(
-                    costs,
-                    instance.opening_cost(FacilityId::new(i as u32)).value(),
-                )
-                .0
-            };
+            self.seeds[i] = greedy::seed_ratio(
+                &self.stars_pristine.costs[lo..hi],
+                instance.opening_cost(FacilityId::new(i as u32)).value(),
+            );
         }
         moves.clear();
         self.pending_greedy = moves;
     }
 
-    /// Drains the JV family's staged reprices: repairs each touched
-    /// client's cost-sorted ascent row by rotation (one link) or
-    /// snapshot-and-merge (several), mirroring [`WarmCache::drain_greedy`].
+    /// Brings the JV family up to date: a stale family re-sorts its ascent
+    /// lanes in place; otherwise each staged link rotates to its new sorted
+    /// position in its client's row, as in [`WarmCache::drain_greedy`]. A
+    /// client row holds at most one link per facility, so it is short and
+    /// rotation is the whole repair, however many of its links are staged.
     fn drain_jv(&mut self, instance: &Instance) {
         if self.stale_jv {
-            // Deferred drift fallback: re-sort this family, leave the
-            // other alone.
             self.stale_jv = false;
             self.pending_jv.clear();
-            self.jv_lanes = jv::JvLanes::build(instance);
+            self.jv_lanes.rebuild(instance);
             return;
         }
         if self.pending_jv.is_empty() {
             return;
         }
         let mut moves = std::mem::take(&mut self.pending_jv);
-        // Group by client row (stable, keeping the first staging of each
-        // pair — its old cost is the entry's actual current sort key);
-        // facility order within a group gives the membership scan a
-        // sorted needle list.
+        // Stable by pair (client-major), then keep the first staging of
+        // each pair: its old cost is the entry's actual current sort key.
         moves.sort_by_key(|&(i, j, _)| (j, i));
         moves.dedup_by_key(|&mut (i, j, _)| (j, i));
-
-        let drops = &mut self.old_of;
-        let inserts = &mut self.inserts;
-        let scratch = &mut self.jv_spare_sorted;
-        let mut s = 0usize;
-        while s < moves.len() {
-            let jr = moves[s].1;
-            let e = s + moves[s..].iter().take_while(|mv| mv.1 == jr).count();
-            let group = &moves[s..e];
-            s = e;
-
+        for &(ir, jr, old_c) in &moves {
             let cl = instance.client_links(ClientId::new(jr));
+            let c = cl.costs[cl.ids.binary_search(&ir).expect("staged link is in its row")];
             let lo = self.jv_lanes.offs[jr as usize] as usize;
             let hi = self.jv_lanes.offs[jr as usize + 1] as usize;
             let row = &mut self.jv_lanes.sorted[lo..hi];
-
-            if group.len() <= ROTATE_MAX_GROUP {
-                for &(ir, _, old_c) in group {
-                    let c = cl.costs[cl.ids.binary_search(&ir).expect("staged link is in its row")];
-                    let p = row.partition_point(|&(ec, ef)| {
-                        ec.total_cmp(&old_c).then(ef.cmp(&ir)).is_lt()
-                    });
-                    debug_assert!(row[p] == (old_c, ir), "staged old cost pins the entry");
-                    let q = slide_to(
-                        row.partition_point(|&(ec, ef)| ec.total_cmp(&c).then(ef.cmp(&ir)).is_lt()),
-                        p,
-                    );
-                    if q >= p {
-                        row[p..=q].rotate_left(1);
-                    } else {
-                        row[q..=p].rotate_right(1);
-                    }
-                    row[q] = (c, ir);
-                }
-            } else {
-                drops.clear();
-                for (t, &(_, f)) in row.iter().enumerate() {
-                    if group.binary_search_by(|mv| mv.0.cmp(&f)).is_ok() {
-                        drops.push(t as u32);
-                    }
-                }
-                debug_assert_eq!(drops.len(), group.len(), "every staged link is in its row");
-                inserts.clear();
-                for &(ir, _, _) in group {
-                    let c = cl.costs[cl.ids.binary_search(&ir).expect("staged link is in its row")];
-                    inserts.push((c, ir));
-                }
-                inserts.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                scratch.clear();
-                scratch.extend_from_slice(row);
-
-                let (mut w, mut d, mut u) = (0usize, 0usize, 0usize);
-                for (t, &(sc, sf)) in scratch.iter().enumerate() {
-                    if d < drops.len() && drops[d] as usize == t {
-                        d += 1;
-                        continue;
-                    }
-                    while u < inserts.len() {
-                        let (ic, fi) = inserts[u];
-                        if ic.total_cmp(&sc).then(fi.cmp(&sf)).is_lt() {
-                            row[w] = (ic, fi);
-                            w += 1;
-                            u += 1;
-                        } else {
-                            break;
-                        }
-                    }
-                    row[w] = (sc, sf);
-                    w += 1;
-                }
-                for &ins in &inserts[u..] {
-                    row[w] = ins;
-                    w += 1;
-                }
-                debug_assert_eq!(w, row.len(), "reprice repair preserves row length");
-            }
+            let p = row.partition_point(|&(ec, ef)| ec.total_cmp(&old_c).then(ef.cmp(&ir)).is_lt());
+            debug_assert!(row[p] == (old_c, ir), "staged old cost pins the entry");
+            let q = slide_to(
+                row.partition_point(|&(ec, ef)| ec.total_cmp(&c).then(ef.cmp(&ir)).is_lt()),
+                p,
+            );
+            shift(row, p, q);
+            row[q] = (c, ir);
         }
         moves.clear();
         self.pending_jv = moves;
     }
-
-    /// Patches the greedy star rows and heap seeds. One linear merge per
-    /// facility row: filtered-and-remapped survivors (already in
-    /// `(cost, id)` order because the remap is monotone) merged with the
-    /// sorted added/repriced entries.
-    fn patch_greedy(
-        &mut self,
-        instance: &Instance,
-        report: &DeltaReport,
-        repriced: &[(ClientId, FacilityId)],
-    ) {
-        let m = instance.num_facilities();
-        let repriced_any = &self.repriced_any;
-        // Entries entering the rows: every link of an added client and the
-        // new value of every repriced link, keyed for a per-facility
-        // `(cost, client id)`-ordered merge.
-        let extras = &mut self.extras;
-        extras.clear();
-        for j in report.added.clone() {
-            for (i, c) in instance.client_links(distfl_instance::ClientId::new(j)).iter() {
-                extras.push((i, c, j));
-            }
-        }
-        for &(j, i) in repriced {
-            let c = instance
-                .connection_cost(j, i)
-                .expect("repriced pairs exist in the post-state")
-                .value();
-            extras.push((i.raw(), c, j.raw()));
-        }
-        extras.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.cmp(&b.2)));
-
-        let spare = &mut self.stars_spare;
-        spare.offsets.clear();
-        spare.offsets.push(0);
-        spare.ids.clear();
-        spare.costs.clear();
-        let seeds_spare = &mut self.seeds_spare;
-        seeds_spare.clear();
-
-        let mut ex = 0usize;
-        for i in 0..m {
-            let (old_ids, old_costs) = self.stars_pristine.row(i);
-            let ex_end = ex + extras[ex..].iter().take_while(|&&(f, _, _)| f == i as u32).count();
-            let row_extras = &extras[ex..ex_end];
-            ex = ex_end;
-
-            let row_start = spare.ids.len();
-            // Next surviving (cost, new id) entry of the old row, skipping
-            // removed clients and pairs superseded by a reprice.
-            let mut k = 0usize;
-            let next_survivor = |k: &mut usize| -> Option<(f64, u32)> {
-                while *k < old_ids.len() {
-                    let (oj, c) = (old_ids[*k], old_costs[*k]);
-                    *k += 1;
-                    if let Some(nj) = report.remap[oj as usize] {
-                        let superseded = repriced_any[nj.index()]
-                            && repriced
-                                .binary_search(&(nj, distfl_instance::FacilityId::new(i as u32)))
-                                .is_ok();
-                        if !superseded {
-                            return Some((c, nj.raw()));
-                        }
-                    }
-                }
-                None
-            };
-            let mut surv = next_survivor(&mut k);
-            let mut survivors_kept = 0usize;
-            let mut b = 0usize;
-            loop {
-                let take_survivor = match (surv, row_extras.get(b)) {
-                    (Some((c, j)), Some(&(_, ec, ej))) => c.total_cmp(&ec).then(j.cmp(&ej)).is_lt(),
-                    (Some(_), None) => true,
-                    (None, Some(_)) => false,
-                    (None, None) => break,
-                };
-                if take_survivor {
-                    let (c, j) = surv.expect("checked above");
-                    spare.ids.push(j);
-                    spare.costs.push(c);
-                    survivors_kept += 1;
-                    surv = next_survivor(&mut k);
-                } else {
-                    let (_, c, j) = row_extras[b];
-                    spare.ids.push(j);
-                    spare.costs.push(c);
-                    b += 1;
-                }
-            }
-            spare.offsets.push(spare.ids.len() as u32);
-
-            // Seeds: untouched rows keep bit-identical cached values;
-            // touched rows recompute from the new cost lane.
-            let row_changed = survivors_kept != old_ids.len() || !row_extras.is_empty();
-            if row_changed {
-                let costs = &spare.costs[row_start..];
-                seeds_spare.push(if costs.is_empty() {
-                    f64::NAN
-                } else {
-                    distfl_instance::kernels::fused_ratio_accumulate(
-                        costs,
-                        instance.opening_cost(distfl_instance::FacilityId::new(i as u32)).value(),
-                    )
-                    .0
-                });
-            } else {
-                seeds_spare.push(self.seeds[i]);
-            }
-        }
-        spare.live_end.clear();
-        spare.live_end.extend_from_slice(&spare.offsets[1..]);
-
-        std::mem::swap(&mut self.stars_pristine, &mut self.stars_spare);
-        std::mem::swap(&mut self.seeds, &mut self.seeds_spare);
-    }
-
-    /// Patches the JV ascent lanes: dirty client rows (added clients and
-    /// those marked in the repriced-client mask `apply_delta` builds) are
-    /// re-extracted and re-sorted, and surviving rows copy verbatim.
-    fn patch_jv(&mut self, instance: &Instance, report: &DeltaReport) {
-        let n = instance.num_clients();
-        let repriced_any = &self.repriced_any;
-        let old_of = &mut self.old_of;
-        old_of.clear();
-        old_of.resize(n, u32::MAX);
-        for (old, maybe_new) in report.remap.iter().enumerate() {
-            if let Some(new) = maybe_new {
-                old_of[new.index()] = old as u32;
-            }
-        }
-
-        let offs = &mut self.jv_spare_offs;
-        offs.clear();
-        offs.push(0);
-        let sorted = &mut self.jv_spare_sorted;
-        sorted.clear();
-        for j in instance.clients() {
-            let dirty = report.added.contains(&j.raw()) || repriced_any[j.index()];
-            if dirty {
-                let s = sorted.len();
-                sorted.extend(instance.client_links(j).iter().map(|(i, c)| (c, i)));
-                sorted[s..].sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            } else {
-                let old = old_of[j.index()] as usize;
-                let lo = self.jv_lanes.offs[old] as usize;
-                let hi = self.jv_lanes.offs[old + 1] as usize;
-                sorted.extend_from_slice(&self.jv_lanes.sorted[lo..hi]);
-            }
-            offs.push(sorted.len() as u32);
-        }
-        std::mem::swap(&mut self.jv_lanes.offs, offs);
-        std::mem::swap(&mut self.jv_lanes.sorted, sorted);
-    }
 }
 
-/// Largest per-row group a drain repairs by successive rotations; bigger
-/// groups fall back to a whole-row snapshot-and-merge. A rotation moves
-/// on average a third of the row per staged link while a merge moves the
-/// whole row once (plus a branchy per-element pass), so the crossover is
-/// near a dozen links regardless of row length.
+/// Largest per-row group the greedy drain repairs by successive
+/// rotations; bigger groups fall back to a whole-row snapshot-and-merge. A
+/// rotation moves on average a third of the row per staged link while a
+/// merge moves the whole row once (plus a branchy per-element pass), so
+/// the crossover is near a dozen links regardless of row length.
 const ROTATE_MAX_GROUP: usize = 12;
 
 /// Lower bound of `(c, j)` under the row order (`cost` by `total_cmp`,
@@ -753,6 +478,16 @@ fn slide_to(q: usize, p: usize) -> usize {
     }
 }
 
+/// Moves the entry at `p` to index `q` of `lane`, shifting the entries
+/// between them by one toward `p`.
+fn shift<T>(lane: &mut [T], p: usize, q: usize) {
+    if q >= p {
+        lane[p..=q].rotate_left(1);
+    } else {
+        lane[q..=p].rotate_right(1);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -777,12 +512,11 @@ mod tests {
 
     #[test]
     fn jv_rows_reprice_after_a_drift_fallback_and_a_jv_only_refresh() {
-        // The drift fallback (d2) marks both families stale and the JV
-        // solve refreshes only JV. The next structural delta (d3) keeps
-        // the client count and skips the stale greedy patch, so the JV
-        // patch must not read a repriced-client mask left by d1: client
-        // 20 would keep its old cost-sorted row while the facility rows
-        // refresh, and the ascent would never end.
+        // Three structural deltas (d2 drift-sized as well), the last two
+        // each followed by a JV-only solve while greedy stays stale. Every
+        // JV row must come back sorted by its current costs: a client row
+        // left in an old order (client 20's, repriced in d3) makes the
+        // ascent wait for an event that never comes.
         use std::sync::mpsc::{self, RecvTimeoutError};
         let (tx, rx) = mpsc::channel();
         let handle = std::thread::spawn(move || {
@@ -801,7 +535,7 @@ mod tests {
                     assert_eq!(dual.alpha(), cold_dual.alpha(), "step {step}");
                 }
             }
-            assert_eq!(warm.rebuilds(), 1, "d2 takes the drift fallback");
+            assert_eq!(warm.rebuilds(), 3, "every structural delta marks the families stale");
             let _ = tx.send(());
         });
         match rx.recv_timeout(std::time::Duration::from_secs(20)) {
@@ -811,5 +545,42 @@ mod tests {
             }
             Err(RecvTimeoutError::Timeout) => panic!("warm JV solve did not terminate"),
         }
+    }
+
+    #[test]
+    fn a_family_that_is_never_solved_keeps_a_bounded_reprice_queue() {
+        // A greedy-pinned session streaming reprice-only deltas: each
+        // delta stages its links for both families, but only greedy
+        // drains. The JV queue must stay within the drift bound instead
+        // of growing by every repriced link, and the JV lanes must still
+        // come back exact when JV is finally solved.
+        let mut inst = Euclidean::new(10, 100).unwrap().generate(5).unwrap();
+        let mut warm = WarmCache::new(&inst);
+        let bound = WarmConfig::default().drift_threshold * inst.num_links() as f64;
+        let steps = 200u32;
+        for step in 0..steps {
+            let mut batch = DeltaBatch::new();
+            for k in 0..10u32 {
+                let j = (step * 10 + k) % inst.num_clients() as u32;
+                let row = inst.client_links(ClientId::new(j));
+                let i = row.ids[(step + k) as usize % row.len()];
+                let c = 1.0 + f64::from((step * 31 + k * 17) % 97);
+                batch.reprice(ClientId::new(j), FacilityId::new(i), Cost::new(c).unwrap());
+            }
+            let report = inst.apply_delta(&batch).unwrap();
+            warm.apply_delta(&inst, &report);
+            assert!(
+                warm.pending_jv.len() as f64 <= bound,
+                "step {step}: {} staged JV repairs, bound {bound}",
+                warm.pending_jv.len()
+            );
+            let run = warm.solve_greedy(&inst);
+            assert_eq!(run.solution, greedy::solve_detailed(&inst).solution, "step {step}");
+        }
+        assert_eq!(warm.patches(), u64::from(steps), "every delta is staged");
+        let (sol, dual) = warm.solve_jv(&inst);
+        let (cold_sol, cold_dual) = jv::solve(&inst);
+        assert_eq!(sol, cold_sol);
+        assert_eq!(dual.alpha(), cold_dual.alpha());
     }
 }

@@ -3,8 +3,9 @@
 //! the mutated instance — for all three warm solvers, over random
 //! add/remove/reprice interleavings, in the style of `solver_equivalence`.
 //! Most properties solve once after the whole schedule; one interleaves
-//! solves of random families with the deltas, drift fallbacks included,
-//! so each family's lazy drain and staleness paths run in between.
+//! solves of random families with structural, reprice-only and
+//! drift-sized deltas, so each family's in-place drains and re-sorts run
+//! in between.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -29,9 +30,9 @@ fn any_instance() -> impl Strategy<Value = Instance> {
     })
 }
 
-/// Session-sized instances: large enough (30+ clients) that a churn batch
-/// stays under the default drift threshold and patches, while a
-/// drift-sized one still takes the rebuild fallback.
+/// Session-sized instances: large enough (30+ clients) that a reprice-only
+/// batch of a few links stays under the default drift threshold and is
+/// staged, while a drift-sized one still takes the re-sort.
 fn session_instance() -> impl Strategy<Value = Instance> {
     (0u8..3, 1usize..8, 30usize..100, 0u64..1000).prop_map(|(family, m, n, seed)| match family {
         0 => UniformRandom::new(m, n).unwrap().generate(seed).unwrap(),
@@ -145,6 +146,36 @@ fn churn_batch(inst: &Instance, rng: &mut StdRng, drift: bool) -> DeltaBatch {
     batch
 }
 
+/// Draws a reprice-only batch under the default drift threshold (at most a
+/// tenth of all links): as many links of one facility as that allows —
+/// more than a dozen on larger instances, so the greedy drain merges the
+/// star row instead of rotating — or several links of one client.
+fn reprice_batch(inst: &Instance, rng: &mut StdRng) -> DeltaBatch {
+    let cap = inst.num_links() / 10;
+    let (links, count): (Vec<(u32, u32)>, usize) = if rng.gen_bool(0.5) {
+        let i = rng.gen_range(0..inst.num_facilities() as u32);
+        let links: Vec<_> =
+            inst.facility_links(FacilityId::new(i)).ids.iter().map(|&j| (j, i)).collect();
+        let count = links.len();
+        (links, count)
+    } else {
+        let j = rng.gen_range(0..inst.num_clients() as u32);
+        let links: Vec<_> =
+            inst.client_links(ClientId::new(j)).ids.iter().map(|&i| (j, i)).collect();
+        let count = rng.gen_range(1..=links.len());
+        (links, count)
+    };
+    let mut batch = DeltaBatch::new();
+    for &(j, i) in links.iter().take(count.min(cap)) {
+        batch.reprice(
+            ClientId::new(j),
+            FacilityId::new(i),
+            Cost::new(rng.gen_range(0.0..100.0f64)).unwrap(),
+        );
+    }
+    batch
+}
+
 /// Runs `body` on its own thread and fails (instead of hanging the suite)
 /// if it does not finish within the deadline.
 fn within_deadline(body: impl FnOnce() + Send + 'static) {
@@ -164,15 +195,18 @@ fn within_deadline(body: impl FnOnce() + Send + 'static) {
     }
 }
 
-/// Runs `batches` random deltas, keeping `warm` in sync, and returns the
-/// mutated instance.
-fn churn(inst: &mut Instance, warm: &mut WarmCache, seed: u64, batches: usize) {
+/// Runs `batches` random deltas on `inst`, keeping `warm` in sync, and
+/// returns how many of them were structural.
+fn churn(inst: &mut Instance, warm: &mut WarmCache, seed: u64, batches: usize) -> usize {
     let mut rng = StdRng::seed_from_u64(seed);
+    let mut structural = 0;
     for _ in 0..batches {
         let batch = random_batch(inst, &mut rng);
         let report = inst.apply_delta(&batch).unwrap();
         warm.apply_delta(inst, &report);
+        structural += usize::from(report.is_structural());
     }
+    structural
 }
 
 fn bits(xs: &[f64]) -> Vec<u64> {
@@ -246,16 +280,18 @@ proptest! {
         seed in any::<u64>(),
         steps in 1usize..16,
     ) {
-        // Default config: drift-sized batches take the rebuild fallback,
-        // the others patch. After each batch, solve one random family (or
-        // none) warm and compare it with the cold solve.
+        // Default config: structural and drift-sized batches mark both
+        // families for a re-sort, reprice-only ones under the threshold
+        // are staged. After each batch, solve one random family (or none)
+        // warm and compare it with the cold solve.
         within_deadline(move || {
             let mut inst = base;
             let mut warm = WarmCache::new(&inst);
             let mut rng = StdRng::seed_from_u64(seed);
             for step in 0..steps {
-                let batch = match rng.gen_range(0..3u8) {
+                let batch = match rng.gen_range(0..4u8) {
                     0 => random_batch(&inst, &mut rng),
+                    3 => reprice_batch(&inst, &mut rng),
                     kind => churn_batch(&inst, &mut rng, kind == 2),
                 };
                 let report = inst.apply_delta(&batch).unwrap();
@@ -292,20 +328,20 @@ proptest! {
         seed in any::<u64>(),
         batches in 1usize..4,
     ) {
-        // Threshold +inf: drift never exceeds it, so every delta patches
-        // (removal-heavy batches can drift past any finite bound because
-        // dropped links count against the post-mutation lane size).
-        // Threshold -1.0: every delta rebuilds. Outputs must not differ.
+        // Threshold +inf: drift never exceeds it, so every reprice-only
+        // delta patches and only the structural ones re-sort. Threshold
+        // -1.0: every delta re-sorts. Outputs must not differ.
         let mut inst_a = base.clone();
         let mut patcher =
             WarmCache::with_config(&inst_a, WarmConfig { drift_threshold: f64::INFINITY });
-        churn(&mut inst_a, &mut patcher, seed, batches);
+        let structural = churn(&mut inst_a, &mut patcher, seed, batches);
         let mut inst_b = base.clone();
         let mut rebuilder =
             WarmCache::with_config(&inst_b, WarmConfig { drift_threshold: -1.0 });
         churn(&mut inst_b, &mut rebuilder, seed, batches);
         prop_assert_eq!(&inst_a, &inst_b);
-        prop_assert!(patcher.rebuilds() == 0 && patcher.patches() as usize == batches);
+        prop_assert_eq!(patcher.rebuilds() as usize, structural);
+        prop_assert_eq!(patcher.patches() as usize, batches - structural);
         prop_assert!(rebuilder.patches() == 0 && rebuilder.rebuilds() as usize == batches);
         let a = patcher.solve_greedy(&inst_a);
         let b = rebuilder.solve_greedy(&inst_b);

@@ -176,6 +176,60 @@ fn extreme_costs_are_typed_errors_and_the_shard_keeps_solving() {
     server.shutdown();
 }
 
+/// One burst of hostile lines in a single write — truncated, byte-flipped,
+/// byte-deleted, spliced with extreme tokens, not UTF-8, and session verbs
+/// carrying such tokens: every line gets exactly one answer (success or a
+/// typed error), and the connection and its shard keep answering.
+#[test]
+fn a_burst_of_hostile_lines_is_answered_line_by_line_and_the_server_stays_up() {
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut client = Client::connect(&server);
+    client.reader.get_ref().set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let inline = r#"{"opening":[4.0,3.0],"links":[[0,1.0,1,2.0],[1,0.5]]}"#;
+    let solve = |id: &str, kind: &str, instance: &str| {
+        format!(r#"{{"id":"{id}","solver":"{kind}","instance":{instance}}}"#).into_bytes()
+    };
+    let mut flipped = solve("f", "greedy", inline);
+    flipped[0] ^= 0x04;
+    let lines: Vec<Vec<u8>> = vec![
+        // Truncated, byte-flipped, byte-deleted.
+        solve("t", "greedy", inline)[..60].to_vec(),
+        flipped,
+        br#"{"id":"d","solver""greedy","orlib":"2 1\n0 4\n0 3\n0\n1 2\n"}"#.to_vec(),
+        // Spliced tokens.
+        solve("x1", "greedy", r#"{"opening":[1e309,3.0],"links":[[0,1.0],[1,0.5]]}"#),
+        solve("x2", "jv", r#"{"opening":[4.0,3.0],"links":[[-1,1.0],[1,0.5]]}"#),
+        solve("x3", "paydual", r#"{"opening":[NaN,3.0],"links":[[0,1.0],[1,0.5]]}"#),
+        solve("x4", "local-search", r#"{"opening":[4.0,3.0],"links":[[0,5e-324],[1,0.5]]}"#),
+        solve("x5", "metricball", r#"{"opening":[4.0,3.0],"links":[[4294967296,1.0],[1,0.5]]}"#),
+        solve(r"\ud800", "outliers", inline),
+        [b"[".repeat(200), solve("x7", "auto", inline)].concat(),
+        // Not UTF-8.
+        b"{\"id\":\"\xff\xfe\",\"solver\":\"greedy\"}".to_vec(),
+        // Session verbs.
+        format!(r#"{{"cmd":"create","id":"c","session":"s","instance":{inline}}}"#).into_bytes(),
+        br#"{"cmd":"mutate","id":"m1","session":"s","delta":{"reprice":[[0,0,1e309]]}}"#.to_vec(),
+        br#"{"cmd":"mutate","id":"m2","session":"s","delta":{"remove":[4294967296]}}"#.to_vec(),
+        br#"{"cmd":"mutate","id":"m3","session":"s","delta":{"add":[[1,5e-324]]}}"#.to_vec(),
+        br#"{"cmd":"solve","id":"q","session":"s","solver":"jv","seed":-1}"#.to_vec(),
+        br#"{"cmd":"drop","id":"d","session":"s"}"#.to_vec(),
+    ];
+    let sent = lines.len();
+    let mut burst = lines.join(&b'\n');
+    burst.push(b'\n');
+    client.writer.write_all(&burst).unwrap();
+    for k in 0..sent {
+        let response = client.recv();
+        distfl_obs::validate_json(&response).unwrap();
+        let typed = response.contains(r#""ok":false,"error":{"kind":""#);
+        assert!(typed || response.contains(r#""ok":true"#), "line {k}: {response}");
+    }
+    assert!(client.roundtrip(r#"{"cmd":"ping"}"#).contains(r#""pong":true"#));
+    let response = client.roundtrip(GREEDY_INLINE);
+    assert!(response.contains(r#""ok":true"#), "{response}");
+    server.shutdown();
+}
+
 /// `inst` as an inline `instance` object: the opening costs, then each
 /// client's links as a flat `[facility, cost, ...]` list.
 fn inline_instance(w: &mut distfl_obs::JsonWriter, inst: &distfl_instance::Instance) {
@@ -222,10 +276,10 @@ fn churn_mutate(id: &str, reprice: &[(u32, u32, f64)]) -> String {
 
 #[test]
 fn warm_jv_after_a_drift_fallback_answers_and_the_shard_keeps_solving() {
-    // d2 reprices 145 of 200 links, so the warm cache falls back to a
-    // lazy rebuild of both solver families; the JV solve then refreshes
-    // only its own. d3 keeps the client count, and the JV solve after it
-    // used to spin its shard forever on a stale repriced-client mask.
+    // Every mutate is structural (d2 also reprices 145 of 200 links), so
+    // each marks both solver families for a re-sort and only the JV
+    // solves re-sort theirs. The JV solve after d3 must answer: a client
+    // row left in its old order once spun the shard forever.
     use distfl_instance::generators::{Euclidean, InstanceGenerator};
     let config = ServeConfig { shards: 1, workers: Some(1), ..ServeConfig::default() };
     let server = Server::start("127.0.0.1:0", config).unwrap();
