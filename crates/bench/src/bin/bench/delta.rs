@@ -146,7 +146,7 @@ fn measure(
         // Fresh churn history per solver so each starts from `base` and
         // applies the identical delta sequence (seeded rng).
         let mut inst = base.clone();
-        let mut warm = WarmCache::new(&inst);
+        let mut warm = WarmCache::new();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut delta_ms = f64::INFINITY;
         let mut scratch_ms = f64::INFINITY;
@@ -237,7 +237,7 @@ fn write_rows(w: &mut JsonWriter, label: &str, rows: &[Row]) {
 /// of `schedule` at 1% churn on `base` — the steady state.
 fn steady_allocs(base: &Instance, schedule: Schedule) -> u64 {
     let mut inst = base.clone();
-    let mut warm = WarmCache::new(&inst);
+    let mut warm = WarmCache::new();
     let mut rng = StdRng::seed_from_u64(7);
     let links = (0.01 * base.num_links() as f64).round() as usize;
     let mut steady = 0;

@@ -1,7 +1,7 @@
 //! Load generator for the `distfl-serve` solver service.
 //!
 //! Starts an in-process [`distfl_serve::Server`] and measures it three
-//! ways, writing one JSON document (default `BENCH_6.json`):
+//! ways, producing one JSON document:
 //!
 //! - **Open-loop throughput/latency curve** — a single-threaded
 //!   multiplexed client (reusing the serve crate's public
@@ -22,9 +22,13 @@
 //!   different worker count, and different shard counts; every response
 //!   line must be byte-identical.
 //!
-//! Usage: `serve_load [--smoke] [--out PATH]` — `--smoke` shrinks
+//! Usage: `serve_load [--smoke] [--out PATH]` — a full run writes the
+//! document to `--out` (default `BENCH_6.json`). `--smoke` shrinks
 //! everything for CI while still exercising the pipelined framing path
-//! (asserted via the `serve.pipelined_requests` counter).
+//! (asserted via the `serve.pipelined_requests` counter); it writes only
+//! to an explicit `--out` and otherwise prints the document on stdout, so
+//! a smoke run never overwrites the committed snapshot. Progress goes to
+//! stderr.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -384,12 +388,12 @@ fn us(ns: u64) -> f64 {
 
 fn main() {
     let mut smoke = false;
-    let mut out = "BENCH_6.json".to_owned();
+    let mut out = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--out" => out = args.next().expect("--out needs a path"),
+            "--out" => out = Some(args.next().expect("--out needs a path")),
             other => {
                 eprintln!("usage: serve_load [--smoke] [--out PATH] (got {other:?})");
                 std::process::exit(2);
@@ -422,11 +426,11 @@ fn main() {
     };
     let curve_server = Server::start("127.0.0.1:0", curve_config).expect("bind curve server");
     let curve_addr = curve_server.local_addr();
-    println!("serve_load: open-loop sweep, {connections} connections");
+    eprintln!("serve_load: open-loop sweep, {connections} connections");
     let mut curve: Vec<PointResult> = Vec::new();
     for point in &sweep {
         let result = run_open_loop_point(curve_addr, connections, *point);
-        println!(
+        eprintln!(
             "  offered {:>6.0} rps -> achieved {:>6.0} rps, ok {} rejected {} unanswered {}, \
              p50 {:.0}us p99 {:.0}us",
             result.offered_rps,
@@ -471,7 +475,7 @@ fn main() {
     let mix: Vec<Vec<String>> = (0..plan.clients)
         .map(|ci| (0..plan.per_client).map(|ri| heavy_request_line(ci, ri)).collect())
         .collect();
-    println!(
+    eprintln!(
         "serve_load: heavy mix, {} clients x {} requests, {} workers, max_batch {}",
         plan.clients, plan.per_client, plan.workers, plan.max_batch
     );
@@ -540,11 +544,18 @@ fn main() {
     w.end_object();
     let doc = w.finish();
     distfl_obs::validate_json(&doc).expect("bench document is valid JSON");
-    std::fs::write(&out, format!("{doc}\n")).expect("write bench document");
+    let out = out.or_else(|| (!smoke).then(|| "BENCH_6.json".to_owned()));
+    match &out {
+        Some(path) => std::fs::write(path, format!("{doc}\n")).expect("write bench document"),
+        None => println!("{doc}"),
+    }
 
-    println!(
+    eprintln!(
         "  open-loop peak {:.0} rps; heavy mix {:.0} rps, mean batch {:.2} (cap {})",
         peak, heavy_rps, heavy.mean_batch, plan.max_batch
     );
-    println!("  responses byte-identical across restart, worker, and shard counts; wrote {out}");
+    eprintln!("  responses byte-identical across restart, worker, and shard counts");
+    if let Some(path) = out {
+        eprintln!("  wrote {path}");
+    }
 }

@@ -350,7 +350,7 @@ mod tests {
     fn portfolio_kinds_decline_warm_sessions_with_a_typed_error() {
         let inst = UniformRandom::new(4, 12).unwrap().generate(0).unwrap();
         for kind in [SolverKind::MetricBall, SolverKind::MetricOutliers, SolverKind::Auto] {
-            let mut warm = WarmCache::new(&inst);
+            let mut warm = WarmCache::new();
             match kind.solve_warm(&inst, 1, &mut warm) {
                 Err(CoreError::WarmUnsupported { kind: name }) => assert_eq!(name, kind.name()),
                 other => panic!("{kind} should decline warm sessions, got {other:?}"),

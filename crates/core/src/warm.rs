@@ -29,16 +29,19 @@
 //!
 //! # Catching up with a delta
 //!
-//! After [`Instance::apply_delta`], [`WarmCache::apply_delta`] does no lane
-//! work. It records, per structure family, what the next solve that reads
-//! the family's lanes must do first, so a session pinned to one solver
-//! never pays for the other family's upkeep:
+//! A new cache holds no lanes: both families start stale, and each builds
+//! its lanes on its first solve. After [`Instance::apply_delta`],
+//! [`WarmCache::apply_delta`] does no lane work either. It records, per
+//! structure family, what the next solve that reads the family's lanes
+//! must do first, so a session pinned to one solver never pays for the
+//! other family's upkeep:
 //!
-//! * **A reprice-only delta under [`WarmConfig::drift_threshold`] is
-//!   staged.** Every row keeps its length and every id keeps its row, so
-//!   `apply_delta` just records the touched `(facility, client, old cost)`
-//!   triples; the next greedy/local-search solve drains them into the star
-//!   rows and seeds, the next JV solve into the ascent lanes. Repeated
+//! * **A reprice-only delta under the drift threshold is staged** (at most
+//!   10% of the link lanes touched, [`DeltaReport::drift`]). Every row
+//!   keeps its length and every id keeps its row, so `apply_delta` just
+//!   records the touched `(facility, client, old cost)` triples for each
+//!   live family; the next greedy/local-search solve drains them into the
+//!   star rows and seeds, the next JV solve into the ascent lanes. Repeated
 //!   reprices of one link collapse into a single repair against the
 //!   instance's current cost. The repair is in place: a staged link rotates
 //!   a `(cost, id)` subrange to its new sorted position, and a large group
@@ -52,10 +55,10 @@
 //!   the buffers it already owns — so only the family solved next pays.
 //!
 //! The threshold also bounds staging: a family whose queue passes
-//! `drift_threshold × num_links` triples (it is not being solved) drops the
-//! queue and goes stale, since replaying that many repairs would cost more
-//! than the re-sort. Results are identical on every path, only the work
-//! differs (the equivalence proptests pin each path).
+//! 10% of `num_links` triples (it is not being solved) drops the queue and
+//! goes stale, since replaying that many repairs would cost more than the
+//! re-sort. Results are identical on every path, only the work differs
+//! (the equivalence proptests pin each path).
 
 use distfl_instance::{ClientId, DeltaReport, FacilityId, Instance, Solution};
 use distfl_lp::DualSolution;
@@ -64,28 +67,15 @@ use crate::greedy::{self, GreedyRun};
 use crate::jv::{self, DualAscent};
 use crate::localsearch::{self, LocalSearchRun};
 
-/// Tuning knobs for [`WarmCache`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WarmConfig {
-    /// Maximum fraction of link lanes a reprice-only delta may touch
-    /// ([`DeltaReport::drift`]) and still be staged for in-place repair;
-    /// past it, `apply_delta` marks both families for a re-sort. It also
-    /// caps each family's staged queue at `drift_threshold × num_links`
-    /// entries. Structural deltas always re-sort. `0.0` always re-sorts,
-    /// `f64::INFINITY` stages every reprice-only delta without bound;
-    /// either way the solve outputs are identical.
-    pub drift_threshold: f64,
-}
-
-impl Default for WarmConfig {
-    fn default() -> Self {
-        // Break-even on the bench shapes sits near 10% of links touched:
-        // past that, the in-place rotations move more bytes than the
-        // per-row comparison sort of a re-sort, which still skips the
-        // instance rebuild the cold path pays.
-        WarmConfig { drift_threshold: 0.1 }
-    }
-}
+/// Largest fraction of the link lanes a reprice-only delta may touch
+/// ([`DeltaReport::drift`]) and still be staged for in-place repair; past
+/// it, `apply_delta` marks both families for a re-sort. It also caps each
+/// family's staged queue at `DRIFT_THRESHOLD × num_links` entries.
+/// Break-even on the bench shapes sits near 10% of links touched: past
+/// that, the in-place rotations move more bytes than the per-row
+/// comparison sort of a re-sort, which still skips the instance rebuild the
+/// cold path pays. The solve outputs are identical either way.
+const DRIFT_THRESHOLD: f64 = 0.1;
 
 /// Session-lifetime solver caches for one mutating instance.
 ///
@@ -103,7 +93,7 @@ impl Default for WarmConfig {
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut inst = UniformRandom::new(5, 20)?.generate(7)?;
-/// let mut warm = WarmCache::new(&inst);
+/// let mut warm = WarmCache::new();
 /// let cold = distfl_core::greedy::solve_detailed(&inst);
 /// assert_eq!(warm.solve_greedy(&inst), cold);
 ///
@@ -115,8 +105,8 @@ impl Default for WarmConfig {
 /// # Ok(())
 /// # }
 /// ```
+#[derive(Default)]
 pub struct WarmCache {
-    config: WarmConfig,
     rebuilds: u64,
     patches: u64,
     // Greedy: pristine sorted star rows + exact iteration-0 seeds, and a
@@ -137,9 +127,10 @@ pub struct WarmCache {
     // drain can binary-search its position instead of scanning for it.
     pending_greedy: Vec<(u32, u32, f64)>,
     pending_jv: Vec<(u32, u32, f64)>,
-    // A stale family re-sorts itself from the instance on its next drain.
-    stale_greedy: bool,
-    stale_jv: bool,
+    // A family is live once a solve has sorted its lanes from the
+    // instance; a stale (not live) family re-sorts on its next drain.
+    live_greedy: bool,
+    live_jv: bool,
     // Drain and re-sort scratch: the greedy merge's row mask and sorted
     // insertions, and one `(cost, id)` row buffer shared by the re-sort's
     // per-row sort and the merge's row snapshot.
@@ -151,7 +142,6 @@ pub struct WarmCache {
 impl std::fmt::Debug for WarmCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WarmCache")
-            .field("config", &self.config)
             .field("rebuilds", &self.rebuilds)
             .field("patches", &self.patches)
             .finish_non_exhaustive()
@@ -159,35 +149,10 @@ impl std::fmt::Debug for WarmCache {
 }
 
 impl WarmCache {
-    /// Builds the caches for `instance` with the default config.
-    pub fn new(instance: &Instance) -> Self {
-        WarmCache::with_config(instance, WarmConfig::default())
-    }
-
-    /// Builds the caches for `instance` with an explicit config.
-    pub fn with_config(instance: &Instance, config: WarmConfig) -> Self {
-        let stars_pristine = greedy::SortedStars::build(instance);
-        let mut seeds = Vec::new();
-        greedy::seed_ratios(instance, &stars_pristine, &mut seeds);
-        WarmCache {
-            config,
-            rebuilds: 0,
-            patches: 0,
-            stars_pristine,
-            stars_working: greedy::SortedStars::default(),
-            seeds,
-            greedy_scratch: greedy::GreedyScratch::default(),
-            jv_lanes: jv::JvLanes::build(instance),
-            jv_scratch: jv::JvScratch::default(),
-            ls_scratch: localsearch::LsScratch::default(),
-            pending_greedy: Vec::new(),
-            pending_jv: Vec::new(),
-            stale_greedy: false,
-            stale_jv: false,
-            merge_mask: Vec::new(),
-            inserts: Vec::new(),
-            row_scratch: Vec::new(),
-        }
+    /// An empty cache: both families start stale and build their lanes
+    /// from the instance on their first solve.
+    pub fn new() -> Self {
+        WarmCache::default()
     }
 
     /// How many `apply_delta` calls marked both families for a re-sort:
@@ -211,33 +176,33 @@ impl WarmCache {
     /// any other marks both families stale, and each family repairs (or
     /// re-sorts) its lanes on the next solve that reads them.
     pub fn apply_delta(&mut self, instance: &Instance, report: &DeltaReport) {
-        if report.is_structural() || report.drift(instance) > self.config.drift_threshold {
+        if report.is_structural() || report.drift(instance) > DRIFT_THRESHOLD {
             self.rebuilds += 1;
-            self.stale_greedy = true;
-            self.stale_jv = true;
+            self.live_greedy = false;
+            self.live_jv = false;
             self.pending_greedy.clear();
             self.pending_jv.clear();
             return;
         }
         self.patches += 1;
         for (&(j, i), &old) in report.repriced.iter().zip(&report.repriced_old) {
-            if !self.stale_greedy {
+            if self.live_greedy {
                 self.pending_greedy.push((i.raw(), j.raw(), old));
             }
-            if !self.stale_jv {
+            if self.live_jv {
                 self.pending_jv.push((i.raw(), j.raw(), old));
             }
         }
         // Only a family's own solve drains its queue, so a family the
         // session never solves would stage forever. Past the drift bound
         // the repairs cost more than the re-sort: go stale instead.
-        let bound = self.config.drift_threshold * instance.num_links() as f64;
+        let bound = DRIFT_THRESHOLD * instance.num_links() as f64;
         if self.pending_greedy.len() as f64 > bound {
-            self.stale_greedy = true;
+            self.live_greedy = false;
             self.pending_greedy.clear();
         }
         if self.pending_jv.len() as f64 > bound {
-            self.stale_jv = true;
+            self.live_jv = false;
             self.pending_jv.clear();
         }
     }
@@ -297,8 +262,8 @@ impl WarmCache {
     /// instance's current cost — the intermediate values were never
     /// observable.
     fn drain_greedy(&mut self, instance: &Instance) {
-        if self.stale_greedy {
-            self.stale_greedy = false;
+        if !self.live_greedy {
+            self.live_greedy = true;
             self.pending_greedy.clear();
             self.stars_pristine.rebuild(instance, &mut self.row_scratch);
             greedy::seed_ratios(instance, &self.stars_pristine, &mut self.seeds);
@@ -409,8 +374,8 @@ impl WarmCache {
     /// client row holds at most one link per facility, so it is short and
     /// rotation is the whole repair, however many of its links are staged.
     fn drain_jv(&mut self, instance: &Instance) {
-        if self.stale_jv {
-            self.stale_jv = false;
+        if !self.live_jv {
+            self.live_jv = true;
             self.pending_jv.clear();
             self.jv_lanes.rebuild(instance);
             return;
@@ -521,7 +486,7 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         let handle = std::thread::spawn(move || {
             let mut inst = Euclidean::new(5, 40).unwrap().generate(3).unwrap();
-            let mut warm = WarmCache::new(&inst);
+            let mut warm = WarmCache::new();
             let drift: Vec<(u32, u32, f64)> =
                 (1..30).flat_map(|j| (0..5).map(move |i| (j, i, 1.0 + f64::from(j + i)))).collect();
             let steps = [vec![(6, 0, 0.01)], drift, vec![(20, 2, 0.001), (20, 3, 99.0)]];
@@ -549,14 +514,16 @@ mod tests {
 
     #[test]
     fn a_family_that_is_never_solved_keeps_a_bounded_reprice_queue() {
-        // A greedy-pinned session streaming reprice-only deltas: each
-        // delta stages its links for both families, but only greedy
-        // drains. The JV queue must stay within the drift bound instead
-        // of growing by every repriced link, and the JV lanes must still
-        // come back exact when JV is finally solved.
+        // A session that solved JV once and then streams reprice-only
+        // deltas with greedy solves: each delta stages its links for both
+        // live families, but only greedy drains. The JV queue must stay
+        // within the drift bound instead of growing by every repriced
+        // link, and the JV lanes must still come back exact when JV is
+        // finally solved again.
         let mut inst = Euclidean::new(10, 100).unwrap().generate(5).unwrap();
-        let mut warm = WarmCache::new(&inst);
-        let bound = WarmConfig::default().drift_threshold * inst.num_links() as f64;
+        let mut warm = WarmCache::new();
+        assert_eq!(warm.solve_jv(&inst), jv::solve(&inst));
+        let bound = DRIFT_THRESHOLD * inst.num_links() as f64;
         let steps = 200u32;
         for step in 0..steps {
             let mut batch = DeltaBatch::new();

@@ -168,9 +168,10 @@ impl<'a> IntoIterator for LinkSlice<'a> {
 /// [`Instance::client_links`]/[`Instance::facility_links`] hand out a row
 /// as a [`LinkSlice`] pair of parallel slices, so cost-only inner loops
 /// (star-ratio scans, repricing sweeps, linear-form passes) touch pure
-/// `f64` memory and autovectorize via [`crate::kernels`].
-/// [`Instance::cheapest_link`] and [`Instance::max_degree`] are
-/// precomputed at build time and are `O(1)`.
+/// `f64` memory and autovectorize via [`crate::kernels`]. The lanes and
+/// offsets are the whole state: derived values such as
+/// [`Instance::cheapest_link`] and [`Instance::max_degree`] are computed
+/// from them when read, so no mutation path has a cache to keep in sync.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Instance {
     opening: Vec<Cost>,
@@ -188,10 +189,6 @@ pub struct Instance {
     facility_link_ids: Vec<u32>,
     /// Facility-major cost lane, parallel to `facility_link_ids`.
     facility_link_costs: Vec<f64>,
-    /// Per-client cheapest link (ties broken by lowest facility id).
-    cheapest: Vec<(FacilityId, Cost)>,
-    /// Maximum degree over all clients and facilities.
-    max_degree: u32,
 }
 
 impl Instance {
@@ -288,16 +285,20 @@ impl Instance {
         LinkSlice { ids: &self.facility_link_ids[lo..hi], costs: &self.facility_link_costs[lo..hi] }
     }
 
-    /// The cheapest link of client `j` (ties broken by lowest facility id);
-    /// precomputed at build time, `O(1)`.
+    /// The cheapest link of client `j` (ties broken by lowest facility id),
+    /// one `O(deg)` scan of the client's cost lane. Rows are sorted by
+    /// facility id and costs are `-0.0`-free, so the first lane minimum
+    /// [`kernels::min_argmin`] finds is the `(cost, facility id)`
+    /// lexicographic minimum.
     ///
     /// # Panics
     ///
     /// Panics if `j` is out of range (every in-range client has a link by
     /// the instance invariant).
-    #[inline]
     pub fn cheapest_link(&self, j: ClientId) -> (FacilityId, Cost) {
-        self.cheapest[j.index()]
+        let links = self.client_links(j);
+        let (k, c) = kernels::min_argmin(links.costs).expect("every client is linked");
+        (FacilityId::new(links.ids[k]), Cost::from_validated(c))
     }
 
     /// Iterates over all facility ids.
@@ -325,11 +326,15 @@ impl Instance {
     }
 
     /// Maximum number of links at any single client or facility (the degree
-    /// bound of the CONGEST communication graph); precomputed at build
-    /// time, `O(1)`.
-    #[inline]
+    /// bound of the CONGEST communication graph): one pass over the two
+    /// offset tables, `O(n + m)`.
     pub fn max_degree(&self) -> usize {
-        self.max_degree as usize
+        self.client_offsets
+            .windows(2)
+            .chain(self.facility_offsets.windows(2))
+            .map(|w| (w[1] - w[0]) as usize)
+            .max()
+            .expect("instances have clients")
     }
 }
 
@@ -434,32 +439,21 @@ impl InstanceBuilder {
         let num_links: usize = self.client_links.iter().map(Vec::len).sum();
 
         // Client-major CSR: flatten the per-client lists (already sorted by
-        // facility id) into the split id/cost lanes and record the cheapest
-        // link per client as we go. Rows are id-sorted and `Cost::new`
-        // normalized `-0.0`, so the first lane minimum found by
-        // `kernels::min_argmin` IS the `(cost, facility id)`-lexicographic
-        // minimum.
+        // facility id) into the split id/cost lanes.
         let mut client_offsets = Vec::with_capacity(n + 1);
         let mut client_link_ids = Vec::with_capacity(num_links);
         let mut client_link_costs = Vec::with_capacity(num_links);
-        let mut cheapest = Vec::with_capacity(n);
         client_offsets.push(0u32);
         for links in &self.client_links {
-            let row_start = client_link_ids.len();
             for &(i, c) in links {
                 client_link_ids.push(i.raw());
                 client_link_costs.push(c.value());
             }
             client_offsets.push(client_link_ids.len() as u32);
-            let (k, c) = kernels::min_argmin(&client_link_costs[row_start..])
-                .expect("unreachable clients were rejected above");
-            cheapest
-                .push((FacilityId::new(client_link_ids[row_start + k]), Cost::from_validated(c)));
         }
 
         let (facility_offsets, facility_link_ids, facility_link_costs) =
             build_facility_lanes(m, &client_offsets, &client_link_ids, &client_link_costs);
-        let max_degree = max_degree_of(&client_offsets, &facility_offsets);
 
         Ok(Instance {
             opening: self.opening,
@@ -469,8 +463,6 @@ impl InstanceBuilder {
             facility_offsets,
             facility_link_ids,
             facility_link_costs,
-            cheapest,
-            max_degree,
         })
     }
 }
@@ -514,16 +506,6 @@ fn build_facility_lanes(
             .all(|w| w[0] < w[1])
     }));
     (facility_offsets, facility_link_ids, facility_link_costs)
-}
-
-/// Maximum row degree over both offset tables — an offsets-only pass, no
-/// link-lane traversal.
-fn max_degree_of(client_offsets: &[u32], facility_offsets: &[u32]) -> u32 {
-    let client_deg =
-        client_offsets.windows(2).map(|w| w[1] - w[0]).max().expect("instances have clients");
-    let facility_deg =
-        facility_offsets.windows(2).map(|w| w[1] - w[0]).max().expect("instances have facilities");
-    client_deg.max(facility_deg)
 }
 
 #[cfg(test)]
@@ -683,7 +665,7 @@ mod tests {
             let links = inst.client_links(j);
             assert_eq!(links.ids.len(), links.costs.len());
             assert!(links.ids.windows(2).all(|w| w[0] < w[1]));
-            // The precomputed cheapest link matches a fresh typed scan.
+            // The lane-scan cheapest link matches a typed lexicographic scan.
             let scan = links
                 .iter()
                 .map(|(i, c)| (FacilityId::new(i), Cost::from_validated(c)))
@@ -700,11 +682,11 @@ mod tests {
 
     #[test]
     fn builder_and_from_dense_agree_on_precomputed_fields() {
-        // Satellite regression: the same dense instance built through the
-        // incremental builder and through `from_dense` must agree on the
-        // whole CSR — in particular the build-time-precomputed
-        // `cheapest_link` (including its lowest-facility-id tie-break; both
-        // clients tie two facilities at the minimum) and `max_degree`.
+        // The same dense instance built through the incremental builder
+        // and through `from_dense` must agree on the whole CSR, and so on
+        // the values derived from it: `cheapest_link` (including its
+        // lowest-facility-id tie-break; both clients tie two facilities at
+        // the minimum) and `max_degree`.
         let opening = vec![cost(5.0), cost(6.0), cost(7.0)];
         let rows =
             vec![vec![cost(2.0), cost(1.0), cost(1.0)], vec![cost(3.0), cost(3.0), cost(4.0)]];

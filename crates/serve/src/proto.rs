@@ -494,7 +494,10 @@ fn parse_delta(
                     pair[0].as_u64().filter(|&x| x <= u64::from(u32::MAX)).ok_or_else(|| {
                         fail(
                             ErrorKind::MalformedRequest,
-                            format!("delta.add[{index}]: facility index is not an integer"),
+                            format!(
+                                "delta.add[{index}]: facility index is not a non-negative \
+                                 integer below 2^32"
+                            ),
                         )
                     })?;
                 let c = pair[1].as_f64().ok_or_else(|| {
@@ -542,9 +545,9 @@ fn build_inline(value: &Json) -> Result<Instance, String> {
         }
         let client = builder.add_client();
         for pair in pairs.chunks(2) {
-            let facility = pair[0]
-                .as_u64()
-                .ok_or_else(|| format!("links[{j}]: facility index is not an integer"))?;
+            let facility = pair[0].as_u64().ok_or_else(|| {
+                format!("links[{j}]: facility index is not a non-negative integer")
+            })?;
             let facility = usize::try_from(facility).expect("u64 fits usize on 64-bit");
             if facility >= fids.len() {
                 return Err(format!(
@@ -804,6 +807,15 @@ mod tests {
             .unwrap_err();
         assert!(err.detail.contains("pairs"), "{}", err.detail);
 
+        for bad in ["-1", "4294967296", "0.5"] {
+            let line = format!(
+                r#"{{"cmd":"mutate","id":"m5","session":"s","delta":{{"add":[[{bad},1.0]]}}}}"#
+            );
+            let err = parse_line(&line).unwrap_err();
+            assert_eq!(err.kind, ErrorKind::MalformedRequest);
+            assert!(err.detail.contains("non-negative integer below 2^32"), "{}", err.detail);
+        }
+
         let err = parse_line(r#"{"cmd":"solve","id":"q","session":"s"}"#).unwrap_err();
         assert!(err.detail.contains("solver"), "{}", err.detail);
     }
@@ -825,6 +837,15 @@ mod tests {
         let err = parse_line(line).unwrap_err();
         assert_eq!(err.kind, ErrorKind::InvalidInstance);
         assert!(err.detail.contains("out of range"), "{}", err.detail);
+
+        for bad in ["-1", "0.5"] {
+            let line = format!(
+                r#"{{"id":"r3","solver":"greedy","instance":{{"opening":[1.0],"links":[[{bad},1.0]]}}}}"#
+            );
+            let err = parse_line(&line).unwrap_err();
+            assert_eq!(err.kind, ErrorKind::InvalidInstance);
+            assert!(err.detail.contains("non-negative integer"), "{}", err.detail);
+        }
     }
 
     #[test]

@@ -2,15 +2,18 @@
 //! in batches and fans each batch out over the shared worker pool.
 //!
 //! One scheduler thread per shard. Each blocks on its own queue, takes up
-//! to `max_batch` requests at once, partitions the batch into **units** —
+//! to `max_batch` jobs at once, partitions the batch into **units** —
 //! every stateless solve is its own unit; all requests naming the same
 //! session form one unit, kept in admission order — and executes the
 //! units with [`WorkerPool::map_indexed`], so concurrent requests from
 //! independent connections share one fork/join while a connection's
 //! create → mutate → solve pipeline still runs serially against its
-//! session. The rendered responses are scattered back to admission order
-//! and go to the reactor through the batch sink (which appends them to
-//! per-connection write buffers and wakes the event loop).
+//! session. A job may also carry an answer rendered on arrival (a line
+//! that failed to parse); it is its own unit and passes through as is, so
+//! it keeps its place among its burst's answers. The rendered responses
+//! are scattered back to admission order and go to the reactor through
+//! the batch sink (which appends them to per-connection write buffers and
+//! wakes the event loop).
 //!
 //! Batch membership, shard assignment, and reactor timing never leak into
 //! response bytes: [`execute`] is a pure function of the request and (for
@@ -18,7 +21,7 @@
 //! responses byte-deterministic regardless of batching, worker count, and
 //! shard count. Same-session requests arriving on *different*
 //! connections have no defined relative order (last-write-wins on the
-//! slab), exactly like two clients mutating one resource over any
+//! session), exactly like two clients mutating one resource over any
 //! protocol.
 
 use std::sync::Arc;
@@ -32,11 +35,21 @@ use crate::proto::{
 use crate::queue::Admission;
 use crate::session::{SessionCache, SessionState};
 
-/// One admitted request together with the way back to its client.
+/// What one admitted line asks of its shard.
+#[derive(Debug)]
+pub enum Work {
+    /// A parsed request, executed on a worker.
+    Request(Request),
+    /// A response line already rendered on arrival (the line's parse
+    /// error), handed back unchanged in admission order.
+    Answer(String),
+}
+
+/// One admitted line's work together with the way back to its client.
 #[derive(Debug)]
 pub struct Job {
-    /// The parsed request.
-    pub request: Request,
+    /// The request to execute, or the answer to pass through.
+    pub work: Work,
     /// Token of the connection that sent it (opaque to the scheduler;
     /// the reactor resolves it back to a live connection, if any).
     pub conn: u64,
@@ -54,15 +67,19 @@ struct Metrics {
     queue_depth: distfl_obs::Gauge,
 }
 
-/// Splits a batch into execution units: stateless solves are singleton
-/// units; same-session requests collapse into one unit in admission
-/// order. Unit order follows each unit's first member, so the partition
-/// is a pure function of the batch.
+/// Splits a batch into execution units: stateless solves and passed-through
+/// answers are singleton units; same-session requests collapse into one
+/// unit in admission order. Unit order follows each unit's first member, so
+/// the partition is a pure function of the batch.
 fn partition(batch: &[Job]) -> Vec<Vec<usize>> {
     let mut units: Vec<Vec<usize>> = Vec::with_capacity(batch.len());
     let mut session_unit: Vec<(String, usize)> = Vec::new();
     for (index, job) in batch.iter().enumerate() {
-        match job.request.action.session() {
+        let session = match &job.work {
+            Work::Request(request) => request.action.session(),
+            Work::Answer(_) => None,
+        };
+        match session {
             None => units.push(vec![index]),
             Some(name) => match session_unit.iter().find(|(n, _)| n == name) {
                 Some(&(_, unit)) => units[unit].push(index),
@@ -112,7 +129,10 @@ pub fn run_shard(
         let unit_responses = pool.map_indexed(units.len(), |u| {
             units[u]
                 .iter()
-                .map(|&index| execute(&batch[index].request, sessions))
+                .map(|&index| match &batch[index].work {
+                    Work::Request(request) => execute(request, sessions),
+                    Work::Answer(line) => line.clone(),
+                })
                 .collect::<Vec<String>>()
         });
         // Scatter unit results back to admission order.
@@ -336,7 +356,9 @@ mod tests {
             let sessions = cache();
             let queue = Admission::new(8);
             for _ in 0..3 {
-                assert!(queue.push_group(vec![Job { request: req.clone(), conn: 1 }]).is_empty());
+                assert!(queue
+                    .push_group(vec![Job { work: Work::Request(req.clone()), conn: 1 }])
+                    .is_empty());
             }
             queue.close();
             let (collected, sink) = collecting_sink();
@@ -367,7 +389,9 @@ mod tests {
             let line = format!(
                 r#"{{"id":"n{i}","solver":"greedy","instance":{{"opening":[1.0],"links":[[0,1.0]]}}}}"#
             );
-            assert!(queue.push_group(vec![Job { request: request(&line), conn: i }]).is_empty());
+            assert!(queue
+                .push_group(vec![Job { work: Work::Request(request(&line)), conn: i }])
+                .is_empty());
         }
         queue.close();
         let (collected, sink) = collecting_sink();
@@ -394,7 +418,7 @@ mod tests {
         ]
         .iter()
         .enumerate()
-        .map(|(i, line)| Job { request: request(line), conn: i as u64 })
+        .map(|(i, line)| Job { work: Work::Request(request(line)), conn: i as u64 })
         .collect();
         let units = partition(&jobs);
         assert_eq!(units, vec![vec![0], vec![1, 3, 5], vec![2], vec![4]]);

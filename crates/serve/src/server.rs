@@ -7,7 +7,11 @@
 //! [`crate::frame::LineFramer`]; every complete NDJSON line is parsed in
 //! place and the whole burst is admitted to its connection's **shard
 //! queue as one group** ([`Admission::push_group`]) — pipelined requests
-//! never wait one scheduler tick each. Connections map to one of N shard
+//! never wait one scheduler tick each. A line that fails to parse joins
+//! the group as its rendered error, so a burst's answers come back in line
+//! order; only control acks (`ping`, `shutdown`) and admission refusals
+//! (`queue_full`, `shutting_down`) are written on arrival and may overtake
+//! answers still queued. Connections map to one of N shard
 //! queues by a hash of their socket id, so admission contention is spread
 //! across shards instead of a single global queue. Each shard's
 //! scheduler thread pops batches and fans them out on the shared worker
@@ -42,7 +46,7 @@ use crate::frame::{Framed, LineFramer};
 use crate::proto::{self, Command, ErrorKind, Parsed, ServeError};
 use crate::queue::{Admission, AdmitError};
 use crate::reactor::{self, Event, Interest, Poller, ReactorKind, Waker, WAKE_TOKEN};
-use crate::scheduler::{self, Job};
+use crate::scheduler::{self, Job, Work};
 use crate::session::SessionCache;
 
 /// Instrumentation hook invoked with each batch's size after it is
@@ -665,8 +669,10 @@ impl Reactor {
         self.apply_lines(index, outs);
     }
 
-    /// Applies staged line outcomes: immediate replies for commands and
-    /// errors, grouped shard admission for solve requests.
+    /// Applies staged line outcomes: immediate replies for commands,
+    /// grouped shard admission for requests and for parse errors, which
+    /// join the group as rendered answers so they keep their place among
+    /// the burst's answers.
     fn apply_lines(&mut self, index: usize, outs: Vec<LineOut>) {
         let mut group: Vec<Job> = Vec::new();
         let token = self.slots[index].as_ref().expect("live conn").token;
@@ -674,7 +680,7 @@ impl Reactor {
             self.metrics.requests.incr();
             match out {
                 LineOut::Parsed(Parsed::Request(request)) => {
-                    group.push(Job { request: *request, conn: token });
+                    group.push(Job { work: Work::Request(*request), conn: token });
                 }
                 LineOut::Parsed(Parsed::Command(cmd)) => {
                     // Requests sent ahead of a shutdown command on the same
@@ -689,7 +695,8 @@ impl Reactor {
                     }
                 }
                 LineOut::Error(error, span) => {
-                    self.append_response(index, &proto::render_error(&error, span));
+                    let answer = proto::render_error(&error, span);
+                    group.push(Job { work: Work::Answer(answer), conn: token });
                 }
             }
             if self.slots[index].is_none() {
@@ -700,7 +707,8 @@ impl Reactor {
     }
 
     /// Admits a pipelined group to the connection's shard queue under one
-    /// lock; refused requests get their typed error immediately.
+    /// lock; refused requests get their typed error immediately, and a
+    /// refused answer is written as is.
     fn admit_group(&mut self, index: usize, group: &mut Vec<Job>) {
         if group.is_empty() {
             return;
@@ -720,6 +728,13 @@ impl Reactor {
             conn.inflight += admitted;
         }
         for (job, reason) in rejected {
+            let request = match job.work {
+                Work::Request(request) => request,
+                Work::Answer(answer) => {
+                    self.append_response(index, &answer);
+                    continue;
+                }
+            };
             let (kind, detail) = match reason {
                 AdmitError::Full => (
                     ErrorKind::QueueFull,
@@ -730,8 +745,8 @@ impl Reactor {
                     "server is draining and admits no new work".to_owned(),
                 ),
             };
-            let error = ServeError { kind, detail, id: Some(job.request.id) };
-            self.append_response(index, &proto::render_error(&error, job.request.span_id));
+            let error = ServeError { kind, detail, id: Some(request.id) };
+            self.append_response(index, &proto::render_error(&error, request.span_id));
         }
     }
 

@@ -8,18 +8,18 @@
 //! bit-identical to a cold solve of the same instance — so pinning is
 //! purely a performance choice, never a semantic one.
 //!
-//! The cache is a slab guarded by one mutex: the slab lock covers only
-//! name → slot resolution (cheap), while each slot holds its state behind
-//! its own `Arc<Mutex<_>>` so a long solve on one session never blocks
-//! lookups or work on another. Capacity is LRU-bounded: creating a new
-//! session at capacity evicts the least-recently-touched one (clients
-//! observe that as `unknown_session` on their next verb — the same
-//! response an explicit `drop` would produce). On shutdown the server
+//! The cache is one name → session map guarded by one mutex: the map lock
+//! covers only name resolution (cheap), while each session holds its
+//! state behind its own `Arc<Mutex<_>>` so a long solve on one session
+//! never blocks lookups or work on another. Capacity is LRU-bounded:
+//! creating a new session at capacity evicts the least-recently-touched
+//! one (clients observe that as `unknown_session` on their next verb — the
+//! same response an explicit `drop` would produce). On shutdown the server
 //! drains every admitted request first, then [`SessionCache::clear`]s the
-//! slab, so no in-flight session job ever observes a vanishing session.
+//! map, so no in-flight session job ever observes a vanishing session.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use distfl_core::warm::WarmCache;
 use distfl_instance::Instance;
@@ -37,10 +37,10 @@ pub struct SessionState {
 }
 
 impl SessionState {
-    /// Pins `instance` with freshly built warm structures at epoch 0.
+    /// Pins `instance` at epoch 0 with an empty warm cache, whose solver
+    /// families build their lanes on their first solve.
     pub fn new(instance: Instance) -> Self {
-        let warm = WarmCache::new(&instance);
-        SessionState { instance, warm, epoch: 0 }
+        SessionState { instance, warm: WarmCache::new(), epoch: 0 }
     }
 }
 
@@ -50,73 +50,50 @@ impl SessionState {
 pub type SessionHandle = Arc<Mutex<SessionState>>;
 
 struct Slot {
-    name: String,
-    /// Logical LRU timestamp (slab clock tick of the last touch).
+    /// Logical LRU timestamp (clock tick of the last touch).
     last_used: u64,
     state: SessionHandle,
 }
 
-/// Slab storage: stable indices, freelist reuse, name index.
-struct Slab {
-    entries: Vec<Option<Slot>>,
-    by_name: HashMap<String, usize>,
-    free: Vec<usize>,
+struct Sessions {
+    by_name: HashMap<String, Slot>,
     clock: u64,
-    capacity: usize,
 }
 
-impl Slab {
+impl Sessions {
     fn tick(&mut self) -> u64 {
         self.clock += 1;
         self.clock
     }
-
-    /// Index of the least-recently-used live slot, if any.
-    fn lru(&self) -> Option<usize> {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter_map(|(index, slot)| slot.as_ref().map(|s| (index, s.last_used)))
-            .min_by_key(|&(_, used)| used)
-            .map(|(index, _)| index)
-    }
-
-    fn remove(&mut self, index: usize) {
-        if let Some(slot) = self.entries[index].take() {
-            self.by_name.remove(&slot.name);
-            self.free.push(index);
-        }
-    }
 }
 
-/// The LRU-bounded slab of pinned sessions, shared by every shard.
+/// The LRU-bounded map of pinned sessions, shared by every shard.
 pub struct SessionCache {
-    slab: Mutex<Slab>,
+    sessions: Mutex<Sessions>,
+    capacity: usize,
 }
 
 impl SessionCache {
     /// An empty cache holding at most `capacity` sessions (minimum 1).
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
         SessionCache {
-            slab: Mutex::new(Slab {
-                entries: Vec::new(),
-                by_name: HashMap::new(),
-                free: Vec::new(),
-                clock: 0,
-                capacity,
-            }),
+            sessions: Mutex::new(Sessions { by_name: HashMap::new(), clock: 0 }),
+            capacity: capacity.max(1),
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Sessions> {
+        self.sessions.lock().expect("a thread panicked while holding the session map")
     }
 
     /// The configured session limit.
     pub fn capacity(&self) -> usize {
-        self.slab.lock().unwrap().capacity
+        self.capacity
     }
 
     /// How many sessions are currently pinned.
     pub fn len(&self) -> usize {
-        self.slab.lock().unwrap().by_name.len()
+        self.lock().by_name.len()
     }
 
     /// Whether no session is pinned.
@@ -130,73 +107,48 @@ impl SessionCache {
     /// least-recently-touched session first.
     pub fn create(&self, name: &str, instance: Instance) -> (SessionHandle, bool) {
         let state: SessionHandle = Arc::new(Mutex::new(SessionState::new(instance)));
-        let mut slab = self.slab.lock().unwrap();
-        let now = slab.tick();
-        if let Some(&index) = slab.by_name.get(name) {
-            let slot = slab.entries[index].as_mut().expect("indexed slot is live");
-            slot.last_used = now;
-            slot.state = Arc::clone(&state);
+        let mut sessions = self.lock();
+        let slot = Slot { last_used: sessions.tick(), state: Arc::clone(&state) };
+        if let Some(existing) = sessions.by_name.get_mut(name) {
+            *existing = slot;
             return (state, true);
         }
-        if slab.by_name.len() >= slab.capacity {
-            if let Some(victim) = slab.lru() {
-                slab.remove(victim);
-            }
+        if sessions.by_name.len() >= self.capacity {
+            // Ticks are unique, so this drops exactly the LRU session.
+            let oldest = sessions.by_name.values().map(|s| s.last_used).min();
+            sessions.by_name.retain(|_, s| Some(s.last_used) != oldest);
         }
-        let slot = Slot { name: name.to_owned(), last_used: now, state: Arc::clone(&state) };
-        let index = match slab.free.pop() {
-            Some(index) => {
-                slab.entries[index] = Some(slot);
-                index
-            }
-            None => {
-                slab.entries.push(Some(slot));
-                slab.entries.len() - 1
-            }
-        };
-        slab.by_name.insert(name.to_owned(), index);
+        sessions.by_name.insert(name.to_owned(), slot);
         (state, false)
     }
 
     /// Resolves `name` to its session handle, bumping its LRU position.
     pub fn get(&self, name: &str) -> Option<SessionHandle> {
-        let mut slab = self.slab.lock().unwrap();
-        let now = slab.tick();
-        let index = *slab.by_name.get(name)?;
-        let slot = slab.entries[index].as_mut().expect("indexed slot is live");
+        let mut sessions = self.lock();
+        let now = sessions.tick();
+        let slot = sessions.by_name.get_mut(name)?;
         slot.last_used = now;
         Some(Arc::clone(&slot.state))
     }
 
     /// Releases the session under `name`; returns whether it existed.
     pub fn drop_session(&self, name: &str) -> bool {
-        let mut slab = self.slab.lock().unwrap();
-        match slab.by_name.get(name).copied() {
-            Some(index) => {
-                slab.remove(index);
-                true
-            }
-            None => false,
-        }
+        self.lock().by_name.remove(name).is_some()
     }
 
     /// Releases every session — the shutdown drain's final step, called
     /// after all scheduler threads have joined so no in-flight job holds
     /// a handle.
     pub fn clear(&self) {
-        let mut slab = self.slab.lock().unwrap();
-        slab.entries.clear();
-        slab.by_name.clear();
-        slab.free.clear();
+        self.lock().by_name.clear();
     }
 }
 
 impl std::fmt::Debug for SessionCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let slab = self.slab.lock().unwrap();
         f.debug_struct("SessionCache")
-            .field("len", &slab.by_name.len())
-            .field("capacity", &slab.capacity)
+            .field("len", &self.len())
+            .field("capacity", &self.capacity)
             .finish()
     }
 }
@@ -248,17 +200,6 @@ mod tests {
         assert!(cache.get("a").is_some());
         assert!(cache.get("b").is_none(), "LRU session evicted");
         assert!(cache.get("c").is_some());
-    }
-
-    #[test]
-    fn freelist_reuses_slots() {
-        let cache = SessionCache::new(8);
-        for round in 0..3 {
-            cache.create("x", instance(round));
-            assert!(cache.drop_session("x"));
-        }
-        let slab = cache.slab.lock().unwrap();
-        assert!(slab.entries.len() <= 1, "dropped slots are reused, not appended");
     }
 
     #[test]

@@ -571,6 +571,33 @@ fn pipelined_requests_in_one_write_are_answered_in_order() {
 }
 
 #[test]
+fn a_malformed_line_keeps_its_place_among_a_pipelined_bursts_answers() {
+    // A parse error is answered in line order like any request, so a
+    // `"id":null` error can be placed by its position.
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut client = Client::connect(&server);
+    client.reader.get_ref().set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let lines = [
+        r#"{"cmd":"create","id":"c","session":"s","instance":{"opening":[4.0,3.0],"links":[[0,1.0,1,2.0],[1,0.5]]}}"#,
+        r#"{"id":"bad","solver":"greedy"}"#,
+        r#"{"cmd":"solve","id":"q","session":"s","solver":"greedy"}"#,
+        "not json",
+        GREEDY_INLINE,
+    ];
+    client.writer.write_all(format!("{}\n", lines.join("\n")).as_bytes()).unwrap();
+    let ids: Vec<Option<String>> = lines
+        .iter()
+        .map(|_| {
+            let response = distfl_obs::Json::parse(&client.recv()).unwrap();
+            response.get("id").and_then(distfl_obs::Json::as_str).map(str::to_owned)
+        })
+        .collect();
+    let expected = [Some("c"), Some("bad"), Some("q"), None, Some("g1")];
+    assert_eq!(ids, expected.map(|id| id.map(str::to_owned)), "answers out of line order");
+    server.shutdown();
+}
+
+#[test]
 fn slow_reader_is_shed_with_a_typed_error_and_others_keep_working() {
     let config = ServeConfig {
         queue_capacity: 1024,

@@ -62,8 +62,49 @@ fn build(recipe: &Recipe) -> Instance {
     }
 }
 
+/// An instance from any of the nine generator families, kept to at most 8
+/// facilities and 30 clients so the exact optimum stays cheap.
+fn generated_instance() -> impl Strategy<Value = Instance> {
+    use distfl::instance::generators::{
+        AdversarialGreedy, CdnTrace, Clustered, Euclidean, GridNetwork, InstanceGenerator,
+        LineCity, Metricized, PowerLaw, UniformRandom,
+    };
+    (0u8..9, 1usize..=8, 1usize..=30, any::<u64>()).prop_map(|(family, m, n, seed)| {
+        let clusters = m % 3 + 1;
+        match family {
+            0 => UniformRandom::new(m, n).unwrap().generate(seed),
+            1 => Euclidean::new(m, n).unwrap().generate(seed),
+            2 => Clustered::new(clusters, m.max(clusters), n).unwrap().generate(seed),
+            3 => GridNetwork::new(3, 3, m, n).unwrap().generate(seed),
+            4 => PowerLaw::new(m, n, 1e3).unwrap().generate(seed),
+            // `k` decoys plus the hub: `k + 1` facilities, `k` clients.
+            5 => AdversarialGreedy::new(m.clamp(1, 7)).unwrap().generate(seed),
+            6 => CdnTrace::new(m, n).unwrap().generate(seed),
+            7 => LineCity::new(m, n).unwrap().generate(seed),
+            _ => Metricized::new(UniformRandom::new(m, n).unwrap()).generate(seed),
+        }
+        .unwrap()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn paydual_stays_within_its_approximation_bound(
+        inst in generated_instance(),
+        phases in 1u32..=16,
+        seed in any::<u64>(),
+    ) {
+        let opt = exact::solve(&inst).unwrap().cost.value();
+        let out = PayDual::new(PayDualParams::with_phases(phases)).run(&inst, seed).unwrap();
+        let cost = out.solution.cost(&inst).value();
+        let bound = theory::paydual_bound(&inst, phases);
+        prop_assert!(
+            cost <= bound * opt,
+            "PayDual cost {} above bound {} x OPT {}", cost, bound, opt
+        );
+    }
 
     #[test]
     fn paydual_is_feasible_and_respects_its_round_formula(
