@@ -12,7 +12,8 @@
 //!
 //! `--smoke` skips the timing and records no document: it only runs the
 //! bitwise-equivalence checks on awkward lane shapes (empty, 1..=9, chunk
-//! boundaries) and fails on any mismatch — the cheap CI gate.
+//! boundaries, pricing blocks with 1..=8 live columns) and fails on any
+//! mismatch — the cheap CI gate.
 
 use distfl_core::{greedy, jv, localsearch};
 use distfl_instance::generators::{InstanceGenerator, UniformRandom};
@@ -131,9 +132,10 @@ fn bench_kernels(l: &Lanes, reps: usize) -> Vec<KernelTiming> {
         ),
     });
 
-    // assign_sum_swap over n-length cache lanes (the local-search swap
-    // pricing). best/second from the instance's two cheapest links; the
-    // add column scatters one facility row over +inf.
+    // assign_sum_swap over n-length cache lanes and one n x 8 block (the
+    // local-search pricing pass for eight closed facilities). best/second
+    // from each client's two cheapest links; the block holds the link
+    // costs of facilities 0..8, with every fourth client unlinked (+inf).
     let best: Vec<f64> = l.client_rows.iter().map(|r| kernels::min_argmin(r).unwrap().1).collect();
     let second: Vec<f64> = l
         .client_rows
@@ -144,20 +146,28 @@ fn bench_kernels(l: &Lanes, reps: usize) -> Vec<KernelTiming> {
         })
         .collect();
     let fac: Vec<u32> = (0..n as u32).map(|j| j % 100).collect();
-    let add_min: Vec<f64> =
-        (0..n).map(|j| if j % 4 == 0 { f64::INFINITY } else { best[j] * 0.5 }).collect();
+    let block: Vec<f64> = l
+        .client_rows
+        .iter()
+        .enumerate()
+        .flat_map(|(j, r)| {
+            r[..kernels::SWAP_LANES]
+                .iter()
+                .map(move |&c| if j % 4 == 0 { f64::INFINITY } else { c })
+        })
+        .collect();
     assert_eq!(
-        kernels::assign_sum_swap(&best, &fac, &second, 7, &add_min).to_bits(),
-        kernels::assign_sum_swap_reference(&best, &fac, &second, 7, &add_min).to_bits()
+        kernels::assign_sum_swap(&best, &fac, &second, 7, &block).map(f64::to_bits),
+        kernels::assign_sum_swap_reference(&best, &fac, &second, 7, &block).map(f64::to_bits)
     );
     out.push(KernelTiming {
         name: "assign_sum_swap",
         fast_ns: per_call(
-            best_ms(reps, || kernels::assign_sum_swap(&best, &fac, &second, 7, &add_min)),
+            best_ms(reps, || kernels::assign_sum_swap(&best, &fac, &second, 7, &block)),
             1,
         ),
         reference_ns: per_call(
-            best_ms(reps, || kernels::assign_sum_swap_reference(&best, &fac, &second, 7, &add_min)),
+            best_ms(reps, || kernels::assign_sum_swap_reference(&best, &fac, &second, 7, &block)),
             1,
         ),
     });
@@ -167,7 +177,9 @@ fn bench_kernels(l: &Lanes, reps: usize) -> Vec<KernelTiming> {
 
 /// The bitwise-equivalence smoke pass over awkward lane shapes: empty,
 /// every length 1..=9 (chunk remainders), one chunk-boundary length per
-/// chunked width, all-equal ties, subnormal and huge values.
+/// chunked width, all-equal ties, subnormal and huge values, and for
+/// the pricing kernel partial blocks with 1..=7 live columns, `+inf`
+/// columns and a drop id that matches no client.
 fn smoke() -> bool {
     let mut ok = true;
     let mut check = |name: &str, cond: bool| {
@@ -210,18 +222,31 @@ fn smoke() -> bool {
             "retain_unmarked",
             ids_buf[..live] == ref_ids[..] && costs_buf[..live] == ref_costs[..],
         );
+        // A block whose first `live` columns hold link costs (every
+        // third link missing) and whose other columns are +inf, priced
+        // with drops 0..3 and with drop 3, which matches no client.
         let fac: Vec<u32> = (0..lane.len() as u32).map(|k| k % 3).collect();
         let second: Vec<f64> = lane.iter().map(|c| c + 1.0).collect();
-        let add_min: Vec<f64> = lane
-            .iter()
-            .enumerate()
-            .map(|(k, &c)| if k % 2 == 0 { f64::INFINITY } else { c })
-            .collect();
-        check(
-            "assign_sum_swap",
-            kernels::assign_sum_swap(lane, &fac, &second, 1, &add_min).to_bits()
-                == kernels::assign_sum_swap_reference(lane, &fac, &second, 1, &add_min).to_bits(),
-        );
+        for live in 1..=kernels::SWAP_LANES {
+            let block: Vec<f64> = (0..lane.len() * kernels::SWAP_LANES)
+                .map(|k| {
+                    let (j, l) = (k / kernels::SWAP_LANES, k % kernels::SWAP_LANES);
+                    if l >= live || (j + l) % 3 == 0 {
+                        f64::INFINITY
+                    } else {
+                        lane[(j + l) % lane.len()] * 0.75
+                    }
+                })
+                .collect();
+            for drop in 0..=3u32 {
+                check(
+                    "assign_sum_swap",
+                    kernels::assign_sum_swap(lane, &fac, &second, drop, &block).map(f64::to_bits)
+                        == kernels::assign_sum_swap_reference(lane, &fac, &second, drop, &block)
+                            .map(f64::to_bits),
+                );
+            }
+        }
     }
     ok
 }

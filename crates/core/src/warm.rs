@@ -22,10 +22,11 @@
 //!   opening lane. The ascent itself re-runs with reused scratch buffers
 //!   (its per-facility tight lists are rebuilt by every solve).
 //! * **Local search** — no instance-derived precompute to keep; the warm
-//!   entry point reuses one scratch arena (service caches, candidate
-//!   pricing columns) across solves, and starts from the warm greedy run
-//!   exactly as the cold [`crate::SolverKind::LocalSearch`] dispatch
-//!   starts from a cold greedy run.
+//!   entry point reuses one scratch arena (service caches, open and closed
+//!   id lists, the `n × 8` pricing block) across solves, and starts from
+//!   the warm greedy run exactly as the cold
+//!   [`crate::SolverKind::LocalSearch`] dispatch starts from a cold greedy
+//!   run.
 //!
 //! # Catching up with a delta
 //!

@@ -9,11 +9,17 @@
 //! counts, and costs must all compare equal as raw values. Jain–Vazirani
 //! also runs on tie-heavy sparse instances, where many events fall on the
 //! same instant, and its full solve (pruning included) is pinned too.
+//! Local search runs on those as well, where equal-cost candidates must
+//! break ties as the reference does, and on instances with up to 30
+//! facilities, so that several eight-facility pricing blocks and a
+//! partial tail block run; it starts either from the greedy solution or
+//! from every facility open, which makes descents long.
 //!
 //! The chunked scan kernels those hot paths are built on are pinned here
 //! too, directly against their scalar reference twins, over lanes that mix
 //! regular values with the awkward shapes: empty, short (1..=9, so every
-//! chunk remainder path runs), subnormal, huge, and infinite. The scalar
+//! chunk remainder path runs), subnormal, huge, and infinite, and pricing
+//! blocks with 1..=8 live columns. The scalar
 //! `min_argmin` is pinned on all-equal lanes, where its tie-break must
 //! pick the first index.
 
@@ -23,7 +29,7 @@ use rand::{Rng, SeedableRng};
 
 use distfl_core::{greedy, jv, localsearch};
 use distfl_instance::generators::{Clustered, InstanceGenerator, LineCity, UniformRandom};
-use distfl_instance::{kernels, transform, Cost, Instance, InstanceBuilder};
+use distfl_instance::{kernels, transform, Cost, Instance, InstanceBuilder, Solution};
 
 /// One instance from any of the three generator families.
 fn any_instance() -> impl Strategy<Value = Instance> {
@@ -42,33 +48,60 @@ fn any_instance() -> impl Strategy<Value = Instance> {
 /// sparse. Clients become tight and facilities fill up at the same
 /// instants, so the ascent meets many simultaneous events.
 fn tie_heavy_instance() -> impl Strategy<Value = Instance> {
-    (1usize..10, 1usize..30, 0u64..1000).prop_map(|(m, n, seed)| {
-        const LEVELS: [f64; 5] = [0.0, 1.0, 2.0, 2.0, 5.0];
-        let mut rng = StdRng::seed_from_u64(seed);
-        let level = |rng: &mut StdRng| Cost::new(LEVELS[rng.gen_range(0..LEVELS.len())]).unwrap();
-        let mut b = InstanceBuilder::new();
-        // One positive opening cost keeps the instance off the all-zero
-        // rejection.
-        let facilities: Vec<_> = (0..m)
-            .map(|i| b.add_facility(if i == 0 { Cost::new(2.0).unwrap() } else { level(&mut rng) }))
-            .collect();
-        for _ in 0..n {
-            let j = b.add_client();
-            let sparse = rng.gen_bool(0.4);
-            let first = rng.gen_range(0..m);
-            for (k, &i) in facilities.iter().enumerate() {
-                if !sparse || k == first || rng.gen_bool(0.3) {
-                    b.link(j, i, level(&mut rng)).unwrap();
-                }
+    (1usize..10, 1usize..30, 0u64..1000).prop_map(|(m, n, seed)| tie_heavy(m, n, seed))
+}
+
+fn tie_heavy(m: usize, n: usize, seed: u64) -> Instance {
+    const LEVELS: [f64; 5] = [0.0, 1.0, 2.0, 2.0, 5.0];
+    let mut rng = StdRng::seed_from_u64(seed);
+    let level = |rng: &mut StdRng| Cost::new(LEVELS[rng.gen_range(0..LEVELS.len())]).unwrap();
+    let mut b = InstanceBuilder::new();
+    // One positive opening cost keeps the instance off the all-zero
+    // rejection.
+    let facilities: Vec<_> = (0..m)
+        .map(|i| b.add_facility(if i == 0 { Cost::new(2.0).unwrap() } else { level(&mut rng) }))
+        .collect();
+    for _ in 0..n {
+        let j = b.add_client();
+        let sparse = rng.gen_bool(0.4);
+        let first = rng.gen_range(0..m);
+        for (k, &i) in facilities.iter().enumerate() {
+            if !sparse || k == first || rng.gen_bool(0.3) {
+                b.link(j, i, level(&mut rng)).unwrap();
             }
         }
-        b.build().unwrap()
-    })
+    }
+    b.build().unwrap()
 }
 
 /// The Jain–Vazirani inputs: every generator family plus the tie-heavy one.
 fn jv_instance() -> impl Strategy<Value = Instance> {
     prop_oneof![any_instance(), tie_heavy_instance()]
+}
+
+/// Tie-heavy instances with up to 30 facilities, so that local search
+/// prices two or more blocks of closed facilities and a partial tail,
+/// and equal-cost candidates from different blocks must still break
+/// ties in the reference's order.
+fn wide_instance() -> impl Strategy<Value = Instance> {
+    (9usize..31, 1usize..30, 0u64..1000).prop_map(|(m, n, seed)| tie_heavy(m, n, seed))
+}
+
+/// The local-search inputs: every generator family, the tie-heavy one,
+/// and the wide one.
+fn ls_instance() -> impl Strategy<Value = Instance> {
+    prop_oneof![any_instance(), tie_heavy_instance(), wide_instance()]
+}
+
+/// A feasible local-search start: the greedy solution, or every facility
+/// open (each client at its cheapest link), which makes descents long.
+fn ls_start(inst: &Instance, all_open: bool) -> Solution {
+    if all_open {
+        let assignment = inst.clients().map(|j| inst.cheapest_link(j).0).collect();
+        Solution::new(inst, vec![true; inst.num_facilities()], assignment).unwrap()
+    } else {
+        greedy::solve(inst).0
+    }
 }
 
 fn bits(xs: &[f64]) -> Vec<u64> {
@@ -88,9 +121,11 @@ proptest! {
     }
 
     #[test]
-    fn cached_local_search_matches_reference_bitwise(inst in any_instance()) {
-        // Start from the greedy solution: feasible, and identical for both.
-        let (start, _) = greedy::solve(&inst);
+    fn cached_local_search_matches_reference_bitwise(
+        inst in ls_instance(),
+        all_open in any::<bool>(),
+    ) {
+        let start = ls_start(&inst, all_open);
         let fast = localsearch::optimize(&inst, &start, 100);
         let slow = localsearch::optimize_reference(&inst, &start, 100);
         prop_assert_eq!(fast, slow);
@@ -98,10 +133,11 @@ proptest! {
 
     #[test]
     fn cached_local_search_matches_reference_under_move_caps(
-        inst in any_instance(),
+        inst in ls_instance(),
+        all_open in any::<bool>(),
         cap in 0u32..5,
     ) {
-        let (start, _) = greedy::solve(&inst);
+        let start = ls_start(&inst, all_open);
         let fast = localsearch::optimize(&inst, &start, cap);
         let slow = localsearch::optimize_reference(&inst, &start, cap);
         prop_assert_eq!(fast, slow);
@@ -167,20 +203,41 @@ fn equal_lane() -> impl Strategy<Value = Vec<f64>> {
 }
 
 /// Parallel best/second/facility lanes as the local-search cache holds
-/// them, plus a drop id that may or may not occur in the facility lane.
-fn cache_lanes() -> impl Strategy<Value = (Vec<f64>, Vec<f64>, Vec<u32>, u32)> {
+/// them, a client-major pricing block with 1..=8 live columns (the rest
+/// `+inf`, as in a partial tail block), and a drop id that may or may not
+/// occur in the facility lane (6 never does: it prices the adds).
+type CacheLanes = (Vec<f64>, Vec<f64>, Vec<u32>, Vec<f64>, u32);
+
+fn cache_lanes() -> impl Strategy<Value = CacheLanes> {
     (
-        prop::collection::vec(((3u8..10, 0.0f64..1e3), (3u8..10, 0.0f64..1e3), 0u32..6), 0..25),
-        0u32..6,
+        prop::collection::vec(
+            (
+                (3u8..10, 0.0f64..1e3),
+                (3u8..10, 0.0f64..1e3),
+                0u32..6,
+                prop::collection::vec((0u8..10, 0.0f64..1e3), kernels::SWAP_LANES),
+            ),
+            0..25,
+        ),
+        1usize..=kernels::SWAP_LANES,
+        0u32..7,
     )
-        .prop_map(|(rows, drop)| {
-            let (mut best, mut second, mut fac) = (Vec::new(), Vec::new(), Vec::new());
-            for ((bs, bv), (ss, sv), f) in rows {
+        .prop_map(|(rows, live, drop)| {
+            let (mut best, mut second, mut fac, mut block) =
+                (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+            for ((bs, bv), (ss, sv), f, links) in rows {
                 best.push(salted(bs, bv));
                 second.push(salted(ss, sv));
                 fac.push(f);
+                block.extend(links.into_iter().enumerate().map(|(l, (sel, v))| {
+                    if l < live {
+                        salted(sel, v)
+                    } else {
+                        f64::INFINITY
+                    }
+                }));
             }
-            (best, second, fac, drop)
+            (best, second, fac, block, drop)
         })
 }
 
@@ -228,17 +285,11 @@ proptest! {
 
     #[test]
     fn kernel_assign_sums_match_reference(lanes in cache_lanes()) {
-        let (best, second, fac, drop) = lanes;
-        // An add column in the shape `optimize` scatters: +inf for
-        // unlinked clients, finite link costs elsewhere.
-        let add_min: Vec<f64> = best
-            .iter()
-            .enumerate()
-            .map(|(k, b)| if k % 3 == 0 { f64::INFINITY } else { b * 0.5 + k as f64 })
-            .collect();
+        let (best, second, fac, block, drop) = lanes;
         prop_assert_eq!(
-            kernels::assign_sum_swap(&best, &fac, &second, drop, &add_min).to_bits(),
-            kernels::assign_sum_swap_reference(&best, &fac, &second, drop, &add_min).to_bits()
+            kernels::assign_sum_swap(&best, &fac, &second, drop, &block).map(f64::to_bits),
+            kernels::assign_sum_swap_reference(&best, &fac, &second, drop, &block)
+                .map(f64::to_bits)
         );
     }
 }

@@ -7,7 +7,9 @@
 //! 4/8-lane slice style that autovectorizes on stable rust — fixed-size
 //! chunk bodies with branchless lane math — and each ships with a
 //! retained naive `*_reference` twin; they stay chunked because each
-//! measures faster than its twin (`bench kernels`). The equivalence is
+//! measures faster than its twin (`bench kernels`). [`assign_sum_swap`]
+//! runs its eight lanes across candidates rather than along the lane: it
+//! prices eight local-search candidates in one pass. The equivalence is
 //! exact, not approximate: for every input the fast kernel returns the
 //! bit-identical value (and the identical tie-breaking index) of its
 //! reference, which is what lets the solvers built on top keep their
@@ -28,7 +30,9 @@
 //! [`fused_ratio_accumulate`]) are **not** reassociated: floating-point
 //! addition is order-sensitive, and the references define the order
 //! (ascending index). The chunking there vectorizes the per-lane selects
-//! and divides while keeping the additive chain sequential.
+//! and divides while keeping each additive chain sequential: one prefix
+//! chain in [`fused_ratio_accumulate`], one chain per candidate in
+//! [`assign_sum_swap`].
 //!
 //! # NaN semantics (outside the contract)
 //!
@@ -40,7 +44,9 @@
 //! before the first NaN (and the chunk lower-bound rejection can never
 //! hide an improvement from a pre-NaN lane). [`min_argmin`] is a plain
 //! strict-`<` scan: a leading NaN is an unbeatable incumbent, and any
-//! later NaN is invisible to it.
+//! later NaN is invisible to it. [`assign_sum_swap`] is pinned to its
+//! twin only inside the contract: its compare-select keeps a NaN `base`
+//! where `f64::min` would take the block entry.
 
 /// First minimum of a cost lane: `(index, value)`, `None` when empty.
 ///
@@ -189,53 +195,61 @@ pub fn retain_unmarked_reference(
     (out_ids, out_costs)
 }
 
-/// Local-search *swap* repricing: the drop fallback composed with the add
-/// min, fused in one pass; sequential sum in ascending client order.
+/// Candidates one [`assign_sum_swap`] pass prices: the width of its
+/// client-major block.
+pub const SWAP_LANES: usize = 8;
+
+/// Local-search pricing of up to [`SWAP_LANES`] candidates in one pass.
+///
+/// `base(j)` is client `j`'s service cost once facility `drop` closes:
+/// `second[j]` where `best_fac[j] == drop`, else `best[j]` (a `drop` that
+/// matches no client prices plain adds). `block` is client-major,
+/// `SWAP_LANES` entries per client: column `l` holds one closed
+/// facility's link costs scattered over `+inf`. Lane `l` of the result is
+/// the sum of `min(base(j), block[j][l])` in ascending client order — the
+/// chain a one-candidate fold sums — with the eight chains interleaved so
+/// the add latency is paid once per client rather than once per
+/// candidate. Under the NaN-free input contract the compare-select equals
+/// `f64::min` bit for bit, and it lowers to a plain vector `min`.
+///
+/// # Panics
+///
+/// Panics if `block` is not `SWAP_LANES` times as long as `best`.
 #[inline]
 pub fn assign_sum_swap(
     best: &[f64],
     best_fac: &[u32],
     second: &[f64],
     drop: u32,
-    add_min: &[f64],
-) -> f64 {
-    let mut acc = 0.0f64;
-    let n = best.len();
-    let mut i = 0usize;
-    while i + 8 <= n {
-        let b: &[f64; 8] = best[i..i + 8].try_into().expect("chunk");
-        let f: &[u32; 8] = best_fac[i..i + 8].try_into().expect("chunk");
-        let s: &[f64; 8] = second[i..i + 8].try_into().expect("chunk");
-        let a: &[f64; 8] = add_min[i..i + 8].try_into().expect("chunk");
-        let mut v = [0.0f64; 8];
-        for l in 0..8 {
-            let base = if f[l] == drop { s[l] } else { b[l] };
-            v[l] = base.min(a[l]);
+    block: &[f64],
+) -> [f64; SWAP_LANES] {
+    assert_eq!(block.len(), best.len() * SWAP_LANES, "one block row per client");
+    let mut acc = [0.0f64; SWAP_LANES];
+    let rows = block.chunks_exact(SWAP_LANES);
+    for (((&b, &f), &s), row) in best.iter().zip(best_fac).zip(second).zip(rows) {
+        let base = if f == drop { s } else { b };
+        let row: &[f64; SWAP_LANES] = row.try_into().expect("chunks_exact");
+        for (acc, &x) in acc.iter_mut().zip(row) {
+            *acc += if x < base { x } else { base };
         }
-        for &x in &v {
-            acc += x;
-        }
-        i += 8;
-    }
-    while i < n {
-        let base = if best_fac[i] == drop { second[i] } else { best[i] };
-        acc += base.min(add_min[i]);
-        i += 1;
     }
     acc
 }
 
-/// Naive twin of [`assign_sum_swap`].
+/// Per-lane scalar twin of [`assign_sum_swap`]: one `f64::min` fold per
+/// column.
 pub fn assign_sum_swap_reference(
     best: &[f64],
     best_fac: &[u32],
     second: &[f64],
     drop: u32,
-    add_min: &[f64],
-) -> f64 {
-    (0..best.len()).fold(0.0f64, |a, i| {
-        let base = if best_fac[i] == drop { second[i] } else { best[i] };
-        a + base.min(add_min[i])
+    block: &[f64],
+) -> [f64; SWAP_LANES] {
+    std::array::from_fn(|l| {
+        (0..best.len()).fold(0.0f64, |acc, j| {
+            let base = if best_fac[j] == drop { second[j] } else { best[j] };
+            acc + base.min(block[j * SWAP_LANES + l])
+        })
     })
 }
 
@@ -326,6 +340,15 @@ mod tests {
         }
     }
 
+    /// A client-major block of `live` candidate columns (the rest stay
+    /// `+inf`, as in a partial tail block); every third link is missing.
+    fn block(len: usize, live: usize, seed: u64) -> Vec<f64> {
+        let costs = lane(len * SWAP_LANES, seed);
+        (0..len * SWAP_LANES)
+            .map(|k| if k % SWAP_LANES >= live || k % 3 == 0 { f64::INFINITY } else { costs[k] })
+            .collect()
+    }
+
     #[test]
     fn assign_sums_match_reference_bitwise() {
         for len in 0..=40 {
@@ -333,17 +356,18 @@ mod tests {
             let second: Vec<f64> =
                 lane(len, 2 + len as u64).iter().zip(&best).map(|(x, b)| b + x).collect();
             let fac: Vec<u32> = (0..len as u32).map(|k| k % 5).collect();
-            let add_min: Vec<f64> = lane(len, 3 + len as u64)
-                .iter()
-                .enumerate()
-                .map(|(k, &x)| if k % 3 == 0 { f64::INFINITY } else { x })
-                .collect();
-            for drop in 0..5u32 {
-                assert_eq!(
-                    assign_sum_swap(&best, &fac, &second, drop, &add_min).to_bits(),
-                    assign_sum_swap_reference(&best, &fac, &second, drop, &add_min).to_bits(),
-                    "len {len} drop {drop}"
-                );
+            for live in 1..=SWAP_LANES {
+                let block = block(len, live, 3 + len as u64);
+                // Drop 5 matches no client: the add pass.
+                for drop in 0..=5u32 {
+                    let fast = assign_sum_swap(&best, &fac, &second, drop, &block);
+                    let slow = assign_sum_swap_reference(&best, &fac, &second, drop, &block);
+                    assert_eq!(
+                        fast.map(f64::to_bits),
+                        slow.map(f64::to_bits),
+                        "len {len} live {live} drop {drop}"
+                    );
+                }
             }
         }
     }
@@ -353,8 +377,9 @@ mod tests {
         let best = vec![f64::INFINITY; 9];
         let fac = vec![0u32; 9];
         let second = vec![f64::INFINITY; 9];
-        let add_min = vec![f64::INFINITY; 9];
-        assert!(assign_sum_swap(&best, &fac, &second, 0, &add_min).is_infinite());
+        let block = vec![f64::INFINITY; 9 * SWAP_LANES];
+        let sums = assign_sum_swap(&best, &fac, &second, 0, &block);
+        assert!(sums.iter().all(|s| s.is_infinite()));
     }
 
     /// NaN-aware model of the [`min_argmin`] scan: a NaN candidate never
