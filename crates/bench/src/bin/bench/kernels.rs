@@ -7,8 +7,9 @@
 //! outputs are bitwise identical, so a speedup reported here is a speedup
 //! on the *same* answer. A second section re-times the three solver fast
 //! paths on the `capb_shaped_100x1000` instance and reports the speedup
-//! against the committed BENCH_2.json row — the before/after evidence for
-//! the SoA + kernel rework.
+//! against the pre-SoA fast paths as BENCH_2.json first recorded them
+//! (pinned in `PRE_SOA_FAST_MS`) — the before/after evidence for the SoA
+//! and kernel rework.
 //!
 //! `--smoke` skips the timing and records no document: it only runs the
 //! bitwise-equivalence checks on awkward lane shapes (empty, 1..=9, chunk
@@ -18,10 +19,10 @@
 use distfl_core::{greedy, jv, localsearch};
 use distfl_instance::generators::{InstanceGenerator, UniformRandom};
 use distfl_instance::{kernels, Instance};
-use distfl_obs::{Json, JsonWriter};
+use distfl_obs::JsonWriter;
 
 use crate::solvers::LS_MOVES;
-use crate::{best_ms, snapshot, Mode, Report};
+use crate::{best_ms, Mode, Report};
 
 /// One kernel comparison: nanoseconds per call over `lanes`-many rows.
 struct KernelTiming {
@@ -251,6 +252,12 @@ fn smoke() -> bool {
     ok
 }
 
+/// The solver fast paths on `capb_shaped_100x1000` before the SoA lanes,
+/// in ms, as BENCH_2.json first recorded them. Pinned here because later
+/// recordings of BENCH_2.json time the current fast paths.
+const PRE_SOA_FAST_MS: [(&str, f64); 3] =
+    [("greedy", 9.329), ("local_search", 25.999), ("jv_dual_ascent", 41.273)];
+
 pub(crate) fn run(mode: Mode) -> Report {
     if mode == Mode::Smoke {
         let passed = smoke();
@@ -260,16 +267,7 @@ pub(crate) fn run(mode: Mode) -> Report {
         return Report { document: None, passed };
     }
 
-    // The solver rows compare against the committed BENCH_2.json row of
-    // the same instance (the pre-SoA fast paths).
     const INSTANCE: &str = "capb_shaped_100x1000";
-    let bench2 = snapshot("BENCH_2.json");
-    let bench2_row = bench2.as_ref().and_then(|s| {
-        let rows = s.get("results")?.as_array()?;
-        rows.iter().find(|r| r.get("instance").and_then(Json::as_str) == Some(INSTANCE))
-    });
-    let bench2_fast_ms =
-        |solver: &str| -> Option<f64> { bench2_row?.get(solver)?.get("fast_ms")?.as_f64() };
 
     // The capb OR-Library shape: the largest row of the BENCH_2 baseline.
     let inst = UniformRandom::new(100, 1000).unwrap().generate(5).unwrap();
@@ -280,8 +278,8 @@ pub(crate) fn run(mode: Mode) -> Report {
     w.key("bench").string("soa_kernels");
     w.key("instance").string(INSTANCE);
     w.key("baseline").string(
-        "scalar reference twins (kernels) and the committed BENCH_2.json fast paths (solvers, \
-         pre-SoA AoS layout)",
+        "scalar reference twins (kernels) and the fast paths of the first BENCH_2.json \
+         recording (solvers, pre-SoA AoS layout)",
     );
     w.key("kernels").begin_array();
     for k in &bench_kernels(&l, reps) {
@@ -308,20 +306,14 @@ pub(crate) fn run(mode: Mode) -> Report {
         ("jv_dual_ascent", best_ms(reps, || jv::dual_ascent(&inst))),
     ];
     w.key("solvers").begin_array();
-    for (name, ms) in solver_rows {
-        let before = bench2_fast_ms(name);
-        let vs = before.map(|b| b / ms);
-        eprintln!(
-            "{name:<24} now {ms:>8.3} ms  BENCH_2 {}  {}",
-            before.map_or("n/a".into(), |b| format!("{b:>8.3} ms")),
-            vs.map_or("n/a".into(), |v| format!("{v:>6.2}x")),
-        );
+    for ((name, ms), (_, before)) in solver_rows.into_iter().zip(PRE_SOA_FAST_MS) {
+        let vs = before / ms;
+        eprintln!("{name:<24} now {ms:>8.3} ms  pre-SoA {before:>8.3} ms  {vs:>6.2}x");
         w.begin_object();
         w.key("solver").string(name);
         w.key("fast_ms").number(ms);
-        // `number` renders a missing baseline (NaN) as null.
-        w.key("bench2_fast_ms").number(before.unwrap_or(f64::NAN));
-        w.key("speedup_vs_bench2").number(vs.unwrap_or(f64::NAN));
+        w.key("bench2_fast_ms").number(before);
+        w.key("speedup_vs_bench2").number(vs);
         w.end_object();
     }
     w.end_array();

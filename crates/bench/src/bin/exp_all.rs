@@ -1,7 +1,8 @@
 //! Runs every experiment E1-E10 and writes all CSVs and figures; the data
 //! source for EXPERIMENTS.md. Pass `--quick` for a reduced sweep, and
 //! `--only eN` (`e1` … `e10`) to run just that experiment. An unknown id
-//! exits with status 2 and lists the valid ids.
+//! exits with status 2 and lists the valid ids; so does any argument
+//! `exp_all` does not know, with the usage.
 //!
 //! Sweeps fan out on the shared worker pool; output is byte-identical at
 //! any thread count. Concurrency flags:
@@ -23,38 +24,65 @@
 //! Tracing never changes experiment output: CSVs are byte-identical with
 //! tracing on or off.
 
+use distfl_bench::experiments::{self, Experiment};
+
+/// A parsed command line.
+#[derive(Default)]
+struct Args {
+    quick: bool,
+    /// The experiments `--only` selected; all of them when `None`.
+    only: Option<Vec<Experiment>>,
+    serial: bool,
+    /// `--threads N`: threads in total.
+    threads: Option<usize>,
+    trace: Option<std::path::PathBuf>,
+}
+
+const USAGE: &str = "usage: exp_all [--quick] [--only eN] [--serial | --threads N] [--trace PATH]";
+
+/// Parses `exp_all`'s arguments (without the program name). Any argument
+/// it does not know is an error, so a typo cannot start the full suite.
+fn parse(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args::default();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => parsed.quick = true,
+            "--serial" => parsed.serial = true,
+            "--threads" => {
+                let n = args.next().and_then(|v| v.parse().ok());
+                parsed.threads = Some(n.ok_or("--threads needs a positive integer")?);
+            }
+            "--trace" => {
+                let path = args.next().filter(|v| !v.starts_with("--"));
+                parsed.trace = Some(path.ok_or("--trace needs an output path")?.into());
+            }
+            "--only" => {
+                let id = args.next().map_or("", String::as_str);
+                parsed.only = Some(experiments::select(id).map_err(|e| format!("--only: {e}"))?);
+            }
+            _ => return Err(format!("unknown argument '{arg}'")),
+        }
+    }
+    Ok(parsed)
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let only = args.iter().position(|a| a == "--only").map(|i| {
-        let id = args.get(i + 1).map_or("", String::as_str);
-        distfl_bench::experiments::select(id).unwrap_or_else(|e| {
-            eprintln!("error: --only: {e}");
-            std::process::exit(2);
-        })
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse(&argv).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n{USAGE}");
+        std::process::exit(2);
     });
-    if args.iter().any(|a| a == "--serial") {
+    if args.serial {
         distfl_bench::set_sweep_workers(0);
-    } else if let Some(i) = args.iter().position(|a| a == "--threads") {
-        let n: usize = args
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .expect("--threads needs a positive integer");
+    } else if let Some(n) = args.threads {
         distfl_bench::set_sweep_workers(n.saturating_sub(1));
     }
 
-    let trace_path: Option<std::path::PathBuf> = args
-        .iter()
-        .position(|a| a == "--trace")
-        .map(|i| {
-            args.get(i + 1)
-                .filter(|v| !v.starts_with("--"))
-                .expect("--trace needs an output path")
-                .into()
-        })
-        .or_else(|| {
-            distfl_obs::init_from_env()
-                .then(|| std::path::PathBuf::from("target/experiments/trace.json"))
-        });
+    let trace_path = args.trace.or_else(|| {
+        distfl_obs::init_from_env()
+            .then(|| std::path::PathBuf::from("target/experiments/trace.json"))
+    });
     if trace_path.is_some() {
         distfl_obs::set_enabled(true);
     }
@@ -64,9 +92,8 @@ fn main() {
     } else {
         distfl_obs::Span::disabled()
     };
-    let experiments = only.as_deref().unwrap_or(distfl_bench::experiments::EXPERIMENTS);
-    let quick = args.iter().any(|a| a == "--quick");
-    let tables = distfl_bench::experiments::run(experiments, quick);
+    let experiments = args.only.as_deref().unwrap_or(experiments::EXPERIMENTS);
+    let tables = experiments::run(experiments, args.quick);
     distfl_bench::emit(&tables);
     let figures = distfl_bench::experiments::figures::standard_figures(&tables);
     distfl_bench::emit_figures(&figures);
@@ -96,4 +123,47 @@ fn main() {
         );
     }
     println!("experiments complete; CSVs and SVGs in target/experiments/");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_str(line: &str) -> Result<Args, String> {
+        parse(&line.split_whitespace().map(str::to_owned).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn known_flags_parse() {
+        let args = parse_str("").unwrap();
+        assert!(!args.quick && !args.serial && args.only.is_none());
+        assert!(args.threads.is_none() && args.trace.is_none());
+        let args = parse_str("--quick --only e3 --threads 4 --trace out/t.json").unwrap();
+        assert!(args.quick);
+        let only = args.only.unwrap();
+        assert_eq!(only.len(), 1);
+        assert!(only[0].0.starts_with("e3"), "{}", only[0].0);
+        assert_eq!(args.threads, Some(4));
+        assert_eq!(args.trace, Some("out/t.json".into()));
+        assert!(parse_str("--serial").unwrap().serial);
+    }
+
+    #[test]
+    fn unknown_or_incomplete_arguments_are_errors() {
+        for (line, message) in [
+            ("--help", "unknown argument '--help'"),
+            ("--qiuck", "unknown argument '--qiuck'"),
+            ("e1", "unknown argument 'e1'"),
+            ("--quick --no-such-flag", "unknown argument '--no-such-flag'"),
+            ("--threads", "--threads needs"),
+            ("--threads many", "--threads needs"),
+            ("--trace", "--trace needs"),
+            ("--trace --quick", "--trace needs"),
+            ("--only", "--only: unknown experiment"),
+            ("--only e99", "--only: unknown experiment 'e99'"),
+        ] {
+            let err = parse_str(line).err().unwrap_or_else(|| panic!("{line:?} parsed"));
+            assert!(err.starts_with(message), "{line:?}: {err}");
+        }
+    }
 }

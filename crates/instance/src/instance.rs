@@ -408,7 +408,8 @@ impl InstanceBuilder {
         }
     }
 
-    /// Finalizes the instance, validating all invariants.
+    /// Finalizes the instance, validating all invariants (the rules of
+    /// [`RowBuilder::build`], which this feeds its sorted rows to).
     ///
     /// # Errors
     ///
@@ -417,49 +418,174 @@ impl InstanceBuilder {
     /// [`crate::MIN_POSITIVE_COST`]`..=`[`crate::MAX_COST`]
     /// ([`InstanceError::CostOutOfRange`]), or all coefficients are zero.
     pub fn build(self) -> Result<Instance, InstanceError> {
+        let num_links = self.client_links.iter().map(Vec::len).sum();
+        let mut rows = RowBuilder::with_capacity(self.opening, num_links);
+        for links in &self.client_links {
+            rows.add_client();
+            for &(i, c) in links {
+                rows.link(i, c)?;
+            }
+        }
+        rows.build()
+    }
+}
+
+/// Builds an [`Instance`] one client row at a time, appending each link
+/// straight to the client-major lanes: no per-client list, no sorted
+/// insertion. The decoders of the wire and file formats use it, since
+/// their rows arrive in client order; [`InstanceBuilder`] feeds it too, so
+/// the validation rules and the facility-major transpose exist once.
+///
+/// A duplicate link is found by a per-facility stamp, at the link that
+/// repeats a facility within its row. A row whose facilities arrive out
+/// of order is sorted when the next row starts; rows that arrive in
+/// ascending order, as OR-Library rows always do, are never sorted.
+///
+/// ```
+/// use distfl_instance::{Cost, FacilityId, RowBuilder};
+///
+/// # fn main() -> Result<(), distfl_instance::InstanceError> {
+/// let mut rows = RowBuilder::new(vec![Cost::new(10.0)?, Cost::new(3.0)?]);
+/// rows.add_client();
+/// rows.link(FacilityId::new(1), Cost::new(5.0)?)?;
+/// rows.link(FacilityId::new(0), Cost::new(1.0)?)?;
+/// let inst = rows.build()?;
+/// assert_eq!(inst.client_links(distfl_instance::ClientId::new(0)).ids, &[0, 1]);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone)]
+pub struct RowBuilder {
+    opening: Vec<Cost>,
+    /// Where each started row begins in the lanes (the open row is the
+    /// last; [`RowBuilder::build`] appends the end offset).
+    client_offsets: Vec<u32>,
+    client_link_ids: Vec<u32>,
+    client_link_costs: Vec<f64>,
+    /// Per facility, one more than the last client that linked it.
+    stamp: Vec<u32>,
+    /// Whether the open row's facility ids have arrived in ascending order.
+    row_sorted: bool,
+}
+
+impl RowBuilder {
+    /// A builder over the given facilities' opening costs, with no client.
+    pub fn new(opening: Vec<Cost>) -> RowBuilder {
+        RowBuilder::with_capacity(opening, 0)
+    }
+
+    /// Like [`RowBuilder::new`], with room reserved for `links` links.
+    pub fn with_capacity(opening: Vec<Cost>, links: usize) -> RowBuilder {
+        RowBuilder {
+            stamp: vec![0; opening.len()],
+            opening,
+            client_offsets: Vec::new(),
+            client_link_ids: Vec::with_capacity(links),
+            client_link_costs: Vec::with_capacity(links),
+            row_sorted: true,
+        }
+    }
+
+    /// Starts the next client's row, returning its id.
+    pub fn add_client(&mut self) -> ClientId {
+        self.close_row();
+        self.client_offsets.push(self.client_link_ids.len() as u32);
+        ClientId::new((self.client_offsets.len() - 1) as u32)
+    }
+
+    /// Links the newest client to facility `i` at `cost`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`InstanceError`] if `i` is out of range, no client has
+    /// been added, or the newest client already links `i`.
+    #[inline]
+    pub fn link(&mut self, i: FacilityId, cost: Cost) -> Result<(), InstanceError> {
+        let Some(&row_start) = self.client_offsets.last() else {
+            return Err(InstanceError::ClientOutOfRange { client: 0, num_clients: 0 });
+        };
+        let Some(stamp) = self.stamp.get_mut(i.index()) else {
+            return Err(InstanceError::FacilityOutOfRange {
+                facility: i.index(),
+                num_facilities: self.opening.len(),
+            });
+        };
+        let rows = self.client_offsets.len() as u32;
+        if *stamp == rows {
+            return Err(InstanceError::DuplicateLink {
+                client: rows as usize - 1,
+                facility: i.index(),
+            });
+        }
+        *stamp = rows;
+        if self.client_link_ids.len() > row_start as usize
+            && self.client_link_ids.last().is_some_and(|&last| last > i.raw())
+        {
+            self.row_sorted = false;
+        }
+        self.client_link_ids.push(i.raw());
+        self.client_link_costs.push(cost.value());
+        Ok(())
+    }
+
+    /// Sorts the open row by facility id if its links arrived out of order.
+    fn close_row(&mut self) {
+        if self.row_sorted {
+            return;
+        }
+        self.row_sorted = true;
+        let lo = *self.client_offsets.last().expect("only a started row is unsorted") as usize;
+        let mut row: Vec<(u32, f64)> = self.client_link_ids[lo..]
+            .iter()
+            .copied()
+            .zip(self.client_link_costs[lo..].iter().copied())
+            .collect();
+        row.sort_unstable_by_key(|&(i, _)| i);
+        for (k, (i, c)) in row.into_iter().enumerate() {
+            self.client_link_ids[lo + k] = i;
+            self.client_link_costs[lo + k] = c;
+        }
+    }
+
+    /// Finalizes the instance, validating all invariants.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`InstanceError`] if there are no facilities, no clients,
+    /// an unreachable client (the first, by id), a positive cost outside
+    /// [`crate::MIN_POSITIVE_COST`]`..=`[`crate::MAX_COST`]
+    /// ([`InstanceError::CostOutOfRange`], the first in opening-cost then
+    /// client-major order), or all coefficients are zero.
+    pub fn build(mut self) -> Result<Instance, InstanceError> {
         if self.opening.is_empty() {
             return Err(InstanceError::NoFacilities);
         }
-        if self.client_links.is_empty() {
+        if self.client_offsets.is_empty() {
             return Err(InstanceError::NoClients);
         }
-        if let Some(j) = self.client_links.iter().position(Vec::is_empty) {
+        self.close_row();
+        self.client_offsets.push(self.client_link_ids.len() as u32);
+        if let Some(j) = self.client_offsets.windows(2).position(|w| w[0] == w[1]) {
             return Err(InstanceError::UnreachableClient { client: j });
         }
-        for cost in self.opening.iter().chain(self.client_links.iter().flatten().map(|(_, c)| c)) {
-            cost::check_range(cost.value())?;
+        let opening = self.opening.iter().map(|c| c.value());
+        for cost in opening.clone().chain(self.client_link_costs.iter().copied()) {
+            cost::check_range(cost)?;
         }
-        let any_positive = self.opening.iter().any(|c| !c.is_zero())
-            || self.client_links.iter().flatten().any(|(_, c)| !c.is_zero());
-        if !any_positive {
+        if opening.chain(self.client_link_costs.iter().copied()).all(|c| c == 0.0) {
             return Err(InstanceError::AllZeroCosts);
         }
-        let m = self.opening.len();
-        let n = self.client_links.len();
-        let num_links: usize = self.client_links.iter().map(Vec::len).sum();
-
-        // Client-major CSR: flatten the per-client lists (already sorted by
-        // facility id) into the split id/cost lanes.
-        let mut client_offsets = Vec::with_capacity(n + 1);
-        let mut client_link_ids = Vec::with_capacity(num_links);
-        let mut client_link_costs = Vec::with_capacity(num_links);
-        client_offsets.push(0u32);
-        for links in &self.client_links {
-            for &(i, c) in links {
-                client_link_ids.push(i.raw());
-                client_link_costs.push(c.value());
-            }
-            client_offsets.push(client_link_ids.len() as u32);
-        }
-
-        let (facility_offsets, facility_link_ids, facility_link_costs) =
-            build_facility_lanes(m, &client_offsets, &client_link_ids, &client_link_costs);
-
+        let (facility_offsets, facility_link_ids, facility_link_costs) = build_facility_lanes(
+            self.opening.len(),
+            &self.client_offsets,
+            &self.client_link_ids,
+            &self.client_link_costs,
+        );
         Ok(Instance {
             opening: self.opening,
-            client_offsets,
-            client_link_ids,
-            client_link_costs,
+            client_offsets: self.client_offsets,
+            client_link_ids: self.client_link_ids,
+            client_link_costs: self.client_link_costs,
             facility_offsets,
             facility_link_ids,
             facility_link_costs,

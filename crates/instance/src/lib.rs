@@ -57,5 +57,5 @@ pub mod transform;
 pub use cost::{Cost, MAX_COST, MIN_POSITIVE_COST};
 pub use error::InstanceError;
 pub use instance::delta::{DeltaBatch, DeltaReport, PendingClient};
-pub use instance::{ClientId, FacilityId, Instance, InstanceBuilder, LinkSlice};
+pub use instance::{ClientId, FacilityId, Instance, InstanceBuilder, LinkSlice, RowBuilder};
 pub use solution::Solution;

@@ -24,7 +24,7 @@ use std::fmt::Write as _;
 
 use crate::cost::Cost;
 use crate::error::InstanceError;
-use crate::instance::{Instance, InstanceBuilder};
+use crate::instance::{FacilityId, Instance, InstanceBuilder, RowBuilder};
 
 /// Serializes an instance in OR-Library format (capacities and demands
 /// written as 0; sparse instances are rejected because the format is
@@ -58,6 +58,11 @@ pub fn to_string(instance: &Instance) -> Result<String, InstanceError> {
 
 /// Parses an instance from OR-Library format.
 ///
+/// One pass of a byte tokenizer feeds a [`RowBuilder`]: each client's
+/// costs are appended to the instance's lanes as they are read, with no
+/// per-client list. Separators are exactly those of `split_whitespace`
+/// (ASCII and Unicode white space); numbers are read by `str::parse`.
+///
 /// # Errors
 ///
 /// Returns [`InstanceError::Parse`] describing the first problem with the
@@ -66,6 +71,142 @@ pub fn to_string(instance: &Instance) -> Result<String, InstanceError> {
 /// the serve layer can point at the exact input line). Truncated input
 /// reports the last line of the text.
 pub fn from_str(text: &str) -> Result<Instance, InstanceError> {
+    let mut tokens = Tokens { text, pos: 0, line: 1 };
+    let number = |_: f64| true;
+    // Header counts are untrusted: each must be a whole number that fits a
+    // u32, and they bound loops but size no allocation beyond what the
+    // text can hold, so a huge count fails on the missing tokens rather
+    // than in the allocator.
+    let count = |v: f64| v.fract() == 0.0 && (0.0..=f64::from(u32::MAX)).contains(&v);
+
+    let m = tokens.next("facility count", count)? as u32;
+    let n = tokens.next("client count", count)? as u32;
+    if m == 0 {
+        return Err(InstanceError::NoFacilities);
+    }
+    if n == 0 {
+        return Err(InstanceError::NoClients);
+    }
+
+    // A facility takes at least 4 bytes ("0 1\n"), a link at least 2.
+    let mut opening = Vec::with_capacity((m as usize).min(text.len() / 4));
+    for _ in 0..m {
+        let _capacity = tokens.next("capacity", number)?;
+        opening.push(Cost::new(tokens.next("opening cost", number)?)?);
+    }
+    let links = (m as usize).saturating_mul(n as usize).min(text.len() / 2);
+    let mut rows = RowBuilder::with_capacity(opening, links);
+    for _ in 0..n {
+        let _demand = tokens.next("demand", number)?;
+        rows.add_client();
+        for i in 0..m {
+            let c = tokens.next("allocation cost", number)?;
+            rows.link(FacilityId::new(i), Cost::new(c)?)?;
+        }
+    }
+    rows.build()
+}
+
+/// The whitespace-separated tokens of a text, with their line numbers.
+struct Tokens<'a> {
+    text: &'a str,
+    pos: usize,
+    /// 1-based line of `pos`: one more than the `\n`s before it.
+    line: usize,
+}
+
+impl<'a> Tokens<'a> {
+    /// Reads the next token as a number `valid` accepts.
+    fn next(&mut self, what: &str, valid: fn(f64) -> bool) -> Result<f64, InstanceError> {
+        let Some(tok) = self.token() else {
+            return Err(InstanceError::Parse {
+                line: last_line(self.text),
+                reason: format!("unexpected end of input while reading {what}"),
+            });
+        };
+        match tok.parse::<f64>() {
+            Ok(v) if valid(v) => Ok(v),
+            _ => Err(InstanceError::Parse {
+                line: self.line,
+                reason: format!("invalid {what}: '{tok}'"),
+            }),
+        }
+    }
+
+    /// The next token, or `None` at the end of the text.
+    fn token(&mut self) -> Option<&'a str> {
+        let (text, b) = (self.text, self.text.as_bytes());
+        loop {
+            let c = *b.get(self.pos)?;
+            match class(c) {
+                Byte::Token => break,
+                Byte::Space => {
+                    self.line += usize::from(c == b'\n');
+                    self.pos += 1;
+                }
+                _ => match self.wide() {
+                    (true, len) => self.pos += len,
+                    (false, _) => break,
+                },
+            }
+        }
+        let start = self.pos;
+        while let Some(&c) = b.get(self.pos) {
+            match class(c) {
+                Byte::Token => self.pos += 1,
+                Byte::Space => break,
+                _ => match self.wide() {
+                    (true, _) => break,
+                    (false, len) => self.pos += len,
+                },
+            }
+        }
+        Some(&text[start..self.pos])
+    }
+
+    /// Whether the multi-byte character at the cursor is white space, and
+    /// its byte length.
+    fn wide(&self) -> (bool, usize) {
+        let c = self.text[self.pos..].chars().next().expect("the cursor is inside the text");
+        (c.is_whitespace(), c.len_utf8())
+    }
+}
+
+/// How the tokenizer reads a byte.
+enum Byte {
+    /// Part of a token.
+    Token,
+    /// An ASCII separator: `char::is_whitespace`'s tab through carriage
+    /// return (so `\x0B` too), and space.
+    Space,
+    /// The first byte of a multi-byte character, which `char::is_whitespace`
+    /// decides.
+    Wide,
+}
+
+fn class(c: u8) -> Byte {
+    match c {
+        b'\t'..=b'\r' | b' ' => Byte::Space,
+        0x80.. => Byte::Wide,
+        _ => Byte::Token,
+    }
+}
+
+/// The line a truncated text reports: `str::lines().count()`, at least 1.
+fn last_line(text: &str) -> usize {
+    let newlines = text.bytes().filter(|&b| b == b'\n').count();
+    (newlines + usize::from(!text.is_empty() && !text.ends_with('\n'))).max(1)
+}
+
+/// The reference twin of [`from_str`]: the same format and the same
+/// results, by `str::lines` and `split_whitespace` over an
+/// [`InstanceBuilder`]. Kept as the oracle the equivalence properties
+/// compare [`from_str`] against.
+///
+/// # Errors
+///
+/// Exactly the errors of [`from_str`].
+pub fn from_str_reference(text: &str) -> Result<Instance, InstanceError> {
     let last_line = text.lines().count().max(1);
     let mut tokens = text
         .lines()

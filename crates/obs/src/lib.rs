@@ -53,7 +53,7 @@ mod reader;
 pub use export::{validate_json, Snapshot};
 pub use json::JsonWriter;
 pub use metrics::{counter, gauge, metrics_reset, Counter, Gauge, MetricValue};
-pub use reader::Json;
+pub use reader::{Cursor, Json};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};

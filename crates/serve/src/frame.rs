@@ -14,7 +14,9 @@
 //! next `\n` (a trailing `\r` is stripped). That makes the framing
 //! invariant under arbitrary read-chunk splits — the property pinned by
 //! `tests/framing_properties.rs`. UTF-8 validation happens later, per
-//! line, in the protocol layer.
+//! line, in the protocol layer. The newline search ([`find_newline`])
+//! reads eight bytes per step, in portable safe code; a property pins it
+//! to the bytewise search.
 //!
 //! Oversized lines (no newline within [`LineFramer::max_line`] bytes) are
 //! reported once as [`Framed::Oversized`] and skipped through their
@@ -68,7 +70,7 @@ impl LineFramer {
     /// line is retained.
     pub fn feed<'a>(&mut self, chunk: &'a [u8], on: &mut dyn FnMut(Framed<'_>)) {
         let mut rest = chunk;
-        while let Some(nl) = rest.iter().position(|&b| b == b'\n') {
+        while let Some(nl) = find_newline(rest) {
             let (line_end, after) = (&rest[..nl], &rest[nl + 1..]);
             if self.skipping {
                 // The terminator of an oversized line: resynchronize.
@@ -98,6 +100,28 @@ impl LineFramer {
         }
         self.partial.extend_from_slice(rest);
     }
+}
+
+/// The index of the first `\n` in `bytes`: the scan of
+/// `bytes.iter().position(|&b| b == b'\n')`, eight bytes per step. Each
+/// word is XORed with eight newlines so a newline byte becomes zero, and
+/// the zero-byte test `(w - 0x01…01) & !w & 0x80…80` flags it. A borrow can
+/// flag bytes above the first zero, never below, so the lowest flag is the
+/// first newline.
+pub fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    const NEWLINES: u64 = u64::from_le_bytes([b'\n'; 8]);
+    let mut words = bytes.chunks_exact(8);
+    for (k, word) in (&mut words).enumerate() {
+        let w = u64::from_le_bytes(word.try_into().expect("chunks of 8")) ^ NEWLINES;
+        let flags = w.wrapping_sub(ONES) & !w & HIGHS;
+        if flags != 0 {
+            return Some(8 * k + flags.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = bytes.len() - words.remainder().len();
+    words.remainder().iter().position(|&b| b == b'\n').map(|k| tail + k)
 }
 
 /// Strips one trailing `\r` (CRLF clients).
@@ -151,6 +175,33 @@ mod tests {
         assert_eq!(got[0], (None, 7), "limit trips at first overflowing feed");
         assert_eq!(got.len(), 2);
         assert_eq!(got[1].0.as_deref(), Some(b"ok".as_slice()), "resynchronized after newline");
+    }
+
+    #[test]
+    fn the_word_scan_finds_the_first_newline_at_every_offset_and_alignment() {
+        // Filler next to every byte value the zero-byte test could confuse
+        // with a newline: zero, 0x0b and 0x09 (one bit off), high bytes.
+        let filler = |k: usize| [b'x', 0x00, 0xff, 0x8a, 0x0b, 0x09, 0x80][k % 7];
+        let mut buffer: Vec<u8> = (0..80).map(filler).collect();
+        for start in 0..8 {
+            for end in start..buffer.len() {
+                assert_eq!(find_newline(&buffer[start..end]), None);
+            }
+        }
+        // One newline at every position of every window start (every
+        // alignment), with a second newline after it.
+        for at in 0..72 {
+            buffer = (0..80).map(filler).collect();
+            buffer[at] = b'\n';
+            buffer[at + 1 + at % 8] = b'\n';
+            for start in 0..=at {
+                for end in at + 1..=buffer.len() {
+                    let window = &buffer[start..end];
+                    let bytewise = window.iter().position(|&b| b == b'\n');
+                    assert_eq!(find_newline(window), bytewise, "at {at} window {start}..{end}");
+                }
+            }
+        }
     }
 
     #[test]

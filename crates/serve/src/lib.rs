@@ -8,7 +8,9 @@
 //! Pipeline: a readiness-driven **reactor** ([`reactor`]: epoll on
 //! Linux, a timed sweep elsewhere) owns every socket nonblocking →
 //! pipelined NDJSON framing ([`frame`]) slices complete lines out of
-//! each read burst → [`proto`] parse → per-core **sharded admission**
+//! each read burst (a connection stops being read while 1 MiB of its
+//! requests await answers) → [`proto`] decode, straight into the
+//! instance's lanes → per-core **sharded admission**
 //! (the burst enters one of N [`queue::Admission`] queues as a single
 //! group; full = typed `queue_full` error, never a hang) →
 //! [`scheduler`] batch → pool workers ([`distfl_core::SolverKind`]
@@ -68,5 +70,5 @@ pub use server::{BatchHook, ServeConfig, Server};
 /// The request reader: the workspace's one JSON reader, which lives in
 /// `distfl-obs` next to the writer.
 pub mod json {
-    pub use distfl_obs::Json;
+    pub use distfl_obs::{Cursor, Json};
 }

@@ -73,12 +73,28 @@
 //! (a session verb named a session the server does not hold — never
 //! created, dropped, or evicted), `slow_reader` (the connection's bounded
 //! write buffer overflowed and the connection is being shed).
+//!
+//! **Two parse paths, one result.** [`parse_line`] decodes a line in one
+//! pass of the workspace's JSON [`Cursor`]: the numbers of an inline
+//! instance go straight into the client-major lanes of a [`RowBuilder`],
+//! with no `Json` node per number and no per-client list, a `delta` goes
+//! straight into its [`DeltaSpec`], and an `orlib` string is decoded once
+//! and moved into the request. When anything fails, or the line has an
+//! unusual shape (a repeated or escaped key, `links` before `opening`), it
+//! returns [`parse_line_reference`] instead: the tree path, which builds a
+//! [`Json`] tree and looks fields up. The tree path defines every error
+//! byte — kind, detail, which error wins, the id it carries — and is the
+//! oracle of the equivalence property in `tests/framing_properties.rs`. A
+//! rejected line is parsed twice, which costs at most one more parse of a
+//! line that is rare.
+
+use std::borrow::Cow;
 
 use distfl_core::SolverKind;
-use distfl_instance::{Cost, FacilityId, Instance, InstanceBuilder};
+use distfl_instance::{Cost, FacilityId, Instance, InstanceBuilder, RowBuilder};
 use distfl_obs::JsonWriter;
 
-use crate::json::Json;
+use crate::json::{Cursor, Json};
 
 /// Limit on request ids, to keep response lines and span labels bounded.
 const MAX_ID_LEN: usize = 128;
@@ -87,10 +103,12 @@ const MAX_ID_LEN: usize = 128;
 #[derive(Debug, Clone, PartialEq)]
 pub enum InstanceSource {
     /// Inline `{"opening":[...],"links":[[...]]}` object, already
-    /// validated and built.
+    /// validated and built while the line was decoded; the scheduler
+    /// solves it in place, without a copy.
     Inline(Instance),
-    /// An OR-Library text payload, parsed on the worker (so oversized
-    /// payloads do not stall the connection thread).
+    /// An OR-Library text payload, decoded from its JSON string once and
+    /// parsed on the worker (so oversized payloads do not stall the
+    /// reactor thread).
     OrLib(String),
 }
 
@@ -309,11 +327,254 @@ pub fn span_id(bytes: &[u8]) -> u64 {
 /// Parses one request line into a solve request, session verb, or
 /// command.
 ///
+/// Decodes the line in one pass of the reader's [`Cursor`]: numbers go
+/// straight into the instance's lanes (through a [`RowBuilder`]) or the
+/// [`DeltaSpec`], and the OR-Library string is decoded once and moved. A
+/// line that fails anywhere, or has an unusual shape (a repeated or
+/// escaped key, `links` before `opening`), is parsed again by
+/// [`parse_line_reference`], so both always return the same result.
+///
+/// # Errors
+///
+/// Returns a typed [`ServeError`] (always `malformed_request` or
+/// `invalid_instance`) carrying the request id when it was recoverable:
+/// the error of [`parse_line_reference`].
+pub fn parse_line(line: &str) -> Result<Parsed, ServeError> {
+    match decode(line) {
+        Some(parsed) => Ok(parsed),
+        None => parse_line_reference(line),
+    }
+}
+
+/// The members of a request object the typed decoder keeps.
+#[derive(Default)]
+struct Members<'a> {
+    cmd: Option<Cow<'a, str>>,
+    id: Option<Cow<'a, str>>,
+    session: Option<Cow<'a, str>>,
+    solver: Option<Cow<'a, str>>,
+    seed: Option<f64>,
+    orlib: Option<String>,
+    instance: Option<Instance>,
+    delta: Option<DeltaSpec>,
+}
+
+/// Stores a member's value, or gives up on a repeated key (the tree
+/// path keeps the last).
+fn set<T>(slot: &mut Option<T>, value: T) -> Option<()> {
+    match slot {
+        Some(_) => None,
+        None => {
+            *slot = Some(value);
+            Some(())
+        }
+    }
+}
+
+/// The typed decode of [`parse_line`]: `Some` exactly when it reaches the
+/// success [`parse_line_reference`] returns, `None` otherwise.
+fn decode(line: &str) -> Option<Parsed> {
+    let mut c = Cursor::new(line);
+    let mut m = Members::default();
+    if c.begin_object().ok()? {
+        loop {
+            match key(&mut c)? {
+                "cmd" => set(&mut m.cmd, c.string().ok()?)?,
+                "id" => set(&mut m.id, c.string().ok()?)?,
+                "session" => set(&mut m.session, c.string().ok()?)?,
+                "solver" => set(&mut m.solver, c.string().ok()?)?,
+                "seed" => set(&mut m.seed, c.number().ok()?)?,
+                "orlib" => set(&mut m.orlib, c.string().ok()?.into_owned())?,
+                "instance" => set(&mut m.instance, decode_instance(&mut c)?)?,
+                "delta" => set(&mut m.delta, decode_delta(&mut c)?)?,
+                _ => c.skip_value().ok()?,
+            }
+            if !c.next_member().ok()? {
+                break;
+            }
+        }
+    }
+    c.end().ok()?;
+
+    let name = |value: Option<Cow<'_, str>>| {
+        value.filter(|s| !s.is_empty() && s.len() <= MAX_ID_LEN).map(Cow::into_owned)
+    };
+    let solver = |value: Option<Cow<'_, str>>| value?.parse::<SolverKind>().ok();
+    let seed = |value: Option<f64>| value.map_or(Some(0), |v| Json::Num(v).as_u64());
+    let source = |instance, orlib| match (instance, orlib) {
+        (Some(instance), None) => Some(InstanceSource::Inline(instance)),
+        (None, Some(payload)) => Some(InstanceSource::OrLib(payload)),
+        _ => None,
+    };
+    let action = match m.cmd {
+        None => Action::Solve {
+            solver: solver(m.solver)?,
+            seed: seed(m.seed)?,
+            source: source(m.instance, m.orlib)?,
+        },
+        Some(cmd) => {
+            let verb = VERBS.iter().find(|(n, _)| *n == cmd)?.1;
+            if let Verb::Control(command) = verb {
+                return Some(Parsed::Command(command));
+            }
+            let session = name(m.session)?;
+            match verb {
+                Verb::Control(_) => unreachable!("control verbs returned above"),
+                Verb::Create => Action::Create { session, source: source(m.instance, m.orlib)? },
+                Verb::Mutate => Action::Mutate { session, delta: m.delta? },
+                Verb::SessionSolve => {
+                    Action::SessionSolve { session, solver: solver(m.solver)?, seed: seed(m.seed)? }
+                }
+                Verb::Drop => Action::Drop { session },
+            }
+        }
+    };
+    let id = name(m.id)?;
+    Some(Parsed::Request(Box::new(Request { id, action, span_id: span_id(line.as_bytes()) })))
+}
+
+/// Reads a member key, or gives up on one that holds an escape (the tree
+/// path would decode it, maybe into a known key).
+fn key<'a>(c: &mut Cursor<'a>) -> Option<&'a str> {
+    match c.key().ok()? {
+        Cow::Borrowed(key) => Some(key),
+        Cow::Owned(_) => None,
+    }
+}
+
+/// A number that is an exact integer no larger than `max`, as the tree
+/// path's `as_u64` checks read it.
+fn integer(c: &mut Cursor<'_>, max: u64) -> Option<u64> {
+    Json::Num(c.number().ok()?).as_u64().filter(|&v| v <= max)
+}
+
+/// Decodes `instance` (`opening` first, then `links`, one flat
+/// `[facility, cost, ...]` row per client) straight into a [`RowBuilder`].
+fn decode_instance(c: &mut Cursor<'_>) -> Option<Instance> {
+    if !c.begin_object().ok()? {
+        return None;
+    }
+    let mut rows: Option<RowBuilder> = None;
+    let (mut facilities, mut linked) = (0, false);
+    loop {
+        match key(c)? {
+            "opening" if rows.is_none() => {
+                let mut opening = Vec::new();
+                elements(c, |c| {
+                    opening.push(Cost::new(c.number().ok()?).ok()?);
+                    Some(())
+                })?;
+                facilities = opening.len() as u64;
+                rows = Some(RowBuilder::new(opening));
+            }
+            "links" if !linked => {
+                let rows = rows.as_mut()?;
+                let last = facilities.checked_sub(1)?;
+                elements(c, |c| {
+                    rows.add_client();
+                    elements(c, |c| {
+                        let facility = integer(c, last)?;
+                        c.next_element().ok()?.then_some(())?;
+                        let cost = Cost::new(c.number().ok()?).ok()?;
+                        rows.link(FacilityId::new(facility as u32), cost).ok()
+                    })
+                })?;
+                linked = true;
+            }
+            "opening" | "links" => return None,
+            _ => c.skip_value().ok()?,
+        }
+        if !c.next_member().ok()? {
+            break;
+        }
+    }
+    if !linked {
+        return None;
+    }
+    rows?.build().ok()
+}
+
+/// Decodes a `delta` object straight into a [`DeltaSpec`].
+fn decode_delta(c: &mut Cursor<'_>) -> Option<DeltaSpec> {
+    let id = u64::from(u32::MAX);
+    let mut spec = DeltaSpec::default();
+    let (mut remove, mut reprice, mut add) = (false, false, false);
+    if c.begin_object().ok()? {
+        loop {
+            match key(c)? {
+                "remove" if !remove => {
+                    remove = true;
+                    elements(c, |c| {
+                        spec.remove.push(integer(c, id)? as u32);
+                        Some(())
+                    })?;
+                }
+                "reprice" if !reprice => {
+                    reprice = true;
+                    elements(c, |c| {
+                        c.begin_array().ok()?.then_some(())?;
+                        let j = integer(c, id)? as u32;
+                        c.next_element().ok()?.then_some(())?;
+                        let i = integer(c, id)? as u32;
+                        c.next_element().ok()?.then_some(())?;
+                        let cost = c.number().ok()?;
+                        (!c.next_element().ok()?).then_some(())?;
+                        spec.reprice.push((j, i, cost));
+                        Some(())
+                    })?;
+                }
+                "add" if !add => {
+                    add = true;
+                    elements(c, |c| {
+                        let mut links = Vec::new();
+                        elements(c, |c| {
+                            let i = integer(c, id)? as u32;
+                            c.next_element().ok()?.then_some(())?;
+                            links.push((i, c.number().ok()?));
+                            Some(())
+                        })?;
+                        (!links.is_empty()).then(|| spec.add.push(links))
+                    })?;
+                }
+                "remove" | "reprice" | "add" => return None,
+                _ => c.skip_value().ok()?,
+            }
+            if !c.next_member().ok()? {
+                break;
+            }
+        }
+    }
+    let empty = spec.remove.is_empty() && spec.reprice.is_empty() && spec.add.is_empty();
+    (!empty).then_some(spec)
+}
+
+/// Reads an array, handing the cursor to `element` at each element.
+fn elements<'a>(
+    c: &mut Cursor<'a>,
+    mut element: impl FnMut(&mut Cursor<'a>) -> Option<()>,
+) -> Option<()> {
+    if c.begin_array().ok()? {
+        loop {
+            element(c)?;
+            if !c.next_element().ok()? {
+                break;
+            }
+        }
+    }
+    Some(())
+}
+
+/// The tree path of [`parse_line`]: [`Json::parse`] the whole line, then
+/// look each field up. It defines every error [`parse_line`] reports (its
+/// kind, its detail, which error wins when a line has several, and the id
+/// it carries), and it is the oracle the equivalence properties compare
+/// [`parse_line`] against.
+///
 /// # Errors
 ///
 /// Returns a typed [`ServeError`] (always `malformed_request` or
 /// `invalid_instance`) carrying the request id when it was recoverable.
-pub fn parse_line(line: &str) -> Result<Parsed, ServeError> {
+pub fn parse_line_reference(line: &str) -> Result<Parsed, ServeError> {
     let value = Json::parse(line)
         .map_err(|e| ServeError::malformed(format!("request is not valid JSON: {e}")))?;
     if let Some(cmd) = value.get("cmd") {

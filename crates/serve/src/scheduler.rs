@@ -24,6 +24,7 @@
 //! session), exactly like two clients mutating one resource over any
 //! protocol.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use distfl_instance::{ClientId, Cost, DeltaBatch, FacilityId, Instance};
@@ -186,7 +187,7 @@ pub fn execute(request: &Request, sessions: &SessionCache) -> String {
                 links: instance.num_links(),
                 epoch: 0,
             };
-            sessions.create(session, instance);
+            sessions.create(session, instance.into_owned());
             proto::render_create_ack(request, session, shape)
         }
         Action::Mutate { session, delta } => {
@@ -251,12 +252,13 @@ fn unknown_session_detail(session: &str) -> String {
     format!("session '{session}' is not held (never created, dropped, or evicted)")
 }
 
-/// Materializes a request's instance payload.
-fn build_source(source: &InstanceSource) -> Result<Instance, String> {
+/// Materializes a request's instance payload: an inline instance is
+/// borrowed, an OR-Library payload parsed.
+fn build_source(source: &InstanceSource) -> Result<Cow<'_, Instance>, String> {
     match source {
-        InstanceSource::Inline(instance) => Ok(instance.clone()),
+        InstanceSource::Inline(instance) => Ok(Cow::Borrowed(instance)),
         InstanceSource::OrLib(payload) => {
-            distfl_instance::orlib::from_str(payload).map_err(|e| e.to_string())
+            distfl_instance::orlib::from_str(payload).map(Cow::Owned).map_err(|e| e.to_string())
         }
     }
 }

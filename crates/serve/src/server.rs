@@ -22,6 +22,16 @@
 //! `slow_reader` error — it never stalls workers, shards, or other
 //! connections.
 //!
+//! The inbound side is bounded too. Each connection may have at most
+//! [`PENDING_BUDGET`] (1 MiB) of request bytes admitted and not yet
+//! answered; at the budget the reactor stops reading that connection until
+//! answers go out, so the rest of a pipelined burst waits in the kernel's
+//! socket buffers instead of in parsed form in a shard queue. The first
+//! line is always admitted, however long (lines are capped at 16 MiB).
+//! Reading in order has one consequence: a `ping` or `shutdown` sent
+//! behind a paused backlog on the same connection is read, and answered,
+//! only once that backlog drains. Other connections are not held up.
+//!
 //! Responses stay byte-deterministic: request execution is a pure
 //! function of the request line, so batch composition, worker count,
 //! shard count, and reactor timing never leak into response bytes.
@@ -32,6 +42,7 @@
 //! everything already admitted, flush every write buffer, then close.
 //! No admitted request loses its response.
 
+use std::collections::VecDeque;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -63,6 +74,14 @@ const MAX_LINE: usize = 16 * 1024 * 1024;
 /// Most bytes drained from one connection per readiness event, so a
 /// firehose connection cannot starve its neighbours.
 const READ_BURST: usize = 256 * 1024;
+
+/// Most request bytes one connection may have admitted and not yet had
+/// answered. At the budget the reactor stops reading the connection until
+/// answers go out, so the rest of a pipelined burst waits in the kernel's
+/// socket buffers rather than in server memory. Lines are admitted whole:
+/// a connection holds at most the budget plus one read chunk's lines, and
+/// a line that arrives under the budget is admitted however long it is.
+const PENDING_BUDGET: usize = 1024 * 1024;
 
 /// How long a drain waits for write buffers to flush before force-closing
 /// lingering connections.
@@ -324,8 +343,13 @@ struct Conn {
     framer: LineFramer,
     write: WriteBuf,
     interest: Interest,
-    /// Requests admitted to a shard queue whose responses are still due.
-    inflight: usize,
+    /// Bytes of each line admitted to a shard queue whose answer is still
+    /// due, in admission order (a shard answers a connection in that
+    /// order).
+    pending: VecDeque<usize>,
+    /// The sum of `pending`; reading pauses while it is at least
+    /// [`PENDING_BUDGET`].
+    pending_bytes: usize,
     /// Backpressure overflow tripped: requests ignored, responses
     /// discarded, closing once the shed error line has flushed.
     shed: bool,
@@ -340,10 +364,10 @@ struct Conn {
 
 /// A parse outcome carried out of the framing closure (which cannot touch
 /// the connection it is framing for — borrow-wise — so outcomes are
-/// staged and applied right after).
+/// staged and applied right after), with the byte length of its line.
 enum LineOut {
-    Parsed(Parsed),
-    Error(ServeError, u64),
+    Parsed(Parsed, usize),
+    Error(ServeError, u64, usize),
 }
 
 /// Obs handles the reactor updates.
@@ -546,7 +570,8 @@ impl Reactor {
             framer: LineFramer::new(MAX_LINE),
             write: WriteBuf::new(self.write_cap),
             interest: Interest::READ,
-            inflight: 0,
+            pending: VecDeque::new(),
+            pending_bytes: 0,
             shed: false,
             read_closed: false,
             linger_until: None,
@@ -590,7 +615,8 @@ impl Reactor {
 
     /// Drains readable bytes, frames them, parses every complete line,
     /// and admits the parsed requests to the connection's shard as one
-    /// group.
+    /// group. Reads stop for good at end of input, and until answers go
+    /// out once the admitted and staged lines reach [`PENDING_BUDGET`].
     fn read_conn(&mut self, index: usize) {
         let conn = self.slots[index].as_mut().expect("resolved index is live");
         if conn.read_closed {
@@ -623,8 +649,8 @@ impl Reactor {
             return;
         }
         let mut outs: Vec<LineOut> = Vec::new();
-        let mut drained = 0;
-        loop {
+        let (mut drained, mut staged) = (0, 0);
+        while conn.pending_bytes + staged < PENDING_BUDGET {
             match conn.stream.read(&mut self.scratch) {
                 Ok(0) => {
                     conn.read_closed = true;
@@ -636,6 +662,7 @@ impl Reactor {
                     let chunk = &self.scratch[..n];
                     conn.framer.feed(chunk, &mut |framed| match framed {
                         Framed::Line(line) => {
+                            staged += line.len();
                             if let Some(out) = classify_line(line) {
                                 outs.push(out);
                             }
@@ -650,6 +677,7 @@ impl Reactor {
                                     ),
                                     id: None,
                                 },
+                                0,
                                 0,
                             ));
                         }
@@ -674,15 +702,15 @@ impl Reactor {
     /// join the group as rendered answers so they keep their place among
     /// the burst's answers.
     fn apply_lines(&mut self, index: usize, outs: Vec<LineOut>) {
-        let mut group: Vec<Job> = Vec::new();
+        let mut group: Vec<(Job, usize)> = Vec::new();
         let token = self.slots[index].as_ref().expect("live conn").token;
         for out in outs {
             self.metrics.requests.incr();
             match out {
-                LineOut::Parsed(Parsed::Request(request)) => {
-                    group.push(Job { work: Work::Request(*request), conn: token });
+                LineOut::Parsed(Parsed::Request(request), bytes) => {
+                    group.push((Job { work: Work::Request(*request), conn: token }, bytes));
                 }
-                LineOut::Parsed(Parsed::Command(cmd)) => {
+                LineOut::Parsed(Parsed::Command(cmd), _) => {
                     // Requests sent ahead of a shutdown command on the same
                     // socket burst must be admitted before the drain closes
                     // the queues.
@@ -694,9 +722,9 @@ impl Reactor {
                         self.shared.begin_shutdown();
                     }
                 }
-                LineOut::Error(error, span) => {
+                LineOut::Error(error, span, bytes) => {
                     let answer = proto::render_error(&error, span);
-                    group.push(Job { work: Work::Answer(answer), conn: token });
+                    group.push((Job { work: Work::Answer(answer), conn: token }, bytes));
                 }
             }
             if self.slots[index].is_none() {
@@ -708,12 +736,14 @@ impl Reactor {
 
     /// Admits a pipelined group to the connection's shard queue under one
     /// lock; refused requests get their typed error immediately, and a
-    /// refused answer is written as is.
-    fn admit_group(&mut self, index: usize, group: &mut Vec<Job>) {
+    /// refused answer is written as is. Each job comes with its line's
+    /// byte length, which counts against the connection's budget until
+    /// the job is answered.
+    fn admit_group(&mut self, index: usize, group: &mut Vec<(Job, usize)>) {
         if group.is_empty() {
             return;
         }
-        let batch = std::mem::take(group);
+        let (batch, bytes): (Vec<Job>, Vec<usize>) = std::mem::take(group).into_iter().unzip();
         let size = batch.len();
         let conn = self.slots[index].as_mut().expect("live conn");
         let shard = shard_of(conn.source, self.shared.queues.len());
@@ -724,8 +754,11 @@ impl Reactor {
             self.metrics.pipelined.add(size as u64);
         }
         self.metrics.queue_depth.set(queue.depth() as f64);
+        // The queue cannot drain while `push_group` holds its lock, so the
+        // admitted jobs are the group's first `admitted`.
         if let Some(conn) = self.slots[index].as_mut() {
-            conn.inflight += admitted;
+            conn.pending_bytes += bytes[..admitted].iter().sum::<usize>();
+            conn.pending.extend(&bytes[..admitted]);
         }
         for (job, reason) in rejected {
             let request = match job.work {
@@ -792,7 +825,7 @@ impl Reactor {
         for (token, line) in completed {
             let Some(index) = self.resolve(token) else { continue };
             let conn = self.slots[index].as_mut().expect("resolved");
-            conn.inflight = conn.inflight.saturating_sub(1);
+            conn.pending_bytes -= conn.pending.pop_front().unwrap_or(0);
             self.append_response(index, &line);
             if !touched.contains(&index) {
                 touched.push(index);
@@ -841,11 +874,12 @@ impl Reactor {
             }
             return;
         }
-        if conn.read_closed && conn.inflight == 0 && done_writing {
+        if conn.read_closed && conn.pending.is_empty() && done_writing {
             self.close_conn(index);
             return;
         }
-        let want = Interest { read: !conn.read_closed, write: !done_writing };
+        let paused = conn.pending_bytes >= PENDING_BUDGET;
+        let want = Interest { read: !conn.read_closed && !paused, write: !done_writing };
         if want != conn.interest {
             conn.interest = want;
             let _ = self.poller.set_interest(conn.source, conn.token, want);
@@ -873,6 +907,7 @@ fn classify_line(line: &[u8]) -> Option<LineOut> {
                 id: None,
             },
             proto::span_id(line),
+            line.len(),
         ));
     };
     let trimmed = text.trim();
@@ -880,8 +915,8 @@ fn classify_line(line: &[u8]) -> Option<LineOut> {
         return None;
     }
     Some(match proto::parse_line(trimmed) {
-        Ok(parsed) => LineOut::Parsed(parsed),
-        Err(error) => LineOut::Error(error, proto::span_id(trimmed.as_bytes())),
+        Ok(parsed) => LineOut::Parsed(parsed, line.len()),
+        Err(error) => LineOut::Error(error, proto::span_id(trimmed.as_bytes()), line.len()),
     })
 }
 
@@ -909,11 +944,11 @@ mod tests {
         assert!(classify_line(b"").is_none());
         assert!(classify_line(b"   ").is_none());
         match classify_line(br#"{"cmd":"ping"}"#) {
-            Some(LineOut::Parsed(Parsed::Command(Command::Ping))) => {}
+            Some(LineOut::Parsed(Parsed::Command(Command::Ping), 14)) => {}
             _ => panic!("ping should classify as a command"),
         }
         match classify_line(&[0xff, 0xfe]) {
-            Some(LineOut::Error(error, _)) => {
+            Some(LineOut::Error(error, _, 2)) => {
                 assert_eq!(error.kind, ErrorKind::MalformedRequest);
                 assert!(error.detail.contains("UTF-8"), "{}", error.detail);
             }

@@ -16,6 +16,7 @@
 use proptest::prelude::*;
 
 use distfl_serve::frame::{Framed, LineFramer};
+use distfl_serve::json::Json;
 use distfl_serve::proto::{self, ErrorKind, Parsed, ServeError};
 use distfl_serve::scheduler;
 use distfl_serve::session::SessionCache;
@@ -248,6 +249,206 @@ proptest! {
         let whole = respond(&frame_with_chunks(&buffer, &[buffer.len()]));
         let split = respond(&frame_with_chunks(&buffer, &sizes));
         prop_assert_eq!(&whole, &split, "chunking changed response bytes");
+    }
+}
+
+/// A JSON string literal for `s`.
+fn quote(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// A tiny deterministic generator for the restyling choices.
+fn next(state: &mut u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state
+}
+
+/// Re-renders a JSON value with the variations the typed decoder either
+/// decodes or hands to the tree path: every object's members in a random
+/// order (so `links` may precede `opening`), `ws` around every token, and
+/// in some objects a `tweak` — 1 repeats a member with another member's
+/// value, 2 escapes a key's first letter (`"\u0069d"`), 3 adds an unknown
+/// key.
+fn restyle(value: &Json, state: &mut u64, ws: &str, tweak: u8) -> String {
+    match value {
+        Json::Obj(map) => {
+            let mut members: Vec<(String, String)> =
+                map.iter().map(|(k, v)| (quote(k), restyle(v, state, ws, tweak))).collect();
+            for k in (1..members.len()).rev() {
+                members.swap(k, next(state) as usize % (k + 1));
+            }
+            if !members.is_empty() && next(state).is_multiple_of(2) {
+                let pick = next(state) as usize % members.len();
+                match tweak {
+                    1 => {
+                        let other = next(state) as usize % members.len();
+                        let repeat = (members[pick].0.clone(), members[other].1.clone());
+                        let at = next(state) as usize % (members.len() + 1);
+                        members.insert(at, repeat);
+                    }
+                    2 => {
+                        let key = &mut members[pick].0;
+                        let first = key[1..].chars().next().unwrap_or('x');
+                        let escaped = format!("\\u{:04x}", first as u32);
+                        key.replace_range(1..1 + first.len_utf8(), &escaped);
+                    }
+                    3 => members.insert(pick, (quote("zz"), r#"[1,{"q":null},"s",-2.5e3]"#.into())),
+                    _ => {}
+                }
+            }
+            let body: Vec<String> =
+                members.iter().map(|(k, v)| format!("{ws}{k}{ws}:{ws}{v}{ws}")).collect();
+            format!("{{{}}}", body.join(","))
+        }
+        Json::Arr(items) => {
+            let body: Vec<String> =
+                items.iter().map(|v| format!("{ws}{}{ws}", restyle(v, state, ws, tweak))).collect();
+            format!("[{}]", body.join(","))
+        }
+        Json::Str(s) => quote(s),
+        Json::Num(v) => format!("{v:?}"),
+        Json::Bool(b) => b.to_string(),
+        Json::Null => "null".into(),
+    }
+}
+
+/// Every valid line: the stateless, session and command shapes, plus a
+/// few more that exercise the decoder's own paths.
+fn equivalence_lines() -> Vec<String> {
+    let mut lines = valid_lines();
+    lines.extend(
+        [
+            r#"{"cmd":"ping"}"#,
+            r#"{"cmd":"shutdown","id":5,"extra":[1,2]}"#,
+            r#"{"id":"e","solver":"jv","seed":18446744073709551615,"instance":{"links":[[0,1]],"opening":[0]}}"#,
+            r#"{"id":"f","solver":"greedy","seed":1e3,"instance":{"opening":[-0.0,1E+0],"links":[[1,0.5,0,2.5e-1],[0,1]],"note":{}}}"#,
+            r#"{"cmd":"mutate","id":"g","session":"s","delta":{"add":[[0,1.0,1,-2.0]],"remove":[],"x":null}}"#,
+            r#"{"cmd":"create","id":"h","session":"s","orlib":"1 1\n0 1\n0\n2\n","seed":"ignored"}"#,
+        ]
+        .map(String::from),
+    );
+    lines
+}
+
+/// A line for the equivalence property: `lines[pick]` as written, or
+/// restyled, then perhaps mutated; `None` when the mutation left no UTF-8
+/// text (the server rejects such a line before parsing it).
+fn equivalence_line(
+    lines: &[String],
+    pick: usize,
+    style: (u8, u64, u8),
+    edit: Option<(usize, usize, u8, usize)>,
+) -> Option<String> {
+    let (ws, state, tweak) = style;
+    let line = &lines[pick % lines.len()];
+    let line = match ws {
+        0 => line.clone(),
+        _ => {
+            let ws = ["", " ", "\t \r\n", "  "][usize::from(ws) % 4];
+            restyle(&Json::parse(line).unwrap(), &mut (state | 1), ws, tweak)
+        }
+    };
+    match edit {
+        None => Some(line),
+        Some((class, at, flip, token)) => {
+            String::from_utf8(mutate(&line, class, at, flip, token)).ok()
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn the_typed_decoder_matches_the_tree_path(
+        pick in any::<usize>(),
+        style in (0u8..5, any::<u64>(), 0u8..4),
+        edit in prop::option::of((0usize..4, any::<usize>(), any::<u8>(), 0usize..7)),
+    ) {
+        let lines = equivalence_lines();
+        if let Some(line) = equivalence_line(&lines, pick, style, edit) {
+            prop_assert_eq!(
+                proto::parse_line(&line),
+                proto::parse_line_reference(&line),
+                "line {}", line
+            );
+        }
+    }
+}
+
+/// A `create` line with a 50x500 inline instance (about 0.5 MB), and a
+/// 4 KB `mutate` line: both decoders agree on them and on a few mutations.
+#[test]
+fn the_typed_decoder_matches_the_tree_path_on_large_lines() {
+    use distfl_instance::generators::{InstanceGenerator, UniformRandom};
+    let inst = UniformRandom::new(50, 500).unwrap().generate(7).unwrap();
+    let mut w = distfl_obs::JsonWriter::object();
+    w.key("cmd").string("create");
+    w.key("id").string("big");
+    w.key("session").string("s");
+    w.key("instance").begin_object();
+    w.key("opening").begin_array();
+    for i in inst.facilities() {
+        w.number(inst.opening_cost(i).value());
+    }
+    w.end_array();
+    w.key("links").begin_array();
+    for j in inst.clients() {
+        w.begin_array();
+        for (i, c) in inst.client_links(j).iter() {
+            w.number_u64(u64::from(i)).number(c);
+        }
+        w.end_array();
+    }
+    w.end_array();
+    w.end_object();
+    let create = w.finish();
+    assert!(create.len() > 400_000, "{} bytes", create.len());
+
+    let mut w = distfl_obs::JsonWriter::object();
+    w.key("cmd").string("mutate");
+    w.key("id").string("m");
+    w.key("session").string("s");
+    w.key("delta").begin_object();
+    w.key("remove").begin_array().number_u64(3).number_u64(9).end_array();
+    w.key("reprice").begin_array();
+    for k in 0..180u32 {
+        w.begin_array().number_u64(u64::from(k)).number_u64(u64::from(k % 50));
+        w.number(0.125 + f64::from(k) * 1.37).end_array();
+    }
+    w.end_array();
+    w.key("add").begin_array().begin_array();
+    for i in 0..50u32 {
+        w.number_u64(u64::from(i)).number(2.5 + f64::from(i));
+    }
+    w.end_array().end_array();
+    w.end_object();
+    let mutate_line = w.finish();
+    assert!((3_500..5_000).contains(&mutate_line.len()), "{} bytes", mutate_line.len());
+
+    for line in [&create, &mutate_line] {
+        let parsed = proto::parse_line(line);
+        assert!(parsed.is_ok(), "{parsed:?}");
+        assert_eq!(parsed, proto::parse_line_reference(line));
+        for (class, at) in [(0, line.len() / 2), (1, line.len() / 3), (2, 40), (3, line.len() - 9)]
+        {
+            let Ok(bad) = String::from_utf8(mutate(line, class, at, 0x20, at % 7)) else {
+                continue;
+            };
+            assert_eq!(proto::parse_line(&bad), proto::parse_line_reference(&bad));
+        }
     }
 }
 

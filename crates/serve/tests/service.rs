@@ -386,6 +386,98 @@ fn queue_full_is_an_immediate_typed_error() {
 }
 
 #[test]
+fn a_pipelined_backlog_past_the_byte_budget_waits_in_the_socket_not_the_queue() {
+    use distfl_instance::generators::{InstanceGenerator, UniformRandom};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Arc, Condvar, Mutex};
+
+    // The scheduler is held after its first pop, as in the queue_full
+    // test, while one connection pipelines 40 lines of about 100 KB: four
+    // times the per-connection byte budget, and more lines than the queue
+    // holds.
+    let popped = Arc::new(AtomicUsize::new(0));
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let hook: distfl_serve::BatchHook = {
+        let popped = Arc::clone(&popped);
+        let gate = Arc::clone(&gate);
+        Arc::new(move |_size| {
+            popped.fetch_add(1, Ordering::SeqCst);
+            let (lock, cv) = &*gate;
+            let mut open = lock.lock().unwrap();
+            while !*open {
+                open = cv.wait(open).unwrap();
+            }
+        })
+    };
+    let config = ServeConfig {
+        queue_capacity: 16,
+        max_batch: 1,
+        workers: Some(0),
+        shards: 1,
+        batch_hook: Some(hook),
+        ..ServeConfig::default()
+    };
+    let server = Server::start("127.0.0.1:0", config).unwrap();
+
+    let inst = UniformRandom::new(10, 450).unwrap().generate(4).unwrap();
+    let lines: Vec<String> = (0..40)
+        .map(|k| {
+            let mut w = distfl_obs::JsonWriter::object();
+            w.key("id").string(&format!("b{k}"));
+            w.key("solver").string("greedy");
+            inline_instance(&mut w, &inst);
+            w.finish()
+        })
+        .collect();
+    assert!((80_000..140_000).contains(&lines[0].len()), "{} bytes", lines[0].len());
+
+    let mut client = Client::connect(&server);
+    let mut writer = client.writer.try_clone().unwrap();
+    // The server stops reading past its budget, so the writes may block
+    // until the scheduler is released: send from another thread.
+    let sender = std::thread::spawn(move || {
+        for line in &lines {
+            writeln!(writer, "{line}").expect("send a backlog line");
+        }
+    });
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while popped.load(Ordering::SeqCst) == 0 {
+        assert!(Instant::now() < deadline, "scheduler never picked up the first line");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+
+    // Without the budget, the lines past the queue's capacity would be
+    // refused with queue_full at once. With it, nothing is answered while
+    // the scheduler is held.
+    client.reader.get_ref().set_read_timeout(Some(Duration::from_millis(1500))).unwrap();
+    let mut early = String::new();
+    let quiet = client.reader.read_line(&mut early);
+    assert!(
+        matches!(&quiet, Err(e) if matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)),
+        "answered while the scheduler was held: {quiet:?} {early}"
+    );
+    assert!(early.is_empty(), "{early}");
+
+    // A paused connection holds up no other connection.
+    let mut other = Client::connect(&server);
+    other.reader.get_ref().set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    assert!(other.roundtrip(r#"{"cmd":"ping"}"#).contains(r#""pong":true"#));
+
+    {
+        let (lock, cv) = &*gate;
+        *lock.lock().unwrap() = true;
+        cv.notify_all();
+    }
+    client.reader.get_ref().set_read_timeout(Some(Duration::from_secs(120))).unwrap();
+    for k in 0..40 {
+        let response = client.recv();
+        assert!(response.contains(&format!(r#""id":"b{k}","ok":true"#)), "{response}");
+    }
+    sender.join().unwrap();
+    server.shutdown();
+}
+
+#[test]
 fn graceful_shutdown_drains_admitted_requests() {
     let config = ServeConfig {
         queue_capacity: 64,
