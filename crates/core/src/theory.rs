@@ -26,8 +26,10 @@ pub fn paper_bound(k: u32, m: usize, n: usize, rho: f64) -> f64 {
 }
 
 /// This reproduction's PayDual bound `γ(s) · (1 + ln(m+n))` with
-/// `γ(s) = B^{1/s}` the per-phase raise factor of the instance (see
-/// `paydual::analysis`).
+/// `γ(s) = B^{1/s}` the per-phase raise factor of the instance. It is
+/// checked against the exact optimum by the
+/// `paydual_stays_within_its_approximation_bound` property in
+/// `tests/properties.rs` (at most 8 facilities) and measured by E1/E4.
 pub fn paydual_bound(instance: &Instance, phases: u32) -> f64 {
     let gamma = spread::phase_factor(instance, phases);
     let log_term =

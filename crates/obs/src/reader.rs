@@ -488,19 +488,16 @@ impl<'a> Cursor<'a> {
             Some(b'u') => {
                 self.pos += 1;
                 let unit = self.hex4()?;
-                // Decode a surrogate pair if a high surrogate is followed
-                // by \uXXXX with a low surrogate.
+                // A high surrogate must be followed by \uXXXX with a low
+                // surrogate; the pair decodes to one scalar.
                 return if (0xD800..0xDC00).contains(&unit) {
                     let b = self.bytes();
                     if b.get(self.pos) == Some(&b'\\') && b.get(self.pos + 1) == Some(&b'u') {
                         self.pos += 2;
                         let low = self.hex4()?;
-                        // Wrapping, as release builds always computed it:
-                        // a second unit outside the low range wraps to some
-                        // scalar rather than failing.
-                        let combined = (0x10000 + ((u32::from(unit) - 0xD800) << 10))
-                            .wrapping_add(u32::from(low).wrapping_sub(0xDC00));
-                        char::from_u32(combined)
+                        char::decode_utf16([unit, low])
+                            .next()
+                            .and_then(Result::ok)
                             .ok_or_else(|| format!("bad surrogate pair at byte {}", self.pos))
                     } else {
                         Err(format!("lone surrogate at byte {}", self.pos))
@@ -561,9 +558,19 @@ mod tests {
 
     #[test]
     fn rejects_malformed_input() {
-        for bad in
-            ["", "{", "{\"a\":}", "[1,]", "{\"a\":1} extra", "\"\\ud800\"", "01", "nul", "--1"]
-        {
+        for bad in [
+            "",
+            "{",
+            "{\"a\":}",
+            "[1,]",
+            "{\"a\":1} extra",
+            "\"\\ud800\"",
+            "01",
+            "nul",
+            "--1",
+            "\"\\ud800\\u0041\"",
+            "\"\\udbff\\ud800\"",
+        ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} accepted");
         }
     }

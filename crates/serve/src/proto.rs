@@ -1092,6 +1092,15 @@ mod tests {
     }
 
     #[test]
+    fn an_id_with_a_bad_surrogate_pair_is_malformed() {
+        let line = r#"{"id":"\ud800\u0041","solver":"greedy","instance":{"opening":[4.0],"links":[[0,1.0]]}}"#;
+        for err in [parse_line(line).unwrap_err(), parse_line_reference(line).unwrap_err()] {
+            assert_eq!(err.kind, ErrorKind::MalformedRequest);
+            assert!(err.detail.contains("bad surrogate pair"), "{}", err.detail);
+        }
+    }
+
+    #[test]
     fn inline_validation_is_typed_invalid_instance() {
         let line =
             r#"{"id":"r2","solver":"greedy","instance":{"opening":[1.0],"links":[[5,1.0]]}}"#;
