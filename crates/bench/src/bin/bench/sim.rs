@@ -81,10 +81,6 @@ fn smoke() -> bool {
                     eprintln!("smoke FAILED: event ordering not deterministic under {name}");
                     ok = false;
                 }
-                if replay.verdicts != first.verdicts {
-                    eprintln!("smoke FAILED: verdicts not deterministic under {name}");
-                    ok = false;
-                }
             }
         }
     }

@@ -10,11 +10,11 @@
 //!    forwards once all children reported.
 //! 3. **Broadcast** — the root floods the aggregate back down.
 //!
-//! These are exactly the primitives the *straw-man* distributed greedy
-//! needs once per picked star (see `distfl-core::seqsim`), and what a real
-//! deployment uses to audit a solution's total cost. The protocol is also
-//! a good stress test of the engine: variable-length phases, node-specific
-//! termination, and message causality.
+//! The solution audits of `distfl-core::audit` run on these primitives;
+//! the executed straw-man (`distfl-core::seqdist`) builds the same tree
+//! with its own messages, since it convergecasts a pair per picked star.
+//! The protocol is also a good stress test of the engine: variable-length
+//! phases, node-specific termination, and message causality.
 
 use crate::engine::{Network, StepCtx};
 use crate::error::CongestError;
@@ -32,13 +32,6 @@ pub enum AggregateOp {
     Min,
     /// Maximum of all values.
     Max,
-    /// Minimum over the strictly positive values only; zeros (and
-    /// negatives) act as the identity. This is the distributed form of a
-    /// *cost floor* — the smallest non-free coefficient of an instance,
-    /// the `c_min` in the spread `ρ = c_max / c_min` that sizes the
-    /// radius ladder of the metric ball-growing solver. Nodes holding
-    /// only zero-cost links simply contribute nothing.
-    MinPositive,
 }
 
 impl AggregateOp {
@@ -49,11 +42,6 @@ impl AggregateOp {
             AggregateOp::Sum => a + b,
             AggregateOp::Min => a.min(b),
             AggregateOp::Max => a.max(b),
-            AggregateOp::MinPositive => {
-                let a = if a > 0.0 { a } else { f64::INFINITY };
-                let b = if b > 0.0 { b } else { f64::INFINITY };
-                a.min(b)
-            }
         }
     }
 
@@ -62,7 +50,7 @@ impl AggregateOp {
     pub fn identity(self) -> f64 {
         match self {
             AggregateOp::Sum => 0.0,
-            AggregateOp::Min | AggregateOp::MinPositive => f64::INFINITY,
+            AggregateOp::Min => f64::INFINITY,
             AggregateOp::Max => f64::NEG_INFINITY,
         }
     }
@@ -413,24 +401,5 @@ mod tests {
         assert_eq!(AggregateOp::Sum.identity(), 0.0);
         assert_eq!(AggregateOp::Min.identity(), f64::INFINITY);
         assert_eq!(AggregateOp::Max.identity(), f64::NEG_INFINITY);
-        assert_eq!(AggregateOp::MinPositive.identity(), f64::INFINITY);
-        // Zeros act as the identity, positives compete.
-        assert_eq!(AggregateOp::MinPositive.combine(0.0, 3.0), 3.0);
-        assert_eq!(AggregateOp::MinPositive.combine(2.0, 0.0), 2.0);
-        assert_eq!(AggregateOp::MinPositive.combine(2.0, 3.0), 2.0);
-        assert_eq!(AggregateOp::MinPositive.combine(0.0, 0.0), f64::INFINITY);
-    }
-
-    #[test]
-    fn min_positive_computes_the_cost_floor_on_a_ring() {
-        // The distributed form of `spread::positive_floor`: zero-cost
-        // entries must not poison the minimum that sizes a radius ladder.
-        let topo = Topology::ring(8).unwrap();
-        let vals = [0.0, 4.5, 0.0, 2.25, 9.0, 0.0, 3.0, 0.0];
-        let (floor, t) = aggregate(&topo, NodeId::new(3), &vals, AggregateOp::MinPositive).unwrap();
-        assert_eq!(floor, 2.25);
-        let (plain_min, _) = aggregate(&topo, NodeId::new(3), &vals, AggregateOp::Min).unwrap();
-        assert_eq!(plain_min, 0.0, "plain Min would have returned the useless zero");
-        assert!(t.congest_compliant(72));
     }
 }

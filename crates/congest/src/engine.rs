@@ -55,16 +55,19 @@ pub struct CongestConfig {
     /// Handling of one-message-per-edge violations.
     pub duplicate_policy: DuplicatePolicy,
     /// Number of lanes a round's node steps run on; `None` or `Some(1)`
-    /// steps serially. `Some(k)` steps every round's nodes in
-    /// `min(k, pool parallelism, node count)` contiguous chunks on the
-    /// worker pool (its workers plus the submitting thread), then delivers
-    /// serially. Results are bit-identical either way.
+    /// steps serially and never touches a worker pool. `Some(k)` steps
+    /// every round's nodes in `min(k, pool parallelism, node count)`
+    /// contiguous chunks on the worker pool (its workers plus the
+    /// submitting thread), then delivers serially. Results are
+    /// bit-identical either way.
     pub threads: Option<usize>,
-    /// The worker pool parallel steps dispatch to. `None` uses the
+    /// The worker pool parallel steps dispatch to, read only when
+    /// `threads` asks for more than one lane. `None` then uses the
     /// process-wide [`WorkerPool::global`] pool (sized from
-    /// `DISTFL_POOL_THREADS` or the machine's parallelism). Supplying a
-    /// pool explicitly lets tests and benches exercise any worker count
-    /// on any machine; results are bit-identical for every choice.
+    /// `DISTFL_POOL_THREADS` or the machine's parallelism), created on
+    /// that first use. Supplying a pool explicitly lets tests and benches
+    /// exercise any worker count on any machine; results are
+    /// bit-identical for every choice.
     pub pool: Option<Arc<WorkerPool>>,
     /// Optional deterministic message-drop plan.
     pub fault: Option<FaultPlan>,
@@ -188,11 +191,10 @@ pub struct Network<L: NodeLogic> {
     step_errors: Vec<Option<CongestError>>,
     /// Round from which each node is crashed (`u32::MAX` = never).
     crash_round: Vec<u32>,
-    /// The persistent worker pool parallel steps dispatch to.
-    pool: Arc<WorkerPool>,
-    /// Lanes a round's steps run on: `threads` capped at the pool's
-    /// parallelism and the node count. At most 1 steps inline.
-    lanes: usize,
+    /// The worker pool a round's steps run on and the lane count:
+    /// `threads` capped at the pool's parallelism and the node count.
+    /// `None` when that leaves one lane, so the steps run inline.
+    stepping: Option<(Arc<WorkerPool>, usize)>,
     transcript: Transcript,
 }
 
@@ -237,8 +239,14 @@ impl<L: NodeLogic> Network<L> {
         }
         let n = nodes.len();
         let crash_round = crash_rounds(n, &config.crashes);
-        let pool = config.pool.clone().unwrap_or_else(WorkerPool::global);
-        let lanes = config.threads.unwrap_or(1).min(pool.parallelism()).min(n);
+        let wanted = config.threads.unwrap_or(1).min(n);
+        let stepping = (wanted > 1)
+            .then(|| {
+                let pool = config.pool.clone().unwrap_or_else(WorkerPool::global);
+                let lanes = wanted.min(pool.parallelism());
+                (pool, lanes)
+            })
+            .filter(|&(_, lanes)| lanes > 1);
         Ok(Network {
             topo,
             nodes,
@@ -250,8 +258,7 @@ impl<L: NodeLogic> Network<L> {
             outboxes: (0..n).map(|_| Vec::new()).collect(),
             step_errors: (0..n).map(|_| None).collect(),
             crash_round,
-            pool,
-            lanes,
+            stepping,
             transcript: Transcript::new(),
         })
     }
@@ -332,7 +339,7 @@ impl<L: NodeLogic> Network<L> {
         // One relaxed atomic load per round is the entire disabled-tracing
         // cost.
         let round_started = distfl_obs::enabled().then(Instant::now);
-        let stepped = self.lanes > 1;
+        let stepped = self.stepping.is_some();
         if stepped {
             self.step_on_pool(round);
         }
@@ -367,9 +374,9 @@ impl<L: NodeLogic> Network<L> {
             let src = NodeId::new(index as u32);
             let mut run = SendRun::default();
             for (dst, msg) in outbox.drain(..) {
-                match deliver_one(&rule, &mut stats, &mut run, round, src, dst, &msg, || false) {
-                    Ok(Some(_)) => self.next_inboxes[dst.index()].push((src, msg)),
-                    Ok(None) => {}
+                match deliver_one(&rule, &mut stats, &mut run, round, src, dst, &msg) {
+                    Ok(true) => self.next_inboxes[dst.index()].push((src, msg)),
+                    Ok(false) => {}
                     Err(err) => {
                         deliver_error = Some(err);
                         break;
@@ -400,9 +407,12 @@ impl<L: NodeLogic> Network<L> {
 
     /// Steps every node on the worker pool, one task per contiguous chunk
     /// of nodes, filling the pooled outboxes (sorted by destination) and
-    /// the per-node error slots. Only called when `lanes > 1`.
+    /// the per-node error slots. Only called when `stepping` is set.
     fn step_on_pool(&mut self, round: u32) {
-        let chunk = self.nodes.len().div_ceil(self.lanes);
+        let Some((pool, lanes)) = &self.stepping else {
+            return;
+        };
+        let chunk = self.nodes.len().div_ceil(*lanes);
         let topo = &self.topo;
         let seed = self.master_seed;
         let crash_round = &self.crash_round;
@@ -410,7 +420,7 @@ impl<L: NodeLogic> Network<L> {
         let inbox_chunks = self.inboxes.chunks(chunk);
         let outbox_chunks = self.outboxes.chunks_mut(chunk);
         let error_chunks = self.step_errors.chunks_mut(chunk);
-        self.pool.scope(|scope| {
+        pool.scope(|scope| {
             for (chunk_index, (((nodes, inboxes), outboxes), errors)) in
                 node_chunks.zip(inbox_chunks).zip(outbox_chunks).zip(error_chunks).enumerate()
             {
@@ -579,12 +589,10 @@ pub(crate) struct SendRun {
 ///
 /// In order: a repeated send over the same edge fails the round under
 /// [`DuplicatePolicy::Reject`] (and raises `max_messages_per_edge`
-/// otherwise); the fault plan, then `lost` (the simulator's lossy-node
-/// draw; `|| false` elsewhere), may drop the message; the bit budget may
-/// fail the round. Returns `Ok(Some(bits))` for a delivered message and
-/// `Ok(None)` for a dropped one, with `stats` updated either way.
+/// otherwise); the fault plan may drop the message; the bit budget may
+/// fail the round. Returns `Ok(true)` for a delivered message and
+/// `Ok(false)` for a dropped one, with `stats` updated either way.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn deliver_one<M: Payload>(
     rule: &DeliveryRule,
     stats: &mut RoundStats,
@@ -593,8 +601,7 @@ pub(crate) fn deliver_one<M: Payload>(
     src: NodeId,
     dst: NodeId,
     msg: &M,
-    lost: impl FnOnce() -> bool,
-) -> Result<Option<u64>, CongestError> {
+) -> Result<bool, CongestError> {
     if run.dst == Some(dst) {
         run.len += 1;
     } else {
@@ -605,9 +612,9 @@ pub(crate) fn deliver_one<M: Payload>(
         return Err(CongestError::EdgeCongestion { from: src, to: dst, round });
     }
     stats.max_messages_per_edge = stats.max_messages_per_edge.max(run.len);
-    if rule.fault.is_some_and(|f| f.drops(round, src, dst)) || lost() {
+    if rule.fault.is_some_and(|f| f.drops(round, src, dst)) {
         stats.dropped += 1;
-        return Ok(None);
+        return Ok(false);
     }
     let bits = msg.size_bits();
     if let Some(limit) = rule.max_bits {
@@ -618,7 +625,7 @@ pub(crate) fn deliver_one<M: Payload>(
     stats.messages += 1;
     stats.bits += bits;
     stats.max_message_bits = stats.max_message_bits.max(bits);
-    Ok(Some(bits))
+    Ok(true)
 }
 
 #[cfg(test)]

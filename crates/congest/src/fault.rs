@@ -60,83 +60,6 @@ impl FaultPlan {
     }
 }
 
-/// A typed per-node verdict produced by fault attribution: *which* nodes
-/// misbehaved during a run, and how. Modeled on tofn's `ProtocolFaulters`
-/// idea — a protocol should identify faulters, not merely tolerate them.
-///
-/// Verdicts are severity-ordered (see [`FaultVerdict::severity`]) so a
-/// convergecast can aggregate "worst offender" with a plain max.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultVerdict {
-    /// No fault observed for this node.
-    Honest,
-    /// The node stopped participating at the given round (crash-stop).
-    Crashed {
-        /// First round the node no longer executed.
-        round: u32,
-    },
-    /// The share of the node's outbound payloads that were lost exceeded
-    /// the attribution threshold.
-    DroppedAboveThreshold {
-        /// Payloads lost in transit from this node.
-        dropped: u64,
-        /// Total payloads the node sent.
-        sent: u64,
-    },
-    /// The node sent more than one message over a single directed edge in
-    /// one round — a CONGEST bandwidth violation (duplicate/equivocation).
-    Equivocated {
-        /// First round the violation was observed.
-        round: u32,
-    },
-}
-
-impl FaultVerdict {
-    /// Severity rank for max-aggregation: `Honest` < `Crashed` (fail-stop)
-    /// < `DroppedAboveThreshold` (lossy) < `Equivocated` (protocol
-    /// violation).
-    pub fn severity(&self) -> u32 {
-        match self {
-            FaultVerdict::Honest => 0,
-            FaultVerdict::Crashed { .. } => 1,
-            FaultVerdict::DroppedAboveThreshold { .. } => 2,
-            FaultVerdict::Equivocated { .. } => 3,
-        }
-    }
-
-    /// Whether the verdict names an actual fault.
-    pub fn is_faulty(&self) -> bool {
-        self.severity() > 0
-    }
-}
-
-/// Packs an accusation `(accused, severity)` into an `f64` that a max
-/// convergecast aggregates losslessly: `severity * 2^32 + accused.raw()`.
-/// Both components fit well inside the 53-bit mantissa, any real
-/// accusation (severity ≥ 1) dominates every "nothing to report" value
-/// (severity 0), and ties within a severity resolve to the highest node
-/// id — deterministically.
-pub fn encode_accusation(accused: NodeId, severity: u32) -> f64 {
-    ((u64::from(severity) << 32) | u64::from(accused.raw())) as f64
-}
-
-/// Inverse of [`encode_accusation`]. Returns `None` when the encoded value
-/// carries no fault (severity 0) or is out of range.
-pub fn decode_accusation(encoded: f64) -> Option<(NodeId, u32)> {
-    if !(encoded.is_finite() && encoded >= 0.0 && encoded.fract() == 0.0) {
-        return None;
-    }
-    let bits = encoded as u64;
-    if bits >= (1u64 << 53) {
-        return None;
-    }
-    let severity = (bits >> 32) as u32;
-    if severity == 0 {
-        return None;
-    }
-    Some((NodeId::new(bits as u32), severity))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,36 +152,5 @@ mod tests {
         let da: Vec<bool> = (0..256).map(|r| a.drops(r, edge.0, edge.1)).collect();
         let db: Vec<bool> = (0..256).map(|r| b.drops(r, edge.0, edge.1)).collect();
         assert_ne!(da, db);
-    }
-
-    #[test]
-    fn verdict_severity_is_totally_ordered() {
-        let verdicts = [
-            FaultVerdict::Honest,
-            FaultVerdict::Crashed { round: 3 },
-            FaultVerdict::DroppedAboveThreshold { dropped: 5, sent: 10 },
-            FaultVerdict::Equivocated { round: 1 },
-        ];
-        for w in verdicts.windows(2) {
-            assert!(w[0].severity() < w[1].severity());
-        }
-        assert!(!verdicts[0].is_faulty());
-        assert!(verdicts[1..].iter().all(FaultVerdict::is_faulty));
-    }
-
-    #[test]
-    fn accusation_encoding_round_trips_and_orders() {
-        // Severity dominates node id under max-aggregation.
-        let low = encode_accusation(NodeId::new(u32::MAX), 1);
-        let high = encode_accusation(NodeId::new(0), 2);
-        assert!(high > low);
-        assert!(low > encode_accusation(NodeId::new(u32::MAX), 0));
-        assert_eq!(decode_accusation(high), Some((NodeId::new(0), 2)));
-        assert_eq!(decode_accusation(low), Some((NodeId::new(u32::MAX), 1)));
-        // Severity 0 ("nothing to report") and junk decode to no fault.
-        assert_eq!(decode_accusation(encode_accusation(NodeId::new(7), 0)), None);
-        assert_eq!(decode_accusation(-1.0), None);
-        assert_eq!(decode_accusation(f64::NAN), None);
-        assert_eq!(decode_accusation(1.5), None);
     }
 }

@@ -77,10 +77,10 @@ mod topology;
 
 pub use engine::{CongestConfig, DuplicatePolicy, Network, StepCtx};
 pub use error::CongestError;
-pub use fault::{decode_accusation, encode_accusation, FaultPlan, FaultVerdict};
+pub use fault::FaultPlan;
 pub use message::Payload;
 pub use metrics::{RoundStats, Transcript};
-pub use sim::{LatencyModel, PartitionWindow, SimConfig, SimReport, Simulator};
+pub use sim::{LatencyModel, SimConfig, SimReport, Simulator};
 
 // The worker pool parallel steps dispatch to; re-exported so callers can
 // hand the engine an explicitly sized pool (`CongestConfig::pool`) without

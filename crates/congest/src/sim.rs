@@ -8,11 +8,10 @@
 //! of time, which is exactly the CONGEST cost model — but the paper's
 //! O(k)-round guarantee is most interesting when rounds cost real,
 //! heterogeneous time. The simulator executes the same protocols over an
-//! event queue of simulated nanoseconds: per-edge latency drawn from a
-//! pluggable distribution, optional per-edge bandwidth (serialization
-//! delay), and partition schedules that hold cross-cut traffic. Messages
-//! reorder naturally — two envelopes on different edges, or on the same
-//! edge in different rounds, arrive in latency order, not send order.
+//! event queue of simulated nanoseconds, with per-edge latency drawn from
+//! a pluggable distribution. Messages reorder naturally — two envelopes on
+//! different edges, or on the same edge in different rounds, arrive in
+//! latency order, not send order.
 //!
 //! ## Machinery
 //!
@@ -32,9 +31,9 @@
 //! against the sender's round, matching the engine's convention that
 //! round `r`'s statistics describe the messages sent in round `r`.
 //!
-//! Virtual-clock quantities (latency draws, bandwidth queueing, partition
-//! holds, synchronizer pulses) never touch the transcript; they live in
-//! the separate [`SimReport`]. When tracing is enabled the simulated
+//! Virtual-clock quantities (latency draws, the fixed compute time per
+//! step, synchronizer pulses) never touch the transcript; they live in the
+//! separate [`SimReport`]. When tracing is enabled the simulated
 //! timeline is exported through [`distfl_obs::complete_at`] with
 //! category `"sim"`, so `--trace` renders virtual rounds in the same
 //! Chrome trace as wall-clock spans.
@@ -44,7 +43,7 @@ use std::collections::BinaryHeap;
 
 use crate::engine::{crash_rounds, deliver_one, step_into, DeliveryRule, DuplicatePolicy, SendRun};
 use crate::error::CongestError;
-use crate::fault::{encode_accusation, FaultPlan, FaultVerdict};
+use crate::fault::FaultPlan;
 use crate::metrics::{RoundStats, Transcript};
 use crate::node::{NodeId, NodeLogic};
 use crate::rng::NodeRng;
@@ -127,57 +126,20 @@ impl LatencyModel {
     }
 }
 
-/// A scheduled network partition: while the virtual clock is inside
-/// `[start_nanos, end_nanos)`, edges crossing the cut (one endpoint below
-/// `boundary`, the other at or above it) hold their traffic; held
-/// envelopes depart when the window closes. Timing-only — payloads are
-/// never lost to a partition, so transcripts stay unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartitionWindow {
-    /// Window start (inclusive), in virtual nanoseconds.
-    pub start_nanos: u64,
-    /// Window end (exclusive), in virtual nanoseconds.
-    pub end_nanos: u64,
-    /// Nodes with id `< boundary` form one side of the cut.
-    pub boundary: u32,
-}
-
-impl PartitionWindow {
-    /// Whether the directed edge `src → dst` crosses this window's cut.
-    fn crosses(&self, src: NodeId, dst: NodeId) -> bool {
-        (src.raw() < self.boundary) != (dst.raw() < self.boundary)
-    }
-}
-
 /// Configuration of one simulated execution.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Per-edge propagation latency model.
     pub latency: LatencyModel,
-    /// Seed of the latency/loss sampling streams. Independent of the
+    /// Seed of the latency sampling streams. Independent of the
     /// protocol's `master_seed`: changing it reshuffles the timing (and
     /// hence event order) without touching the transcript.
     pub latency_seed: u64,
-    /// Virtual nanoseconds of local computation charged per node step;
-    /// envelopes depart this long after the step fires.
-    pub compute_nanos: u64,
-    /// Per-directed-edge serialization rate in bits per microsecond. An
-    /// envelope occupies its edge for `bits * 1000 / rate` ns and queues
-    /// behind earlier traffic on the same edge. `None` models infinite
-    /// bandwidth.
-    pub bandwidth_bits_per_us: Option<u64>,
-    /// Partition schedule (see [`PartitionWindow`]).
-    pub partitions: Vec<PartitionWindow>,
     /// Handling of one-message-per-edge violations, as in the engine.
     pub duplicate_policy: DuplicatePolicy,
     /// Deterministic message-drop plan, identical semantics (and identical
     /// drop decisions) to [`CongestConfig::fault`](crate::CongestConfig).
     pub fault: Option<FaultPlan>,
-    /// Additional per-*sender* drop probabilities: `(node, probability)`
-    /// marks every payload leaving `node` lost with the given independent
-    /// probability. This is the "corrupted node" knob for fault
-    /// attribution experiments; equivalence runs leave it empty.
-    pub lossy_nodes: Vec<(NodeId, f64)>,
     /// Crash-stop schedule, identical semantics to
     /// [`CongestConfig::crashes`](crate::CongestConfig).
     pub crashes: Vec<(NodeId, u32)>,
@@ -185,21 +147,17 @@ pub struct SimConfig {
     pub max_message_bits: Option<u64>,
 }
 
-/// Fraction of a sender's payloads that must be observed lost before fault
-/// attribution names it [`FaultVerdict::DroppedAboveThreshold`].
-const DROP_THRESHOLD: f64 = 0.05;
+/// Virtual nanoseconds of local computation charged per node step;
+/// envelopes depart this long after the step fires.
+const COMPUTE_NANOS: u64 = 1_000;
 
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             latency: LatencyModel::Constant(50_000),
             latency_seed: 0,
-            compute_nanos: 1_000,
-            bandwidth_bits_per_us: None,
-            partitions: Vec::new(),
             duplicate_policy: DuplicatePolicy::default(),
             fault: None,
-            lossy_nodes: Vec::new(),
             crashes: Vec::new(),
             max_message_bits: None,
         }
@@ -215,13 +173,12 @@ pub struct SimReport {
     pub virtual_nanos: u64,
     /// Events popped from the queue.
     pub events_processed: u64,
-    /// Envelopes that carried at least one payload (or a drop record).
+    /// Envelopes the sender addressed at least one payload to, even if
+    /// the fault plan dropped every one of them in transit.
     pub protocol_envelopes: u64,
-    /// Pure synchronizer pulses (empty envelopes) — the α-synchronizer's
-    /// overhead.
+    /// Pure synchronizer pulses (envelopes nothing was addressed to) — the
+    /// α-synchronizer's overhead.
     pub pulse_envelopes: u64,
-    /// Envelopes whose departure was delayed by a partition window.
-    pub partition_holds: u64,
     /// Per round: virtual `(start, end)` of the round's step executions
     /// (end includes the final step's compute time).
     pub round_spans: Vec<(u64, u64)>,
@@ -282,11 +239,6 @@ pub struct Simulator<L: NodeLogic> {
     free_at: Vec<u64>,
     /// Round from which each node is crashed (`u32::MAX` = never).
     crash_round: Vec<u32>,
-    /// Per-node extra drop probability (dense form of
-    /// [`SimConfig::lossy_nodes`]).
-    loss_prob: Vec<f64>,
-    /// Per-directed-edge (node × neighbor slot) bandwidth busy-until.
-    edge_free_at: Vec<Vec<u64>>,
     /// Per-round statistics, indexed by round; grown as rounds execute.
     rows: Vec<RoundStats>,
     /// Rounds executed (1 + highest stepped round; 0 before any step).
@@ -322,9 +274,8 @@ impl<L: NodeLogic> Simulator<L> {
     ///
     /// # Panics
     ///
-    /// Panics if the latency model or a lossy-node probability is out of
-    /// range (misconfiguration, like
-    /// [`FaultPlan::drop_with_probability`]).
+    /// Panics if the latency model's parameters are out of range
+    /// (misconfiguration, like [`FaultPlan::drop_with_probability`]).
     pub fn new(
         topo: Topology,
         nodes: Vec<L>,
@@ -340,22 +291,7 @@ impl<L: NodeLogic> Simulator<L> {
         config.latency.validate();
         let n = nodes.len();
         let crash_round = crash_rounds(n, &config.crashes);
-        let mut loss_prob = vec![0.0; n];
-        for &(id, p) in &config.lossy_nodes {
-            assert!(
-                p.is_finite() && (0.0..=1.0).contains(&p),
-                "lossy-node probability must be in [0, 1], got {p}"
-            );
-            if let Some(slot) = loss_prob.get_mut(id.index()) {
-                *slot = p;
-            }
-        }
-        let mut config = config;
-        // Windows are applied in start order; holding an envelope can push
-        // its departure into a later window, never an earlier one.
-        config.partitions.sort_by_key(|w| (w.start_nanos, w.end_nanos));
         let states = (0..n).map(|i| SyncState::new(topo.degree(NodeId::new(i as u32)))).collect();
-        let edge_free_at = (0..n).map(|i| vec![0u64; topo.degree(NodeId::new(i as u32))]).collect();
         Ok(Simulator {
             topo,
             nodes,
@@ -367,8 +303,6 @@ impl<L: NodeLogic> Simulator<L> {
             now: 0,
             free_at: vec![0; n],
             crash_round,
-            loss_prob,
-            edge_free_at,
             rows: Vec::new(),
             rounds_executed: 0,
             max_rounds: u32::MAX,
@@ -589,7 +523,7 @@ impl<L: NodeLogic> Simulator<L> {
             self.rows.push(RoundStats { round: r, ..RoundStats::default() });
         }
         self.rounds_executed = self.rounds_executed.max(round + 1);
-        let end = t + self.config.compute_nanos;
+        let end = t + COMPUTE_NANOS;
         while self.report.round_spans.len() <= round as usize {
             self.report.round_spans.push((t, end));
         }
@@ -618,9 +552,8 @@ impl<L: NodeLogic> Simulator<L> {
     }
 
     /// Scans the sorted outbox with the engine's delivery rule
-    /// ([`deliver_one`]; the lossy-node draw rides in its `lost` slot) and
-    /// emits one envelope per incident edge — a pulse where no payloads
-    /// are addressed.
+    /// ([`deliver_one`]) and emits one envelope per incident edge — a
+    /// pulse where no payloads are addressed.
     fn send_round(
         &mut self,
         src: NodeId,
@@ -634,7 +567,6 @@ impl<L: NodeLogic> Simulator<L> {
             fault: self.config.fault,
             max_bits: self.config.max_message_bits,
         };
-        let loss = self.loss_prob[src.index()];
         // Stats accumulate in a local copy (written back below) so the
         // loop can freely borrow the queue and report.
         let mut stats = self.rows[round as usize];
@@ -644,41 +576,33 @@ impl<L: NodeLogic> Simulator<L> {
 
         let mut cursor = 0usize;
         let mut failure = None;
-        'edges: for (j, &dst) in neighbors.iter().enumerate() {
+        'edges: for &dst in &neighbors {
             let mut payloads = Vec::new();
-            let mut env_dropped = 0u64;
             let mut run = SendRun::default();
-            let mut bits_total = 0u64;
-            let mut loss_rng = (loss > 0.0).then(|| {
-                let key = (u64::from(src.raw()) << 32) | u64::from(dst.raw());
-                NodeRng::derive_keyed(self.config.latency_seed ^ 0x105_5E5, key, round)
-            });
+            let mut addressed = false;
             while let Some((d, msg)) = outbox.get(cursor) {
                 if *d != dst {
                     debug_assert!(*d > dst, "outbox sorted by destination");
                     break;
                 }
                 cursor += 1;
-                let lost = || loss_rng.as_mut().is_some_and(|rng| rng.bernoulli(loss));
-                match deliver_one(&rule, &mut stats, &mut run, round, src, dst, msg, lost) {
-                    Ok(Some(bits)) => {
-                        bits_total += bits;
-                        payloads.push(msg.clone());
-                    }
-                    Ok(None) => env_dropped += 1,
+                addressed = true;
+                match deliver_one(&rule, &mut stats, &mut run, round, src, dst, msg) {
+                    Ok(true) => payloads.push(msg.clone()),
+                    Ok(false) => {}
                     Err(err) => {
                         failure = Some(err);
                         break 'edges;
                     }
                 }
             }
-            if payloads.is_empty() && env_dropped == 0 {
-                self.report.pulse_envelopes += 1;
-            } else {
+            if addressed {
                 self.report.protocol_envelopes += 1;
+            } else {
+                self.report.pulse_envelopes += 1;
             }
-            let arrival = self.delivery_time(src, j, dst, round, send_t, bits_total);
-            let env = Envelope { src, round, payloads, dropped: env_dropped, final_round };
+            let arrival = self.delivery_time(src, dst, round, send_t);
+            let env = Envelope { src, round, payloads, final_round };
             self.push_event(arrival, Ev::Arrival { dst, env });
         }
         self.rows[round as usize] = stats;
@@ -693,34 +617,12 @@ impl<L: NodeLogic> Simulator<L> {
         }
     }
 
-    /// When the envelope `src → dst` sent at `send_t` arrives: bandwidth
-    /// queueing on the directed edge, partition holds, then one latency
-    /// draw from the per-`(edge, round)` stream.
-    fn delivery_time(
-        &mut self,
-        src: NodeId,
-        neighbor_slot: usize,
-        dst: NodeId,
-        round: u32,
-        send_t: u64,
-        bits: u64,
-    ) -> u64 {
-        let mut depart = send_t;
-        if let Some(rate) = self.config.bandwidth_bits_per_us {
-            let tx = bits.saturating_mul(1_000) / rate.max(1);
-            let free = &mut self.edge_free_at[src.index()][neighbor_slot];
-            depart = (*free).max(send_t) + tx;
-            *free = depart;
-        }
-        for w in &self.config.partitions {
-            if depart >= w.start_nanos && depart < w.end_nanos && w.crosses(src, dst) {
-                depart = w.end_nanos;
-                self.report.partition_holds += 1;
-            }
-        }
+    /// When the envelope `src → dst` sent at `send_t` arrives: one latency
+    /// draw from the per-`(edge, round)` stream after the send.
+    fn delivery_time(&self, src: NodeId, dst: NodeId, round: u32, send_t: u64) -> u64 {
         let key = (u64::from(src.raw()) << 32) | u64::from(dst.raw());
         let mut rng = NodeRng::derive_keyed(self.config.latency_seed, key, round);
-        depart + self.config.latency.sample(&mut rng)
+        send_t + self.config.latency.sample(&mut rng)
     }
 
     /// Emits the round-0 final pulse of a node that was done before ever
@@ -729,11 +631,10 @@ impl<L: NodeLogic> Simulator<L> {
         let mut neighbors = std::mem::take(&mut self.scratch_neighbors);
         neighbors.clear();
         neighbors.extend_from_slice(self.topo.neighbors(src));
-        for (j, &dst) in neighbors.iter().enumerate() {
+        for &dst in &neighbors {
             self.report.pulse_envelopes += 1;
-            let arrival = self.delivery_time(src, j, dst, 0, 0, 0);
-            let env =
-                Envelope { src, round: 0, payloads: Vec::new(), dropped: 0, final_round: true };
+            let arrival = self.delivery_time(src, dst, 0, 0);
+            let env = Envelope { src, round: 0, payloads: Vec::new(), final_round: true };
             self.push_event(arrival, Ev::Arrival { dst, env });
         }
         neighbors.clear();
@@ -759,87 +660,12 @@ impl<L: NodeLogic> Simulator<L> {
             distfl_obs::complete_at("sim", "run", 0, self.report.virtual_nanos, None);
         }
     }
-
-    /// Per-node fault verdicts from the run's observations: equivocation
-    /// and loss are accumulated receiver-side from envelope framing;
-    /// crashes come from the failure detector (the schedule). The worst
-    /// applicable verdict wins.
-    pub fn verdicts(&self) -> Vec<FaultVerdict> {
-        let n = self.nodes.len();
-        let mut dropped = vec![0u64; n];
-        let mut sent = vec![0u64; n];
-        let mut duplicate: Vec<Option<u32>> = vec![None; n];
-        for (index, state) in self.states.iter().enumerate() {
-            let observer = NodeId::new(index as u32);
-            for (j, &nb) in self.topo.neighbors(observer).iter().enumerate() {
-                dropped[nb.index()] += state.observed_dropped[j];
-                sent[nb.index()] += state.observed_payloads[j];
-                if let Some(r) = state.observed_duplicate[j] {
-                    let slot = &mut duplicate[nb.index()];
-                    *slot = Some(slot.map_or(r, |prev| prev.min(r)));
-                }
-            }
-        }
-        (0..n)
-            .map(|i| {
-                if let Some(round) = duplicate[i] {
-                    return FaultVerdict::Equivocated { round };
-                }
-                if sent[i] > 0 {
-                    let rate = dropped[i] as f64 / sent[i] as f64;
-                    if dropped[i] > 0 && rate > DROP_THRESHOLD {
-                        return FaultVerdict::DroppedAboveThreshold {
-                            dropped: dropped[i],
-                            sent: sent[i],
-                        };
-                    }
-                }
-                if self.crash_round[i] < self.rounds_executed {
-                    return FaultVerdict::Crashed { round: self.crash_round[i] };
-                }
-                FaultVerdict::Honest
-            })
-            .collect()
-    }
-
-    /// Per-node accusations for the audit convergecast: each node reports
-    /// the worst fault it *locally* observed among its neighbors, encoded
-    /// with [`encode_accusation`] so a max-aggregate names the worst
-    /// offender network-wide. Nodes never accuse themselves.
-    pub fn accusations(&self) -> Vec<f64> {
-        self.states
-            .iter()
-            .enumerate()
-            .map(|(index, state)| {
-                let observer = NodeId::new(index as u32);
-                let mut best = 0.0f64;
-                for (j, &nb) in self.topo.neighbors(observer).iter().enumerate() {
-                    let severity = if state.observed_duplicate[j].is_some() {
-                        3
-                    } else if state.observed_payloads[j] > 0
-                        && state.observed_dropped[j] > 0
-                        && state.observed_dropped[j] as f64 / state.observed_payloads[j] as f64
-                            > DROP_THRESHOLD
-                    {
-                        2
-                    } else if self.crash_round[nb.index()] < self.rounds_executed {
-                        1
-                    } else {
-                        0
-                    };
-                    best = best.max(encode_accusation(nb, severity));
-                }
-                best
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{CongestConfig, Network};
-    use crate::fault::decode_accusation;
     use crate::message::Payload;
 
     /// Variable-width payload so bit accounting is non-trivial.
@@ -992,7 +818,7 @@ mod tests {
     }
 
     #[test]
-    fn crash_stops_a_node_like_engine_and_is_attributed() {
+    fn crash_stops_a_node_like_engine() {
         let topo = Topology::ring(4).unwrap();
         let crashes = vec![(NodeId::new(1), 2)];
         let econfig = CongestConfig { crashes: crashes.clone(), ..CongestConfig::default() };
@@ -1003,9 +829,6 @@ mod tests {
         assert_eq!(eres, sres);
         assert_eq!(&etr, sim.transcript());
         assert_eq!(&enodes, sim.nodes());
-        let verdicts = sim.verdicts();
-        assert_eq!(verdicts[1], FaultVerdict::Crashed { round: 2 });
-        assert!(verdicts.iter().enumerate().all(|(i, v)| i == 1 || *v == FaultVerdict::Honest));
     }
 
     #[test]
@@ -1034,67 +857,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_delays_delivery_without_changing_transcript() {
-        let topo = Topology::ring(4).unwrap();
-        let (_, etr, enodes) = engine_run(&topo, gossips(4, 6), 21, CongestConfig::default(), 20);
-        let config = SimConfig {
-            partitions: vec![PartitionWindow {
-                start_nanos: 0,
-                end_nanos: 1_000_000_000,
-                boundary: 2,
-            }],
-            ..SimConfig::default()
-        };
-        let (res, sim) = sim_run(&topo, gossips(4, 6), 21, config, 20);
-        assert_eq!(res, Ok(()));
-        assert_eq!(&etr, sim.transcript());
-        assert_eq!(&enodes, sim.nodes());
-        assert!(sim.report().partition_holds > 0, "the cut must actually hold traffic");
-        assert!(
-            sim.report().virtual_nanos >= 1_000_000_000,
-            "held envelopes push the makespan past the window"
-        );
-    }
-
-    #[test]
-    fn bandwidth_cap_slows_the_clock_but_not_the_protocol() {
-        let topo = Topology::ring(4).unwrap();
-        let fast = SimConfig::default();
-        let slow = SimConfig { bandwidth_bits_per_us: Some(1), ..SimConfig::default() };
-        let (_, a) = sim_run(&topo, gossips(4, 6), 33, fast, 20);
-        let (res, b) = sim_run(&topo, gossips(4, 6), 33, slow, 20);
-        assert_eq!(res, Ok(()));
-        assert_eq!(a.transcript(), b.transcript());
-        assert_eq!(a.nodes(), b.nodes());
-        assert!(b.report().virtual_nanos > a.report().virtual_nanos);
-    }
-
-    #[test]
-    fn lossy_node_is_named_by_verdicts_and_accusations() {
-        let topo = Topology::ring(6).unwrap();
-        let config = SimConfig { lossy_nodes: vec![(NodeId::new(3), 0.8)], ..SimConfig::default() };
-        let (res, sim) = sim_run(&topo, gossips(6, 20), 17, config, 40);
-        assert_eq!(res, Ok(()));
-        match sim.verdicts()[3] {
-            FaultVerdict::DroppedAboveThreshold { dropped, sent } => {
-                assert!(dropped > 0 && dropped <= sent);
-            }
-            ref v => panic!("expected a drop verdict for the lossy node, got {v:?}"),
-        }
-        assert!(sim
-            .verdicts()
-            .iter()
-            .enumerate()
-            .all(|(i, v)| i == 3 || *v == FaultVerdict::Honest));
-        let worst = sim.accusations().into_iter().fold(0.0f64, f64::max);
-        assert_eq!(
-            decode_accusation(worst),
-            Some((NodeId::new(3), 2)),
-            "the convergecast input must name the lossy node"
-        );
-    }
-
-    #[test]
     fn done_at_start_node_is_skipped_like_engine() {
         let topo = Topology::ring(4).unwrap();
         let mut nodes = gossips(4, 4);
@@ -1117,6 +879,21 @@ mod tests {
         assert_eq!(report.round_spans.len(), sim.transcript().num_rounds() as usize);
         assert!(report.round_spans.windows(2).all(|w| w[0].0 <= w[1].0));
         assert!(report.round_spans.iter().all(|&(s, e)| s < e));
+    }
+
+    #[test]
+    fn fully_dropped_envelopes_still_count_as_protocol_traffic() {
+        // Gossip broadcasts until its horizon whatever it hears, so both
+        // runs address the same envelopes; one loses every payload.
+        let topo = Topology::ring(4).unwrap();
+        let (_, clean) = sim_run(&topo, gossips(4, 4), 2, SimConfig::default(), 20);
+        let fault = Some(FaultPlan::drop_with_probability(1.0, 5));
+        let (_, lossy) =
+            sim_run(&topo, gossips(4, 4), 2, SimConfig { fault, ..SimConfig::default() }, 20);
+        assert_eq!(lossy.transcript().total_messages(), 0);
+        assert!(lossy.transcript().total_dropped() > 0);
+        assert_eq!(lossy.report().protocol_envelopes, clean.report().protocol_envelopes);
+        assert_eq!(lossy.report().pulse_envelopes, clean.report().pulse_envelopes);
     }
 
     #[test]

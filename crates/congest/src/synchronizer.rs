@@ -22,9 +22,7 @@
 //!
 //! Dropped payloads still occupy their envelope: fault injection removes
 //! the protocol *message*, not the link-layer framing, so a lossy edge
-//! never deadlocks the synchronizer and the receiver can *count* what it
-//! lost — the raw observation behind
-//! [`FaultVerdict::DroppedAboveThreshold`](crate::FaultVerdict).
+//! never deadlocks the synchronizer.
 //!
 //! ## Equivalence
 //!
@@ -41,19 +39,17 @@ use crate::message::Payload;
 use crate::node::NodeId;
 
 /// Everything one directed edge carries for one round: the payloads (often
-/// none — then the envelope is a pure synchronizer pulse), how many
-/// payloads fault injection stripped in transit, and whether the sender's
-/// logic completed during this round.
+/// none — then the envelope is a pure synchronizer pulse) and whether the
+/// sender's logic completed during this round.
 #[derive(Debug, Clone)]
 pub(crate) struct Envelope<M> {
     /// Sending node.
     pub src: NodeId,
     /// Round the sender executed when emitting this envelope.
     pub round: u32,
-    /// Protocol messages for the receiver, in the sender's outbox order.
+    /// Protocol messages for the receiver that survived fault injection,
+    /// in the sender's outbox order.
     pub payloads: Vec<M>,
-    /// Payloads removed by fault injection (the framing still arrives).
-    pub dropped: u64,
     /// The sender reported done during this round: no envelope with a
     /// higher round will ever leave it.
     pub final_round: bool,
@@ -90,14 +86,6 @@ pub(crate) struct SyncState<M> {
     /// Buffered envelopes keyed by round. Entries are created on first
     /// arrival and consumed (removed) when the node steps past the round.
     bufs: std::collections::BTreeMap<u32, RoundBuf<M>>,
-    /// Payloads observed as dropped per incoming edge, and envelopes
-    /// received per incoming edge — the receiver-side evidence for fault
-    /// attribution.
-    pub observed_dropped: Vec<u64>,
-    pub observed_payloads: Vec<u64>,
-    /// First round (if any) an incoming edge carried more than one payload
-    /// — a CONGEST duplicate observed by *this* receiver.
-    pub observed_duplicate: Vec<Option<u32>>,
 }
 
 impl<M: Payload> SyncState<M> {
@@ -108,9 +96,6 @@ impl<M: Payload> SyncState<M> {
             done: false,
             silent_from: vec![u32::MAX; degree],
             bufs: std::collections::BTreeMap::new(),
-            observed_dropped: vec![0; degree],
-            observed_payloads: vec![0; degree],
-            observed_duplicate: vec![None; degree],
         }
     }
 
@@ -120,15 +105,10 @@ impl<M: Payload> SyncState<M> {
         *slot = (*slot).min(round);
     }
 
-    /// Buffers an arrived envelope and updates the receiver-side fault
-    /// observations. `degree` is this node's degree (buffer width).
+    /// Buffers an arrived envelope under its round tag; a final envelope
+    /// silences its sender from the next round on. `degree` is this
+    /// node's degree (buffer width).
     pub fn receive(&mut self, neighbor_index: usize, degree: usize, env: Envelope<M>) {
-        self.observed_dropped[neighbor_index] += env.dropped;
-        self.observed_payloads[neighbor_index] += env.payloads.len() as u64 + env.dropped;
-        if env.payloads.len() as u64 + env.dropped > 1 {
-            let first = &mut self.observed_duplicate[neighbor_index];
-            *first = Some(first.map_or(env.round, |r| r.min(env.round)));
-        }
         if env.final_round {
             self.silence(neighbor_index, env.round + 1);
         }
@@ -172,5 +152,99 @@ impl<M: Payload> SyncState<M> {
             Some(buf) => buf.slots,
             None => Vec::new(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The envelope neighbor `src` sends in `round`, carrying `payloads`.
+    fn env(src: u32, round: u32, payloads: Vec<u64>, final_round: bool) -> Envelope<u64> {
+        Envelope { src: NodeId::new(src), round, payloads, final_round }
+    }
+
+    /// The senders of a taken inbox, slot by slot (`None` for an empty
+    /// slot).
+    fn senders(slots: &[Option<Envelope<u64>>]) -> Vec<Option<u32>> {
+        slots.iter().map(|slot| slot.as_ref().map(|e| e.src.raw())).collect()
+    }
+
+    #[test]
+    fn an_early_envelope_waits_under_its_own_round() {
+        let mut state = SyncState::new(2);
+        state.next_round = 3;
+        // Neighbor 0's round-3 envelope overtakes the round-2 envelopes.
+        state.receive(0, 2, env(10, 3, vec![30], false));
+        assert!(!state.ready(), "round 3 needs the round-2 envelopes, not round 3's");
+        state.receive(1, 2, env(11, 2, vec![21], false));
+        assert!(!state.ready(), "neighbor 0's round-2 envelope is still missing");
+        state.receive(0, 2, env(10, 2, vec![20], false));
+        assert!(state.ready());
+        let inbox = state.take_inbox_envelopes(3);
+        assert_eq!(senders(&inbox), [Some(10), Some(11)]);
+        let payloads: Vec<Vec<u64>> = inbox.into_iter().flatten().map(|e| e.payloads).collect();
+        assert_eq!(payloads, [vec![20], vec![21]]);
+
+        state.next_round = 4;
+        assert!(!state.ready(), "neighbor 1's round-3 envelope is still missing");
+        state.receive(1, 2, env(11, 3, vec![31], false));
+        assert!(state.ready());
+        let payloads: Vec<Vec<u64>> =
+            state.take_inbox_envelopes(4).into_iter().flatten().map(|e| e.payloads).collect();
+        assert_eq!(payloads, [vec![30], vec![31]], "the early envelope feeds round 4");
+    }
+
+    #[test]
+    fn a_final_envelope_silences_its_sender_from_the_next_round() {
+        let mut state = SyncState::new(2);
+        for round in 0..2 {
+            state.receive(0, 2, env(10, round, vec![], round == 1));
+            state.receive(1, 2, env(11, round, vec![], false));
+        }
+        state.next_round = 2;
+        assert!(state.ready(), "both round-1 envelopes are in");
+        state.take_inbox_envelopes(2);
+        state.next_round = 3;
+        assert!(!state.ready(), "neighbor 1 is live and its round-2 envelope is missing");
+        state.receive(1, 2, env(11, 2, vec![], false));
+        assert!(state.ready(), "neighbor 0 sent its final envelope in round 1");
+        assert_eq!(senders(&state.take_inbox_envelopes(3)), [None, Some(11)]);
+    }
+
+    #[test]
+    fn a_crashed_neighbor_is_silent_from_its_crash_round() {
+        let mut state = SyncState::new(2);
+        state.silence(1, 2);
+        state.silence(1, 5);
+        // Before the crash round the neighbor is still waited for.
+        state.receive(0, 2, env(10, 1, vec![], false));
+        state.next_round = 2;
+        assert!(!state.ready(), "neighbor 1 still sends in round 1");
+        state.receive(1, 2, env(11, 1, vec![], false));
+        assert!(state.ready());
+        state.take_inbox_envelopes(2);
+        // From round 2 on it is not, and the later bound did not move it.
+        state.receive(0, 2, env(10, 2, vec![], false));
+        state.next_round = 3;
+        assert!(state.ready(), "neighbor 1 crashed at round 2");
+        assert_eq!(senders(&state.take_inbox_envelopes(3)), [Some(10), None]);
+    }
+
+    #[test]
+    fn taking_an_inbox_drops_older_rounds_and_keeps_neighbor_order() {
+        let mut state = SyncState::new(3);
+        state.receive(1, 3, env(11, 0, vec![1], false));
+        // Round 2 arrives out of neighbor order; neighbor 1 sends nothing.
+        state.receive(2, 3, env(12, 2, vec![5, 6], false));
+        state.receive(0, 3, env(10, 2, vec![4], false));
+        state.receive(1, 3, env(11, 3, vec![7], false));
+        assert!(state.take_inbox_envelopes(0).is_empty(), "round 0 has no inbox");
+        let inbox = state.take_inbox_envelopes(3);
+        assert_eq!(senders(&inbox), [Some(10), None, Some(12)]);
+        assert_eq!(inbox[2].as_ref().map(|e| e.payloads.clone()), Some(vec![5, 6]));
+        assert_eq!(state.bufs.keys().copied().collect::<Vec<_>>(), [3], "round 0 was discarded");
+        assert!(state.take_inbox_envelopes(1).is_empty(), "round 0's envelopes are gone");
+        assert_eq!(senders(&state.take_inbox_envelopes(4)), [None, Some(11), None]);
     }
 }

@@ -10,17 +10,13 @@
 //! * [`distributed_cost`] — the total solution cost as a tree `Sum`,
 //! * [`distributed_max_connection`] — the worst client's connection cost
 //!   (a `Max`), the "stretch" dashboards track,
-//! * [`distributed_open_count`] — how many facilities are open,
-//! * [`distributed_fault_audit`] — the network-wide worst fault
-//!   accusation (a `Max` over [`distfl_congest::encode_accusation`]
-//!   values), naming a corrupted node without any central collection.
+//! * [`distributed_open_count`] — how many facilities are open.
 //!
-//! The first three also serve as end-to-end cross-checks of the
-//! aggregation substrate: their results must match the offline evaluation
-//! exactly.
+//! They also serve as end-to-end cross-checks of the aggregation
+//! substrate: their results must match the offline evaluation exactly.
 
 use distfl_congest::bfs::{aggregate, AggregateOp};
-use distfl_congest::{decode_accusation, NodeId, Transcript};
+use distfl_congest::{NodeId, Transcript};
 use distfl_instance::{Instance, Solution};
 
 use crate::error::CoreError;
@@ -119,41 +115,6 @@ pub fn distributed_open_count(
     run_audit(instance, values, AggregateOp::Sum)
 }
 
-/// Aggregates per-node fault accusations into the network-wide worst
-/// offender, distributively (`O(D)` rounds).
-///
-/// This is the second half of fault attribution: after a simulated run
-/// (see [`crate::paydual::PayDual::run_simulated`]) every node holds one
-/// encoded accusation — the worst fault it observed *on its own edges*,
-/// produced by [`distfl_congest::encode_accusation`]. Because the
-/// encoding orders by severity first, one `Max` convergecast surfaces the
-/// globally worst accusation, which decodes back to
-/// `(accused node, severity)`. Returns `None` when nobody observed
-/// anything (all severities zero).
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidParams`] if `accusations` is not one value
-/// per node (facilities then clients) or the communication graph is
-/// disconnected; propagates simulation errors.
-pub fn distributed_fault_audit(
-    instance: &Instance,
-    accusations: &[f64],
-) -> Result<(Option<(NodeId, u32)>, Transcript), CoreError> {
-    let expected = instance.num_facilities() + instance.num_clients();
-    if accusations.len() != expected {
-        return Err(CoreError::InvalidParams {
-            reason: format!(
-                "need one accusation per node: got {}, expected {expected}",
-                accusations.len()
-            ),
-        });
-    }
-    let (worst, transcript) = run_audit(instance, accusations.to_vec(), AggregateOp::Max)?;
-    let named = decode_accusation(worst).filter(|&(_, severity)| severity > 0);
-    Ok((named, transcript))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,47 +182,6 @@ mod tests {
         } else {
             assert!(matches!(outcome, Err(CoreError::InvalidParams { .. })));
         }
-    }
-
-    #[test]
-    fn fault_audit_names_the_lossy_node() {
-        use distfl_congest::{FaultVerdict, SimConfig};
-        let inst = UniformRandom::new(6, 24).unwrap().generate(4).unwrap();
-        let culprit = NodeId::new(2); // a facility node
-        let config = SimConfig { lossy_nodes: vec![(culprit, 0.7)], ..SimConfig::default() };
-        let run =
-            PayDual::new(PayDualParams::with_phases(10)).run_simulated(&inst, 3, config).unwrap();
-        assert!(matches!(
-            run.verdicts[culprit.index()],
-            FaultVerdict::DroppedAboveThreshold { .. }
-        ));
-        let (named, t) = distributed_fault_audit(&inst, &run.accusations).unwrap();
-        let (accused, severity) = named.expect("the corruption must be detected");
-        assert_eq!(accused, culprit, "the audit must name the corrupted node");
-        assert_eq!(
-            severity,
-            FaultVerdict::DroppedAboveThreshold { dropped: 1, sent: 1 }.severity()
-        );
-        assert!(t.congest_compliant(72));
-    }
-
-    #[test]
-    fn fault_audit_is_silent_on_clean_runs() {
-        use distfl_congest::SimConfig;
-        let inst = UniformRandom::new(5, 15).unwrap().generate(1).unwrap();
-        let run = PayDual::new(PayDualParams::with_phases(6))
-            .run_simulated(&inst, 7, SimConfig::default())
-            .unwrap();
-        assert!(run.verdicts.iter().all(|v| !v.is_faulty()));
-        let (named, _) = distributed_fault_audit(&inst, &run.accusations).unwrap();
-        assert_eq!(named, None);
-    }
-
-    #[test]
-    fn fault_audit_rejects_wrong_accusation_shape() {
-        let inst = UniformRandom::new(3, 6).unwrap().generate(0).unwrap();
-        let err = distributed_fault_audit(&inst, &[0.0; 4]).unwrap_err();
-        assert!(matches!(err, CoreError::InvalidParams { .. }));
     }
 
     #[test]

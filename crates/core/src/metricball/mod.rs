@@ -449,7 +449,6 @@ mod tests {
             let simulated = algo.run_simulated(&inst, 9, config).unwrap();
             assert_eq!(lockstep.solution, simulated.outcome.solution, "{latency:?}");
             assert_eq!(lockstep.transcript, simulated.outcome.transcript, "{latency:?}");
-            assert!(simulated.verdicts.iter().all(|v| !v.is_faulty()), "{latency:?}");
         }
     }
 

@@ -81,8 +81,10 @@ impl NodeLogic for MetricBallNode {
 /// ladder from the instance's positive cost floor up to twice its largest
 /// coefficient (every Mettu–Plaxton radius lies below the top rung).
 /// Baked into every node at build time — like PayDual's size bound, these
-/// are aggregate quantities a real deployment would learn in `O(diameter)`
-/// pre-rounds via the [`distfl_congest::bfs`] convergecast.
+/// are global knowledge, and `theory::metricball_rounds` charges no rounds
+/// for them. A real deployment would learn them in `O(diameter)`
+/// pre-rounds with the [`distfl_congest::bfs`] convergecast: a `Max` of
+/// the costs, and a `Min` of each node's smallest positive cost.
 pub(crate) fn radius_schedule(r_lo: f64, r_cap: f64, phases: u32) -> Vec<f64> {
     if phases <= 1 {
         return vec![r_cap];

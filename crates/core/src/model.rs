@@ -7,8 +7,8 @@
 //! topology on either executor.
 
 use distfl_congest::{
-    CongestConfig, CongestError, FaultVerdict, Network, NodeId, NodeLogic, SimConfig, SimReport,
-    Simulator, Topology, Transcript,
+    CongestConfig, CongestError, Network, NodeId, NodeLogic, SimConfig, SimReport, Simulator,
+    Topology, Transcript,
 };
 use distfl_instance::{ClientId, FacilityId, Instance};
 
@@ -89,10 +89,6 @@ pub(crate) struct Execution<T> {
     /// The simulator's virtual-clock report; default on the lock-step
     /// engine.
     pub(crate) report: SimReport,
-    /// The simulator's fault verdicts; empty on the lock-step engine.
-    pub(crate) verdicts: Vec<FaultVerdict>,
-    /// The simulator's encoded accusations; empty on the lock-step engine.
-    pub(crate) accusations: Vec<f64>,
 }
 
 /// Runs `nodes` over `topology` on `executor` until every node is done,
@@ -116,19 +112,15 @@ pub(crate) fn execute<L: NodeLogic, T>(
                 harvest: harvest(net.nodes())?,
                 transcript: net.into_transcript(),
                 report: SimReport::default(),
-                verdicts: Vec::new(),
-                accusations: Vec::new(),
             })
         }
         Executor::Simulated(config) => {
             let mut sim = Simulator::new(topology, nodes, seed, config)?;
             sim.run(max_rounds)?;
             let report = sim.report().clone();
-            let verdicts = sim.verdicts();
-            let accusations = sim.accusations();
             let harvest = harvest(sim.nodes())?;
             let (_, transcript) = sim.into_parts();
-            Ok(Execution { harvest, transcript, report, verdicts, accusations })
+            Ok(Execution { harvest, transcript, report })
         }
     }
 }

@@ -47,7 +47,7 @@
 
 pub mod node;
 
-use distfl_congest::{CongestConfig, FaultVerdict, SimConfig, SimReport};
+use distfl_congest::{CongestConfig, SimConfig, SimReport};
 use distfl_instance::{FacilityId, Instance, Solution};
 use distfl_lp::DualSolution;
 
@@ -119,21 +119,15 @@ pub struct PayDual {
     params: PayDualParams,
 }
 
-/// Result of [`PayDual::run_simulated`]: the usual [`Outcome`] plus the
-/// discrete-event simulator's virtual-clock report and the
-/// fault-attribution data the audit layer consumes.
+/// Result of [`PayDual::run_simulated`] (and of the MetricBall and
+/// Outliers twins): the usual [`Outcome`] plus the discrete-event
+/// simulator's virtual-clock report.
 #[derive(Debug, Clone)]
 pub struct SimulatedRun {
     /// The algorithm outcome (solution, transcript, dual certificate).
     pub outcome: Outcome,
     /// Virtual-time measurements of the simulated execution.
     pub report: SimReport,
-    /// Per-node fault verdicts from the run's global observations
-    /// (send-side counters plus the crash schedule).
-    pub verdicts: Vec<FaultVerdict>,
-    /// Per-node *locally observed* accusations, encoded for the `Max`
-    /// convergecast of [`crate::audit::distributed_fault_audit`].
-    pub accusations: Vec<f64>,
 }
 
 impl SimulatedRun {
@@ -149,8 +143,6 @@ impl SimulatedRun {
                 modeled_rounds: None,
             },
             report: run.report,
-            verdicts: run.verdicts,
-            accusations: run.accusations,
         }
     }
 }
@@ -169,8 +161,9 @@ impl PayDual {
     /// Runs the algorithm on the discrete-event simulator instead of the
     /// lock-step engine: same protocol, same transcript (bit-identical in
     /// a loss-free configuration, whatever the latency model), but over
-    /// asynchronous links with per-edge latency, bandwidth, partitions,
-    /// lossy nodes, and crash schedules from `sim`.
+    /// asynchronous links with the per-edge latency, fault plan and crash
+    /// schedule of `sim`. The virtual makespan lands in the returned
+    /// [`SimReport`].
     ///
     /// # Errors
     ///
@@ -450,27 +443,18 @@ mod tests {
             let simulated = algo.run_simulated(&inst, 9, config).unwrap();
             assert_eq!(lockstep.solution, simulated.outcome.solution, "{latency:?}");
             assert_eq!(lockstep.transcript, simulated.outcome.transcript, "{latency:?}");
-            assert!(simulated.verdicts.iter().all(|v| !v.is_faulty()), "{latency:?}");
             assert!(simulated.report.virtual_nanos > 0);
         }
     }
 
     #[test]
-    fn simulated_run_with_losses_stays_feasible_and_attributes_them() {
+    fn simulated_run_with_losses_stays_feasible() {
         let inst = UniformRandom::new(6, 24).unwrap().generate(4).unwrap();
-        let culprit = distfl_congest::NodeId::new(2); // a facility node
-        let config = SimConfig { lossy_nodes: vec![(culprit, 0.7)], ..SimConfig::default() };
+        let fault = Some(distfl_congest::FaultPlan::drop_with_probability(0.7, 3));
+        let config = SimConfig { fault, ..SimConfig::default() };
         let run =
             PayDual::new(PayDualParams::with_phases(10)).run_simulated(&inst, 3, config).unwrap();
         run.outcome.solution.check_feasible(&inst).unwrap();
-        assert!(
-            matches!(
-                run.verdicts[culprit.index()],
-                distfl_congest::FaultVerdict::DroppedAboveThreshold { .. }
-            ),
-            "got {:?}",
-            run.verdicts[culprit.index()]
-        );
     }
 
     #[test]
