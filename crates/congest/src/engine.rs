@@ -21,9 +21,12 @@
 //! the bit budget, and the [`RoundStats`] update. Callers differ only in
 //! where a delivered message goes.
 //!
-//! Inboxes are double-buffered (`inboxes`/`next_inboxes`) and all buffer
-//! sets keep their capacity across rounds, so a steady-state round
-//! performs no heap allocation.
+//! Inboxes are double-buffered (`inboxes`/`next_inboxes`). Every inbox,
+//! next-inbox and outbox is allocated once, at construction, with its
+//! node's degree as capacity, and keeps it across rounds: under the
+//! default [`DuplicatePolicy::Reject`] a node sends and receives at most
+//! one message per edge per round, so no round, the first included,
+//! allocates a message buffer.
 
 use crate::error::CongestError;
 use crate::fault::FaultPlan;
@@ -247,15 +250,19 @@ impl<L: NodeLogic> Network<L> {
                 (pool, lanes)
             })
             .filter(|&(_, lanes)| lanes > 1);
+        // One message per edge per round is the most a node sends or
+        // receives under `DuplicatePolicy::Reject`, so buffers sized from
+        // degree never regrow (under `Record` they may, past the degree).
+        let by_degree = || (0..n).map(|i| Vec::with_capacity(topo.degree(NodeId::new(i as u32))));
         Ok(Network {
+            inboxes: by_degree().collect(),
+            next_inboxes: by_degree().collect(),
+            outboxes: by_degree().collect(),
             topo,
             nodes,
             config,
             master_seed,
             round: 0,
-            inboxes: (0..n).map(|_| Vec::new()).collect(),
-            next_inboxes: (0..n).map(|_| Vec::new()).collect(),
-            outboxes: (0..n).map(|_| Vec::new()).collect(),
             step_errors: (0..n).map(|_| None).collect(),
             crash_round,
             stepping,
@@ -1023,19 +1030,29 @@ mod tests {
         }
     }
 
-    /// Steady-state rounds must not grow any buffer: capacities reached in
-    /// round 0 are reused in every later round.
+    /// Every buffer is sized from its node's degree at construction, and
+    /// no round, round 0 included, changes a capacity: a flood on a
+    /// bipartite graph with uneven degrees fills every buffer to its
+    /// degree each round.
     #[test]
     fn buffers_are_pooled_across_rounds() {
-        let mut net = flood_net(16, 6, None);
-        net.step().unwrap();
-        net.step().unwrap();
-        let caps: Vec<usize> = net.outboxes.iter().map(Vec::capacity).collect();
-        let icaps: Vec<usize> = net.inboxes.iter().map(Vec::capacity).collect();
-        for _ in 0..4 {
+        let pairs = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 4), (2, 0), (2, 4)];
+        let topo = Topology::bipartite(3, 5, pairs).unwrap();
+        let degrees: Vec<usize> = (0..8).map(|i| topo.degree(NodeId::new(i))).collect();
+        assert_eq!(degrees, [4, 2, 2, 2, 2, 1, 1, 2]);
+        let nodes = (0..8).map(|_| Flood { ttl: 5, heard: 0, done: false }).collect();
+        let mut net = Network::new(topo, nodes, 7).unwrap();
+        let capacities = |net: &Network<Flood>| {
+            [&net.inboxes, &net.next_inboxes, &net.outboxes]
+                .map(|set| set.iter().map(Vec::capacity).collect::<Vec<_>>())
+        };
+        let expected = [degrees.clone(), degrees.clone(), degrees];
+        assert_eq!(capacities(&net), expected, "capacities after with_config");
+        while !net.all_done() {
+            let round = net.round();
             net.step().unwrap();
+            assert_eq!(capacities(&net), expected, "capacities after round {round}");
         }
-        assert_eq!(caps, net.outboxes.iter().map(Vec::capacity).collect::<Vec<_>>());
-        assert_eq!(icaps, net.inboxes.iter().map(Vec::capacity).collect::<Vec<_>>());
+        assert_eq!(net.round(), 6);
     }
 }

@@ -9,7 +9,8 @@ use crate::node::NodeId;
 
 /// An immutable simple undirected communication graph.
 ///
-/// Build one with [`Topology::from_edges`] or a shape constructor
+/// Build one with [`Topology::from_edges`], from ascending rows with
+/// [`Topology::from_sorted_rows`], or with a shape constructor
 /// ([`Topology::ring`], [`Topology::grid`], [`Topology::complete_bipartite`],
 /// [`Topology::bipartite`]), then hand it to [`crate::Network::new`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,6 +56,74 @@ impl Topology {
             }
             adjacency.extend_from_slice(&list);
             offsets.push(adjacency.len() as u32);
+        }
+        Ok(Topology { offsets, adjacency })
+    }
+
+    /// Builds a topology from its adjacency rows in CSR form: node `u`'s
+    /// neighbors are `adjacency[offsets[u]..offsets[u + 1]]`, so
+    /// `offsets` has one more entry than there are nodes. For callers that
+    /// already hold ascending rows, this skips [`Topology::from_edges`]'
+    /// per-node lists and sorts: the rows are checked, not rebuilt, in
+    /// `O(links)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CongestError::InvalidTopology`] if `offsets` is not a
+    /// non-decreasing table from 0 to `adjacency.len()`, a row descends, or
+    /// a neighbor `v` of `u` does not list `u`;
+    /// [`CongestError::DuplicateEdge`] for a repeated neighbor,
+    /// [`CongestError::SelfLoop`] for a node listing itself, and
+    /// [`CongestError::NodeOutOfRange`] for an id past the last node.
+    pub fn from_sorted_rows(
+        offsets: Vec<u32>,
+        adjacency: Vec<NodeId>,
+    ) -> Result<Self, CongestError> {
+        let invalid = |reason: String| Err(CongestError::InvalidTopology { reason });
+        let end = u32::try_from(adjacency.len()).ok();
+        if offsets.first() != Some(&0) || offsets.last().copied() != end || !offsets.is_sorted() {
+            return invalid(format!(
+                "row offsets must rise from 0 to {}, got {offsets:?}",
+                adjacency.len()
+            ));
+        }
+        let num_nodes = offsets.len() - 1;
+        let rows = || {
+            offsets.windows(2).enumerate().map(|(u, row)| {
+                (NodeId::new(u as u32), &adjacency[row[0] as usize..row[1] as usize])
+            })
+        };
+        for (a, row) in rows() {
+            let mut prev: Option<NodeId> = None;
+            for &b in row {
+                if b.index() >= num_nodes {
+                    return Err(CongestError::NodeOutOfRange { id: b, num_nodes });
+                }
+                if b == a {
+                    return Err(CongestError::SelfLoop { id: a });
+                }
+                match prev {
+                    Some(p) if p == b => return Err(CongestError::DuplicateEdge { a, b }),
+                    Some(p) if p > b => {
+                        return invalid(format!("row of node {a} descends from {p} to {b}"))
+                    }
+                    _ => prev = Some(b),
+                }
+            }
+        }
+        // Symmetry: per node, the next entry of its row still to be
+        // matched by a reverse entry. Nodes are visited in ascending order
+        // and rows ascend, so every row is matched front to back; as each
+        // entry consumes one, all rows end fully matched or a check fails.
+        let mut unmatched = offsets[..num_nodes].to_vec();
+        for (a, row) in rows() {
+            for &b in row {
+                let k = &mut unmatched[b.index()];
+                if *k == offsets[b.index() + 1] || adjacency[*k as usize] != a {
+                    return invalid(format!("node {a} lists {b}, but {b} does not list {a}"));
+                }
+                *k += 1;
+            }
         }
         Ok(Topology { offsets, adjacency })
     }
@@ -311,6 +380,58 @@ mod tests {
             Topology::from_edges(2, vec![(n0, n1), (n1, n0)]),
             Err(CongestError::DuplicateEdge { .. })
         ));
+    }
+
+    /// Row form of the path `0 - 1 - 2`, with `row1` as node 1's row.
+    fn path_rows(row1: &[u32]) -> Result<Topology, CongestError> {
+        let adjacency: Vec<NodeId> =
+            [1].iter().chain(row1).chain(&[1]).map(|&v| NodeId::new(v)).collect();
+        let end = adjacency.len() as u32;
+        Topology::from_sorted_rows(vec![0, 1, end - 1, end], adjacency)
+    }
+
+    #[test]
+    fn sorted_rows_build_the_same_graph_as_the_edge_list() {
+        let edges = [(0, 1), (1, 2)].map(|(a, b)| (NodeId::new(a), NodeId::new(b)));
+        assert_eq!(path_rows(&[0, 2]).unwrap(), Topology::from_edges(3, edges).unwrap());
+        let empty = Topology::from_sorted_rows(vec![0, 0, 0], Vec::new()).unwrap();
+        assert_eq!(empty, Topology::from_edges(2, Vec::new()).unwrap());
+    }
+
+    #[test]
+    fn sorted_rows_reject_a_descending_row() {
+        match path_rows(&[2, 0]).unwrap_err() {
+            CongestError::InvalidTopology { reason } => assert!(reason.contains("descends")),
+            err => panic!("expected a descending-row error, got {err:?}"),
+        }
+    }
+
+    #[test]
+    fn sorted_rows_reject_a_repeated_neighbor() {
+        let err = path_rows(&[0, 0, 2]).unwrap_err();
+        assert_eq!(err, CongestError::DuplicateEdge { a: NodeId::new(1), b: NodeId::new(0) });
+    }
+
+    #[test]
+    fn sorted_rows_reject_an_out_of_range_id() {
+        let err = path_rows(&[0, 2, 3]).unwrap_err();
+        assert_eq!(err, CongestError::NodeOutOfRange { id: NodeId::new(3), num_nodes: 3 });
+    }
+
+    #[test]
+    fn sorted_rows_reject_self_loops_one_way_edges_and_bad_offsets() {
+        let err = path_rows(&[0, 1, 2]).unwrap_err();
+        assert_eq!(err, CongestError::SelfLoop { id: NodeId::new(1) });
+        // Node 1 lists only 0, but 2 lists 1.
+        match path_rows(&[0]).unwrap_err() {
+            CongestError::InvalidTopology { reason } => assert!(reason.contains("does not list")),
+            err => panic!("expected a one-way edge error, got {err:?}"),
+        }
+        for offsets in [vec![], vec![1, 1], vec![0, 1], vec![0, 2, 1, 2]] {
+            let adjacency = vec![NodeId::new(1), NodeId::new(0)];
+            let err = Topology::from_sorted_rows(offsets, adjacency).unwrap_err();
+            assert!(matches!(err, CongestError::InvalidTopology { .. }), "{err:?}");
+        }
     }
 
     #[test]

@@ -29,7 +29,9 @@ use distfl_instance::{ClientId, FacilityId, Instance, Solution};
 use distfl_lp::DualSolution;
 
 use crate::error::CoreError;
-use crate::model::{client_node, execute, facility_node, node_role, topology_of, Executor, Role};
+use crate::model::{
+    client_node, execute, facility_node, node_role, topology_of, Executor, LinkCursor, Role,
+};
 use crate::runner::{FlAlgorithm, Outcome};
 use crate::theory::harmonic;
 
@@ -207,10 +209,10 @@ impl FacilityState {
             ctx.broadcast(BucketMsg::Announce(self.opening));
         } else if r >= 2 && r % 2 == 0 {
             // Process responses from the previous respond round.
+            let mut cursor = LinkCursor::default();
             for &(src, msg) in ctx.inbox() {
-                let idx = self
-                    .links
-                    .binary_search_by_key(&src, |(id, _)| *id)
+                let idx = cursor
+                    .seek(&self.links, src)
                     .expect("responses only arrive over existing links");
                 match msg {
                     BucketMsg::Accept | BucketMsg::Force => {
@@ -281,9 +283,10 @@ impl ClientState {
             // the slot at infinity so the fallback avoids that facility
             // unless nothing else is known.
             self.opening = vec![f64::INFINITY; self.links.len()];
+            let mut cursor = LinkCursor::default();
             for &(src, msg) in ctx.inbox() {
                 if let BucketMsg::Announce(f) = msg {
-                    if let Ok(idx) = self.links.binary_search_by_key(&src, |(id, _)| *id) {
+                    if let Some(idx) = cursor.seek(&self.links, src) {
                         self.opening[idx] = f;
                     }
                 }
@@ -296,11 +299,11 @@ impl ClientState {
             // Accept the best (lowest-ratio) proposal, ties to the lowest
             // facility index.
             let mut chosen: Option<(usize, f64)> = None;
+            let mut cursor = LinkCursor::default();
             for &(src, msg) in ctx.inbox() {
                 if let BucketMsg::Serve(ratio) = msg {
-                    let idx = self
-                        .links
-                        .binary_search_by_key(&src, |(id, _)| *id)
+                    let idx = cursor
+                        .seek(&self.links, src)
                         .expect("proposals only arrive over existing links");
                     let better = match chosen {
                         None => true,

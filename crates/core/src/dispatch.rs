@@ -186,26 +186,24 @@ impl SolverKind {
     /// Runs the selected solver through a [`WarmCache`] kept in sync with
     /// `instance`, producing **bit-identical** output to [`Self::solve`]
     /// on the same inputs — the property the serve layer's session cache
-    /// rests on. [`SolverKind::PayDual`] has no instance-derived warm
-    /// structures (its cost is the CONGEST simulation itself) and simply
-    /// runs cold; it is deterministic in `(instance, seed)` either way.
+    /// rests on.
     ///
-    /// The portfolio kinds — [`SolverKind::MetricBall`],
-    /// [`SolverKind::MetricOutliers`], and [`SolverKind::Auto`] — decline
-    /// warm-start sessions with the typed
-    /// [`CoreError::WarmUnsupported`] instead of silently running cold:
-    /// a session exists to amortize instance-derived structures across
-    /// mutations, the protocol solvers rebuild theirs per run, and `auto`
+    /// Every concrete kind solves in a session. The sequential kinds reuse
+    /// the cache's instance-derived structures; the distributed kinds
+    /// ([`SolverKind::PayDual`], [`SolverKind::MetricBall`],
+    /// [`SolverKind::MetricOutliers`]) have none to reuse, since their cost
+    /// is the CONGEST run itself, so they run cold on the session's current
+    /// instance, exactly as a stateless solve does. [`SolverKind::Auto`]
+    /// alone declines, with the typed [`CoreError::WarmUnsupported`]: it
     /// could re-route mid-session (a classifier flip after a mutation),
     /// which would break the session's fixed-kind contract. Callers that
-    /// want the portfolio on a mutating instance should solve cold per
-    /// revision.
+    /// want `auto` on a mutating instance should solve cold per revision.
     ///
     /// # Errors
     ///
     /// Propagates the underlying algorithm's [`CoreError`], exactly as
-    /// [`Self::solve`] does, and [`CoreError::WarmUnsupported`] for the
-    /// portfolio kinds.
+    /// [`Self::solve`] does, and [`CoreError::WarmUnsupported`] for
+    /// [`SolverKind::Auto`].
     pub fn solve_warm(
         self,
         instance: &Instance,
@@ -233,10 +231,10 @@ impl SolverKind {
                 let (solution, dual) = warm.solve_jv(instance);
                 Ok(Outcome { solution, transcript: None, dual: Some(dual), modeled_rounds: None })
             }
-            SolverKind::PayDual => PayDual::new(PayDualParams::default()).run(instance, seed),
-            SolverKind::MetricBall | SolverKind::MetricOutliers | SolverKind::Auto => {
-                Err(CoreError::WarmUnsupported { kind: self.name() })
+            SolverKind::PayDual | SolverKind::MetricBall | SolverKind::MetricOutliers => {
+                self.solve(instance, seed)
             }
+            SolverKind::Auto => Err(CoreError::WarmUnsupported { kind: self.name() }),
         }
     }
 }
@@ -347,14 +345,12 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_kinds_decline_warm_sessions_with_a_typed_error() {
+    fn auto_alone_declines_warm_sessions_with_a_typed_error() {
         let inst = UniformRandom::new(4, 12).unwrap().generate(0).unwrap();
-        for kind in [SolverKind::MetricBall, SolverKind::MetricOutliers, SolverKind::Auto] {
-            let mut warm = WarmCache::new();
-            match kind.solve_warm(&inst, 1, &mut warm) {
-                Err(CoreError::WarmUnsupported { kind: name }) => assert_eq!(name, kind.name()),
-                other => panic!("{kind} should decline warm sessions, got {other:?}"),
-            }
+        let mut warm = WarmCache::new();
+        match SolverKind::Auto.solve_warm(&inst, 1, &mut warm) {
+            Err(CoreError::WarmUnsupported { kind: name }) => assert_eq!(name, "auto"),
+            other => panic!("auto should decline warm sessions, got {other:?}"),
         }
     }
 

@@ -26,8 +26,8 @@ pub enum CoreError {
     },
     /// The requested solver kind has no warm-start path: sessions must
     /// fall back to a supported kind or a cold solve. This is the typed
-    /// boundary the portfolio kinds (`metricball`, `outliers`, `auto`)
-    /// present to the serve layer's session verbs.
+    /// boundary `auto`, which could re-route mid-session, presents to the
+    /// serve layer's session verbs.
     WarmUnsupported {
         /// Protocol name of the declined solver kind.
         kind: &'static str,

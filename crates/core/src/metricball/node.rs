@@ -3,7 +3,7 @@
 use distfl_congest::{NodeId, NodeLogic, Payload, StepCtx};
 use distfl_instance::{FacilityId, Instance};
 
-use crate::model::facility_node;
+use crate::model::{facility_node, LinkCursor};
 use crate::mp;
 
 /// Upper bound on any MetricBall message, in bits: one tag byte plus one
@@ -271,11 +271,11 @@ impl ClientState {
         // Open announcements land in rounds ≡ 0 (mod 3); digesting them
         // unconditionally first keeps every later rule phase-agnostic.
         let inbox = ctx.inbox();
+        let mut cursor = LinkCursor::default();
         for &(src, msg) in inbox {
             if matches!(msg, MetricBallMsg::Open) {
-                let idx = self
-                    .links
-                    .binary_search_by_key(&src, |(id, _)| *id)
+                let idx = cursor
+                    .seek(&self.links, src)
                     .expect("announcements only arrive over existing links");
                 if !self.known_open[idx] {
                     self.known_open[idx] = true;
@@ -289,12 +289,11 @@ impl ClientState {
             let radius = self.schedule[(r / 3) as usize];
             let block = 2.0 * radius;
             let mut best: Option<(f64, NodeId)> = None;
+            let mut cursor = LinkCursor::default();
             for &(src, msg) in inbox {
                 let MetricBallMsg::Bid(prio) = msg else { continue };
-                let idx = self
-                    .links
-                    .binary_search_by_key(&src, |(id, _)| *id)
-                    .expect("bids only arrive over existing links");
+                let idx =
+                    cursor.seek(&self.links, src).expect("bids only arrive over existing links");
                 let c = self.links[idx].1;
                 if self.best_open_cost + c <= block || c > radius {
                     continue;
@@ -303,12 +302,11 @@ impl ClientState {
                     best = Some((prio, src));
                 }
             }
+            let mut cursor = LinkCursor::default();
             for &(src, msg) in inbox {
                 let MetricBallMsg::Bid(_) = msg else { continue };
-                let idx = self
-                    .links
-                    .binary_search_by_key(&src, |(id, _)| *id)
-                    .expect("bids only arrive over existing links");
+                let idx =
+                    cursor.seek(&self.links, src).expect("bids only arrive over existing links");
                 let c = self.links[idx].1;
                 let blocked = self.best_open_cost + c <= block;
                 let in_ball = c <= radius;

@@ -51,24 +51,62 @@ pub fn node_role(num_facilities: usize, node: NodeId) -> Role {
 /// Builds the bipartite communication topology of an instance: one edge per
 /// link.
 ///
+/// The CSR rows come straight from the instance's id lanes in one pass:
+/// facility `i`'s row is its facility-major client ids shifted past the
+/// facilities, client `j`'s row is its client-major facility ids. Both
+/// lanes are ascending within a row, so nothing is sorted;
+/// [`Topology::from_sorted_rows`] only checks them.
+///
 /// # Errors
 ///
 /// Propagates topology construction errors (cannot occur for a valid
 /// instance; kept in the signature for honesty).
 pub fn topology_of(instance: &Instance) -> Result<Topology, CongestError> {
-    let m = instance.num_facilities();
-    let pairs = instance
-        .clients()
-        .flat_map(|j| {
-            instance
-                .client_links(j)
-                .ids
-                .iter()
-                .map(move |&i| (i as usize, j.index()))
-                .collect::<Vec<_>>()
-        })
-        .collect::<Vec<_>>();
-    Topology::bipartite(m, instance.num_clients(), pairs)
+    let m = instance.num_facilities() as u32;
+    let mut offsets = Vec::with_capacity(instance.num_facilities() + instance.num_clients() + 1);
+    let mut adjacency = Vec::with_capacity(2 * instance.num_links());
+    offsets.push(0);
+    for i in instance.facilities() {
+        adjacency.extend(instance.facility_links(i).ids.iter().map(|&j| NodeId::new(m + j)));
+        offsets.push(adjacency.len() as u32);
+    }
+    for j in instance.clients() {
+        adjacency.extend(instance.client_links(j).ids.iter().map(|&i| NodeId::new(i)));
+        offsets.push(adjacency.len() as u32);
+    }
+    Topology::from_sorted_rows(offsets, adjacency)
+}
+
+/// A forward cursor over a node's id-sorted link table.
+///
+/// Both executors hand a node its inbox sorted by sender (the engine
+/// delivers in ascending source order, the simulator refills per-neighbor
+/// slots in neighbor order), so successive senders only move forward
+/// through the table. The cursor walks it alongside the inbox instead of
+/// searching it once per message. Start a fresh cursor for every pass over
+/// an inbox.
+#[derive(Default)]
+pub(crate) struct LinkCursor {
+    next: usize,
+}
+
+impl LinkCursor {
+    /// The index of `src` in `links`, or `None` when `src` is not a link.
+    /// Successive calls must pass the same table and non-decreasing
+    /// senders; they then land where `binary_search_by_key` would.
+    #[inline]
+    pub(crate) fn seek<T>(&mut self, links: &[(NodeId, T)], src: NodeId) -> Option<usize> {
+        while links.get(self.next).is_some_and(|(id, _)| *id < src) {
+            self.next += 1;
+        }
+        let found = links.get(self.next).is_some_and(|(id, _)| *id == src).then_some(self.next);
+        debug_assert_eq!(
+            found,
+            links.binary_search_by_key(&src, |(id, _)| *id).ok(),
+            "senders must arrive in ascending order"
+        );
+        found
+    }
 }
 
 /// The executor a distributed protocol runs on.
@@ -128,7 +166,50 @@ pub(crate) fn execute<L: NodeLogic, T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use distfl_instance::generators::{GridNetwork, InstanceGenerator, UniformRandom};
+    use distfl_instance::generators::{
+        AdversarialGreedy, CdnTrace, Clustered, Euclidean, GridNetwork, InstanceGenerator,
+        LineCity, Metricized, PowerLaw, UniformRandom,
+    };
+    use proptest::prelude::*;
+
+    /// An instance from any of the nine generator families; `GridNetwork`
+    /// with a one- to three-hop radius, so its rows are sparse.
+    fn any_family() -> impl Strategy<Value = Instance> {
+        (0u8..9, 1usize..9, 1usize..30, 1usize..4, 0u64..1000).prop_map(
+            |(family, m, n, radius, seed)| match family {
+                0 => UniformRandom::new(m, n).unwrap().generate(seed).unwrap(),
+                1 => Euclidean::new(m, n).unwrap().generate(seed).unwrap(),
+                2 => Clustered::new(m % 3 + 1, m.max(3), n).unwrap().generate(seed).unwrap(),
+                3 => PowerLaw::new(m, n, 64.0).unwrap().generate(seed).unwrap(),
+                4 => {
+                    let side = 2 + m % 5;
+                    let grid = GridNetwork::with_radius(side, side, m.min(side * side), n, radius);
+                    grid.unwrap().generate(seed).unwrap()
+                }
+                5 => LineCity::new(m, n).unwrap().generate(seed).unwrap(),
+                6 => CdnTrace::new(m, n).unwrap().generate(seed).unwrap(),
+                7 => AdversarialGreedy::new(n).unwrap().generate(seed).unwrap(),
+                _ => Metricized::new(UniformRandom::new(m, n).unwrap()).generate(seed).unwrap(),
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The lane-built topology is the one the generic edge-list
+        /// constructor makes from the instance's links.
+        #[test]
+        fn topology_of_matches_the_edge_list_build(inst in any_family()) {
+            let pairs = inst
+                .clients()
+                .flat_map(|j| inst.client_links(j).ids.iter().map(move |&i| (i as usize, j.index())))
+                .collect::<Vec<_>>();
+            let expected =
+                Topology::bipartite(inst.num_facilities(), inst.num_clients(), pairs).unwrap();
+            prop_assert_eq!(topology_of(&inst).unwrap(), expected);
+        }
+    }
 
     #[test]
     fn node_mapping_round_trips() {
@@ -139,6 +220,30 @@ mod tests {
         assert_eq!(client_node(m, c), NodeId::new(12));
         assert_eq!(node_role(m, NodeId::new(3)), Role::Facility(f));
         assert_eq!(node_role(m, NodeId::new(12)), Role::Client(c));
+    }
+
+    #[test]
+    fn link_cursor_lands_where_a_search_would() {
+        let links: Vec<(NodeId, f64)> =
+            [2, 5, 7, 11].iter().map(|&id| (NodeId::new(id), f64::from(id))).collect();
+        let mut cursor = LinkCursor::default();
+        // Ascending senders, with non-links before, between and after the
+        // table, and a repeated sender (possible under the record policy).
+        let senders = [0, 2, 3, 5, 5, 8, 11, 12];
+        let got: Vec<Option<usize>> =
+            senders.iter().map(|&s| cursor.seek(&links, NodeId::new(s))).collect();
+        assert_eq!(got, [None, Some(0), None, Some(1), Some(1), None, Some(3), None]);
+        assert_eq!(LinkCursor::default().seek(&[] as &[(NodeId, f64)], NodeId::new(0)), None);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "senders must arrive in ascending order")]
+    fn link_cursor_rejects_descending_senders_in_debug_builds() {
+        let links = [(NodeId::new(2), ()), (NodeId::new(5), ())];
+        let mut cursor = LinkCursor::default();
+        cursor.seek(&links, NodeId::new(5));
+        cursor.seek(&links, NodeId::new(2));
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //! ```
 
 use distfl_congest::{CongestConfig, SimConfig};
-use distfl_instance::{ClientId, Cost, FacilityId, Instance, InstanceBuilder, Solution};
+use distfl_instance::{ClientId, Cost, FacilityId, Instance, RowBuilder, Solution};
 
 use crate::error::CoreError;
 use crate::metricball::{self, MetricBall, MetricBallParams};
@@ -221,6 +221,9 @@ pub fn robust_cost(instance: &Instance, solution: &Solution, dropped: &[ClientId
 
 /// Builds the core instance: all facilities, surviving clients in original
 /// id order, links copied. Returns it with the survivor id mapping.
+///
+/// Each surviving row is already ascending, so it goes straight into the
+/// client-major lanes of a [`RowBuilder`], sized to the kept links.
 fn build_core(
     instance: &Instance,
     dropped: &[ClientId],
@@ -229,21 +232,21 @@ fn build_core(
     for &j in dropped {
         is_dropped[j.index()] = true;
     }
-    let mut b = InstanceBuilder::new();
-    let fids: Vec<FacilityId> =
-        instance.facilities().map(|i| b.add_facility(instance.opening_cost(i))).collect();
+    let opening = instance.facilities().map(|i| instance.opening_cost(i)).collect();
+    let dropped_links: usize = dropped.iter().map(|&j| instance.client_links(j).len()).sum();
+    let mut rows = RowBuilder::with_capacity(opening, instance.num_links() - dropped_links);
     let mut survivors = Vec::with_capacity(instance.num_clients() - dropped.len());
     for j in instance.clients() {
         if is_dropped[j.index()] {
             continue;
         }
-        let c = b.add_client();
+        rows.add_client();
         for (i, cost) in instance.client_links(j).iter() {
-            b.link(c, fids[i as usize], Cost::from_validated(cost))?;
+            rows.link(FacilityId::new(i), Cost::from_validated(cost))?;
         }
         survivors.push(j);
     }
-    Ok((b.build()?, survivors))
+    Ok((rows.build()?, survivors))
 }
 
 /// Maps the core solution back to the full instance and reattaches the

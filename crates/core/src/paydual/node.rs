@@ -4,7 +4,7 @@ use distfl_congest::{NodeId, NodeLogic, Payload, StepCtx};
 use distfl_instance::{ClientId, FacilityId, Instance};
 
 use super::ConnectRule;
-use crate::model::{client_node, facility_node};
+use crate::model::{client_node, facility_node, LinkCursor};
 
 /// Upper bound on any PayDual message, in bits: one tag byte plus one
 /// 64-bit scalar. The CONGEST discipline check in the tests uses this.
@@ -122,11 +122,6 @@ pub fn build_nodes(
     nodes
 }
 
-/// Looks up the link cost toward `src` in a node's sorted link table.
-fn link_cost(links: &[(NodeId, f64)], src: NodeId) -> Option<f64> {
-    links.binary_search_by_key(&src, |(id, _)| *id).ok().map(|pos| links[pos].1)
-}
-
 /// Facility state machine.
 #[derive(Debug, Clone)]
 pub struct FacilityState {
@@ -166,11 +161,13 @@ impl FacilityState {
         } else if r % 3 == 2 {
             // Open round: tally offers, open if fully paid, announce.
             let mut pay = self.frozen;
+            let mut cursor = LinkCursor::default();
             for &(src, msg) in ctx.inbox() {
                 if let PayDualMsg::Offer(alpha) = msg {
-                    let c = link_cost(&self.links, src)
+                    let idx = cursor
+                        .seek(&self.links, src)
                         .expect("offers only arrive over existing links");
-                    pay += (alpha - c).max(0.0);
+                    pay += (alpha - self.links[idx].1).max(0.0);
                 }
             }
             if pay >= self.opening {
@@ -181,11 +178,13 @@ impl FacilityState {
             }
         } else if r % 3 == 1 && r > 1 {
             // Harvest round: record connections, freeze contributions.
+            let mut cursor = LinkCursor::default();
             for &(src, msg) in ctx.inbox() {
                 if let PayDualMsg::Connect(alpha) = msg {
-                    let c = link_cost(&self.links, src)
+                    let idx = cursor
+                        .seek(&self.links, src)
                         .expect("connections only arrive over existing links");
-                    self.frozen += (alpha - c).max(0.0);
+                    self.frozen += (alpha - self.links[idx].1).max(0.0);
                     self.connected.push(src);
                 }
             }
@@ -265,11 +264,12 @@ impl ClientState {
     fn initialize(&mut self, ctx: &StepCtx<'_, PayDualMsg>) {
         let mut target = f64::INFINITY;
         let min_c = self.links.iter().map(|&(_, c)| c).fold(f64::INFINITY, f64::min);
+        let mut cursor = LinkCursor::default();
         for &(src, msg) in ctx.inbox() {
             let PayDualMsg::AnnounceOpening(f) = msg else {
                 continue;
             };
-            let Ok(idx) = self.links.binary_search_by_key(&src, |(id, _)| *id) else {
+            let Some(idx) = cursor.seek(&self.links, src) else {
                 continue;
             };
             let bundle = self.links[idx].1 + f;
@@ -342,11 +342,11 @@ impl ClientState {
             0 => {
                 // Connect round: digest OPEN announcements, then connect or
                 // raise.
+                let mut cursor = LinkCursor::default();
                 for &(src, msg) in ctx.inbox() {
                     if matches!(msg, PayDualMsg::Open) {
-                        let idx = self
-                            .links
-                            .binary_search_by_key(&src, |(id, _)| *id)
+                        let idx = cursor
+                            .seek(&self.links, src)
                             .expect("announcements only arrive over existing links");
                         self.known_open[idx] = true;
                     }
@@ -412,13 +412,6 @@ mod tests {
         // Value round-trips through the big-endian bytes.
         let enc = PayDualMsg::Offer(42.25).encode();
         assert_eq!(f64::from_be_bytes(enc[1..9].try_into().unwrap()), 42.25);
-    }
-
-    #[test]
-    fn link_cost_lookup() {
-        let links = vec![(NodeId::new(2), 1.5), (NodeId::new(7), 2.5)];
-        assert_eq!(link_cost(&links, NodeId::new(7)), Some(2.5));
-        assert_eq!(link_cost(&links, NodeId::new(3)), None);
     }
 
     #[test]

@@ -26,7 +26,9 @@ use distfl_instance::{FacilityId, Instance, Solution};
 use distfl_lp::FractionalSolution;
 
 use crate::error::CoreError;
-use crate::model::{client_node, execute, facility_node, node_role, topology_of, Executor, Role};
+use crate::model::{
+    client_node, execute, facility_node, node_role, topology_of, Executor, LinkCursor, Role,
+};
 
 /// Parameters for [`distributed_round`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -197,9 +199,10 @@ impl ClientState {
             // the slot at infinity so the fallback avoids that facility
             // unless nothing else is known.
             self.opening = vec![f64::INFINITY; self.links.len()];
+            let mut cursor = LinkCursor::default();
             for &(src, msg) in ctx.inbox() {
                 if let RoundMsg::Announce(f) = msg {
-                    if let Ok(idx) = self.links.binary_search_by_key(&src, |(id, _)| *id) {
+                    if let Some(idx) = cursor.seek(&self.links, src) {
                         self.opening[idx] = f;
                     }
                 }
@@ -211,11 +214,11 @@ impl ClientState {
         let fallback_round = 2 * self.trials + 3;
         if r % 2 == 0 && r < fallback_round {
             // React to trial announcements.
+            let mut cursor = LinkCursor::default();
             for &(src, msg) in ctx.inbox() {
                 if matches!(msg, RoundMsg::Open) {
-                    let idx = self
-                        .links
-                        .binary_search_by_key(&src, |(id, _)| *id)
+                    let idx = cursor
+                        .seek(&self.links, src)
                         .expect("announcements only arrive over existing links");
                     self.known_open[idx] = true;
                 }

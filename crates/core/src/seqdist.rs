@@ -28,7 +28,9 @@ use distfl_congest::{CongestConfig, NodeId, NodeLogic, Payload, StepCtx, Transcr
 use distfl_instance::{ClientId, FacilityId, Instance, Solution};
 
 use crate::error::CoreError;
-use crate::model::{client_node, execute, facility_node, node_role, topology_of, Executor, Role};
+use crate::model::{
+    client_node, execute, facility_node, node_role, topology_of, Executor, LinkCursor, Role,
+};
 use crate::runner::{FlAlgorithm, Outcome};
 
 /// Sentinel facility id for "no candidate".
@@ -324,6 +326,7 @@ impl SeqFacility {
             }
             return;
         }
+        let mut cursor = LinkCursor::default();
         for &(src, msg) in ctx.inbox() {
             match msg {
                 SeqMsg::Up { cycle, ratio, fid } => self.wave.absorb_up(cycle, ratio, fid),
@@ -332,10 +335,7 @@ impl SeqFacility {
                 }
                 SeqMsg::Status { cycle, served } => {
                     debug_assert_eq!(cycle, self.wave.cycle - 1, "stale status");
-                    let idx = self
-                        .links
-                        .binary_search_by_key(&src, |(id, _)| *id)
-                        .expect("replies arrive over links");
+                    let idx = cursor.seek(&self.links, src).expect("replies arrive over links");
                     self.unserved[idx] = !served;
                     self.replies += 1;
                     if self.replies == self.links.len() {
@@ -447,6 +447,7 @@ impl SeqClient {
             }
         }
         // Pass 2: handshake offers of the (now-current) cycle.
+        let mut cursor = LinkCursor::default();
         for &(src, msg) in ctx.inbox() {
             let (cycle, serve) = match msg {
                 SeqMsg::Offer { cycle, serve } => (cycle, serve),
@@ -455,10 +456,7 @@ impl SeqClient {
             };
             debug_assert_eq!(cycle, self.wave.cycle - 1, "stale offer");
             let _ = cycle;
-            let idx = self
-                .links
-                .binary_search_by_key(&src, |(id, _)| *id)
-                .expect("offers arrive over links");
+            let idx = cursor.seek(&self.links, src).expect("offers arrive over links");
             if serve {
                 debug_assert!(self.serve_from.is_none(), "two winners in one cycle");
                 self.serve_from = Some(idx);

@@ -368,9 +368,10 @@ proptest! {
         for kind in SolverKind::ALL {
             let w = match kind.solve_warm(&inst, 7, &mut warm) {
                 Ok(w) => w,
-                // The portfolio kinds decline warm sessions by contract
-                // (typed boundary); cold dispatch still covers them.
+                // `auto` alone declines warm sessions by contract (typed
+                // boundary); cold dispatch still covers it.
                 Err(distfl_core::CoreError::WarmUnsupported { kind: name }) => {
+                    prop_assert_eq!(kind, SolverKind::Auto);
                     prop_assert_eq!(name, kind.name());
                     continue;
                 }
@@ -378,6 +379,7 @@ proptest! {
             };
             let c = kind.solve(&inst, 7).unwrap();
             prop_assert_eq!(&w.solution, &c.solution, "kind {}", kind);
+            prop_assert_eq!(&w.transcript, &c.transcript, "kind {}", kind);
             match (w.dual, c.dual) {
                 (Some(dw), Some(dc)) => prop_assert_eq!(bits(dw.alpha()), bits(dc.alpha())),
                 (None, None) => {}

@@ -229,10 +229,10 @@ pub fn execute(request: &Request, sessions: &SessionCache) -> String {
             };
             let mut guard = handle.lock().unwrap();
             let SessionState { instance, warm, .. } = &mut *guard;
-            // Portfolio kinds (metricball, outliers, auto) decline warm
-            // sessions with `CoreError::WarmUnsupported`, which surfaces
-            // here as a typed solver_failed response — the documented
-            // session boundary.
+            // Every concrete kind solves here; the distributed ones run
+            // cold on the session's instance. `auto` alone declines with
+            // `CoreError::WarmUnsupported`, which surfaces as a typed
+            // solver_failed response — the documented session boundary.
             match solver.solve_warm(instance, *seed, warm) {
                 Ok(outcome) => render_outcome(request, *solver, *seed, None, instance, &outcome),
                 Err(e) => fail(ErrorKind::SolverFailed, e.to_string()),
@@ -505,13 +505,26 @@ mod tests {
             &request(&format!(r#"{{"cmd":"create","id":"c","session":"s",{METRIC_INSTANCE}}}"#)),
             &sessions,
         );
-        for solver in ["auto", "metricball", "outliers"] {
-            let line = format!(r#"{{"cmd":"solve","id":"q","session":"s","solver":"{solver}"}}"#);
-            let response = execute(&request(&line), &sessions);
-            assert!(response.contains("\"kind\":\"solver_failed\""), "{response}");
-            assert!(response.contains("warm-start"), "{response}");
+        let line = r#"{"cmd":"solve","id":"q","session":"s","solver":"auto"}"#;
+        let response = execute(&request(line), &sessions);
+        assert!(response.contains("\"kind\":\"solver_failed\""), "{response}");
+        assert!(response.contains("warm-start"), "{response}");
+        // The distributed kinds run cold on the session's instance: apart
+        // from `id` and `span`, the answer is the stateless one.
+        let body = |s: &str| {
+            let from_ok = s.split("\"ok\"").nth(1).unwrap();
+            from_ok.split("\"span\"").next().unwrap().to_string()
+        };
+        for solver in ["metricball", "outliers"] {
+            let line =
+                format!(r#"{{"cmd":"solve","id":"q","session":"s","solver":"{solver}","seed":4}}"#);
+            let in_session = execute(&request(&line), &sessions);
+            assert!(in_session.contains("\"ok\":true"), "{in_session}");
+            let line = format!(r#"{{"id":"r","solver":"{solver}","seed":4,{METRIC_INSTANCE}}}"#);
+            let stateless = execute(&request(&line), &cache());
+            assert_eq!(body(&in_session), body(&stateless));
         }
-        // The session survives the declined solves.
+        // The session survives the declined solve.
         let greedy = execute(
             &request(r#"{"cmd":"solve","id":"g","session":"s","solver":"greedy"}"#),
             &sessions,
