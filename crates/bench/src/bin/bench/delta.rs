@@ -13,9 +13,9 @@
 //!
 //! The counting allocator reports steady-state allocations per
 //! delta+solve cycle on the warm path; the smoke gate bounds them for a
-//! reprice-only and a structural cycle, so a drain or re-sort that starts
-//! reallocating its lanes per delta fails CI rather than silently eating
-//! the speedup.
+//! greedy and a JV cycle after a reprice-only and after a structural
+//! delta, so a drain, repair or re-sort that starts reallocating its lanes
+//! per delta fails CI rather than silently eating the speedup.
 //!
 //! `--smoke` skips the timing and records no document: it runs only the
 //! equivalence sweep (all three warm solvers over both schedules on a
@@ -38,11 +38,12 @@ use crate::{count_allocs, Mode, Report};
 /// like-for-like with the service's behavior.
 const LS_MOVES: u32 = 10_000;
 
-/// Steady-state allocation budget for one warm delta+greedy-solve cycle
-/// (apply the delta to the warm cache, run the warm greedy solve). The
-/// measured values at 1% churn are 5 (reprice-only) and 3 (structural),
-/// so triple-digit growth means a drain or re-sort started reallocating
-/// per row.
+/// Steady-state allocation budget for one warm delta+solve cycle (apply
+/// the delta to the warm cache, run the warm greedy or JV solve). The
+/// measured values at 1% churn are 4 (greedy) and 10 (JV, mostly the
+/// solution and duals it returns) after either kind of delta, so
+/// triple-digit growth means a drain, repair, re-sort or ascent started
+/// reallocating per row or per event.
 const ALLOC_BUDGET: u64 = 128;
 
 // ---- Delta schedules --------------------------------------------------
@@ -56,7 +57,8 @@ enum Schedule {
     Reprice,
     /// The serve `session-churn` step: remove one client, reprice `links`
     /// links of the others, add one client linked to every facility. The
-    /// delta is structural, so every warm solve re-sorts its family.
+    /// delta is structural, so every warm solve renames its family's lanes
+    /// and merges the new client in.
     SessionChurn,
 }
 
@@ -233,9 +235,10 @@ fn write_rows(w: &mut JsonWriter, label: &str, rows: &[Row]) {
 
 // ---- Smoke gate -------------------------------------------------------
 
-/// Allocation events of the last of three warm delta+greedy-solve cycles
-/// of `schedule` at 1% churn on `base` — the steady state.
-fn steady_allocs(base: &Instance, schedule: Schedule) -> u64 {
+/// Allocation events of the last of three warm delta+solve cycles of
+/// `schedule` at 1% churn on `base` — the steady state. The cycle solves
+/// JV (`solve_jv`) when `jv` is set, greedy otherwise.
+fn steady_allocs(base: &Instance, schedule: Schedule, jv: bool) -> u64 {
     let mut inst = base.clone();
     let mut warm = WarmCache::new();
     let mut rng = StdRng::seed_from_u64(7);
@@ -246,7 +249,11 @@ fn steady_allocs(base: &Instance, schedule: Schedule) -> u64 {
         let report = inst.apply_delta(&batch).unwrap();
         let (_, allocs) = count_allocs(|| {
             warm.apply_delta(&inst, &report);
-            std::hint::black_box(warm.solve_greedy(&inst).iterations)
+            if jv {
+                std::hint::black_box(warm.solve_jv(&inst).0.num_open());
+            } else {
+                std::hint::black_box(warm.solve_greedy(&inst).iterations);
+            }
         });
         steady = allocs;
     }
@@ -277,18 +284,22 @@ fn smoke() -> bool {
 
     // Allocation budget at the headline shape and churn.
     let base = UniformRandom::new(100, 1000).unwrap().generate(5).unwrap();
-    for (schedule, name) in [(Schedule::Reprice, "reprice"), (Schedule::SessionChurn, "structural")]
-    {
-        let steady = steady_allocs(&base, schedule);
-        eprintln!(
-            "steady-state warm greedy {name} cycle: {steady} allocation events \
-             (budget {ALLOC_BUDGET})"
-        );
-        if steady > ALLOC_BUDGET {
+    for (jv, solver) in [(false, "greedy"), (true, "jv")] {
+        for (schedule, name) in
+            [(Schedule::Reprice, "reprice"), (Schedule::SessionChurn, "structural")]
+        {
+            let steady = steady_allocs(&base, schedule, jv);
             eprintln!(
-                "smoke FAILED: {name} allocs per delta {steady} exceeds budget {ALLOC_BUDGET}"
+                "steady-state warm {solver} {name} cycle: {steady} allocation events \
+                 (budget {ALLOC_BUDGET})"
             );
-            ok = false;
+            if steady > ALLOC_BUDGET {
+                eprintln!(
+                    "smoke FAILED: {solver} {name} allocs per delta {steady} exceeds budget \
+                     {ALLOC_BUDGET}"
+                );
+                ok = false;
+            }
         }
     }
     if ok {

@@ -118,8 +118,9 @@ fn fully_paid(tight: impl Iterator<Item = f64>, f: f64, t: f64, paid0: f64) -> b
 /// Instance-derived read-only lanes for the event-driven ascent: the
 /// per-client cost-sorted adjacency and the opening-cost lane. Sorting the
 /// client rows is most of the ascent's setup cost; the warm-start cache
-/// keeps them across reprices (repaired in place, row by row) and re-sorts
-/// them in place once they go stale (after a structural delta).
+/// keeps them across deltas (survivors' rows compacted and repriced links
+/// rotated in place, added clients' rows appended) and re-sorts them in
+/// place only once they go stale (after a drift-sized change).
 #[derive(Default)]
 pub(crate) struct JvLanes {
     /// Per-client row offsets into `sorted` (`n + 1` entries).
@@ -138,23 +139,50 @@ impl JvLanes {
     }
 
     /// Re-sorts every client row of `instance` into `self`, reusing its
-    /// buffers. Facility ids are unique within a row, so the unstable sort
-    /// on `(cost, id)` gives the one sorted order.
+    /// buffers.
     pub(crate) fn rebuild(&mut self, instance: &Instance) {
-        let JvLanes { offs, sorted, f_cost } = self;
-        offs.clear();
-        offs.reserve(instance.num_clients() + 1);
-        sorted.clear();
-        sorted.reserve(instance.num_links());
-        offs.push(0u32);
-        for j in instance.clients() {
-            let s = sorted.len();
-            sorted.extend(instance.client_links(j).iter().map(|(i, c)| (c, i)));
-            sorted[s..].sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            offs.push(sorted.len() as u32);
+        self.offs.clear();
+        self.offs.reserve(instance.num_clients() + 1);
+        self.offs.push(0u32);
+        self.sorted.clear();
+        self.sorted.reserve(instance.num_links());
+        self.append_rows(instance, 0);
+        self.f_cost.clear();
+        self.f_cost.extend(instance.facilities().map(|i| instance.opening_cost(i).value()));
+    }
+
+    /// Appends the sorted rows of clients `from..` of `instance`, which
+    /// must follow the rows `self` holds. Facility ids are unique within a
+    /// row, so the unstable sort on `(cost, id)` gives the one sorted
+    /// order.
+    pub(crate) fn append_rows(&mut self, instance: &Instance, from: u32) {
+        debug_assert_eq!(self.offs.len(), from as usize + 1, "rows append in client order");
+        for j in from..instance.num_clients() as u32 {
+            let s = self.sorted.len();
+            self.sorted.extend(instance.client_links(ClientId::new(j)).iter().map(|(i, c)| (c, i)));
+            self.sorted[s..].sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            self.offs.push(self.sorted.len() as u32);
         }
-        f_cost.clear();
-        f_cost.extend(instance.facilities().map(|i| instance.opening_cost(i).value()));
+    }
+
+    /// Keeps only the rows whose client index satisfies `keep`, in order,
+    /// compacting them in place.
+    pub(crate) fn retain_rows(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        let (mut rows, mut w, mut lo) = (0usize, 0usize, 0usize);
+        for k in 0..self.offs.len() - 1 {
+            // Row `k` ends where it did: a kept row's end is written at an
+            // index no greater than `k + 1`, and only after this read.
+            let hi = self.offs[k + 1] as usize;
+            if keep(k) {
+                self.sorted.copy_within(lo..hi, w);
+                w += hi - lo;
+                rows += 1;
+                self.offs[rows] = w as u32;
+            }
+            lo = hi;
+        }
+        self.offs.truncate(rows + 1);
+        self.sorted.truncate(w);
     }
 }
 
@@ -479,7 +507,7 @@ pub(crate) fn dual_ascent_with(
         // tight) — there is no third way.
         candidates.sort_unstable();
         candidates.dedup();
-        for jx in std::mem::take(candidates) {
+        for &jx in candidates.iter() {
             if connected[jx] {
                 continue;
             }
@@ -511,6 +539,7 @@ pub(crate) fn dual_ascent_with(
                 }
             }
         }
+        candidates.clear();
     }
 
     DualAscent { alpha, temp_open }

@@ -32,34 +32,41 @@
 //!
 //! A new cache holds no lanes: both families start stale, and each builds
 //! its lanes on its first solve. After [`Instance::apply_delta`],
-//! [`WarmCache::apply_delta`] does no lane work either. It records, per
-//! structure family, what the next solve that reads the family's lanes
-//! must do first, so a session pinned to one solver never pays for the
-//! other family's upkeep:
+//! [`WarmCache::apply_delta`] does no lane work either. It stages, per
+//! live structure family, what the next solve that reads the family's
+//! lanes must fold in first, so a session pinned to one solver never pays
+//! for the other family's upkeep:
 //!
-//! * **A reprice-only delta under the drift threshold is staged** (at most
-//!   10% of the link lanes touched, [`DeltaReport::drift`]). Every row
-//!   keeps its length and every id keeps its row, so `apply_delta` just
-//!   records the touched `(facility, client, old cost)` triples for each
-//!   live family; the next greedy/local-search solve drains them into the
-//!   star rows and seeds, the next JV solve into the ascent lanes. Repeated
-//!   reprices of one link collapse into a single repair against the
-//!   instance's current cost. The repair is in place: a staged link rotates
-//!   a `(cost, id)` subrange to its new sorted position, and a large group
-//!   in one star row merges the row in one snapshot pass instead. Both
-//!   produce exactly what a full re-sort would, because every row's keys
-//!   are unique.
-//! * **Any other delta marks both families stale**: a structural one
-//!   (added or removed clients renumber the id space) or a reprice-only one
-//!   past the threshold. A stale family re-sorts its lanes from the
-//!   instance, in place, on its next solve — a per-row comparison sort into
-//!   the buffers it already owns — so only the family solved next pays.
+//! * **Reprices** are staged as `(facility, client, old cost)` triples.
+//!   The old cost is the entry's sort key inside the lanes, so a drain
+//!   binary-searches its position. Repeated reprices of one link collapse
+//!   into a single repair against the instance's current cost.
+//! * **Removed and added clients** are staged as a map from each lane
+//!   client id (the id space the lanes were sorted in) to its current id.
+//!   A removed client maps to none and survivors shift down, so the map
+//!   stays monotone; the clients added since the sort hold the tail of the
+//!   current id space. Each structural delta renames the staged triples
+//!   into current ids and drops those of removed clients.
 //!
-//! The threshold also bounds staging: a family whose queue passes
-//! 10% of `num_links` triples (it is not being solved) drops the queue and
-//! goes stale, since replaying that many repairs would cost more than the
-//! re-sort. Results are identical on every path, only the work differs
-//! (the equivalence proptests pin each path).
+//! A drain then repairs the lanes in place of a re-sort. After reprices
+//! alone, a staged link rotates a `(cost, id)` subrange to its new sorted
+//! position, and a large group in one star row merges the row in one
+//! snapshot pass instead. After a structural change, the star rows are
+//! rewritten in one merge pass (survivors renamed through the map, staged
+//! and added links merged in), and the JV client rows are compacted in
+//! place, rotated, and extended by the added clients' sorted rows. Every
+//! path produces exactly what a full re-sort would, because every row's
+//! keys are unique and renaming keeps the survivors' order.
+//!
+//! **The drift threshold bounds staging.** A delta that touches more than
+//! 10% of the link lanes ([`DeltaReport::drift`]) marks both families
+//! stale, and so does a run of deltas once the links changed since a
+//! family's lanes were sorted pass 10% of `num_links`: past it, repairing
+//! costs more than re-sorting. A stale family stages nothing and re-sorts
+//! its lanes from the instance, in place, on its next solve — a per-row
+//! comparison sort into the buffers it already owns. Results are identical
+//! on every path, only the work differs (the equivalence proptests pin
+//! each path).
 
 use distfl_instance::{ClientId, DeltaReport, FacilityId, Instance, Solution};
 use distfl_lp::DualSolution;
@@ -68,15 +75,116 @@ use crate::greedy::{self, GreedyRun};
 use crate::jv::{self, DualAscent};
 use crate::localsearch::{self, LocalSearchRun};
 
-/// Largest fraction of the link lanes a reprice-only delta may touch
-/// ([`DeltaReport::drift`]) and still be staged for in-place repair; past
-/// it, `apply_delta` marks both families for a re-sort. It also caps each
-/// family's staged queue at `DRIFT_THRESHOLD × num_links` entries.
+/// Largest fraction of the link lanes that may change, in one delta or
+/// since a family's lanes were last sorted ([`DeltaReport::drift`]), while
+/// the family still repairs its lanes instead of re-sorting them.
 /// Break-even on the bench shapes sits near 10% of links touched: past
 /// that, the in-place rotations move more bytes than the per-row
 /// comparison sort of a re-sort, which still skips the instance rebuild the
 /// cold path pays. The solve outputs are identical either way.
 const DRIFT_THRESHOLD: f64 = 0.1;
+
+/// A staged map entry for a lane client that a delta removed.
+const GONE: u32 = u32::MAX;
+
+/// What one structure family's next drain must fold into its lanes:
+/// everything [`WarmCache::apply_delta`] staged since the lanes were last
+/// sorted or repaired.
+#[derive(Default)]
+struct Staged {
+    /// Whether the family's lanes were sorted from the instance and every
+    /// delta since is staged here. A stale family re-sorts on its next
+    /// drain.
+    live: bool,
+    /// Link-lane entries changed since the lanes were sorted or repaired.
+    links_changed: usize,
+    /// Lane client id -> current client id, or [`GONE`]. Empty until a
+    /// structural delta is staged.
+    remap: Vec<u32>,
+    /// While `remap` is in use, how many lane clients survive: the clients
+    /// added since the sort hold the current ids `kept..`.
+    kept: u32,
+    /// `(facility, client, old cost)` reprices of lane clients, in current
+    /// client ids.
+    moves: Vec<(u32, u32, f64)>,
+}
+
+impl Staged {
+    /// How many reprice triples are staged.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.moves.len()
+    }
+
+    /// Whether a drain must rename clients (a structural delta is staged).
+    fn is_structural(&self) -> bool {
+        !self.remap.is_empty()
+    }
+
+    /// Forgets everything staged: the lanes match the instance.
+    fn clear(&mut self) {
+        self.links_changed = 0;
+        self.remap.clear();
+        self.moves.clear();
+    }
+
+    fn go_stale(&mut self) {
+        self.live = false;
+        self.clear();
+    }
+
+    /// Folds one delta into a live family's staged state, or marks the
+    /// family stale once its composed drift passes the threshold.
+    fn stage(&mut self, instance: &Instance, report: &DeltaReport) {
+        if !self.live {
+            return;
+        }
+        self.links_changed += report.links_changed;
+        if self.links_changed as f64 > DRIFT_THRESHOLD * instance.num_links() as f64 {
+            self.go_stale();
+            return;
+        }
+        if report.is_structural() {
+            let removed = &report.removed;
+            if self.remap.is_empty() {
+                let lane_clients = (instance.num_clients() + removed.len() - report.added) as u32;
+                self.remap.extend(0..lane_clients);
+                self.kept = lane_clients;
+            }
+            // A survivor's new id is its old one less the removed ids
+            // below it. The map is ascending past its `GONE` entries, so
+            // one cursor walks `removed` for the whole pass.
+            let mut below = 0;
+            for id in self.remap.iter_mut().filter(|id| **id != GONE) {
+                while below < removed.len() && removed[below].raw() < *id {
+                    below += 1;
+                }
+                *id = match removed.get(below) {
+                    Some(r) if r.raw() == *id => GONE,
+                    _ => *id - below as u32,
+                };
+            }
+            let kept = self.kept;
+            self.kept -= removed.partition_point(|r| r.raw() < kept) as u32;
+            self.moves.retain_mut(|(_, j, _)| {
+                let below = removed.partition_point(|r| r.raw() < *j);
+                if removed.get(below).is_some_and(|r| r.raw() == *j) {
+                    return false;
+                }
+                *j -= below as u32;
+                true
+            });
+        }
+        // Clients added since the sort are not in the lanes: a drain reads
+        // their links, current costs included, from the instance.
+        let added_from = if self.is_structural() { self.kept } else { u32::MAX };
+        for (&(j, i), &old) in report.repriced.iter().zip(&report.repriced_old) {
+            if j.raw() < added_from {
+                self.moves.push((i.raw(), j.raw(), old));
+            }
+        }
+    }
+}
 
 /// Session-lifetime solver caches for one mutating instance.
 ///
@@ -121,17 +229,9 @@ pub struct WarmCache {
     jv_scratch: jv::JvScratch,
     // Local search: one scratch arena across solves.
     ls_scratch: localsearch::LsScratch,
-    // Deferred reprice repairs, per structure family: `(facility, client,
-    // old cost)` triples staged by `apply_delta` and drained by the next
-    // solve that actually reads the family's lanes. The old cost is the
-    // repriced entry's current sort key inside the family's lanes, so a
-    // drain can binary-search its position instead of scanning for it.
-    pending_greedy: Vec<(u32, u32, f64)>,
-    pending_jv: Vec<(u32, u32, f64)>,
-    // A family is live once a solve has sorted its lanes from the
-    // instance; a stale (not live) family re-sorts on its next drain.
-    live_greedy: bool,
-    live_jv: bool,
+    // What each family's next drain must fold in.
+    pending_greedy: Staged,
+    pending_jv: Staged,
     // Drain and re-sort scratch: the greedy merge's row mask and sorted
     // insertions, and one `(cost, id)` row buffer shared by the re-sort's
     // per-row sort and the merge's row snapshot.
@@ -156,15 +256,16 @@ impl WarmCache {
         WarmCache::default()
     }
 
-    /// How many `apply_delta` calls marked both families for a re-sort:
-    /// every structural delta, and every reprice-only delta past the
-    /// drift threshold.
+    /// How many `apply_delta` calls drifted past the threshold and marked
+    /// both families for a re-sort.
     pub fn rebuilds(&self) -> u64 {
         self.rebuilds
     }
 
-    /// How many `apply_delta` calls staged a reprice-only delta for
-    /// in-place repair.
+    /// How many `apply_delta` calls stayed under the drift threshold and
+    /// were staged, reprice-only or structural, for each live family's
+    /// next drain to repair in place. (A family whose staged drift passes
+    /// the threshold over several such calls goes stale all the same.)
     pub fn patches(&self) -> u64 {
         self.patches
     }
@@ -173,39 +274,20 @@ impl WarmCache {
     /// [`Instance::apply_delta`] that returned `report`.
     ///
     /// `instance` must be the **post-mutation** instance. Touches no lane:
-    /// a reprice-only delta under the drift threshold is staged per family,
-    /// any other marks both families stale, and each family repairs (or
-    /// re-sorts) its lanes on the next solve that reads them.
+    /// a delta under the drift threshold is staged per live family (its
+    /// reprices, and its removed and added clients as an id map), one past
+    /// it marks both families stale, and each family repairs (or re-sorts)
+    /// its lanes on the next solve that reads them.
     pub fn apply_delta(&mut self, instance: &Instance, report: &DeltaReport) {
-        if report.is_structural() || report.drift(instance) > DRIFT_THRESHOLD {
+        if report.drift(instance) > DRIFT_THRESHOLD {
             self.rebuilds += 1;
-            self.live_greedy = false;
-            self.live_jv = false;
-            self.pending_greedy.clear();
-            self.pending_jv.clear();
+            self.pending_greedy.go_stale();
+            self.pending_jv.go_stale();
             return;
         }
         self.patches += 1;
-        for (&(j, i), &old) in report.repriced.iter().zip(&report.repriced_old) {
-            if self.live_greedy {
-                self.pending_greedy.push((i.raw(), j.raw(), old));
-            }
-            if self.live_jv {
-                self.pending_jv.push((i.raw(), j.raw(), old));
-            }
-        }
-        // Only a family's own solve drains its queue, so a family the
-        // session never solves would stage forever. Past the drift bound
-        // the repairs cost more than the re-sort: go stale instead.
-        let bound = DRIFT_THRESHOLD * instance.num_links() as f64;
-        if self.pending_greedy.len() as f64 > bound {
-            self.live_greedy = false;
-            self.pending_greedy.clear();
-        }
-        if self.pending_jv.len() as f64 > bound {
-            self.live_jv = false;
-            self.pending_jv.clear();
-        }
+        self.pending_greedy.stage(instance, report);
+        self.pending_jv.stage(instance, report);
     }
 
     /// Warm star greedy: drains this family's staged reprices, lane-copies
@@ -246,38 +328,47 @@ impl WarmCache {
     }
 
     /// Brings the greedy family up to date: a stale family re-sorts its
-    /// star rows and seeds in place; otherwise the staged reprices are
-    /// repaired in place. A reprice keeps every row's length and every
-    /// id's row, so the big sorted star lanes are *repaired* instead of
-    /// rewritten. A small group of staged links per facility resolves
-    /// move by move: the staged old cost pins the entry's current sorted
-    /// position by binary search (the row stays fully sorted between
-    /// moves, and every not-yet-moved entry still holds its staged old
-    /// key), and a subrange rotation carries it to its new position —
-    /// `O(Δ · deg)` contiguous moves, no scan. A large group merges the
-    /// whole row in one pass instead, which is cheaper once rotations
-    /// would move more bytes than a row rewrite. Seeds recompute only for
-    /// drained facilities; every other cached value is untouched bytes,
-    /// bit-identity for free. Repeats of a pair keep the **first** staged
-    /// old cost (the one matching the lanes) and repair straight to the
-    /// instance's current cost — the intermediate values were never
-    /// observable.
+    /// star rows and seeds in place; otherwise the staged changes are
+    /// repaired. Staged reprices are folded in per facility (repeats of a
+    /// pair keep the **first** staged old cost, the one matching the
+    /// lanes, and repair straight to the instance's current cost — the
+    /// intermediate values were never observable). After reprices alone,
+    /// every row keeps its length and every id its row, so the star lanes
+    /// are repaired in place; after a structural change every row is
+    /// rewritten in one merge pass ([`WarmCache::merge_stars`]). Seeds
+    /// recompute only for rows that changed; every other cached value is
+    /// untouched bytes, bit-identity for free.
     fn drain_greedy(&mut self, instance: &Instance) {
-        if !self.live_greedy {
-            self.live_greedy = true;
+        if !self.pending_greedy.live {
+            self.pending_greedy.live = true;
             self.pending_greedy.clear();
             self.stars_pristine.rebuild(instance, &mut self.row_scratch);
             greedy::seed_ratios(instance, &self.stars_pristine, &mut self.seeds);
             return;
         }
-        if self.pending_greedy.is_empty() {
-            return;
-        }
-        let mut moves = std::mem::take(&mut self.pending_greedy);
+        let mut moves = std::mem::take(&mut self.pending_greedy.moves);
         // Stable by pair, then keep the first (earliest) staging of each
         // pair: its old cost is the entry's actual current sort key.
         moves.sort_by_key(|&(i, j, _)| (i, j));
         moves.dedup_by_key(|&mut (i, j, _)| (i, j));
+        if self.pending_greedy.is_structural() {
+            self.merge_stars(instance, &moves);
+        } else {
+            self.repair_stars_in_place(instance, &moves);
+        }
+        self.pending_greedy.moves = moves;
+        self.pending_greedy.clear();
+    }
+
+    /// The reprice-only greedy repair. A small group of staged links per
+    /// facility resolves move by move: the staged old cost pins the
+    /// entry's current sorted position by binary search (the row stays
+    /// fully sorted between moves, and every not-yet-moved entry still
+    /// holds its staged old key), and a subrange rotation carries it to its
+    /// new position — `O(Δ · deg)` contiguous moves, no scan. A large group
+    /// merges the whole row in one snapshot pass instead, which is cheaper
+    /// once rotations would move more bytes than a row rewrite.
+    fn repair_stars_in_place(&mut self, instance: &Instance, moves: &[(u32, u32, f64)]) {
         let mask = &mut self.merge_mask;
         mask.clear();
         mask.resize(instance.num_clients(), false);
@@ -298,7 +389,7 @@ impl WarmCache {
 
             if group.len() <= ROTATE_MAX_GROUP {
                 for &(_, jr, old_c) in group {
-                    let c = fl.costs[fl.ids.binary_search(&jr).expect("staged link is in its row")];
+                    let c = link_cost(fl.ids, fl.costs, jr);
                     let p = soa_lower_bound(costs, ids, old_c, jr);
                     debug_assert!(
                         ids[p] == jr && costs[p] == old_c,
@@ -312,48 +403,13 @@ impl WarmCache {
                 }
             } else {
                 // Several: a snapshot-and-merge pass re-emits the row,
-                // detecting stale entries inline with an O(1) client-id
-                // mask lookup. Each element moves once, and the result is
-                // exactly what a full re-sort would produce because all
-                // `(cost, id)` keys are unique.
-                inserts.clear();
-                for &(_, jr, _) in group {
-                    mask[jr as usize] = true;
-                    let c = fl.costs[fl.ids.binary_search(&jr).expect("staged link is in its row")];
-                    inserts.push((c, jr));
-                }
-                inserts.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                // dropping stale entries inline with an O(1) client-id
+                // mask lookup. Each element moves once.
+                stage_inserts(group, fl.ids, fl.costs, u32::MAX, mask, inserts);
                 snapshot.clear();
                 snapshot.extend(costs.iter().copied().zip(ids.iter().copied()));
-
-                let (mut w, mut dropped, mut u) = (0usize, 0usize, 0usize);
-                for &(sc, sj) in snapshot.iter() {
-                    if mask[sj as usize] {
-                        dropped += 1;
-                        continue;
-                    }
-                    while u < inserts.len() {
-                        let (ic, ij) = inserts[u];
-                        if ic.total_cmp(&sc).then(ij.cmp(&sj)).is_lt() {
-                            ids[w] = ij;
-                            costs[w] = ic;
-                            w += 1;
-                            u += 1;
-                        } else {
-                            break;
-                        }
-                    }
-                    ids[w] = sj;
-                    costs[w] = sc;
-                    w += 1;
-                }
-                debug_assert_eq!(dropped, group.len(), "every staged link is in its row");
-                for &(ic, ij) in &inserts[u..] {
-                    ids[w] = ij;
-                    costs[w] = ic;
-                    w += 1;
-                }
-                debug_assert_eq!(w, ids.len(), "reprice repair preserves row length");
+                let kept = snapshot.iter().copied().filter(|&(_, j)| !mask[j as usize]);
+                merge_row(kept, inserts, ids, costs);
                 for &(_, jr, _) in group {
                     mask[jr as usize] = false;
                 }
@@ -365,48 +421,163 @@ impl WarmCache {
                 instance.opening_cost(FacilityId::new(i as u32)).value(),
             );
         }
-        moves.clear();
-        self.pending_greedy = moves;
+    }
+
+    /// The structural greedy repair: rewrites every star row into
+    /// `stars_working` in one merge pass and swaps it in as the pristine
+    /// rows. Each row drops the entries of removed clients and of staged
+    /// links, renames the survivors through the staged map (which keeps
+    /// their `(cost, id)` order, since it is monotone), and merges in the
+    /// staged links at their current cost plus the links of the clients
+    /// added since the sort.
+    fn merge_stars(&mut self, instance: &Instance, moves: &[(u32, u32, f64)]) {
+        let Staged { remap, kept, .. } = &self.pending_greedy;
+        let mask = &mut self.merge_mask;
+        mask.clear();
+        mask.resize(instance.num_clients(), false);
+        let inserts = &mut self.inserts;
+        let src = &self.stars_pristine;
+        let out = &mut self.stars_working;
+        out.offsets.clear();
+        out.offsets.push(0);
+        out.ids.resize(instance.num_links(), 0);
+        out.costs.resize(instance.num_links(), 0.0);
+        let mut s = 0usize;
+        for f in instance.facilities() {
+            let i = f.index();
+            let e = s + moves[s..].iter().take_while(|mv| mv.0 as usize == i).count();
+            let group = &moves[s..e];
+            s = e;
+
+            let fl = instance.facility_links(f);
+            stage_inserts(group, fl.ids, fl.costs, *kept, mask, inserts);
+            let (ids, costs) = src.row(i);
+            let kept_entries = costs.iter().zip(ids).filter_map(|(&c, &k)| {
+                let j = remap[k as usize];
+                (j != GONE && !mask[j as usize]).then_some((c, j))
+            });
+            let lo = out.offsets[i] as usize;
+            let hi = lo + fl.len();
+            merge_row(kept_entries, inserts, &mut out.ids[lo..hi], &mut out.costs[lo..hi]);
+            out.offsets.push(hi as u32);
+            for &(_, jr, _) in group {
+                mask[jr as usize] = false;
+            }
+            // A row that lost and gained nothing kept its cost lane.
+            if !inserts.is_empty() || costs.len() != fl.len() {
+                self.seeds[i] =
+                    greedy::seed_ratio(&out.costs[lo..hi], instance.opening_cost(f).value());
+            }
+        }
+        out.live_end.clear();
+        out.live_end.extend_from_slice(&out.offsets[1..]);
+        std::mem::swap(&mut self.stars_pristine, &mut self.stars_working);
     }
 
     /// Brings the JV family up to date: a stale family re-sorts its ascent
-    /// lanes in place; otherwise each staged link rotates to its new sorted
-    /// position in its client's row, as in [`WarmCache::drain_greedy`]. A
-    /// client row holds at most one link per facility, so it is short and
-    /// rotation is the whole repair, however many of its links are staged.
+    /// lanes in place. Otherwise a structural change first compacts the
+    /// survivors' rows in place (a row's content never changes with its
+    /// client's id, because facility ids never move); then each staged
+    /// link rotates to its new sorted position in its client's row, as in
+    /// [`WarmCache::repair_stars_in_place`] (a client row holds at most one
+    /// link per facility, so it is short and rotation is the whole repair,
+    /// however many of its links are staged); last, the clients added
+    /// since the sort append their rows, sorted from the instance.
     fn drain_jv(&mut self, instance: &Instance) {
-        if !self.live_jv {
-            self.live_jv = true;
+        if !self.pending_jv.live {
+            self.pending_jv.live = true;
             self.pending_jv.clear();
             self.jv_lanes.rebuild(instance);
             return;
         }
-        if self.pending_jv.is_empty() {
-            return;
+        let structural = self.pending_jv.is_structural();
+        if structural {
+            let remap = &self.pending_jv.remap;
+            self.jv_lanes.retain_rows(|k| remap[k] != GONE);
         }
-        let mut moves = std::mem::take(&mut self.pending_jv);
+        let mut moves = std::mem::take(&mut self.pending_jv.moves);
         // Stable by pair (client-major), then keep the first staging of
         // each pair: its old cost is the entry's actual current sort key.
         moves.sort_by_key(|&(i, j, _)| (j, i));
         moves.dedup_by_key(|&mut (i, j, _)| (j, i));
         for &(ir, jr, old_c) in &moves {
             let cl = instance.client_links(ClientId::new(jr));
-            let c = cl.costs[cl.ids.binary_search(&ir).expect("staged link is in its row")];
+            let c = link_cost(cl.ids, cl.costs, ir);
             let lo = self.jv_lanes.offs[jr as usize] as usize;
             let hi = self.jv_lanes.offs[jr as usize + 1] as usize;
             let row = &mut self.jv_lanes.sorted[lo..hi];
-            let p = row.partition_point(|&(ec, ef)| ec.total_cmp(&old_c).then(ef.cmp(&ir)).is_lt());
+            let p = row.partition_point(|e| by_key(e, &(old_c, ir)).is_lt());
             debug_assert!(row[p] == (old_c, ir), "staged old cost pins the entry");
-            let q = slide_to(
-                row.partition_point(|&(ec, ef)| ec.total_cmp(&c).then(ef.cmp(&ir)).is_lt()),
-                p,
-            );
+            let q = slide_to(row.partition_point(|e| by_key(e, &(c, ir)).is_lt()), p);
             shift(row, p, q);
             row[q] = (c, ir);
         }
-        moves.clear();
-        self.pending_jv = moves;
+        if structural {
+            self.jv_lanes.append_rows(instance, self.pending_jv.kept);
+        }
+        self.pending_jv.moves = moves;
+        self.pending_jv.clear();
     }
+}
+
+/// The row order of every sorted lane: cost by `total_cmp`, then id. Ids
+/// are unique within a row, so it is total on a row's entries.
+fn by_key(a: &(f64, u32), b: &(f64, u32)) -> std::cmp::Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
+/// The cost of the link to `id` in an instance row's id-sorted lanes.
+fn link_cost(ids: &[u32], costs: &[f64], id: u32) -> f64 {
+    costs[ids.binary_search(&id).expect("staged link is in its row")]
+}
+
+/// Fills `inserts` with what one star row gains, in row order: the staged
+/// links at their current cost (masking their clients, whose entries the
+/// row drops) and the links of clients `added_from..`, which are the tail
+/// of the instance's facility row (`ids`/`costs`, sorted by client id).
+fn stage_inserts(
+    group: &[(u32, u32, f64)],
+    ids: &[u32],
+    costs: &[f64],
+    added_from: u32,
+    mask: &mut [bool],
+    inserts: &mut Vec<(f64, u32)>,
+) {
+    inserts.clear();
+    for &(_, jr, _) in group {
+        mask[jr as usize] = true;
+        inserts.push((link_cost(ids, costs, jr), jr));
+    }
+    let tail = ids.partition_point(|&j| j < added_from);
+    inserts.extend(costs[tail..].iter().copied().zip(ids[tail..].iter().copied()));
+    inserts.sort_unstable_by(by_key);
+}
+
+/// Writes the merge of two `(cost, id)`-sorted runs, `kept` and `inserts`,
+/// into `ids`/`costs`, which must be exactly as long as both together.
+/// Each element moves once, and the result is exactly what a full re-sort
+/// would produce because all keys are unique.
+fn merge_row(
+    kept: impl Iterator<Item = (f64, u32)>,
+    inserts: &[(f64, u32)],
+    ids: &mut [u32],
+    costs: &mut [f64],
+) {
+    let (mut w, mut u) = (0usize, 0usize);
+    for entry in kept {
+        while u < inserts.len() && by_key(&inserts[u], &entry).is_lt() {
+            (costs[w], ids[w]) = inserts[u];
+            w += 1;
+            u += 1;
+        }
+        (costs[w], ids[w]) = entry;
+        w += 1;
+    }
+    for &(c, j) in &inserts[u..] {
+        (costs[w], ids[w]) = (c, j);
+        w += 1;
+    }
+    debug_assert_eq!(w, ids.len(), "a repaired row holds exactly its links");
 }
 
 /// Largest per-row group the greedy drain repairs by successive
@@ -457,18 +628,27 @@ fn shift<T>(lane: &mut [T], p: usize, q: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use distfl_instance::generators::{Euclidean, InstanceGenerator};
+    use distfl_instance::generators::{Euclidean, InstanceGenerator, UniformRandom};
     use distfl_instance::{Cost, DeltaBatch};
 
-    /// One churn step of a session: remove client 0, add a client linked
-    /// to every facility, and reprice `(client, facility, cost)` triples
-    /// (pre-batch ids). The client count stays the same.
-    fn churn_step(inst: &Instance, reprice: &[(u32, u32, f64)]) -> DeltaBatch {
+    /// A batch that removes `remove`, adds `add` clients linked to every
+    /// facility `i` at cost `10 + i` (so added clients tie one another),
+    /// and reprices `(client, facility, cost)` triples; pre-batch ids.
+    fn delta(
+        inst: &Instance,
+        remove: &[u32],
+        add: usize,
+        reprice: &[(u32, u32, f64)],
+    ) -> DeltaBatch {
         let mut batch = DeltaBatch::new();
-        batch.remove_client(ClientId::new(0));
-        let fresh = batch.add_client();
-        for i in inst.facilities() {
-            batch.link(fresh, i, Cost::new(10.0 + f64::from(i.raw())).unwrap()).unwrap();
+        for &j in remove {
+            batch.remove_client(ClientId::new(j));
+        }
+        for _ in 0..add {
+            let fresh = batch.add_client();
+            for i in inst.facilities() {
+                batch.link(fresh, i, Cost::new(10.0 + f64::from(i.raw())).unwrap()).unwrap();
+            }
         }
         for &(j, i, c) in reprice {
             batch.reprice(ClientId::new(j), FacilityId::new(i), Cost::new(c).unwrap());
@@ -476,13 +656,89 @@ mod tests {
         batch
     }
 
+    /// One churn step of a session: remove client 0, add a client linked
+    /// to every facility, and reprice `(client, facility, cost)` triples
+    /// (pre-batch ids). The client count stays the same.
+    fn churn_step(inst: &Instance, reprice: &[(u32, u32, f64)]) -> DeltaBatch {
+        delta(inst, &[0], 1, reprice)
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Asserts that every lane of `warm` equals a fresh sort of `inst`.
+    fn assert_lanes_match_a_fresh_sort(warm: &WarmCache, inst: &Instance, what: &str) {
+        let stars = greedy::SortedStars::build(inst);
+        assert_eq!(warm.stars_pristine.offsets, stars.offsets, "{what}");
+        assert_eq!(warm.stars_pristine.live_end, stars.live_end, "{what}");
+        assert_eq!(warm.stars_pristine.ids, stars.ids, "{what}");
+        assert_eq!(bits(&warm.stars_pristine.costs), bits(&stars.costs), "{what}");
+        let mut seeds = Vec::new();
+        greedy::seed_ratios(inst, &stars, &mut seeds);
+        assert_eq!(bits(&warm.seeds), bits(&seeds), "{what}");
+        let lanes = jv::JvLanes::build(inst);
+        let entries = |sorted: &[(f64, u32)]| -> Vec<(u64, u32)> {
+            sorted.iter().map(|&(c, i)| (c.to_bits(), i)).collect()
+        };
+        assert_eq!(warm.jv_lanes.offs, lanes.offs, "{what}");
+        assert_eq!(entries(&warm.jv_lanes.sorted), entries(&lanes.sorted), "{what}");
+        assert_eq!(bits(&warm.jv_lanes.f_cost), bits(&lanes.f_cost), "{what}");
+    }
+
+    #[test]
+    fn repaired_lanes_equal_a_fresh_sort_after_composed_churn() {
+        // Both families live, then three structural deltas with no solve
+        // in between: removals of client 0, of the highest lane id, and of
+        // a client the previous delta added; three adds in one batch; a
+        // reprice of an added client's link; and reprices onto costs that
+        // tie kept entries (a neighbour's cost, an added client's cost).
+        // Each drain must leave lanes and seeds exactly as a fresh sort.
+        let instances = [
+            Euclidean::new(6, 160).unwrap().generate(1).unwrap(),
+            Euclidean::new(5, 150).unwrap().generate(2).unwrap(),
+            UniformRandom::new(6, 160).unwrap().generate(3).unwrap(),
+        ];
+        for (case, mut inst) in instances.into_iter().enumerate() {
+            let mut warm = WarmCache::new();
+            warm.solve_greedy(&inst);
+            warm.solve_jv(&inst);
+            for round in 0..3 {
+                let what = format!("case {case}, round {round}");
+                let n = inst.num_clients() as u32;
+                let tie = inst.connection_cost(ClientId::new(6), FacilityId::new(1)).unwrap();
+                let steps = [
+                    delta(&inst, &[0, n - 1], 3, &[(5, 1, tie.value())]),
+                    // After the first step: n + 1 clients, the last three
+                    // added.
+                    delta(&inst, &[n], 0, &[(n - 1, 2, 1.5), (7, 0, 10.0)]),
+                    // After the second: n clients, the last two added.
+                    delta(&inst, &[n / 2], 1, &[(n - 2, 3, 12.0), (9, 3, 13.0)]),
+                ];
+                for batch in &steps {
+                    let report = inst.apply_delta(batch).unwrap();
+                    warm.apply_delta(&inst, &report);
+                }
+                for family in [&warm.pending_greedy, &warm.pending_jv] {
+                    assert!(family.live && family.is_structural(), "{what}: repair is staged");
+                }
+                let run = warm.solve_greedy(&inst);
+                assert_eq!(run, greedy::solve_detailed(&inst), "{what}");
+                assert_eq!(warm.solve_jv(&inst), jv::solve(&inst), "{what}");
+                assert_lanes_match_a_fresh_sort(&warm, &inst, &what);
+            }
+            assert_eq!((warm.rebuilds(), warm.patches()), (0, 9), "case {case}");
+        }
+    }
+
     #[test]
     fn jv_rows_reprice_after_a_drift_fallback_and_a_jv_only_refresh() {
         // Three structural deltas (d2 drift-sized as well), the last two
         // each followed by a JV-only solve while greedy stays stale. Every
         // JV row must come back sorted by its current costs: a client row
-        // left in an old order (client 20's, repriced in d3) makes the
-        // ascent wait for an event that never comes.
+        // left in an old order (client 20's, repriced in d3 and renamed by
+        // d3's removal of client 0) makes the ascent wait for an event that
+        // never comes.
         use std::sync::mpsc::{self, RecvTimeoutError};
         let (tx, rx) = mpsc::channel();
         let handle = std::thread::spawn(move || {
@@ -501,7 +757,9 @@ mod tests {
                     assert_eq!(dual.alpha(), cold_dual.alpha(), "step {step}");
                 }
             }
-            assert_eq!(warm.rebuilds(), 3, "every structural delta marks the families stale");
+            // Only the drift-sized d2 marks the families stale; d1 and d3
+            // are staged, and d3's JV solve repairs the rows in place.
+            assert_eq!((warm.rebuilds(), warm.patches()), (1, 2));
             let _ = tx.send(());
         });
         match rx.recv_timeout(std::time::Duration::from_secs(20)) {

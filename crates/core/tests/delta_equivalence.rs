@@ -2,9 +2,9 @@
 //! warm-started solve must be **bit-identical** to a from-scratch solve of
 //! the mutated instance — for all three warm solvers, over random
 //! add/remove/reprice interleavings, in the style of `solver_equivalence`.
-//! Most properties solve once after the whole schedule; two interleave
+//! Most properties solve once after the whole schedule; three interleave
 //! solves with structural, reprice-only and drift-sized deltas, so each
-//! family's in-place drains and re-sorts run in between.
+//! family's in-place repairs and re-sorts run in between.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -18,29 +18,28 @@ use distfl_instance::{ClientId, Cost, DeltaBatch, FacilityId, Instance};
 /// Move cap matching the cold `SolverKind::LocalSearch` dispatch.
 const LS_MAX_MOVES: u32 = 10_000;
 
-fn any_instance() -> impl Strategy<Value = Instance> {
-    (0u8..3, 1usize..8, 1usize..20, 0u64..1000).prop_map(|(family, m, n, seed)| match family {
+/// One of three dense generator families, `m` facilities by `n` clients.
+fn generate(family: u8, m: usize, n: usize, seed: u64) -> Instance {
+    match family {
         0 => UniformRandom::new(m, n).unwrap().generate(seed).unwrap(),
         1 => {
             let clusters = m % 3 + 1;
             Clustered::new(clusters, m.max(clusters), n).unwrap().generate(seed).unwrap()
         }
         _ => LineCity::new(m, n).unwrap().generate(seed).unwrap(),
-    })
+    }
+}
+
+fn any_instance() -> impl Strategy<Value = Instance> {
+    (0u8..3, 1usize..8, 1usize..20, 0u64..1000).prop_map(|(f, m, n, seed)| generate(f, m, n, seed))
 }
 
 /// Session-sized instances: large enough (30+ clients) that a reprice-only
 /// batch of a few links stays under the default drift threshold and is
 /// staged, while a drift-sized one still takes the re-sort.
 fn session_instance() -> impl Strategy<Value = Instance> {
-    (0u8..3, 1usize..8, 30usize..100, 0u64..1000).prop_map(|(family, m, n, seed)| match family {
-        0 => UniformRandom::new(m, n).unwrap().generate(seed).unwrap(),
-        1 => {
-            let clusters = m % 3 + 1;
-            Clustered::new(clusters, m.max(clusters), n).unwrap().generate(seed).unwrap()
-        }
-        _ => LineCity::new(m, n).unwrap().generate(seed).unwrap(),
-    })
+    (0u8..3, 1usize..8, 30usize..100, 0u64..1000)
+        .prop_map(|(f, m, n, seed)| generate(f, m, n, seed))
 }
 
 /// Draws a batch valid for the instance's current shape: a few removals
@@ -175,6 +174,100 @@ fn reprice_batch(inst: &Instance, rng: &mut StdRng) -> DeltaBatch {
     batch
 }
 
+/// Dense instances with 2+ facilities and 150+ clients: the four steps of
+/// [`composed_churn`] change under a tenth of the links, so the warm cache
+/// stages them all and repairs its lanes instead of re-sorting them.
+fn repair_instance() -> impl Strategy<Value = Instance> {
+    (0u8..3, 2usize..9, 150usize..200, 0u64..1000)
+        .prop_map(|(f, m, n, seed)| generate(f, m, n, seed))
+}
+
+/// A cost for a link at facility `i`: half the time exactly the cost of a
+/// random link in `i`'s current row, so repaired rows hold `(cost, id)`
+/// ties that only the id order settles.
+fn tie_prone_cost(inst: &Instance, i: u32, rng: &mut StdRng) -> Cost {
+    let row = inst.facility_links(FacilityId::new(i));
+    let c = if rng.gen_bool(0.5) {
+        row.costs[rng.gen_range(0..row.len())]
+    } else {
+        rng.gen_range(0.0..100.0f64)
+    };
+    Cost::new(c).unwrap()
+}
+
+/// Step `step` of a run of churn batches with no solve in between. Step 0
+/// removes client 0 and the highest id and adds three clients; step 1
+/// removes the highest id (a client step 0 added) and reprices a link of
+/// another client step 0 added; later steps remove a random client and add
+/// one. Every step also reprices one link of a random surviving client.
+/// Added clients link one to three facilities.
+fn composed_churn(inst: &Instance, step: usize, rng: &mut StdRng) -> DeltaBatch {
+    let n = inst.num_clients() as u32;
+    let m = inst.num_facilities() as u32;
+    let mut batch = DeltaBatch::new();
+    let removed = match step {
+        0 => vec![0, n - 1],
+        1 => vec![n - 1],
+        _ => vec![rng.gen_range(0..n)],
+    };
+    for &j in &removed {
+        batch.remove_client(ClientId::new(j));
+    }
+    let mut repriced = Vec::new();
+    if step == 1 {
+        repriced.push(n - 2);
+    }
+    let j = loop {
+        let j = rng.gen_range(0..n);
+        if !removed.contains(&j) && !repriced.contains(&j) {
+            break j;
+        }
+    };
+    repriced.push(j);
+    for j in repriced {
+        let row = inst.client_links(ClientId::new(j));
+        let i = row.ids[rng.gen_range(0..row.len())];
+        batch.reprice(ClientId::new(j), FacilityId::new(i), tie_prone_cost(inst, i, rng));
+    }
+    for _ in 0..if step == 0 { 3 } else { 1 } {
+        let p = batch.add_client();
+        let first = rng.gen_range(0..m);
+        for d in 0..rng.gen_range(1..=m.min(3)) {
+            let i = (first + d) % m;
+            batch.link(p, FacilityId::new(i), tie_prone_cost(inst, i, rng)).unwrap();
+        }
+    }
+    batch
+}
+
+/// Solves `family` (0 greedy, 1 local search, 2 JV) warm and cold, and
+/// asserts the two agree bit for bit.
+fn assert_warm_matches_cold(warm: &mut WarmCache, inst: &Instance, family: u8, what: &str) {
+    match family {
+        0 => {
+            let w = warm.solve_greedy(inst);
+            let c = greedy::solve_detailed(inst);
+            assert_eq!(w.solution, c.solution, "greedy, {what}");
+            assert_eq!(bits(&w.ratios), bits(&c.ratios), "greedy, {what}");
+            assert_eq!(w.iterations, c.iterations, "greedy, {what}");
+        }
+        1 => {
+            let w = warm.solve_local_search(inst, LS_MAX_MOVES);
+            let (start, _) = greedy::solve(inst);
+            let c = localsearch::optimize(inst, &start, LS_MAX_MOVES);
+            assert_eq!(w.solution, c.solution, "local search, {what}");
+            assert_eq!(w.final_cost.to_bits(), c.final_cost.to_bits(), "local search, {what}");
+            assert_eq!(w.moves, c.moves, "local search, {what}");
+        }
+        _ => {
+            let (sol_w, dual_w) = warm.solve_jv(inst);
+            let (sol_c, dual_c) = jv::solve(inst);
+            assert_eq!(sol_w, sol_c, "jv, {what}");
+            assert_eq!(bits(dual_w.alpha()), bits(dual_c.alpha()), "jv, {what}");
+        }
+    }
+}
+
 /// Runs `body` on its own thread and fails (instead of hanging the suite)
 /// if it does not finish within the deadline.
 fn within_deadline(body: impl FnOnce() + Send + 'static) {
@@ -275,10 +368,10 @@ proptest! {
         seed in any::<u64>(),
         steps in 1usize..16,
     ) {
-        // Default config: structural and drift-sized batches mark both
-        // families for a re-sort, reprice-only ones under the threshold
-        // are staged. After each batch, solve one random family (or none)
-        // warm and compare it with the cold solve.
+        // Drift-sized batches mark both families for a re-sort; the
+        // rest, structural or reprice-only, are staged. After each batch,
+        // solve one random family (or none) warm and compare it with the
+        // cold solve.
         within_deadline(move || {
             let mut inst = base;
             let mut warm = WarmCache::new();
@@ -291,27 +384,9 @@ proptest! {
                 };
                 let report = inst.apply_delta(&batch).unwrap();
                 warm.apply_delta(&inst, &report);
-                match rng.gen_range(0..4u8) {
-                    0 => {
-                        let w = warm.solve_greedy(&inst);
-                        let c = greedy::solve_detailed(&inst);
-                        assert_eq!(w.solution, c.solution, "greedy, step {step}");
-                        assert_eq!(bits(&w.ratios), bits(&c.ratios), "greedy, step {step}");
-                    }
-                    1 => {
-                        let w = warm.solve_local_search(&inst, LS_MAX_MOVES);
-                        let (start, _) = greedy::solve(&inst);
-                        let c = localsearch::optimize(&inst, &start, LS_MAX_MOVES);
-                        assert_eq!(w.solution, c.solution, "local search, step {step}");
-                        assert_eq!(w.moves, c.moves, "local search, step {step}");
-                    }
-                    2 => {
-                        let (sol_w, dual_w) = warm.solve_jv(&inst);
-                        let (sol_c, dual_c) = jv::solve(&inst);
-                        assert_eq!(sol_w, sol_c, "jv, step {step}");
-                        assert_eq!(bits(dual_w.alpha()), bits(dual_c.alpha()), "jv, step {step}");
-                    }
-                    _ => {}
+                let family = rng.gen_range(0..4u8);
+                if family < 3 {
+                    assert_warm_matches_cold(&mut warm, &inst, family, &format!("step {step}"));
                 }
             }
         });
@@ -324,14 +399,15 @@ proptest! {
         batches in 1usize..6,
     ) {
         // The patcher solves greedy and JV before every delta, so both
-        // families are live: reprice-only batches under the drift
-        // threshold are staged and drained in place, structural ones
-        // re-sort. A fresh cache of the final instance sorts everything
-        // from scratch. Outputs must not differ.
+        // families are live: batches under the drift threshold (a tenth
+        // of the links), reprice-only or structural, are staged and
+        // repaired in place, and larger ones re-sort. A fresh cache of the
+        // final instance sorts everything from scratch. Outputs must not
+        // differ.
         let mut inst = base;
         let mut patcher = WarmCache::new();
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut structural = 0;
+        let mut drifted = 0;
         for _ in 0..batches {
             patcher.solve_greedy(&inst);
             patcher.solve_jv(&inst);
@@ -342,10 +418,10 @@ proptest! {
             };
             let report = inst.apply_delta(&batch).unwrap();
             patcher.apply_delta(&inst, &report);
-            structural += usize::from(report.is_structural());
+            drifted += usize::from(report.drift(&inst) > 0.1);
         }
-        prop_assert_eq!(patcher.rebuilds() as usize, structural);
-        prop_assert_eq!(patcher.patches() as usize, batches - structural);
+        prop_assert_eq!(patcher.rebuilds() as usize, drifted);
+        prop_assert_eq!(patcher.patches() as usize, batches - drifted);
         let mut rebuilder = WarmCache::new();
         let a = patcher.solve_greedy(&inst);
         let b = rebuilder.solve_greedy(&inst);
@@ -355,6 +431,41 @@ proptest! {
         let (jb, db) = rebuilder.solve_jv(&inst);
         prop_assert_eq!(&ja, &jb);
         prop_assert_eq!(bits(da.alpha()), bits(db.alpha()));
+    }
+
+    #[test]
+    fn composed_structural_deltas_repair_lanes_bit_identically(
+        base in repair_instance(),
+        seed in any::<u64>(),
+        runs in prop::collection::vec((0u8..3, 1usize..5), 1..4),
+    ) {
+        // Each run solves one family, so its lanes are live, composes one
+        // to four `composed_churn` steps, and solves the family again. The
+        // steps stay under the drift threshold together, so that solve
+        // repairs the lanes from the staged id map and reprices.
+        within_deadline(move || {
+            let mut inst = base;
+            let mut warm = WarmCache::new();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut deltas = 0;
+            for (run, (family, steps)) in runs.into_iter().enumerate() {
+                assert_warm_matches_cold(&mut warm, &inst, family, &format!("before run {run}"));
+                let mut changed = 0;
+                for step in 0..steps {
+                    let report = inst.apply_delta(&composed_churn(&inst, step, &mut rng)).unwrap();
+                    warm.apply_delta(&inst, &report);
+                    changed += report.links_changed;
+                    deltas += 1;
+                }
+                assert!(
+                    changed * 10 <= inst.num_links(),
+                    "run {run}: {changed} links changed of {}",
+                    inst.num_links()
+                );
+                assert_eq!((warm.rebuilds(), warm.patches()), (0, deltas), "every step is staged");
+                assert_warm_matches_cold(&mut warm, &inst, family, &format!("after run {run}"));
+            }
+        });
     }
 
     #[test]

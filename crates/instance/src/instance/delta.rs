@@ -27,10 +27,12 @@
 //! Removing client `j` shifts every client id above `j` down by one (dense
 //! ids are a load-bearing invariant for the solvers and the CSR itself),
 //! and added clients take the tail of the id space in staging order. The
-//! returned [`DeltaReport`] says how many clients left and arrived and
-//! which links were repriced (in post-batch ids); the warm-start caches in
-//! `distfl-core` re-sort after any structural batch, so none of them needs
-//! a per-client id map.
+//! returned [`DeltaReport`] names the removed clients (pre-batch ids), says
+//! how many arrived, and lists the repriced links (in post-batch ids).
+//! That is enough to rename any id: a survivor's new id is its old id less
+//! the number of removed ids below it. The warm-start caches in
+//! `distfl-core` repair their sorted lanes that way instead of re-sorting
+//! them.
 
 use crate::cost::{self, Cost};
 use crate::error::InstanceError;
@@ -69,7 +71,7 @@ pub struct PendingClient(usize);
 /// delta.link(fresh, f, Cost::new(0.5)?)?;
 /// let report = inst.apply_delta(&delta)?;
 ///
-/// assert_eq!((report.removed, report.added), (1, 1));
+/// assert_eq!((report.removed, report.added), (vec![c0], 1));
 /// assert_eq!(inst.num_clients(), 2);
 /// // c1 shifted down to id 0; the added client took the tail id 1.
 /// assert_eq!(inst.connection_cost(c0, f), Some(Cost::new(5.0)?));
@@ -149,14 +151,21 @@ impl DeltaBatch {
     }
 }
 
-/// What [`Instance::apply_delta`] did, in the **post-batch** id space.
+/// What [`Instance::apply_delta`] did: which clients left (**pre-batch**
+/// ids), how many arrived, and which links were repriced (**post-batch**
+/// ids).
+///
+/// Together these rename any client: a survivor's post-batch id is its
+/// pre-batch id less the number of [`DeltaReport::removed`] ids below it,
+/// and added clients hold the tail. Warm-start caches use that to carry
+/// their sorted lanes across a structural batch instead of re-sorting them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeltaReport {
     /// Number of clients added. They hold the last `added` ids of the
     /// post-batch id space, in staging order.
     pub added: usize,
-    /// Number of clients removed.
-    pub removed: usize,
+    /// The removed clients' **pre-batch** ids, ascending.
+    pub removed: Vec<ClientId>,
     /// Repriced links as `(client, facility)` pairs in **new** ids, sorted
     /// lexicographically.
     pub repriced: Vec<(ClientId, FacilityId)>,
@@ -175,7 +184,7 @@ impl DeltaReport {
     /// Whether the batch changed the id space (added or removed clients)
     /// rather than only repricing in place.
     pub fn is_structural(&self) -> bool {
-        self.removed > 0 || self.added > 0
+        !self.removed.is_empty() || self.added > 0
     }
 
     /// Fraction of `instance`'s (post-mutation) link lanes touched by the
@@ -188,7 +197,7 @@ impl DeltaReport {
 
 impl Instance {
     /// Applies a batch of mutations in place, returning a [`DeltaReport`]
-    /// describing how many clients left and arrived and which links were
+    /// naming the clients that left, how many arrived, and which links were
     /// repriced.
     ///
     /// The mutated instance is **indistinguishable from a from-scratch
@@ -282,7 +291,7 @@ impl Instance {
             let repriced_old = self.apply_reprices_in_place(&repriced_sorted);
             DeltaReport {
                 added: 0,
-                removed: 0,
+                removed: Vec::new(),
                 repriced: repriced_sorted
                     .iter()
                     .map(|&(j, i, _)| (ClientId::new(j), FacilityId::new(i)))
@@ -426,7 +435,7 @@ impl Instance {
 
         DeltaReport {
             added: batch.added.len(),
-            removed: removed_sorted.len(),
+            removed: removed_sorted.iter().map(|&j| ClientId::new(j)).collect(),
             repriced: repriced_new,
             repriced_old,
             links_changed: dropped + inserted + repriced_sorted.len(),
@@ -491,7 +500,7 @@ mod tests {
         let report = inst.apply_delta(&d).unwrap();
         assert!(report.is_structural());
         assert_eq!(report.added, 1);
-        assert_eq!(report.removed, 1);
+        assert_eq!(report.removed, vec![ClientId::new(1)]);
         assert_eq!(report.links_changed, 1 + 2); // dropped c1's 1 link, added 2
                                                  // From-scratch: c0, c2 (shifted), new client.
         let mut b = InstanceBuilder::new();
@@ -520,6 +529,17 @@ mod tests {
         assert_eq!(inst.cheapest_link(ClientId::new(1)), (FacilityId::new(0), cost(9.0)));
         assert_eq!(inst.num_clients(), 2);
         assert_eq!(inst.num_links(), 2);
+    }
+
+    #[test]
+    fn report_names_removed_clients_in_ascending_pre_batch_ids() {
+        let mut inst = small();
+        let mut d = DeltaBatch::new();
+        d.remove_client(ClientId::new(2));
+        d.remove_client(ClientId::new(0));
+        let report = inst.apply_delta(&d).unwrap();
+        assert_eq!(report.removed, vec![ClientId::new(0), ClientId::new(2)]);
+        assert_eq!(report.links_changed, 2 + 1);
     }
 
     #[test]

@@ -147,7 +147,7 @@ proptest! {
             // Report sanity: the counts account for the new client count.
             // Survivor order and the added tail are covered by the
             // equality with the rebuild above.
-            prop_assert_eq!(n_before - report.removed + report.added, inst.num_clients());
+            prop_assert_eq!(n_before - report.removed.len() + report.added, inst.num_clients());
         }
     }
 
