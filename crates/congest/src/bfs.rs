@@ -5,12 +5,13 @@
 //! 1. **Tree construction** — the root floods a `Grow` wave; every node
 //!    adopts the first sender as its parent (ties to the lowest id, so the
 //!    tree is the canonical BFS tree).
-//! 2. **Convergecast** — leaves start an upward wave combining local
-//!    values with an associative [`AggregateOp`]; each internal node
-//!    forwards once all children reported.
-//! 3. **Broadcast** — the root floods the aggregate back down.
+//! 2. **Convergecast** — leaves start an upward wave of partial sums of
+//!    the local values; each internal node adds its children's reports to
+//!    its own value and forwards once all children reported.
+//! 3. **Broadcast** — the root floods the sum back down.
 //!
-//! The solution audits of `distfl-core::audit` run on these primitives;
+//! The solution audits of `distfl-core::audit` (a cost and an open-count
+//! sum) run on these primitives;
 //! the executed straw-man (`distfl-core::seqdist`) builds the same tree
 //! with its own messages, since it convergecasts a pair per picked star.
 //! The protocol is also a good stress test of the engine: variable-length
@@ -23,39 +24,6 @@ use crate::metrics::Transcript;
 use crate::node::{NodeId, NodeLogic};
 use crate::topology::Topology;
 
-/// Associative, commutative combination of `f64` values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggregateOp {
-    /// Sum of all values.
-    Sum,
-    /// Minimum of all values.
-    Min,
-    /// Maximum of all values.
-    Max,
-}
-
-impl AggregateOp {
-    /// Combines two partial aggregates.
-    #[inline]
-    pub fn combine(self, a: f64, b: f64) -> f64 {
-        match self {
-            AggregateOp::Sum => a + b,
-            AggregateOp::Min => a.min(b),
-            AggregateOp::Max => a.max(b),
-        }
-    }
-
-    /// The identity element.
-    #[inline]
-    pub fn identity(self) -> f64 {
-        match self {
-            AggregateOp::Sum => 0.0,
-            AggregateOp::Min => f64::INFINITY,
-            AggregateOp::Max => f64::NEG_INFINITY,
-        }
-    }
-}
-
 /// Messages of the aggregation protocol.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BfsMsg {
@@ -65,9 +33,9 @@ pub enum BfsMsg {
     /// from a neighbor instead serves as the rejection (the sender joined
     /// through someone else).
     Child,
-    /// Upward partial aggregate.
+    /// Upward partial sum.
     Up(f64),
-    /// Downward final result.
+    /// Downward final sum.
     Down(f64),
 }
 
@@ -80,7 +48,7 @@ impl Payload for BfsMsg {
     }
 
     /// Canonical wire encoding: one tag byte, plus the big-endian partial
-    /// aggregate for `Up`/`Down` — exactly the [`BfsMsg::size_bits`]
+    /// sum for `Up`/`Down` — exactly the [`BfsMsg::size_bits`]
     /// budget. Used by the wire-format test to keep the declared sizes
     /// honest.
     fn encode(&self) -> Vec<u8> {
@@ -105,7 +73,6 @@ impl Payload for BfsMsg {
 #[derive(Debug, Clone)]
 pub struct BfsNode {
     is_root: bool,
-    op: AggregateOp,
     parent: Option<NodeId>,
     /// Confirmed children.
     children: Vec<NodeId>,
@@ -113,7 +80,7 @@ pub struct BfsNode {
     answered: usize,
     /// Number of answers expected (degree, minus one for non-roots).
     answered_target: usize,
-    /// Partial aggregate of confirmed child reports plus own value.
+    /// Own value plus the partial sums the children reported so far.
     partial: f64,
     reported_children: usize,
     sent_up: bool,
@@ -124,10 +91,9 @@ pub struct BfsNode {
 
 impl BfsNode {
     /// Creates the state for one node.
-    pub fn new(is_root: bool, value: f64, op: AggregateOp) -> Self {
+    pub fn new(is_root: bool, value: f64) -> Self {
         BfsNode {
             is_root,
-            op,
             parent: None,
             children: Vec::new(),
             answered: 0,
@@ -141,7 +107,7 @@ impl BfsNode {
         }
     }
 
-    /// The aggregate, once known (after the downward wave).
+    /// The sum, once known (after the downward wave).
     pub fn result(&self) -> Option<f64> {
         self.result
     }
@@ -215,7 +181,7 @@ impl NodeLogic for BfsNode {
                         self.answered += 1;
                     }
                     BfsMsg::Up(v) => {
-                        self.partial = self.op.combine(self.partial, v);
+                        self.partial += v;
                         self.reported_children += 1;
                     }
                     BfsMsg::Down(v) => {
@@ -251,8 +217,8 @@ impl NodeLogic for BfsNode {
 }
 
 /// Runs the full aggregate protocol on `topology`: builds a BFS tree from
-/// `root`, convergecasts `values` under `op`, and broadcasts the result to
-/// every node. Returns the aggregate and the transcript.
+/// `root`, convergecasts the sum of `values`, and broadcasts it to every
+/// node. Returns the sum and the transcript.
 ///
 /// # Errors
 ///
@@ -262,7 +228,6 @@ pub fn aggregate(
     topology: &Topology,
     root: NodeId,
     values: &[f64],
-    op: AggregateOp,
 ) -> Result<(f64, Transcript), CongestError> {
     if values.len() != topology.num_nodes() {
         return Err(CongestError::NodeCountMismatch {
@@ -271,7 +236,7 @@ pub fn aggregate(
         });
     }
     let nodes: Vec<BfsNode> = (0..topology.num_nodes())
-        .map(|i| BfsNode::new(NodeId::new(i as u32) == root, values[i], op))
+        .map(|i| BfsNode::new(NodeId::new(i as u32) == root, values[i]))
         .collect();
     let mut net = Network::new(topology.clone(), nodes, 0)?;
     // 4 * n rounds is a generous bound; disconnected graphs hit it.
@@ -319,27 +284,16 @@ mod tests {
     fn sum_on_a_ring() {
         let topo = Topology::ring(9).unwrap();
         let vals = values(9);
-        let (got, t) = aggregate(&topo, NodeId::new(0), &vals, AggregateOp::Sum).unwrap();
+        let (got, t) = aggregate(&topo, NodeId::new(0), &vals).unwrap();
         assert!((got - vals.iter().sum::<f64>()).abs() < 1e-9);
         assert!(t.congest_compliant(72));
-    }
-
-    #[test]
-    fn min_and_max_on_a_grid() {
-        let topo = Topology::grid(5, 6).unwrap();
-        let vals = values(30);
-        let (mn, _) = aggregate(&topo, NodeId::new(7), &vals, AggregateOp::Min).unwrap();
-        let (mx, _) = aggregate(&topo, NodeId::new(7), &vals, AggregateOp::Max).unwrap();
-        assert_eq!(mn, vals.iter().copied().fold(f64::INFINITY, f64::min));
-        assert_eq!(mx, vals.iter().copied().fold(f64::NEG_INFINITY, f64::max));
     }
 
     #[test]
     fn every_node_learns_the_result() {
         let topo = Topology::complete_bipartite(4, 7).unwrap();
         let vals = values(11);
-        let nodes: Vec<BfsNode> =
-            (0..11).map(|i| BfsNode::new(i == 2, vals[i], AggregateOp::Sum)).collect();
+        let nodes: Vec<BfsNode> = (0..11).map(|i| BfsNode::new(i == 2, vals[i])).collect();
         let mut net = Network::new(topo, nodes, 0).unwrap();
         net.run(100).unwrap();
         let expected: f64 = vals.iter().sum();
@@ -353,10 +307,9 @@ mod tests {
     fn rounds_scale_with_diameter_not_size() {
         // Ring of n: diameter n/2. Complete bipartite: diameter 2.
         let ring = Topology::ring(40).unwrap();
-        let (_, t_ring) = aggregate(&ring, NodeId::new(0), &values(40), AggregateOp::Sum).unwrap();
+        let (_, t_ring) = aggregate(&ring, NodeId::new(0), &values(40)).unwrap();
         let dense = Topology::complete_bipartite(20, 20).unwrap();
-        let (_, t_dense) =
-            aggregate(&dense, NodeId::new(0), &values(40), AggregateOp::Sum).unwrap();
+        let (_, t_dense) = aggregate(&dense, NodeId::new(0), &values(40)).unwrap();
         assert!(
             t_dense.num_rounds() * 3 < t_ring.num_rounds(),
             "dense {} vs ring {}",
@@ -368,8 +321,7 @@ mod tests {
     #[test]
     fn bfs_parents_form_a_tree_toward_the_root() {
         let topo = Topology::grid(4, 4).unwrap();
-        let nodes: Vec<BfsNode> =
-            (0..16).map(|i| BfsNode::new(i == 0, 1.0, AggregateOp::Sum)).collect();
+        let nodes: Vec<BfsNode> = (0..16).map(|i| BfsNode::new(i == 0, 1.0)).collect();
         let mut net = Network::new(topo.clone(), nodes, 0).unwrap();
         net.run(100).unwrap();
         for (i, node) in net.nodes().iter().enumerate() {
@@ -389,17 +341,7 @@ mod tests {
     #[test]
     fn rejects_mismatched_values() {
         let topo = Topology::ring(5).unwrap();
-        let out = aggregate(&topo, NodeId::new(0), &[1.0, 2.0], AggregateOp::Sum);
+        let out = aggregate(&topo, NodeId::new(0), &[1.0, 2.0]);
         assert!(matches!(out, Err(CongestError::NodeCountMismatch { .. })));
-    }
-
-    #[test]
-    fn op_identities_and_combination() {
-        assert_eq!(AggregateOp::Sum.combine(2.0, 3.0), 5.0);
-        assert_eq!(AggregateOp::Min.combine(2.0, 3.0), 2.0);
-        assert_eq!(AggregateOp::Max.combine(2.0, 3.0), 3.0);
-        assert_eq!(AggregateOp::Sum.identity(), 0.0);
-        assert_eq!(AggregateOp::Min.identity(), f64::INFINITY);
-        assert_eq!(AggregateOp::Max.identity(), f64::NEG_INFINITY);
     }
 }

@@ -17,16 +17,17 @@
 //! error selection are identical for every lane count by construction.
 //!
 //! Every message, in the engine and in the discrete-event simulator, is
-//! charged by one rule, [`deliver_one`]: duplicate detection, fault drops,
-//! the bit budget, and the [`RoundStats`] update. Callers differ only in
-//! where a delivered message goes.
+//! charged by one rule, [`deliver_one`]: a second message over one edge in
+//! a round fails the round with [`CongestError::EdgeCongestion`], the
+//! [`FaultPlan`] may drop it, and the [`RoundStats`] record its size.
+//! Sizes are measured, never enforced. Callers differ only in where a
+//! delivered message goes.
 //!
 //! Inboxes are double-buffered (`inboxes`/`next_inboxes`). Every inbox,
 //! next-inbox and outbox is allocated once, at construction, with its
-//! node's degree as capacity, and keeps it across rounds: under the
-//! default [`DuplicatePolicy::Reject`] a node sends and receives at most
-//! one message per edge per round, so no round, the first included,
-//! allocates a message buffer.
+//! node's degree as capacity, and keeps it across rounds: a completed
+//! round delivers at most one message per edge, so no round, the first
+//! included, allocates a message buffer.
 
 use crate::error::CongestError;
 use crate::fault::FaultPlan;
@@ -39,24 +40,9 @@ use distfl_pool::WorkerPool;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// What to do when a node sends two messages over the same directed edge in
-/// one round (a CONGEST violation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DuplicatePolicy {
-    /// Fail the run with [`CongestError::EdgeCongestion`] (the default:
-    /// correct algorithms never violate the discipline).
-    #[default]
-    Reject,
-    /// Deliver everything but record the violation in the transcript's
-    /// `max_messages_per_edge`, so experiments can report it.
-    Record,
-}
-
 /// Engine configuration.
 #[derive(Debug, Clone, Default)]
 pub struct CongestConfig {
-    /// Handling of one-message-per-edge violations.
-    pub duplicate_policy: DuplicatePolicy,
     /// Number of lanes a round's node steps run on; `None` or `Some(1)`
     /// steps serially and never touches a worker pool. `Some(k)` steps
     /// every round's nodes in `min(k, pool parallelism, node count)`
@@ -78,10 +64,6 @@ pub struct CongestConfig {
     /// node neither steps nor sends (crash-stop failures). Crashed nodes
     /// count as done for termination purposes.
     pub crashes: Vec<(NodeId, u32)>,
-    /// Optional hard per-message bit budget; a message declaring more
-    /// bits fails the run with [`CongestError::MessageTooLarge`]. `None`
-    /// records sizes in the transcript without enforcing.
-    pub max_message_bits: Option<u64>,
 }
 
 /// Per-round context handed to [`NodeLogic::step`].
@@ -250,9 +232,8 @@ impl<L: NodeLogic> Network<L> {
                 (pool, lanes)
             })
             .filter(|&(_, lanes)| lanes > 1);
-        // One message per edge per round is the most a node sends or
-        // receives under `DuplicatePolicy::Reject`, so buffers sized from
-        // degree never regrow (under `Record` they may, past the degree).
+        // One message per edge per round is the most a completed round
+        // sends or delivers, so buffers sized from degree never regrow.
         let by_degree = || (0..n).map(|i| Vec::with_capacity(topo.degree(NodeId::new(i as u32))));
         Ok(Network {
             inboxes: by_degree().collect(),
@@ -287,11 +268,6 @@ impl<L: NodeLogic> Network<L> {
     /// Panics if `id` is out of range.
     pub fn node(&self, id: NodeId) -> &L {
         &self.nodes[id.index()]
-    }
-
-    /// Consumes the network, returning the node logics.
-    pub fn into_nodes(self) -> Vec<L> {
-        self.nodes
     }
 
     /// The statistics accumulated so far.
@@ -338,8 +314,8 @@ impl<L: NodeLogic> Network<L> {
     /// # Errors
     ///
     /// Returns [`CongestError::NotNeighbor`] if any node addressed a
-    /// non-neighbor, or [`CongestError::EdgeCongestion`] under
-    /// [`DuplicatePolicy::Reject`]. After an error the network's message
+    /// non-neighbor, or [`CongestError::EdgeCongestion`] if a node sent two
+    /// messages over one edge. After an error the network's message
     /// buffers are in an unspecified (but memory-safe) state; discard it.
     pub fn step(&mut self) -> Result<RoundStats, CongestError> {
         let round = self.round;
@@ -351,7 +327,7 @@ impl<L: NodeLogic> Network<L> {
             self.step_on_pool(round);
         }
 
-        let rule = DeliveryRule::of(&self.config);
+        let fault = self.config.fault;
         let mut stats = RoundStats { round, ..RoundStats::default() };
         let mut step_error: Option<CongestError> = None;
         let mut deliver_error: Option<CongestError> = None;
@@ -379,9 +355,9 @@ impl<L: NodeLogic> Network<L> {
                 continue;
             }
             let src = NodeId::new(index as u32);
-            let mut run = SendRun::default();
+            let mut last = None;
             for (dst, msg) in outbox.drain(..) {
-                match deliver_one(&rule, &mut stats, &mut run, round, src, dst, &msg) {
+                match deliver_one(fault, &mut stats, &mut last, round, src, dst, &msg) {
                     Ok(true) => self.next_inboxes[dst.index()].push((src, msg)),
                     Ok(false) => {}
                     Err(err) => {
@@ -563,72 +539,35 @@ pub(crate) fn crash_rounds(n: usize, crashes: &[(NodeId, u32)]) -> Vec<u32> {
     crash_round
 }
 
-/// The configuration [`deliver_one`] charges messages against, read from
-/// [`CongestConfig`] or [`SimConfig`](crate::SimConfig).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct DeliveryRule {
-    pub(crate) policy: DuplicatePolicy,
-    pub(crate) fault: Option<FaultPlan>,
-    pub(crate) max_bits: Option<u64>,
-}
-
-impl DeliveryRule {
-    fn of(config: &CongestConfig) -> Self {
-        DeliveryRule {
-            policy: config.duplicate_policy,
-            fault: config.fault,
-            max_bits: config.max_message_bits,
-        }
-    }
-}
-
-/// One source's current run of sends to a single destination; outboxes
-/// are sorted by destination, so a run is a maximal block of equal `dst`.
-#[derive(Debug, Default)]
-pub(crate) struct SendRun {
-    dst: Option<NodeId>,
-    len: u64,
-}
-
-/// Charges one message `src → dst` sent in `round`: the CONGEST delivery
-/// rule of the engine and the simulator, so their transcripts agree by
-/// construction.
+/// Charges one message `src → dst` sent in `round` under the fault plan
+/// `fault`: the CONGEST delivery rule of the engine and the simulator, so
+/// their transcripts agree by construction.
 ///
-/// In order: a repeated send over the same edge fails the round under
-/// [`DuplicatePolicy::Reject`] (and raises `max_messages_per_edge`
-/// otherwise); the fault plan may drop the message; the bit budget may
-/// fail the round. Returns `Ok(true)` for a delivered message and
+/// `last` is the destination of `src`'s previous message this round;
+/// outboxes are sorted by destination, so a repeated send over one edge
+/// follows its first. In order: a repeated send fails the round with
+/// [`CongestError::EdgeCongestion`]; the fault plan may drop the message;
+/// its size is recorded. Returns `Ok(true)` for a delivered message and
 /// `Ok(false)` for a dropped one, with `stats` updated either way.
 #[inline(always)]
 pub(crate) fn deliver_one<M: Payload>(
-    rule: &DeliveryRule,
+    fault: Option<FaultPlan>,
     stats: &mut RoundStats,
-    run: &mut SendRun,
+    last: &mut Option<NodeId>,
     round: u32,
     src: NodeId,
     dst: NodeId,
     msg: &M,
 ) -> Result<bool, CongestError> {
-    if run.dst == Some(dst) {
-        run.len += 1;
-    } else {
-        run.dst = Some(dst);
-        run.len = 1;
-    }
-    if run.len > 1 && rule.policy == DuplicatePolicy::Reject {
+    if last.replace(dst) == Some(dst) {
         return Err(CongestError::EdgeCongestion { from: src, to: dst, round });
     }
-    stats.max_messages_per_edge = stats.max_messages_per_edge.max(run.len);
-    if rule.fault.is_some_and(|f| f.drops(round, src, dst)) {
+    stats.max_messages_per_edge = 1;
+    if fault.is_some_and(|f| f.drops(round, src, dst)) {
         stats.dropped += 1;
         return Ok(false);
     }
     let bits = msg.size_bits();
-    if let Some(limit) = rule.max_bits {
-        if bits > limit {
-            return Err(CongestError::MessageTooLarge { from: src, to: dst, bits, limit });
-        }
-    }
     stats.messages += 1;
     stats.bits += bits;
     stats.max_message_bits = stats.max_message_bits.max(bits);
@@ -833,7 +772,7 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_send_rejected_by_default() {
+    fn duplicate_send_fails_the_round() {
         struct Dup {
             done: bool,
         }
@@ -850,17 +789,13 @@ mod tests {
             }
         }
         let topo = Topology::ring(3).unwrap();
-        let mk = || vec![Dup { done: false }, Dup { done: false }, Dup { done: false }];
-        let mut net = Network::new(topo.clone(), mk(), 0).unwrap();
-        assert!(matches!(net.step(), Err(CongestError::EdgeCongestion { .. })));
-
-        // Record policy delivers and reports the violation instead.
-        let config =
-            CongestConfig { duplicate_policy: DuplicatePolicy::Record, ..CongestConfig::default() };
-        let mut net = Network::with_config(topo, mk(), 0, config).unwrap();
-        let stats = net.step().unwrap();
-        assert_eq!(stats.max_messages_per_edge, 2);
-        assert_eq!(stats.messages, 6);
+        let nodes = vec![Dup { done: false }, Dup { done: false }, Dup { done: false }];
+        let mut net = Network::new(topo, nodes, 0).unwrap();
+        let err = net.step().unwrap_err();
+        assert_eq!(
+            err,
+            CongestError::EdgeCongestion { from: NodeId::new(0), to: NodeId::new(1), round: 0 }
+        );
     }
 
     /// Two distinct nodes in different step chunks violate the discipline;
@@ -923,21 +858,6 @@ mod tests {
     }
 
     #[test]
-    fn message_size_budget_is_enforced_when_configured() {
-        let topo = Topology::ring(3).unwrap();
-        let mk = || (0..3).map(|_| Flood { ttl: 1, heard: 0, done: false }).collect();
-        // 64-bit messages pass a 64-bit budget...
-        let config = CongestConfig { max_message_bits: Some(64), ..CongestConfig::default() };
-        let mut net = Network::with_config(topo.clone(), mk(), 0, config).unwrap();
-        assert!(net.run(5).is_ok());
-        // ...and fail a 32-bit one.
-        let config = CongestConfig { max_message_bits: Some(32), ..CongestConfig::default() };
-        let mut net = Network::with_config(topo, mk(), 0, config).unwrap();
-        let err = net.run(5).unwrap_err();
-        assert!(matches!(err, CongestError::MessageTooLarge { bits: 64, limit: 32, .. }));
-    }
-
-    #[test]
     fn inbox_from_lookup() {
         struct Probe {
             saw_left: bool,
@@ -987,7 +907,7 @@ mod tests {
             let nodes = (0..8).map(|_| Roll { value: 0, done: false }).collect();
             let mut net = Network::new(topo, nodes, 42).unwrap();
             net.run(2).unwrap();
-            net.into_nodes().iter().map(|r| r.value).collect::<Vec<_>>()
+            net.nodes().iter().map(|r| r.value).collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
     }

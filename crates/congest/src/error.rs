@@ -34,8 +34,9 @@ pub enum CongestError {
         /// Intended (non-adjacent) recipient.
         to: NodeId,
     },
-    /// A node sent more than one message over the same edge in one round
-    /// while [`crate::DuplicatePolicy::Reject`] was in force.
+    /// A node sent more than one message over the same edge in one round,
+    /// which breaks the CONGEST discipline. Both executors fail the round
+    /// with it.
     EdgeCongestion {
         /// Sender.
         from: NodeId,
@@ -43,18 +44,6 @@ pub enum CongestError {
         to: NodeId,
         /// Round in which the violation occurred.
         round: u32,
-    },
-    /// A message exceeded the configured size budget while
-    /// `max_message_bits` enforcement was on.
-    MessageTooLarge {
-        /// Sender.
-        from: NodeId,
-        /// Recipient.
-        to: NodeId,
-        /// Declared size of the offending message.
-        bits: u64,
-        /// The configured limit.
-        limit: u64,
     },
     /// `run` hit its round limit before every node reported done.
     RoundLimit {
@@ -104,12 +93,6 @@ impl fmt::Display for CongestError {
                     "more than one message from {from} to {to} in round {round} (CONGEST violation)"
                 )
             }
-            CongestError::MessageTooLarge { from, to, bits, limit } => {
-                write!(
-                    f,
-                    "message from {from} to {to} is {bits} bits, above the {limit}-bit budget"
-                )
-            }
             CongestError::RoundLimit { limit, pending } => {
                 write!(f, "round limit {limit} reached with {pending} nodes still active")
             }
@@ -143,12 +126,6 @@ mod tests {
             CongestError::SelfLoop { id: NodeId::new(0) },
             CongestError::NotNeighbor { from: NodeId::new(0), to: NodeId::new(1) },
             CongestError::EdgeCongestion { from: NodeId::new(0), to: NodeId::new(1), round: 7 },
-            CongestError::MessageTooLarge {
-                from: NodeId::new(0),
-                to: NodeId::new(1),
-                bits: 128,
-                limit: 64,
-            },
             CongestError::RoundLimit { limit: 10, pending: 4 },
             CongestError::NodeCountMismatch { topology: 5, logics: 4 },
             CongestError::InvalidTopology { reason: "empty".into() },

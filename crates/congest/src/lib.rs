@@ -17,10 +17,10 @@
 //!    constant number of machine words).
 //!
 //! The simulator *enforces and measures* this discipline: it counts rounds,
-//! messages, and message bits; it rejects sends to non-neighbors; and it can
-//! either reject or merely record violations of the one-message-per-edge
-//! rule. Results are bit-for-bit deterministic for a given master seed,
-//! whether execution is serial or parallel.
+//! messages, and message bits; it fails a round in which a node sends to a
+//! non-neighbor or sends twice over one edge. Message sizes are recorded,
+//! not enforced. Results are bit-for-bit deterministic for a given master
+//! seed, whether execution is serial or parallel.
 //!
 //! ## Quick example
 //!
@@ -75,7 +75,7 @@ pub mod sim;
 mod synchronizer;
 mod topology;
 
-pub use engine::{CongestConfig, DuplicatePolicy, Network, StepCtx};
+pub use engine::{CongestConfig, Network, StepCtx};
 pub use error::CongestError;
 pub use fault::FaultPlan;
 pub use message::Payload;

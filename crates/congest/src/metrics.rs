@@ -18,9 +18,10 @@ pub struct RoundStats {
     pub bits: u64,
     /// Largest single message, in bits.
     pub max_message_bits: u64,
-    /// Maximum number of messages sent over a single directed edge.
-    /// Values above 1 are CONGEST violations (recorded when the duplicate
-    /// policy is `Record`).
+    /// Maximum number of messages sent over a single directed edge. A
+    /// second send over an edge fails the round, so a completed round
+    /// reads 1 if it sent anything and 0 otherwise; the field is kept for
+    /// E6's congestion column.
     pub max_messages_per_edge: u64,
 }
 

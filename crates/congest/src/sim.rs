@@ -41,7 +41,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::engine::{crash_rounds, deliver_one, step_into, DeliveryRule, DuplicatePolicy, SendRun};
+use crate::engine::{crash_rounds, deliver_one, step_into};
 use crate::error::CongestError;
 use crate::fault::FaultPlan;
 use crate::metrics::{RoundStats, Transcript};
@@ -135,16 +135,12 @@ pub struct SimConfig {
     /// protocol's `master_seed`: changing it reshuffles the timing (and
     /// hence event order) without touching the transcript.
     pub latency_seed: u64,
-    /// Handling of one-message-per-edge violations, as in the engine.
-    pub duplicate_policy: DuplicatePolicy,
     /// Deterministic message-drop plan, identical semantics (and identical
     /// drop decisions) to [`CongestConfig::fault`](crate::CongestConfig).
     pub fault: Option<FaultPlan>,
     /// Crash-stop schedule, identical semantics to
     /// [`CongestConfig::crashes`](crate::CongestConfig).
     pub crashes: Vec<(NodeId, u32)>,
-    /// Optional hard per-message bit budget, as in the engine.
-    pub max_message_bits: Option<u64>,
 }
 
 /// Virtual nanoseconds of local computation charged per node step;
@@ -156,10 +152,8 @@ impl Default for SimConfig {
         SimConfig {
             latency: LatencyModel::Constant(50_000),
             latency_seed: 0,
-            duplicate_policy: DuplicatePolicy::default(),
             fault: None,
             crashes: Vec::new(),
-            max_message_bits: None,
         }
     }
 }
@@ -347,11 +341,10 @@ impl<L: NodeLogic> Simulator<L> {
     /// # Errors
     ///
     /// Propagates protocol errors ([`CongestError::NotNeighbor`],
-    /// [`CongestError::EdgeCongestion`] under
-    /// [`DuplicatePolicy::Reject`], [`CongestError::MessageTooLarge`])
-    /// and returns [`CongestError::RoundLimit`] when some *live* node
-    /// (crashed nodes count as done, as in the engine's `all_done`) is
-    /// still not done after `max_rounds` rounds. In that case the engine
+    /// [`CongestError::EdgeCongestion`]) and returns
+    /// [`CongestError::RoundLimit`] when some *live* node (crashed nodes
+    /// count as done, as in the engine's `all_done`) is still not done
+    /// after `max_rounds` rounds. In that case the engine
     /// executes exactly `max_rounds` rounds — some as no-ops — so the
     /// simulator pads its transcript with the same empty rows to stay
     /// bit-identical. On a protocol error the transcript is left empty.
@@ -562,11 +555,7 @@ impl<L: NodeLogic> Simulator<L> {
         final_round: bool,
         outbox: &mut [(NodeId, L::Msg)],
     ) -> Result<(), CongestError> {
-        let rule = DeliveryRule {
-            policy: self.config.duplicate_policy,
-            fault: self.config.fault,
-            max_bits: self.config.max_message_bits,
-        };
+        let fault = self.config.fault;
         // Stats accumulate in a local copy (written back below) so the
         // loop can freely borrow the queue and report.
         let mut stats = self.rows[round as usize];
@@ -575,10 +564,10 @@ impl<L: NodeLogic> Simulator<L> {
         neighbors.extend_from_slice(self.topo.neighbors(src));
 
         let mut cursor = 0usize;
+        let mut last = None;
         let mut failure = None;
         'edges: for &dst in &neighbors {
             let mut payloads = Vec::new();
-            let mut run = SendRun::default();
             let mut addressed = false;
             while let Some((d, msg)) = outbox.get(cursor) {
                 if *d != dst {
@@ -587,7 +576,7 @@ impl<L: NodeLogic> Simulator<L> {
                 }
                 cursor += 1;
                 addressed = true;
-                match deliver_one(&rule, &mut stats, &mut run, round, src, dst, msg) {
+                match deliver_one(fault, &mut stats, &mut last, round, src, dst, msg) {
                     Ok(true) => payloads.push(msg.clone()),
                     Ok(false) => {}
                     Err(err) => {
@@ -894,6 +883,74 @@ mod tests {
         assert!(lossy.transcript().total_dropped() > 0);
         assert_eq!(lossy.report().protocol_envelopes, clean.report().protocol_envelopes);
         assert_eq!(lossy.report().pulse_envelopes, clean.report().pulse_envelopes);
+    }
+
+    /// How [`Rogue`] node 2 breaks the CONGEST discipline in round 1.
+    #[derive(Clone, Copy, Debug)]
+    enum Offence {
+        SendTwice,
+        NotNeighbor,
+    }
+
+    /// Broadcasts every round and never finishes, except that node 2
+    /// commits `offence` in round 1 instead of broadcasting.
+    #[derive(Clone, Debug)]
+    struct Rogue(Offence);
+    impl NodeLogic for Rogue {
+        type Msg = Num;
+        fn step(&mut self, ctx: &mut crate::engine::StepCtx<'_, Num>) {
+            if ctx.round() == 1 && ctx.id() == NodeId::new(2) {
+                let nb = ctx.neighbors()[0];
+                match self.0 {
+                    Offence::SendTwice => {
+                        ctx.send(nb, Num(1)).unwrap();
+                        ctx.send(nb, Num(2)).unwrap();
+                    }
+                    Offence::NotNeighbor => {
+                        // The error is latched even though it is ignored.
+                        let _ = ctx.send(NodeId::new(5), Num(1));
+                    }
+                }
+                return;
+            }
+            ctx.broadcast(Num(u64::from(ctx.id().raw())));
+        }
+        fn is_done(&self) -> bool {
+            false
+        }
+    }
+
+    /// The error `Network::run` and `Simulator::run` (under each latency
+    /// model) return for a ring of six `Rogue(offence)` nodes.
+    fn errors_of(offence: Offence) -> Vec<CongestError> {
+        let topo = Topology::ring(6).unwrap();
+        let nodes = vec![Rogue(offence); 6];
+        let mut net = Network::new(topo.clone(), nodes.clone(), 3).unwrap();
+        let mut errors = vec![net.run(10).unwrap_err()];
+        for latency in [
+            LatencyModel::Constant(50_000),
+            LatencyModel::Uniform { lo: 1, hi: 1_000_000 },
+            LatencyModel::LogNormal { median_nanos: 50_000.0, sigma: 1.5 },
+        ] {
+            let config = SimConfig { latency, latency_seed: 4, ..SimConfig::default() };
+            let mut sim = Simulator::new(topo.clone(), nodes.clone(), 3, config).unwrap();
+            errors.push(sim.run(10).unwrap_err());
+            assert_eq!(sim.transcript().num_rounds(), 0, "a failed run leaves no transcript");
+        }
+        errors
+    }
+
+    #[test]
+    fn duplicate_send_fails_like_engine() {
+        let expected =
+            CongestError::EdgeCongestion { from: NodeId::new(2), to: NodeId::new(1), round: 1 };
+        assert_eq!(errors_of(Offence::SendTwice), vec![expected; 4]);
+    }
+
+    #[test]
+    fn send_to_non_neighbor_fails_like_engine() {
+        let expected = CongestError::NotNeighbor { from: NodeId::new(2), to: NodeId::new(5) };
+        assert_eq!(errors_of(Offence::NotNeighbor), vec![expected; 4]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use distfl_congest::bfs::{aggregate, AggregateOp};
+use distfl_congest::bfs::aggregate;
 use distfl_congest::{
     CongestConfig, CongestError, FaultPlan, Network, NodeId, NodeLogic, StepCtx, Topology,
     Transcript, WorkerPool,
@@ -212,7 +212,6 @@ proptest! {
                 pool: Some(WorkerPool::shared(workers)),
                 fault,
                 crashes: crashes.clone(),
-                ..CongestConfig::default()
             };
             let pooled = fingerprint_with(&recipe, config, rounds);
             prop_assert_eq!(
@@ -313,18 +312,16 @@ proptest! {
         let topo = build(&recipe);
         let root = NodeId::new((root % recipe.n) as u32);
         let vals = &values[..recipe.n];
-        let (sum, t) = aggregate(&topo, root, vals, AggregateOp::Sum).unwrap();
+        let (sum, t) = aggregate(&topo, root, vals).unwrap();
         prop_assert!((sum - vals.iter().sum::<f64>()).abs() < 1e-9);
         prop_assert!(t.congest_compliant(72));
-        let (mn, _) = aggregate(&topo, root, vals, AggregateOp::Min).unwrap();
-        prop_assert_eq!(mn, vals.iter().copied().fold(f64::INFINITY, f64::min));
     }
 
     #[test]
     fn connectivity_check_agrees_with_aggregation(recipe in graph_strategy(false)) {
         let topo = build(&recipe);
         let vals = vec![1.0; recipe.n];
-        let outcome = aggregate(&topo, NodeId::new(0), &vals, AggregateOp::Sum);
+        let outcome = aggregate(&topo, NodeId::new(0), &vals);
         if topo.is_connected() {
             let (sum, _) = outcome.unwrap();
             prop_assert_eq!(sum, recipe.n as f64);

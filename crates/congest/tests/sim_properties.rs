@@ -153,8 +153,7 @@ proptest! {
             .collect();
         let fault = Some(FaultPlan::drop_with_probability(drop_p, fault_seed));
         let reference = engine_fingerprint(&recipe, fault, &crashes, rounds);
-        let config =
-            SimConfig { latency, latency_seed, fault, crashes, ..SimConfig::default() };
+        let config = SimConfig { latency, latency_seed, fault, crashes };
         let simulated = sim_fingerprint(&recipe, config, rounds);
         prop_assert_eq!(&reference.0, &simulated.0, "transcript diverged");
         prop_assert_eq!(&reference.1, &simulated.1, "node state diverged");

@@ -5,17 +5,15 @@
 //! assignment). A real deployment wants global answers — "what does this
 //! placement cost?", "is anyone unserved?" — without collecting the whole
 //! state at an operator. These audits compute them in `O(D)` rounds with
-//! the BFS convergecast of [`distfl_congest::bfs`]:
+//! the BFS convergecast sum of [`distfl_congest::bfs`]:
 //!
-//! * [`distributed_cost`] — the total solution cost as a tree `Sum`,
-//! * [`distributed_max_connection`] — the worst client's connection cost
-//!   (a `Max`), the "stretch" dashboards track,
+//! * [`distributed_cost`] — the total solution cost,
 //! * [`distributed_open_count`] — how many facilities are open.
 //!
 //! They also serve as end-to-end cross-checks of the aggregation
 //! substrate: their results must match the offline evaluation exactly.
 
-use distfl_congest::bfs::{aggregate, AggregateOp};
+use distfl_congest::bfs::aggregate;
 use distfl_congest::{NodeId, Transcript};
 use distfl_instance::{Instance, Solution};
 
@@ -31,25 +29,21 @@ where
     instance.facilities().map(facility).chain(instance.clients().map(client)).collect()
 }
 
-/// Runs one aggregate over the instance's communication graph.
+/// Sums the per-node `values` over the instance's communication graph.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::InvalidParams`] if the communication graph is
 /// disconnected (tree aggregation needs a connected graph), and
 /// propagates simulation errors.
-fn run_audit(
-    instance: &Instance,
-    values: Vec<f64>,
-    op: AggregateOp,
-) -> Result<(f64, Transcript), CoreError> {
+fn run_audit(instance: &Instance, values: Vec<f64>) -> Result<(f64, Transcript), CoreError> {
     let topology = topology_of(instance)?;
     if !topology.is_connected() {
         return Err(CoreError::InvalidParams {
             reason: "audits need a connected communication graph".to_owned(),
         });
     }
-    aggregate(&topology, NodeId::new(0), &values, op).map_err(CoreError::from)
+    aggregate(&topology, NodeId::new(0), &values).map_err(CoreError::from)
 }
 
 /// Computes the total cost of `solution` distributively (`O(D)` rounds).
@@ -75,30 +69,7 @@ pub fn distributed_cost(
                 .value()
         },
     );
-    run_audit(instance, values, AggregateOp::Sum)
-}
-
-/// Computes the worst single connection cost distributively.
-///
-/// # Errors
-///
-/// Same conditions as [`distributed_cost`].
-pub fn distributed_max_connection(
-    instance: &Instance,
-    solution: &Solution,
-) -> Result<(f64, Transcript), CoreError> {
-    solution.check_feasible(instance)?;
-    let values = local_values(
-        instance,
-        |_| f64::NEG_INFINITY,
-        |j| {
-            instance
-                .connection_cost(j, solution.assigned(j))
-                .expect("feasible solution uses existing links")
-                .value()
-        },
-    );
-    run_audit(instance, values, AggregateOp::Max)
+    run_audit(instance, values)
 }
 
 /// Counts open facilities distributively.
@@ -112,7 +83,7 @@ pub fn distributed_open_count(
 ) -> Result<(f64, Transcript), CoreError> {
     solution.check_feasible(instance)?;
     let values = local_values(instance, |i| if solution.is_open(i) { 1.0 } else { 0.0 }, |_| 0.0);
-    run_audit(instance, values, AggregateOp::Sum)
+    run_audit(instance, values)
 }
 
 #[cfg(test)]
@@ -142,18 +113,6 @@ mod tests {
         assert!((cost - out.solution.cost(&inst).value()).abs() < 1e-9);
         let (open, _) = distributed_open_count(&inst, &out.solution).unwrap();
         assert_eq!(open as usize, out.solution.num_open());
-    }
-
-    #[test]
-    fn max_connection_matches_the_offline_maximum() {
-        let inst = UniformRandom::new(5, 15).unwrap().generate(2).unwrap();
-        let (solution, _) = greedy::solve(&inst);
-        let (got, _) = distributed_max_connection(&inst, &solution).unwrap();
-        let expected = inst
-            .clients()
-            .map(|j| inst.connection_cost(j, solution.assigned(j)).unwrap().value())
-            .fold(f64::NEG_INFINITY, f64::max);
-        assert!((got - expected).abs() < 1e-12);
     }
 
     #[test]

@@ -57,10 +57,11 @@ pub const AUTO_LOCAL_SEARCH_LINK_LIMIT: usize = 20_000;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SolverKind {
     /// Sequential star greedy ([`crate::greedy`]): the classic
-    /// `ln n`-approximation, fastest of the four.
+    /// `ln n`-approximation.
     Greedy,
     /// Star greedy start followed by open/close local search
-    /// ([`crate::localsearch`]); best solution quality of the four.
+    /// ([`crate::localsearch`]), which never ends above the cost it starts
+    /// from.
     LocalSearch,
     /// Jain–Vazirani primal–dual ([`crate::jv`]). Its 3-approximation
     /// guarantee assumes a metric instance; dispatch skips the quadratic

@@ -83,8 +83,9 @@ impl NodeLogic for MetricBallNode {
 /// Baked into every node at build time — like PayDual's size bound, these
 /// are global knowledge, and `theory::metricball_rounds` charges no rounds
 /// for them. A real deployment would learn them in `O(diameter)`
-/// pre-rounds with the [`distfl_congest::bfs`] convergecast: a `Max` of
-/// the costs, and a `Min` of each node's smallest positive cost.
+/// pre-rounds with a convergecast over the [`distfl_congest::bfs`] tree
+/// that takes the maximum of the costs and the minimum of each node's
+/// smallest positive cost where that module sums.
 pub(crate) fn radius_schedule(r_lo: f64, r_cap: f64, phases: u32) -> Vec<f64> {
     if phases <= 1 {
         return vec![r_cap];

@@ -8,12 +8,13 @@
 //! * **Reprice** a link: the CSR shape is untouched, so both cost lanes are
 //!   patched in place (one binary search per direction, `O(log deg)`).
 //! * **Add / remove clients**: a *single* compaction pass per batch
-//!   rewrites the client-major lanes contiguously (removed rows are
-//!   skipped, survivors keep their relative order, added rows append at
-//!   the tail) and the facility-major lanes are regenerated by the
-//!   builder's counting sort — no comparison sort anywhere. The id and
-//!   cost lanes therefore stay dense and contiguous, exactly what the
-//!   chunked [`crate::kernels`] require.
+//!   rewrites the client-major lanes contiguously and in place (removed
+//!   rows are skipped, survivors shift down in their relative order, added
+//!   rows append at the tail) and the facility-major lanes are refilled by
+//!   the builder's counting sort — no comparison sort anywhere, and no
+//!   lane is reallocated unless it must grow. The id and cost lanes
+//!   therefore stay dense and contiguous, exactly what the chunked
+//!   [`crate::kernels`] require.
 //!
 //! The lanes and offsets are the instance's whole state (derived values
 //! such as [`Instance::cheapest_link`] are computed when read), so there
@@ -37,7 +38,7 @@
 use crate::cost::{self, Cost};
 use crate::error::InstanceError;
 
-use super::{build_facility_lanes, ClientId, FacilityId, Instance};
+use super::{ClientId, FacilityId, Instance};
 
 /// A client staged for insertion by a [`DeltaBatch`], addressed by its
 /// batch-local index until the batch is applied.
@@ -361,78 +362,63 @@ impl Instance {
         old_costs
     }
 
-    /// Structural path: one compaction pass rewrites the client-major lanes
-    /// (skipping removed rows, applying reprices on the way through, and
-    /// appending added rows) and the counting sort regenerates the
-    /// facility-major side.
+    /// Structural path: one pass compacts the client-major lanes in place
+    /// (removed rows skipped, survivor rows shifted down and repriced at
+    /// their new position, added rows appended), then the counting sort
+    /// refills the facility-major lanes in their own buffers.
     fn compact_with(
         &mut self,
         batch: &DeltaBatch,
         removed_sorted: &[u32],
         repriced_sorted: &[(u32, u32, f64)],
     ) -> DeltaReport {
-        let n = self.num_clients();
-        let m = self.num_facilities();
-        let dropped: usize = removed_sorted
-            .iter()
-            .map(|&j| {
-                (self.client_offsets[j as usize + 1] - self.client_offsets[j as usize]) as usize
-            })
-            .sum();
-        let inserted: usize = batch.added.iter().map(Vec::len).sum();
-        let new_links = self.num_links() - dropped + inserted;
-
-        // Survivors stream through in order (reprices applied mid-copy), so
-        // a survivor's new id is its output row index; added rows append at
-        // the tail.
-        let mut client_offsets =
-            Vec::with_capacity(n - removed_sorted.len() + batch.added.len() + 1);
-        let mut client_link_ids = Vec::with_capacity(new_links);
-        let mut client_link_costs = Vec::with_capacity(new_links);
+        let links_before = self.num_links();
         let mut repriced_new: Vec<(ClientId, FacilityId)> =
             Vec::with_capacity(repriced_sorted.len());
         let mut repriced_old: Vec<f64> = Vec::with_capacity(repriced_sorted.len());
-        client_offsets.push(0u32);
-        let mut rp = 0usize; // cursor into repriced_sorted (sorted by (j, i))
-        for j in 0..n as u32 {
+        let mut removed = removed_sorted.iter().peekable();
+        // Cursor into `repriced_sorted`, which is sorted by `(j, i)`.
+        let mut rp = 0usize;
+        // Survivors stream through in order, so a survivor's new id is the
+        // number of survivors before it (`rows`); their links end at `w`.
+        let (mut rows, mut w, mut lo) = (0usize, 0usize, 0usize);
+        for j in 0..self.num_clients() as u32 {
+            // Row `j` ends where it did: a survivor's end is written at an
+            // index no greater than `j + 1`, and only after this read.
+            let hi = self.client_offsets[j as usize + 1] as usize;
             // Reprices of removed clients were rejected, so skipping a
             // removed row skips no cursor entry.
-            if removed_sorted.binary_search(&j).is_ok() {
-                continue;
+            if removed.next_if_eq(&&j).is_none() {
+                self.client_link_ids.copy_within(lo..hi, w);
+                self.client_link_costs.copy_within(lo..hi, w);
+                let row = w..w + (hi - lo);
+                while let Some(&(_, i, c)) = repriced_sorted.get(rp).filter(|r| r.0 == j) {
+                    let pos = row.start
+                        + self.client_link_ids[row.clone()]
+                            .binary_search(&i)
+                            .expect("validated: link exists");
+                    repriced_old.push(self.client_link_costs[pos]);
+                    self.client_link_costs[pos] = c;
+                    repriced_new.push((ClientId::new(rows as u32), FacilityId::new(i)));
+                    rp += 1;
+                }
+                rows += 1;
+                w = row.end;
+                self.client_offsets[rows] = w as u32;
             }
-            let new_j = ClientId::new(client_offsets.len() as u32 - 1);
-            let lo = self.client_offsets[j as usize] as usize;
-            let hi = self.client_offsets[j as usize + 1] as usize;
-            let row_start = client_link_ids.len();
-            client_link_ids.extend_from_slice(&self.client_link_ids[lo..hi]);
-            client_link_costs.extend_from_slice(&self.client_link_costs[lo..hi]);
-            while rp < repriced_sorted.len() && repriced_sorted[rp].0 == j {
-                let (_, i, c) = repriced_sorted[rp];
-                let pos =
-                    self.client_link_ids[lo..hi].binary_search(&i).expect("validated: link exists");
-                repriced_old.push(client_link_costs[row_start + pos]);
-                client_link_costs[row_start + pos] = c;
-                repriced_new.push((new_j, FacilityId::new(i)));
-                rp += 1;
-            }
-            client_offsets.push(client_link_ids.len() as u32);
+            lo = hi;
         }
+        self.client_offsets.truncate(rows + 1);
+        self.client_link_ids.truncate(w);
+        self.client_link_costs.truncate(w);
         for links in &batch.added {
-            client_link_ids.extend(links.iter().map(|&(i, _)| i));
-            client_link_costs.extend(links.iter().map(|&(_, c)| c));
-            client_offsets.push(client_link_ids.len() as u32);
+            self.client_link_ids.extend(links.iter().map(|&(i, _)| i));
+            self.client_link_costs.extend(links.iter().map(|&(_, c)| c));
+            self.client_offsets.push(self.client_link_ids.len() as u32);
         }
+        self.build_facility_lanes();
 
-        let (facility_offsets, facility_link_ids, facility_link_costs) =
-            build_facility_lanes(m, &client_offsets, &client_link_ids, &client_link_costs);
-
-        self.client_offsets = client_offsets;
-        self.client_link_ids = client_link_ids;
-        self.client_link_costs = client_link_costs;
-        self.facility_offsets = facility_offsets;
-        self.facility_link_ids = facility_link_ids;
-        self.facility_link_costs = facility_link_costs;
-
+        let (dropped, inserted) = (links_before - w, self.num_links() - w);
         DeltaReport {
             added: batch.added.len(),
             removed: removed_sorted.iter().map(|&j| ClientId::new(j)).collect(),
@@ -512,6 +498,48 @@ mod tests {
         b.link(c0, f0, cost(1.0)).unwrap();
         b.link(c0, f1, cost(2.0)).unwrap();
         b.link(c1, f0, cost(0.5)).unwrap();
+        b.link(c2, f0, cost(7.0)).unwrap();
+        b.link(c2, f1, cost(6.0)).unwrap();
+        assert_eq!(inst, b.build().unwrap());
+    }
+
+    /// A structural batch that keeps the client and link counts moves no
+    /// lane: every buffer is compacted or refilled where it lies.
+    #[test]
+    fn same_size_structural_batch_keeps_every_lane_buffer() {
+        let mut inst = small();
+        let buffers = |inst: &Instance| {
+            (
+                inst.client_offsets.as_ptr(),
+                inst.client_link_ids.as_ptr(),
+                inst.client_link_costs.as_ptr(),
+                inst.facility_offsets.as_ptr(),
+                inst.facility_link_ids.as_ptr(),
+                inst.facility_link_costs.as_ptr(),
+            )
+        };
+        let before = buffers(&inst);
+        // c0 (two links) leaves, c2 shifts down past c1 and is repriced,
+        // and a two-link client arrives.
+        let mut d = DeltaBatch::new();
+        d.remove_client(ClientId::new(0));
+        d.reprice(ClientId::new(2), FacilityId::new(0), cost(0.75));
+        let p = d.add_client();
+        d.link(p, FacilityId::new(0), cost(7.0)).unwrap();
+        d.link(p, FacilityId::new(1), cost(6.0)).unwrap();
+        let report = inst.apply_delta(&d).unwrap();
+        assert_eq!(report.repriced, vec![(ClientId::new(1), FacilityId::new(0))]);
+        assert_eq!(report.repriced_old, vec![0.5]);
+        assert_eq!(buffers(&inst), before);
+        // From scratch: c1, c2 (shifted down, repriced), the new client.
+        let mut b = InstanceBuilder::new();
+        let f0 = b.add_facility(cost(10.0));
+        let f1 = b.add_facility(cost(4.0));
+        let c0 = b.add_client();
+        let c1 = b.add_client();
+        let c2 = b.add_client();
+        b.link(c0, f1, cost(3.0)).unwrap();
+        b.link(c1, f0, cost(0.75)).unwrap();
         b.link(c2, f0, cost(7.0)).unwrap();
         b.link(c2, f1, cost(6.0)).unwrap();
         assert_eq!(inst, b.build().unwrap());
