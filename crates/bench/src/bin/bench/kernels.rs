@@ -11,15 +11,24 @@
 //! (pinned in `PRE_SOA_FAST_MS`) — the before/after evidence for the SoA
 //! and kernel rework.
 //!
+//! An ingest section times the number readers on the same instance:
+//! `orlib::from_str` against its reference twin `from_str_reference` on
+//! the instance's OR-Library text, and `Cursor::number` against
+//! `str::parse` over the same cost literals (the shortest `Display` of
+//! each cost, 16-17 significant digits). Each pair is checked bitwise
+//! equal before it is timed.
+//!
 //! `--smoke` skips the timing and records no document: it only runs the
 //! bitwise-equivalence checks on awkward lane shapes (empty, 1..=9, chunk
-//! boundaries, pricing blocks with 1..=8 live columns) and fails on any
-//! mismatch — the cheap CI gate.
+//! boundaries, pricing blocks with 1..=8 live columns) and on the number
+//! readers' edge literals (ties above 2^53, 19- and 20-digit mantissas,
+//! the ends of the exact exponent range, digit runs of 0..=17 bytes at
+//! every offset mod 8), and fails on any mismatch — the cheap CI gate.
 
 use distfl_core::{greedy, jv, localsearch};
 use distfl_instance::generators::{InstanceGenerator, UniformRandom};
-use distfl_instance::{kernels, Instance};
-use distfl_obs::JsonWriter;
+use distfl_instance::{kernels, orlib, Instance, InstanceError};
+use distfl_obs::{Cursor, JsonWriter};
 
 use crate::solvers::LS_MOVES;
 use crate::{best_ms, Mode, Report};
@@ -176,6 +185,130 @@ fn bench_kernels(l: &Lanes, reps: usize) -> Vec<KernelTiming> {
     out
 }
 
+/// Either OR-Library parser's outcome, in a form that tells every bit of
+/// every cost apart (`Debug` round-trips an `f64` and shows the sign of
+/// zero).
+fn outcome(parsed: Result<Instance, InstanceError>) -> String {
+    format!("{parsed:?}")
+}
+
+/// The cursor's read of `text` as one number, as bits.
+fn cursor_bits(text: &str) -> Option<u64> {
+    Cursor::new(text).number().ok().map(f64::to_bits)
+}
+
+/// The ingest section: both OR-Library parsers on `inst`'s text (ns per
+/// parse), and both number readers over its cost literals (ns per
+/// literal): the cursor walking them as one JSON array, `str::parse` on
+/// each literal already cut out.
+fn bench_ingest(inst: &Instance, reps: usize) -> Vec<KernelTiming> {
+    let text = orlib::to_string(inst).expect("the capb-shaped instance is complete");
+    assert_eq!(outcome(orlib::from_str(&text)), outcome(orlib::from_str_reference(&text)));
+    let literals: Vec<String> = inst
+        .clients()
+        .flat_map(|j| inst.client_links(j).costs.iter().map(f64::to_string))
+        .collect();
+    let array = format!("[{}]", literals.join(","));
+    let read_array = |each: &mut dyn FnMut(f64)| {
+        let mut c = Cursor::new(&array);
+        if c.begin_array().unwrap() {
+            loop {
+                each(c.number().unwrap());
+                if !c.next_element().unwrap() {
+                    break;
+                }
+            }
+        }
+    };
+    let mut read = Vec::with_capacity(literals.len());
+    read_array(&mut |v| read.push(v.to_bits()));
+    let parsed: Vec<u64> = literals.iter().map(|s| s.parse::<f64>().unwrap().to_bits()).collect();
+    assert_eq!(read, parsed);
+    let per_literal = |total_ms: f64| total_ms * 1e6 / literals.len() as f64;
+    vec![
+        KernelTiming {
+            name: "orlib_from_str",
+            fast_ns: best_ms(reps, || orlib::from_str(&text)) * 1e6,
+            reference_ns: best_ms(reps, || orlib::from_str_reference(&text)) * 1e6,
+        },
+        KernelTiming {
+            name: "cursor_number",
+            fast_ns: per_literal(best_ms(reps, || {
+                let mut sum = 0.0;
+                read_array(&mut |v| sum += v);
+                sum
+            })),
+            reference_ns: per_literal(best_ms(reps, || {
+                literals.iter().map(|s| s.parse::<f64>().unwrap()).sum::<f64>()
+            })),
+        },
+    ]
+}
+
+/// Literals at the edges of the exact decimal reader: ties between two
+/// doubles above 2^53, 19- and 20-digit mantissas, the ends of its
+/// exponent range, and signed zeros.
+const EDGE_LITERALS: [&str; 17] = [
+    "9007199254740993",
+    "9007199254740995",
+    "18014398509481985",
+    "1234567890123456789",
+    "9999999999999999999",
+    "18446744073709551615",
+    "18446744073709551616",
+    "12345678901234567891",
+    "1234567890.1234567891",
+    "1e22",
+    "1e23",
+    "1e-22",
+    "1e-23",
+    "-0",
+    "-0.0",
+    "1007.3366912665307",
+    "0.30000000000000004",
+];
+
+/// The number readers' smoke pass: the cursor against `str::parse` on the
+/// edge literals and on digit runs of 0..=17 bytes at every offset mod 8
+/// followed by `/`, `:`, `.`, `e` or a multi-byte character, and both
+/// OR-Library parsers on each such run as a cost and on one payload of
+/// every literal and run.
+fn smoke_numbers(check: &mut impl FnMut(&str, bool)) {
+    let same =
+        |text: &str| outcome(orlib::from_str(text)) == outcome(orlib::from_str_reference(text));
+    for literal in EDGE_LITERALS {
+        check("cursor_number", cursor_bits(literal) == literal.parse().ok().map(f64::to_bits));
+    }
+    let mut costs: Vec<String> =
+        EDGE_LITERALS.iter().map(|l| l.trim_start_matches('-').to_owned()).collect();
+    for offset in 0..8 {
+        for len in 0..=17 {
+            let digits: String = (0..len).map(|k| char::from(b"1234567890"[k % 10])).collect();
+            for stop in ["/", ":", ".", "e", "\u{E9}"] {
+                let text = format!("{}{digits}{stop}", " ".repeat(offset));
+                let mut c = Cursor::new(&text);
+                let got = c.number();
+                let read = if len > 0 && !matches!(stop, "." | "e") {
+                    got.map(f64::to_bits) == Ok(digits.parse::<f64>().unwrap().to_bits())
+                        && c.end() == Err(format!("trailing data at byte {}", offset + len))
+                } else {
+                    got == Err(format!("bad number at byte {offset}"))
+                };
+                check("cursor_number", read);
+                check("orlib_from_str", same(&format!("1 1\n0 1\n0 {text}\n")));
+            }
+            if len > 0 {
+                costs.push(format!("{}{digits}", " ".repeat(offset)));
+            }
+        }
+    }
+    let mut payload = format!("1 {}\n0 1\n", costs.len());
+    for cost in &costs {
+        payload.push_str(&format!("0 {cost}\n"));
+    }
+    check("orlib_from_str", same(&payload) && orlib::from_str(&payload).is_ok());
+}
+
 /// The bitwise-equivalence smoke pass over awkward lane shapes: empty,
 /// every length 1..=9 (chunk remainders), one chunk-boundary length per
 /// chunked width, all-equal ties, subnormal and huge values, and for
@@ -249,6 +382,7 @@ fn smoke() -> bool {
             }
         }
     }
+    smoke_numbers(&mut check);
     ok
 }
 
@@ -262,7 +396,9 @@ pub(crate) fn run(mode: Mode) -> Report {
     if mode == Mode::Smoke {
         let passed = smoke();
         if passed {
-            eprintln!("bench kernels smoke: all kernels bitwise-equal to references");
+            eprintln!(
+                "bench kernels smoke: all kernels and number readers bitwise-equal to references"
+            );
         }
         return Report { document: None, passed };
     }
@@ -281,23 +417,28 @@ pub(crate) fn run(mode: Mode) -> Report {
         "scalar reference twins (kernels) and the fast paths of the first BENCH_2.json \
          recording (solvers, pre-SoA AoS layout)",
     );
-    w.key("kernels").begin_array();
-    for k in &bench_kernels(&l, reps) {
-        eprintln!(
-            "{:<24} fast {:>9.1} ns  reference {:>9.1} ns  {:>6.2}x",
-            k.name,
-            k.fast_ns,
-            k.reference_ns,
-            k.speedup()
-        );
-        w.begin_object();
-        w.key("kernel").string(k.name);
-        w.key("fast_ns").number(k.fast_ns);
-        w.key("reference_ns").number(k.reference_ns);
-        w.key("speedup").number(k.speedup());
-        w.end_object();
+    for (section, name_key, timings) in [
+        ("kernels", "kernel", bench_kernels(&l, reps)),
+        ("ingest", "reader", bench_ingest(&inst, reps)),
+    ] {
+        w.key(section).begin_array();
+        for k in &timings {
+            eprintln!(
+                "{:<24} fast {:>9.1} ns  reference {:>9.1} ns  {:>6.2}x",
+                k.name,
+                k.fast_ns,
+                k.reference_ns,
+                k.speedup()
+            );
+            w.begin_object();
+            w.key(name_key).string(k.name);
+            w.key("fast_ns").number(k.fast_ns);
+            w.key("reference_ns").number(k.reference_ns);
+            w.key("speedup").number(k.speedup());
+            w.end_object();
+        }
+        w.end_array();
     }
-    w.end_array();
 
     let (start, _) = greedy::solve(&inst);
     let solver_rows = [

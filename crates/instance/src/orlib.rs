@@ -22,6 +22,8 @@
 
 use std::fmt::Write as _;
 
+use distfl_obs::Decimal;
+
 use crate::cost::Cost;
 use crate::error::InstanceError;
 use crate::instance::{FacilityId, Instance, InstanceBuilder, RowBuilder};
@@ -61,7 +63,11 @@ pub fn to_string(instance: &Instance) -> Result<String, InstanceError> {
 /// One pass of a byte tokenizer feeds a [`RowBuilder`]: each client's
 /// costs are appended to the instance's lanes as they are read, with no
 /// per-client list. Separators are exactly those of `split_whitespace`
-/// (ASCII and Unicode white space); numbers are read by `str::parse`.
+/// (ASCII and Unicode white space). A plain `-?digits(.digits)?` token
+/// followed by an ASCII separator or the end of the text is converted by
+/// the exact [`Decimal`] reader while it is scanned; every other token is
+/// cut out and read by `str::parse`. Either way each value is exactly
+/// `str::parse`'s.
 ///
 /// # Errors
 ///
@@ -116,8 +122,18 @@ struct Tokens<'a> {
 }
 
 impl<'a> Tokens<'a> {
-    /// Reads the next token as a number `valid` accepts.
+    /// Reads the next token as a number `valid` accepts. A plain
+    /// `-?digits(.digits)?` token that ends at an ASCII separator or the
+    /// end of the text is read by the exact decimal reader as it is
+    /// scanned; any other token, or one `valid` refuses, is cut out and
+    /// given to `str::parse` from its start.
     fn next(&mut self, what: &str, valid: fn(f64) -> bool) -> Result<f64, InstanceError> {
+        if self.skip_space() {
+            if let Some((v, end)) = self.plain().filter(|&(v, _)| valid(v)) {
+                self.pos = end;
+                return Ok(v);
+            }
+        }
         let Some(tok) = self.token() else {
             return Err(InstanceError::Parse {
                 line: last_line(self.text),
@@ -133,22 +149,56 @@ impl<'a> Tokens<'a> {
         }
     }
 
-    /// The next token, or `None` at the end of the text.
-    fn token(&mut self) -> Option<&'a str> {
-        let (text, b) = (self.text, self.text.as_bytes());
-        loop {
-            let c = *b.get(self.pos)?;
+    /// The value of a plain token at the cursor and the position after
+    /// it, when the exact decimal reader converts it.
+    fn plain(&self) -> Option<(f64, usize)> {
+        let b = self.text.as_bytes();
+        let negative = b[self.pos] == b'-';
+        let int_start = self.pos + usize::from(negative);
+        let mut decimal = Decimal::default();
+        let mut end = decimal.digits(b, int_start);
+        if end == int_start {
+            return None;
+        }
+        let mut scale = 0;
+        if b.get(end) == Some(&b'.') {
+            let frac_start = end + 1;
+            end = decimal.digits(b, frac_start);
+            if end == frac_start {
+                return None;
+            }
+            scale = -((end - frac_start) as i64);
+        }
+        if !matches!(b.get(end).map(|&c| class(c)), None | Some(Byte::Space)) {
+            return None;
+        }
+        Some((decimal.to_f64(negative, scale)?, end))
+    }
+
+    /// Skips separators; returns whether a token follows.
+    fn skip_space(&mut self) -> bool {
+        let b = self.text.as_bytes();
+        while let Some(&c) = b.get(self.pos) {
             match class(c) {
-                Byte::Token => break,
+                Byte::Token => return true,
                 Byte::Space => {
                     self.line += usize::from(c == b'\n');
                     self.pos += 1;
                 }
                 _ => match self.wide() {
                     (true, len) => self.pos += len,
-                    (false, _) => break,
+                    (false, _) => return true,
                 },
             }
+        }
+        false
+    }
+
+    /// The next token, or `None` at the end of the text.
+    fn token(&mut self) -> Option<&'a str> {
+        let (text, b) = (self.text, self.text.as_bytes());
+        if !self.skip_space() {
+            return None;
         }
         let start = self.pos;
         while let Some(&c) = b.get(self.pos) {
@@ -388,6 +438,35 @@ mod tests {
         // The largest count is accepted; the input then runs out of tokens.
         let e = from_str("4294967295 1\n0 1\n").unwrap_err();
         assert!(matches!(e, InstanceError::Parse { line: 2, .. }), "{e}");
+    }
+
+    #[test]
+    fn plain_tokens_end_only_at_ascii_separators() {
+        // A digit run followed by a Unicode separator is still one token;
+        // followed by anything else that is not ASCII white space, it is
+        // the start of a longer token that `str::parse` refuses whole.
+        for (text, outcome) in [
+            ("1 1\n0 5\u{A0}0\n1.5", Ok(())),
+            ("1 1\n0 5\u{2028}0\n\u{3000}1.5\u{85}", Ok(())),
+            ("1 1\n0 5x\n0\n1\n", Err("invalid opening cost: '5x'")),
+            ("1 1\n0 5\u{E9}\n0\n1\n", Err("invalid opening cost: '5\u{E9}'")),
+            ("1 1\n0 5.\u{200B}\n0\n1\n", Err("invalid opening cost: '5.\u{200B}'")),
+            ("1 1\n0 -\n0\n1\n", Err("invalid opening cost: '-'")),
+        ] {
+            let parsed = from_str(text);
+            assert_eq!(parsed, from_str_reference(text), "{text:?}");
+            match (parsed, outcome) {
+                (Ok(inst), Ok(())) => {
+                    assert_eq!(inst.opening_cost(FacilityId::new(0)).value(), 5.0);
+                    let cost = inst.connection_cost(ClientId::new(0), FacilityId::new(0));
+                    assert_eq!(cost.unwrap().value(), 1.5);
+                }
+                (Err(InstanceError::Parse { line: 2, reason }), Err(want)) => {
+                    assert_eq!(reason, want)
+                }
+                (other, _) => panic!("{text:?} gave {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@ fn outcome(parsed: Result<Instance, distfl_instance::InstanceError>) -> Result<I
 
 /// Tokens spliced into payloads: values `str::parse` accepts that are not
 /// costs, forms only some parsers accept, and header-sized counts.
-const TOKENS: [&str; 14] = [
+const TOKENS: [&str; 22] = [
     "1e309",
     "NaN",
     "-1",
@@ -45,6 +45,16 @@ const TOKENS: [&str; 14] = [
     "0",
     "1e-300",
     "-0",
+    // Plain tokens the exact decimal reader converts: 17, 19 and 20
+    // significant digits, and ties between two doubles above 2^53.
+    "1007.3366912665307",
+    "123456789.0123456789",
+    "18446744073709551615",
+    "1844674407370955161.6",
+    "9007199254740993",
+    "9007199254740995",
+    "18014398509481985",
+    "0004294967295.000",
 ];
 
 /// Separators spliced into payloads: `split_whitespace` splits on all of

@@ -45,11 +45,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod decimal;
 mod export;
 mod json;
 mod metrics;
 mod reader;
 
+pub use decimal::Decimal;
 pub use export::{validate_json, Snapshot};
 pub use json::JsonWriter;
 pub use metrics::{counter, gauge, metrics_reset, Counter, Gauge, MetricValue};

@@ -15,11 +15,18 @@
 //!   that want to look values up by key.
 //!
 //! Either way, nesting is capped at 64 levels and errors name the byte
-//! offset of the first problem. Deliberately absent: incremental input
-//! (the text is one complete value in memory) and serde-style derive.
+//! offset of the first problem. A number is read in one scan by the
+//! exact decimal reader ([`crate::Decimal`]), which hands only literals
+//! of more than 19 digits or an exponent outside −22..=22 to
+//! `str::parse`; every value is `str::parse`'s to the bit. A string skips
+//! its plain bytes eight at a time. Deliberately absent: incremental
+//! input (the text is one complete value in memory) and serde-style
+//! derive.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+
+use crate::Decimal;
 
 /// Deepest nesting of arrays and objects the reader accepts. The tree
 /// parser recurses once per level, so input from outside the program must
@@ -27,17 +34,6 @@ use std::collections::BTreeMap;
 /// The deepest serve request nests 4 levels (`{"instance":{"links":[[…]]}}`)
 /// and the documents the workspace writes a few more.
 const MAX_DEPTH: usize = 64;
-
-/// The powers of ten up to 10^22: every one is exact in an `f64`.
-const POWERS_OF_TEN: [f64; 23] = [
-    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
-    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
-];
-
-/// Whether `f64` arithmetic may round twice (x87 without SSE2), which
-/// rules the exact fast path of [`Cursor::number`] out, as it does the
-/// standard conversion's.
-const X87: bool = cfg!(all(target_arch = "x86", not(target_feature = "sse2")));
 
 /// A parsed JSON value.
 ///
@@ -270,6 +266,16 @@ impl<'a> Cursor<'a> {
         // the text after it starts; a string without escapes is borrowed.
         let (mut out, mut run) = (String::new(), start);
         loop {
+            // Skip plain bytes eight at a time, up to the first `"`, `\` or
+            // control byte.
+            while let Some(word) = b.get(self.pos..self.pos + 8) {
+                let special = special_bytes(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+                if special != 0 {
+                    self.pos += special.trailing_zeros() as usize / 8;
+                    break;
+                }
+                self.pos += 8;
+            }
             match b.get(self.pos) {
                 Some(b'"') => {
                     let tail = self.slice(run, self.pos)?;
@@ -295,13 +301,10 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// Reads a number. The value is exactly `str::parse::<f64>`'s: a
-    /// decimal of at most 19 digits whose digits make an integer up to
-    /// 2^53 and whose scale is at most 10^22 is one exact `u64` to `f64`
-    /// conversion and one correctly rounded multiplication or division by
-    /// an exact power of ten (Clinger's fast path, which the standard
-    /// conversion takes for such numbers too); any other number goes to
-    /// `str::parse`.
+    /// Reads a number in one scan: its digits go to a [`Decimal`], eight
+    /// bytes per step, which converts a literal of at most 19 digits and a
+    /// decimal exponent in `-22..=22` exactly. Any other number goes to
+    /// `str::parse`, so the value is always exactly `str::parse::<f64>`'s.
     ///
     /// # Errors
     ///
@@ -311,34 +314,23 @@ impl<'a> Cursor<'a> {
         self.skip_ws();
         let b = self.bytes();
         let start = self.pos;
-        let mut p = start;
-        let negative = b.get(p) == Some(&b'-');
-        p += usize::from(negative);
-        let int_start = p;
-        let mut mantissa = 0u64;
-        while p < b.len() && b[p].is_ascii_digit() {
-            mantissa = mantissa.wrapping_mul(10).wrapping_add(u64::from(b[p] - b'0'));
-            p += 1;
-        }
-        let mut digits = p - int_start;
-        if digits == 0 {
+        let negative = b.get(start) == Some(&b'-');
+        let int_start = start + usize::from(negative);
+        let mut decimal = Decimal::default();
+        let mut p = decimal.digits(b, int_start);
+        if p == int_start {
             return Err(format!("bad number at byte {start}"));
         }
-        if b[int_start] == b'0' && digits > 1 {
+        if b[int_start] == b'0' && p - int_start > 1 {
             return Err(format!("leading zero at byte {start}"));
         }
         let mut scale = 0i64;
         if b.get(p) == Some(&b'.') {
-            p += 1;
-            let frac_start = p;
-            while p < b.len() && b[p].is_ascii_digit() {
-                mantissa = mantissa.wrapping_mul(10).wrapping_add(u64::from(b[p] - b'0'));
-                p += 1;
-            }
+            let frac_start = p + 1;
+            p = decimal.digits(b, frac_start);
             if p == frac_start {
                 return Err(format!("bad number at byte {start}"));
             }
-            digits += p - frac_start;
             scale = -((p - frac_start).min(1 << 20) as i64);
         }
         if matches!(b.get(p), Some(b'e' | b'E')) {
@@ -361,10 +353,8 @@ impl<'a> Cursor<'a> {
             scale += if sign < 0 { -exp } else { exp };
         }
         self.pos = p;
-        if digits <= 19 && mantissa <= 1 << 53 && (-22..=22).contains(&scale) && !X87 {
-            let power = POWERS_OF_TEN[scale.unsigned_abs() as usize];
-            let value = if scale < 0 { mantissa as f64 / power } else { mantissa as f64 * power };
-            return Ok(if negative { -value } else { value });
+        if let Some(value) = decimal.to_f64(negative, scale) {
+            return Ok(value);
         }
         let text = self.slice(start, p)?;
         text.parse::<f64>().map_err(|_| format!("bad number at byte {start}"))
@@ -538,6 +528,22 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// The high bit of each byte of `word` (first byte lowest) that ends a
+/// plain run of string bytes (`"`, `\` or a control byte), exact up to
+/// the first such byte and perhaps spurious above it: zero exactly when
+/// all eight bytes are plain.
+#[inline(always)]
+fn special_bytes(word: u64) -> u64 {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    // `x - n` borrows into a byte's high bit where the byte is below `n`,
+    // and `& !x` drops the bytes of 0x80 and up. A borrow starts only at
+    // a byte below `n` and runs upward, so the lowest bit set is exact.
+    let below = |x: u64, n: u8| x.wrapping_sub(ONES * u64::from(n)) & !x;
+    let quote = word ^ (ONES * u64::from(b'"'));
+    let backslash = word ^ (ONES * u64::from(b'\\'));
+    (below(quote, 1) | below(backslash, 1) | below(word, 0x20)) & (ONES << 7)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -651,10 +657,76 @@ mod tests {
             "5e-324",
             "1E+2",
             "123.456789012345678",
+            // Ties between two doubles above 2^53: half to even.
+            "9007199254740993",
+            "9007199254740995",
+            "18014398509481985",
+            "-9007199254740993e-3",
+            // 19- and 20-digit mantissas.
+            "1234567890123456789",
+            "9999999999999999999",
+            "1.234567890123456789",
+            "-99999999.99999999999",
+            "12345678901234567891",
+            "1234567890.1234567891",
+            "1e22",
+            "1e23",
+            "1e-22",
+            "1e-23",
+            "-0.0",
+            "0.000000000000000000000000001",
         ] {
             let got = Cursor::new(text).number().unwrap();
             let want = text.parse::<f64>().unwrap();
             assert_eq!(got.to_bits(), want.to_bits(), "{text}");
+        }
+    }
+
+    #[test]
+    fn digit_runs_end_at_any_byte_at_every_offset() {
+        for offset in 0..8 {
+            for len in 0..=17 {
+                let digits: String = (0..len).map(|k| char::from(b"1234567890"[k % 10])).collect();
+                for stop in ["/", ":", ".5", "e1", "\u{E9}"] {
+                    let text = format!("{}{digits}{stop}", " ".repeat(offset));
+                    let mut c = Cursor::new(&text);
+                    if len == 0 {
+                        let err = c.number().unwrap_err();
+                        assert_eq!(err, format!("bad number at byte {offset}"), "{text:?}");
+                        continue;
+                    }
+                    let literal = text.trim_start().trim_end_matches(['/', ':', '\u{E9}']);
+                    let want = literal.parse::<f64>().unwrap();
+                    assert_eq!(c.number().unwrap().to_bits(), want.to_bits(), "{text:?}");
+                    match c.end() {
+                        Ok(()) => assert!(stop.len() == 2, "{text:?}"),
+                        Err(e) => assert_eq!(e, format!("trailing data at byte {}", offset + len)),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn strings_skip_plain_runs_at_every_offset() {
+        for offset in 0..17 {
+            let head = "a".repeat(offset);
+            for (body, want) in [
+                (format!("{head}\"tail"), Ok(head.clone())),
+                (format!("{head}\\n{}\"", "b".repeat(9)), Ok(format!("{head}\n{}", "b".repeat(9)))),
+                (
+                    format!("{head}\u{E9}\u{7F}{}\"", "b".repeat(9)),
+                    Ok(format!("{head}\u{E9}\u{7F}bbbbbbbbb")),
+                ),
+                (
+                    format!("{head}\u{1}{}\"", "b".repeat(9)),
+                    Err(format!("raw control char at byte {}", offset + 1)),
+                ),
+            ] {
+                let text = format!("\"{body}");
+                let got = Cursor::new(&text).string().map(Cow::into_owned);
+                assert_eq!(got, want, "{text:?}");
+            }
         }
     }
 

@@ -15,7 +15,10 @@
 //!
 //! `opening` lists the opening cost of each facility; `links[j]` is a
 //! flat `[facility, cost, facility, cost, ...]` pair list for client `j`.
-//! `seed` is optional (default 0) and only affects randomized solvers.
+//! `seed` is optional (default 0) and only affects randomized solvers. It
+//! must be a non-negative integer below 2^53: requests are read as JSON
+//! numbers (`f64`), which hold every such integer exactly, and a larger
+//! seed is refused as `malformed_request` rather than silently rounded.
 //!
 //! **Command** — `{"cmd":"ping"}` (liveness probe) or
 //! `{"cmd":"shutdown"}` (the SIGTERM-equivalent: acknowledge, stop
@@ -400,7 +403,7 @@ fn decode(line: &str) -> Option<Parsed> {
         value.filter(|s| !s.is_empty() && s.len() <= MAX_ID_LEN).map(Cow::into_owned)
     };
     let solver = |value: Option<Cow<'_, str>>| value?.parse::<SolverKind>().ok();
-    let seed = |value: Option<f64>| value.map_or(Some(0), |v| Json::Num(v).as_u64());
+    let seed = |value: Option<f64>| value.map_or(Some(0), seed_of);
     let source = |instance, orlib| match (instance, orlib) {
         (Some(instance), None) => Some(InstanceSource::Inline(instance)),
         (None, Some(payload)) => Some(InstanceSource::OrLib(payload)),
@@ -659,10 +662,22 @@ fn parse_seed(
 ) -> Result<u64, ServeError> {
     match value.get("seed") {
         None => Ok(0),
-        Some(v) => v.as_u64().ok_or_else(|| {
-            fail(ErrorKind::MalformedRequest, "seed must be a non-negative integer".into())
-        }),
+        Some(v) => v
+            .as_f64()
+            .and_then(seed_of)
+            .ok_or_else(|| fail(ErrorKind::MalformedRequest, SEED_DETAIL.into())),
     }
+}
+
+/// Why a request's seed was refused.
+const SEED_DETAIL: &str = "seed must be a non-negative integer below 2^53";
+
+/// The seed a number names: a non-negative integer below 2^53. Both
+/// decoders read numbers as `f64`, which holds every integer below 2^53
+/// exactly but not every one above it (9007199254740993 reads as 2^53),
+/// so a larger seed is refused rather than silently changed.
+fn seed_of(v: f64) -> Option<u64> {
+    (v >= 0.0 && v.fract() == 0.0 && v < 9_007_199_254_740_992.0).then_some(v as u64)
 }
 
 /// Extracts the instance payload (`instance` inline or `orlib` text).
@@ -1079,6 +1094,29 @@ mod tests {
 
         let err = parse_line(r#"{"cmd":"solve","id":"q","session":"s"}"#).unwrap_err();
         assert!(err.detail.contains("solver"), "{}", err.detail);
+    }
+
+    #[test]
+    fn seeds_are_integers_below_two_to_the_53() {
+        let line = |seed: &str| {
+            format!(r#"{{"id":"s","solver":"greedy","seed":{seed},"orlib":"1 1\n0 1\n0\n1\n"}}"#)
+        };
+        for (seed, want) in [("0", 0), ("9007199254740991", (1 << 53) - 1)] {
+            for parsed in [parse_line(&line(seed)), parse_line_reference(&line(seed))] {
+                let Parsed::Request(req) = parsed.unwrap() else { panic!("expected a request") };
+                assert!(matches!(req.action, Action::Solve { seed, .. } if seed == want), "{seed}");
+            }
+        }
+        for seed in
+            ["9007199254740992", "9007199254740993", "18446744073709551615", "-1", "0.5", "\"7\""]
+        {
+            for parsed in [parse_line(&line(seed)), parse_line_reference(&line(seed))] {
+                let err = parsed.unwrap_err();
+                assert_eq!(err.kind, ErrorKind::MalformedRequest, "{seed}");
+                assert_eq!(err.detail, SEED_DETAIL, "{seed}");
+                assert_eq!(err.id.as_deref(), Some("s"));
+            }
+        }
     }
 
     #[test]
