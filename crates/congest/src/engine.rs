@@ -11,7 +11,7 @@
 //!
 //! When [`CongestConfig::threads`] asks for more than one lane, the
 //! round's steps run first, one task per contiguous chunk of nodes, on a
-//! persistent work-stealing [`WorkerPool`](distfl_pool::WorkerPool)
+//! persistent [`WorkerPool`](distfl_pool::WorkerPool)
 //! (the `distfl-pool` crate), and the loop then only delivers. Delivery
 //! is always that one serial pass, so inbox contents, [`RoundStats`] and
 //! error selection are identical for every lane count by construction.

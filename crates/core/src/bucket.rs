@@ -42,17 +42,15 @@ pub struct BucketParams {
     pub outer: u32,
     /// Inner iterations `s_in ≥ 1` per bucket.
     pub inner: u32,
-    /// Worker threads for the simulator.
-    pub threads: Option<usize>,
     /// Optional deterministic message-drop plan (the output stays feasible
     /// because the fallback is a local decision).
     pub fault: Option<distfl_congest::FaultPlan>,
 }
 
 impl BucketParams {
-    /// Parameters with the given nesting and serial execution.
+    /// Parameters with the given nesting and no fault plan.
     pub fn new(outer: u32, inner: u32) -> Self {
-        BucketParams { outer, inner, threads: None, fault: None }
+        BucketParams { outer, inner, fault: None }
     }
 }
 
@@ -431,11 +429,7 @@ impl FlAlgorithm for GreedyBucket {
                 done: false,
             }));
         }
-        let config = CongestConfig {
-            threads: self.params.threads,
-            fault: self.params.fault,
-            ..CongestConfig::default()
-        };
+        let config = CongestConfig { fault: self.params.fault, ..CongestConfig::default() };
         let executor = Executor::LockStep(config);
         let rounds = bucket_rounds(self.params);
         let run = execute(topology_of(instance)?, nodes, seed, executor, rounds, |nodes| {

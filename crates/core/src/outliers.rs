@@ -52,9 +52,6 @@ pub struct OutliersParams {
     pub drop_fraction: f64,
     /// MetricBall phase count for the core solve.
     pub phases: u32,
-    /// Worker threads for the engine (`None` = serial; results are
-    /// identical).
-    pub threads: Option<usize>,
 }
 
 impl OutliersParams {
@@ -75,14 +72,14 @@ impl OutliersParams {
                 reason: "outliers needs at least one phase".to_owned(),
             });
         }
-        Ok(OutliersParams { drop_fraction, phases, threads: None })
+        Ok(OutliersParams { drop_fraction, phases })
     }
 }
 
 impl Default for OutliersParams {
     /// Drop up to 10% of clients, six core phases.
     fn default() -> Self {
-        OutliersParams { drop_fraction: 0.1, phases: 6, threads: None }
+        OutliersParams { drop_fraction: 0.1, phases: 6 }
     }
 }
 
@@ -130,10 +127,7 @@ impl Outliers {
     ) -> Result<SimulatedRun, CoreError> {
         OutliersParams::new(self.params.drop_fraction, self.params.phases)?;
         let dropped = select_outliers(instance, self.params.drop_fraction);
-        let core = MetricBall::new(MetricBallParams {
-            phases: self.params.phases,
-            threads: self.params.threads,
-        });
+        let core = MetricBall::new(MetricBallParams::with_phases(self.params.phases));
         if dropped.is_empty() {
             return core.run_on(instance, seed, executor);
         }
@@ -151,8 +145,7 @@ impl FlAlgorithm for Outliers {
 
     fn run(&self, instance: &Instance, seed: u64) -> Result<Outcome, CoreError> {
         let _span = distfl_obs::span_arg("solver", "outliers", u64::from(self.params.phases));
-        let config = CongestConfig { threads: self.params.threads, ..CongestConfig::default() };
-        Ok(self.run_on(instance, seed, Executor::LockStep(config))?.outcome)
+        Ok(self.run_on(instance, seed, Executor::LockStep(CongestConfig::default()))?.outcome)
     }
 }
 

@@ -2,11 +2,11 @@
 //!
 //! The solver portfolio (DESIGN.md §3.7) needs to know, per request,
 //! whether an instance is *metric* — the constant-factor ball-growing
-//! solver is only guaranteed there — plus a handful of shape and
-//! degeneracy statistics that pick between the general-case solvers. This
-//! module computes an [`InstanceProfile`] deterministically from the
-//! instance alone: same instance, same profile, no clocks and no ambient
-//! randomness, so routed responses stay byte-deterministic.
+//! solver is only guaranteed there — and how many links it has, which
+//! picks between the general-case solvers. This module computes an
+//! [`InstanceProfile`] deterministically from the instance alone: same
+//! instance, same profile, no clocks and no ambient randomness, so routed
+//! responses stay byte-deterministic.
 //!
 //! Metricity is decided exhaustively (via [`crate::metric::metricity_defect`])
 //! when the instance is small enough, and by **deterministic sampling** of
@@ -59,22 +59,14 @@ impl Metricity {
     }
 }
 
-/// Deterministic shape/degeneracy statistics of one instance, computed by
-/// [`classify`]. Everything `SolverKind::Auto` routing consumes lives
-/// here; the decision tree itself lives in `distfl_core::dispatch` (this
-/// crate stays solver-agnostic).
+/// The routing profile of one instance, computed by [`classify`].
+/// Everything `SolverKind::Auto` routing consumes lives here; the decision
+/// tree itself lives in `distfl_core::dispatch` (this crate stays
+/// solver-agnostic).
 #[derive(Debug, Clone, PartialEq)]
 pub struct InstanceProfile {
-    /// Number of facilities `m`.
-    pub facilities: usize,
-    /// Number of clients `n`.
-    pub clients: usize,
     /// Number of links `L`.
     pub links: usize,
-    /// Link density `L / (m·n)` (1.0 for complete instances).
-    pub density: f64,
-    /// Coefficient spread `ρ` (see [`spread::coefficient_spread`]).
-    pub spread: f64,
     /// The metricity verdict.
     pub metricity: Metricity,
     /// Worst additive four-point defect observed (0.0 when none was
@@ -84,12 +76,6 @@ pub struct InstanceProfile {
     /// Whether the defect came from the exhaustive scan (`true`) or
     /// sampling (`false`).
     pub exhaustive: bool,
-    /// Number of zero-cost connection links (degenerate: any solver can
-    /// serve these clients for free once the facility opens).
-    pub zero_cost_links: usize,
-    /// Whether every coefficient is equal (`ρ = 1`), the uniform-cost
-    /// degenerate family.
-    pub uniform_costs: bool,
 }
 
 /// Classifies an instance for solver routing.
@@ -113,10 +99,7 @@ pub struct InstanceProfile {
 /// # }
 /// ```
 pub fn classify(instance: &Instance) -> InstanceProfile {
-    let m = instance.num_facilities();
-    let n = instance.num_clients();
     let links = instance.num_links();
-    let rho = spread::coefficient_spread(instance);
     let max_cost = spread::max_coefficient(instance).value();
     let tolerance = METRIC_REL_TOLERANCE * max_cost;
 
@@ -132,23 +115,7 @@ pub fn classify(instance: &Instance) -> InstanceProfile {
         (defect, verdict)
     };
 
-    let zero_cost_links = instance
-        .clients()
-        .map(|j| instance.client_links(j).costs.iter().filter(|c| **c == 0.0).count())
-        .sum();
-
-    InstanceProfile {
-        facilities: m,
-        clients: n,
-        links,
-        density: links as f64 / (m as f64 * n as f64),
-        spread: rho,
-        metricity: verdict,
-        observed_defect: defect,
-        exhaustive,
-        zero_cost_links,
-        uniform_costs: rho == 1.0,
-    }
+    InstanceProfile { links, metricity: verdict, observed_defect: defect, exhaustive }
 }
 
 /// Worst four-point defect over [`SAMPLE_QUADRUPLES`] deterministically
@@ -201,14 +168,23 @@ mod tests {
 
     #[test]
     fn small_metric_instance_is_verified() {
-        let inst = Euclidean::new(4, 12).unwrap().generate(5).unwrap();
-        let profile = classify(&inst);
-        assert_eq!(profile.metricity, Metricity::Verified);
-        assert!(profile.exhaustive);
-        assert!(profile.metricity.admits_metric_solver());
-        assert_eq!(profile.facilities, 4);
-        assert_eq!(profile.clients, 12);
-        assert_eq!(profile.density, 1.0);
+        // With one facility no quadruple exists, so the scan verifies.
+        let mut b = InstanceBuilder::new();
+        let f = b.add_facility(Cost::new(3.0).unwrap());
+        let c0 = b.add_client();
+        b.link(c0, f, Cost::ZERO).unwrap();
+        let c1 = b.add_client();
+        b.link(c1, f, Cost::new(3.0).unwrap()).unwrap();
+        let one_facility = b.build().unwrap();
+        for (inst, links) in
+            [(Euclidean::new(4, 12).unwrap().generate(5).unwrap(), 48), (one_facility, 2)]
+        {
+            let profile = classify(&inst);
+            assert_eq!(profile.metricity, Metricity::Verified);
+            assert!(profile.exhaustive);
+            assert!(profile.metricity.admits_metric_solver());
+            assert_eq!(profile.links, links);
+        }
     }
 
     #[test]
@@ -241,21 +217,5 @@ mod tests {
     fn classification_is_deterministic() {
         let inst = PowerLaw::new(25, 110, 1e6).unwrap().generate(8).unwrap();
         assert_eq!(classify(&inst), classify(&inst));
-    }
-
-    #[test]
-    fn degeneracy_stats_are_counted() {
-        let mut b = InstanceBuilder::new();
-        let f = b.add_facility(Cost::new(3.0).unwrap());
-        let c0 = b.add_client();
-        b.link(c0, f, Cost::ZERO).unwrap();
-        let c1 = b.add_client();
-        b.link(c1, f, Cost::new(3.0).unwrap()).unwrap();
-        let inst = b.build().unwrap();
-        let profile = classify(&inst);
-        assert_eq!(profile.zero_cost_links, 1);
-        assert!(profile.uniform_costs, "spread {} should be 1", profile.spread);
-        // No quadruple exists with one facility, so the scan verifies.
-        assert_eq!(profile.metricity, Metricity::Verified);
     }
 }

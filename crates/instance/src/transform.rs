@@ -3,14 +3,14 @@
 //! Utilities a workload pipeline needs around the generators: uniform
 //! scaling (the algorithms are scale-invariant — asserted in the
 //! integration tests), normalization to a unit cost floor, multiplicative
-//! noise, induced sub-instances, and disjoint unions.
+//! noise, and disjoint unions.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::cost::Cost;
 use crate::error::InstanceError;
-use crate::instance::{ClientId, FacilityId, Instance, InstanceBuilder};
+use crate::instance::{FacilityId, Instance, InstanceBuilder};
 use crate::spread;
 
 /// Rebuilds an instance with every coefficient passed through `map`.
@@ -75,71 +75,6 @@ pub fn perturb(instance: &Instance, noise: f64, seed: u64) -> Result<Instance, I
     })
 }
 
-/// The sub-instance induced by keeping only the given facilities (client
-/// set unchanged).
-///
-/// # Errors
-///
-/// Returns [`InstanceError::UnreachableClient`] if some client loses all
-/// its links.
-pub fn restrict_facilities(
-    instance: &Instance,
-    keep: &[FacilityId],
-) -> Result<Instance, InstanceError> {
-    let mut keep_mask = vec![false; instance.num_facilities()];
-    for &i in keep {
-        if i.index() >= keep_mask.len() {
-            return Err(InstanceError::FacilityOutOfRange {
-                facility: i.index(),
-                num_facilities: keep_mask.len(),
-            });
-        }
-        keep_mask[i.index()] = true;
-    }
-    let mut b = InstanceBuilder::new();
-    let mut new_id = vec![None; instance.num_facilities()];
-    for i in instance.facilities() {
-        if keep_mask[i.index()] {
-            new_id[i.index()] = Some(b.add_facility(instance.opening_cost(i)));
-        }
-    }
-    for j in instance.clients() {
-        let c = b.add_client();
-        for (i, cost) in instance.client_links(j).iter() {
-            if let Some(ni) = new_id[i as usize] {
-                b.link(c, ni, Cost::from_validated(cost))?;
-            }
-        }
-    }
-    b.build()
-}
-
-/// The sub-instance induced by keeping only the given clients (facility
-/// set unchanged; facilities may end up linkless, which is allowed).
-///
-/// # Errors
-///
-/// Returns [`InstanceError::ClientOutOfRange`] for bad indices or
-/// [`InstanceError::NoClients`] if `keep` is empty.
-pub fn restrict_clients(instance: &Instance, keep: &[ClientId]) -> Result<Instance, InstanceError> {
-    let mut b = InstanceBuilder::new();
-    let fids: Vec<FacilityId> =
-        instance.facilities().map(|i| b.add_facility(instance.opening_cost(i))).collect();
-    for &j in keep {
-        if j.index() >= instance.num_clients() {
-            return Err(InstanceError::ClientOutOfRange {
-                client: j.index(),
-                num_clients: instance.num_clients(),
-            });
-        }
-        let c = b.add_client();
-        for (i, cost) in instance.client_links(j).iter() {
-            b.link(c, fids[i as usize], Cost::from_validated(cost))?;
-        }
-    }
-    b.build()
-}
-
 /// Disjoint union: facilities and clients of `a` followed by those of
 /// `b`, with no cross links (two independent markets in one instance).
 ///
@@ -170,7 +105,8 @@ pub fn merge(a: &Instance, b: &Instance) -> Result<Instance, InstanceError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{GridNetwork, InstanceGenerator, UniformRandom};
+    use crate::generators::{InstanceGenerator, UniformRandom};
+    use crate::instance::ClientId;
 
     fn inst(seed: u64) -> Instance {
         UniformRandom::new(5, 12).unwrap().generate(seed).unwrap()
@@ -212,43 +148,6 @@ mod tests {
         assert!(perturb(&a, -0.1, 7).is_err());
         // Deterministic per seed.
         assert_eq!(perturb(&a, 0.2, 7).unwrap(), b);
-    }
-
-    #[test]
-    fn facility_restriction_keeps_reachable_clients() {
-        let a = inst(4);
-        let keep = [FacilityId::new(0), FacilityId::new(3)];
-        let restricted = restrict_facilities(&a, &keep).unwrap();
-        assert_eq!(restricted.num_facilities(), 2);
-        assert_eq!(restricted.num_clients(), a.num_clients());
-        assert_eq!(restricted.opening_cost(FacilityId::new(1)), a.opening_cost(FacilityId::new(3)));
-        // Dropping every facility a client uses is an error.
-        let sparse = GridNetwork::with_radius(8, 8, 4, 16, 2).unwrap().generate(1).unwrap();
-        let only_first = [FacilityId::new(0)];
-        let out = restrict_facilities(&sparse, &only_first);
-        // Either every client reaches facility 0 (fine) or the builder
-        // rejects with UnreachableClient.
-        if let Err(e) = out {
-            assert!(matches!(e, InstanceError::UnreachableClient { .. }));
-        }
-    }
-
-    #[test]
-    fn client_restriction_selects_rows() {
-        let a = inst(5);
-        let keep = [ClientId::new(2), ClientId::new(7), ClientId::new(11)];
-        let restricted = restrict_clients(&a, &keep).unwrap();
-        assert_eq!(restricted.num_clients(), 3);
-        for (new_j, &old_j) in keep.iter().enumerate() {
-            for i in a.facilities() {
-                assert_eq!(
-                    restricted.connection_cost(ClientId::new(new_j as u32), i),
-                    a.connection_cost(old_j, i)
-                );
-            }
-        }
-        assert!(restrict_clients(&a, &[]).is_err());
-        assert!(restrict_clients(&a, &[ClientId::new(99)]).is_err());
     }
 
     #[test]

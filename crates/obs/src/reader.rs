@@ -99,7 +99,8 @@ impl Json {
     /// number with no fractional part representable in a `u64`.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= u64::MAX as f64 => {
+            // `u64::MAX as f64` rounds up to 2^64, the first value out of range.
+            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v < u64::MAX as f64 => {
                 Some(*v as u64)
             }
             _ => None,
@@ -614,6 +615,11 @@ mod tests {
         assert_eq!(Json::parse("42").unwrap().as_u64(), Some(42));
         assert_eq!(Json::parse("4.5").unwrap().as_u64(), None);
         assert_eq!(Json::parse("-1").unwrap().as_u64(), None);
+        assert_eq!(Json::parse("18446744073709551616").unwrap().as_u64(), None);
+        assert_eq!(
+            Json::parse("18446744073709549568").unwrap().as_u64(),
+            Some(18_446_744_073_709_549_568)
+        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Persistent work-stealing worker pool for the distfl workspace.
+//! Persistent worker pool for the distfl workspace.
 //!
 //! The CONGEST engine can step a round's nodes in parallel, which is one
 //! fork/join batch *per simulated round*, and the experiment sweeps fan
@@ -11,23 +11,20 @@
 //!
 //! Design:
 //!
-//! - **Per-worker deques with stealing.** Each worker owns a deque; the
-//!   submitter distributes a batch round-robin across deques. A worker pops
-//!   from the *back* of its own deque (LIFO, cache-hot) and steals from the
-//!   *front* of a victim's deque (FIFO, oldest task) when its own is empty.
+//! - **One queue.** Every task is pushed to the back of one FIFO queue
+//!   behind one mutex, and workers pop from its front. Each push wakes one
+//!   parked worker.
 //! - **Scoped API.** [`WorkerPool::scope`] accepts non-`'static` closures,
 //!   exactly like `std::thread::scope`: it blocks until every task spawned
 //!   in the scope has finished, which is what makes lending `&mut` chunks
 //!   of caller-owned buffers to tasks sound.
-//! - **Park/unpark idling.** Idle workers sleep on a condvar guarded by an
-//!   *epoch counter* (an eventcount): a worker reads the epoch, scans all
-//!   deques, and only parks if the epoch is unchanged — so a push that
-//!   lands between scan and park can never be lost.
+//! - **Park/unpark idling.** A worker checks the queue and parks on the
+//!   pool's condvar while holding the lock that every push takes, so a
+//!   push can never land between the check and the park and be missed.
 //! - **Determinism is the caller's contract, kept by construction.** Tasks
 //!   write results into pre-assigned, index-ordered slots
 //!   ([`WorkerPool::map_indexed`]); the pool never merges anything itself,
-//!   so results are independent of which worker ran which task and of
-//!   steal timing.
+//!   so results are independent of which worker ran which task and when.
 //! - **Zero workers = inline.** A pool with 0 workers runs every task on
 //!   the submitting thread, in spawn order. The serial and parallel code
 //!   paths are therefore literally the same code.
@@ -40,7 +37,7 @@
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
@@ -48,20 +45,19 @@ use std::thread::JoinHandle;
 ///
 /// Task bodies run under `catch_unwind` and never while a pool mutex is
 /// held, so a poisoned lock means the pool *itself* panicked mid-update —
-/// and every pool mutex guards plain data (job deques, epoch and pending
-/// counters) that is coherent at every step. Recovering keeps one panicked
-/// worker from cascading `PoisonError` panics into every thread that
-/// touches the pool afterwards.
+/// and every pool mutex guards plain data (the job queue and its shutdown
+/// flag, pending counters, the panic slot) that is coherent at every step.
+/// Recovering keeps one panicked worker from cascading `PoisonError`
+/// panics into every thread that touches the pool afterwards.
 fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A task as stored in a worker deque: lifetime-erased, tagged with the
-/// batch it belongs to and the deque it was pushed to.
+/// A task as stored in the queue: lifetime-erased and tagged with the
+/// batch it belongs to.
 struct Job {
     run: Box<dyn FnOnce() + Send + 'static>,
     batch: Arc<Batch>,
-    home: usize,
 }
 
 /// Completion state shared by all jobs spawned in one [`WorkerPool::scope`].
@@ -72,8 +68,6 @@ struct Batch {
     done: Condvar,
     /// First panic payload observed; re-raised on the scope caller.
     panic: Mutex<Option<Box<dyn Any + Send + 'static>>>,
-    /// Jobs executed by a worker other than the owner of their home deque.
-    stolen: AtomicU64,
     /// Jobs executed in total (including by the submitting thread).
     tasks: AtomicU64,
 }
@@ -84,14 +78,13 @@ impl Batch {
             pending: Mutex::new(0),
             done: Condvar::new(),
             panic: Mutex::new(None),
-            stolen: AtomicU64::new(0),
             tasks: AtomicU64::new(0),
         })
     }
 
     /// Run one job body, capturing a panic instead of unwinding through
     /// the worker loop, then decrement `pending` and signal if last.
-    fn run_job(&self, run: Box<dyn FnOnce() + Send + 'static>, executor: usize, home: usize) {
+    fn run_job(&self, run: Box<dyn FnOnce() + Send + 'static>) {
         if let Err(payload) = catch_unwind(AssertUnwindSafe(run)) {
             let mut slot = relock(&self.panic);
             if slot.is_none() {
@@ -99,9 +92,6 @@ impl Batch {
             }
         }
         self.tasks.fetch_add(1, Ordering::Relaxed);
-        if executor != home && executor != CALLER {
-            self.stolen.fetch_add(1, Ordering::Relaxed);
-        }
         let mut pending = relock(&self.pending);
         *pending -= 1;
         if *pending == 0 {
@@ -110,71 +100,41 @@ impl Batch {
     }
 }
 
-/// Executor id used for the thread that opened the scope (not a worker).
-const CALLER: usize = usize::MAX;
+/// Cached obs handle for the per-scope task counter.
+fn tasks_counter() -> distfl_obs::Counter {
+    static TASKS: OnceLock<distfl_obs::Counter> = OnceLock::new();
+    *TASKS.get_or_init(|| distfl_obs::counter("pool.tasks"))
+}
 
-/// Cached obs handles for the per-scope task/steal counters.
-fn pool_counters() -> (distfl_obs::Counter, distfl_obs::Counter) {
-    static COUNTERS: OnceLock<(distfl_obs::Counter, distfl_obs::Counter)> = OnceLock::new();
-    *COUNTERS
-        .get_or_init(|| (distfl_obs::counter("pool.tasks"), distfl_obs::counter("pool.stolen")))
+/// The queue every worker takes jobs from.
+#[derive(Default)]
+struct Queue {
+    jobs: VecDeque<Job>,
+    /// Set once, by [`WorkerPool`]'s `Drop`, to retire the workers.
+    shutdown: bool,
 }
 
 /// Shared state between the pool handle and its workers.
+#[derive(Default)]
 struct Shared {
-    /// One deque per worker. A `Mutex<VecDeque>` per lane is deliberately
-    /// boring: lanes are touched a handful of times per engine round, so
-    /// contention is negligible and correctness is obvious.
-    queues: Vec<Mutex<VecDeque<Job>>>,
-    /// Eventcount epoch: bumped on every push and on shutdown.
-    epoch: Mutex<u64>,
-    /// Signalled (broadcast) whenever `epoch` is bumped.
+    queue: Mutex<Queue>,
+    /// Signalled once per push, and to every worker on shutdown.
     wake: Condvar,
-    /// Set once, before the final epoch bump, to retire the workers.
-    shutdown: AtomicBool,
 }
 
 impl Shared {
-    /// Bump the epoch and wake every parked worker.
-    fn notify(&self) {
-        let mut epoch = relock(&self.epoch);
-        *epoch += 1;
-        drop(epoch);
-        self.wake.notify_all();
-    }
-
-    /// Pop a runnable job for `who`: own deque from the back (LIFO),
-    /// then every other deque from the front (FIFO steal).
-    fn find_job(&self, who: usize) -> Option<Job> {
-        if let Some(job) = relock(&self.queues[who]).pop_back() {
-            return Some(job);
-        }
-        let lanes = self.queues.len();
-        for offset in 1..lanes {
-            let victim = (who + offset) % lanes;
-            if let Some(job) = relock(&self.queues[victim]).pop_front() {
-                return Some(job);
-            }
-        }
-        None
-    }
-
     /// Worker main loop: run jobs until shutdown, parking when idle.
-    fn worker_loop(&self, who: usize) {
+    fn worker_loop(&self) {
+        let mut queue = relock(&self.queue);
         loop {
-            // Read the epoch *before* scanning, so a push that races with
-            // the scan bumps the epoch and the park below returns at once.
-            let seen = *relock(&self.epoch);
-            if let Some(job) = self.find_job(who) {
-                job.batch.clone().run_job(job.run, who, job.home);
-                continue;
-            }
-            if self.shutdown.load(Ordering::Acquire) {
+            if let Some(Job { run, batch }) = queue.jobs.pop_front() {
+                drop(queue);
+                batch.run_job(run);
+                queue = relock(&self.queue);
+            } else if queue.shutdown {
                 return;
-            }
-            let mut epoch = relock(&self.epoch);
-            while *epoch == seen && !self.shutdown.load(Ordering::Acquire) {
-                epoch = self.wake.wait(epoch).unwrap_or_else(PoisonError::into_inner);
+            } else {
+                queue = self.wake.wait(queue).unwrap_or_else(PoisonError::into_inner);
             }
         }
     }
@@ -187,8 +147,6 @@ impl Shared {
 pub struct Scope<'pool, 'env> {
     pool: &'pool WorkerPool,
     batch: Arc<Batch>,
-    /// Next deque to push to (round-robin).
-    next_lane: usize,
     _env: std::marker::PhantomData<&'env mut &'env ()>,
 }
 
@@ -201,7 +159,7 @@ impl<'pool, 'env> Scope<'pool, 'env> {
     {
         let task: Box<dyn FnOnce() + Send + 'env> = Box::new(f);
         // SAFETY: the only `unsafe` in this crate. We erase `'env` down to
-        // `'static` so the job can sit in a deque owned by `'static`
+        // `'static` so the job can sit in a queue owned by `'static`
         // worker threads. This is sound because `WorkerPool::scope` does
         // not return until `batch.pending` is 0, i.e. until this closure
         // (and every borrow it holds) has finished running — the same
@@ -209,26 +167,24 @@ impl<'pool, 'env> Scope<'pool, 'env> {
         // cloned and runs exactly once.
         let run: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(task) };
 
-        let shared = &self.pool.shared;
-        let lanes = shared.queues.len();
         *relock(&self.batch.pending) += 1;
-        if lanes == 0 {
+        if self.pool.handles.is_empty() {
             // Inline pool: run on the submitting thread, in spawn order.
-            self.batch.run_job(run, CALLER, CALLER);
+            self.batch.run_job(run);
             return;
         }
-        let home = self.next_lane % lanes;
-        self.next_lane = self.next_lane.wrapping_add(1);
-        relock(&shared.queues[home]).push_back(Job { run, batch: Arc::clone(&self.batch), home });
-        shared.notify();
+        let shared = &self.pool.shared;
+        relock(&shared.queue).jobs.push_back(Job { run, batch: Arc::clone(&self.batch) });
+        shared.wake.notify_one();
     }
 }
 
-/// A persistent pool of worker threads with per-worker deques, work
-/// stealing, and a scoped spawn API. See the crate docs for the design.
+/// A persistent pool of worker threads sharing one job queue, with a
+/// scoped spawn API. See the crate docs for the design.
 pub struct WorkerPool {
     shared: Arc<Shared>,
-    handles: Mutex<Vec<JoinHandle<()>>>,
+    /// One per worker; emptied only by `Drop`.
+    handles: Vec<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for WorkerPool {
@@ -244,27 +200,22 @@ impl WorkerPool {
     /// submitting thread, in spawn order — the deterministic serial
     /// reference that parallel runs are compared against.
     pub fn new(workers: usize) -> Self {
-        let shared = Arc::new(Shared {
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            epoch: Mutex::new(0),
-            wake: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-        });
+        let shared = Arc::new(Shared::default());
         let handles = (0..workers)
             .map(|who| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("distfl-pool-{who}"))
-                    .spawn(move || shared.worker_loop(who))
+                    .spawn(move || shared.worker_loop())
                     .expect("spawn pool worker")
             })
             .collect();
-        WorkerPool { shared, handles: Mutex::new(handles) }
+        WorkerPool { shared, handles }
     }
 
     /// Number of worker threads (0 for an inline pool).
     pub fn workers(&self) -> usize {
-        self.shared.queues.len()
+        self.handles.len()
     }
 
     /// Maximum useful concurrency: the workers plus the submitting thread,
@@ -311,33 +262,29 @@ impl WorkerPool {
     /// Run `build`, which may spawn borrowing tasks via [`Scope::spawn`],
     /// then block until every spawned task has finished.
     ///
-    /// While blocked, the submitting thread *helps*: it drains jobs
-    /// belonging to this scope from the worker deques, so a scope makes
-    /// progress even on a machine where every worker is busy elsewhere.
-    /// If any task panicked, the first panic is resumed on this thread
-    /// after all tasks have settled.
+    /// While blocked, the submitting thread *helps*: it takes this scope's
+    /// jobs from the queue and runs them, so a scope makes progress even
+    /// on a machine where every worker is busy elsewhere. If any task
+    /// panicked, the first panic is resumed on this thread after all tasks
+    /// have settled.
     pub fn scope<'env, F>(&self, build: F)
     where
         F: for<'pool> FnOnce(&mut Scope<'pool, 'env>),
     {
         let batch = Batch::new();
-        let mut scope = Scope {
-            pool: self,
-            batch: Arc::clone(&batch),
-            next_lane: 0,
-            _env: std::marker::PhantomData,
-        };
+        let mut scope =
+            Scope { pool: self, batch: Arc::clone(&batch), _env: std::marker::PhantomData };
         build(&mut scope);
 
-        // Help: steal back jobs of *this* batch and run them here.
+        // Help: take this batch's queued jobs and run them here.
         loop {
-            let job = self.shared.queues.iter().find_map(|queue| {
-                let mut queue = relock(queue);
-                let pos = queue.iter().position(|job| Arc::ptr_eq(&job.batch, &batch));
-                pos.and_then(|pos| queue.remove(pos))
-            });
+            let job = {
+                let mut queue = relock(&self.shared.queue);
+                let pos = queue.jobs.iter().position(|job| Arc::ptr_eq(&job.batch, &batch));
+                pos.and_then(|pos| queue.jobs.remove(pos))
+            };
             match job {
-                Some(job) => job.batch.clone().run_job(job.run, CALLER, job.home),
+                Some(Job { run, batch }) => batch.run_job(run),
                 None => break,
             }
         }
@@ -352,9 +299,7 @@ impl WorkerPool {
             resume_unwind(payload);
         }
         if distfl_obs::enabled() {
-            let (tasks, stolen) = pool_counters();
-            tasks.add(batch.tasks.load(Ordering::Relaxed));
-            stolen.add(batch.stolen.load(Ordering::Relaxed));
+            tasks_counter().add(batch.tasks.load(Ordering::Relaxed));
         }
     }
 
@@ -362,7 +307,7 @@ impl WorkerPool {
     ///
     /// Each task writes into its own pre-assigned slot, so the output is
     /// identical to `(0..n).map(f).collect()` regardless of worker count
-    /// or steal timing — the primitive the experiment sweeps are built on.
+    /// or timing — the primitive the experiment sweeps are built on.
     pub fn map_indexed<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send,
@@ -381,9 +326,9 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.notify();
-        for handle in relock(&self.handles).drain(..) {
+        relock(&self.shared.queue).shutdown = true;
+        self.shared.wake.notify_all();
+        for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
     }
@@ -392,7 +337,8 @@ impl Drop for WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
+    use std::time::{Duration, Instant};
 
     #[test]
     fn inline_pool_runs_tasks_in_spawn_order() {
@@ -484,6 +430,51 @@ mod tests {
         let c = WorkerPool::shared(3);
         assert_eq!(c.workers(), 3);
         assert!(!Arc::ptr_eq(&a, &c));
+    }
+
+    #[test]
+    fn a_parked_worker_wakes_for_the_next_push() {
+        let pool = WorkerPool::new(1);
+        for round in 0..200 {
+            // Let the worker drain the queue and park before the pushes.
+            std::thread::sleep(Duration::from_millis(1));
+            let started = [AtomicBool::new(false), AtomicBool::new(false)];
+            pool.scope(|scope| {
+                for me in 0..2 {
+                    let started = &started;
+                    scope.spawn(move || {
+                        // The caller runs one task, so the other needs the
+                        // worker: a lost wakeup leaves this wait to time out.
+                        started[me].store(true, Ordering::SeqCst);
+                        let deadline = Instant::now() + Duration::from_secs(5);
+                        while !started[1 - me].load(Ordering::SeqCst) {
+                            assert!(
+                                Instant::now() < deadline,
+                                "round {round}: partner never started"
+                            );
+                            std::thread::yield_now();
+                        }
+                    });
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn concurrent_submitters_share_one_pool() {
+        let pool = WorkerPool::new(2);
+        std::thread::scope(|threads| {
+            for submitter in 0..4 {
+                let pool = &pool;
+                threads.spawn(move || {
+                    for round in 0..200 {
+                        let base = submitter * 10_000 + round * 10;
+                        let got = pool.map_indexed(8, |i| base + i);
+                        assert_eq!(got, (0..8).map(|i| base + i).collect::<Vec<_>>());
+                    }
+                });
+            }
+        });
     }
 
     #[test]

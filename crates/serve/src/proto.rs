@@ -1146,13 +1146,15 @@ mod tests {
         assert_eq!(err.kind, ErrorKind::InvalidInstance);
         assert!(err.detail.contains("out of range"), "{}", err.detail);
 
-        for bad in ["-1", "0.5"] {
+        // 2^64 is the first integer past `u64::MAX`, so it is no index either.
+        for bad in ["-1", "0.5", "18446744073709551616"] {
             let line = format!(
                 r#"{{"id":"r3","solver":"greedy","instance":{{"opening":[1.0],"links":[[{bad},1.0]]}}}}"#
             );
-            let err = parse_line(&line).unwrap_err();
-            assert_eq!(err.kind, ErrorKind::InvalidInstance);
-            assert!(err.detail.contains("non-negative integer"), "{}", err.detail);
+            for err in [parse_line(&line).unwrap_err(), parse_line_reference(&line).unwrap_err()] {
+                assert_eq!(err.kind, ErrorKind::InvalidInstance);
+                assert_eq!(err.detail, "links[0]: facility index is not a non-negative integer");
+            }
         }
     }
 
