@@ -11,7 +11,9 @@
 //!    `bench engine` at 1, 2, 4 and 8 threads.)
 //! 2. **exp_all_quick** — `experiments::run_all(quick)` serial (zero
 //!    workers, trials inline) vs pooled, asserting the emitted CSVs are
-//!    byte-identical and reporting both wall clocks. `--smoke` skips it.
+//!    byte-identical. After one untimed warm-up of each, five rounds
+//!    alternate the two sweeps (the order swapped each round) and each
+//!    side reports its best wall clock. `--smoke` skips it.
 //!
 //! The document records `"cores"`: on a single-core host the dispatch
 //! win is real (both contenders get the same core; only the spawn
@@ -47,33 +49,53 @@ fn pool_batch(pool: &WorkerPool, k: usize) {
     });
 }
 
+/// Timed rounds of [`exp_all_quick`]: each runs both sweeps once, in the
+/// opposite order to the round before.
+const SWEEP_ROUNDS: usize = 5;
+
 /// `exp_all --quick` serial vs pooled, asserting byte-identical CSVs.
+///
+/// Both sweeps run once untimed to warm up. The timed rounds then
+/// alternate them, swapping which goes first each round, and each side
+/// reports its best time, so neither the order nor a cold first run
+/// decides the speedup.
 fn exp_all_quick(w: &mut JsonWriter, cores: usize) {
-    distfl_bench::set_sweep_workers(0);
-    let start = Instant::now();
-    let serial = distfl_bench::experiments::run_all(true);
-    let serial_secs = start.elapsed().as_secs_f64();
-
     let workers = if cores > 1 { cores - 1 } else { 3 };
-    distfl_bench::set_sweep_workers(workers);
-    let start = Instant::now();
-    let pooled = distfl_bench::experiments::run_all(true);
-    let pooled_secs = start.elapsed().as_secs_f64();
-    distfl_bench::set_sweep_workers(0);
-
+    let sweep = |pooled: bool| {
+        distfl_bench::set_sweep_workers(if pooled { workers } else { 0 });
+        let start = Instant::now();
+        let tables = distfl_bench::experiments::run_all(true);
+        let secs = start.elapsed().as_secs_f64();
+        distfl_bench::set_sweep_workers(0);
+        (tables, secs)
+    };
+    let (serial, _) = sweep(false);
+    let (pooled, _) = sweep(true);
     assert_eq!(serial.len(), pooled.len(), "table count must not depend on workers");
     let identical =
         serial.iter().zip(&pooled).all(|(a, b)| a.id() == b.id() && a.to_csv() == b.to_csv());
     assert!(identical, "pooled sweep produced different CSV bytes than serial");
+
+    let (mut serial_secs, mut pooled_secs) = (f64::INFINITY, f64::INFINITY);
+    for round in 0..SWEEP_ROUNDS {
+        let order = if round % 2 == 0 { [false, true] } else { [true, false] };
+        for pooled in order {
+            let (_, secs) = sweep(pooled);
+            let best = if pooled { &mut pooled_secs } else { &mut serial_secs };
+            *best = best.min(secs);
+        }
+    }
     let speedup = serial_secs / pooled_secs;
     eprintln!(
-        "exp_all quick: serial={serial_secs:.2}s pooled({workers} workers)={pooled_secs:.2}s \
-         speedup={speedup:.2}x csv_identical={identical}"
+        "exp_all quick (best of {SWEEP_ROUNDS} alternated rounds): serial={serial_secs:.3}s \
+         pooled({workers} workers)={pooled_secs:.3}s speedup={speedup:.2}x \
+         csv_identical={identical}"
     );
     w.begin_object();
     w.key("serial_secs").number(serial_secs);
     w.key("pooled_secs").number(pooled_secs);
     w.key("pool_workers").number_u64(workers as u64);
+    w.key("rounds").number_u64(SWEEP_ROUNDS as u64);
     w.key("speedup").number(speedup);
     w.key("csv_identical").boolean(identical);
     w.end_object();

@@ -27,11 +27,24 @@
 //! yields exactly the naive selection sequence, including `(ratio,
 //! facility)` tie-breaks; [`solve_detailed_reference`] retains the naive
 //! scan and the equivalence is pinned bit-for-bit by proptests.
+//!
+//! # Scans that stop at the ratio minimum
+//!
+//! A re-evaluation prices only what can still win. The `(cost, client)`
+//! sorted rows are read-only during a run: a per-row cursor skips the
+//! served prefix lazily and the scan skips any later served client, so
+//! nothing is compacted or copied. A scan stops before the next sorted
+//! cost `c` once `c > best·(1 + 8·len·2⁻⁵²)` (`len` the row's length from
+//! its cursor): past
+//! that, every longer prefix averages at least `best` even after the
+//! prefix chain's rounding (the bound is worked out on `star_scan`). The
+//! best star averages about two clients, so a scan reads a handful of
+//! entries of a row of hundreds.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use distfl_instance::{kernels, ClientId, FacilityId, Instance, Solution};
+use distfl_instance::{ClientId, FacilityId, Instance, Solution};
 use distfl_lp::DualSolution;
 
 use crate::error::CoreError;
@@ -125,21 +138,18 @@ impl PartialOrd for StarKey {
 
 /// Per-facility link rows sorted by `(cost, client id)` — the order
 /// `best_star` sorts into — in SoA form: split client-id/cost lanes behind
-/// shared offsets, with a per-row live watermark.
+/// shared offsets.
 ///
-/// Serving is monotone, so served entries are *compacted away in place*
-/// (order-preserving, via [`kernels::retain_unmarked`]) rather than
-/// skipped on every scan: each re-evaluation is then a branch-free
-/// [`kernels::fused_ratio_accumulate`] over a pure cost slice, and rows
-/// shrink as the run progresses instead of being re-filtered in full. The
-/// compacted live prefix is exactly the subsequence a served-skipping
-/// scan of the original row visits, so prefix sums — and therefore
-/// ratios — stay bit-identical to the reference.
+/// A run never writes the rows. Serving is monotone, so each row keeps a
+/// cursor past its served prefix, advanced lazily when the row is scanned;
+/// served clients past the cursor are skipped by the scan itself. The
+/// unserved entries a scan visits are exactly the subsequence the
+/// reference's filter-then-sort produces, so prefix sums — and therefore
+/// ratios — stay bit-identical to it, and warm solves run straight from
+/// their cached rows.
 #[derive(Default)]
 pub(crate) struct SortedStars {
     pub(crate) offsets: Vec<u32>,
-    /// Absolute end of each facility's live (unserved) prefix.
-    pub(crate) live_end: Vec<u32>,
     pub(crate) ids: Vec<u32>,
     pub(crate) costs: Vec<f64>,
 }
@@ -155,7 +165,7 @@ impl SortedStars {
     /// and the caller's per-row sort scratch. Ids are unique within a row,
     /// so the unstable sort on `(cost, id)` gives the one sorted order.
     pub(crate) fn rebuild(&mut self, instance: &Instance, scratch: &mut Vec<(f64, u32)>) {
-        let SortedStars { offsets, live_end, ids, costs } = self;
+        let SortedStars { offsets, ids, costs } = self;
         offsets.clear();
         offsets.reserve(instance.num_facilities() + 1);
         ids.clear();
@@ -171,69 +181,97 @@ impl SortedStars {
             costs.extend(scratch.iter().map(|&(c, _)| c));
             offsets.push(ids.len() as u32);
         }
-        live_end.clear();
-        live_end.extend_from_slice(&offsets[1..]);
     }
 
-    /// Overwrites `self` with `src`, reusing allocations. The run loop
-    /// consumes the rows destructively (in-place compaction), so warm
-    /// solves copy a pristine structure into a working one per run.
-    pub(crate) fn copy_from(&mut self, src: &SortedStars) {
-        self.offsets.clear();
-        self.offsets.extend_from_slice(&src.offsets);
-        self.live_end.clear();
-        self.live_end.extend_from_slice(&src.live_end);
-        self.ids.clear();
-        self.ids.extend_from_slice(&src.ids);
-        self.costs.clear();
-        self.costs.extend_from_slice(&src.costs);
-    }
-
-    /// The full (pristine) row of facility `i` as `(ids, costs)` lanes.
+    /// The full row of facility `i` as `(ids, costs)` lanes.
     pub(crate) fn row(&self, i: usize) -> (&[u32], &[f64]) {
         let lo = self.offsets[i] as usize;
         let hi = self.offsets[i + 1] as usize;
         (&self.ids[lo..hi], &self.costs[lo..hi])
     }
 
-    /// The live portion of facility `i`'s row as `(ids, costs)` lanes.
-    fn live(&self, i: FacilityId) -> (&[u32], &[f64]) {
-        let lo = self.offsets[i.index()] as usize;
-        let hi = self.live_end[i.index()] as usize;
+    /// The rest of facility `i`'s row from its first unserved entry, after
+    /// moving the row's `cursor` past the served prefix.
+    fn live(&self, i: usize, cursor: &mut u32, served: &[bool]) -> (&[u32], &[f64]) {
+        let hi = self.offsets[i + 1] as usize;
+        let mut lo = *cursor as usize;
+        while lo < hi && served[self.ids[lo] as usize] {
+            lo += 1;
+        }
+        *cursor = lo as u32;
         (&self.ids[lo..hi], &self.costs[lo..hi])
     }
+}
 
-    /// Drops served clients from facility `i`'s live row (stable, in
-    /// place), returning the new live length.
-    fn compact(&mut self, i: FacilityId, served: &[bool]) -> usize {
-        let lo = self.offsets[i.index()] as usize;
-        let hi = self.live_end[i.index()] as usize;
-        let w = kernels::retain_unmarked(&mut self.ids[lo..hi], &mut self.costs[lo..hi], served);
-        self.live_end[i.index()] = (lo + w) as u32;
-        w
+/// The best star of one `(cost, client id)`-sorted row over the entries
+/// whose client `served` leaves out: the least ratio `(residual +
+/// prefix_k) / k` over prefixes of the unserved entries and the first `k`
+/// attaining it, or `(+inf, 0)` when none is unserved. The prefix chain
+/// and the strict-`<` updates are the reference's.
+///
+/// **The stop rule.** The scan stops before the next unserved cost `c`
+/// once `c > best·(1 + 8·len·2⁻⁵²)`, `len` the slice's length. In real
+/// arithmetic `c ≥ best` already suffices: every later cost is at least
+/// `c`, so every longer prefix averages at least `best`. The prefix chain
+/// is rounded, though. With `u = 2⁻⁵³` and `best` found at prefix `k`,
+/// `residual + p̂_k` is at least `k·best·(1 − 2u)` (`p̂` the computed
+/// prefix), and the computed ratio of a longer prefix `t` is within a
+/// relative `(t − k + 2)·u` of the real `(residual + p̂_k + c_{k+1} + … +
+/// c_t) / t`. Once `c` exceeds `best` by a relative `5·len·u`, that real
+/// value clears `best` by more than the rounding, so no later computed
+/// ratio falls below `best` and the strict `<` never fires again. The
+/// factor `8·len·2⁻⁵² = 16·len·u` covers that and the rounding of the
+/// threshold itself; costs are zero or in `[2⁻²⁵⁶, 2²⁵⁶]`, so no sum
+/// underflows to a subnormal or overflows. A cost equal to `best` is still
+/// scanned: stopping there changes tie-heavy runs whose costs are inexact
+/// binary fractions (the sweep in `tests/solver_equivalence.rs` pins
+/// this).
+#[inline]
+fn star_scan(
+    ids: &[u32],
+    costs: &[f64],
+    residual: f64,
+    served: impl Fn(u32) -> bool,
+) -> (f64, usize) {
+    let slack = 1.0 + (8 * costs.len()) as f64 * f64::EPSILON;
+    let (mut best, mut stop, mut best_k) = (f64::INFINITY, f64::INFINITY, 0usize);
+    let (mut prefix, mut k) = (0.0f64, 0usize);
+    for (&j, &c) in ids.iter().zip(costs) {
+        if served(j) {
+            continue;
+        }
+        if c > stop {
+            break;
+        }
+        prefix += c;
+        k += 1;
+        let ratio = (residual + prefix) / k as f64;
+        if ratio < best {
+            (best, best_k) = (ratio, k);
+            stop = best * slack;
+        }
     }
+    (best, best_k)
 }
 
 /// Refills `seeds` with the per-facility iteration-0 star ratios of
 /// `stars` — the exact values the heap is seeded with.
 pub(crate) fn seed_ratios(instance: &Instance, stars: &SortedStars, seeds: &mut Vec<f64>) {
     seeds.clear();
-    seeds.extend(
-        instance
-            .facilities()
-            .map(|i| seed_ratio(stars.row(i.index()).1, instance.opening_cost(i).value())),
-    );
+    seeds.extend(instance.facilities().map(|i| {
+        let (ids, costs) = stars.row(i.index());
+        seed_ratio(ids, costs, instance.opening_cost(i).value())
+    }));
 }
 
-/// The iteration-0 star ratio of one sorted cost row. `NaN` marks a
-/// facility with no linked clients (nothing to seed);
-/// `fused_ratio_accumulate` never returns `NaN` under the lane input
-/// contract, so the sentinel is unambiguous.
-pub(crate) fn seed_ratio(costs: &[f64], opening: f64) -> f64 {
+/// The iteration-0 star ratio of one sorted row. `NaN` marks a facility
+/// with no linked clients (nothing to seed); [`star_scan`] never returns
+/// `NaN` on validated costs, so the sentinel is unambiguous.
+pub(crate) fn seed_ratio(ids: &[u32], costs: &[f64], opening: f64) -> f64 {
     if costs.is_empty() {
         f64::NAN
     } else {
-        kernels::fused_ratio_accumulate(costs, opening).0
+        star_scan(ids, costs, opening, |_| false).0
     }
 }
 
@@ -244,40 +282,41 @@ pub(crate) struct GreedyScratch {
     served: Vec<bool>,
     opened: Vec<bool>,
     assignment: Vec<FacilityId>,
+    /// Per facility, the absolute lane index its row's served prefix ends
+    /// at.
+    cursor: Vec<u32>,
     heap: BinaryHeap<std::cmp::Reverse<StarKey>>,
 }
 
 /// The lazy-evaluation heap run over prepared rows and iteration-0 seeds.
 ///
-/// `stars` must hold the `(cost, client id)`-sorted rows of `instance`
-/// with full live ranges, and `seeds[i]` the exact iteration-0 ratio of
-/// facility `i` (`NaN` for empty rows). Both the cold path and the warm
-/// caches funnel into this loop, so their outputs are identical by
-/// construction: the heap's pop order is a pure function of its *content*
-/// (keys are totally ordered and per-facility unique), never of push
-/// order.
+/// `stars` must hold the `(cost, client id)`-sorted rows of `instance`,
+/// and `seeds[i]` the exact iteration-0 ratio of facility `i` (`NaN` for
+/// empty rows). Both the cold path and the warm caches funnel into this
+/// loop, so their outputs are identical by construction: the heap's pop
+/// order is a pure function of its *content* (keys are totally ordered and
+/// per-facility unique), never of push order.
 pub(crate) fn run_greedy(
     instance: &Instance,
-    stars: &mut SortedStars,
+    stars: &SortedStars,
     seeds: &[f64],
     scratch: &mut GreedyScratch,
 ) -> GreedyRun {
     let n = instance.num_clients();
     let m = instance.num_facilities();
-    let served = &mut scratch.served;
+    let GreedyScratch { served, opened, assignment, cursor, heap } = scratch;
     served.clear();
     served.resize(n, false);
-    let opened = &mut scratch.opened;
     opened.clear();
     opened.resize(m, false);
-    let assignment = &mut scratch.assignment;
     assignment.clear();
     assignment.resize(n, FacilityId::new(0));
+    cursor.clear();
+    cursor.extend_from_slice(&stars.offsets[..m]);
     let mut ratios = vec![0.0f64; n];
     let mut remaining = n;
     let mut iterations = 0u32;
 
-    let heap = &mut scratch.heap;
     heap.clear();
     for (i, &seed) in seeds.iter().enumerate() {
         if !seed.is_nan() {
@@ -290,15 +329,13 @@ pub(crate) fn run_greedy(
             heap.pop().expect("instance invariant: every client is linked, so a star exists");
         let i = FacilityId::new(key.fid);
         let residual = if opened[i.index()] { 0.0 } else { instance.opening_cost(i).value() };
-        if stars.compact(i, served) == 0 {
+        let (ids, costs) = stars.live(i.index(), &mut cursor[i.index()], served);
+        if ids.is_empty() {
             // Every linked client is served; this facility is permanently
             // out of stars (serving never un-serves).
             continue;
         }
-        let (ratio, k) = {
-            let (_, costs) = stars.live(i);
-            kernels::fused_ratio_accumulate(costs, residual)
-        };
+        let (ratio, k) = star_scan(ids, costs, residual, |j| served[j as usize]);
         let fresh = StarKey { ratio, fid: key.fid };
         // Cached keys are lower bounds on true keys, so beating the best
         // cached key proves global minimality (ids are unique, so the
@@ -309,22 +346,27 @@ pub(crate) fn run_greedy(
         }
         iterations += 1;
         opened[i.index()] = true;
-        // The row was just compacted, so its first `k` entries are exactly
-        // the star's (all-unserved) members.
-        let (ids, _) = stars.live(i);
-        for &jraw in &ids[..k] {
+        // The star is the first `k` unserved entries of the live row.
+        let mut left = k;
+        for &jraw in ids {
             let j = jraw as usize;
-            debug_assert!(!served[j], "star members must all have been unserved");
+            if served[j] {
+                continue;
+            }
             served[j] = true;
             assignment[j] = i;
             ratios[j] = ratio;
+            left -= 1;
+            if left == 0 {
+                break;
+            }
         }
         remaining -= k;
         // The winner's residual just dropped to zero; recompute eagerly so
         // its (possibly lower) new ratio re-enters the heap.
-        if stars.compact(i, served) > 0 {
-            let (_, costs) = stars.live(i);
-            let (ratio, _) = kernels::fused_ratio_accumulate(costs, 0.0);
+        let (ids, costs) = stars.live(i.index(), &mut cursor[i.index()], served);
+        if !ids.is_empty() {
+            let (ratio, _) = star_scan(ids, costs, 0.0, |j| served[j as usize]);
             heap.push(std::cmp::Reverse(StarKey { ratio, fid: key.fid }));
         }
     }
@@ -338,11 +380,10 @@ pub(crate) fn run_greedy(
 /// Runs star greedy with full diagnostics (lazy-evaluation heap).
 pub fn solve_detailed(instance: &Instance) -> GreedyRun {
     let _span = distfl_obs::span("solver", "greedy");
-    let mut stars = SortedStars::build(instance);
+    let stars = SortedStars::build(instance);
     let mut seeds = Vec::new();
     seed_ratios(instance, &stars, &mut seeds);
-    let mut scratch = GreedyScratch::default();
-    run_greedy(instance, &mut stars, &seeds, &mut scratch)
+    run_greedy(instance, &stars, &seeds, &mut GreedyScratch::default())
 }
 
 /// Runs star greedy with full diagnostics by the naive per-iteration

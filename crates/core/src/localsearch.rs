@@ -17,41 +17,54 @@
 //! keep the two regimes separate for honesty; this module is the bridge
 //! for users who want final quality.
 //!
-//! # Cached assignment costs
+//! # Gain tables and an exact shortlist
 //!
 //! [`optimize`] keeps, per client, the best and second-best open
 //! facility over the *currently* open set (cost and id, `(cost, id)`
-//! order), as dense `f64`/`u32` lanes. A round prices every candidate
-//! from those lanes without rescanning a link row:
+//! order), as dense `f64`/`u32` lanes, and prices a round from them in
+//! `O(links + k(m−k))` with the gain/loss/extra tables of Resende &
+//! Werneck ("A fast swap-based local search procedure for location
+//! problems", J. Heuristics 2007), `k` the open facilities:
 //!
-//! * **Block pricing.** The links of up to eight closed facilities are
-//!   scattered over `+inf` into one client-major `n × 8` block, and
-//!   [`kernels::assign_sum_swap`] prices the block in one pass per open
-//!   facility `a` (the swaps `a → b`) plus one pass with no drop (the
-//!   adds). Lane `b` folds `min(base(j), link_b(j))` in ascending client
-//!   order, where `base(j)` falls back to the second-best where `a` holds
-//!   the best; `min(x, +inf) = x` covers unlinked clients exactly. A drop
-//!   is one scalar fold of `base(j)`.
-//! * **Select while pricing.** The round keeps its cheapest candidate and
-//!   that candidate's rank in the reference's enumeration order, so the
-//!   order blocks are priced in does not matter. A candidate's opening
-//!   part is folded over the ascending open list, and is skipped when the
-//!   assignment sum plus a floor already loses: the opening fold without
-//!   `a` for a swap, the current one for an add. Rounded addition of
-//!   non-negative terms is monotone, so neither the floor nor the sum on
-//!   top of it can exceed the exact value.
+//! * **One client pass** gives `A`, the current assignment sum, and per
+//!   open `a`: `loss(a)`, the sum of `second − best` over the clients
+//!   whose best facility is `a`, and `need(a)`, the clients whose only
+//!   open link is `a` (counted, not priced: dropping `a` is infeasible
+//!   while `need(a) > 0`).
+//! * **One pass over each closed `b`'s link row** gives `gain(b)`, the sum
+//!   of `best − c` over the clients `b` serves more cheaply, and, keyed by
+//!   each client's best facility `a`, the swap correction `extra(a, b)`
+//!   and how many of `need(a)`'s clients `b` links. A drop then costs
+//!   about `A + loss(a)`, an add `A − gain(b)` and a swap `A + loss(a) −
+//!   gain(b) + extra(a, b)`, each plus its opening part; these are exact
+//!   in real arithmetic, so only rounding separates them from the
+//!   reference's folds.
+//! * **An exact shortlist.** Each estimate carries a margin that bounds
+//!   its distance from the exact fold (the bound is worked out on
+//!   [`optimize_with`]). A second pass re-derives the estimates, never
+//!   storing a `k(m−k)` table, and folds exactly only the candidates
+//!   whose estimate less its margin is at most the least estimate plus
+//!   its margin. The exact fold is the reference's: each client's
+//!   cheapest remaining link summed in ascending client order, then the
+//!   opening part over the ascending open list.
+//! * **Select among the shortlist.** The round keeps its cheapest
+//!   candidate and that candidate's rank in the reference's enumeration
+//!   order, so the order candidates are folded in does not matter, and a
+//!   candidate is folded only if its floor still beats the pick so far.
 //! * **Refresh by the move.** An accepted move inserts the opened
 //!   facility into the caches of its clients and rescans only the clients
 //!   whose best or second-best facility closed, instead of every link.
 //!
 //! The per-client minimum of a set of `f64`s is the same value no matter
-//! how it is computed, and every candidate sums those minima in the same
-//! (ascending client, then ascending facility) order as the full rescan,
-//! so every candidate cost — and hence the best-move selection sequence —
-//! is bit-identical to [`optimize_reference`]. Per round that is O(n) per
-//! drop and O(n) per (block, open facility) pair, with O(8n + m) scratch.
+//! how it is computed, and every folded candidate sums those minima in the
+//! same (ascending client, then ascending facility) order as the full
+//! rescan, and the winner is always folded, so every move — and hence the
+//! selection sequence — is bit-identical to [`optimize_reference`]. On
+//! average fewer than one candidate besides the winner comes within the
+//! margin, so a round costs about `O(links + k(m−k) + n)`, with `O(n + m)`
+//! scratch.
 
-use distfl_instance::{kernels, ClientId, FacilityId, Instance, Solution};
+use distfl_instance::{ClientId, FacilityId, Instance, Solution};
 
 /// Outcome of a local-search run.
 #[derive(Debug, Clone, PartialEq)]
@@ -209,13 +222,12 @@ impl Pick {
         cost < self.limit && self.best.is_none_or(|(c, r)| cost < c || (cost == c && rank < r))
     }
 
-    /// Offers the candidate whose assignment part is `assign` and whose
-    /// opening part is `opening()`, at least `floor`. `cost` is monotone
-    /// in the opening part, so a candidate that loses at `assign + floor`
-    /// loses at its exact cost and the opening fold is skipped.
-    fn offer(&mut self, assign: f64, floor: f64, rank: (usize, usize), opening: impl Fn() -> f64) {
-        if self.beats(assign + floor, rank) {
-            let cost = assign + opening();
+    /// Offers the candidate whose exact cost is `exact()`, at least
+    /// `floor`. Winning is monotone in the cost, so a candidate that loses
+    /// at `floor` loses at its exact cost and the fold is skipped.
+    fn offer(&mut self, floor: f64, rank: (usize, usize), exact: impl FnOnce() -> f64) {
+        if self.beats(floor, rank) {
+            let cost = exact();
             if self.beats(cost, rank) {
                 self.best = Some((cost, rank));
             }
@@ -223,14 +235,161 @@ impl Pick {
     }
 }
 
+/// The per-facility gain tables of one round, indexed by facility id.
+/// `loss` and `need` are filled by one client pass; `extra` and `cover`
+/// hold one closed facility's row at a time and are zero between rows.
+#[derive(Default)]
+struct GainTables {
+    /// For open `a`: the sum of `second − best` over the clients whose best
+    /// facility is `a` and that have a second open link.
+    loss: Vec<f64>,
+    /// For open `a`: how many clients have `a` as their only open link.
+    need: Vec<u32>,
+    /// For open `a`, while closed `b`'s row is scanned: the correction
+    /// `extra(a, b)` of the swap `a → b` (see [`Round::scan_row`]).
+    extra: Vec<f64>,
+    /// For open `a`, while closed `b`'s row is scanned: how many of the
+    /// clients counted in `need(a)` `b` links.
+    cover: Vec<u32>,
+    /// For closed `b`: the least floor of its add and swaps in the first
+    /// pass.
+    low: Vec<f64>,
+}
+
+/// One candidate's approximate cost and the bound on its distance from the
+/// exact fold's value: the exact cost lies in `approx ± margin`.
+#[derive(Clone, Copy)]
+struct Estimate {
+    approx: f64,
+    margin: f64,
+}
+
+impl Estimate {
+    fn floor(self) -> f64 {
+        self.approx - self.margin
+    }
+
+    fn ceil(self) -> f64 {
+        self.approx + self.margin
+    }
+}
+
+/// What one closed facility's row scan yields besides the `extra` and
+/// `cover` lanes: `gain(b)` and the link mass `b` offers clients with a
+/// single open link, which bounds the positive part of every `extra(a,
+/// b)`.
+struct RowGain {
+    gain: f64,
+    single: f64,
+}
+
+/// The round's constants: the service caches, the current assignment sum
+/// `A` (any order) and opening fold `F`, and the margin factor.
+struct Round<'a> {
+    instance: &'a Instance,
+    cache: &'a ServiceCache,
+    f_cost: &'a [f64],
+    open_ids: &'a [u32],
+    assign: f64,
+    opening: f64,
+    /// `8·(n + m + 8)·2⁻⁵³`: the relative margin (see [`optimize_with`]).
+    eps: f64,
+}
+
+impl Round<'_> {
+    /// Drop `a`: `A + loss(a)`, or `None` when some client has no other
+    /// open link.
+    fn drop(&self, t: &GainTables, a: u32) -> Option<Estimate> {
+        let (a, fa) = (a as usize, self.f_cost[a as usize]);
+        (t.need[a] == 0).then(|| {
+            let approx = (self.assign + t.loss[a]) + (self.opening - fa);
+            let magnitude = self.assign + 2.0 * t.loss[a] + self.opening + fa;
+            Estimate { approx, margin: self.eps * magnitude }
+        })
+    }
+
+    /// Add `b`: `A − gain(b)`.
+    fn add(&self, row: &RowGain, b: u32) -> Estimate {
+        let fb = self.f_cost[b as usize];
+        let approx = (self.assign - row.gain) + (self.opening + fb);
+        let magnitude = self.assign + row.gain + self.opening + fb;
+        Estimate { approx, margin: self.eps * magnitude }
+    }
+
+    /// Swap `a → b`: `A + loss(a) − gain(b) + extra(a, b)`, or `None` when
+    /// `b` misses a client whose only open link is `a`.
+    fn swap(&self, t: &GainTables, row: &RowGain, a: u32, b: u32) -> Option<Estimate> {
+        let (a, fa, fb) = (a as usize, self.f_cost[a as usize], self.f_cost[b as usize]);
+        (t.cover[a] == t.need[a]).then(|| {
+            let approx =
+                (((self.assign + t.loss[a]) - row.gain) + t.extra[a]) + ((self.opening - fa) + fb);
+            let magnitude =
+                self.assign + row.gain + 2.0 * t.loss[a] + row.single + self.opening + fa + fb;
+            Estimate { approx, margin: self.eps * magnitude }
+        })
+    }
+
+    /// One pass over closed `b`'s link row: `gain(b)` sums `best − c` over
+    /// the clients `b` serves more cheaply, and each client adds its
+    /// swap correction to `extra(a, b)`, `a` its best facility. A client
+    /// with a second open link gets `min(second, c)` where the sum assumed
+    /// `second − max(0, best − c)`, so it adds `−(second − max(c, best))`
+    /// when `c < second`. A client whose only open link is `a` gets `c`
+    /// where the sum assumed `min(best, c)`, so it adds `max(0, c − best)`
+    /// and counts toward `cover(a)`.
+    fn scan_row(&self, t: &mut GainTables, b: u32) -> RowGain {
+        let ServiceCache { best_cost, best_fac, second_cost, second_fac } = self.cache;
+        let (mut gain, mut single) = (0.0f64, 0.0f64);
+        for (j, c) in self.instance.facility_links(FacilityId::new(b)).iter() {
+            let j = j as usize;
+            let best = best_cost[j];
+            if c < best {
+                gain += best - c;
+            }
+            let a = best_fac[j] as usize;
+            if second_fac[j] == NONE {
+                t.cover[a] += 1;
+                if c > best {
+                    t.extra[a] += c - best;
+                }
+                single += c;
+            } else if c < second_cost[j] {
+                t.extra[a] -= second_cost[j] - c.max(best);
+            }
+        }
+        RowGain { gain, single }
+    }
+
+    /// The reference's value of the candidate that closes `a` and opens
+    /// `b` ([`NONE`] for neither): the ascending-client fold of each
+    /// client's cheapest remaining link, then the opening fold. `b`'s row
+    /// is id-sorted, so one cursor walks it beside the clients.
+    fn exact(&self, a: u32, b: u32) -> f64 {
+        let ServiceCache { best_cost, best_fac, second_cost, .. } = self.cache;
+        let base = |j: usize| if best_fac[j] == a { second_cost[j] } else { best_cost[j] };
+        let mut assign = 0.0f64;
+        let mut next = 0usize;
+        if b != NONE {
+            for (j, c) in self.instance.facility_links(FacilityId::new(b)).iter() {
+                let j = j as usize;
+                assign = (next..j).fold(assign, |acc, k| acc + base(k));
+                let v = base(j);
+                assign += if c < v { c } else { v };
+                next = j + 1;
+            }
+        }
+        assign = (next..best_cost.len()).fold(assign, |acc, k| acc + base(k));
+        assign + opening_fold(self.open_ids, self.f_cost, a, b)
+    }
+}
+
 /// Reusable buffers for [`optimize_with`]: the cost/open lanes, the
-/// per-client service caches, the round's open and closed id lists with
-/// each open facility's drop floor, and the `n × 8` pricing block. Every
-/// lane is refilled on entry (the block to all `+inf`) or rewritten each
-/// round before it is read, and a block's scattered links are cleared
-/// after it is priced, so values left over from an earlier run — even of
-/// a different instance — are never observed. No lane grows past
-/// `8·n + m` entries.
+/// per-client service caches, the round's open and closed id lists, and
+/// the per-facility gain tables. Every lane is refilled on entry or
+/// rewritten each round before it is read (`extra` and `cover` are
+/// zeroed on entry and after every row), so values left over from an
+/// earlier run — even of a different instance — are never observed. No
+/// lane grows past `max(n, m)` entries.
 #[derive(Default)]
 pub(crate) struct LsScratch {
     f_cost: Vec<f64>,
@@ -238,14 +397,14 @@ pub(crate) struct LsScratch {
     cache: ServiceCache,
     open_ids: Vec<u32>,
     closed_ids: Vec<u32>,
-    floors: Vec<f64>,
-    block: Vec<f64>,
+    tables: GainTables,
 }
 
 /// Runs best-improvement local search from `start`, with an iteration cap.
 ///
-/// Evaluates candidates through the per-client `ServiceCache`; produces
-/// the exact move sequence and costs of [`optimize_reference`].
+/// Prices candidates from the per-client `ServiceCache` and the round's
+/// gain tables; produces the exact move sequence and costs of
+/// [`optimize_reference`].
 ///
 /// # Panics
 ///
@@ -257,6 +416,21 @@ pub fn optimize(instance: &Instance, start: &Solution, max_moves: u32) -> LocalS
 /// [`optimize`] with caller-provided buffers — the warm-start path reuses
 /// one [`LsScratch`] across solves so repeated polishing allocates only
 /// the output record.
+///
+/// Each round prices every candidate twice. The first pass estimates each
+/// one from the gain tables and takes `bound`, the least `approx +
+/// margin`; the second re-derives the estimates and folds exactly only the
+/// candidates whose `approx − margin` is at most `bound` (and beats the
+/// pick so far), since the winner's exact cost is at most every
+/// candidate's `approx + margin`. **The margin** is `8·(n + m + 8)·u·M`
+/// with `u = 2⁻⁵³` and `M` the sum of the magnitudes the estimate is built
+/// from (`A`, `gain(b)`, twice `loss(a)`, `b`'s single-link mass, `F` and
+/// both opening costs), which bounds every partial sum of both the
+/// estimate and the exact fold. Each is a recursive sum of at most
+/// `n + m + 4` rounded terms, so each is within `(n + m + 4)·u·M` (to
+/// first order) of the real sum they share; the factor 8 covers both, their
+/// second-order terms and the rounding of the margin and of `approx ±
+/// margin`. Costs are zero or in `[2⁻²⁵⁶, 2²⁵⁶]`, so no sum overflows.
 pub(crate) fn optimize_with(
     instance: &Instance,
     start: &Solution,
@@ -267,7 +441,7 @@ pub(crate) fn optimize_with(
     start.check_feasible(instance).expect("local search needs a feasible start");
     let n = instance.num_clients();
     let m = instance.num_facilities();
-    let LsScratch { f_cost, open, cache, open_ids, closed_ids, floors, block } = scratch;
+    let LsScratch { f_cost, open, cache, open_ids, closed_ids, tables } = scratch;
     f_cost.clear();
     f_cost.extend(instance.facilities().map(|i| instance.opening_cost(i).value()));
     open.clear();
@@ -275,8 +449,12 @@ pub(crate) fn optimize_with(
     let initial_cost = start.cost(instance).value();
     cache.resize(n);
     cache.rebuild(instance, open);
-    block.clear();
-    block.resize(n * kernels::SWAP_LANES, f64::INFINITY);
+    for lane in [&mut tables.extra, &mut tables.low] {
+        lane.clear();
+        lane.resize(m, 0.0);
+    }
+    tables.cover.clear();
+    tables.cover.resize(m, 0);
     let ids_of = |ids: &mut Vec<u32>, open: &[bool], want: bool| {
         ids.clear();
         ids.extend((0..m as u32).filter(|&i| open[i as usize] == want));
@@ -286,58 +464,92 @@ pub(crate) fn optimize_with(
     let mut current = cache.best_cost.iter().fold(0.0f64, |acc, &b| acc + b)
         + opening_fold(open_ids, f_cost, NONE, NONE);
     assert!(current.is_finite(), "feasible start");
+    let eps = (n + m + 8) as f64 * 4.0 * f64::EPSILON;
     let mut moves = 0;
     let mut converged = false;
 
     while moves < max_moves {
         ids_of(open_ids, open, true);
         ids_of(closed_ids, open, false);
-        let ServiceCache { best_cost, best_fac, second_cost, .. } = &*cache;
-        // An infeasible candidate sums to `+inf` and never beats the
-        // finite limit, exactly as the rescan's `None` is skipped.
-        let mut pick = Pick { limit: current - 1e-9, best: None };
-        // Drops. The opening fold without `a` is exact for the drop and
-        // the floor of every swap out of `a`.
-        floors.clear();
-        for &a in open_ids.iter() {
-            let floor = opening_fold(open_ids, f_cost, a, NONE);
-            floors.push(floor);
-            let assign = best_cost
-                .iter()
-                .zip(best_fac)
-                .zip(second_cost)
-                .fold(0.0f64, |acc, ((&best, &fac), &second)| {
-                    acc + if fac == a { second } else { best }
-                });
-            pick.offer(assign, floor, (a as usize, 0), || floor);
+        // The client pass: `A`, `loss` and `need`.
+        tables.loss.clear();
+        tables.loss.resize(m, 0.0);
+        tables.need.clear();
+        tables.need.resize(m, 0);
+        let mut assign = 0.0f64;
+        for j in 0..n {
+            let (best, a) = (cache.best_cost[j], cache.best_fac[j] as usize);
+            assign += best;
+            if cache.second_fac[j] == NONE {
+                tables.need[a] += 1;
+            } else {
+                tables.loss[a] += cache.second_cost[j] - best;
+            }
         }
-        // Adds and swaps, eight closed facilities per block.
-        let current_opening = opening_fold(open_ids, f_cost, NONE, NONE);
-        for chunk in closed_ids.chunks(kernels::SWAP_LANES) {
-            let scatter = |block: &mut [f64], clear: bool| {
-                for (l, &b) in chunk.iter().enumerate() {
-                    for (j, c) in instance.facility_links(FacilityId::new(b)).iter() {
-                        block[j as usize * kernels::SWAP_LANES + l] =
-                            if clear { f64::INFINITY } else { c };
-                    }
-                }
-            };
-            scatter(block, false);
-            let adds = kernels::assign_sum_swap(best_cost, best_fac, second_cost, NONE, block);
-            for (&b, &assign) in chunk.iter().zip(&adds) {
-                pick.offer(assign, current_opening, (b as usize, 0), || {
-                    opening_fold(open_ids, f_cost, NONE, b)
-                });
+        let round = Round {
+            instance,
+            cache,
+            f_cost,
+            open_ids,
+            assign,
+            opening: opening_fold(open_ids, f_cost, NONE, NONE),
+            eps,
+        };
+        // Zeroes the row lanes after each closed facility's candidates.
+        let clear_row = |t: &mut GainTables| {
+            for &a in open_ids.iter() {
+                t.extra[a as usize] = 0.0;
+                t.cover[a as usize] = 0;
             }
-            for (&a, &floor) in open_ids.iter().zip(floors.iter()) {
-                let swaps = kernels::assign_sum_swap(best_cost, best_fac, second_cost, a, block);
-                for (&b, &assign) in chunk.iter().zip(&swaps) {
-                    pick.offer(assign, floor, (a as usize, 1 + b as usize), || {
-                        opening_fold(open_ids, f_cost, a, b)
-                    });
+        };
+
+        // First pass: the least `approx + margin` of every candidate.
+        let mut bound = f64::INFINITY;
+        for &a in open_ids.iter() {
+            if let Some(e) = round.drop(tables, a) {
+                bound = bound.min(e.ceil());
+            }
+        }
+        for &b in closed_ids.iter() {
+            let row = round.scan_row(tables, b);
+            let add = round.add(&row, b);
+            let (mut ceil, mut low) = (add.ceil(), add.floor());
+            for &a in open_ids.iter() {
+                if let Some(e) = round.swap(tables, &row, a, b) {
+                    ceil = ceil.min(e.ceil());
+                    low = low.min(e.floor());
                 }
             }
-            scatter(block, true);
+            clear_row(tables);
+            bound = bound.min(ceil);
+            tables.low[b as usize] = low;
+        }
+
+        // Second pass: exact folds for the candidates that can still win.
+        // An infeasible candidate has no estimate, exactly as the rescan's
+        // `None` is skipped.
+        let mut pick = Pick { limit: current - 1e-9, best: None };
+        for &a in open_ids.iter() {
+            if let Some(e) = round.drop(tables, a).filter(|e| e.floor() <= bound) {
+                pick.offer(e.floor(), (a as usize, 0), || round.exact(a, NONE));
+            }
+        }
+        for &b in closed_ids.iter() {
+            let low = tables.low[b as usize];
+            if low > bound || low >= pick.limit {
+                continue;
+            }
+            let row = round.scan_row(tables, b);
+            let add = round.add(&row, b);
+            if add.floor() <= bound {
+                pick.offer(add.floor(), (b as usize, 0), || round.exact(NONE, b));
+            }
+            for &a in open_ids.iter() {
+                if let Some(e) = round.swap(tables, &row, a, b).filter(|e| e.floor() <= bound) {
+                    pick.offer(e.floor(), (a as usize, 1 + b as usize), || round.exact(a, b));
+                }
+            }
+            clear_row(tables);
         }
         let Some((cost, (a, r))) = pick.best else {
             converged = true;
@@ -541,7 +753,8 @@ mod tests {
         let mut scratch = LsScratch::default();
         let run = optimize_with(&inst, &crate::greedy::solve(&inst).0, 100, &mut scratch);
         assert_eq!(run, optimize_reference(&inst, &crate::greedy::solve(&inst).0, 100));
-        let LsScratch { f_cost, open, cache, open_ids, closed_ids, floors, block } = &scratch;
+        let LsScratch { f_cost, open, cache, open_ids, closed_ids, tables } = &scratch;
+        let GainTables { loss, need, extra, cover, low } = tables;
         let lanes = [
             f_cost.len(),
             open.len(),
@@ -551,10 +764,13 @@ mod tests {
             cache.second_fac.len(),
             open_ids.len(),
             closed_ids.len(),
-            floors.len(),
-            block.len(),
+            loss.len(),
+            need.len(),
+            extra.len(),
+            cover.len(),
+            low.len(),
         ];
-        assert!(lanes.iter().all(|&len| len <= 8 * n + m), "lane lengths {lanes:?}");
+        assert!(lanes.iter().all(|&len| len <= n + m), "lane lengths {lanes:?}");
     }
 
     #[test]

@@ -12,18 +12,18 @@
 //! * **Greedy** — the per-facility `(cost, client id)`-sorted star rows
 //!   ([`crate::greedy`]'s `SortedStars`, whose construction sort dominates
 //!   a cold solve) plus the exact iteration-0 heap seed ratio of every
-//!   facility. The run loop consumes the rows destructively, so each warm
-//!   solve memcpys the pristine structure into a working copy — a lane
-//!   copy, not a re-sort. The heap's pop order depends only on its
-//!   *content* (keys are totally ordered and per-facility unique), so
-//!   seeding it from cached values reproduces the cold run exactly.
+//!   facility. The run loop only reads the rows (a per-row cursor skips
+//!   served clients), so a warm solve runs straight from the cache. The
+//!   heap's pop order depends only on its *content* (keys are totally
+//!   ordered and per-facility unique), so seeding it from cached values
+//!   reproduces the cold run exactly.
 //! * **Jain–Vazirani** — the per-client cost-sorted adjacency the
 //!   event-driven ascent reads through its tightness pointers, plus the
 //!   opening lane. The ascent itself re-runs with reused scratch buffers
 //!   (its per-facility tight lists are rebuilt by every solve).
 //! * **Local search** — no instance-derived precompute to keep; the warm
 //!   entry point reuses one scratch arena (service caches, open and closed
-//!   id lists, the `n × 8` pricing block) across solves, and starts from
+//!   id lists, the per-facility gain tables) across solves, and starts from
 //!   the warm greedy run exactly as the cold
 //!   [`crate::SolverKind::LocalSearch`] dispatch starts from a cold greedy
 //!   run.
@@ -218,8 +218,8 @@ impl Staged {
 pub struct WarmCache {
     rebuilds: u64,
     patches: u64,
-    // Greedy: pristine sorted star rows + exact iteration-0 seeds, and a
-    // working copy the run loop may destroy.
+    // Greedy: sorted star rows (read-only during a run) + exact
+    // iteration-0 seeds, and the structural drain's merge buffer.
     stars_pristine: greedy::SortedStars,
     stars_working: greedy::SortedStars,
     seeds: Vec<f64>,
@@ -290,16 +290,15 @@ impl WarmCache {
         self.pending_jv.stage(instance, report);
     }
 
-    /// Warm star greedy: drains this family's staged reprices, lane-copies
-    /// the pristine rows, and replays the lazy-heap loop from the cached
-    /// seeds. Bit-identical to [`greedy::solve_detailed`].
+    /// Warm star greedy: drains this family's staged changes and replays
+    /// the lazy-heap loop over the cached rows, which it only reads, from
+    /// the cached seeds. Bit-identical to [`greedy::solve_detailed`].
     pub fn solve_greedy(&mut self, instance: &Instance) -> GreedyRun {
         let _span = distfl_obs::span("solver", "greedy.warm");
         self.drain_greedy(instance);
         assert_eq!(self.seeds.len(), instance.num_facilities(), "warm cache out of sync");
         assert_eq!(self.stars_pristine.ids.len(), instance.num_links(), "warm cache out of sync");
-        self.stars_working.copy_from(&self.stars_pristine);
-        greedy::run_greedy(instance, &mut self.stars_working, &self.seeds, &mut self.greedy_scratch)
+        greedy::run_greedy(instance, &self.stars_pristine, &self.seeds, &mut self.greedy_scratch)
     }
 
     /// Warm local search: polishes the warm greedy run, reusing the scratch
@@ -417,6 +416,7 @@ impl WarmCache {
 
             // This row's cost lane changed; recompute its heap seed.
             self.seeds[i] = greedy::seed_ratio(
+                &self.stars_pristine.ids[lo..hi],
                 &self.stars_pristine.costs[lo..hi],
                 instance.opening_cost(FacilityId::new(i as u32)).value(),
             );
@@ -465,12 +465,13 @@ impl WarmCache {
             }
             // A row that lost and gained nothing kept its cost lane.
             if !inserts.is_empty() || costs.len() != fl.len() {
-                self.seeds[i] =
-                    greedy::seed_ratio(&out.costs[lo..hi], instance.opening_cost(f).value());
+                self.seeds[i] = greedy::seed_ratio(
+                    &out.ids[lo..hi],
+                    &out.costs[lo..hi],
+                    instance.opening_cost(f).value(),
+                );
             }
         }
-        out.live_end.clear();
-        out.live_end.extend_from_slice(&out.offsets[1..]);
         std::mem::swap(&mut self.stars_pristine, &mut self.stars_working);
     }
 
@@ -671,7 +672,6 @@ mod tests {
     fn assert_lanes_match_a_fresh_sort(warm: &WarmCache, inst: &Instance, what: &str) {
         let stars = greedy::SortedStars::build(inst);
         assert_eq!(warm.stars_pristine.offsets, stars.offsets, "{what}");
-        assert_eq!(warm.stars_pristine.live_end, stars.live_end, "{what}");
         assert_eq!(warm.stars_pristine.ids, stars.ids, "{what}");
         assert_eq!(bits(&warm.stars_pristine.costs), bits(&stars.costs), "{what}");
         let mut seeds = Vec::new();
@@ -728,6 +728,30 @@ mod tests {
                 assert_lanes_match_a_fresh_sort(&warm, &inst, &what);
             }
             assert_eq!((warm.rebuilds(), warm.patches()), (0, 9), "case {case}");
+        }
+    }
+
+    #[test]
+    fn a_warm_greedy_solve_leaves_the_star_rows_untouched() {
+        // The run loop reads the cached rows through per-row cursors; after
+        // each drain, a solve must leave every lane and seed as it found
+        // them, so the next solve starts from the same rows.
+        let mut inst = Euclidean::new(8, 120).unwrap().generate(4).unwrap();
+        let mut warm = WarmCache::new();
+        for step in 0..4u32 {
+            warm.drain_greedy(&inst);
+            let snapshot = |w: &WarmCache| {
+                let stars = &w.stars_pristine;
+                (stars.offsets.clone(), stars.ids.clone(), bits(&stars.costs), bits(&w.seeds))
+            };
+            let before = snapshot(&warm);
+            for _ in 0..2 {
+                assert_eq!(warm.solve_greedy(&inst), greedy::solve_detailed(&inst), "step {step}");
+                assert!(snapshot(&warm) == before, "step {step}: a solve wrote the star rows");
+            }
+            let reprice = [(3 + step, step % 8, 0.5 + f64::from(step))];
+            let report = inst.apply_delta(&churn_step(&inst, &reprice)).unwrap();
+            warm.apply_delta(&inst, &report);
         }
     }
 

@@ -1,7 +1,7 @@
 //! Property tests pinning the incremental solver hot paths to their naive
 //! reference implementations, bit for bit.
 //!
-//! The lazy-heap greedy, the cached-assignment local search, and the
+//! The lazy-heap greedy, the gain-table local search, and the
 //! event-driven Jain–Vazirani dual ascent all claim *exact* equivalence
 //! with the retained reference code — not approximate agreement. These
 //! properties enforce that claim across the uniform-random, clustered, and
@@ -11,17 +11,16 @@
 //! same instant, and its full solve (pruning included) is pinned too.
 //! Local search runs on those as well, where equal-cost candidates must
 //! break ties as the reference does, and on instances with up to 30
-//! facilities, so that several eight-facility pricing blocks and a
-//! partial tail block run; it starts either from the greedy solution or
-//! from every facility open, which makes descents long.
+//! facilities; it starts either from the greedy solution or from every
+//! facility open, which makes descents long.
 //!
-//! The chunked scan kernels those hot paths are built on are pinned here
-//! too, directly against their scalar reference twins, over lanes that mix
-//! regular values with the awkward shapes: empty, short (1..=9, so every
-//! chunk remainder path runs), subnormal, huge, and infinite, and pricing
-//! blocks with 1..=8 live columns. The scalar
-//! `min_argmin` is pinned on all-equal lanes, where its tie-break must
-//! pick the first index.
+//! Two deterministic sweeps sit at the edges of the fast paths' exactness
+//! arguments: tie-heavy instances whose costs are inexact binary fractions
+//! (so equal-looking sums differ in their last bits), where greedy's star
+//! scan must not stop at a cost equal to the best ratio and local search
+//! must fold every candidate within rounding error of the best exactly.
+//! The scalar `min_argmin` kernel is pinned on all-equal lanes, where its
+//! tie-break must pick the first index.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -181,64 +180,10 @@ fn salted(sel: u8, regular: f64) -> f64 {
     }
 }
 
-/// A cost lane salted with the extreme magnitudes. Half the draws are
-/// truncated short (0..=9) so every chunk-remainder path runs; the rest
-/// keep up to 40 elements to cover the chunked bodies.
-fn cost_lane() -> impl Strategy<Value = Vec<f64>> {
-    (prop::collection::vec((0u8..10, 0.0f64..1e3), 0..41), 0u8..2, 0usize..10).prop_map(
-        |(raw, short, cap)| {
-            let mut lane: Vec<f64> = raw.into_iter().map(|(sel, v)| salted(sel, v)).collect();
-            if short == 1 {
-                lane.truncate(cap);
-            }
-            lane
-        },
-    )
-}
-
 /// An all-equal lane: every index ties, so the scan must pick the
 /// *first* one.
 fn equal_lane() -> impl Strategy<Value = Vec<f64>> {
     (0u8..4, 0.0f64..1e3, 1usize..18).prop_map(|(sel, v, len)| vec![salted(sel, v); len])
-}
-
-/// Parallel best/second/facility lanes as the local-search cache holds
-/// them, a client-major pricing block with 1..=8 live columns (the rest
-/// `+inf`, as in a partial tail block), and a drop id that may or may not
-/// occur in the facility lane (6 never does: it prices the adds).
-type CacheLanes = (Vec<f64>, Vec<f64>, Vec<u32>, Vec<f64>, u32);
-
-fn cache_lanes() -> impl Strategy<Value = CacheLanes> {
-    (
-        prop::collection::vec(
-            (
-                (3u8..10, 0.0f64..1e3),
-                (3u8..10, 0.0f64..1e3),
-                0u32..6,
-                prop::collection::vec((0u8..10, 0.0f64..1e3), kernels::SWAP_LANES),
-            ),
-            0..25,
-        ),
-        1usize..=kernels::SWAP_LANES,
-        0u32..7,
-    )
-        .prop_map(|(rows, live, drop)| {
-            let (mut best, mut second, mut fac, mut block) =
-                (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-            for ((bs, bv), (ss, sv), f, links) in rows {
-                best.push(salted(bs, bv));
-                second.push(salted(ss, sv));
-                fac.push(f);
-                block.extend(links.into_iter().enumerate().map(|(l, (sel, v))| {
-                    if l < live {
-                        salted(sel, v)
-                    } else {
-                        f64::INFINITY
-                    }
-                }));
-            }
-            (best, second, fac, block, drop)
-        })
 }
 
 proptest! {
@@ -250,46 +195,67 @@ proptest! {
         prop_assert_eq!(k, 0);
         prop_assert_eq!(v.to_bits(), lane[0].to_bits());
     }
+}
 
-    #[test]
-    fn kernel_fused_ratio_accumulate_matches_reference(
-        lane in cost_lane(),
-        residual in (0u8..2, 0.0f64..1e3),
-    ) {
-        let residual = if residual.0 == 0 { 0.0 } else { residual.1 };
-        // Greedy feeds (cost, client)-sorted rows; the prefix chain is
-        // order-sensitive, so match that shape.
-        let mut lane = lane;
-        lane.sort_by(f64::total_cmp);
-        let (fr, fk) = kernels::fused_ratio_accumulate(&lane, residual);
-        let (sr, sk) = kernels::fused_ratio_accumulate_reference(&lane, residual);
-        prop_assert_eq!((fr.to_bits(), fk), (sr.to_bits(), sk));
+/// A tie-heavy instance whose costs are inexact binary fractions: every
+/// link and opening cost is one of the levels {0, 0.1, 0.2, 0.3, 0.7}
+/// times `scale`, and about half the client rows are sparse (one link plus
+/// a few), so many clients have a single open link.
+fn inexact_tie_heavy(m: usize, n: usize, scale: f64, seed: u64) -> Instance {
+    const LEVELS: [f64; 5] = [0.0, 0.1, 0.2, 0.3, 0.7];
+    let mut rng = StdRng::seed_from_u64(seed);
+    let level =
+        |rng: &mut StdRng| Cost::new(LEVELS[rng.gen_range(0..LEVELS.len())] * scale).unwrap();
+    let mut b = InstanceBuilder::new();
+    let facilities: Vec<_> = (0..m)
+        .map(|i| {
+            b.add_facility(if i == 0 { Cost::new(0.3 * scale).unwrap() } else { level(&mut rng) })
+        })
+        .collect();
+    for _ in 0..n {
+        let j = b.add_client();
+        let sparse = rng.gen_bool(0.5);
+        let first = rng.gen_range(0..m);
+        for (k, &i) in facilities.iter().enumerate() {
+            if !sparse || k == first || rng.gen_bool(0.2) {
+                b.link(j, i, level(&mut rng)).unwrap();
+            }
+        }
     }
+    b.build().unwrap()
+}
 
-    #[test]
-    fn kernel_retain_unmarked_matches_reference(
-        lane in cost_lane(),
-        seed in any::<u64>(),
-    ) {
-        let ids: Vec<u32> = (0..lane.len() as u32).collect();
-        let marked: Vec<bool> = (0..lane.len()).map(|k| (seed >> (k % 64)) & 1 == 1).collect();
-        let (ref_ids, ref_costs) = kernels::retain_unmarked_reference(&ids, &lane, &marked);
-        let mut ids = ids;
-        let mut costs = lane;
-        let live = kernels::retain_unmarked(&mut ids, &mut costs, &marked);
-        prop_assert_eq!(&ids[..live], &ref_ids[..]);
-        let live_bits: Vec<u64> = costs[..live].iter().map(|c| c.to_bits()).collect();
-        let ref_bits: Vec<u64> = ref_costs.iter().map(|c| c.to_bits()).collect();
-        prop_assert_eq!(live_bits, ref_bits);
+/// The deterministic sweep both tests below walk: 3,200 instances, 1 to
+/// 12 facilities and 1 to 30 clients, each scale in {1e-3, 1, 3, 1e3}.
+fn inexact_sweep() -> impl Iterator<Item = (u64, Instance)> {
+    (0..3200u64).map(|seed| {
+        let m = 1 + (seed as usize * 7) % 12;
+        let n = 1 + (seed as usize * 13) % 30;
+        let scale = [1e-3, 1.0, 3.0, 1e3][seed as usize % 4];
+        (seed, inexact_tie_heavy(m, n, scale, seed))
+    })
+}
+
+#[test]
+fn greedy_matches_reference_on_the_inexact_tie_sweep() {
+    for (seed, inst) in inexact_sweep() {
+        let fast = greedy::solve_detailed(&inst);
+        let slow = greedy::solve_detailed_reference(&inst);
+        assert_eq!(fast.solution, slow.solution, "seed {seed}");
+        assert_eq!(bits(&fast.ratios), bits(&slow.ratios), "seed {seed}");
+        assert_eq!(fast.iterations, slow.iterations, "seed {seed}");
     }
+}
 
-    #[test]
-    fn kernel_assign_sums_match_reference(lanes in cache_lanes()) {
-        let (best, second, fac, block, drop) = lanes;
-        prop_assert_eq!(
-            kernels::assign_sum_swap(&best, &fac, &second, drop, &block).map(f64::to_bits),
-            kernels::assign_sum_swap_reference(&best, &fac, &second, drop, &block)
-                .map(f64::to_bits)
-        );
+#[test]
+fn local_search_matches_reference_on_the_inexact_tie_sweep() {
+    for (seed, inst) in inexact_sweep() {
+        for all_open in [false, true] {
+            let start = ls_start(&inst, all_open);
+            let fast = localsearch::optimize(&inst, &start, 100);
+            let slow = localsearch::optimize_reference(&inst, &start, 100);
+            assert_eq!(fast, slow, "seed {seed}, all open {all_open}");
+            assert_eq!(fast.final_cost.to_bits(), slow.final_cost.to_bits(), "seed {seed}");
+        }
     }
 }

@@ -595,8 +595,8 @@ impl Instance {
     /// sums, then a fill pass that advances each facility's start offset as
     /// its cursor, after which the offsets shift up by one. Clients are
     /// visited in increasing order, so each facility's range comes out
-    /// sorted by client id. Shared by [`RowBuilder::build`] (empty lanes)
-    /// and the delta compaction path.
+    /// sorted by client id. [`RowBuilder::build`] fills its empty lanes
+    /// with it; a structural delta compacts them in place instead.
     fn build_facility_lanes(&mut self) {
         let m = self.opening.len();
         let num_links = self.client_link_ids.len();

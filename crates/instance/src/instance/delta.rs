@@ -10,10 +10,11 @@
 //! * **Add / remove clients**: a *single* compaction pass per batch
 //!   rewrites the client-major lanes contiguously and in place (removed
 //!   rows are skipped, survivors shift down in their relative order, added
-//!   rows append at the tail) and the facility-major lanes are refilled by
-//!   the builder's counting sort — no comparison sort anywhere, and no
-//!   lane is reallocated unless it must grow. The id and cost lanes
-//!   therefore stay dense and contiguous, exactly what the chunked
+//!   rows append at the tail), and the facility-major rows are compacted
+//!   in place the same way (removed ids dropped, survivors renamed, the
+//!   added clients' links appended at each row's end) — no sort anywhere,
+//!   and no lane is reallocated unless it must grow. The id and cost lanes
+//!   therefore stay dense and contiguous, as the scan kernels in
 //!   [`crate::kernels`] require.
 //!
 //! The lanes and offsets are the instance's whole state (derived values
@@ -205,7 +206,7 @@ impl Instance {
     /// build** of the post-state (same lanes, `==` under `PartialEq`); only
     /// the work to get there differs. Reprice-only batches are
     /// `O(Δ log deg)` in-place lane patches; batches that add or remove
-    /// clients run one shared compaction + counting-sort pass.
+    /// clients compact both lane sets in place in sequential passes.
     ///
     /// # Errors
     ///
@@ -307,6 +308,75 @@ impl Instance {
         Ok(report)
     }
 
+    /// The facility-major half of the structural path, in the lanes' own
+    /// buffers and in sequential passes. Rows only shrink in the first
+    /// pass, so it runs forward in place: each row drops the `removed`
+    /// client ids and renames every survivor by the count of removed ids
+    /// below it, moving runs between removed ids with one copy each. The
+    /// second pass runs backward, moving each row up by the added links of
+    /// the rows before it, which leaves a gap at the row's end; the last
+    /// fills each gap with the added clients' links, which hold the top
+    /// ids `kept..`, so every row stays sorted by client id. Only the
+    /// per-facility add counts (then fill cursors) take a buffer of their
+    /// own. Reprices are patched afterwards.
+    fn compact_facility_lanes(&mut self, removed: &[u32], kept: u32, added: &[Vec<(u32, f64)>]) {
+        let m = self.opening.len();
+        let offsets = &mut self.facility_offsets;
+        let ids = &mut self.facility_link_ids;
+        let costs = &mut self.facility_link_costs;
+        let (mut w, mut lo) = (0usize, 0usize);
+        for i in 0..m {
+            // Row `i` ends where it did: its new end is written only after
+            // this read, at an index no other row reads later.
+            let hi = offsets[i + 1] as usize;
+            let mut k = lo;
+            for (below, &gone) in removed.iter().enumerate() {
+                let end = k + ids[k..hi].partition_point(|&j| j < gone);
+                move_run(ids, costs, k..end, w, below as u32);
+                w += end - k;
+                k = if end < hi && ids[end] == gone { end + 1 } else { end };
+            }
+            move_run(ids, costs, k..hi, w, removed.len() as u32);
+            w += hi - k;
+            offsets[i + 1] = w as u32;
+            lo = hi;
+        }
+
+        let mut counts = vec![0u32; m];
+        let mut shift = 0usize;
+        for &(i, _) in added.iter().flatten() {
+            counts[i as usize] += 1;
+            shift += 1;
+        }
+        ids.resize(w + shift, 0);
+        costs.resize(w + shift, 0.0);
+        for i in (0..m).rev() {
+            let (start, end) = (offsets[i] as usize, offsets[i + 1] as usize);
+            let before = shift - counts[i] as usize;
+            if before > 0 {
+                ids.copy_within(start..end, start + before);
+                costs.copy_within(start..end, start + before);
+            }
+            // `counts[i]` becomes the fill cursor at the row's gap.
+            counts[i] = (end + before) as u32;
+            offsets[i + 1] = (end + shift) as u32;
+            shift = before;
+        }
+        for (k, links) in added.iter().enumerate() {
+            for &(i, c) in links {
+                let slot = &mut counts[i as usize];
+                ids[*slot as usize] = kept + k as u32;
+                costs[*slot as usize] = c;
+                *slot += 1;
+            }
+        }
+        debug_assert!((0..m).all(|i| {
+            let (lo, hi) =
+                (self.facility_offsets[i] as usize, self.facility_offsets[i + 1] as usize);
+            self.facility_link_ids[lo..hi].windows(2).all(|w| w[0] < w[1])
+        }));
+    }
+
     /// Pre-validates that at least one coefficient stays positive after the
     /// batch (openings are immutable, so a positive opening settles it).
     fn check_any_positive_after(
@@ -364,8 +434,9 @@ impl Instance {
 
     /// Structural path: one pass compacts the client-major lanes in place
     /// (removed rows skipped, survivor rows shifted down and repriced at
-    /// their new position, added rows appended), then the counting sort
-    /// refills the facility-major lanes in their own buffers.
+    /// their new position, added rows appended), then
+    /// [`Instance::compact_facility_lanes`] rewrites the facility-major
+    /// lanes in their own buffers.
     fn compact_with(
         &mut self,
         batch: &DeltaBatch,
@@ -416,7 +487,15 @@ impl Instance {
             self.client_link_costs.extend(links.iter().map(|&(_, c)| c));
             self.client_offsets.push(self.client_link_ids.len() as u32);
         }
-        self.build_facility_lanes();
+        self.compact_facility_lanes(removed_sorted, rows as u32, &batch.added);
+        for (&(j, i), &(_, _, c)) in repriced_new.iter().zip(repriced_sorted) {
+            let lo = self.facility_offsets[i.index()] as usize;
+            let hi = self.facility_offsets[i.index() + 1] as usize;
+            let pos = self.facility_link_ids[lo..hi]
+                .binary_search(&j.raw())
+                .expect("lanes are transposes of each other");
+            self.facility_link_costs[lo + pos] = c;
+        }
 
         let (dropped, inserted) = (links_before - w, self.num_links() - w);
         DeltaReport {
@@ -425,6 +504,27 @@ impl Instance {
             repriced: repriced_new,
             repriced_old,
             links_changed: dropped + inserted + repriced_sorted.len(),
+        }
+    }
+}
+
+/// Moves the facility-lane run `run` down to `to` (`to <= run.start`),
+/// renaming each client id down by `below`.
+fn move_run(
+    ids: &mut [u32],
+    costs: &mut [f64],
+    run: std::ops::Range<usize>,
+    to: usize,
+    below: u32,
+) {
+    let len = run.len();
+    if to != run.start {
+        ids.copy_within(run.clone(), to);
+        costs.copy_within(run, to);
+    }
+    if below > 0 {
+        for j in &mut ids[to..to + len] {
+            *j -= below;
         }
     }
 }
