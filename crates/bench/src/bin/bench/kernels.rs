@@ -11,19 +11,22 @@
 //! same instance and reports the speedup against the pre-SoA fast paths
 //! as BENCH_2.json first recorded them (pinned in `PRE_SOA_FAST_MS`).
 //!
-//! `--smoke` skips the timing and records no document: it only runs the
+//! `--smoke` skips the timing and records no document: it runs the
 //! bitwise-equivalence checks of the number readers on their edge
 //! literals (ties above 2^53, 19- and 20-digit mantissas, the ends of the
-//! exact exponent range, digit runs of 0..=17 bytes at every offset mod 8),
-//! and fails on any mismatch — the cheap CI gate.
+//! exact exponent range, digit runs of 0..=17 bytes at every offset mod 8)
+//! and the request decoder's allocation gate (a rejected or unusually
+//! shaped 50×500 line allocates like the valid one, and skipping an array
+//! allocates nothing), and fails on any miss — the cheap CI gate.
 
 use distfl_core::{greedy, jv, localsearch};
 use distfl_instance::generators::{InstanceGenerator, UniformRandom};
 use distfl_instance::{orlib, Instance, InstanceError};
 use distfl_obs::{Cursor, JsonWriter};
+use distfl_serve::proto::parse_line;
 
 use crate::solvers::LS_MOVES;
-use crate::{best_ms, Mode, Report};
+use crate::{best_ms, count_allocs, Mode, Report};
 
 /// One reader comparison: nanoseconds per call of each side.
 struct KernelTiming {
@@ -162,16 +165,76 @@ fn smoke_numbers(check: &mut impl FnMut(&str, bool)) {
     check("orlib_from_str", same(&payload) && orlib::from_str(&payload).is_ok());
 }
 
+/// How many more allocations than the valid line a variant of it may
+/// make when decoded: the error's detail and a few strings, never a copy
+/// of the payload.
+const DECODE_ALLOC_SLACK: u64 = 8;
+
+/// The request decoder's smoke pass. A stateless solve line carrying a
+/// 50×500 inline instance (about 0.5 MB) is decoded, then five variants:
+/// a syntax error at its last byte, `"seed":-1`, a repeated `id`, `links`
+/// before `opening`, and the instance under an unknown key. Each must get
+/// its answer with at most [`DECODE_ALLOC_SLACK`] more allocations than
+/// the valid line, so none parses the line twice or into a tree. Skipping
+/// the escape-free `links` array must allocate nothing.
+fn smoke_decode(check: &mut impl FnMut(&str, bool)) {
+    let inst = UniformRandom::new(50, 500).unwrap().generate(7).unwrap();
+    let mut w = JsonWriter::object();
+    w.key("opening").begin_array();
+    for i in inst.facilities() {
+        w.number(inst.opening_cost(i).value());
+    }
+    w.end_array();
+    let opening = w.finish();
+    let mut w = JsonWriter::object();
+    w.key("links").begin_array();
+    for j in inst.clients() {
+        w.begin_array();
+        for (i, c) in inst.client_links(j).iter() {
+            w.number_u64(u64::from(i)).number(c);
+        }
+        w.end_array();
+    }
+    w.end_array();
+    let links = w.finish();
+    // The two members without their braces.
+    let (opening, links) = (&opening[1..opening.len() - 1], &links[1..links.len() - 1]);
+    let head = r#"{"id":"big","solver":"greedy","seed":7,"#;
+    let valid = format!(r#"{head}"instance":{{{opening},{links}}}}}"#);
+    let (parsed, valid_allocs) = count_allocs(|| parse_line(&valid));
+    check("decode_valid", parsed.is_ok());
+    let variants = [
+        ("decode_syntax_at_end", valid[..valid.len() - 1].to_owned(), false),
+        ("decode_negative_seed", valid.replace(r#""seed":7"#, r#""seed":-1"#), false),
+        ("decode_repeated_id", valid.replace(r#"{"id""#, r#"{"id":"x","id""#), true),
+        ("decode_links_first", format!(r#"{head}"instance":{{{links},{opening}}}}}"#), true),
+        ("decode_unknown_key", valid.replace(r#""instance""#, r#""body""#), false),
+    ];
+    for (name, line, accepted) in variants {
+        let (parsed, allocs) = count_allocs(|| parse_line(&line));
+        if allocs > valid_allocs + DECODE_ALLOC_SLACK {
+            eprintln!("{name}: {allocs} allocations, valid line {valid_allocs}");
+        }
+        check(name, parsed.is_ok() == accepted && allocs <= valid_allocs + DECODE_ALLOC_SLACK);
+    }
+    let array = &links["\"links\":".len()..];
+    let (skipped, allocs) = count_allocs(|| Cursor::new(array).skip_value());
+    check("skip_value_allocs", skipped.is_ok() && allocs == 0);
+}
+
 /// The smoke pass: both number readers against their references on the
-/// edge literals and digit runs of [`smoke_numbers`].
+/// edge literals and digit runs of [`smoke_numbers`], and the decoder's
+/// allocation gate ([`smoke_decode`]).
 fn smoke() -> bool {
     let mut ok = true;
-    smoke_numbers(&mut |name: &str, cond: bool| {
+    let mut check = |name: &str, cond: bool| {
         if !cond {
             eprintln!("smoke FAILED: {name}");
             ok = false;
         }
-    });
+    };
+    smoke_numbers(&mut check);
+    smoke_decode(&mut check);
     ok
 }
 
@@ -185,7 +248,10 @@ pub(crate) fn run(mode: Mode) -> Report {
     if mode == Mode::Smoke {
         let passed = smoke();
         if passed {
-            eprintln!("bench kernels smoke: both number readers bitwise-equal to references");
+            eprintln!(
+                "bench kernels smoke: both number readers bitwise-equal to references; \
+                 rejected and unusual lines allocate like valid ones"
+            );
         }
         return Report { document: None, passed };
     }

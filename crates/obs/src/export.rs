@@ -15,7 +15,7 @@
 
 use crate::json::{json_f64, push_json_string};
 use crate::metrics::MetricValue;
-use crate::{Json, TraceEvent};
+use crate::{Cursor, TraceEvent};
 
 /// Renders a nanosecond quantity as Chrome microseconds: whole µs when the
 /// value is a multiple of 1000 ns, otherwise with a 3-digit fraction.
@@ -129,8 +129,9 @@ impl Snapshot {
     }
 }
 
-/// Checks that `s` is a single well-formed JSON value: a [`Json::parse`]
-/// whose tree is dropped. Used by the exporter tests and the `exp_all`
+/// Checks that `s` is a single well-formed JSON value, as
+/// [`crate::Json::parse`] would, without building its tree
+/// ([`Cursor::skip_value`]). Used by the exporter tests and the `exp_all`
 /// trace smoke to ensure the written trace parses.
 ///
 /// # Errors
@@ -138,7 +139,9 @@ impl Snapshot {
 /// Returns the byte offset and a short description of the first syntax
 /// error.
 pub fn validate_json(s: &str) -> Result<(), String> {
-    Json::parse(s).map(drop)
+    let mut cursor = Cursor::new(s);
+    cursor.skip_value()?;
+    cursor.end()
 }
 
 #[cfg(test)]

@@ -2,15 +2,15 @@
 //! and the [`Json`] tree built on it.
 //!
 //! The workspace carries no JSON dependency by design: this is its only
-//! JSON *reader*, the complement of the writer ([`crate::JsonWriter`]);
-//! [`crate::validate_json`] is a parse whose tree is dropped. Both ways of
-//! reading share one tokenizer:
+//! JSON *reader*, the complement of the writer ([`crate::JsonWriter`]).
+//! Both ways of reading share one tokenizer:
 //!
 //! - [`Cursor`] streams a text token by token (object keys, strings,
 //!   numbers, array elements, skipping a value, end of input). A caller
 //!   that knows the shape it expects decodes straight into its own types
 //!   and allocates nothing per number; strings without escapes are
-//!   borrowed from the text.
+//!   borrowed from the text. Skipping a value builds no tree, and
+//!   [`crate::validate_json`] is a skip of the whole text.
 //! - [`Json::parse`] drives the same cursor to build a tree, for callers
 //!   that want to look values up by key.
 //!
@@ -152,8 +152,9 @@ impl Json {
 /// ```
 ///
 /// Errors are the messages [`Json::parse`] reports, with the byte offset
-/// of the problem. After an error the cursor's position is unspecified.
-#[derive(Debug)]
+/// of the problem. After an error the cursor's position is unspecified;
+/// a clone taken before a read can rewind to it.
+#[derive(Debug, Clone)]
 pub struct Cursor<'a> {
     text: &'a str,
     pos: usize,
@@ -361,13 +362,46 @@ impl<'a> Cursor<'a> {
         text.parse::<f64>().map_err(|_| format!("bad number at byte {start}"))
     }
 
-    /// Skips one value of any kind, checking it as [`Json::parse`] would.
+    /// Skips one value of any kind, checking it as [`Json::parse`] would:
+    /// the same walk over the same token methods, and so the same errors,
+    /// but no tree. A string is borrowed unless it holds
+    /// an escape, and a number is read and dropped.
     ///
     /// # Errors
     ///
     /// The value is malformed or nests deeper than 64 levels.
     pub fn skip_value(&mut self) -> Result<(), String> {
-        self.value().map(drop)
+        match self.peek() {
+            Some(b'{') => {
+                if self.begin_object()? {
+                    loop {
+                        self.key()?;
+                        self.skip_value()?;
+                        if !self.next_member()? {
+                            break;
+                        }
+                    }
+                }
+                Ok(())
+            }
+            Some(b'[') => {
+                if self.begin_array()? {
+                    loop {
+                        self.skip_value()?;
+                        if !self.next_element()? {
+                            break;
+                        }
+                    }
+                }
+                Ok(())
+            }
+            Some(b'"') => self.string().map(drop),
+            Some(b't') => self.literal(b"true"),
+            Some(b'f') => self.literal(b"false"),
+            Some(b'n') => self.literal(b"null"),
+            Some(c) if c.is_ascii_digit() || c == b'-' => self.number().map(drop),
+            _ => Err(format!("expected a value at byte {}", self.pos)),
+        }
     }
 
     /// Reads one value of any kind into a tree.
@@ -563,21 +597,42 @@ mod tests {
         assert_eq!(v.as_str(), Some("a\n\"\\A\u{1F600}"));
     }
 
+    /// Texts that are not JSON.
+    const MALFORMED: [&str; 11] = [
+        "",
+        "{",
+        "{\"a\":}",
+        "[1,]",
+        "{\"a\":1} extra",
+        "\"\\ud800\"",
+        "01",
+        "nul",
+        "--1",
+        "\"\\ud800\\u0041\"",
+        "\"\\udbff\\ud800\"",
+    ];
+
+    /// Malformed texts and the error each one gets.
+    const OFFSET_ERRORS: [(&str, &str); 14] = [
+        ("{\"a\" 1}", "expected ':' at byte 5"),
+        ("[1 2]", "expected ',' or ']' at byte 3"),
+        ("{\"a\":1 \"b\"}", "expected ',' or '}' at byte 7"),
+        ("{1:2}", "expected '\"' at byte 1"),
+        ("[\"a\u{1}\"]", "raw control char at byte 3"),
+        ("\"\\x\"", "bad escape at byte 2"),
+        ("\"\\u12g4\"", "bad \\u escape at byte 3"),
+        ("[1.]", "bad number at byte 1"),
+        ("[-]", "bad number at byte 1"),
+        ("007", "leading zero at byte 0"),
+        ("tru", "bad literal at byte 0"),
+        ("\"abc", "unterminated string"),
+        ("1 2", "trailing data at byte 2"),
+        ("[,]", "expected a value at byte 1"),
+    ];
+
     #[test]
     fn rejects_malformed_input() {
-        for bad in [
-            "",
-            "{",
-            "{\"a\":}",
-            "[1,]",
-            "{\"a\":1} extra",
-            "\"\\ud800\"",
-            "01",
-            "nul",
-            "--1",
-            "\"\\ud800\\u0041\"",
-            "\"\\udbff\\ud800\"",
-        ] {
+        for bad in MALFORMED {
             assert!(Json::parse(bad).is_err(), "{bad:?} accepted");
         }
     }
@@ -624,25 +679,27 @@ mod tests {
 
     #[test]
     fn errors_name_the_byte_offset() {
-        let cases = [
-            ("{\"a\" 1}", "expected ':' at byte 5"),
-            ("[1 2]", "expected ',' or ']' at byte 3"),
-            ("{\"a\":1 \"b\"}", "expected ',' or '}' at byte 7"),
-            ("{1:2}", "expected '\"' at byte 1"),
-            ("[\"a\u{1}\"]", "raw control char at byte 3"),
-            ("\"\\x\"", "bad escape at byte 2"),
-            ("\"\\u12g4\"", "bad \\u escape at byte 3"),
-            ("[1.]", "bad number at byte 1"),
-            ("[-]", "bad number at byte 1"),
-            ("007", "leading zero at byte 0"),
-            ("tru", "bad literal at byte 0"),
-            ("\"abc", "unterminated string"),
-            ("1 2", "trailing data at byte 2"),
-            ("[,]", "expected a value at byte 1"),
-        ];
-        for (text, message) in cases {
+        for (text, message) in OFFSET_ERRORS {
             assert_eq!(Json::parse(text).unwrap_err(), message, "{text:?}");
         }
+    }
+
+    #[test]
+    fn skipping_reports_the_errors_of_the_tree_parse() {
+        let skip = |text: &str| {
+            let mut c = Cursor::new(text);
+            c.skip_value()?;
+            c.end()
+        };
+        let nested = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let deep_objects = r#"{"a":"#.repeat(MAX_DEPTH + 1);
+        let texts = MALFORMED.into_iter().chain(OFFSET_ERRORS.map(|(text, _)| text));
+        for text in texts.chain([nested.as_str(), deep_objects.as_str()]) {
+            let want = Json::parse(text).map(drop);
+            assert!(want.is_err(), "{text:?}");
+            assert_eq!(skip(text), want, "{text:?}");
+        }
+        assert_eq!(skip(r#" {"k":[1,{"x":null}],"\u0073":"a\tb"} "#), Ok(()));
     }
 
     #[test]

@@ -77,27 +77,30 @@
 //! created, dropped, or evicted), `slow_reader` (the connection's bounded
 //! write buffer overflowed and the connection is being shed).
 //!
-//! **Two parse paths, one result.** [`parse_line`] decodes a line in one
-//! pass of the workspace's JSON [`Cursor`]: the numbers of an inline
-//! instance go straight into the client-major lanes of a [`RowBuilder`],
-//! with no `Json` node per number and no per-client list, a `delta` goes
-//! straight into its [`DeltaSpec`], and an `orlib` string is decoded once
-//! and moved into the request. When anything fails, or the line has an
-//! unusual shape (a repeated or escaped key, `links` before `opening`), it
-//! returns [`parse_line_reference`] instead: the tree path, which builds a
-//! [`Json`] tree and looks fields up. The tree path defines every error
-//! byte — kind, detail, which error wins, the id it carries — and is the
-//! oracle of the equivalence property in `tests/framing_properties.rs`. A
-//! rejected line is parsed twice, which costs at most one more parse of a
-//! line that is rare.
+//! **One decoder.** [`parse_line`] decodes a line in one pass of the
+//! workspace's JSON [`Cursor`] and builds no tree: the numbers of an
+//! inline instance go straight into the client-major lanes of a
+//! [`RowBuilder`], a `delta` straight into its [`DeltaSpec`], and an
+//! `orlib` string is decoded once and moved into the request. The pass
+//! always reaches the end of the line, so a syntax error anywhere wins.
+//! Along the way each member keeps its last value, or the first fault
+//! found in it: a read that meets a value of another type rewinds and
+//! skips that value, and the skip either fails with the syntax error a
+//! tree parse reports there, or shows a type fault. A client's row of
+//! links is linked in one read and read again only when it holds a fault.
+//! After the line, the faults are checked in a fixed order (`cmd`, `id`,
+//! `session`, then the action's fields). The tree decoder this replaced
+//! lives on in `tests/support` as the oracle of the equivalence
+//! properties in `tests/framing_properties.rs`, which pin every error
+//! byte to it: kind, detail, which error wins, and the id it carries.
 
 use std::borrow::Cow;
 
 use distfl_core::SolverKind;
-use distfl_instance::{Cost, FacilityId, Instance, InstanceBuilder, RowBuilder};
+use distfl_instance::{Cost, FacilityId, Instance, RowBuilder};
 use distfl_obs::JsonWriter;
 
-use crate::json::{Cursor, Json};
+use crate::json::Cursor;
 
 /// Limit on request ids, to keep response lines and span labels bounded.
 const MAX_ID_LEN: usize = 128;
@@ -332,233 +335,393 @@ pub fn span_id(bytes: &[u8]) -> u64 {
 ///
 /// Decodes the line in one pass of the reader's [`Cursor`]: numbers go
 /// straight into the instance's lanes (through a [`RowBuilder`]) or the
-/// [`DeltaSpec`], and the OR-Library string is decoded once and moved. A
-/// line that fails anywhere, or has an unusual shape (a repeated or
-/// escaped key, `links` before `opening`), is parsed again by
-/// [`parse_line_reference`], so both always return the same result.
+/// [`DeltaSpec`], and the OR-Library string is decoded once and moved.
+/// The pass always reaches the end of the line, so a syntax error
+/// anywhere wins. Each member keeps its last value, or the first fault
+/// found in it, and the faults are then checked in a fixed order: `cmd`,
+/// `id`, `session`, then the action's own fields.
 ///
 /// # Errors
 ///
 /// Returns a typed [`ServeError`] (always `malformed_request` or
-/// `invalid_instance`) carrying the request id when it was recoverable:
-/// the error of [`parse_line_reference`].
+/// `invalid_instance`) carrying the request id when it was recoverable.
 pub fn parse_line(line: &str) -> Result<Parsed, ServeError> {
-    match decode(line) {
-        Some(parsed) => Ok(parsed),
-        None => parse_line_reference(line),
-    }
-}
-
-/// The members of a request object the typed decoder keeps.
-#[derive(Default)]
-struct Members<'a> {
-    cmd: Option<Cow<'a, str>>,
-    id: Option<Cow<'a, str>>,
-    session: Option<Cow<'a, str>>,
-    solver: Option<Cow<'a, str>>,
-    seed: Option<f64>,
-    orlib: Option<String>,
-    instance: Option<Instance>,
-    delta: Option<DeltaSpec>,
-}
-
-/// Stores a member's value, or gives up on a repeated key (the tree
-/// path keeps the last).
-fn set<T>(slot: &mut Option<T>, value: T) -> Option<()> {
-    match slot {
-        Some(_) => None,
-        None => {
-            *slot = Some(value);
-            Some(())
-        }
-    }
-}
-
-/// The typed decode of [`parse_line`]: `Some` exactly when it reaches the
-/// success [`parse_line_reference`] returns, `None` otherwise.
-fn decode(line: &str) -> Option<Parsed> {
     let mut c = Cursor::new(line);
     let mut m = Members::default();
-    if c.begin_object().ok()? {
-        loop {
-            match key(&mut c)? {
-                "cmd" => set(&mut m.cmd, c.string().ok()?)?,
-                "id" => set(&mut m.id, c.string().ok()?)?,
-                "session" => set(&mut m.session, c.string().ok()?)?,
-                "solver" => set(&mut m.solver, c.string().ok()?)?,
-                "seed" => set(&mut m.seed, c.number().ok()?)?,
-                "orlib" => set(&mut m.orlib, c.string().ok()?.into_owned())?,
-                "instance" => set(&mut m.instance, decode_instance(&mut c)?)?,
-                "delta" => set(&mut m.delta, decode_delta(&mut c)?)?,
-                _ => c.skip_value().ok()?,
-            }
-            if !c.next_member().ok()? {
-                break;
-            }
-        }
+    if let Err(e) = members(&mut c, &mut m).and_then(|()| c.end()) {
+        return Err(ServeError::malformed(format!("request is not valid JSON: {e}")));
     }
-    c.end().ok()?;
+    request(m, line)
+}
 
-    let name = |value: Option<Cow<'_, str>>| {
-        value.filter(|s| !s.is_empty() && s.len() <= MAX_ID_LEN).map(Cow::into_owned)
+/// A step of the decode: `Err` is the line's syntax error, which ends the
+/// decode, since it wins over every other fault.
+type Scan<T> = Result<T, String>;
+
+/// A value decoded from well-formed JSON: the value, or the detail of its
+/// first fault.
+type Checked<T> = Result<T, String>;
+
+/// The members of a request object, as the last occurrence of each left
+/// them. A string or number member is `None` when absent and `Some(None)`
+/// when its value has another JSON type.
+#[derive(Default)]
+struct Members<'a> {
+    cmd: Option<Option<Cow<'a, str>>>,
+    id: Option<Option<Cow<'a, str>>>,
+    session: Option<Option<Cow<'a, str>>>,
+    solver: Option<Option<Cow<'a, str>>>,
+    orlib: Option<Option<Cow<'a, str>>>,
+    seed: Option<Option<f64>>,
+    instance: Option<Checked<Instance>>,
+    delta: Option<Checked<DeltaSpec>>,
+}
+
+/// Reads the members of a request object, checking the syntax of all of
+/// it. A root that is not an object has no members.
+fn members<'a>(c: &mut Cursor<'a>, m: &mut Members<'a>) -> Scan<()> {
+    let Some(mut more) = typed(c, Cursor::begin_object)? else {
+        return Ok(());
     };
-    let solver = |value: Option<Cow<'_, str>>| value?.parse::<SolverKind>().ok();
-    let seed = |value: Option<f64>| value.map_or(Some(0), seed_of);
-    let source = |instance, orlib| match (instance, orlib) {
-        (Some(instance), None) => Some(InstanceSource::Inline(instance)),
-        (None, Some(payload)) => Some(InstanceSource::OrLib(payload)),
-        _ => None,
+    while more {
+        match &*c.key()? {
+            "cmd" => m.cmd = Some(typed(c, Cursor::string)?),
+            "id" => m.id = Some(typed(c, Cursor::string)?),
+            "session" => m.session = Some(typed(c, Cursor::string)?),
+            "solver" => m.solver = Some(typed(c, Cursor::string)?),
+            "orlib" => m.orlib = Some(typed(c, Cursor::string)?),
+            "seed" => m.seed = Some(typed(c, Cursor::number)?),
+            "instance" => m.instance = Some(instance(c)?),
+            "delta" => m.delta = Some(delta(c)?),
+            _ => c.skip_value()?,
+        }
+        more = c.next_member()?;
+    }
+    Ok(())
+}
+
+/// The request the members name, or the error of the first faulty field:
+/// `cmd` (a control verb needs nothing else), then `id`, then the
+/// action's fields, each error after `id` carrying the id.
+fn request(mut m: Members<'_>, line: &str) -> Result<Parsed, ServeError> {
+    let verb = match m.cmd.take() {
+        None => None,
+        Some(cmd) => match cmd.and_then(|name| VERBS.iter().find(|(n, _)| *n == name)) {
+            Some(&(_, Verb::Control(command))) => return Ok(Parsed::Command(command)),
+            Some(&(_, verb)) => Some(verb),
+            None => return Err(ServeError::malformed(unknown_cmd_detail())),
+        },
     };
-    let action = match m.cmd {
-        None => Action::Solve {
+    let id = match m.id.take() {
+        Some(Some(id)) if is_name(&id) => id.into_owned(),
+        Some(Some(_)) => {
+            return Err(ServeError::malformed(format!("id must be 1..={MAX_ID_LEN} characters")))
+        }
+        Some(None) => return Err(ServeError::malformed("id must be a string")),
+        None => return Err(ServeError::malformed("missing field: id")),
+    };
+    match action(verb, m) {
+        Ok(action) => {
+            Ok(Parsed::Request(Box::new(Request { id, action, span_id: span_id(line.as_bytes()) })))
+        }
+        Err(error) => Err(ServeError { id: Some(id), ..error }),
+    }
+}
+
+/// The action of a request whose verb is `verb` (`None`: a stateless
+/// solve), or the error of its first faulty field.
+fn action(verb: Option<Verb>, m: Members<'_>) -> Result<Action, ServeError> {
+    let Some(verb) = verb else {
+        return Ok(Action::Solve {
             solver: solver(m.solver)?,
             seed: seed(m.seed)?,
             source: source(m.instance, m.orlib)?,
-        },
-        Some(cmd) => {
-            let verb = VERBS.iter().find(|(n, _)| *n == cmd)?.1;
-            if let Verb::Control(command) = verb {
-                return Some(Parsed::Command(command));
-            }
-            let session = name(m.session)?;
-            match verb {
-                Verb::Control(_) => unreachable!("control verbs returned above"),
-                Verb::Create => Action::Create { session, source: source(m.instance, m.orlib)? },
-                Verb::Mutate => Action::Mutate { session, delta: m.delta? },
-                Verb::SessionSolve => {
-                    Action::SessionSolve { session, solver: solver(m.solver)?, seed: seed(m.seed)? }
-                }
-                Verb::Drop => Action::Drop { session },
-            }
-        }
+        });
     };
-    let id = name(m.id)?;
-    Some(Parsed::Request(Box::new(Request { id, action, span_id: span_id(line.as_bytes()) })))
-}
-
-/// Reads a member key, or gives up on one that holds an escape (the tree
-/// path would decode it, maybe into a known key).
-fn key<'a>(c: &mut Cursor<'a>) -> Option<&'a str> {
-    match c.key().ok()? {
-        Cow::Borrowed(key) => Some(key),
-        Cow::Owned(_) => None,
-    }
-}
-
-/// A number that is an exact integer no larger than `max`, as the tree
-/// path's `as_u64` checks read it.
-fn integer(c: &mut Cursor<'_>, max: u64) -> Option<u64> {
-    Json::Num(c.number().ok()?).as_u64().filter(|&v| v <= max)
-}
-
-/// Decodes `instance` (`opening` first, then `links`, one flat
-/// `[facility, cost, ...]` row per client) straight into a [`RowBuilder`].
-fn decode_instance(c: &mut Cursor<'_>) -> Option<Instance> {
-    if !c.begin_object().ok()? {
-        return None;
-    }
-    let mut rows: Option<RowBuilder> = None;
-    let (mut facilities, mut linked) = (0, false);
-    loop {
-        match key(c)? {
-            "opening" if rows.is_none() => {
-                let mut opening = Vec::new();
-                elements(c, |c| {
-                    opening.push(Cost::new(c.number().ok()?).ok()?);
-                    Some(())
-                })?;
-                facilities = opening.len() as u64;
-                rows = Some(RowBuilder::new(opening));
-            }
-            "links" if !linked => {
-                let rows = rows.as_mut()?;
-                let last = facilities.checked_sub(1)?;
-                elements(c, |c| {
-                    rows.add_client();
-                    elements(c, |c| {
-                        let facility = integer(c, last)?;
-                        c.next_element().ok()?.then_some(())?;
-                        let cost = Cost::new(c.number().ok()?).ok()?;
-                        rows.link(FacilityId::new(facility as u32), cost).ok()
-                    })
-                })?;
-                linked = true;
-            }
-            "opening" | "links" => return None,
-            _ => c.skip_value().ok()?,
+    let session = match m.session {
+        Some(Some(name)) if is_name(&name) => name.into_owned(),
+        Some(_) => {
+            return Err(ServeError::malformed(format!(
+                "session must be a string of 1..={MAX_ID_LEN} characters"
+            )))
         }
-        if !c.next_member().ok()? {
-            break;
+        None => return Err(ServeError::malformed("missing field: session")),
+    };
+    Ok(match verb {
+        Verb::Control(_) => unreachable!("control verbs are answered before any field is read"),
+        Verb::Create => Action::Create { session, source: source(m.instance, m.orlib)? },
+        Verb::Mutate => {
+            let delta = m.delta.ok_or_else(|| ServeError::malformed("missing field: delta"))?;
+            Action::Mutate { session, delta: delta.map_err(ServeError::malformed)? }
         }
-    }
-    if !linked {
-        return None;
-    }
-    rows?.build().ok()
+        Verb::SessionSolve => {
+            Action::SessionSolve { session, solver: solver(m.solver)?, seed: seed(m.seed)? }
+        }
+        Verb::Drop => Action::Drop { session },
+    })
 }
 
-/// Decodes a `delta` object straight into a [`DeltaSpec`].
-fn decode_delta(c: &mut Cursor<'_>) -> Option<DeltaSpec> {
-    let id = u64::from(u32::MAX);
-    let mut spec = DeltaSpec::default();
-    let (mut remove, mut reprice, mut add) = (false, false, false);
-    if c.begin_object().ok()? {
-        loop {
-            match key(c)? {
-                "remove" if !remove => {
-                    remove = true;
-                    elements(c, |c| {
-                        spec.remove.push(integer(c, id)? as u32);
-                        Some(())
-                    })?;
-                }
-                "reprice" if !reprice => {
-                    reprice = true;
-                    elements(c, |c| {
-                        c.begin_array().ok()?.then_some(())?;
-                        let j = integer(c, id)? as u32;
-                        c.next_element().ok()?.then_some(())?;
-                        let i = integer(c, id)? as u32;
-                        c.next_element().ok()?.then_some(())?;
-                        let cost = c.number().ok()?;
-                        (!c.next_element().ok()?).then_some(())?;
-                        spec.reprice.push((j, i, cost));
-                        Some(())
-                    })?;
-                }
-                "add" if !add => {
-                    add = true;
-                    elements(c, |c| {
-                        let mut links = Vec::new();
-                        elements(c, |c| {
-                            let i = integer(c, id)? as u32;
-                            c.next_element().ok()?.then_some(())?;
-                            links.push((i, c.number().ok()?));
-                            Some(())
-                        })?;
-                        (!links.is_empty()).then(|| spec.add.push(links))
-                    })?;
-                }
-                "remove" | "reprice" | "add" => return None,
-                _ => c.skip_value().ok()?,
-            }
-            if !c.next_member().ok()? {
-                break;
-            }
+/// Whether `name` may be a request id or session name.
+fn is_name(name: &str) -> bool {
+    !name.is_empty() && name.len() <= MAX_ID_LEN
+}
+
+/// The `solver` member; a value that is not a string counts as missing.
+fn solver(value: Option<Option<Cow<'_, str>>>) -> Result<SolverKind, ServeError> {
+    match value.flatten() {
+        Some(name) => {
+            name.parse().map_err(|e: distfl_core::CoreError| ServeError::malformed(e.to_string()))
+        }
+        None => Err(ServeError::malformed("missing field: solver")),
+    }
+}
+
+/// The optional `seed` member (default 0).
+fn seed(value: Option<Option<f64>>) -> Result<u64, ServeError> {
+    match value {
+        None => Ok(0),
+        Some(v) => v.and_then(seed_of).ok_or_else(|| ServeError::malformed(SEED_DETAIL)),
+    }
+}
+
+/// Why a request's seed was refused.
+const SEED_DETAIL: &str = "seed must be a non-negative integer below 2^53";
+
+/// The seed a number names: a non-negative integer below 2^53. Numbers
+/// are read as `f64`, which holds every integer below 2^53 exactly but
+/// not every one above it (9007199254740993 reads as 2^53), so a larger
+/// seed is refused rather than silently changed.
+fn seed_of(v: f64) -> Option<u64> {
+    (v >= 0.0 && v.fract() == 0.0 && v < 9_007_199_254_740_992.0).then_some(v as u64)
+}
+
+/// The instance payload: `instance` inline or `orlib` text, not both.
+fn source(
+    instance: Option<Checked<Instance>>,
+    orlib: Option<Option<Cow<'_, str>>>,
+) -> Result<InstanceSource, ServeError> {
+    match (instance, orlib) {
+        (Some(inline), None) => inline.map(InstanceSource::Inline).map_err(|detail| ServeError {
+            kind: ErrorKind::InvalidInstance,
+            detail,
+            id: None,
+        }),
+        (None, Some(Some(payload))) => Ok(InstanceSource::OrLib(payload.into_owned())),
+        (None, Some(None)) => Err(ServeError::malformed("orlib must be a string")),
+        (Some(_), Some(_)) => Err(ServeError::malformed("give either instance or orlib, not both")),
+        (None, None) => Err(ServeError::malformed("missing field: instance or orlib")),
+    }
+}
+
+/// Reads one value with `read`, or skips a value `read` refuses and
+/// returns `None`. The skip starts again where the value starts, so when
+/// it fails its error is the line's syntax error, the message and byte
+/// offset a tree parse reports; when it passes, the value only has
+/// another type. A value `read` accepts is read once.
+fn typed<'a, T>(
+    c: &mut Cursor<'a>,
+    read: impl FnOnce(&mut Cursor<'a>) -> Result<T, String>,
+) -> Scan<Option<T>> {
+    let start = c.clone();
+    match read(c) {
+        Ok(value) => Ok(Some(value)),
+        Err(_) => {
+            *c = start;
+            c.skip_value().map(|()| None)
         }
     }
-    let empty = spec.remove.is_empty() && spec.reprice.is_empty() && spec.add.is_empty();
-    (!empty).then_some(spec)
 }
 
 /// Reads an array, handing the cursor to `element` at each element.
-fn elements<'a>(
+/// Returns `false`, the value skipped, when it is not an array.
+fn array<'a>(
     c: &mut Cursor<'a>,
-    mut element: impl FnMut(&mut Cursor<'a>) -> Option<()>,
+    mut element: impl FnMut(&mut Cursor<'a>) -> Scan<()>,
+) -> Scan<bool> {
+    let Some(mut more) = typed(c, Cursor::begin_array)? else {
+        return Ok(false);
+    };
+    while more {
+        element(c)?;
+        more = c.next_element()?;
+    }
+    Ok(true)
+}
+
+/// Reads an array into the items `item` decodes, given each element and
+/// its index, or into the first fault `item` finds (the elements after it
+/// are only skipped). `None` when the value is not an array.
+fn list<'a, T>(
+    c: &mut Cursor<'a>,
+    mut item: impl FnMut(&mut Cursor<'a>, usize) -> Scan<Checked<T>>,
+) -> Scan<Option<Checked<Vec<T>>>> {
+    let mut items = Ok(Vec::new());
+    let is_array = array(c, |c| {
+        match &mut items {
+            Ok(done) => match item(c, done.len())? {
+                Ok(value) => done.push(value),
+                Err(fault) => items = Err(fault),
+            },
+            Err(_) => c.skip_value()?,
+        }
+        Ok(())
+    })?;
+    Ok(is_array.then_some(items))
+}
+
+/// Reads row `index` of `what`, a `[facility, cost, ...]` pair list,
+/// handing each pair's values (`None`: not a number) to `pair` until one
+/// fails. The row's fault is, in this order: it is not an array, its
+/// length is odd, or the first failure of `pair`.
+fn pairs(
+    c: &mut Cursor<'_>,
+    what: &str,
+    index: usize,
+    mut pair: impl FnMut(Option<f64>, Option<f64>) -> Checked<()>,
+) -> Scan<Checked<()>> {
+    let Some(mut more) = typed(c, Cursor::begin_array)? else {
+        return Ok(Err(format!("{what}[{index}] is not a pair array")));
+    };
+    let mut fault = Ok(());
+    while more {
+        let facility = typed(c, Cursor::number)?;
+        if !c.next_element()? {
+            return Ok(Err(format!("{what}[{index}] must hold (facility, cost) pairs")));
+        }
+        let cost = typed(c, Cursor::number)?;
+        if fault.is_ok() {
+            fault = pair(facility, cost);
+        }
+        more = c.next_element()?;
+    }
+    Ok(fault)
+}
+
+/// A number that is an exact integer in `0..2^64`.
+fn whole(v: f64) -> Option<u64> {
+    // `u64::MAX as f64` rounds up to 2^64, the first value out of range.
+    (v >= 0.0 && v.fract() == 0.0 && v < u64::MAX as f64).then_some(v as u64)
+}
+
+/// A number that is a wire id: an exact integer in `0..2^32`.
+fn wire_id(v: Option<f64>) -> Option<u32> {
+    v.and_then(whole).and_then(|v| u32::try_from(v).ok())
+}
+
+/// Why an inline instance has no `opening` array.
+const NO_OPENING: &str = "instance.opening must be an array of opening costs";
+
+/// Why an inline instance with an `opening` array has no `links` array.
+const NO_LINKS: &str = "instance.links must be an array (one pair list per client)";
+
+/// Decodes an `instance` value into the instance it describes, or the
+/// first fault of these checks: an `opening` array, a `links` array, each
+/// opening cost, each client's row, then the instance's own rules
+/// ([`RowBuilder::build`]). When `opening` comes once and before `links`,
+/// as it usually does, the links go straight into the lanes; otherwise
+/// the last of each is decoded after the object, from a cursor at its
+/// start.
+fn instance(c: &mut Cursor<'_>) -> Scan<Checked<Instance>> {
+    let Some(mut more) = typed(c, Cursor::begin_object)? else {
+        return Ok(Err(NO_OPENING.into()));
+    };
+    let (mut opening_at, mut links_at) = (None, None);
+    // The last `opening` read, until links decoded against it take it.
+    let mut opening = None;
+    // The instance from links decoded against the last `opening`.
+    let mut built = None;
+    while more {
+        match &*c.key()? {
+            "opening" => {
+                opening_at = Some(c.clone());
+                opening = Some(opening_costs(c)?);
+                built = None;
+            }
+            "links" => {
+                links_at = Some(c.clone());
+                built = match opening.take() {
+                    Some(Some(costs)) => Some(links(c, costs)?),
+                    // An `opening` that is not an array settles it.
+                    taken => {
+                        c.skip_value()?;
+                        taken.map(|_| Err(NO_OPENING.into()))
+                    }
+                };
+            }
+            _ => c.skip_value()?,
+        }
+        more = c.next_member()?;
+    }
+    if let Some(built) = built {
+        return Ok(built);
+    }
+    let opening = match opening {
+        Some(costs) => Some(costs),
+        None => opening_at.map(|mut at| opening_costs(&mut at)).transpose()?,
+    };
+    match (opening, links_at) {
+        (Some(Some(costs)), Some(mut at)) => links(&mut at, costs),
+        (Some(Some(_)), None) => Ok(Err(NO_LINKS.into())),
+        _ => Ok(Err(NO_OPENING.into())),
+    }
+}
+
+/// Decodes an `opening` array into its costs, or its first fault; `None`
+/// when the value is not an array.
+fn opening_costs(c: &mut Cursor<'_>) -> Scan<Option<Checked<Vec<Cost>>>> {
+    list(c, |c, index| {
+        Ok(match typed(c, Cursor::number)? {
+            Some(cost) => Cost::new(cost).map_err(|e| format!("opening[{index}]: {e}")),
+            None => Err(format!("opening[{index}] is not a number")),
+        })
+    })
+}
+
+/// Decodes a `links` value against an `opening` array (its costs, or its
+/// first fault), one row per client, straight into a [`RowBuilder`]. A
+/// well-formed row is read once, by [`link_row`]; a row it gives up on is
+/// read again from its start by [`row_fault`], which finds the row's
+/// first fault.
+fn links(c: &mut Cursor<'_>, opening: Checked<Vec<Cost>>) -> Scan<Checked<Instance>> {
+    let facilities = opening.as_ref().map_or(0, Vec::len);
+    // The rows so far, or the first fault.
+    let mut rows = opening.map(RowBuilder::new);
+    let is_array = array(c, |c| {
+        let Ok(builder) = &mut rows else {
+            return c.skip_value();
+        };
+        let j = builder.add_client().index();
+        let (start, mut linked) = (c.clone(), 0);
+        if link_row(c, builder, facilities, &mut linked).is_none() {
+            *c = start;
+            if let Err(fault) = row_fault(c, builder, facilities, j, linked)? {
+                rows = Err(fault);
+            }
+        }
+        Ok(())
+    })?;
+    if !is_array {
+        return Ok(Err(NO_LINKS.into()));
+    }
+    Ok(rows.and_then(|rows| rows.build().map_err(|e| e.to_string())))
+}
+
+/// Links a `[facility, cost, ...]` row into `rows`, counting the pairs
+/// `linked`. `None` at the first token, index, cost or link that is not
+/// as a well-formed row has it, which leaves the cursor anywhere.
+fn link_row(
+    c: &mut Cursor<'_>,
+    rows: &mut RowBuilder,
+    facilities: usize,
+    linked: &mut usize,
 ) -> Option<()> {
     if c.begin_array().ok()? {
         loop {
-            element(c)?;
+            let i = c.number().ok().and_then(whole).filter(|&i| i < facilities as u64)?;
+            c.next_element().ok()?.then_some(())?;
+            let cost = Cost::new(c.number().ok()?).ok()?;
+            rows.link(FacilityId::new(i as u32), cost).ok()?;
+            *linked += 1;
             if !c.next_element().ok()? {
                 break;
             }
@@ -567,279 +730,127 @@ fn elements<'a>(
     Some(())
 }
 
-/// The tree path of [`parse_line`]: [`Json::parse`] the whole line, then
-/// look each field up. It defines every error [`parse_line`] reports (its
-/// kind, its detail, which error wins when a line has several, and the id
-/// it carries), and it is the oracle the equivalence properties compare
-/// [`parse_line`] against.
-///
-/// # Errors
-///
-/// Returns a typed [`ServeError`] (always `malformed_request` or
-/// `invalid_instance`) carrying the request id when it was recoverable.
-pub fn parse_line_reference(line: &str) -> Result<Parsed, ServeError> {
-    let value = Json::parse(line)
-        .map_err(|e| ServeError::malformed(format!("request is not valid JSON: {e}")))?;
-    if let Some(cmd) = value.get("cmd") {
-        let verb = cmd
-            .as_str()
-            .and_then(|name| VERBS.iter().find(|(n, _)| *n == name))
-            .map(|&(_, verb)| verb)
-            .ok_or_else(|| ServeError::malformed(unknown_cmd_detail()))?;
-        if let Verb::Control(command) = verb {
-            return Ok(Parsed::Command(command));
+/// Reads client `j`'s row again from its start, after [`link_row`] gave
+/// up on it with its first `linked` pairs linked: checks and links the
+/// pairs after those, and returns the row's first fault (or its syntax
+/// error). At most one row of a line gets here.
+#[cold]
+fn row_fault(
+    c: &mut Cursor<'_>,
+    rows: &mut RowBuilder,
+    facilities: usize,
+    j: usize,
+    linked: usize,
+) -> Scan<Checked<()>> {
+    let mut read = 0;
+    pairs(c, "links", j, |facility, cost| {
+        read += 1;
+        if read <= linked {
+            return Ok(());
         }
-        let id = parse_id(&value)?;
-        let fail =
-            |kind: ErrorKind, detail: String| ServeError { kind, detail, id: Some(id.clone()) };
-        let session = match value.get("session") {
-            Some(Json::Str(s)) if !s.is_empty() && s.len() <= MAX_ID_LEN => s.clone(),
-            Some(_) => {
-                return Err(fail(
-                    ErrorKind::MalformedRequest,
-                    format!("session must be a string of 1..={MAX_ID_LEN} characters"),
-                ))
-            }
-            None => return Err(fail(ErrorKind::MalformedRequest, "missing field: session".into())),
-        };
-        let action = match verb {
-            Verb::Control(_) => unreachable!("control verbs returned above"),
-            Verb::Create => Action::Create { session, source: parse_source(&value, &fail)? },
-            Verb::Mutate => Action::Mutate { session, delta: parse_delta(&value, &fail)? },
-            Verb::SessionSolve => Action::SessionSolve {
-                session,
-                solver: parse_solver(&value, &fail)?,
-                seed: parse_seed(&value, &fail)?,
-            },
-            Verb::Drop => Action::Drop { session },
-        };
-        return Ok(Parsed::Request(Box::new(Request {
-            id,
-            action,
-            span_id: span_id(line.as_bytes()),
-        })));
-    }
+        let i = facility
+            .and_then(whole)
+            .ok_or_else(|| format!("links[{j}]: facility index is not a non-negative integer"))?;
+        if i >= facilities as u64 {
+            return Err(format!(
+                "links[{j}]: facility index {i} out of range ({facilities} facilities)"
+            ));
+        }
+        let cost = cost.ok_or_else(|| format!("links[{j}]: cost is not a number"))?;
+        let cost = Cost::new(cost).map_err(|e| format!("links[{j}]: {e}"))?;
+        rows.link(FacilityId::new(i as u32), cost).map_err(|e| format!("links[{j}]: {e}"))
+    })
+}
 
-    let id = parse_id(&value)?;
-    let fail = |kind: ErrorKind, detail: String| ServeError { kind, detail, id: Some(id.clone()) };
-    let action = Action::Solve {
-        solver: parse_solver(&value, &fail)?,
-        seed: parse_seed(&value, &fail)?,
-        source: parse_source(&value, &fail)?,
+/// Decodes a `delta` value into its [`DeltaSpec`], or the first fault of
+/// these checks: `remove`, `reprice`, `add` (each item by index), then
+/// that the delta is not empty. A value that is not an object is empty.
+fn delta(c: &mut Cursor<'_>) -> Scan<Checked<DeltaSpec>> {
+    let (mut remove, mut reprice, mut add) = (None, None, None);
+    if let Some(mut more) = typed(c, Cursor::begin_object)? {
+        while more {
+            match &*c.key()? {
+                "remove" => remove = Some(delta_list(c, "remove", "client ids", remove_item)?),
+                "reprice" => {
+                    let what = "[client, facility, cost] triples";
+                    reprice = Some(delta_list(c, "reprice", what, reprice_item)?);
+                }
+                "add" => {
+                    add = Some(delta_list(c, "add", "[facility, cost, ...] pair lists", add_item)?);
+                }
+                _ => c.skip_value()?,
+            }
+            more = c.next_member()?;
+        }
+    }
+    let spec = || {
+        let spec = DeltaSpec {
+            remove: remove.transpose()?.unwrap_or_default(),
+            reprice: reprice.transpose()?.unwrap_or_default(),
+            add: add.transpose()?.unwrap_or_default(),
+        };
+        if spec.remove.is_empty() && spec.reprice.is_empty() && spec.add.is_empty() {
+            return Err("delta must carry at least one of remove, reprice, add".to_owned());
+        }
+        Ok(spec)
     };
-    Ok(Parsed::Request(Box::new(Request { id, action, span_id: span_id(line.as_bytes()) })))
+    Ok(spec())
 }
 
-/// Extracts and validates the request id.
-fn parse_id(value: &Json) -> Result<String, ServeError> {
-    match value.get("id") {
-        Some(Json::Str(s)) if !s.is_empty() && s.len() <= MAX_ID_LEN => Ok(s.clone()),
-        Some(Json::Str(_)) => {
-            Err(ServeError::malformed(format!("id must be 1..={MAX_ID_LEN} characters")))
+/// Member `key` of a delta: an array of `what`, each element decoded by
+/// `item`.
+fn delta_list<'a, T>(
+    c: &mut Cursor<'a>,
+    key: &str,
+    what: &str,
+    item: impl FnMut(&mut Cursor<'a>, usize) -> Scan<Checked<T>>,
+) -> Scan<Checked<Vec<T>>> {
+    let items = list(c, item)?;
+    Ok(items.unwrap_or_else(|| Err(format!("delta.{key} must be an array of {what}"))))
+}
+
+/// Item `index` of `delta.remove`: a client id.
+fn remove_item(c: &mut Cursor<'_>, index: usize) -> Scan<Checked<u32>> {
+    let id = wire_id(typed(c, Cursor::number)?);
+    Ok(id.ok_or_else(|| format!("delta.remove[{index}] is not a client id")))
+}
+
+/// Item `index` of `delta.reprice`: a `[client, facility, cost]` triple.
+fn reprice_item(c: &mut Cursor<'_>, index: usize) -> Scan<Checked<(u32, u32, f64)>> {
+    let (mut values, mut len) = ([None; 3], 0);
+    let is_array = array(c, |c| {
+        let value = typed(c, Cursor::number)?;
+        if let Some(slot) = values.get_mut(len) {
+            *slot = value;
         }
-        Some(_) => Err(ServeError::malformed("id must be a string")),
-        None => Err(ServeError::malformed("missing field: id")),
-    }
+        len += 1;
+        Ok(())
+    })?;
+    let [j, i, cost] = values;
+    Ok(match (wire_id(j), wire_id(i), cost) {
+        (Some(j), Some(i), Some(cost)) if is_array && len == 3 => Ok((j, i, cost)),
+        _ => Err(format!("delta.reprice[{index}] must be a [client, facility, cost] triple")),
+    })
 }
 
-/// Extracts and parses the `solver` field.
-fn parse_solver(
-    value: &Json,
-    fail: &dyn Fn(ErrorKind, String) -> ServeError,
-) -> Result<SolverKind, ServeError> {
-    match value.get("solver").and_then(Json::as_str) {
-        Some(name) => {
-            name.parse::<SolverKind>().map_err(|e| fail(ErrorKind::MalformedRequest, e.to_string()))
-        }
-        None => Err(fail(ErrorKind::MalformedRequest, "missing field: solver".into())),
-    }
-}
-
-/// Extracts the optional `seed` field (default 0).
-fn parse_seed(
-    value: &Json,
-    fail: &dyn Fn(ErrorKind, String) -> ServeError,
-) -> Result<u64, ServeError> {
-    match value.get("seed") {
-        None => Ok(0),
-        Some(v) => v
-            .as_f64()
-            .and_then(seed_of)
-            .ok_or_else(|| fail(ErrorKind::MalformedRequest, SEED_DETAIL.into())),
-    }
-}
-
-/// Why a request's seed was refused.
-const SEED_DETAIL: &str = "seed must be a non-negative integer below 2^53";
-
-/// The seed a number names: a non-negative integer below 2^53. Both
-/// decoders read numbers as `f64`, which holds every integer below 2^53
-/// exactly but not every one above it (9007199254740993 reads as 2^53),
-/// so a larger seed is refused rather than silently changed.
-fn seed_of(v: f64) -> Option<u64> {
-    (v >= 0.0 && v.fract() == 0.0 && v < 9_007_199_254_740_992.0).then_some(v as u64)
-}
-
-/// Extracts the instance payload (`instance` inline or `orlib` text).
-fn parse_source(
-    value: &Json,
-    fail: &dyn Fn(ErrorKind, String) -> ServeError,
-) -> Result<InstanceSource, ServeError> {
-    match (value.get("instance"), value.get("orlib")) {
-        (Some(inline), None) => Ok(InstanceSource::Inline(
-            build_inline(inline).map_err(|detail| fail(ErrorKind::InvalidInstance, detail))?,
-        )),
-        (None, Some(Json::Str(payload))) => Ok(InstanceSource::OrLib(payload.clone())),
-        (None, Some(_)) => Err(fail(ErrorKind::MalformedRequest, "orlib must be a string".into())),
-        (Some(_), Some(_)) => {
-            Err(fail(ErrorKind::MalformedRequest, "give either instance or orlib, not both".into()))
-        }
-        (None, None) => {
-            Err(fail(ErrorKind::MalformedRequest, "missing field: instance or orlib".into()))
-        }
-    }
-}
-
-/// Parses the `delta` object of a `mutate` verb into a [`DeltaSpec`].
-fn parse_delta(
-    value: &Json,
-    fail: &dyn Fn(ErrorKind, String) -> ServeError,
-) -> Result<DeltaSpec, ServeError> {
-    let delta = value
-        .get("delta")
-        .ok_or_else(|| fail(ErrorKind::MalformedRequest, "missing field: delta".into()))?;
-    let mut spec = DeltaSpec::default();
-    if let Some(remove) = delta.get("remove") {
-        let items = remove.as_array().ok_or_else(|| {
-            fail(ErrorKind::MalformedRequest, "delta.remove must be an array of client ids".into())
+/// Item `index` of `delta.add`: a new client's `[facility, cost, ...]`
+/// pairs, at least one.
+fn add_item(c: &mut Cursor<'_>, index: usize) -> Scan<Checked<Vec<(u32, f64)>>> {
+    let mut links = Vec::new();
+    let row = pairs(c, "delta.add", index, |facility, cost| {
+        let i = wire_id(facility).ok_or_else(|| {
+            format!("delta.add[{index}]: facility index is not a non-negative integer below 2^32")
         })?;
-        for (index, item) in items.iter().enumerate() {
-            let j = item.as_u64().filter(|&j| j <= u64::from(u32::MAX)).ok_or_else(|| {
-                fail(
-                    ErrorKind::MalformedRequest,
-                    format!("delta.remove[{index}] is not a client id"),
-                )
-            })?;
-            spec.remove.push(j as u32);
+        let cost = cost.ok_or_else(|| format!("delta.add[{index}]: cost is not a number"))?;
+        links.push((i, cost));
+        Ok(())
+    })?;
+    Ok(row.and_then(|()| {
+        if links.is_empty() {
+            return Err(format!("delta.add[{index}] must hold (facility, cost) pairs"));
         }
-    }
-    if let Some(reprice) = delta.get("reprice") {
-        let items = reprice.as_array().ok_or_else(|| {
-            fail(
-                ErrorKind::MalformedRequest,
-                "delta.reprice must be an array of [client, facility, cost] triples".into(),
-            )
-        })?;
-        for (index, item) in items.iter().enumerate() {
-            let bad = || {
-                fail(
-                    ErrorKind::MalformedRequest,
-                    format!("delta.reprice[{index}] must be a [client, facility, cost] triple"),
-                )
-            };
-            let triple = item.as_array().ok_or_else(bad)?;
-            if triple.len() != 3 {
-                return Err(bad());
-            }
-            let j = triple[0].as_u64().filter(|&x| x <= u64::from(u32::MAX)).ok_or_else(bad)?;
-            let i = triple[1].as_u64().filter(|&x| x <= u64::from(u32::MAX)).ok_or_else(bad)?;
-            let c = triple[2].as_f64().ok_or_else(bad)?;
-            spec.reprice.push((j as u32, i as u32, c));
-        }
-    }
-    if let Some(add) = delta.get("add") {
-        let rows = add.as_array().ok_or_else(|| {
-            fail(
-                ErrorKind::MalformedRequest,
-                "delta.add must be an array of [facility, cost, ...] pair lists".into(),
-            )
-        })?;
-        for (index, row) in rows.iter().enumerate() {
-            let pairs = row.as_array().ok_or_else(|| {
-                fail(ErrorKind::MalformedRequest, format!("delta.add[{index}] is not a pair array"))
-            })?;
-            if pairs.len() % 2 != 0 || pairs.is_empty() {
-                return Err(fail(
-                    ErrorKind::MalformedRequest,
-                    format!("delta.add[{index}] must hold (facility, cost) pairs"),
-                ));
-            }
-            let mut links = Vec::with_capacity(pairs.len() / 2);
-            for pair in pairs.chunks(2) {
-                let i =
-                    pair[0].as_u64().filter(|&x| x <= u64::from(u32::MAX)).ok_or_else(|| {
-                        fail(
-                            ErrorKind::MalformedRequest,
-                            format!(
-                                "delta.add[{index}]: facility index is not a non-negative \
-                                 integer below 2^32"
-                            ),
-                        )
-                    })?;
-                let c = pair[1].as_f64().ok_or_else(|| {
-                    fail(
-                        ErrorKind::MalformedRequest,
-                        format!("delta.add[{index}]: cost is not a number"),
-                    )
-                })?;
-                links.push((i as u32, c));
-            }
-            spec.add.push(links);
-        }
-    }
-    if spec.remove.is_empty() && spec.reprice.is_empty() && spec.add.is_empty() {
-        return Err(fail(
-            ErrorKind::MalformedRequest,
-            "delta must carry at least one of remove, reprice, add".into(),
-        ));
-    }
-    Ok(spec)
-}
-
-/// Builds an [`Instance`] from the inline `{"opening", "links"}` shape.
-fn build_inline(value: &Json) -> Result<Instance, String> {
-    let opening = value
-        .get("opening")
-        .and_then(Json::as_array)
-        .ok_or("instance.opening must be an array of opening costs")?;
-    let links = value
-        .get("links")
-        .and_then(Json::as_array)
-        .ok_or("instance.links must be an array (one pair list per client)")?;
-
-    let mut builder = InstanceBuilder::new();
-    let mut fids = Vec::with_capacity(opening.len());
-    for (index, cost) in opening.iter().enumerate() {
-        let cost = cost.as_f64().ok_or_else(|| format!("opening[{index}] is not a number"))?;
-        let cost = Cost::new(cost).map_err(|e| format!("opening[{index}]: {e}"))?;
-        fids.push(builder.add_facility(cost));
-    }
-    for (j, pairs) in links.iter().enumerate() {
-        let pairs = pairs.as_array().ok_or_else(|| format!("links[{j}] is not a pair array"))?;
-        if pairs.len() % 2 != 0 {
-            return Err(format!("links[{j}] must hold (facility, cost) pairs"));
-        }
-        let client = builder.add_client();
-        for pair in pairs.chunks(2) {
-            let facility = pair[0].as_u64().ok_or_else(|| {
-                format!("links[{j}]: facility index is not a non-negative integer")
-            })?;
-            let facility = usize::try_from(facility).expect("u64 fits usize on 64-bit");
-            if facility >= fids.len() {
-                return Err(format!(
-                    "links[{j}]: facility index {facility} out of range ({} facilities)",
-                    fids.len()
-                ));
-            }
-            let cost =
-                pair[1].as_f64().ok_or_else(|| format!("links[{j}]: cost is not a number"))?;
-            let cost = Cost::new(cost).map_err(|e| format!("links[{j}]: {e}"))?;
-            builder
-                .link(client, FacilityId::new(facility as u32), cost)
-                .map_err(|e| format!("links[{j}]: {e}"))?;
-        }
-    }
-    builder.build().map_err(|e| e.to_string())
+        Ok(links)
+    }))
 }
 
 /// Renders `span_id` the way responses carry it: 16 lowercase hex digits.
@@ -1102,20 +1113,18 @@ mod tests {
             format!(r#"{{"id":"s","solver":"greedy","seed":{seed},"orlib":"1 1\n0 1\n0\n1\n"}}"#)
         };
         for (seed, want) in [("0", 0), ("9007199254740991", (1 << 53) - 1)] {
-            for parsed in [parse_line(&line(seed)), parse_line_reference(&line(seed))] {
-                let Parsed::Request(req) = parsed.unwrap() else { panic!("expected a request") };
-                assert!(matches!(req.action, Action::Solve { seed, .. } if seed == want), "{seed}");
-            }
+            let Parsed::Request(req) = parse_line(&line(seed)).unwrap() else {
+                panic!("expected a request")
+            };
+            assert!(matches!(req.action, Action::Solve { seed, .. } if seed == want), "{seed}");
         }
         for seed in
             ["9007199254740992", "9007199254740993", "18446744073709551615", "-1", "0.5", "\"7\""]
         {
-            for parsed in [parse_line(&line(seed)), parse_line_reference(&line(seed))] {
-                let err = parsed.unwrap_err();
-                assert_eq!(err.kind, ErrorKind::MalformedRequest, "{seed}");
-                assert_eq!(err.detail, SEED_DETAIL, "{seed}");
-                assert_eq!(err.id.as_deref(), Some("s"));
-            }
+            let err = parse_line(&line(seed)).unwrap_err();
+            assert_eq!(err.kind, ErrorKind::MalformedRequest, "{seed}");
+            assert_eq!(err.detail, SEED_DETAIL, "{seed}");
+            assert_eq!(err.id.as_deref(), Some("s"));
         }
     }
 
@@ -1132,10 +1141,9 @@ mod tests {
     #[test]
     fn an_id_with_a_bad_surrogate_pair_is_malformed() {
         let line = r#"{"id":"\ud800\u0041","solver":"greedy","instance":{"opening":[4.0],"links":[[0,1.0]]}}"#;
-        for err in [parse_line(line).unwrap_err(), parse_line_reference(line).unwrap_err()] {
-            assert_eq!(err.kind, ErrorKind::MalformedRequest);
-            assert!(err.detail.contains("bad surrogate pair"), "{}", err.detail);
-        }
+        let err = parse_line(line).unwrap_err();
+        assert_eq!(err.kind, ErrorKind::MalformedRequest);
+        assert!(err.detail.contains("bad surrogate pair"), "{}", err.detail);
     }
 
     #[test]
@@ -1151,10 +1159,9 @@ mod tests {
             let line = format!(
                 r#"{{"id":"r3","solver":"greedy","instance":{{"opening":[1.0],"links":[[{bad},1.0]]}}}}"#
             );
-            for err in [parse_line(&line).unwrap_err(), parse_line_reference(&line).unwrap_err()] {
-                assert_eq!(err.kind, ErrorKind::InvalidInstance);
-                assert_eq!(err.detail, "links[0]: facility index is not a non-negative integer");
-            }
+            let err = parse_line(&line).unwrap_err();
+            assert_eq!(err.kind, ErrorKind::InvalidInstance);
+            assert_eq!(err.detail, "links[0]: facility index is not a non-negative integer");
         }
     }
 

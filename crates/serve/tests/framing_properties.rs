@@ -13,6 +13,8 @@
 //! must each get exactly one answer — success or a typed error — and
 //! leave the pipeline answering the next line.
 
+mod support;
+
 use proptest::prelude::*;
 
 use distfl_serve::frame::{Framed, LineFramer};
@@ -275,12 +277,24 @@ fn next(state: &mut u64) -> u64 {
     *state
 }
 
-/// Re-renders a JSON value with the variations the typed decoder either
-/// decodes or hands to the tree path: every object's members in a random
-/// order (so `links` may precede `opening`), `ws` around every token, and
-/// in some objects a `tweak` — 1 repeats a member with another member's
-/// value, 2 escapes a key's first letter (`"\u0069d"`), 3 adds an unknown
-/// key.
+/// The JSON type of a rendered value, told by its first byte.
+fn json_type(rendered: &str) -> u8 {
+    match rendered.as_bytes()[0] {
+        b'"' => 0,
+        b'[' => 1,
+        b'{' => 2,
+        b'n' => 3,
+        b't' | b'f' => 4,
+        _ => 5,
+    }
+}
+
+/// Re-renders a JSON value with the variations the decoder must read as
+/// the tree does: every object's members in a random order (so `links`
+/// may precede `opening`), `ws` around every token, and in some objects a
+/// `tweak` — 1 repeats a member with another member's value, 2 escapes a
+/// key's first letter (`"\u0069d"`), 3 adds an unknown key, 4 swaps a
+/// member's value for one of another JSON type.
 fn restyle(value: &Json, state: &mut u64, ws: &str, tweak: u8) -> String {
     match value {
         Json::Obj(map) => {
@@ -305,6 +319,15 @@ fn restyle(value: &Json, state: &mut u64, ws: &str, tweak: u8) -> String {
                         key.replace_range(1..1 + first.len_utf8(), &escaped);
                     }
                     3 => members.insert(pick, (quote("zz"), r#"[1,{"q":null},"s",-2.5e3]"#.into())),
+                    4 => {
+                        let was = json_type(&members[pick].1);
+                        let others: Vec<&str> =
+                            [r#""s""#, "7", "[1]", r#"{"q":1}"#, "null", "true"]
+                                .into_iter()
+                                .filter(|value| json_type(value) != was)
+                                .collect();
+                        members[pick].1 = others[next(state) as usize % others.len()].into();
+                    }
                     _ => {}
                 }
             }
@@ -325,7 +348,8 @@ fn restyle(value: &Json, state: &mut u64, ws: &str, tweak: u8) -> String {
 }
 
 /// Every valid line: the stateless, session and command shapes, plus a
-/// few more that exercise the decoder's own paths.
+/// few more that exercise the decoder's own paths, and roots that are not
+/// objects.
 fn equivalence_lines() -> Vec<String> {
     let mut lines = valid_lines();
     lines.extend(
@@ -336,6 +360,9 @@ fn equivalence_lines() -> Vec<String> {
             r#"{"id":"f","solver":"greedy","seed":1e3,"instance":{"opening":[-0.0,1E+0],"links":[[1,0.5,0,2.5e-1],[0,1]],"note":{}}}"#,
             r#"{"cmd":"mutate","id":"g","session":"s","delta":{"add":[[0,1.0,1,-2.0]],"remove":[],"x":null}}"#,
             r#"{"cmd":"create","id":"h","session":"s","orlib":"1 1\n0 1\n0\n2\n","seed":"ignored"}"#,
+            "[1]",
+            r#""x""#,
+            "7",
         ]
         .map(String::from),
     );
@@ -374,14 +401,14 @@ proptest! {
     #[test]
     fn the_typed_decoder_matches_the_tree_path(
         pick in any::<usize>(),
-        style in (0u8..5, any::<u64>(), 0u8..4),
+        style in (0u8..5, any::<u64>(), 0u8..5),
         edit in prop::option::of((0usize..4, any::<usize>(), any::<u8>(), 0usize..7)),
     ) {
         let lines = equivalence_lines();
         if let Some(line) = equivalence_line(&lines, pick, style, edit) {
             prop_assert_eq!(
                 proto::parse_line(&line),
-                proto::parse_line_reference(&line),
+                support::parse_line_reference(&line),
                 "line {}", line
             );
         }
@@ -441,13 +468,13 @@ fn the_typed_decoder_matches_the_tree_path_on_large_lines() {
     for line in [&create, &mutate_line] {
         let parsed = proto::parse_line(line);
         assert!(parsed.is_ok(), "{parsed:?}");
-        assert_eq!(parsed, proto::parse_line_reference(line));
+        assert_eq!(parsed, support::parse_line_reference(line));
         for (class, at) in [(0, line.len() / 2), (1, line.len() / 3), (2, 40), (3, line.len() - 9)]
         {
             let Ok(bad) = String::from_utf8(mutate(line, class, at, 0x20, at % 7)) else {
                 continue;
             };
-            assert_eq!(proto::parse_line(&bad), proto::parse_line_reference(&bad));
+            assert_eq!(proto::parse_line(&bad), support::parse_line_reference(&bad));
         }
     }
 }
