@@ -12,9 +12,13 @@
 //! The document records allocation budgets for all three hot paths:
 //! `greedy_allocs_per_iter_budget` (amortized heap allocations per greedy
 //! iteration), `ls_allocs_per_move_budget` (per local-search move), and
-//! `jv_allocs_per_client_budget` (per client of the JV dual ascent).
-//! `--smoke` re-measures on small instances and fails if any budget (read
-//! back from the committed BENCH_2.json when it has the key) is exceeded.
+//! `jv_allocs_per_client_budget` (per client of the JV dual ascent), and
+//! one work budget, `jv_exact_sums_per_event_budget` (exact payment sums
+//! per JV ascent event, read from the `solver.jv.*` counters): outputs and
+//! allocations cannot see an ascent that shortlists more facilities than
+//! its margins need. `--smoke` re-measures on small instances and fails if
+//! any budget (read back from the committed BENCH_2.json when it has the
+//! key) is exceeded.
 
 use distfl_core::{greedy, jv, localsearch};
 use distfl_instance::generators::{Clustered, InstanceGenerator, LineCity, UniformRandom};
@@ -40,6 +44,11 @@ const LS_ALLOCS_PER_MOVE_BUDGET: f64 = 32.0;
 /// lanes, linear forms, and candidate buffers, so the per-client share of
 /// the setup is small and must stay that way.
 const JV_ALLOCS_PER_CLIENT_BUDGET: f64 = 4.0;
+
+/// Exact payment sums per JV ascent event. The keys' margins leave about
+/// one (the facility whose event wins) per event; an ascent that
+/// shortlists every unopened facility does one per facility.
+const JV_EXACT_SUMS_PER_EVENT_BUDGET: f64 = 2.0;
 
 /// Local-search move cap: both implementations run under the same cap, so
 /// the comparison stays apples-to-apples even on instances whose descent
@@ -122,6 +131,20 @@ fn bench_jv(inst: &Instance, reps: usize) -> (Timing, f64) {
     (timing, allocs_per_client)
 }
 
+/// The events of one JV dual ascent and its exact payment sums per event,
+/// read from the `solver.jv.*` counters with tracing on for that ascent
+/// only.
+fn jv_work(inst: &Instance) -> (u64, f64) {
+    let events = distfl_obs::counter("solver.jv.events");
+    let exact_sums = distfl_obs::counter("solver.jv.exact_sums");
+    let before = (events.get(), exact_sums.get());
+    distfl_obs::set_enabled(true);
+    jv::dual_ascent(inst);
+    distfl_obs::set_enabled(false);
+    let n = events.get() - before.0;
+    (n, (exact_sums.get() - before.1) as f64 / n.max(1) as f64)
+}
+
 fn instances(quick: bool) -> Vec<(&'static str, Instance)> {
     let mk_uniform = |m: usize, n: usize, seed: u64| -> Instance {
         UniformRandom::new(m, n).unwrap().generate(seed).unwrap()
@@ -167,10 +190,14 @@ pub(crate) fn run(mode: Mode) -> Report {
             "jv allocations per client",
             budget("jv_allocs_per_client_budget", JV_ALLOCS_PER_CLIENT_BUDGET),
         ),
+        (
+            "jv exact sums per event",
+            budget("jv_exact_sums_per_event_budget", JV_EXACT_SUMS_PER_EVENT_BUDGET),
+        ),
     ];
 
     let reps = if mode.quick() { 2usize } else { 3 };
-    let mut worst = [0.0f64; 3];
+    let mut worst = [0.0f64; 4];
     let mut w = JsonWriter::object();
     w.key("bench").string("solver_hot_paths");
     w.key("mode").string(mode.name());
@@ -181,20 +208,26 @@ pub(crate) fn run(mode: Mode) -> Report {
     w.key("greedy_allocs_per_iter_budget").number(GREEDY_ALLOCS_PER_ITER_BUDGET);
     w.key("ls_allocs_per_move_budget").number(LS_ALLOCS_PER_MOVE_BUDGET);
     w.key("jv_allocs_per_client_budget").number(JV_ALLOCS_PER_CLIENT_BUDGET);
+    w.key("jv_exact_sums_per_event_budget").number(JV_EXACT_SUMS_PER_EVENT_BUDGET);
     w.key("results").begin_array();
     for (name, inst) in instances(mode.quick()) {
         let (g_timing, iterations, allocs_per_iter) = bench_greedy(&inst, reps);
         let (ls_timing, moves, allocs_per_move) = bench_local_search(&inst, reps);
         let (jv_timing, allocs_per_client) = bench_jv(&inst, reps);
-        for (worst, measured) in
-            worst.iter_mut().zip([allocs_per_iter, allocs_per_move, allocs_per_client])
-        {
+        let (jv_events, sums_per_event) = jv_work(&inst);
+        for (worst, measured) in worst.iter_mut().zip([
+            allocs_per_iter,
+            allocs_per_move,
+            allocs_per_client,
+            sums_per_event,
+        ]) {
             *worst = worst.max(measured);
         }
         eprintln!(
             "{name:<24} greedy {:>7.2}x ({iterations} iters, {allocs_per_iter:.1} allocs/iter)  \
              local-search {:>7.2}x ({moves} moves, {allocs_per_move:.1} allocs/move)  \
-             jv-ascent {:>7.2}x ({allocs_per_client:.2} allocs/client)",
+             jv-ascent {:>7.2}x ({allocs_per_client:.2} allocs/client, {jv_events} events, \
+             {sums_per_event:.2} exact sums/event)",
             g_timing.speedup(),
             ls_timing.speedup(),
             jv_timing.speedup(),
@@ -215,6 +248,8 @@ pub(crate) fn run(mode: Mode) -> Report {
         w.key("jv_dual_ascent");
         jv_timing.write(&mut w);
         w.key("jv_allocs_per_client").number(allocs_per_client);
+        w.key("jv_events").number_u64(jv_events);
+        w.key("jv_exact_sums_per_event").number(sums_per_event);
         w.end_object();
     }
     w.end_array();

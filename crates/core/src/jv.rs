@@ -12,9 +12,11 @@
 //! in a metric, giving the 3-approximation.
 //!
 //! In [`solve`], one ascent event costs `O(m + log n + rate)` rather than
-//! a sweep over every client and facility row (a client-event heap and
-//! per-facility lists of tight clients), and the pruning is `O(links)`: it
-//! marks claimed clients instead of testing facility pairs.
+//! a sweep over every client and facility row (a client-event heap,
+//! per-facility lists of tight clients, and a time-free event key per
+//! facility that an event reads with one compare, never a division), and
+//! the pruning is `O(links)`: it marks claimed clients instead of testing
+//! facility pairs.
 //! [`dual_ascent_reference`] and [`solve_reference`] keep the direct
 //! rescanning versions, which the fast paths match bit for bit.
 //!
@@ -27,7 +29,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use distfl_instance::{kernels, ClientId, FacilityId, Instance, Solution};
+use distfl_instance::{ClientId, FacilityId, Instance, Solution};
 use distfl_lp::DualSolution;
 
 use crate::error::CoreError;
@@ -106,13 +108,51 @@ fn exact_facility_event(
     }
 }
 
+/// How far short of its opening cost a facility's payment may fall and
+/// still count as fully paid.
+const PAID_TOLERANCE: f64 = 1e-12;
+
 /// Whether a facility is fully paid at `t`: its exact payment reaches `f`
-/// (up to 1e-12), or the gap left is too small to move time at all —
-/// `t + gap / rate` rounds back to `t` once `t` is large, so waiting for
-/// the payment would stall the ascent forever.
+/// (up to [`PAID_TOLERANCE`]), or the gap left is too small to move time
+/// at all — `t + gap / rate` rounds back to `t` once `t` is large, so
+/// waiting for the payment would stall the ascent forever.
 fn fully_paid(tight: impl Iterator<Item = f64>, f: f64, t: f64, paid0: f64) -> bool {
     let (paid, rate) = exact_payment(tight, t, paid0);
-    paid >= f - 1e-12 || (rate > 0 && t + (f - paid) / f64::from(rate) <= t)
+    paid >= f - PAID_TOLERANCE || (rate > 0 && t + (f - paid) / f64::from(rate) <= t)
+}
+
+/// The rounding margin of the facility keys of an ascent over `n`
+/// clients, per unit of event time: `64·n²·u`, `u = 2⁻⁵³` (DESIGN §3.6).
+///
+/// Take an unopened facility of degree `d ≤ n` with `r ≥ 1` paying
+/// clients at time `t`, its key `K`, its exact event `E` (from
+/// [`exact_facility_event`]) and its real threshold `T = (f − frozen +
+/// Σc)/r`, and let `t̂ = max(T, t)`.
+///
+/// * `K`: `slack` has taken at most `2d` roundings (`+c` for each link
+///   that became tight, `−t'` for each paying client that connected at
+///   some `t' ≤ t`) of values at most `f + d·t`, and the stored `frozen`
+///   is within `2d·u·frozen` of the real sum of its terms. With `frozen ≤
+///   d·t` and `f ≤ r·T + frozen`, that puts `K` within `10·d²·u·t̂` of
+///   `T`.
+/// * `E`: the exact sum adds `r` rounded terms to `frozen`, within
+///   `3·d²·u·t` of the real payment, and the division and the addition to
+///   `t` round once each, so `E` is within `6·d²·u·t̂` of `max(T, t)`.
+///
+/// So `max(K, t)` is within `16·d²·u·t̂` of `E`. The facility with the
+/// least exact event then has a key within twice that of the least key,
+/// and a facility fully paid at `t` (short by at most
+/// [`PAID_TOLERANCE`], or by a gap of at most `u·t` per paying client
+/// that cannot move `t`) has a key within `PAID_TOLERANCE + 16·d²·u·t`
+/// of `t`. `64·n²·u` covers both with a factor 2 to spare. It is at most
+/// 1/8 below 2²² clients; past that the second-order terms these bounds
+/// drop are no longer small, so every key passes.
+fn key_margin(n: usize) -> f64 {
+    if n < 1 << 22 {
+        64.0 * (n * n) as f64 * (f64::EPSILON / 2.0)
+    } else {
+        f64::MAX
+    }
 }
 
 /// Instance-derived read-only lanes for the event-driven ascent: the
@@ -253,9 +293,15 @@ pub(crate) struct JvScratch {
     open: Vec<bool>,
     frozen: Vec<f64>,
     ptr: Vec<u32>,
+    /// Per facility, the number of active clients tight with it (exact).
     rate: Vec<i64>,
-    sum_c: Vec<f64>,
-    thr: Vec<f64>,
+    /// Per facility, `f − frozen + Σc` over those clients' links, kept
+    /// incrementally; only the keys read it.
+    slack: Vec<f64>,
+    /// Per facility, the time-free event key `slack / rate`: `+inf` once
+    /// the facility is open or while no client pays it (0 for a free
+    /// facility no client has reached yet).
+    key: Vec<f64>,
     tight: TightLists,
     events: BinaryHeap<Reverse<(u64, u32)>>,
     due: Vec<u32>,
@@ -267,23 +313,28 @@ pub(crate) struct JvScratch {
 ///
 /// Produces bit-identical duals and opening order to
 /// [`dual_ascent_reference`] while avoiding its per-event scans over every
-/// link. One event costs `O(m + log n + rate)`:
+/// link. One event costs `O(m + log n + rate)` and divides nothing per
+/// facility:
 ///
 /// * Each client keeps its links sorted by cost behind a pointer, and a
 ///   min-heap keys every active client by the cost at its pointer (costs
 ///   are non-negative with `-0.0` normalised, so `to_bits` orders them).
 ///   The next tightness event is the heap's top; clients connected since
 ///   they were keyed drop out lazily.
-/// * Each facility keeps an incrementally-maintained *linear form* of its
-///   payment (`frozen + rate·t − Σc` over active tight links) whose O(1)
-///   threshold estimate agrees with the exact sum up to floating-point
-///   noise; the handful of facilities within a generous margin of the
-///   minimum estimate are re-evaluated exactly, over the facility's list
-///   of active tight clients (`TightLists`) rather than its whole row.
+/// * Each unopened facility with `rate` active tight clients keeps the
+///   time its payment `frozen + Σ(t − c)` reaches `f`, which in real
+///   arithmetic is the time-free key `(f − frozen + Σc) / rate`. The key
+///   changes only when a link becomes tight, when a paying client
+///   connects, and when the facility opens, so an event takes one
+///   minimum over the keys and two passes of compares. The facilities
+///   whose key lies within a rounding margin (`key_margin`) of the least
+///   key, or in the open pass of `t`, are evaluated exactly, over the
+///   facility's list of active tight clients (`TightLists`) rather than
+///   its whole row.
 ///
 /// Two order invariants make every exact value the reference's: clients
-/// due at an event advance in ascending id, so the `rate`/`sum_c` updates
-/// land in the order of a full client sweep; and each tight list holds the
+/// due at an event advance in ascending id, so each tight list is built
+/// in the order of a full client sweep; and each tight list holds the
 /// terms the reference's row scan sums, in the row's (client id) order.
 /// So the event time that wins — and every `α_j`, `frozen` update, and
 /// opening decision — is the exact value the reference computes.
@@ -294,6 +345,10 @@ pub fn dual_ascent(instance: &Instance) -> DualAscent {
 
 /// [`dual_ascent`] over prebuilt lanes and caller-owned scratch — the
 /// warm-start entry point. `lanes` must describe `instance` exactly.
+///
+/// Reports its events and exact sums ([`exact_facility_event`] and
+/// [`fully_paid`] calls) to the `solver.jv.events` and
+/// `solver.jv.exact_sums` counters.
 pub(crate) fn dual_ascent_with(
     instance: &Instance,
     lanes: &JvLanes,
@@ -318,7 +373,7 @@ pub(crate) fn dual_ascent_with(
 
     // Per-client links sorted by cost, behind a tightness pointer: links
     // before `ptr` have become tight (cost <= t) and are registered in the
-    // facility linear forms below. Kept interleaved: the consumers are
+    // facility keys below. Kept interleaved: the consumers are
     // random-offset per-client gathers that want cost and id on the same
     // cache line, not contiguous lane scans.
     let offs = &lanes.offs;
@@ -332,36 +387,41 @@ pub(crate) fn dual_ascent_with(
     events.clear();
     let due = &mut scratch.due;
 
-    // Facility linear forms: payment ≈ frozen + rate·t − sum_c over active
-    // tight links. `rate` is an exact count; `sum_c` is approximate and
-    // only ever used for shortlisting. The tight lists hold the same links
-    // for the exact sums.
+    // Facility keys over the active tight links: `rate` counts them
+    // exactly, `slack` is `f − frozen + Σc` and `key` is `slack / rate`,
+    // both approximate and only ever used for shortlisting. A facility no
+    // client pays has no event (key `+inf`), except a free one, which is
+    // paid at any time (key 0). The tight lists hold the same links for
+    // the exact sums.
     let rate = &mut scratch.rate;
     rate.clear();
     rate.resize(m, 0i64);
-    let sum_c = &mut scratch.sum_c;
-    sum_c.clear();
-    sum_c.resize(m, 0.0);
+    let f_cost = &lanes.f_cost;
+    let slack = &mut scratch.slack;
+    slack.clear();
+    slack.extend_from_slice(f_cost);
+    let key = &mut scratch.key;
+    key.clear();
+    key.extend(f_cost.iter().map(|&f| if f == 0.0 { 0.0 } else { f64::INFINITY }));
     let tight = &mut scratch.tight;
     tight.reset(instance);
-    let f_cost = &lanes.f_cost;
+    let margin = key_margin(n);
 
     let candidates = &mut scratch.candidates;
     candidates.clear();
     let newly_open = &mut scratch.newly_open;
-    let thr = &mut scratch.thr;
-    thr.clear();
-    thr.resize(m, f64::INFINITY);
+    let (mut num_events, mut exact_sums) = (0u64, 0u64);
 
     // Advance one client's pointer past links that became tight at time t,
-    // registering them with their facility's linear form and tight list
-    // (links tight with an already-open facility make the client a connect
+    // registering them with their facility's key and tight list (links
+    // tight with an already-open facility make the client a connect
     // candidate), then key the client by its next link.
     let advance = |j: usize,
                    t: f64,
                    ptr: &mut [u32],
                    rate: &mut [i64],
-                   sum_c: &mut [f64],
+                   slack: &mut [f64],
+                   key: &mut [f64],
                    tight: &mut TightLists,
                    open: &[bool],
                    candidates: &mut Vec<usize>,
@@ -378,7 +438,8 @@ pub(crate) fn dual_ascent_with(
                 candidates.push(j);
             } else {
                 rate[i] += 1;
-                sum_c[i] += c;
+                slack[i] += c;
+                key[i] = slack[i] / rate[i] as f64;
                 tight.insert(i, j as u32, c);
             }
             ptr[j] += 1;
@@ -387,58 +448,32 @@ pub(crate) fn dual_ascent_with(
 
     // Register links that are tight at t = 0 (zero-cost links).
     for j in 0..n {
-        advance(j, t, ptr, rate, sum_c, tight, open, candidates, events);
+        advance(j, t, ptr, rate, slack, key, tight, open, candidates, events);
     }
 
     while active > 0 {
+        num_events += 1;
         // Next event: either a client becomes tight with a facility, or a
         // facility becomes fully paid. Client events are exact constants
-        // at the top of the heap; facility events are shortlisted by
-        // linear form, then computed with the reference's exact sum.
+        // at the top of the heap; facility events are shortlisted by key,
+        // then computed with the reference's exact sum.
         let mut next = f64::INFINITY;
-        while let Some(&Reverse((key, j))) = events.peek() {
+        while let Some(&Reverse((ev, j))) = events.peek() {
             if !connected[j as usize] {
-                next = f64::from_bits(key);
+                next = f64::from_bits(ev);
                 break;
             }
             events.pop();
         }
-        // Linear-form event estimates, gathered into a dense lane so the
-        // minimum is one [`kernels::min_argmin`] pass (retired or
-        // contributor-free facilities sit at `+inf` and never win).
-        for i in 0..m {
-            thr[i] = if open[i] {
-                f64::INFINITY
-            } else {
-                let paid_lin = frozen[i] + rate[i] as f64 * t - sum_c[i];
-                if paid_lin >= f_cost[i] {
-                    t
-                } else if rate[i] > 0 {
-                    t + (f_cost[i] - paid_lin) / rate[i] as f64
-                } else {
-                    f64::INFINITY
-                }
-            };
-        }
-        let min_lin = kernels::min_argmin(thr).map_or(f64::INFINITY, |(_, v)| v);
-        if min_lin.is_finite() {
-            // The linear forms track the exact sums up to ~1e-12 relative
-            // error; a 1e-6-relative margin is orders of magnitude wider,
-            // so the facility holding the exact minimum is shortlisted.
-            let margin = 1e-6 * (1.0 + min_lin.abs() + t.abs());
+        // A key below `t` belongs to a facility that is paid already, whose
+        // event is `t` itself. The window stays below `+inf`, so open
+        // facilities and those no client pays never pass.
+        let least = key.iter().fold(f64::INFINITY, |a, &k| a.min(k)).max(t);
+        if least.is_finite() {
+            let window = (least + margin * least).min(f64::MAX);
             for i in 0..m {
-                if open[i] {
-                    continue;
-                }
-                let paid_lin = frozen[i] + rate[i] as f64 * t - sum_c[i];
-                let thr_lin = if paid_lin >= f_cost[i] - margin {
-                    t
-                } else if rate[i] > 0 {
-                    t + (f_cost[i] - paid_lin) / rate[i] as f64
-                } else {
-                    continue;
-                };
-                if thr_lin <= min_lin + margin {
+                if key[i] <= window {
+                    exact_sums += 1;
                     if let Some(ev) = exact_facility_event(tight.costs(i), f_cost[i], t, frozen[i])
                     {
                         next = next.min(ev);
@@ -452,11 +487,10 @@ pub(crate) fn dual_ascent_with(
         // Register links that became tight at the new t: every client
         // keyed at or below t advances, in ascending id. Previously untight
         // links have cost >= t, so they contribute exactly 0 payment right
-        // now — the linear forms stay in sync whether registered before or
-        // after the open pass.
+        // now — registering them before the open pass changes no exact sum.
         due.clear();
-        while let Some(&Reverse((key, j))) = events.peek() {
-            if f64::from_bits(key) > t {
+        while let Some(&Reverse((ev, j))) = events.peek() {
+            if f64::from_bits(ev) > t {
                 break;
             }
             events.pop();
@@ -466,35 +500,34 @@ pub(crate) fn dual_ascent_with(
         }
         due.sort_unstable();
         for &j in due.iter() {
-            advance(j as usize, t, ptr, rate, sum_c, tight, open, candidates, events);
+            advance(j as usize, t, ptr, rate, slack, key, tight, open, candidates, events);
         }
 
         // Open every facility that is fully paid at time t: shortlist by
-        // linear form, confirm with the reference's exact sum (ascending
-        // id, preserving the reference's opening order).
+        // key, confirm with the reference's exact test (ascending id,
+        // preserving the reference's opening order). A facility no client
+        // pays has key `+inf` and opens only at the first event, where its
+        // payment is 0 and it is fully paid iff `f ≤ PAID_TOLERANCE`.
+        // Later, when a facility's last paying client connects, its frozen
+        // payment sums a subset of the terms this pass just found short of
+        // `f − PAID_TOLERANCE`, in the same order, so it is short too.
+        let first = num_events == 1;
+        let bound = (t + 2.0 * PAID_TOLERANCE + margin * t).min(f64::MAX);
         newly_open.clear();
         for i in 0..m {
-            if open[i] {
+            if key[i] > bound && !(first && f_cost[i] <= PAID_TOLERANCE) {
                 continue;
             }
-            let paid_lin = frozen[i] + rate[i] as f64 * t - sum_c[i];
-            let margin = 1e-6 * (1.0 + f_cost[i].abs() + paid_lin.abs() + rate[i] as f64 * t.abs());
-            // Deliberately nested rather than `&&`-collapsed: the
-            // collapsed form measures ~13% slower on the whole ascent
-            // (`bench kernels` capb row, 44.5ms vs 39.3ms) — the nested
-            // shape keeps the rarely-taken exact sum out of the hot
-            // shortlist branch's layout.
-            #[allow(clippy::collapsible_if)]
-            if paid_lin >= f_cost[i] - margin {
-                if fully_paid(tight.costs(i), f_cost[i], t, frozen[i]) {
-                    open[i] = true;
-                    temp_open.push(FacilityId::new(i as u32));
-                    newly_open.push(i);
-                }
+            exact_sums += 1;
+            if fully_paid(tight.costs(i), f_cost[i], t, frozen[i]) {
+                open[i] = true;
+                key[i] = f64::INFINITY;
+                temp_open.push(FacilityId::new(i as u32));
+                newly_open.push(i);
             }
         }
         // A newly-opened facility's tight active clients connect now; its
-        // linear form and tight list are retired.
+        // key and tight list are retired.
         for &i in newly_open.iter() {
             candidates.extend(tight.list(i).iter().map(|&(j, _)| j as usize));
         }
@@ -504,44 +537,45 @@ pub(crate) fn dual_ascent_with(
         // and freeze updates. Candidates are complete: a link tight with an
         // open facility was flagged either when the pointer passed it
         // (facility already open) or when its facility opened (link already
-        // tight) — there is no third way.
+        // tight) — there is no third way. A client's links with `c <= t`
+        // are exactly its tight prefix `sorted[offs[j]..ptr[j]]`.
         candidates.sort_unstable();
         candidates.dedup();
         for &jx in candidates.iter() {
             if connected[jx] {
                 continue;
             }
-            let j = ClientId::new(jx as u32);
-            let tight_open =
-                instance.client_links(j).iter().any(|(i, c)| open[i as usize] && c <= t);
-            if tight_open {
-                connected[jx] = true;
-                alpha[jx] = t;
-                active -= 1;
-                // Freeze this client's contributions into *all* facilities
-                // it is paying (they stop growing).
-                for (i, c) in instance.client_links(j).iter() {
-                    if !open[i as usize] && c < t {
-                        frozen[i as usize] += t - c;
-                    }
+            let prefix = &sorted[offs[jx] as usize..ptr[jx] as usize];
+            if !prefix.iter().any(|&(_, i)| open[i as usize]) {
+                continue;
+            }
+            connected[jx] = true;
+            alpha[jx] = t;
+            active -= 1;
+            // Freeze this client's contributions into *all* facilities it
+            // is paying (they stop growing) and retire its links from their
+            // keys and tight lists. A facility gets at most one term per
+            // client, so each `frozen` still sums in ascending client id.
+            for &(c, i) in prefix {
+                let i = i as usize;
+                if open[i] {
+                    continue;
                 }
-                // Retire the client's tight links from the linear forms
-                // and tight lists.
-                for p in offs[jx]..ptr[jx] {
-                    let (c, i) = sorted[p as usize];
-                    let i = i as usize;
-                    if !open[i] {
-                        rate[i] -= 1;
-                        sum_c[i] -= c;
-                        tight.remove(i, jx as u32);
-                        debug_assert!(rate[i] >= 0, "rate bookkeeping went negative");
-                    }
+                if c < t {
+                    frozen[i] += t - c;
                 }
+                rate[i] -= 1;
+                debug_assert!(rate[i] >= 0, "rate bookkeeping went negative");
+                slack[i] -= t;
+                key[i] = if rate[i] > 0 { slack[i] / rate[i] as f64 } else { f64::INFINITY };
+                tight.remove(i, jx as u32);
             }
         }
         candidates.clear();
     }
 
+    distfl_obs::counter("solver.jv.events").add(num_events);
+    distfl_obs::counter("solver.jv.exact_sums").add(exact_sums);
     DualAscent { alpha, temp_open }
 }
 
@@ -942,6 +976,27 @@ mod tests {
         assert_eq!(fast.temp_open, slow.temp_open);
         let (solution, _) = prune_and_connect(&inst, fast);
         solution.check_feasible(&inst).unwrap();
+    }
+
+    #[test]
+    fn a_facility_paid_within_the_tolerance_opens_at_the_first_event() {
+        // `a` costs less than the 1e-12 paid tolerance, so it is fully
+        // paid at the first event (t = 1) although no client reaches it
+        // before t = 5; `b` opens at t = 3 and comes second.
+        let mut b = InstanceBuilder::new();
+        let fa = b.add_facility(Cost::new(1e-13).unwrap());
+        let fb = b.add_facility(Cost::new(2.0).unwrap());
+        let c0 = b.add_client();
+        let c1 = b.add_client();
+        b.link(c0, fa, Cost::new(5.0).unwrap()).unwrap();
+        b.link(c0, fb, Cost::new(4.0).unwrap()).unwrap();
+        b.link(c1, fb, Cost::new(1.0).unwrap()).unwrap();
+        let inst = b.build().unwrap();
+        let fast = dual_ascent(&inst);
+        let slow = dual_ascent_reference(&inst);
+        assert_eq!(slow.temp_open, vec![fa, fb]);
+        assert_eq!(fast.temp_open, slow.temp_open);
+        assert_eq!(fast.alpha, slow.alpha);
     }
 
     #[test]

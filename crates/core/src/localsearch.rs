@@ -41,7 +41,7 @@
 //!   reference's folds.
 //! * **An exact shortlist.** Each estimate carries a margin that bounds
 //!   its distance from the exact fold (the bound is worked out on
-//!   [`optimize_with`]). A second pass re-derives the estimates, never
+//!   `optimize_with`). A second pass re-derives the estimates, never
 //!   storing a `k(m−k)` table, and folds exactly only the candidates
 //!   whose estimate less its margin is at most the least estimate plus
 //!   its margin. The exact fold is the reference's: each client's

@@ -14,21 +14,27 @@
 //! facilities; it starts either from the greedy solution or from every
 //! facility open, which makes descents long.
 //!
-//! Two deterministic sweeps sit at the edges of the fast paths' exactness
+//! Deterministic sweeps sit at the edges of the fast paths' exactness
 //! arguments: tie-heavy instances whose costs are inexact binary fractions
 //! (so equal-looking sums differ in their last bits), where greedy's star
 //! scan must not stop at a cost equal to the best ratio and local search
-//! must fold every candidate within rounding error of the best exactly.
-//! The scalar `min_argmin` kernel is pinned on all-equal lanes, where its
-//! tie-break must pick the first index.
+//! must fold every candidate within rounding error of the best exactly;
+//! and seven families at five cost scales, where the Jain–Vazirani ascent
+//! must shortlist and open every facility its rounding margins promise,
+//! under a deadline, because a margin that is too tight can stall it.
+
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use distfl_core::{greedy, jv, localsearch};
-use distfl_instance::generators::{Clustered, InstanceGenerator, LineCity, UniformRandom};
-use distfl_instance::{kernels, transform, Cost, Instance, InstanceBuilder, Solution};
+use distfl_instance::generators::{
+    Clustered, Euclidean, GridNetwork, InstanceGenerator, LineCity, PowerLaw, UniformRandom,
+};
+use distfl_instance::{transform, Cost, Instance, InstanceBuilder, Solution};
 
 /// One instance from any of the three generator families.
 fn any_instance() -> impl Strategy<Value = Instance> {
@@ -166,37 +172,6 @@ proptest! {
     }
 }
 
-/// Resolves a weighted element selector into one extreme-magnitude value:
-/// exact zero, the smallest subnormal, near-overflow, `+inf`, or the
-/// regular draw. The result respects the kernel input contract
-/// (non-negative, NaN-free, no `-0.0`).
-fn salted(sel: u8, regular: f64) -> f64 {
-    match sel {
-        0 => 0.0,
-        1 => 5e-324,
-        2 => 1e300,
-        3 => f64::INFINITY,
-        _ => regular,
-    }
-}
-
-/// An all-equal lane: every index ties, so the scan must pick the
-/// *first* one.
-fn equal_lane() -> impl Strategy<Value = Vec<f64>> {
-    (0u8..4, 0.0f64..1e3, 1usize..18).prop_map(|(sel, v, len)| vec![salted(sel, v); len])
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn kernel_min_argmin_breaks_ties_at_the_first_index(lane in equal_lane()) {
-        let (k, v) = kernels::min_argmin(&lane).unwrap();
-        prop_assert_eq!(k, 0);
-        prop_assert_eq!(v.to_bits(), lane[0].to_bits());
-    }
-}
-
 /// A tie-heavy instance whose costs are inexact binary fractions: every
 /// link and opening cost is one of the levels {0, 0.1, 0.2, 0.3, 0.7}
 /// times `scale`, and about half the client rows are sparse (one link plus
@@ -257,5 +232,56 @@ fn local_search_matches_reference_on_the_inexact_tie_sweep() {
             assert_eq!(fast, slow, "seed {seed}, all open {all_open}");
             assert_eq!(fast.final_cost.to_bits(), slow.final_cost.to_bits(), "seed {seed}");
         }
+    }
+}
+
+/// The Jain–Vazirani sweep: 7,000 instances, one per seed, cycling through
+/// seven families (uniform, Euclidean, clustered, line, power-law, grid,
+/// and the tie-heavy one, whose levels include zero opening costs) with
+/// 1 to 12 facilities and 1 to 30 clients, every cost scaled by one of
+/// 1e-3, 1, 3, 1e3 and 1e6.
+fn jv_sweep() -> impl Iterator<Item = (u64, Instance)> {
+    (0..7000u64).map(|seed| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let m = rng.gen_range(1..=12);
+        let n = rng.gen_range(1..=30);
+        let inst = match seed % 7 {
+            0 => UniformRandom::new(m, n).unwrap().generate(seed).unwrap(),
+            1 => Euclidean::new(m, n).unwrap().generate(seed).unwrap(),
+            2 => {
+                let clusters = m % 3 + 1;
+                Clustered::new(clusters, m.max(clusters), n).unwrap().generate(seed).unwrap()
+            }
+            3 => LineCity::new(m, n).unwrap().generate(seed).unwrap(),
+            4 => PowerLaw::new(m, n, 100.0).unwrap().generate(seed).unwrap(),
+            5 => GridNetwork::new(4, 4, m, n).unwrap().generate(seed).unwrap(),
+            _ => tie_heavy(m, n, seed),
+        };
+        let scale = [1e-3, 1.0, 3.0, 1e3, 1e6][(seed / 7 % 5) as usize];
+        (seed, transform::scale_costs(&inst, scale).unwrap())
+    })
+}
+
+#[test]
+fn dual_ascent_matches_reference_on_the_family_sweep() {
+    // One thread walks the sweep and the test waits for it under a
+    // deadline, so an ascent that stalls fails instead of hanging.
+    let (tx, rx) = mpsc::channel();
+    let walker = std::thread::spawn(move || {
+        for (seed, inst) in jv_sweep() {
+            let fast = jv::dual_ascent(&inst);
+            let slow = jv::dual_ascent_reference(&inst);
+            assert_eq!(bits(&fast.alpha), bits(&slow.alpha), "seed {seed}");
+            assert_eq!(fast.temp_open, slow.temp_open, "seed {seed}");
+        }
+        let _ = tx.send(());
+    });
+    match rx.recv_timeout(Duration::from_secs(120)) {
+        Ok(()) => walker.join().expect("the walker sent its result, so it did not panic"),
+        // A failed assertion drops the sender: surface its panic.
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(walker.join().expect_err("the sender was dropped"))
+        }
+        Err(RecvTimeoutError::Timeout) => panic!("the dual ascent stalled on the sweep"),
     }
 }

@@ -60,7 +60,7 @@ impl Cost {
     /// Negative zero is normalized to `+0.0`, so the raw `f64` lanes the
     /// instance CSR exposes (see [`crate::LinkSlice`]) are totally ordered
     /// by plain `<` exactly as `Cost`'s `total_cmp` orders them — the
-    /// invariant the chunked [`crate::kernels`] rely on for their
+    /// invariant the solvers' strict-`<` lane scans rely on for their
     /// tie-breaking guarantees.
     ///
     /// # Errors

@@ -6,7 +6,6 @@ use std::fmt;
 
 use crate::cost::{self, Cost};
 use crate::error::InstanceError;
-use crate::kernels;
 
 /// Identifier of a facility within an [`Instance`] (dense index `0..m`).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -87,8 +86,7 @@ impl fmt::Display for ClientId {
 /// equal length, and `ids` is sorted ascending (the CSR row invariant).
 /// Splitting the lanes lets cost-only scans — which is what every solver
 /// hot path does — run over pure `f64` memory without dragging ids
-/// through cache, and makes the rows directly consumable by the chunked
-/// [`crate::kernels`]. Every cost was validated by [`Cost::new`] at
+/// through cache. Every cost was validated by [`Cost::new`] at
 /// construction, so the lane is finite, non-negative, and free of `NaN`
 /// and `-0.0`; wrap values back up with [`Cost::from_validated`] when a
 /// typed cost is needed.
@@ -167,8 +165,8 @@ impl<'a> IntoIterator for LinkSlice<'a> {
 /// and one contiguous `f64` cost lane behind a shared u32 offset table.
 /// [`Instance::client_links`]/[`Instance::facility_links`] hand out a row
 /// as a [`LinkSlice`] pair of parallel slices, so cost-only inner loops
-/// (star-ratio scans, repricing sweeps, linear-form passes) touch pure
-/// `f64` memory and autovectorize via [`crate::kernels`]. The lanes and
+/// (star-ratio scans, repricing sweeps, cheapest-link scans) touch pure
+/// `f64` memory. The lanes and
 /// offsets are the whole state: derived values such as
 /// [`Instance::cheapest_link`] and [`Instance::max_degree`] are computed
 /// from them when read, so no mutation path has a cache to keep in sync.
@@ -288,8 +286,8 @@ impl Instance {
     /// The cheapest link of client `j` (ties broken by lowest facility id),
     /// one `O(deg)` scan of the client's cost lane. Rows are sorted by
     /// facility id and costs are `-0.0`-free, so the first lane minimum
-    /// [`kernels::min_argmin`] finds is the `(cost, facility id)`
-    /// lexicographic minimum.
+    /// `min_argmin` finds is the `(cost, facility id)` lexicographic
+    /// minimum.
     ///
     /// # Panics
     ///
@@ -297,7 +295,7 @@ impl Instance {
     /// the instance invariant).
     pub fn cheapest_link(&self, j: ClientId) -> (FacilityId, Cost) {
         let links = self.client_links(j);
-        let (k, c) = kernels::min_argmin(links.costs).expect("every client is linked");
+        let (k, c) = min_argmin(links.costs).expect("every client is linked");
         (FacilityId::new(links.ids[k]), Cost::from_validated(c))
     }
 
@@ -641,8 +639,31 @@ impl Instance {
     }
 }
 
+/// First minimum of a cost lane: `(index, value)`, `None` when empty.
+///
+/// A plain strict-`<` scan, so ties break to the **lowest index**. Cost
+/// lanes are NaN-free, non-negative and free of `-0.0` ([`Cost::new`]
+/// normalizes it), where `<` and `total_cmp` order alike; `+inf`,
+/// subnormals and huge magnitudes are ordinary values. Outside that
+/// contract a leading NaN is an unbeatable incumbent and any later NaN is
+/// invisible to the scan (pinned by a property test).
+fn min_argmin(costs: &[f64]) -> Option<(usize, f64)> {
+    let (&first, rest) = costs.split_first()?;
+    let mut best = first;
+    let mut best_at = 0usize;
+    for (k, &c) in rest.iter().enumerate() {
+        if c < best {
+            best = c;
+            best_at = k + 1;
+        }
+    }
+    Some((best_at, best))
+}
+
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use crate::cost::cost;
 
@@ -852,5 +873,105 @@ mod tests {
         assert_eq!(ClientId::new(2).to_string(), "c2");
         assert_eq!(inst.facilities().count(), 2);
         assert_eq!(inst.clients().count(), 3);
+    }
+
+    #[test]
+    fn min_argmin_first_index_tie_break() {
+        // The minimum appears three times; the first occurrence wins at
+        // every offset.
+        for pad in 0..10 {
+            let mut costs = vec![5.0; pad];
+            costs.extend([2.0, 7.0, 2.0, 9.0, 2.0]);
+            assert_eq!(min_argmin(&costs), Some((pad, 2.0)), "pad {pad}");
+        }
+        let all_equal = vec![3.25; 17];
+        assert_eq!(min_argmin(&all_equal), Some((0, 3.25)));
+    }
+
+    #[test]
+    fn min_argmin_handles_infinities_and_extremes() {
+        assert_eq!(min_argmin(&[]), None);
+        let all_inf = vec![f64::INFINITY; 11];
+        assert_eq!(min_argmin(&all_inf), Some((0, f64::INFINITY)));
+        let mixed = [f64::INFINITY, 1e308, f64::MIN_POSITIVE, 5e-324, 0.0, f64::INFINITY, 1.0, 2.0];
+        assert_eq!(min_argmin(&mixed), Some((4, 0.0)));
+    }
+
+    /// NaN-aware model of the [`min_argmin`] scan: a NaN candidate never
+    /// wins a strict `<`, so the result is the first-occurrence argmin
+    /// over the non-NaN entries — `None` when there are none.
+    fn nan_filtered_min(costs: &[f64]) -> Option<(usize, f64)> {
+        let mut best: Option<(usize, f64)> = None;
+        for (k, &c) in costs.iter().enumerate() {
+            if c.is_nan() {
+                continue;
+            }
+            if best.is_none_or(|(_, b)| c < b) {
+                best = Some((k, c));
+            }
+        }
+        best
+    }
+
+    /// A lane mixing ordinary non-negative costs with NaNs and +inf
+    /// (tags 0 and 1 of a six-way draw, so about a third of the entries
+    /// are non-finite).
+    fn nan_lane() -> impl Strategy<Value = Vec<f64>> {
+        prop::collection::vec((0u32..6, 0u32..4000), 1..48).prop_map(|items| {
+            items
+                .into_iter()
+                .map(|(tag, v)| match tag {
+                    0 => f64::NAN,
+                    1 => f64::INFINITY,
+                    _ => f64::from(v) * 0.375,
+                })
+                .collect()
+        })
+    }
+
+    /// An all-equal lane of one value — exact zero, the smallest
+    /// subnormal, near-overflow, `+inf`, or a regular draw — so every index
+    /// ties and the scan must pick the *first* one.
+    fn equal_lane() -> impl Strategy<Value = Vec<f64>> {
+        (0u8..4, 0.0f64..1e3, 1usize..18).prop_map(|(sel, v, len)| {
+            let value = match sel {
+                0 => 0.0,
+                1 => 5e-324,
+                2 => 1e300,
+                3 => f64::INFINITY,
+                _ => v,
+            };
+            vec![value; len]
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn min_argmin_nan_semantics(costs in nan_lane()) {
+            let got = min_argmin(&costs).unwrap();
+            if costs[0].is_nan() {
+                // A leading NaN is the unbeatable incumbent.
+                prop_assert_eq!(got.0, 0);
+                prop_assert!(got.1.is_nan());
+            } else {
+                // Otherwise NaNs are invisible to the scan.
+                let model = nan_filtered_min(&costs).unwrap();
+                prop_assert_eq!(got.0, model.0);
+                prop_assert_eq!(got.1.to_bits(), model.1.to_bits());
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn min_argmin_breaks_ties_at_the_first_index(lane in equal_lane()) {
+            let (k, v) = min_argmin(&lane).unwrap();
+            prop_assert_eq!(k, 0);
+            prop_assert_eq!(v.to_bits(), lane[0].to_bits());
+        }
     }
 }

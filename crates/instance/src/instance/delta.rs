@@ -14,8 +14,8 @@
 //!   in place the same way (removed ids dropped, survivors renamed, the
 //!   added clients' links appended at each row's end) — no sort anywhere,
 //!   and no lane is reallocated unless it must grow. The id and cost lanes
-//!   therefore stay dense and contiguous, as the scan kernels in
-//!   [`crate::kernels`] require.
+//!   therefore stay dense and contiguous, as the solvers' lane scans
+//!   require.
 //!
 //! The lanes and offsets are the instance's whole state (derived values
 //! such as [`Instance::cheapest_link`] are computed when read), so there

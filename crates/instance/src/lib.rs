@@ -46,7 +46,6 @@ mod cost;
 mod error;
 pub mod generators;
 mod instance;
-pub mod kernels;
 pub mod metric;
 pub mod orlib;
 mod solution;
