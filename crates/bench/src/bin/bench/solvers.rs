@@ -13,12 +13,15 @@
 //! `greedy_allocs_per_iter_budget` (amortized heap allocations per greedy
 //! iteration), `ls_allocs_per_move_budget` (per local-search move), and
 //! `jv_allocs_per_client_budget` (per client of the JV dual ascent), and
-//! one work budget, `jv_exact_sums_per_event_budget` (exact payment sums
-//! per JV ascent event, read from the `solver.jv.*` counters): outputs and
-//! allocations cannot see an ascent that shortlists more facilities than
-//! its margins need. `--smoke` re-measures on small instances and fails if
-//! any budget (read back from the committed BENCH_2.json when it has the
-//! key) is exceeded.
+//! two work budgets, read from the solvers' counters:
+//! `greedy_entries_scanned_per_iter_budget` (star entries the greedy's
+//! scans read per iteration, `solver.greedy.*`) and
+//! `jv_exact_sums_per_event_budget` (exact payment sums per JV ascent
+//! event, `solver.jv.*`). Outputs and allocations cannot see a scan that
+//! reads past its stop rule or an ascent that shortlists more facilities
+//! than its margins need. `--smoke` re-measures on small instances and
+//! fails if any budget (read back from the committed BENCH_2.json when it
+//! has the key) is exceeded.
 
 use distfl_core::{greedy, jv, localsearch};
 use distfl_instance::generators::{Clustered, InstanceGenerator, LineCity, UniformRandom};
@@ -44,6 +47,12 @@ const LS_ALLOCS_PER_MOVE_BUDGET: f64 = 32.0;
 /// lanes, linear forms, and candidate buffers, so the per-client share of
 /// the setup is small and must stay that way.
 const JV_ALLOCS_PER_CLIENT_BUDGET: f64 = 4.0;
+
+/// Star entries the greedy's scans read per iteration (per star picked).
+/// A scan stops at the first cost past its best ratio, so it reads the
+/// best star and little more: 13–55 per iteration on the smoke rows,
+/// against 93–164 for a copy whose scans read every live entry.
+const GREEDY_ENTRIES_SCANNED_PER_ITER_BUDGET: f64 = 80.0;
 
 /// Exact payment sums per JV ascent event. The keys' margins leave about
 /// one (the facility whose event wins) per event; an ascent that
@@ -131,6 +140,20 @@ fn bench_jv(inst: &Instance, reps: usize) -> (Timing, f64) {
     (timing, allocs_per_client)
 }
 
+/// The heap pops of one greedy solve and the star entries its scans read
+/// per iteration, read from the `solver.greedy.*` counters with tracing on
+/// for that solve only.
+fn greedy_work(inst: &Instance) -> (u64, f64) {
+    let pops = distfl_obs::counter("solver.greedy.heap_pops");
+    let scanned = distfl_obs::counter("solver.greedy.entries_scanned");
+    let before = (pops.get(), scanned.get());
+    distfl_obs::set_enabled(true);
+    let run = greedy::solve_detailed(inst);
+    distfl_obs::set_enabled(false);
+    let per_iter = (scanned.get() - before.1) as f64 / f64::from(run.iterations.max(1));
+    (pops.get() - before.0, per_iter)
+}
+
 /// The events of one JV dual ascent and its exact payment sums per event,
 /// read from the `solver.jv.*` counters with tracing on for that ascent
 /// only.
@@ -183,6 +206,13 @@ pub(crate) fn run(mode: Mode) -> Report {
             budget("greedy_allocs_per_iter_budget", GREEDY_ALLOCS_PER_ITER_BUDGET),
         ),
         (
+            "greedy entries scanned per iteration",
+            budget(
+                "greedy_entries_scanned_per_iter_budget",
+                GREEDY_ENTRIES_SCANNED_PER_ITER_BUDGET,
+            ),
+        ),
+        (
             "local-search allocations per move",
             budget("ls_allocs_per_move_budget", LS_ALLOCS_PER_MOVE_BUDGET),
         ),
@@ -197,7 +227,7 @@ pub(crate) fn run(mode: Mode) -> Report {
     ];
 
     let reps = if mode.quick() { 2usize } else { 3 };
-    let mut worst = [0.0f64; 4];
+    let mut worst = [0.0f64; 5];
     let mut w = JsonWriter::object();
     w.key("bench").string("solver_hot_paths");
     w.key("mode").string(mode.name());
@@ -206,17 +236,20 @@ pub(crate) fn run(mode: Mode) -> Report {
          capped at {LS_MOVES} moves), per-round link-scan JV dual ascent"
     ));
     w.key("greedy_allocs_per_iter_budget").number(GREEDY_ALLOCS_PER_ITER_BUDGET);
+    w.key("greedy_entries_scanned_per_iter_budget").number(GREEDY_ENTRIES_SCANNED_PER_ITER_BUDGET);
     w.key("ls_allocs_per_move_budget").number(LS_ALLOCS_PER_MOVE_BUDGET);
     w.key("jv_allocs_per_client_budget").number(JV_ALLOCS_PER_CLIENT_BUDGET);
     w.key("jv_exact_sums_per_event_budget").number(JV_EXACT_SUMS_PER_EVENT_BUDGET);
     w.key("results").begin_array();
     for (name, inst) in instances(mode.quick()) {
         let (g_timing, iterations, allocs_per_iter) = bench_greedy(&inst, reps);
+        let (heap_pops, scanned_per_iter) = greedy_work(&inst);
         let (ls_timing, moves, allocs_per_move) = bench_local_search(&inst, reps);
         let (jv_timing, allocs_per_client) = bench_jv(&inst, reps);
         let (jv_events, sums_per_event) = jv_work(&inst);
         for (worst, measured) in worst.iter_mut().zip([
             allocs_per_iter,
+            scanned_per_iter,
             allocs_per_move,
             allocs_per_client,
             sums_per_event,
@@ -224,7 +257,8 @@ pub(crate) fn run(mode: Mode) -> Report {
             *worst = worst.max(measured);
         }
         eprintln!(
-            "{name:<24} greedy {:>7.2}x ({iterations} iters, {allocs_per_iter:.1} allocs/iter)  \
+            "{name:<24} greedy {:>7.2}x ({iterations} iters, {allocs_per_iter:.1} allocs/iter, \
+             {heap_pops} pops, {scanned_per_iter:.1} entries/iter)  \
              local-search {:>7.2}x ({moves} moves, {allocs_per_move:.1} allocs/move)  \
              jv-ascent {:>7.2}x ({allocs_per_client:.2} allocs/client, {jv_events} events, \
              {sums_per_event:.2} exact sums/event)",
@@ -241,6 +275,8 @@ pub(crate) fn run(mode: Mode) -> Report {
         g_timing.write(&mut w);
         w.key("greedy_iterations").number_u64(u64::from(iterations));
         w.key("greedy_allocs_per_iter").number(allocs_per_iter);
+        w.key("greedy_heap_pops").number_u64(heap_pops);
+        w.key("greedy_entries_scanned_per_iter").number(scanned_per_iter);
         w.key("local_search");
         ls_timing.write(&mut w);
         w.key("local_search_moves").number_u64(u64::from(moves));

@@ -42,7 +42,7 @@ pub fn run(quick: bool) -> Vec<Table> {
     let triples: Vec<(f64, f64, f64)> = pool.map_indexed(cells.len(), |c| {
         let _cell = distfl_obs::span_arg("exp", "e5.cell", c as u64);
         let (trials, s) = cells[c];
-        let params = DistRoundParams { boost: 2.0, trials, threads: None, fault: None };
+        let params = DistRoundParams { boost: 2.0, trials, fault: None };
         let out = distributed_round(&inst, &frac, params, s).expect("rounding run");
         out.solution.check_feasible(&inst).expect("rounded solution feasible");
         let seq = seq_round(&inst, &frac, RoundingConfig { boost: 2.0, trials }, s);

@@ -16,6 +16,12 @@
 //! cost the `Γ` factor, too few inner iterations leave stars unpicked
 //! inside a bucket (experiment E7 ablates both knobs).
 //!
+//! A facility prices its best star with the sequential greedy's own scan,
+//! [`crate::greedy`]'s `star_scan`, over its links sorted by cost once when
+//! the node is built, so a proposal's ratio is exactly the one the greedy
+//! would price on the same unserved set. The threshold grid is anchored at
+//! the least star ratio with nothing served, the same scan.
+//!
 //! A deterministic two-round fallback after the last bucket force-opens
 //! the cheapest `(c_ij + f_i)` bundle of any still-unserved client, so the
 //! output is always feasible. Thresholds are per-facility geometric grids
@@ -25,12 +31,14 @@
 //! Rounds: `2·s_out·s_in + 5`, independent of the input size.
 
 use distfl_congest::{CongestConfig, NodeId, NodeLogic, Payload, StepCtx};
-use distfl_instance::{ClientId, FacilityId, Instance, Solution};
+use distfl_instance::{FacilityId, Instance, Solution};
 use distfl_lp::DualSolution;
 
 use crate::error::CoreError;
+use crate::greedy::{star_row, star_scan};
 use crate::model::{
-    client_node, execute, facility_node, node_role, topology_of, Executor, LinkCursor, Role,
+    client_link_table, clients, execute, facility_link_table, topology_of, Announced, Executor,
+    LinkCursor, Node,
 };
 use crate::runner::{FlAlgorithm, Outcome};
 use crate::theory::harmonic;
@@ -114,37 +122,16 @@ impl Payload for BucketMsg {
 }
 
 /// One GreedyBucket node.
-#[derive(Debug, Clone)]
-pub enum BucketNode {
-    /// Facility role.
-    Facility(FacilityState),
-    /// Client role.
-    Client(ClientState),
-}
-
-impl NodeLogic for BucketNode {
-    type Msg = BucketMsg;
-
-    fn step(&mut self, ctx: &mut StepCtx<'_, BucketMsg>) {
-        match self {
-            BucketNode::Facility(f) => f.step(ctx),
-            BucketNode::Client(c) => c.step(ctx),
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        match self {
-            BucketNode::Facility(f) => f.done,
-            BucketNode::Client(c) => c.done,
-        }
-    }
-}
+pub type BucketNode = Node<FacilityState, ClientState>;
 
 /// Facility state machine.
 #[derive(Debug, Clone)]
 pub struct FacilityState {
     opening: f64,
     links: Vec<(NodeId, f64)>,
+    /// The links' positions sorted by `(cost, position)` and their costs,
+    /// sorted once at build time: the row [`star_scan`] prices.
+    star_row: (Vec<u32>, Vec<f64>),
     outer: u32,
     inner: u32,
     /// Endpoints of the shared threshold grid (common knowledge of the
@@ -160,35 +147,6 @@ pub struct FacilityState {
 }
 
 impl FacilityState {
-    /// Best star over unserved linked clients with the current residual
-    /// opening cost: `(ratio, link indexes)`.
-    fn best_star(&self) -> Option<(f64, Vec<usize>)> {
-        let residual = if self.open { 0.0 } else { self.opening };
-        let mut costs: Vec<(f64, usize)> = self
-            .links
-            .iter()
-            .enumerate()
-            .filter(|(idx, _)| !self.served[*idx])
-            .map(|(idx, &(_, c))| (c, idx))
-            .collect();
-        if costs.is_empty() {
-            return None;
-        }
-        costs.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut best = f64::INFINITY;
-        let mut best_k = 0;
-        let mut prefix = 0.0;
-        for (k, (c, _)) in costs.iter().enumerate() {
-            prefix += c;
-            let ratio = (residual + prefix) / (k + 1) as f64;
-            if ratio < best {
-                best = ratio;
-                best_k = k + 1;
-            }
-        }
-        Some((best, costs[..best_k].iter().map(|&(_, idx)| idx).collect()))
-    }
-
     /// Threshold of outer phase `t`: a geometric grid over the *shared*
     /// ratio range, so phase `t` admits only facilities whose current best
     /// star is globally competitive — the distributed analogue of the
@@ -199,6 +157,14 @@ impl FacilityState {
         }
         let gamma = (self.grid_hi / self.grid_lo).max(1.0).powf(1.0 / f64::from(self.outer - 1));
         (self.grid_lo * gamma.powi(t as i32)).min(self.grid_hi)
+    }
+}
+
+impl NodeLogic for FacilityState {
+    type Msg = BucketMsg;
+
+    fn is_done(&self) -> bool {
+        self.done
     }
 
     fn step(&mut self, ctx: &mut StepCtx<'_, BucketMsg>) {
@@ -224,13 +190,16 @@ impl FacilityState {
             let q = (r - 2) / 2;
             if q < self.outer * self.inner {
                 let t = q / self.inner;
-                if let Some((ratio, star)) = self.best_star() {
-                    if ratio <= self.threshold(t) && ctx.rng().bernoulli(0.5) {
-                        for idx in star {
-                            let dst = self.links[idx].0;
-                            ctx.send(dst, BucketMsg::Serve(ratio))
-                                .expect("star members are neighbors");
-                        }
+                // The best star over the unserved links, at the residual
+                // opening cost: its first `k` unserved row entries.
+                let residual = if self.open { 0.0 } else { self.opening };
+                let (ids, costs) = &self.star_row;
+                let served = |idx: u32| self.served[idx as usize];
+                let (ratio, k, _) = star_scan(ids, costs, residual, served);
+                if k > 0 && ratio <= self.threshold(t) && ctx.rng().bernoulli(0.5) {
+                    for &idx in ids.iter().filter(|&&idx| !served(idx)).take(k) {
+                        let dst = self.links[idx as usize].0;
+                        ctx.send(dst, BucketMsg::Serve(ratio)).expect("star members are neighbors");
                     }
                 }
             }
@@ -241,26 +210,11 @@ impl FacilityState {
     }
 }
 
-/// The best possible star ratio of facility `i` with all clients available
-/// (used to anchor the shared threshold grid).
-fn initial_best_ratio(instance: &Instance, i: FacilityId) -> f64 {
-    let mut costs: Vec<f64> = instance.facility_links(i).costs.to_vec();
-    costs.sort_by(f64::total_cmp);
-    let opening = instance.opening_cost(i).value();
-    let mut best = f64::INFINITY;
-    let mut prefix = 0.0;
-    for (k, c) in costs.iter().enumerate() {
-        prefix += c;
-        best = best.min((opening + prefix) / (k + 1) as f64);
-    }
-    best
-}
-
 /// Client state machine.
 #[derive(Debug, Clone)]
 pub struct ClientState {
     links: Vec<(NodeId, f64)>,
-    opening: Vec<f64>, // announced opening costs, aligned with links
+    opening: Announced,
     iterations: u32,
     assigned: Option<usize>,
     /// The ratio of the star that served this client (the dual
@@ -270,25 +224,24 @@ pub struct ClientState {
     done: bool,
 }
 
-impl ClientState {
+impl NodeLogic for ClientState {
+    type Msg = BucketMsg;
+
+    fn is_done(&self) -> bool {
+        self.done
+    }
+
     fn step(&mut self, ctx: &mut StepCtx<'_, BucketMsg>) {
         let r = ctx.round();
         if r == 0 {
             return;
         }
         if r == 1 {
-            // Record announcements by sender; drops (fault injection) leave
-            // the slot at infinity so the fallback avoids that facility
-            // unless nothing else is known.
-            self.opening = vec![f64::INFINITY; self.links.len()];
-            let mut cursor = LinkCursor::default();
-            for &(src, msg) in ctx.inbox() {
-                if let BucketMsg::Announce(f) = msg {
-                    if let Some(idx) = cursor.seek(&self.links, src) {
-                        self.opening[idx] = f;
-                    }
-                }
-            }
+            let announce = |msg| match msg {
+                BucketMsg::Announce(f) => Some(f),
+                _ => None,
+            };
+            self.opening.record(&self.links, ctx.inbox(), announce);
             return;
         }
         let fallback_round = 2 * self.iterations + 3;
@@ -323,16 +276,7 @@ impl ClientState {
             }
         } else if r == fallback_round {
             // Fallback: force open the cheapest bundle.
-            let (idx, bundle) = self
-                .links
-                .iter()
-                .enumerate()
-                .map(|(idx, &(_, c))| {
-                    let f = self.opening[idx];
-                    (idx, if f.is_finite() { c + f } else { f64::MAX })
-                })
-                .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
-                .expect("instance invariant: every client has a link");
+            let (idx, bundle) = self.opening.cheapest_bundle(&self.links);
             self.assigned = Some(idx);
             self.service_ratio = bundle;
             ctx.send(self.links[idx].0, BucketMsg::Force).expect("fallback target is a neighbor");
@@ -373,14 +317,19 @@ impl FlAlgorithm for GreedyBucket {
                 reason: "bucket needs at least one outer phase and one inner iteration".into(),
             });
         }
-        let m = instance.num_facilities();
         let last_round = bucket_rounds(self.params) - 1;
+        let rows: Vec<_> =
+            instance.facilities().map(|i| star_row(instance.facility_links(i).costs)).collect();
         // Shared threshold grid over the instance's ratio range. In the
         // model this is common knowledge (the paper assumes the coefficient
         // range — equivalently rho — is known up to a polynomial bound).
+        // It is anchored at the least star ratio with nothing served.
         let grid_lo = instance
             .facilities()
-            .map(|i| initial_best_ratio(instance, i))
+            .zip(&rows)
+            .map(|(i, (ids, costs))| {
+                star_scan(ids, costs, instance.opening_cost(i).value(), |_| false).0
+            })
             .fold(f64::INFINITY, f64::min)
             .max(f64::MIN_POSITIVE);
         let grid_hi = 2.0
@@ -392,36 +341,27 @@ impl FlAlgorithm for GreedyBucket {
                     instance.opening_cost(i).value() + max_c
                 })
                 .fold(f64::MIN_POSITIVE, f64::max);
-        let mut nodes = Vec::with_capacity(m + instance.num_clients());
-        for i in instance.facilities() {
-            let links: Vec<(NodeId, f64)> = instance
-                .facility_links(i)
-                .iter()
-                .map(|(j, c)| (client_node(m, ClientId::new(j)), c))
-                .collect();
-            let degree = links.len();
-            nodes.push(BucketNode::Facility(FacilityState {
+        let mut nodes = Vec::with_capacity(instance.num_facilities() + instance.num_clients());
+        for (i, star_row) in instance.facilities().zip(rows) {
+            let links = facility_link_table(instance, i);
+            nodes.push(Node::Facility(FacilityState {
                 opening: instance.opening_cost(i).value(),
+                served: vec![false; links.len()],
                 links,
+                star_row,
                 outer: self.params.outer,
                 inner: self.params.inner,
                 grid_lo,
                 grid_hi,
                 open: false,
-                served: vec![false; degree],
                 last_round,
                 done: false,
             }));
         }
         for j in instance.clients() {
-            let links: Vec<(NodeId, f64)> = instance
-                .client_links(j)
-                .iter()
-                .map(|(i, c)| (facility_node(FacilityId::new(i)), c))
-                .collect();
-            nodes.push(BucketNode::Client(ClientState {
-                opening: Vec::with_capacity(links.len()),
-                links,
+            nodes.push(Node::Client(ClientState {
+                links: client_link_table(instance, j),
+                opening: Announced::default(),
                 iterations: self.params.outer * self.params.inner,
                 assigned: None,
                 service_ratio: 0.0,
@@ -433,17 +373,12 @@ impl FlAlgorithm for GreedyBucket {
         let executor = Executor::LockStep(config);
         let rounds = bucket_rounds(self.params);
         let run = execute(topology_of(instance)?, nodes, seed, executor, rounds, |nodes| {
-            let mut assignment = vec![FacilityId::new(0); instance.num_clients()];
-            let mut ratios = vec![0.0f64; instance.num_clients()];
-            for (index, node) in nodes.iter().enumerate() {
-                if let (Role::Client(j), BucketNode::Client(c)) =
-                    (node_role(m, NodeId::new(index as u32)), node)
-                {
+            let (assignment, ratios): (Vec<_>, Vec<_>) = clients(nodes)
+                .map(|c| {
                     let idx = c.assigned.expect("fallback guarantees assignment");
-                    assignment[j.index()] = FacilityId::new(c.links[idx].0.raw());
-                    ratios[j.index()] = c.service_ratio;
-                }
-            }
+                    (FacilityId::new(c.links[idx].0.raw()), c.service_ratio)
+                })
+                .unzip();
             let solution = Solution::from_assignment(instance, assignment)?;
             Ok((solution.reassign_greedily(instance), ratios))
         })?;

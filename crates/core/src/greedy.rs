@@ -38,8 +38,17 @@
 //! its cursor): past
 //! that, every longer prefix averages at least `best` even after the
 //! prefix chain's rounding (the bound is worked out on `star_scan`). The
-//! best star averages about two clients, so a scan reads a handful of
-//! entries of a row of hundreds.
+//! best star averages about two clients, but the clients served since the
+//! row's cursor sit among the unserved ones and are read to be skipped:
+//! on the capb-shaped 100×1000 row of `bench solvers` a solve reads about
+//! 114 entries per heap pop of a row of 1,000.
+//!
+//! `star_scan` is the crate's one star rule: GreedyBucket
+//! ([`crate::bucket`]) and the executed straw-man ([`crate::seqdist`])
+//! price their facilities' stars with it too. A solve adds its heap pops
+//! and the entries its scans read to the `solver.greedy.heap_pops` and
+//! `solver.greedy.entries_scanned` counters; outputs cannot show a scan
+//! that reads past its stop, so `bench solvers --smoke` gates the second.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -205,9 +214,12 @@ impl SortedStars {
 
 /// The best star of one `(cost, client id)`-sorted row over the entries
 /// whose client `served` leaves out: the least ratio `(residual +
-/// prefix_k) / k` over prefixes of the unserved entries and the first `k`
-/// attaining it, or `(+inf, 0)` when none is unserved. The prefix chain
-/// and the strict-`<` updates are the reference's.
+/// prefix_k) / k` over prefixes of the unserved entries, the first `k`
+/// attaining it (`(+inf, 0)` when none is unserved), and the number of
+/// entries the scan read, the one that stopped it included. The prefix
+/// chain and the strict-`<` updates are the reference's. The one star rule
+/// of the crate: the greedy, GreedyBucket and the straw-man in `seqdist`
+/// all price stars here.
 ///
 /// **The stop rule.** The scan stops before the next unserved cost `c`
 /// once `c > best·(1 + 8·len·2⁻⁵²)`, `len` the slice's length. In real
@@ -227,16 +239,17 @@ impl SortedStars {
 /// binary fractions (the sweep in `tests/solver_equivalence.rs` pins
 /// this).
 #[inline]
-fn star_scan(
+pub(crate) fn star_scan(
     ids: &[u32],
     costs: &[f64],
     residual: f64,
     served: impl Fn(u32) -> bool,
-) -> (f64, usize) {
+) -> (f64, usize, usize) {
     let slack = 1.0 + (8 * costs.len()) as f64 * f64::EPSILON;
     let (mut best, mut stop, mut best_k) = (f64::INFINITY, f64::INFINITY, 0usize);
-    let (mut prefix, mut k) = (0.0f64, 0usize);
+    let (mut prefix, mut k, mut visited) = (0.0f64, 0usize, 0usize);
     for (&j, &c) in ids.iter().zip(costs) {
+        visited += 1;
         if served(j) {
             continue;
         }
@@ -251,7 +264,17 @@ fn star_scan(
             stop = best * slack;
         }
     }
-    (best, best_k)
+    (best, best_k, visited)
+}
+
+/// A star row for [`star_scan`] over one facility's link costs: the link
+/// positions sorted by `(cost, position)`, and the costs in that order.
+/// Positions in an id-sorted link table order like the client ids, so the
+/// row has the `(cost, client id)` order the reference sorts into.
+pub(crate) fn star_row(costs: &[f64]) -> (Vec<u32>, Vec<f64>) {
+    let mut row: Vec<(u32, f64)> = (0..).zip(costs.iter().copied()).collect();
+    row.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+    row.into_iter().unzip()
 }
 
 /// Refills `seeds` with the per-facility iteration-0 star ratios of
@@ -264,9 +287,10 @@ pub(crate) fn seed_ratios(instance: &Instance, stars: &SortedStars, seeds: &mut 
     }));
 }
 
-/// The iteration-0 star ratio of one sorted row. `NaN` marks a facility
-/// with no linked clients (nothing to seed); [`star_scan`] never returns
-/// `NaN` on validated costs, so the sentinel is unambiguous.
+/// The iteration-0 star ratio of one sorted row: the scan with nothing
+/// served. `NaN` marks a facility with no linked clients (nothing to
+/// seed); [`star_scan`] never returns `NaN` on validated costs, so the
+/// sentinel is unambiguous.
 pub(crate) fn seed_ratio(ids: &[u32], costs: &[f64], opening: f64) -> f64 {
     if costs.is_empty() {
         f64::NAN
@@ -296,6 +320,9 @@ pub(crate) struct GreedyScratch {
 /// loop, so their outputs are identical by construction: the heap's pop
 /// order is a pure function of its *content* (keys are totally ordered and
 /// per-facility unique), never of push order.
+///
+/// Reports its heap pops and the entries its scans read to the
+/// `solver.greedy.heap_pops` and `solver.greedy.entries_scanned` counters.
 pub(crate) fn run_greedy(
     instance: &Instance,
     stars: &SortedStars,
@@ -316,6 +343,7 @@ pub(crate) fn run_greedy(
     let mut ratios = vec![0.0f64; n];
     let mut remaining = n;
     let mut iterations = 0u32;
+    let (mut pops, mut scanned) = (0u64, 0u64);
 
     heap.clear();
     for (i, &seed) in seeds.iter().enumerate() {
@@ -327,6 +355,7 @@ pub(crate) fn run_greedy(
     while remaining > 0 {
         let std::cmp::Reverse(key) =
             heap.pop().expect("instance invariant: every client is linked, so a star exists");
+        pops += 1;
         let i = FacilityId::new(key.fid);
         let residual = if opened[i.index()] { 0.0 } else { instance.opening_cost(i).value() };
         let (ids, costs) = stars.live(i.index(), &mut cursor[i.index()], served);
@@ -335,7 +364,8 @@ pub(crate) fn run_greedy(
             // out of stars (serving never un-serves).
             continue;
         }
-        let (ratio, k) = star_scan(ids, costs, residual, |j| served[j as usize]);
+        let (ratio, k, visited) = star_scan(ids, costs, residual, |j| served[j as usize]);
+        scanned += visited as u64;
         let fresh = StarKey { ratio, fid: key.fid };
         // Cached keys are lower bounds on true keys, so beating the best
         // cached key proves global minimality (ids are unique, so the
@@ -366,7 +396,8 @@ pub(crate) fn run_greedy(
         // its (possibly lower) new ratio re-enters the heap.
         let (ids, costs) = stars.live(i.index(), &mut cursor[i.index()], served);
         if !ids.is_empty() {
-            let (ratio, _) = star_scan(ids, costs, 0.0, |j| served[j as usize]);
+            let (ratio, _, visited) = star_scan(ids, costs, 0.0, |j| served[j as usize]);
+            scanned += visited as u64;
             heap.push(std::cmp::Reverse(StarKey { ratio, fid: key.fid }));
         }
     }
@@ -374,6 +405,8 @@ pub(crate) fn run_greedy(
     let solution = Solution::from_assignment(instance, assignment.clone())
         .expect("greedy assigns over existing links");
     distfl_obs::counter("solver.greedy.iterations").add(iterations as u64);
+    distfl_obs::counter("solver.greedy.heap_pops").add(pops);
+    distfl_obs::counter("solver.greedy.entries_scanned").add(scanned);
     GreedyRun { solution, ratios, iterations }
 }
 

@@ -76,6 +76,6 @@ pub mod warm;
 
 pub use dispatch::{SolverKind, AUTO_LOCAL_SEARCH_LINK_LIMIT};
 pub use error::CoreError;
-pub use model::{client_node, facility_node, node_role, topology_of, Role};
+pub use model::{client_node, facility_node, node_role, topology_of, Node, Role};
 pub use report::RunReport;
 pub use runner::{evaluate, FlAlgorithm, Outcome};

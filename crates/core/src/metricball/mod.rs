@@ -73,7 +73,7 @@ use distfl_congest::{CongestConfig, NodeRng, SimConfig};
 use distfl_instance::{FacilityId, Instance, Solution};
 
 use crate::error::CoreError;
-use crate::model::{execute, facility_node, node_role, topology_of, Executor, Role};
+use crate::model::{clients, execute, facility_node, topology_of, Executor};
 use crate::mp;
 use crate::paydual::SimulatedRun;
 use crate::runner::{FlAlgorithm, Outcome};
@@ -174,21 +174,13 @@ fn check_phases(phases: u32) -> Result<(), CoreError> {
 
 /// Extracts the solution from final node states.
 fn harvest(instance: &Instance, nodes: &[MetricBallNode]) -> Result<Solution, CoreError> {
-    let m = instance.num_facilities();
-    let mut assignment = vec![FacilityId::new(0); instance.num_clients()];
-    for (index, node) in nodes.iter().enumerate() {
-        match (node_role(m, distfl_congest::NodeId::new(index as u32)), node) {
-            (Role::Client(j), MetricBallNode::Client(c)) => {
-                let facility = c.connected_facility().ok_or(CoreError::Congest(
-                    distfl_congest::CongestError::ProtocolIncomplete {
-                        what: "client holds no connection after the coverage round",
-                    },
-                ))?;
-                assignment[j.index()] = facility;
-            }
-            (Role::Facility(_), MetricBallNode::Facility(_)) => {}
-            _ => unreachable!("node role/state mismatch"),
-        }
+    let mut assignment = Vec::with_capacity(instance.num_clients());
+    for c in clients(nodes) {
+        assignment.push(c.connected_facility().ok_or(CoreError::Congest(
+            distfl_congest::CongestError::ProtocolIncomplete {
+                what: "client holds no connection after the coverage round",
+            },
+        ))?);
     }
     Ok(Solution::from_assignment(instance, assignment)?)
 }

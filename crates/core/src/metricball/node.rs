@@ -3,7 +3,7 @@
 use distfl_congest::{NodeId, NodeLogic, Payload, StepCtx};
 use distfl_instance::{FacilityId, Instance};
 
-use crate::model::{facility_node, LinkCursor};
+use crate::model::{client_link_table, LinkCursor, Node};
 use crate::mp;
 
 /// Upper bound on any MetricBall message, in bits: one tag byte plus one
@@ -51,31 +51,7 @@ impl Payload for MetricBallMsg {
 }
 
 /// One MetricBall node: either a facility or a client state machine.
-#[derive(Debug, Clone)]
-pub enum MetricBallNode {
-    /// Facility role.
-    Facility(FacilityState),
-    /// Client role.
-    Client(ClientState),
-}
-
-impl NodeLogic for MetricBallNode {
-    type Msg = MetricBallMsg;
-
-    fn step(&mut self, ctx: &mut StepCtx<'_, MetricBallMsg>) {
-        match self {
-            MetricBallNode::Facility(f) => f.step(ctx),
-            MetricBallNode::Client(c) => c.step(ctx),
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        match self {
-            MetricBallNode::Facility(f) => f.done,
-            MetricBallNode::Client(c) => c.done,
-        }
-    }
-}
+pub type MetricBallNode = Node<FacilityState, ClientState>;
 
 /// The globally-known radius schedule `R_0 < … < R_{s−1}`: a geometric
 /// ladder from the instance's positive cost floor up to twice its largest
@@ -124,15 +100,11 @@ pub fn build_nodes(instance: &Instance, phases: u32) -> Vec<MetricBallNode> {
     let mut nodes = Vec::with_capacity(m + instance.num_clients());
     for i in instance.facilities() {
         let phase = first_phase(mp::radius(instance, i), &schedule);
-        nodes.push(MetricBallNode::Facility(FacilityState::new(phase, demand_round, last_round)));
+        nodes.push(Node::Facility(FacilityState::new(phase, demand_round, last_round)));
     }
     for j in instance.clients() {
-        let links = instance
-            .client_links(j)
-            .iter()
-            .map(|(i, c)| (facility_node(FacilityId::new(i)), c))
-            .collect();
-        nodes.push(MetricBallNode::Client(ClientState::new(
+        let links = client_link_table(instance, j);
+        nodes.push(Node::Client(ClientState::new(
             links,
             schedule.clone(),
             demand_round,
@@ -172,6 +144,14 @@ impl FacilityState {
     /// Whether the facility declared itself open during the run.
     pub fn is_open(&self) -> bool {
         self.open
+    }
+}
+
+impl NodeLogic for FacilityState {
+    type Msg = MetricBallMsg;
+
+    fn is_done(&self) -> bool {
+        self.done
     }
 
     fn step(&mut self, ctx: &mut StepCtx<'_, MetricBallMsg>) {
@@ -265,6 +245,14 @@ impl ClientState {
             }
         }
         best
+    }
+}
+
+impl NodeLogic for ClientState {
+    type Msg = MetricBallMsg;
+
+    fn is_done(&self) -> bool {
+        self.done
     }
 
     fn step(&mut self, ctx: &mut StepCtx<'_, MetricBallMsg>) {

@@ -1,14 +1,18 @@
-//! Mapping between facility-location instances and CONGEST networks.
+//! Mapping between facility-location instances and CONGEST networks, and
+//! the scaffolding every protocol on them shares.
 //!
 //! Facility `i` becomes node `i`, client `j` becomes node `m + j`, and the
 //! communication edges are exactly the instance's links — the model of the
 //! PODC 2005 paper, where a client can only talk to (and connect to)
-//! facilities it has a link with. [`execute`] runs node logics over such a
-//! topology on either executor.
+//! facilities it has a link with. Every protocol (PayDual, MetricBall,
+//! GreedyBucket, DistRound and the straw-man in `seqdist`) writes a
+//! facility and a client state machine, joins them in one [`Node`], reads
+//! its link tables from [`facility_link_table`] and [`client_link_table`],
+//! and runs through [`execute`] on either executor.
 
 use distfl_congest::{
     CongestConfig, CongestError, Network, NodeId, NodeLogic, SimConfig, SimReport, Simulator,
-    Topology, Transcript,
+    StepCtx, Topology, Transcript,
 };
 use distfl_instance::{ClientId, FacilityId, Instance};
 
@@ -45,6 +49,98 @@ pub fn node_role(num_facilities: usize, node: NodeId) -> Role {
         Role::Facility(FacilityId::new(node.raw()))
     } else {
         Role::Client(ClientId::new(node.raw() - num_facilities as u32))
+    }
+}
+
+/// One node of a facility-location protocol: its facility state machine
+/// `F` or its client state machine `C`. Each role is a [`NodeLogic`] over
+/// the protocol's one message type; this enum is the dispatch between them.
+#[derive(Debug, Clone)]
+pub enum Node<F, C> {
+    /// Facility role.
+    Facility(F),
+    /// Client role.
+    Client(C),
+}
+
+impl<F: NodeLogic, C: NodeLogic<Msg = F::Msg>> NodeLogic for Node<F, C> {
+    type Msg = F::Msg;
+
+    fn step(&mut self, ctx: &mut StepCtx<'_, F::Msg>) {
+        match self {
+            Node::Facility(f) => f.step(ctx),
+            Node::Client(c) => c.step(ctx),
+        }
+    }
+
+    fn is_done(&self) -> bool {
+        match self {
+            Node::Facility(f) => f.is_done(),
+            Node::Client(c) => c.is_done(),
+        }
+    }
+}
+
+/// The client states of a node vector built facilities first, in client
+/// order.
+pub(crate) fn clients<F, C>(nodes: &[Node<F, C>]) -> impl ExactSizeIterator<Item = &C> {
+    let first = nodes.partition_point(|node| matches!(node, Node::Facility(_)));
+    nodes[first..].iter().map(|node| match node {
+        Node::Client(c) => c,
+        Node::Facility(_) => unreachable!("facilities come first"),
+    })
+}
+
+/// Facility `i`'s link table: `(client node, cost)` in ascending node id,
+/// the order [`LinkCursor`] walks.
+pub(crate) fn facility_link_table(instance: &Instance, i: FacilityId) -> Vec<(NodeId, f64)> {
+    let m = instance.num_facilities();
+    instance.facility_links(i).iter().map(|(j, c)| (client_node(m, ClientId::new(j)), c)).collect()
+}
+
+/// Client `j`'s link table: `(facility node, cost)` in ascending node id.
+pub(crate) fn client_link_table(instance: &Instance, j: ClientId) -> Vec<(NodeId, f64)> {
+    instance.client_links(j).iter().map(|(i, c)| (facility_node(FacilityId::new(i)), c)).collect()
+}
+
+/// The opening costs a client heard announced, aligned with its link
+/// table: the fallback of the GreedyBucket and DistRound clients, which
+/// force-open their cheapest `(c + f)` bundle when the randomized rounds
+/// left them unserved.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Announced(Vec<f64>);
+
+impl Announced {
+    /// Records the announcements `opening` reads out of `inbox`. A facility
+    /// whose announcement was lost (fault injection) stays at `+inf`.
+    pub(crate) fn record<M: Copy>(
+        &mut self,
+        links: &[(NodeId, f64)],
+        inbox: &[(NodeId, M)],
+        opening: impl Fn(M) -> Option<f64>,
+    ) {
+        self.0 = vec![f64::INFINITY; links.len()];
+        let mut cursor = LinkCursor::default();
+        for &(src, msg) in inbox {
+            if let Some(f) = opening(msg) {
+                if let Some(idx) = cursor.seek(links, src) {
+                    self.0[idx] = f;
+                }
+            }
+        }
+    }
+
+    /// The link index of the cheapest bundle and its cost, ties to the
+    /// lowest index. An unheard facility prices at `f64::MAX`, so it is
+    /// chosen only when no announcement arrived at all.
+    pub(crate) fn cheapest_bundle(&self, links: &[(NodeId, f64)]) -> (usize, f64) {
+        links
+            .iter()
+            .zip(&self.0)
+            .map(|(&(_, c), &f)| if f.is_finite() { c + f } else { f64::MAX })
+            .enumerate()
+            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
+            .expect("instance invariant: every client has a link")
     }
 }
 

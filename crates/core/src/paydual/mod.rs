@@ -48,11 +48,11 @@
 pub mod node;
 
 use distfl_congest::{CongestConfig, SimConfig, SimReport};
-use distfl_instance::{FacilityId, Instance, Solution};
+use distfl_instance::{Instance, Solution};
 use distfl_lp::DualSolution;
 
 use crate::error::CoreError;
-use crate::model::{execute, node_role, topology_of, Execution, Executor, Role};
+use crate::model::{clients, execute, topology_of, Execution, Executor};
 use crate::runner::{FlAlgorithm, Outcome};
 
 pub use node::{PayDualMsg, PayDualNode};
@@ -213,26 +213,19 @@ fn harvest(
     nodes: &[PayDualNode],
     polish: bool,
 ) -> Result<(Solution, DualSolution), CoreError> {
-    let m = instance.num_facilities();
-    let mut assignment = vec![FacilityId::new(0); instance.num_clients()];
-    let mut alpha = vec![0.0f64; instance.num_clients()];
-    for (index, node) in nodes.iter().enumerate() {
-        match (node_role(m, distfl_congest::NodeId::new(index as u32)), node) {
-            (Role::Client(j), PayDualNode::Client(c)) => {
-                // In the fault-free model every client is connected; under
-                // fault injection recover via the local fallback. Only a
-                // client crashed before bootstrap has neither.
-                let facility = c.connected_facility().or_else(|| c.fallback_facility()).ok_or(
-                    CoreError::Congest(distfl_congest::CongestError::ProtocolIncomplete {
-                        what: "client holds neither a connection nor a fallback facility",
-                    }),
-                )?;
-                assignment[j.index()] = facility;
-                alpha[j.index()] = c.alpha();
-            }
-            (Role::Facility(_), PayDualNode::Facility(_)) => {}
-            _ => unreachable!("node role/state mismatch"),
-        }
+    let mut assignment = Vec::with_capacity(instance.num_clients());
+    let mut alpha = Vec::with_capacity(instance.num_clients());
+    for c in clients(nodes) {
+        // In the fault-free model every client is connected; under fault
+        // injection recover via the local fallback. Only a client crashed
+        // before bootstrap has neither.
+        let facility = c.connected_facility().or_else(|| c.fallback_facility()).ok_or(
+            CoreError::Congest(distfl_congest::CongestError::ProtocolIncomplete {
+                what: "client holds neither a connection nor a fallback facility",
+            }),
+        )?;
+        assignment.push(facility);
+        alpha.push(c.alpha());
     }
     let solution = Solution::from_assignment(instance, assignment)?;
     // Final local polish (free in the model: one more exchange of the

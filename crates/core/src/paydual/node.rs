@@ -1,10 +1,10 @@
 //! Node state machines for PayDual.
 
 use distfl_congest::{NodeId, NodeLogic, Payload, StepCtx};
-use distfl_instance::{ClientId, FacilityId, Instance};
+use distfl_instance::{FacilityId, Instance};
 
 use super::ConnectRule;
-use crate::model::{client_node, facility_node, LinkCursor};
+use crate::model::{client_link_table, facility_link_table, LinkCursor, Node};
 
 /// Upper bound on any PayDual message, in bits: one tag byte plus one
 /// 64-bit scalar. The CONGEST discipline check in the tests uses this.
@@ -57,31 +57,7 @@ impl Payload for PayDualMsg {
 }
 
 /// One PayDual node: either a facility or a client state machine.
-#[derive(Debug, Clone)]
-pub enum PayDualNode {
-    /// Facility role.
-    Facility(FacilityState),
-    /// Client role.
-    Client(ClientState),
-}
-
-impl NodeLogic for PayDualNode {
-    type Msg = PayDualMsg;
-
-    fn step(&mut self, ctx: &mut StepCtx<'_, PayDualMsg>) {
-        match self {
-            PayDualNode::Facility(f) => f.step(ctx),
-            PayDualNode::Client(c) => c.step(ctx),
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        match self {
-            PayDualNode::Facility(f) => f.done,
-            PayDualNode::Client(c) => c.done,
-        }
-    }
-}
+pub type PayDualNode = Node<FacilityState, ClientState>;
 
 /// Builds the node vector for an instance: facilities `0..m`, then clients.
 pub fn build_nodes(
@@ -93,25 +69,14 @@ pub fn build_nodes(
     let last_round = crate::theory::paydual_rounds(phases) - 1;
     let mut nodes = Vec::with_capacity(m + instance.num_clients());
     for i in instance.facilities() {
-        let links = instance
-            .facility_links(i)
-            .iter()
-            .map(|(j, c)| (client_node(m, ClientId::new(j)), c))
-            .collect();
-        nodes.push(PayDualNode::Facility(FacilityState::new(
-            instance.opening_cost(i).value(),
-            links,
-            last_round,
-        )));
+        let links = facility_link_table(instance, i);
+        let opening = instance.opening_cost(i).value();
+        nodes.push(Node::Facility(FacilityState::new(opening, links, last_round)));
     }
     let size_bound = (m + instance.num_clients()) as f64;
     for j in instance.clients() {
-        let links = instance
-            .client_links(j)
-            .iter()
-            .map(|(i, c)| (facility_node(FacilityId::new(i)), c))
-            .collect();
-        nodes.push(PayDualNode::Client(ClientState::new(
+        let links = client_link_table(instance, j);
+        nodes.push(Node::Client(ClientState::new(
             links,
             phases,
             size_bound,
@@ -152,6 +117,14 @@ impl FacilityState {
     /// Whether the facility declared itself open during the run.
     pub fn is_open(&self) -> bool {
         self.open
+    }
+}
+
+impl NodeLogic for FacilityState {
+    type Msg = PayDualMsg;
+
+    fn is_done(&self) -> bool {
+        self.done
     }
 
     fn step(&mut self, ctx: &mut StepCtx<'_, PayDualMsg>) {
@@ -326,6 +299,14 @@ impl ClientState {
             }
         }
         best.map(|(idx, _)| idx)
+    }
+}
+
+impl NodeLogic for ClientState {
+    type Msg = PayDualMsg;
+
+    fn is_done(&self) -> bool {
+        self.done
     }
 
     fn step(&mut self, ctx: &mut StepCtx<'_, PayDualMsg>) {

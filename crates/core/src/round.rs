@@ -27,7 +27,7 @@ use distfl_lp::FractionalSolution;
 
 use crate::error::CoreError;
 use crate::model::{
-    client_node, execute, facility_node, node_role, topology_of, Executor, LinkCursor, Role,
+    client_link_table, clients, execute, topology_of, Announced, Executor, LinkCursor, Node,
 };
 
 /// Parameters for [`distributed_round`].
@@ -37,8 +37,6 @@ pub struct DistRoundParams {
     pub boost: f64,
     /// Number of randomized trials `T`.
     pub trials: u32,
-    /// Worker threads for the simulator.
-    pub threads: Option<usize>,
     /// Optional deterministic message-drop plan (the output stays feasible
     /// because the fallback is a local decision).
     pub fault: Option<distfl_congest::FaultPlan>,
@@ -54,7 +52,6 @@ impl DistRoundParams {
             trials: distfl_lp::rounding::standard_trials(
                 instance.num_clients() + instance.num_facilities(),
             ),
-            threads: None,
             fault: None,
         }
     }
@@ -105,12 +102,6 @@ impl Payload for RoundMsg {
 }
 
 #[derive(Debug, Clone)]
-enum RoundNode {
-    Facility(FacilityState),
-    Client(ClientState),
-}
-
-#[derive(Debug, Clone)]
 struct FacilityState {
     y: f64,
     /// The true opening cost, announced for the clients' fallback choice.
@@ -129,7 +120,7 @@ struct ClientState {
     links: Vec<(NodeId, f64)>,
     /// Whether each link is in the fractional support (aligned).
     in_support: Vec<bool>,
-    opening: Vec<f64>,
+    opening: Announced,
     trials: u32,
     known_open: Vec<bool>,
     assigned: Option<usize>,
@@ -138,25 +129,13 @@ struct ClientState {
     done: bool,
 }
 
-impl NodeLogic for RoundNode {
+impl NodeLogic for FacilityState {
     type Msg = RoundMsg;
 
-    fn step(&mut self, ctx: &mut StepCtx<'_, RoundMsg>) {
-        match self {
-            RoundNode::Facility(f) => f.step(ctx),
-            RoundNode::Client(c) => c.step(ctx),
-        }
-    }
-
     fn is_done(&self) -> bool {
-        match self {
-            RoundNode::Facility(f) => f.done,
-            RoundNode::Client(c) => c.done,
-        }
+        self.done
     }
-}
 
-impl FacilityState {
     fn step(&mut self, ctx: &mut StepCtx<'_, RoundMsg>) {
         let r = ctx.round();
         if r == 0 {
@@ -188,25 +167,24 @@ impl FacilityState {
     }
 }
 
-impl ClientState {
+impl NodeLogic for ClientState {
+    type Msg = RoundMsg;
+
+    fn is_done(&self) -> bool {
+        self.done
+    }
+
     fn step(&mut self, ctx: &mut StepCtx<'_, RoundMsg>) {
         let r = ctx.round();
         if r == 0 {
             return;
         }
         if r == 1 {
-            // Record announcements by sender; drops (fault injection) leave
-            // the slot at infinity so the fallback avoids that facility
-            // unless nothing else is known.
-            self.opening = vec![f64::INFINITY; self.links.len()];
-            let mut cursor = LinkCursor::default();
-            for &(src, msg) in ctx.inbox() {
-                if let RoundMsg::Announce(f) = msg {
-                    if let Some(idx) = cursor.seek(&self.links, src) {
-                        self.opening[idx] = f;
-                    }
-                }
-            }
+            let announce = |msg| match msg {
+                RoundMsg::Announce(f) => Some(f),
+                _ => None,
+            };
+            self.opening.record(&self.links, ctx.inbox(), announce);
             // Round 1 is also the first trial round for facilities; the
             // client reacts starting round 2.
             return;
@@ -240,16 +218,7 @@ impl ClientState {
                 }
             }
         } else if r == fallback_round && self.assigned.is_none() {
-            let (idx, _) = self
-                .links
-                .iter()
-                .enumerate()
-                .map(|(idx, &(_, c))| {
-                    let f = self.opening[idx];
-                    (idx, if f.is_finite() { c + f } else { f64::MAX })
-                })
-                .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
-                .expect("instance invariant: every client has a link");
+            let (idx, _) = self.opening.cheapest_bundle(&self.links);
             self.assigned = Some(idx);
             ctx.send(self.links[idx].0, RoundMsg::Force).expect("fallback target is a neighbor");
             self.done = true;
@@ -298,11 +267,10 @@ pub fn distributed_round(
             reason: "fractional solution shape does not match instance".into(),
         });
     }
-    let m = instance.num_facilities();
     let last_round = rounding_rounds(params.trials) - 1;
-    let mut nodes = Vec::with_capacity(m + instance.num_clients());
+    let mut nodes = Vec::with_capacity(instance.num_facilities() + instance.num_clients());
     for i in instance.facilities() {
-        nodes.push(RoundNode::Facility(FacilityState {
+        nodes.push(Node::Facility(FacilityState {
             y: fractional.y()[i.index()],
             y_opening_cost: instance.opening_cost(i).value(),
             boost: params.boost,
@@ -314,19 +282,15 @@ pub fn distributed_round(
         }));
     }
     for j in instance.clients() {
-        let links: Vec<(NodeId, f64)> = instance
-            .client_links(j)
-            .iter()
-            .map(|(i, c)| (facility_node(FacilityId::new(i)), c))
-            .collect();
+        let links = client_link_table(instance, j);
         let in_support: Vec<bool> = instance
             .client_links(j)
             .iter()
             .map(|(i, _)| fractional.x(j).iter().any(|&(fi, v)| fi.raw() == i && v > 0.0))
             .collect();
-        nodes.push(RoundNode::Client(ClientState {
+        nodes.push(Node::Client(ClientState {
             known_open: vec![false; links.len()],
-            opening: Vec::with_capacity(links.len()),
+            opening: Announced::default(),
             links,
             in_support,
             trials: params.trials,
@@ -336,31 +300,21 @@ pub fn distributed_round(
             done: false,
         }));
     }
-    let config =
-        CongestConfig { threads: params.threads, fault: params.fault, ..CongestConfig::default() };
+    let config = CongestConfig { fault: params.fault, ..CongestConfig::default() };
     let executor = Executor::LockStep(config);
     let rounds = rounding_rounds(params.trials);
     let run = execute(topology_of(instance)?, nodes, seed, executor, rounds, |nodes| {
-        let mut assignment = vec![FacilityId::new(0); instance.num_clients()];
-        let mut served_in_trial = vec![None; instance.num_clients()];
-        let mut fallback = 0;
-        for (index, node) in nodes.iter().enumerate() {
-            if let (Role::Client(j), RoundNode::Client(c)) =
-                (node_role(m, NodeId::new(index as u32)), node)
-            {
+        let (assignment, served_in_trial): (Vec<_>, Vec<_>) = clients(nodes)
+            .map(|c| {
                 let idx = c.assigned.expect("fallback guarantees assignment");
-                assignment[j.index()] = FacilityId::new(c.links[idx].0.raw());
-                served_in_trial[j.index()] = c.served_in_trial;
-                if c.served_in_trial.is_none() {
-                    fallback += 1;
-                }
-            }
-        }
+                (FacilityId::new(c.links[idx].0.raw()), c.served_in_trial)
+            })
+            .unzip();
         let solution = Solution::from_assignment(instance, assignment)?;
-        Ok((solution, fallback, served_in_trial))
+        Ok((solution, served_in_trial))
     })?;
-    let (solution, fallback_clients, served_in_trial) = run.harvest;
-    let _ = client_node(m, distfl_instance::ClientId::new(0));
+    let (solution, served_in_trial) = run.harvest;
+    let fallback_clients = served_in_trial.iter().filter(|t| t.is_none()).count();
     Ok(DistRoundOutcome { solution, transcript: run.transcript, fallback_clients, served_in_trial })
 }
 
@@ -385,7 +339,7 @@ mod tests {
     fn round_count_matches_formula() {
         let inst = UniformRandom::new(5, 15).unwrap().generate(1).unwrap();
         let frac = spread_fractional(&inst, 2);
-        let params = DistRoundParams { boost: 2.0, trials: 4, threads: None, fault: None };
+        let params = DistRoundParams { boost: 2.0, trials: 4, fault: None };
         let out = distributed_round(&inst, &frac, params, 3).unwrap();
         assert_eq!(out.transcript.num_rounds(), rounding_rounds(4));
     }
@@ -394,7 +348,7 @@ mod tests {
     fn zero_trials_serves_everyone_by_fallback() {
         let inst = UniformRandom::new(5, 12).unwrap().generate(2).unwrap();
         let frac = spread_fractional(&inst, 2);
-        let params = DistRoundParams { boost: 2.0, trials: 0, threads: None, fault: None };
+        let params = DistRoundParams { boost: 2.0, trials: 0, fault: None };
         let out = distributed_round(&inst, &frac, params, 1).unwrap();
         assert_eq!(out.fallback_clients, 12);
         out.solution.check_feasible(&inst).unwrap();
@@ -404,7 +358,7 @@ mod tests {
     fn enough_trials_rarely_fall_back() {
         let inst = UniformRandom::new(6, 30).unwrap().generate(3).unwrap();
         let frac = spread_fractional(&inst, 3);
-        let params = DistRoundParams { boost: 3.0, trials: 25, threads: None, fault: None };
+        let params = DistRoundParams { boost: 3.0, trials: 25, fault: None };
         let out = distributed_round(&inst, &frac, params, 5).unwrap();
         assert_eq!(out.fallback_clients, 0);
         // Most clients served in the first few trials.
@@ -477,7 +431,7 @@ mod tests {
     fn rejects_bad_parameters() {
         let inst = UniformRandom::new(3, 6).unwrap().generate(0).unwrap();
         let frac = spread_fractional(&inst, 2);
-        let bad = DistRoundParams { boost: 0.0, trials: 3, threads: None, fault: None };
+        let bad = DistRoundParams { boost: 0.0, trials: 3, fault: None };
         assert!(distributed_round(&inst, &frac, bad, 0).is_err());
         let mismatched = FractionalSolution::new(vec![1.0], vec![]);
         let params = DistRoundParams::for_instance(&inst);

@@ -20,16 +20,22 @@
 //!      "2·depth + 2 per iteration", and it is why the straw-man cannot
 //!      be local: every star costs tree waves across the whole graph.
 //!
-//! The output is bit-identical to [`crate::greedy`] (same ratios, same
-//! tie-breaks) — asserted in the tests — while the transcript shows the
-//! input-dependent round count the PODC 2005 algorithm eliminates.
+//! Each facility prices its star with the greedy's own scan
+//! ([`crate::greedy`]'s `star_scan`) over its links sorted by cost once
+//! when the node is built, so the select wave compares exactly the greedy's
+//! ratios, by construction. The output is therefore bit-identical to
+//! [`crate::greedy`] (same ratios, same tie-breaks; the tests assert it),
+//! while the transcript shows the input-dependent round count the PODC 2005
+//! algorithm eliminates.
 
 use distfl_congest::{CongestConfig, NodeId, NodeLogic, Payload, StepCtx, Transcript};
-use distfl_instance::{ClientId, FacilityId, Instance, Solution};
+use distfl_instance::{FacilityId, Instance, Solution};
 
 use crate::error::CoreError;
+use crate::greedy::{star_row, star_scan};
 use crate::model::{
-    client_node, execute, facility_node, node_role, topology_of, Executor, LinkCursor, Role,
+    client_link_table, clients, execute, facility_link_table, topology_of, Executor, LinkCursor,
+    Node,
 };
 use crate::runner::{FlAlgorithm, Outcome};
 
@@ -259,12 +265,13 @@ pub struct SeqFacility {
     my_id: u32,
     opening: f64,
     links: Vec<(NodeId, f64)>,
-    unserved: Vec<bool>,
+    /// The links' positions sorted by `(cost, position)` and their costs,
+    /// sorted once at build time: the row [`star_scan`] prices.
+    star_row: (Vec<u32>, Vec<f64>),
+    /// Whether each linked client was served at the last handshake
+    /// (aligned with `links`).
+    served: Vec<bool>,
     open: bool,
-    /// Clients in this cycle's winning star (only set on the winner).
-    pending_star: Vec<usize>,
-    /// Whether the Offer handshake for the current cycle has been sent.
-    offers_sent: bool,
     replies: usize,
 }
 
@@ -280,80 +287,17 @@ pub struct SeqClient {
 }
 
 /// One node of the protocol.
-#[derive(Debug, Clone)]
-pub enum SeqNode {
-    /// Facility role.
-    Facility(SeqFacility),
-    /// Client role.
-    Client(SeqClient),
-}
+pub type SeqNode = Node<SeqFacility, SeqClient>;
 
 impl SeqFacility {
-    /// This facility's current best star: `(ratio, member link indexes)`.
-    fn best_star(&self) -> Option<(f64, Vec<usize>)> {
+    /// This facility's current best star over its unserved links: its
+    /// ratio and its size `k` (0 when every link is served). The star is
+    /// the first `k` unserved entries of the star row.
+    fn star(&self) -> (f64, usize) {
         let residual = if self.open { 0.0 } else { self.opening };
-        let mut costs: Vec<(f64, usize)> = self
-            .links
-            .iter()
-            .enumerate()
-            .filter(|(idx, _)| self.unserved[*idx])
-            .map(|(idx, &(_, c))| (c, idx))
-            .collect();
-        if costs.is_empty() {
-            return None;
-        }
-        costs.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut best = f64::INFINITY;
-        let mut best_k = 0;
-        let mut prefix = 0.0;
-        for (k, (c, _)) in costs.iter().enumerate() {
-            prefix += c;
-            let ratio = (residual + prefix) / (k + 1) as f64;
-            if ratio < best {
-                best = ratio;
-                best_k = k + 1;
-            }
-        }
-        Some((best, costs[..best_k].iter().map(|&(_, idx)| idx).collect()))
-    }
-
-    fn step(&mut self, ctx: &mut StepCtx<'_, SeqMsg>) {
-        if self.wave.absorb_tree_msgs(ctx) {
-            // Just joined: flood the tree wave.
-            for &nb in ctx.neighbors() {
-                let msg = if Some(nb) == self.wave.parent { SeqMsg::ChildOf } else { SeqMsg::Grow };
-                ctx.send(nb, msg).expect("neighbors are valid");
-            }
-            return;
-        }
-        let mut cursor = LinkCursor::default();
-        for &(src, msg) in ctx.inbox() {
-            match msg {
-                SeqMsg::Up { cycle, ratio, fid } => self.wave.absorb_up(cycle, ratio, fid),
-                SeqMsg::Down { cycle, fid, stop } => {
-                    self.handle_down(ctx, cycle, fid, stop);
-                }
-                SeqMsg::Status { cycle, served } => {
-                    debug_assert_eq!(cycle, self.wave.cycle - 1, "stale status");
-                    let idx = cursor.seek(&self.links, src).expect("replies arrive over links");
-                    self.unserved[idx] = !served;
-                    self.replies += 1;
-                    if self.replies == self.links.len() {
-                        self.wave.state_current = true;
-                    }
-                }
-                _ => {}
-            }
-        }
-        if self.wave.ready_to_up() {
-            let mut best = self.wave.best;
-            if let Some((ratio, _)) = self.best_star() {
-                if (ratio, self.my_id) < best {
-                    best = (ratio, self.my_id);
-                }
-            }
-            self.emit_up_or_decide(ctx, best);
-        }
+        let (ids, costs) = &self.star_row;
+        let (ratio, k, _) = star_scan(ids, costs, residual, |idx| self.served[idx as usize]);
+        (ratio, k)
     }
 
     fn handle_down(&mut self, ctx: &mut StepCtx<'_, SeqMsg>, cycle: u32, fid: u32, stop: bool) {
@@ -369,16 +313,15 @@ impl SeqFacility {
         // (every child of a facility is one of its linked clients).
         // Start the handshake: offers to every linked client, combined
         // with the Down forward for tree children (one message per edge).
-        let star: Vec<usize> = if fid == self.my_id {
-            let (_, star) = self.best_star().expect("winner has a star");
+        let mut star = Vec::new();
+        if fid == self.my_id {
+            let (_, k) = self.star();
+            let ids = self.star_row.0.iter().filter(|&&idx| !self.served[idx as usize]);
+            star.extend(ids.take(k).map(|&idx| idx as usize));
             self.open = true;
-            star
-        } else {
-            Vec::new()
-        };
-        self.pending_star = star;
+        }
         for (idx, &(client, _)) in self.links.iter().enumerate() {
-            let serve = self.pending_star.contains(&idx);
+            let serve = star.contains(&idx);
             let msg = if self.wave.children.contains(&client) {
                 SeqMsg::DownOffer { cycle, fid, serve }
             } else {
@@ -386,7 +329,6 @@ impl SeqFacility {
             };
             ctx.send(client, msg).expect("links are neighbors");
         }
-        self.offers_sent = true;
         self.replies = 0;
         self.wave.next_cycle();
         // Degenerate case: a facility with no links is immediately current
@@ -410,7 +352,59 @@ impl SeqFacility {
     }
 }
 
-impl SeqClient {
+impl NodeLogic for SeqFacility {
+    type Msg = SeqMsg;
+
+    fn is_done(&self) -> bool {
+        self.wave.done
+    }
+
+    fn step(&mut self, ctx: &mut StepCtx<'_, SeqMsg>) {
+        if self.wave.absorb_tree_msgs(ctx) {
+            // Just joined: flood the tree wave.
+            for &nb in ctx.neighbors() {
+                let msg = if Some(nb) == self.wave.parent { SeqMsg::ChildOf } else { SeqMsg::Grow };
+                ctx.send(nb, msg).expect("neighbors are valid");
+            }
+            return;
+        }
+        let mut cursor = LinkCursor::default();
+        for &(src, msg) in ctx.inbox() {
+            match msg {
+                SeqMsg::Up { cycle, ratio, fid } => self.wave.absorb_up(cycle, ratio, fid),
+                SeqMsg::Down { cycle, fid, stop } => {
+                    self.handle_down(ctx, cycle, fid, stop);
+                }
+                SeqMsg::Status { cycle, served } => {
+                    debug_assert_eq!(cycle, self.wave.cycle - 1, "stale status");
+                    let idx = cursor.seek(&self.links, src).expect("replies arrive over links");
+                    self.served[idx] = served;
+                    self.replies += 1;
+                    if self.replies == self.links.len() {
+                        self.wave.state_current = true;
+                    }
+                }
+                _ => {}
+            }
+        }
+        if self.wave.ready_to_up() {
+            let mut best = self.wave.best;
+            let (ratio, k) = self.star();
+            if k > 0 && (ratio, self.my_id) < best {
+                best = (ratio, self.my_id);
+            }
+            self.emit_up_or_decide(ctx, best);
+        }
+    }
+}
+
+impl NodeLogic for SeqClient {
+    type Msg = SeqMsg;
+
+    fn is_done(&self) -> bool {
+        self.wave.done
+    }
+
     fn step(&mut self, ctx: &mut StepCtx<'_, SeqMsg>) {
         if self.wave.absorb_tree_msgs(ctx) {
             for &nb in ctx.neighbors() {
@@ -514,24 +508,6 @@ impl SeqClient {
     }
 }
 
-impl NodeLogic for SeqNode {
-    type Msg = SeqMsg;
-
-    fn step(&mut self, ctx: &mut StepCtx<'_, SeqMsg>) {
-        match self {
-            SeqNode::Facility(f) => f.step(ctx),
-            SeqNode::Client(c) => c.step(ctx),
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        match self {
-            SeqNode::Facility(f) => f.wave.done,
-            SeqNode::Client(c) => c.wave.done,
-        }
-    }
-}
-
 /// The faithful CONGEST implementation of the sequential-greedy straw-man.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DistSeqGreedy;
@@ -559,33 +535,22 @@ pub fn run_protocol(instance: &Instance) -> Result<(Solution, Transcript), CoreE
     let m = instance.num_facilities();
     let mut nodes = Vec::with_capacity(m + instance.num_clients());
     for i in instance.facilities() {
-        let links: Vec<(NodeId, f64)> = instance
-            .facility_links(i)
-            .iter()
-            .map(|(j, c)| (client_node(m, ClientId::new(j)), c))
-            .collect();
-        let degree = links.len();
-        nodes.push(SeqNode::Facility(SeqFacility {
+        let links = facility_link_table(instance, i);
+        nodes.push(Node::Facility(SeqFacility {
             wave: WaveState::new(i.raw() == 0),
             my_id: i.raw(),
             opening: instance.opening_cost(i).value(),
+            star_row: star_row(instance.facility_links(i).costs),
+            served: vec![false; links.len()],
             links,
-            unserved: vec![true; degree],
             open: false,
-            pending_star: Vec::new(),
-            offers_sent: false,
             replies: 0,
         }));
     }
     for j in instance.clients() {
-        let links: Vec<(NodeId, f64)> = instance
-            .client_links(j)
-            .iter()
-            .map(|(i, c)| (facility_node(FacilityId::new(i)), c))
-            .collect();
-        nodes.push(SeqNode::Client(SeqClient {
+        nodes.push(Node::Client(SeqClient {
             wave: WaveState::new(false),
-            links,
+            links: client_link_table(instance, j),
             assigned: None,
             offers: 0,
             serve_from: None,
@@ -598,16 +563,11 @@ pub fn run_protocol(instance: &Instance) -> Result<(Solution, Transcript), CoreE
     let limit = (instance.num_clients() as u32 + 2) * (4 * n_total + 8) + 4 * n_total + 16;
     let executor = Executor::LockStep(CongestConfig::default());
     let run = execute(topology, nodes, 0, executor, limit, |nodes| {
-        let mut assignment = vec![FacilityId::new(0); instance.num_clients()];
-        for (index, node) in nodes.iter().enumerate() {
-            if let (Role::Client(j), SeqNode::Client(c)) =
-                (node_role(m, NodeId::new(index as u32)), node)
-            {
-                let idx = c.assigned.expect("greedy serves every client before stopping");
-                assignment[j.index()] = FacilityId::new(c.links[idx].0.raw());
-            }
-        }
-        Ok(Solution::from_assignment(instance, assignment)?)
+        let assignment = clients(nodes).map(|c| {
+            let idx = c.assigned.expect("greedy serves every client before stopping");
+            FacilityId::new(c.links[idx].0.raw())
+        });
+        Ok(Solution::from_assignment(instance, assignment.collect())?)
     })?;
     Ok((run.harvest, run.transcript))
 }

@@ -3,26 +3,28 @@
 //!
 //! Production facility location is not one-shot — clients churn and link
 //! costs drift — so the instance supports *in-place* mutation over the SoA
-//! CSR layout instead of a full rebuild per change:
+//! CSR layout instead of a full rebuild per change. Every batch takes one
+//! path, a *single* compaction pass over each lane set:
 //!
-//! * **Reprice** a link: the CSR shape is untouched, so both cost lanes are
-//!   patched in place (one binary search per direction, `O(log deg)`).
-//! * **Add / remove clients**: a *single* compaction pass per batch
-//!   rewrites the client-major lanes contiguously and in place (removed
-//!   rows are skipped, survivors shift down in their relative order, added
-//!   rows append at the tail), and the facility-major rows are compacted
-//!   in place the same way (removed ids dropped, survivors renamed, the
-//!   added clients' links appended at each row's end) — no sort anywhere,
-//!   and no lane is reallocated unless it must grow. The id and cost lanes
-//!   therefore stay dense and contiguous, as the solvers' lane scans
-//!   require.
+//! * **Add / remove clients**: the client-major lanes are rewritten
+//!   contiguously and in place (removed rows are skipped, survivors shift
+//!   down in their relative order, added rows append at the tail), and the
+//!   facility-major rows are compacted in place the same way (removed ids
+//!   dropped, survivors renamed, the added clients' links appended at each
+//!   row's end) — no sort anywhere, and no lane is reallocated unless it
+//!   must grow. The id and cost lanes therefore stay dense and contiguous,
+//!   as the solvers' lane scans require.
+//! * **Reprice** a link: both cost lanes are patched where the pass leaves
+//!   the link (one binary search per direction, `O(log deg)`). A row that
+//!   does not move is not copied, so a reprice-only batch touches only the
+//!   offsets and the repriced links.
 //!
 //! The lanes and offsets are the instance's whole state (derived values
 //! such as [`Instance::cheapest_link`] are computed when read), so there
-//! is no cache to refresh. A batch of `Δ` mutations costs `O(Δ log deg)`
-//! when it is reprice-only and one `O(|E|)` compaction pass (shared by
-//! every structural mutation in the batch) otherwise — never one pass per
-//! mutation. `apply_delta` is atomic: the batch is validated up front
+//! is no cache to refresh. A batch of `Δ` mutations costs `O(n + m + Δ log
+//! deg)` when it is reprice-only and one `O(|E|)` compaction pass (shared
+//! by every structural mutation in the batch) otherwise — never one pass
+//! per mutation. `apply_delta` is atomic: the batch is validated up front
 //! against the pre-state and the instance is only mutated once every
 //! check has passed.
 //!
@@ -204,9 +206,9 @@ impl Instance {
     ///
     /// The mutated instance is **indistinguishable from a from-scratch
     /// build** of the post-state (same lanes, `==` under `PartialEq`); only
-    /// the work to get there differs. Reprice-only batches are
-    /// `O(Δ log deg)` in-place lane patches; batches that add or remove
-    /// clients compact both lane sets in place in sequential passes.
+    /// the work to get there differs. Every batch compacts both lane sets
+    /// in place in sequential passes; a reprice-only batch moves no row, so
+    /// it costs `O(n + m + Δ log deg)`.
     ///
     /// # Errors
     ///
@@ -289,21 +291,7 @@ impl Instance {
         self.check_any_positive_after(batch, &removed_sorted, &repriced_sorted)?;
 
         // ---- Apply. ----
-        let report = if batch.removed.is_empty() && batch.added.is_empty() {
-            let repriced_old = self.apply_reprices_in_place(&repriced_sorted);
-            DeltaReport {
-                added: 0,
-                removed: Vec::new(),
-                repriced: repriced_sorted
-                    .iter()
-                    .map(|&(j, i, _)| (ClientId::new(j), FacilityId::new(i)))
-                    .collect(),
-                repriced_old,
-                links_changed: repriced_sorted.len(),
-            }
-        } else {
-            self.compact_with(batch, &removed_sorted, &repriced_sorted)
-        };
+        let report = self.compact_with(batch, &removed_sorted, &repriced_sorted);
         debug_assert_eq!(self.client_offsets.len(), self.num_clients() + 1);
         Ok(report)
     }
@@ -410,33 +398,13 @@ impl Instance {
         Err(InstanceError::AllZeroCosts)
     }
 
-    /// Reprice-only fast path: the CSR shape is untouched, so patch both
-    /// cost lanes in place. Returns the costs the repriced links held
-    /// before the batch, index-aligned with `repriced_sorted`.
-    fn apply_reprices_in_place(&mut self, repriced_sorted: &[(u32, u32, f64)]) -> Vec<f64> {
-        let mut old_costs = Vec::with_capacity(repriced_sorted.len());
-        for &(j, i, c) in repriced_sorted {
-            let lo = self.client_offsets[j as usize] as usize;
-            let hi = self.client_offsets[j as usize + 1] as usize;
-            let pos =
-                self.client_link_ids[lo..hi].binary_search(&i).expect("validated: link exists");
-            old_costs.push(self.client_link_costs[lo + pos]);
-            self.client_link_costs[lo + pos] = c;
-            let flo = self.facility_offsets[i as usize] as usize;
-            let fhi = self.facility_offsets[i as usize + 1] as usize;
-            let fpos = self.facility_link_ids[flo..fhi]
-                .binary_search(&j)
-                .expect("lanes are transposes of each other");
-            self.facility_link_costs[flo + fpos] = c;
-        }
-        old_costs
-    }
-
-    /// Structural path: one pass compacts the client-major lanes in place
-    /// (removed rows skipped, survivor rows shifted down and repriced at
-    /// their new position, added rows appended), then
+    /// The one apply path: one pass compacts the client-major lanes in
+    /// place (removed rows skipped, survivor rows shifted down and repriced
+    /// at their new position, added rows appended), then
     /// [`Instance::compact_facility_lanes`] rewrites the facility-major
-    /// lanes in their own buffers.
+    /// lanes in their own buffers. A row that does not move is not copied,
+    /// so a reprice-only batch costs `O(n + m + Δ log deg)`: one pass over
+    /// the offsets of each lane set and a binary search per reprice.
     fn compact_with(
         &mut self,
         batch: &DeltaBatch,
@@ -460,8 +428,10 @@ impl Instance {
             // Reprices of removed clients were rejected, so skipping a
             // removed row skips no cursor entry.
             if removed.next_if_eq(&&j).is_none() {
-                self.client_link_ids.copy_within(lo..hi, w);
-                self.client_link_costs.copy_within(lo..hi, w);
+                if w != lo {
+                    self.client_link_ids.copy_within(lo..hi, w);
+                    self.client_link_costs.copy_within(lo..hi, w);
+                }
                 let row = w..w + (hi - lo);
                 while let Some(&(_, i, c)) = repriced_sorted.get(rp).filter(|r| r.0 == j) {
                     let pos = row.start

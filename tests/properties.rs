@@ -194,7 +194,7 @@ proptest! {
         let inst = build(&recipe);
         let frac = distfl::core::fraclp::spread_fractional(&inst, width);
         frac.check_feasible(&inst, 1e-9).unwrap();
-        let params = DistRoundParams { boost: 2.0, trials, threads: None, fault: None };
+        let params = DistRoundParams { boost: 2.0, trials, fault: None };
         let out = distributed_round(&inst, &frac, params, seed).unwrap();
         out.solution.check_feasible(&inst).unwrap();
     }
