@@ -1,5 +1,5 @@
-//! `bench sim`: the discrete-event CONGEST simulator's wall-clock-vs-k
-//! curve (BENCH_9.json).
+//! `bench sim`: the CONGEST simulator's wall-clock-vs-k curve
+//! (BENCH_9.json).
 //!
 //! The paper's guarantee is `O(k)` *rounds* for a `k√ρ`-approximation;
 //! rounds only translate into time once they cost real, heterogeneous
@@ -13,11 +13,13 @@
 //! lock-step engine's for the same seed: a makespan reported here is the
 //! makespan of the *same* execution the rest of the workspace measures.
 //!
-//! `--smoke` skips the sweep and records no document: it runs only the CI
-//! gate — engine-vs-sim transcript equivalence across the three latency
-//! families and bit-identical replay of the event ordering (same
-//! `SimReport`, transcript, and event stream twice). `--quick` shrinks
-//! the sweep for a fast local run.
+//! Every field of the document is deterministic (virtual time, rounds,
+//! envelope counts, cost; no host times), so CI regenerates BENCH_9.json
+//! and compares it byte for byte. `--smoke` skips the sweep and records
+//! no document: it runs only the CI gate — engine-vs-sim transcript
+//! equivalence across the three latency families and bit-identical replay
+//! of the clock (same `SimReport` and transcript twice). `--quick`
+//! shrinks the sweep for a fast local run.
 
 use std::time::Instant;
 
@@ -61,9 +63,9 @@ fn simulate(inst: &Instance, k: u32, model: LatencyModel, seed: u64) -> Simulate
 // ---- Smoke gate -------------------------------------------------------
 
 /// The CI gate: transcript equivalence across all three latency families
-/// (the assertions inside [`simulate`]), plus deterministic event
-/// ordering — an identical configuration replayed from scratch must
-/// reproduce the same virtual timeline, not just the same transcript.
+/// (the assertions inside [`simulate`]), plus a deterministic clock — an
+/// identical configuration replayed from scratch must reproduce the same
+/// virtual timeline, not just the same transcript.
 fn smoke() -> bool {
     let mut ok = true;
     let inst = UniformRandom::new(8, 40).unwrap().generate(9).unwrap();
@@ -78,7 +80,7 @@ fn smoke() -> bool {
             Ok(first) => {
                 let replay = simulate(&inst, 6, model, 3);
                 if replay.report != first.report {
-                    eprintln!("smoke FAILED: event ordering not deterministic under {name}");
+                    eprintln!("smoke FAILED: virtual timeline not deterministic under {name}");
                     ok = false;
                 }
             }
@@ -102,10 +104,10 @@ pub(crate) fn run(mode: Mode) -> Report {
     w.key("bench").string("sim_wall_clock_vs_k");
     w.key("instance").string("uniform_30x150");
     w.key("method").string(
-        "PayDual at phase count k executed on the discrete-event simulator (alpha-synchronizer \
-         over per-edge latency draws, compute 1 us per step); each row's transcript and \
-         solution are asserted bit-identical to the lock-step engine before its virtual \
-         makespan is reported",
+        "PayDual at phase count k run on the lock-step engine, each step timed by the \
+         alpha-synchronizer's clock over per-edge latency draws (compute 1 us per step); each \
+         row's transcript and solution are asserted bit-identical to the engine's own run \
+         before its virtual makespan is reported",
     );
     w.key("latency_models").begin_array();
     for (name, model) in latency_models() {

@@ -13,19 +13,22 @@
 //! `greedy_allocs_per_iter_budget` (amortized heap allocations per greedy
 //! iteration), `ls_allocs_per_move_budget` (per local-search move), and
 //! `jv_allocs_per_client_budget` (per client of the JV dual ascent), and
-//! two work budgets, read from the solvers' counters:
+//! three work budgets, read from the solvers' counters:
 //! `greedy_entries_scanned_per_iter_budget` (star entries the greedy's
-//! scans read per iteration, `solver.greedy.*`) and
+//! scans read per iteration, `solver.greedy.*`),
+//! `ls_exact_folds_per_round_budget` (exact candidate folds per priced
+//! local-search round, `solver.localsearch.*`) and
 //! `jv_exact_sums_per_event_budget` (exact payment sums per JV ascent
 //! event, `solver.jv.*`). Outputs and allocations cannot see a scan that
-//! reads past its stop rule or an ascent that shortlists more facilities
-//! than its margins need. `--smoke` re-measures on small instances and
-//! fails if any budget (read back from the committed BENCH_2.json when it
-//! has the key) is exceeded.
+//! reads past its stop rule, a local search that folds more candidates
+//! than its shortlist bound admits, or an ascent that shortlists more
+//! facilities than its margins need. `--smoke` re-measures on small
+//! instances and fails if any budget (read back from the committed
+//! BENCH_2.json when it has the key) is exceeded.
 
 use distfl_core::{greedy, jv, localsearch};
 use distfl_instance::generators::{Clustered, InstanceGenerator, LineCity, UniformRandom};
-use distfl_instance::Instance;
+use distfl_instance::{Instance, Solution};
 use distfl_obs::JsonWriter;
 
 use crate::{best_ms, count_allocs, snapshot, Mode, Report};
@@ -53,6 +56,12 @@ const JV_ALLOCS_PER_CLIENT_BUDGET: f64 = 4.0;
 /// best star and little more: 13–55 per iteration on the smoke rows,
 /// against 93–164 for a copy whose scans read every live entry.
 const GREEDY_ENTRIES_SCANNED_PER_ITER_BUDGET: f64 = 80.0;
+
+/// Exact candidate folds per priced local-search round. The shortlist
+/// bound leaves about the winner per round, and none in the round that
+/// converges: 0.5–0.67 on the smoke rows, against 1.67 on the
+/// uniform_20x200 row for a copy whose bound is `+inf`.
+const LS_EXACT_FOLDS_PER_ROUND_BUDGET: f64 = 1.2;
 
 /// Exact payment sums per JV ascent event. The keys' margins leave about
 /// one (the facility whose event wins) per event; an ascent that
@@ -154,6 +163,20 @@ fn greedy_work(inst: &Instance) -> (u64, f64) {
     (pops.get() - before.0, per_iter)
 }
 
+/// The priced rounds of one local-search solve from `start` and its exact
+/// folds per round, read from the `solver.localsearch.*` counters with
+/// tracing on for that solve only.
+fn ls_work(inst: &Instance, start: &Solution) -> (u64, f64) {
+    let rounds = distfl_obs::counter("solver.localsearch.rounds");
+    let folds = distfl_obs::counter("solver.localsearch.exact_folds");
+    let before = (rounds.get(), folds.get());
+    distfl_obs::set_enabled(true);
+    localsearch::optimize(inst, start, LS_MOVES);
+    distfl_obs::set_enabled(false);
+    let n = rounds.get() - before.0;
+    (n, (folds.get() - before.1) as f64 / n.max(1) as f64)
+}
+
 /// The events of one JV dual ascent and its exact payment sums per event,
 /// read from the `solver.jv.*` counters with tracing on for that ascent
 /// only.
@@ -175,6 +198,9 @@ fn instances(quick: bool) -> Vec<(&'static str, Instance)> {
     if quick {
         vec![
             ("uniform_10x50", mk_uniform(10, 50, 1)),
+            // The full row: the one small row where folding every
+            // candidate shows in the local-search folds per round.
+            ("uniform_20x200", mk_uniform(20, 200, 1)),
             ("clustered_3x12x80", Clustered::new(3, 12, 80).unwrap().generate(2).unwrap()),
             ("line_12x80", LineCity::new(12, 80).unwrap().generate(3).unwrap()),
             // cap71..74 shape from the OR-Library: 16 facilities, 50 clients.
@@ -217,6 +243,10 @@ pub(crate) fn run(mode: Mode) -> Report {
             budget("ls_allocs_per_move_budget", LS_ALLOCS_PER_MOVE_BUDGET),
         ),
         (
+            "local-search exact folds per round",
+            budget("ls_exact_folds_per_round_budget", LS_EXACT_FOLDS_PER_ROUND_BUDGET),
+        ),
+        (
             "jv allocations per client",
             budget("jv_allocs_per_client_budget", JV_ALLOCS_PER_CLIENT_BUDGET),
         ),
@@ -227,7 +257,7 @@ pub(crate) fn run(mode: Mode) -> Report {
     ];
 
     let reps = if mode.quick() { 2usize } else { 3 };
-    let mut worst = [0.0f64; 5];
+    let mut worst = [0.0f64; 6];
     let mut w = JsonWriter::object();
     w.key("bench").string("solver_hot_paths");
     w.key("mode").string(mode.name());
@@ -238,6 +268,7 @@ pub(crate) fn run(mode: Mode) -> Report {
     w.key("greedy_allocs_per_iter_budget").number(GREEDY_ALLOCS_PER_ITER_BUDGET);
     w.key("greedy_entries_scanned_per_iter_budget").number(GREEDY_ENTRIES_SCANNED_PER_ITER_BUDGET);
     w.key("ls_allocs_per_move_budget").number(LS_ALLOCS_PER_MOVE_BUDGET);
+    w.key("ls_exact_folds_per_round_budget").number(LS_EXACT_FOLDS_PER_ROUND_BUDGET);
     w.key("jv_allocs_per_client_budget").number(JV_ALLOCS_PER_CLIENT_BUDGET);
     w.key("jv_exact_sums_per_event_budget").number(JV_EXACT_SUMS_PER_EVENT_BUDGET);
     w.key("results").begin_array();
@@ -245,12 +276,14 @@ pub(crate) fn run(mode: Mode) -> Report {
         let (g_timing, iterations, allocs_per_iter) = bench_greedy(&inst, reps);
         let (heap_pops, scanned_per_iter) = greedy_work(&inst);
         let (ls_timing, moves, allocs_per_move) = bench_local_search(&inst, reps);
+        let (ls_rounds, folds_per_round) = ls_work(&inst, &greedy::solve(&inst).0);
         let (jv_timing, allocs_per_client) = bench_jv(&inst, reps);
         let (jv_events, sums_per_event) = jv_work(&inst);
         for (worst, measured) in worst.iter_mut().zip([
             allocs_per_iter,
             scanned_per_iter,
             allocs_per_move,
+            folds_per_round,
             allocs_per_client,
             sums_per_event,
         ]) {
@@ -259,7 +292,8 @@ pub(crate) fn run(mode: Mode) -> Report {
         eprintln!(
             "{name:<24} greedy {:>7.2}x ({iterations} iters, {allocs_per_iter:.1} allocs/iter, \
              {heap_pops} pops, {scanned_per_iter:.1} entries/iter)  \
-             local-search {:>7.2}x ({moves} moves, {allocs_per_move:.1} allocs/move)  \
+             local-search {:>7.2}x ({moves} moves, {allocs_per_move:.1} allocs/move, \
+             {ls_rounds} rounds, {folds_per_round:.2} exact folds/round)  \
              jv-ascent {:>7.2}x ({allocs_per_client:.2} allocs/client, {jv_events} events, \
              {sums_per_event:.2} exact sums/event)",
             g_timing.speedup(),
@@ -281,6 +315,8 @@ pub(crate) fn run(mode: Mode) -> Report {
         ls_timing.write(&mut w);
         w.key("local_search_moves").number_u64(u64::from(moves));
         w.key("local_search_allocs_per_move").number(allocs_per_move);
+        w.key("local_search_rounds").number_u64(ls_rounds);
+        w.key("local_search_exact_folds_per_round").number(folds_per_round);
         w.key("jv_dual_ascent");
         jv_timing.write(&mut w);
         w.key("jv_allocs_per_client").number(allocs_per_client);

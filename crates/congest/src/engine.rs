@@ -16,12 +16,12 @@
 //! is always that one serial pass, so inbox contents, [`RoundStats`] and
 //! error selection are identical for every lane count by construction.
 //!
-//! Every message, in the engine and in the discrete-event simulator, is
-//! charged by one rule, [`deliver_one`]: a second message over one edge in
-//! a round fails the round with [`CongestError::EdgeCongestion`], the
-//! [`FaultPlan`] may drop it, and the [`RoundStats`] record its size.
-//! Sizes are measured, never enforced. Callers differ only in where a
-//! delivered message goes.
+//! Every message is charged by one rule, [`deliver_one`]: a second
+//! message over one edge in a round fails the round with
+//! [`CongestError::EdgeCongestion`], the [`FaultPlan`] may drop it, and
+//! the [`RoundStats`] record its size. Sizes are measured, never
+//! enforced. The simulator ([`crate::sim`]) runs this engine and only
+//! times its rounds.
 //!
 //! Inboxes are double-buffered (`inboxes`/`next_inboxes`). Every inbox,
 //! next-inbox and outbox is allocated once, at construction, with its
@@ -113,7 +113,8 @@ impl<'a, M: Payload> StepCtx<'a, M> {
         self.inbox
     }
 
-    /// The message from `src` this round, if any (and if unique).
+    /// The message from `src` this round, if any (a round delivers at most
+    /// one per sender).
     pub fn from(&self, src: NodeId) -> Option<&'a M> {
         let pos = self.inbox.partition_point(|(s, _)| *s < src);
         match self.inbox.get(pos) {
@@ -485,10 +486,10 @@ fn record_round_span(round: u32, started: Instant, stats: &RoundStats) {
 /// Steps one node into its pooled outbox, leaving the outbox sorted by
 /// destination. Crashed and done nodes produce an empty outbox.
 ///
-/// Crate-visible: the discrete-event simulator ([`crate::sim`]) steps
-/// nodes through this exact function, so local computation — RNG stream,
-/// outbox order, error latching — is bit-identical to the engine by
-/// construction.
+/// The round loop is its only production caller; the simulator's
+/// test-only event-driven reference steps nodes through it too, so their
+/// local computation — RNG stream, outbox order, error latching — is the
+/// engine's by construction.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn step_into<L: NodeLogic>(
     topo: &Topology,
@@ -540,8 +541,9 @@ pub(crate) fn crash_rounds(n: usize, crashes: &[(NodeId, u32)]) -> Vec<u32> {
 }
 
 /// Charges one message `src → dst` sent in `round` under the fault plan
-/// `fault`: the CONGEST delivery rule of the engine and the simulator, so
-/// their transcripts agree by construction.
+/// `fault`: the CONGEST delivery rule. The round loop is its only
+/// production caller; the simulator's test-only event-driven reference
+/// charges its envelopes' messages with it too.
 ///
 /// `last` is the destination of `src`'s previous message this round;
 /// outboxes are sorted by destination, so a repeated send over one edge

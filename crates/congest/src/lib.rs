@@ -72,7 +72,6 @@ mod metrics;
 mod node;
 mod rng;
 pub mod sim;
-mod synchronizer;
 mod topology;
 
 pub use engine::{CongestConfig, Network, StepCtx};

@@ -1,54 +1,62 @@
-//! Discrete-event simulation of the CONGEST network under *asynchronous*
-//! links, with the α-synchronizer (`synchronizer.rs`) layered on top so
-//! lock-step [`NodeLogic`] protocols run unmodified.
+//! Simulated time: the lock-step run, priced as if its links were
+//! asynchronous.
 //!
 //! ## Why
 //!
-//! The lock-step [`Network`](crate::Network) charges every round one unit
-//! of time, which is exactly the CONGEST cost model — but the paper's
-//! O(k)-round guarantee is most interesting when rounds cost real,
-//! heterogeneous time. The simulator executes the same protocols over an
-//! event queue of simulated nanoseconds, with per-edge latency drawn from
-//! a pluggable distribution. Messages reorder naturally — two envelopes on
-//! different edges, or on the same edge in different rounds, arrive in
-//! latency order, not send order.
+//! The lock-step [`Network`] charges every round one unit of time, which is
+//! exactly the CONGEST cost model — but the paper's O(k)-round guarantee is
+//! most interesting when rounds cost real, heterogeneous time. The
+//! simulator times the same protocols in simulated nanoseconds, with
+//! per-edge latency drawn from a pluggable distribution.
 //!
-//! ## Machinery
+//! ## The clock
 //!
-//! A binary heap orders events by `(virtual time, sequence number)`; the
-//! sequence number is assigned at push time by a single-threaded loop, so
-//! ties break deterministically and the whole simulation is a pure
-//! function of `(topology, nodes, master_seed, SimConfig)`. There are two
-//! event kinds: the *arrival* of one edge-envelope, and the *step* of one
-//! node's next round (scheduled the moment its dependencies are met, see
-//! the synchronizer module docs in `synchronizer.rs`).
+//! Over asynchronous links a lock-step protocol runs unmodified under the
+//! α-synchronizer: in every round each node sends one envelope per incident
+//! edge (its message, or an empty *pulse*), and it steps round `r` once it
+//! holds the round-`r − 1` envelope of every neighbour that sent one and
+//! its own round-`r − 1` compute has ended. Every start time is therefore a
+//! max over times known one round earlier:
 //!
-//! Local computation goes through the same `step_into` routine as the
-//! engine — same inbox layout, same `(master seed, node, round)` RNG
-//! stream, same outbox ordering — which is why the produced
-//! [`Transcript`] is bit-identical to lock-step execution (proptested in
-//! `tests/sim_properties.rs`). Message accounting happens at *send* time
-//! against the sender's round, matching the engine's convention that
-//! round `r`'s statistics describe the messages sent in round `r`.
+//! ```text
+//! start(v, 0) = 0
+//! start(v, r) = max(start(v, r−1) + C,
+//!                   max over neighbours u that sent in round r−1 of
+//!                       start(u, r−1) + C + latency(u→v, r−1))
+//! ```
 //!
-//! Virtual-clock quantities (latency draws, the fixed compute time per
-//! step, synchronizer pulses) never touch the transcript; they live in the
-//! separate [`SimReport`]. When tracing is enabled the simulated
-//! timeline is exported through [`distfl_obs::complete_at`] with
-//! category `"sim"`, so `--trace` renders virtual rounds in the same
-//! Chrome trace as wall-clock spans.
+//! with `C` the fixed 1 µs compute time of a step and each latency one draw
+//! from a stream keyed by `(latency seed, directed edge, round)`. A node
+//! done before round 0 sends its final pulses at time 0 with no compute,
+//! and round 1 waits for them unless that node is crashed at round 0.
+//!
+//! The synchronizer decides only *when* a node steps, never what its inbox
+//! holds, so [`Simulator`] runs the protocol on a [`Network`] and applies
+//! the recurrence after each round: the [`Transcript`], the node states and
+//! the errors are the engine's by construction. The clock equals the
+//! schedule of an event-driven simulator over per-edge envelopes and the
+//! synchronizer's round buffers; the unit tests keep that simulator as a
+//! reference and compare the two.
+//!
+//! Timing never touches the transcript; it lives in the separate
+//! [`SimReport`], where each step and each envelope counts as one event.
+//! When tracing is enabled the simulated timeline is exported through
+//! [`distfl_obs::complete_at`] with category `"sim"`, so `--trace` renders
+//! virtual rounds in the same Chrome trace as wall-clock spans; the run
+//! records the engine's own `engine/round` spans and counters too.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-use crate::engine::{crash_rounds, deliver_one, step_into};
+use crate::engine::{crash_rounds, CongestConfig, Network};
 use crate::error::CongestError;
 use crate::fault::FaultPlan;
 use crate::metrics::{RoundStats, Transcript};
 use crate::node::{NodeId, NodeLogic};
 use crate::rng::NodeRng;
-use crate::synchronizer::{Envelope, SyncState};
 use crate::topology::Topology;
+
+#[cfg(test)]
+mod reference;
+#[cfg(test)]
+mod synchronizer;
 
 /// Per-edge message latency distribution, sampled deterministically from a
 /// [`NodeRng`] stream keyed by `(latency seed, directed edge, round)`.
@@ -124,6 +132,13 @@ impl LatencyModel {
             }
         }
     }
+
+    /// The latency of the envelope `src → dst` of `round`: one draw from
+    /// the stream keyed by `(seed, directed edge, round)`.
+    fn draw(&self, seed: u64, src: NodeId, dst: NodeId, round: u32) -> u64 {
+        let key = (u64::from(src.raw()) << 32) | u64::from(dst.raw());
+        self.sample(&mut NodeRng::derive_keyed(seed, key, round))
+    }
 }
 
 /// Configuration of one simulated execution.
@@ -132,19 +147,19 @@ pub struct SimConfig {
     /// Per-edge propagation latency model.
     pub latency: LatencyModel,
     /// Seed of the latency sampling streams. Independent of the
-    /// protocol's `master_seed`: changing it reshuffles the timing (and
-    /// hence event order) without touching the transcript.
+    /// protocol's `master_seed`: changing it reshuffles the timing without
+    /// touching the transcript.
     pub latency_seed: u64,
-    /// Deterministic message-drop plan, identical semantics (and identical
-    /// drop decisions) to [`CongestConfig::fault`](crate::CongestConfig).
+    /// Deterministic message-drop plan, handed to the engine as
+    /// [`CongestConfig::fault`](crate::CongestConfig).
     pub fault: Option<FaultPlan>,
-    /// Crash-stop schedule, identical semantics to
+    /// Crash-stop schedule, handed to the engine as
     /// [`CongestConfig::crashes`](crate::CongestConfig).
     pub crashes: Vec<(NodeId, u32)>,
 }
 
 /// Virtual nanoseconds of local computation charged per node step;
-/// envelopes depart this long after the step fires.
+/// envelopes depart this long after the step starts.
 const COMPUTE_NANOS: u64 = 1_000;
 
 impl Default for SimConfig {
@@ -159,16 +174,16 @@ impl Default for SimConfig {
 }
 
 /// Virtual-clock measurements of one simulated run. Everything here is
-/// timing — none of it feeds back into the [`Transcript`], which stays
-/// bit-identical to lock-step execution.
+/// timing — none of it feeds back into the [`Transcript`], which is the
+/// lock-step engine's.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimReport {
-    /// Virtual time of the last processed event (simulated makespan).
+    /// Virtual time of the last event (simulated makespan).
     pub virtual_nanos: u64,
-    /// Events popped from the queue.
+    /// Events: one per node step and one per envelope.
     pub events_processed: u64,
-    /// Envelopes the sender addressed at least one payload to, even if
-    /// the fault plan dropped every one of them in transit.
+    /// Envelopes the sender addressed a message to, even if the fault
+    /// plan dropped it in transit.
     pub protocol_envelopes: u64,
     /// Pure synchronizer pulses (envelopes nothing was addressed to) — the
     /// α-synchronizer's overhead.
@@ -178,82 +193,30 @@ pub struct SimReport {
     pub round_spans: Vec<(u64, u64)>,
 }
 
-/// One queued event: an envelope arrival or a node step.
-#[derive(Debug)]
-enum Ev<M> {
-    Arrival { dst: NodeId, env: Envelope<M> },
-    Step { node: NodeId, round: u32 },
-}
-
-/// Heap entry ordered by `(time, seq)` — `seq` is assigned in push order
-/// by the (single-threaded) event loop, so ties are deterministic.
-#[derive(Debug)]
-struct Scheduled<M> {
-    time: u64,
-    seq: u64,
-    ev: Ev<M>,
-}
-
-impl<M> PartialEq for Scheduled<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<M> Eq for Scheduled<M> {}
-impl<M> PartialOrd for Scheduled<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Scheduled<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we pop earliest-first.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
-
-/// How one run ended (cached so repeated `run` calls are idempotent).
-#[derive(Debug, Clone)]
-enum RunOutcome {
-    Ok,
-    Failed(CongestError),
-}
-
-/// The discrete-event CONGEST simulator. See the [module docs](self).
+/// The CONGEST simulator: a lock-step run timed by the recurrence in the
+/// [module docs](self).
 pub struct Simulator<L: NodeLogic> {
-    topo: Topology,
-    nodes: Vec<L>,
-    states: Vec<SyncState<L::Msg>>,
-    config: SimConfig,
-    master_seed: u64,
-    heap: BinaryHeap<Scheduled<L::Msg>>,
-    seq: u64,
-    now: u64,
-    /// Virtual time each node finishes its current step's computation.
-    free_at: Vec<u64>,
+    net: Network<L>,
+    latency: LatencyModel,
+    latency_seed: u64,
     /// Round from which each node is crashed (`u32::MAX` = never).
     crash_round: Vec<u32>,
-    /// Per-round statistics, indexed by round; grown as rounds execute.
-    rows: Vec<RoundStats>,
-    /// Rounds executed (1 + highest stepped round; 0 before any step).
-    rounds_executed: u32,
-    max_rounds: u32,
+    /// Per node: the earliest start of its next step, the max of its last
+    /// step's end and the arrivals of the envelopes it waits for.
+    ready: Vec<u64>,
+    /// The nodes stepping in the current round, with their start times.
+    steps: Vec<(usize, u64)>,
     transcript: Transcript,
     report: SimReport,
-    outcome: Option<RunOutcome>,
-    scratch_inbox: Vec<(NodeId, L::Msg)>,
-    scratch_outbox: Vec<(NodeId, L::Msg)>,
-    /// Owned copy of the stepping node's adjacency, so envelope emission
-    /// can mutate queue/report state without holding a topology borrow.
-    scratch_neighbors: Vec<NodeId>,
+    /// What `run` returned, once it has run.
+    outcome: Option<Result<(), CongestError>>,
 }
 
 impl<L: NodeLogic> std::fmt::Debug for Simulator<L> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulator")
-            .field("num_nodes", &self.nodes.len())
-            .field("now", &self.now)
-            .field("rounds_executed", &self.rounds_executed)
+            .field("network", &self.net)
+            .field("virtual_nanos", &self.report.virtual_nanos)
             .finish_non_exhaustive()
     }
 }
@@ -276,47 +239,33 @@ impl<L: NodeLogic> Simulator<L> {
         master_seed: u64,
         config: SimConfig,
     ) -> Result<Self, CongestError> {
-        if topo.num_nodes() != nodes.len() {
-            return Err(CongestError::NodeCountMismatch {
-                topology: topo.num_nodes(),
-                logics: nodes.len(),
-            });
-        }
-        config.latency.validate();
         let n = nodes.len();
-        let crash_round = crash_rounds(n, &config.crashes);
-        let states = (0..n).map(|i| SyncState::new(topo.degree(NodeId::new(i as u32)))).collect();
+        let SimConfig { latency, latency_seed, fault, crashes } = config;
+        let crash_round = crash_rounds(n, &crashes);
+        let engine = CongestConfig { fault, crashes, ..CongestConfig::default() };
+        let net = Network::with_config(topo, nodes, master_seed, engine)?;
+        latency.validate();
         Ok(Simulator {
-            topo,
-            nodes,
-            states,
-            config,
-            master_seed,
-            heap: BinaryHeap::new(),
-            seq: 0,
-            now: 0,
-            free_at: vec![0; n],
+            net,
+            latency,
+            latency_seed,
             crash_round,
-            rows: Vec::new(),
-            rounds_executed: 0,
-            max_rounds: u32::MAX,
+            ready: vec![0; n],
+            steps: Vec::new(),
             transcript: Transcript::new(),
             report: SimReport::default(),
             outcome: None,
-            scratch_inbox: Vec::new(),
-            scratch_outbox: Vec::new(),
-            scratch_neighbors: Vec::new(),
         })
     }
 
     /// The communication graph.
     pub fn topology(&self) -> &Topology {
-        &self.topo
+        self.net.topology()
     }
 
     /// All node logics, indexed by node id.
     pub fn nodes(&self) -> &[L] {
-        &self.nodes
+        self.net.nodes()
     }
 
     /// The statistics accumulated by the run.
@@ -326,7 +275,7 @@ impl<L: NodeLogic> Simulator<L> {
 
     /// Consumes the simulator, returning node logics and transcript.
     pub fn into_parts(self) -> (Vec<L>, Transcript) {
-        (self.nodes, self.transcript)
+        (self.net.into_parts().0, self.transcript)
     }
 
     /// Virtual-clock measurements of the run.
@@ -334,308 +283,50 @@ impl<L: NodeLogic> Simulator<L> {
         &self.report
     }
 
-    /// Runs the simulation until every node is done (or crashed) or some
-    /// node would exceed `max_rounds`. Idempotent: calling again returns
-    /// the cached outcome.
+    /// Runs the protocol on the lock-step engine until every node is done
+    /// (or crashed), timing each round as it completes. Idempotent:
+    /// calling again returns the cached outcome.
     ///
     /// # Errors
     ///
-    /// Propagates protocol errors ([`CongestError::NotNeighbor`],
-    /// [`CongestError::EdgeCongestion`]) and returns
-    /// [`CongestError::RoundLimit`] when some *live* node (crashed nodes
-    /// count as done, as in the engine's `all_done`) is still not done
-    /// after `max_rounds` rounds. In that case the engine
-    /// executes exactly `max_rounds` rounds — some as no-ops — so the
-    /// simulator pads its transcript with the same empty rows to stay
-    /// bit-identical. On a protocol error the transcript is left empty.
-    /// Where several violations exist, the one surfaced is the first in
-    /// *virtual-time* order, which may differ from the engine's
-    /// `(source, position)` order.
+    /// Returns the engine's errors: [`CongestError::NotNeighbor`] and
+    /// [`CongestError::EdgeCongestion`], after which the transcript is
+    /// left empty, and [`CongestError::RoundLimit`] when some live node is
+    /// still not done after `max_rounds` rounds, after which the
+    /// transcript holds those rounds.
     pub fn run(&mut self, max_rounds: u32) -> Result<&Transcript, CongestError> {
-        if let Some(outcome) = &self.outcome {
-            return match outcome {
-                RunOutcome::Ok => Ok(&self.transcript),
-                RunOutcome::Failed(err) => Err(err.clone()),
-            };
+        if self.outcome.is_none() {
+            self.outcome = Some(self.drive(max_rounds));
         }
-        self.max_rounds = max_rounds;
-        match self.drive() {
-            Ok(()) => {
-                let limit_hit = (0..self.nodes.len())
-                    .any(|i| !self.nodes[i].is_done() && self.crash_round[i] > max_rounds);
-                if limit_hit {
-                    let pending = self.nodes.iter().filter(|l| !l.is_done()).count();
-                    // The engine spins no-op rounds (done/crashed nodes
-                    // step into empty outboxes) until the limit trips;
-                    // replicate its empty trailing stats rows.
-                    while self.rows.len() < max_rounds as usize {
-                        let r = self.rows.len() as u32;
-                        self.rows.push(RoundStats { round: r, ..RoundStats::default() });
-                    }
-                    self.rounds_executed = max_rounds;
-                    self.finalize();
-                    let err = CongestError::RoundLimit { limit: max_rounds, pending };
-                    self.outcome = Some(RunOutcome::Failed(err.clone()));
-                    return Err(err);
-                }
-                self.finalize();
-                self.outcome = Some(RunOutcome::Ok);
-                Ok(&self.transcript)
-            }
-            Err(err) => {
-                self.outcome = Some(RunOutcome::Failed(err.clone()));
-                Err(err)
-            }
+        match &self.outcome {
+            Some(Err(err)) => Err(err.clone()),
+            _ => Ok(&self.transcript),
         }
     }
 
-    /// Bootstraps round 0 and processes events to completion.
-    fn drive(&mut self) -> Result<(), CongestError> {
-        // Bootstrap: nodes already done emit a final round-0 pulse (their
-        // neighbors will never hear from them — exactly the engine, where
-        // a done node is stepped into an empty outbox forever). Crashed-
-        // at-0 nodes are covered by the failure-detector initialization
-        // below. Everyone else gets its round-0 step scheduled.
-        for index in 0..self.nodes.len() {
-            let id = NodeId::new(index as u32);
-            // Perfect failure detection: receivers know the crash schedule,
-            // as the engine's delivery loop does.
-            for (j, &nb) in self.topo.neighbors(id).iter().enumerate() {
-                let crash = self.crash_round[nb.index()];
-                if crash != u32::MAX {
-                    self.states[index].silence(j, crash);
+    /// Sends the pulses of the nodes done before round 0, then steps and
+    /// times rounds with the engine's own loop condition.
+    fn drive(&mut self, max_rounds: u32) -> Result<(), CongestError> {
+        for u in 0..self.net.nodes().len() {
+            if self.net.nodes()[u].is_done() {
+                // Nobody waits for a node crashed at round 0.
+                self.send_envelopes(u, 0, 0, self.crash_round[u] > 0);
+            }
+        }
+        while !self.net.all_done() && self.net.round() < max_rounds {
+            let round = self.net.round();
+            // The engine steps the live nodes that are not done; each start
+            // depends only on earlier rounds.
+            self.steps.clear();
+            for (v, node) in self.net.nodes().iter().enumerate() {
+                if !node.is_done() && self.crash_round[v] > round {
+                    self.steps.push((v, if round == 0 { 0 } else { self.ready[v] }));
                 }
             }
+            let stats = self.net.step()?;
+            self.time_round(round, stats);
         }
-        for index in 0..self.nodes.len() {
-            let id = NodeId::new(index as u32);
-            if self.nodes[index].is_done() {
-                self.states[index].done = true;
-                self.send_final_pulse(id);
-            } else if self.crash_round[index] > 0 {
-                self.try_schedule(id, 0);
-            }
-        }
-        while let Some(scheduled) = self.heap.pop() {
-            debug_assert!(scheduled.time >= self.now, "virtual time must be monotone");
-            self.now = scheduled.time;
-            self.report.events_processed += 1;
-            self.report.virtual_nanos = self.report.virtual_nanos.max(self.now);
-            match scheduled.ev {
-                Ev::Arrival { dst, env } => self.process_arrival(dst, env),
-                Ev::Step { node, round } => self.process_step(node, round)?,
-            }
-        }
-        Ok(())
-    }
-
-    fn push_event(&mut self, time: u64, ev: Ev<L::Msg>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Scheduled { time, seq, ev });
-    }
-
-    /// Buffers an arrived envelope and checks whether it unblocked the
-    /// receiver's next round.
-    fn process_arrival(&mut self, dst: NodeId, env: Envelope<L::Msg>) {
-        let neighbors = self.topo.neighbors(dst);
-        let degree = neighbors.len();
-        let j = neighbors.binary_search(&env.src).expect("envelope from a non-neighbor");
-        let state = &mut self.states[dst.index()];
-        state.receive(j, degree, env);
-        self.try_schedule(dst, self.now);
-    }
-
-    /// Schedules the node's next step if its dependencies are met, it is
-    /// live, and the round limit allows it. Steps fire no earlier than the
-    /// node's own compute-completion time.
-    fn try_schedule(&mut self, node: NodeId, now: u64) {
-        let index = node.index();
-        let state = &mut self.states[index];
-        if state.done || state.step_scheduled {
-            return;
-        }
-        let round = state.next_round;
-        if round >= self.crash_round[index] {
-            return;
-        }
-        if round >= self.max_rounds {
-            return;
-        }
-        if !state.ready() {
-            return;
-        }
-        state.step_scheduled = true;
-        let at = now.max(self.free_at[index]);
-        self.push_event(at, Ev::Step { node, round });
-    }
-
-    /// Executes one node step: reassemble the inbox, run the logic through
-    /// the engine's `step_into`, account the outbox against the sender's
-    /// round, and emit one envelope per edge.
-    fn process_step(&mut self, node: NodeId, round: u32) -> Result<(), CongestError> {
-        let index = node.index();
-        let t = self.now;
-
-        // Reassemble the round inbox in ascending neighbor order; each
-        // envelope preserves its sender's outbox order, so this is the
-        // engine's inbox byte for byte.
-        let envelopes = self.states[index].take_inbox_envelopes(round);
-        let mut inbox = std::mem::take(&mut self.scratch_inbox);
-        inbox.clear();
-        for env in envelopes.into_iter().flatten() {
-            let src = env.src;
-            inbox.extend(env.payloads.into_iter().map(|m| (src, m)));
-        }
-
-        let mut outbox = std::mem::take(&mut self.scratch_outbox);
-        let mut error = None;
-        step_into(
-            &self.topo,
-            &mut self.nodes[index],
-            index,
-            &inbox,
-            &mut outbox,
-            &mut error,
-            false,
-            round,
-            self.master_seed,
-        );
-        inbox.clear();
-        self.scratch_inbox = inbox;
-        if let Some(err) = error {
-            self.scratch_outbox = outbox;
-            return Err(err);
-        }
-
-        // Round bookkeeping. Every stepped round owns a stats row, even if
-        // nothing was sent — the engine pushes one RoundStats per executed
-        // round too.
-        while self.rows.len() <= round as usize {
-            let r = self.rows.len() as u32;
-            self.rows.push(RoundStats { round: r, ..RoundStats::default() });
-        }
-        self.rounds_executed = self.rounds_executed.max(round + 1);
-        let end = t + COMPUTE_NANOS;
-        while self.report.round_spans.len() <= round as usize {
-            self.report.round_spans.push((t, end));
-        }
-        let span = &mut self.report.round_spans[round as usize];
-        span.0 = span.0.min(t);
-        span.1 = span.1.max(end);
-        self.report.virtual_nanos = self.report.virtual_nanos.max(end);
-
-        let done = self.nodes[index].is_done();
-        let state = &mut self.states[index];
-        state.step_scheduled = false;
-        state.next_round = round + 1;
-        state.done = done;
-
-        let result = self.send_round(node, round, end, done, &mut outbox);
-        outbox.clear();
-        self.scratch_outbox = outbox;
-        result?;
-
-        if !done {
-            // The step may already be unblocked (all next-round envelopes
-            // arrived while this one computed).
-            self.try_schedule(node, end);
-        }
-        Ok(())
-    }
-
-    /// Scans the sorted outbox with the engine's delivery rule
-    /// ([`deliver_one`]) and emits one envelope per incident edge — a
-    /// pulse where no payloads are addressed.
-    fn send_round(
-        &mut self,
-        src: NodeId,
-        round: u32,
-        send_t: u64,
-        final_round: bool,
-        outbox: &mut [(NodeId, L::Msg)],
-    ) -> Result<(), CongestError> {
-        let fault = self.config.fault;
-        // Stats accumulate in a local copy (written back below) so the
-        // loop can freely borrow the queue and report.
-        let mut stats = self.rows[round as usize];
-        let mut neighbors = std::mem::take(&mut self.scratch_neighbors);
-        neighbors.clear();
-        neighbors.extend_from_slice(self.topo.neighbors(src));
-
-        let mut cursor = 0usize;
-        let mut last = None;
-        let mut failure = None;
-        'edges: for &dst in &neighbors {
-            let mut payloads = Vec::new();
-            let mut addressed = false;
-            while let Some((d, msg)) = outbox.get(cursor) {
-                if *d != dst {
-                    debug_assert!(*d > dst, "outbox sorted by destination");
-                    break;
-                }
-                cursor += 1;
-                addressed = true;
-                match deliver_one(fault, &mut stats, &mut last, round, src, dst, msg) {
-                    Ok(true) => payloads.push(msg.clone()),
-                    Ok(false) => {}
-                    Err(err) => {
-                        failure = Some(err);
-                        break 'edges;
-                    }
-                }
-            }
-            if addressed {
-                self.report.protocol_envelopes += 1;
-            } else {
-                self.report.pulse_envelopes += 1;
-            }
-            let arrival = self.delivery_time(src, dst, round, send_t);
-            let env = Envelope { src, round, payloads, final_round };
-            self.push_event(arrival, Ev::Arrival { dst, env });
-        }
-        self.rows[round as usize] = stats;
-        neighbors.clear();
-        self.scratch_neighbors = neighbors;
-        match failure {
-            Some(err) => Err(err),
-            None => {
-                debug_assert_eq!(cursor, outbox.len(), "every outbox message addresses a neighbor");
-                Ok(())
-            }
-        }
-    }
-
-    /// When the envelope `src → dst` sent at `send_t` arrives: one latency
-    /// draw from the per-`(edge, round)` stream after the send.
-    fn delivery_time(&self, src: NodeId, dst: NodeId, round: u32, send_t: u64) -> u64 {
-        let key = (u64::from(src.raw()) << 32) | u64::from(dst.raw());
-        let mut rng = NodeRng::derive_keyed(self.config.latency_seed, key, round);
-        send_t + self.config.latency.sample(&mut rng)
-    }
-
-    /// Emits the round-0 final pulse of a node that was done before ever
-    /// stepping, so its neighbors do not wait on it.
-    fn send_final_pulse(&mut self, src: NodeId) {
-        let mut neighbors = std::mem::take(&mut self.scratch_neighbors);
-        neighbors.clear();
-        neighbors.extend_from_slice(self.topo.neighbors(src));
-        for &dst in &neighbors {
-            self.report.pulse_envelopes += 1;
-            let arrival = self.delivery_time(src, dst, 0, 0);
-            let env = Envelope { src, round: 0, payloads: Vec::new(), final_round: true };
-            self.push_event(arrival, Ev::Arrival { dst, env });
-        }
-        neighbors.clear();
-        self.scratch_neighbors = neighbors;
-    }
-
-    /// Builds the transcript and exports the simulated timeline to the obs
-    /// layer.
-    fn finalize(&mut self) {
-        for row in self.rows.drain(..) {
-            self.transcript.push(row);
-        }
+        self.transcript = self.net.transcript().clone();
         if distfl_obs::enabled() {
             for (r, &(start, end)) in self.report.round_spans.iter().enumerate() {
                 distfl_obs::complete_at(
@@ -648,14 +339,55 @@ impl<L: NodeLogic> Simulator<L> {
             }
             distfl_obs::complete_at("sim", "run", 0, self.report.virtual_nanos, None);
         }
+        // Every node is done, or the engine reports its round limit.
+        self.net.run(max_rounds).map(|_| ())
+    }
+
+    /// Applies the recurrence to the round just stepped: each step ends
+    /// one compute time after its start, and its envelopes leave then.
+    fn time_round(&mut self, round: u32, stats: RoundStats) {
+        let steps = std::mem::take(&mut self.steps);
+        let mut span = (u64::MAX, 0);
+        for &(v, start) in &steps {
+            let end = start + COMPUTE_NANOS;
+            span = (span.0.min(start), span.1.max(end));
+            self.ready[v] = self.ready[v].max(end);
+            self.send_envelopes(v, round, end, true);
+        }
+        // An edge carries at most one message a round, so the envelopes
+        // with a message are the round's messages, delivered or dropped.
+        let addressed = stats.messages + stats.dropped;
+        self.report.protocol_envelopes += addressed;
+        self.report.pulse_envelopes -= addressed;
+        self.report.events_processed += steps.len() as u64;
+        self.report.virtual_nanos = self.report.virtual_nanos.max(span.1);
+        self.report.round_spans.push(span);
+        self.steps = steps;
+    }
+
+    /// Sends `u`'s round-`round` envelopes at `send`, counting each as a
+    /// pulse. Each lands one latency draw later; if `waited`, its
+    /// receiver's next step waits for it.
+    fn send_envelopes(&mut self, u: usize, round: u32, send: u64, waited: bool) {
+        let src = NodeId::new(u as u32);
+        let neighbors = self.net.topology().neighbors(src);
+        for &dst in neighbors {
+            let at = send + self.latency.draw(self.latency_seed, src, dst, round);
+            self.report.virtual_nanos = self.report.virtual_nanos.max(at);
+            if waited {
+                self.ready[dst.index()] = self.ready[dst.index()].max(at);
+            }
+        }
+        self.report.events_processed += neighbors.len() as u64;
+        self.report.pulse_envelopes += neighbors.len() as u64;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{CongestConfig, Network};
     use crate::message::Payload;
+    use proptest::prelude::*;
 
     /// Variable-width payload so bit accounting is non-trivial.
     #[derive(Clone, Debug, PartialEq)]
@@ -857,6 +589,21 @@ mod tests {
         assert_eq!(&enodes, sim.nodes());
     }
 
+    /// A step starts no earlier than the end of its node's previous step.
+    /// Node 0 is done before round 0, so its final pulse leaves at 0 and
+    /// lands at 500 ns, while node 1 computes round 0 until 1000 ns.
+    #[test]
+    fn a_step_waits_for_its_own_previous_compute() {
+        let topo = Topology::from_edges(2, [(NodeId::new(0), NodeId::new(1))]).unwrap();
+        let mut nodes = gossips(2, 2);
+        nodes[0].done = true;
+        let config = SimConfig { latency: LatencyModel::Constant(500), ..SimConfig::default() };
+        let (res, sim) = sim_run(&topo, nodes, 0, config, 10);
+        assert_eq!(res, Ok(()));
+        assert_eq!(sim.report().round_spans, [(0, 1000), (1000, 2000)]);
+        assert_eq!(sim.report().virtual_nanos, 2500);
+    }
+
     #[test]
     fn report_counts_pulses_and_protocol_envelopes() {
         let topo = Topology::ring(4).unwrap();
@@ -981,5 +728,99 @@ mod tests {
         let config =
             SimConfig { latency: LatencyModel::Uniform { lo: 5, hi: 4 }, ..SimConfig::default() };
         let _ = Simulator::new(topo, gossips(3, 3), 0, config);
+    }
+
+    /// Sends its state word to a random subset of its neighbours every
+    /// round until its own horizon, so envelopes mix messages and pulses
+    /// and nodes finish at different rounds; horizon 0 is done before
+    /// round 0.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Chatter {
+        horizon: u32,
+        state: u64,
+        done: bool,
+    }
+    impl NodeLogic for Chatter {
+        type Msg = Num;
+        fn step(&mut self, ctx: &mut crate::engine::StepCtx<'_, Num>) {
+            for (src, m) in ctx.inbox() {
+                self.state =
+                    self.state.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (m.0 + u64::from(src.raw()));
+            }
+            let mask = ctx.rng().next_raw();
+            for (i, &nb) in ctx.neighbors().iter().enumerate() {
+                if mask >> i & 1 == 1 {
+                    ctx.send(nb, Num(self.state & 0xFFFF)).unwrap();
+                }
+            }
+            self.done = ctx.round() + 1 >= self.horizon;
+        }
+        fn is_done(&self) -> bool {
+            self.done
+        }
+    }
+
+    /// Every latency family, with zero latency and latencies below the
+    /// compute time among the draws.
+    fn any_latency() -> impl Strategy<Value = LatencyModel> {
+        prop_oneof![
+            Just(LatencyModel::Constant(0)),
+            (0u64..3_000).prop_map(LatencyModel::Constant),
+            (0u64..200_000).prop_map(LatencyModel::Constant),
+            (0u64..5_000, 0u64..50_000)
+                .prop_map(|(lo, span)| LatencyModel::Uniform { lo, hi: lo + span }),
+            (1.0f64..100_000.0, 0.0f64..2.0)
+                .prop_map(|(median_nanos, sigma)| LatencyModel::LogNormal { median_nanos, sigma }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3_000))]
+
+        /// The recurrence reproduces the event-driven simulator: the same
+        /// transcript or error, the same final node states and the same
+        /// report, over random graphs of 2–13 nodes, every latency family,
+        /// drop plans, crashes at round 0 and later, nodes done before
+        /// round 0, and round limits that trip.
+        #[test]
+        fn clock_matches_the_event_driven_reference(
+            n in 2usize..14,
+            raw_edges in prop::collection::vec((0usize..13, 0usize..13), 0..40),
+            horizons in prop::collection::vec(0u32..7, 13),
+            latency in any_latency(),
+            latency_seed in 0u64..1_000,
+            drop_p in prop::option::of(0.0f64..1.0),
+            raw_crashes in prop::collection::vec((0usize..13, 0u32..6), 0..4),
+            max_rounds in 0u32..9,
+            seed in 0u64..1_000,
+        ) {
+            let edges = raw_edges
+                .iter()
+                .map(|&(a, b)| (a % n, b % n))
+                .filter(|(a, b)| a != b)
+                .map(|(a, b)| (NodeId::new(a.min(b) as u32), NodeId::new(a.max(b) as u32)))
+                .collect::<std::collections::BTreeSet<_>>();
+            let topo = Topology::from_edges(n, edges).unwrap();
+            let nodes: Vec<Chatter> = horizons[..n]
+                .iter()
+                .map(|&horizon| Chatter { horizon, state: 0, done: horizon == 0 })
+                .collect();
+            let config = SimConfig {
+                latency,
+                latency_seed,
+                fault: drop_p.map(|p| FaultPlan::drop_with_probability(p, seed)),
+                crashes: raw_crashes
+                    .iter()
+                    .map(|&(v, round)| (NodeId::new((v % n) as u32), round))
+                    .collect(),
+            };
+            let (expected, expected_nodes, expected_report) =
+                reference::Simulator::new(topo.clone(), nodes.clone(), seed, config.clone())
+                    .run(max_rounds);
+            let mut sim = Simulator::new(topo, nodes, seed, config).unwrap();
+            prop_assert_eq!(sim.run(max_rounds).cloned(), expected);
+            prop_assert_eq!(sim.nodes(), &expected_nodes[..]);
+            prop_assert_eq!(sim.report(), &expected_report);
+        }
     }
 }

@@ -1,6 +1,7 @@
-//! The α-synchronizer: per-node round bookkeeping that lets lock-step
+//! The α-synchronizer of the event-driven reference simulator
+//! (`reference.rs`): per-node round bookkeeping that lets lock-step
 //! [`NodeLogic`](crate::NodeLogic) protocols run over an asynchronous
-//! message substrate **unmodified**.
+//! message substrate **unmodified**. Test-only, like the reference.
 //!
 //! ## Protocol
 //!
@@ -32,8 +33,10 @@
 //! byte-for-byte the one the lock-step engine would have produced; the
 //! node RNG stream is derived from the same `(master seed, node, round)`
 //! triple. Local computation is therefore bit-identical, and with it the
-//! whole [`Transcript`](crate::Transcript) — the property pinned by the
-//! `sim_matches_lockstep` proptests.
+//! whole [`Transcript`](crate::Transcript). Since the inboxes are the
+//! engine's, the synchronizer decides only *when* each step runs, which is
+//! what lets [`Simulator`](crate::Simulator) run the engine itself and
+//! keep only the timing.
 
 use crate::message::Payload;
 use crate::node::NodeId;

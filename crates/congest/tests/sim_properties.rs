@@ -1,7 +1,7 @@
-//! Property-based equivalence tests between the discrete-event simulator
-//! and the lock-step engine.
+//! Property-based equivalence tests between the simulator and the
+//! lock-step engine.
 //!
-//! The α-synchronizer's contract is that virtual time is *invisible* to the
+//! The simulator's contract is that virtual time is *invisible* to the
 //! protocol: whatever latency distribution, fault plan, or crash schedule
 //! the simulator runs under, the
 //! inbox slices, RNG streams, transcripts, and final node states (each
@@ -161,8 +161,9 @@ proptest! {
 
     /// Virtual time is deterministic too: two simulator runs with the same
     /// configuration agree on the full [`distfl_congest::SimReport`], not
-    /// just the transcript — the event heap's `(time, seq)` ordering
-    /// leaves no room for platform- or iteration-order dependence.
+    /// just the transcript — the clock is a function of the run and the
+    /// keyed latency draws, with no room for platform- or iteration-order
+    /// dependence.
     #[test]
     fn sim_replay_is_bit_identical(
         recipe in graph_strategy(),

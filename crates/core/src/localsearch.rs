@@ -62,7 +62,10 @@
 //! selection sequence — is bit-identical to [`optimize_reference`]. On
 //! average fewer than one candidate besides the winner comes within the
 //! margin, so a round costs about `O(links + k(m−k) + n)`, with `O(n + m)`
-//! scratch.
+//! scratch. A solve adds its priced rounds and exact folds to the
+//! `solver.localsearch.rounds` and `solver.localsearch.exact_folds`
+//! counters; outputs cannot show a shortlist that folds too much, so
+//! `bench solvers --smoke` gates the folds per round.
 
 use distfl_instance::{ClientId, FacilityId, Instance, Solution};
 
@@ -215,6 +218,8 @@ struct Pick {
     /// Improvement threshold: a candidate must cost strictly less.
     limit: f64,
     best: Option<(f64, (usize, usize))>,
+    /// Exact folds run so far.
+    folds: u64,
 }
 
 impl Pick {
@@ -227,6 +232,7 @@ impl Pick {
     /// at `floor` loses at its exact cost and the fold is skipped.
     fn offer(&mut self, floor: f64, rank: (usize, usize), exact: impl FnOnce() -> f64) {
         if self.beats(floor, rank) {
+            self.folds += 1;
             let cost = exact();
             if self.beats(cost, rank) {
                 self.best = Some((cost, rank));
@@ -467,8 +473,10 @@ pub(crate) fn optimize_with(
     let eps = (n + m + 8) as f64 * 4.0 * f64::EPSILON;
     let mut moves = 0;
     let mut converged = false;
+    let (mut rounds, mut exact_folds) = (0u64, 0u64);
 
     while moves < max_moves {
+        rounds += 1;
         ids_of(open_ids, open, true);
         ids_of(closed_ids, open, false);
         // The client pass: `A`, `loss` and `need`.
@@ -528,7 +536,7 @@ pub(crate) fn optimize_with(
         // Second pass: exact folds for the candidates that can still win.
         // An infeasible candidate has no estimate, exactly as the rescan's
         // `None` is skipped.
-        let mut pick = Pick { limit: current - 1e-9, best: None };
+        let mut pick = Pick { limit: current - 1e-9, best: None, folds: 0 };
         for &a in open_ids.iter() {
             if let Some(e) = round.drop(tables, a).filter(|e| e.floor() <= bound) {
                 pick.offer(e.floor(), (a as usize, 0), || round.exact(a, NONE));
@@ -551,6 +559,7 @@ pub(crate) fn optimize_with(
             }
             clear_row(tables);
         }
+        exact_folds += pick.folds;
         let Some((cost, (a, r))) = pick.best else {
             converged = true;
             break;
@@ -572,6 +581,8 @@ pub(crate) fn optimize_with(
     }
 
     distfl_obs::counter("solver.localsearch.moves").add(u64::from(moves));
+    distfl_obs::counter("solver.localsearch.rounds").add(rounds);
+    distfl_obs::counter("solver.localsearch.exact_folds").add(exact_folds);
     finish(instance, open.clone(), initial_cost, moves, converged)
 }
 

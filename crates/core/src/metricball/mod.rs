@@ -2,7 +2,7 @@
 //! style of Briest et al. (arXiv 1105.1248) and the Mettu–Plaxton radius
 //! technique, built on the same [`distfl_congest::NodeLogic`] machinery as
 //! [`crate::paydual`] so it runs unmodified on the lock-step engine *and*
-//! the discrete-event simulator.
+//! the simulator.
 //!
 //! # Protocol
 //!
@@ -125,7 +125,7 @@ impl MetricBall {
         self.params
     }
 
-    /// Runs the protocol on the discrete-event simulator: same node logic,
+    /// Runs the protocol on the simulator: same node logic,
     /// same transcript (bit-identical in a loss-free configuration,
     /// whatever the latency model) as [`FlAlgorithm::run`].
     ///

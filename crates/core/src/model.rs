@@ -175,12 +175,11 @@ pub fn topology_of(instance: &Instance) -> Result<Topology, CongestError> {
 
 /// A forward cursor over a node's id-sorted link table.
 ///
-/// Both executors hand a node its inbox sorted by sender (the engine
-/// delivers in ascending source order, the simulator refills per-neighbor
-/// slots in neighbor order), so successive senders only move forward
-/// through the table. The cursor walks it alongside the inbox instead of
-/// searching it once per message. Start a fresh cursor for every pass over
-/// an inbox.
+/// The engine hands a node its inbox sorted by sender (it delivers in
+/// ascending source order, under either executor), so successive senders
+/// only move forward through the table. The cursor walks it alongside the
+/// inbox instead of searching it once per message. Start a fresh cursor
+/// for every pass over an inbox.
 #[derive(Default)]
 pub(crate) struct LinkCursor {
     next: usize,
@@ -210,7 +209,7 @@ impl LinkCursor {
 pub(crate) enum Executor {
     /// The lock-step round engine.
     LockStep(CongestConfig),
-    /// The discrete-event simulator.
+    /// The lock-step engine, timed by the simulator's clock.
     Simulated(SimConfig),
 }
 
@@ -324,7 +323,8 @@ mod tests {
             [2, 5, 7, 11].iter().map(|&id| (NodeId::new(id), f64::from(id))).collect();
         let mut cursor = LinkCursor::default();
         // Ascending senders, with non-links before, between and after the
-        // table, and a repeated sender (possible under the record policy).
+        // table, and a repeated sender: `seek` takes non-decreasing
+        // senders, though an inbox holds at most one message per sender.
         let senders = [0, 2, 3, 5, 5, 8, 11, 12];
         let got: Vec<Option<usize>> =
             senders.iter().map(|&s| cursor.seek(&links, NodeId::new(s))).collect();

@@ -100,8 +100,8 @@ impl Outliers {
         self.params
     }
 
-    /// Runs the core solve on the discrete-event simulator instead of the
-    /// lock-step engine (same selection and reattachment around it).
+    /// Runs the core solve on the simulator, which times the lock-step run
+    /// (same selection and reattachment around it).
     ///
     /// # Errors
     ///

@@ -120,8 +120,8 @@ pub struct PayDual {
 }
 
 /// Result of [`PayDual::run_simulated`] (and of the MetricBall and
-/// Outliers twins): the usual [`Outcome`] plus the discrete-event
-/// simulator's virtual-clock report.
+/// Outliers twins): the usual [`Outcome`] plus the simulator's
+/// virtual-clock report.
 #[derive(Debug, Clone)]
 pub struct SimulatedRun {
     /// The algorithm outcome (solution, transcript, dual certificate).
@@ -158,11 +158,11 @@ impl PayDual {
         self.params
     }
 
-    /// Runs the algorithm on the discrete-event simulator instead of the
-    /// lock-step engine: same protocol, same transcript (bit-identical in
-    /// a loss-free configuration, whatever the latency model), but over
-    /// asynchronous links with the per-edge latency, fault plan and crash
-    /// schedule of `sim`. The virtual makespan lands in the returned
+    /// Runs the algorithm on the simulator: the lock-step run under the
+    /// fault plan and crash schedule of `sim`, timed over asynchronous
+    /// links with its per-edge latency. Same protocol, same transcript
+    /// (bit-identical in a loss-free configuration, whatever the latency
+    /// model). The virtual makespan lands in the returned
     /// [`SimReport`].
     ///
     /// # Errors

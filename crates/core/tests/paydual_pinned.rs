@@ -9,7 +9,7 @@
 //! message, one float sum or one tie-break moves a fingerprint.
 //!
 //! The list covers the four solver-mix families at 20×200 (seeds 1–3), a
-//! sparse `GridNetwork`, a lossy run and one discrete-event simulator run.
+//! sparse `GridNetwork`, a lossy run and one simulated run.
 
 use distfl_congest::{FaultPlan, LatencyModel, SimConfig};
 use distfl_core::paydual::{PayDual, PayDualParams};

@@ -12,7 +12,7 @@
 //!
 //! The distributed kinds with a simulated entry point (MetricBall,
 //! Outliers, PayDual) must also give the same solution and transcript on
-//! the discrete-event simulator, under a drawn latency stream, as on the
+//! the simulator, under a drawn latency stream, as on the
 //! lock-step engine, in exactly the paper's round count (`theory::*`).
 
 use proptest::prelude::*;

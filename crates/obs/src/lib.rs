@@ -277,8 +277,8 @@ pub fn complete(
 
 /// Records an interval on a caller-supplied clock: both the start
 /// timestamp and the duration are given in nanoseconds, with no wall-clock
-/// `Instant` involved. This is how simulated timelines (the discrete-event
-/// CONGEST simulator) land on the trace — `ts_nanos` is nanoseconds of
+/// `Instant` involved. This is how simulated timelines (the CONGEST
+/// simulator's clock) land on the trace — `ts_nanos` is nanoseconds of
 /// *virtual* time since simulation start, and the exporter renders it on
 /// the same microsecond axis as everything else.
 #[inline]
